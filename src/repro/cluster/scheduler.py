@@ -707,9 +707,7 @@ class ClusterScheduler:
             if job.state != RUNNING or now_s < job.resume_at_s:
                 continue
             alive = self.state.alive_in(name)
-            slowdown = max(
-                self.plan.straggler_factor(dev, self._tick) for dev in alive
-            )
+            slowdown = self.plan.slowdown_at(self._tick, alive)
             if slowdown > 1.0:
                 self._blame_stragglers(job, alive, slowdown)
                 job.stall_debt += (slowdown - 1.0) * base

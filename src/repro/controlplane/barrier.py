@@ -171,8 +171,7 @@ def step_arrivals(
     if base_step_seconds <= 0:
         raise ValueError("base_step_seconds must be > 0")
     return {
-        host: base_step_seconds
-        * max(plan.straggler_factor(chip, step) for chip in chips)
+        host: base_step_seconds * plan.slowdown_at(step, chips)
         for host, chips in group.hosts.items()
     }
 

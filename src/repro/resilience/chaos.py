@@ -211,13 +211,6 @@ class ChaosReport(GoodputAccounting):
         return len(self.desync_events)
 
 
-def _straggler_slowdown(
-    plan: FaultPlan, alive: list[tuple[int, int]], step: int
-) -> float:
-    """Synchronous step slowdown: the fleet waits for the slowest chip."""
-    return max(plan.straggler_factor(device, step) for device in alive)
-
-
 def _params_nbytes(params: dict[str, np.ndarray]) -> int:
     return sum(int(np.asarray(a).nbytes) for a in params.values())
 
@@ -296,7 +289,8 @@ def run_chaos(
         detector = OracleDetector(config.detection_timeout_s)
     policy = checkpoint_policy or StepInterval(config.checkpoint_interval)
     x_size, y_size = config.mesh_shape
-    alive = [(x, y) for x in range(x_size) for y in range(y_size)]
+    # An insertion-ordered set: x-major iteration, O(1) membership and removal.
+    alive = dict.fromkeys((x, y) for x in range(x_size) for y in range(y_size))
     hosts = host_map(config.mesh_shape, config.chips_per_host)
     report = ChaosReport()
 
@@ -337,7 +331,7 @@ def run_chaos(
                 report.preempt_checkpoints_saved += 1
             for sig, victims in live_signals:
                 for device in victims:
-                    alive.remove(device)
+                    del alive[device]
                     overlays.pop(device, None)
             report.preemptions += len(live_signals)
             _telemetry.flight_recorder.record(
@@ -395,7 +389,7 @@ def run_chaos(
         ]
         if hits:
             for device in hits:
-                alive.remove(device)
+                del alive[device]
                 overlays.pop(device, None)
             report.device_failures += len(hits)
             if _telemetry.enabled:
@@ -420,7 +414,7 @@ def run_chaos(
             # The step the failure interrupted is wasted, along with every
             # step completed since the last checkpoint (they get redone).
             report.total_seconds += (
-                config.base_step_seconds * _straggler_slowdown(plan, alive, step)
+                config.base_step_seconds * plan.slowdown_at(step, alive)
             )
             lost = (step - ckpt_step) + 1
             report.lost_steps += lost
@@ -478,7 +472,7 @@ def run_chaos(
                         "controlplane_bit_flips_injected"
                     ).inc()
 
-        slowdown = _straggler_slowdown(plan, alive, step)
+        slowdown = plan.slowdown_at(step, alive)
         if trainer is not None:
             assert batch_fn is not None
             x, labels = batch_fn(step)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -311,6 +311,21 @@ class FaultPlan:
         for s in self.stragglers:
             if s.device == device and s.active_at(step):
                 factor = max(factor, s.slowdown)
+        return factor
+
+    def slowdown_at(self, step: int, devices: Container[Device]) -> float:
+        """Step-time multiplier of a synchronous device set at ``step``.
+
+        The set runs at the speed of its slowest chip: the largest
+        ``slowdown`` among the stragglers active at ``step`` whose device is
+        in ``devices``, 1.0 when there is none — the max of
+        :meth:`straggler_factor` over the set, found from the plan's (few)
+        stragglers instead of by visiting every device.
+        """
+        factor = 1.0
+        for s in self.stragglers:
+            if s.slowdown > factor and s.active_at(step) and s.device in devices:
+                factor = s.slowdown
         return factor
 
     # --- queries (discrete-event / time domain) ------------------------------

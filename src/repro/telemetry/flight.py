@@ -44,6 +44,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.telemetry.registry import DeltaReader
+
 logger = logging.getLogger("repro.telemetry")
 
 #: Bundle schema tag, bumped on incompatible layout changes.
@@ -103,7 +105,7 @@ class FlightRecorder:
         self._epoch = clock()
         self._records: deque[FlightRecord] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
-        self._last_counts: dict[str, float] = {}
+        self._delta_reader = DeltaReader()
         self.dump_dir = (
             dump_dir
             if dump_dir is not None
@@ -158,25 +160,19 @@ class FlightRecorder:
         """Record which scalar metrics moved (and by how much) since last call.
 
         Reads the registry's counter/gauge children (histograms and
-        collectors are skipped — this runs per training step) via the
-        lock-protected :meth:`~repro.telemetry.registry.MetricsRegistry.scalar_children`
-        snapshot and stores only the changed values, keyed ``name{k=v,...}``.
+        collectors are skipped — this runs per training step) through
+        :meth:`~repro.telemetry.registry.MetricsRegistry.scalar_deltas`,
+        which visits only the children written since this recorder's last
+        call, and stores the changed values keyed ``name{k=v,...}``.  The
+        first call, and the first after :meth:`clear`, reports every
+        non-zero child as a delta from 0.
         """
         from repro import telemetry
 
         if not telemetry.enabled:
             return
         registry = registry if registry is not None else telemetry.metrics
-        current: dict[str, float] = {}
-        for name, key, value in registry.scalar_children():
-            labels = ",".join(f"{k}={v}" for k, v in key)
-            current[f"{name}{{{labels}}}" if labels else name] = value
-        deltas = {
-            k: v - self._last_counts.get(k, 0.0)
-            for k, v in current.items()
-            if v != self._last_counts.get(k, 0.0)
-        }
-        self._last_counts = current
+        deltas = registry.scalar_deltas(self._delta_reader)
         if deltas:
             self.record("counters", "counter_deltas", deltas=deltas)
 
@@ -231,7 +227,8 @@ class FlightRecorder:
         """Drop every record and restart the epoch (flag state untouched)."""
         with self._lock:
             self._records.clear()
-            self._last_counts = {}
+            # A fresh reader: the registry forgets the old one with it.
+            self._delta_reader = DeltaReader()
             self._epoch = self._clock()
 
     # --- postmortem ---------------------------------------------------------

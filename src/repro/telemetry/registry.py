@@ -17,6 +17,12 @@ Snapshots are plain dicts (JSON-ready via :meth:`MetricsRegistry.to_json`);
 :meth:`MetricsRegistry.register_collector` run at snapshot time, which is
 how cheap cache statistics (e.g. the padding-layout ``lru_cache`` in
 :mod:`repro.runtime.collectives`) surface as gauges without per-call cost.
+
+Per-step consumers (the flight recorder's counter deltas) do not snapshot:
+counter and gauge writes mark their child, and
+:meth:`MetricsRegistry.scalar_deltas` visits only the marked children, so
+that read costs the same whether the registry holds ten children or a
+thousand.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import weakref
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 logger = logging.getLogger("repro.telemetry")
@@ -54,40 +62,90 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing sum."""
+class _ScalarChild:
+    """State shared by :class:`Counter` and :class:`Gauge` children.
 
-    __slots__ = ("name", "labels", "value")
+    ``series`` is the child's ``name{k=v,...}`` key, formatted once here
+    rather than on every read.  Every write *marks* the child: the first
+    write since the last :meth:`MetricsRegistry.scalar_deltas` drain appends
+    it to ``_written``, the owning registry's list of written children, so
+    per-step readers visit only what moved.  The mark takes no lock; the
+    drain's half of the protocol is documented there.
+    """
 
-    def __init__(self, name: str, labels: LabelKey) -> None:
+    __slots__ = ("name", "labels", "value", "series", "_order", "_written", "_marked")
+
+    def __init__(
+        self, name: str, labels: LabelKey, written: list, order: tuple[int, int]
+    ) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
+        pairs = ",".join(f"{k}={v}" for k, v in labels)
+        self.series = f"{name}{{{pairs}}}" if pairs else name
+        #: (family, child) creation indices: the registry's iteration order.
+        self._order = order
+        self._written = written
+        self._marked = False
+
+
+class Counter(_ScalarChild):
+    """A monotonically increasing sum."""
+
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a gauge")
         self.value += amount
+        if not self._marked:
+            self._marked = True
+            self._written.append(self)
 
 
-class Gauge:
+class Gauge(_ScalarChild):
     """A value that can go up and down (last write wins)."""
 
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         self.value = float(value)
+        if not self._marked:
+            self._marked = True
+            self._written.append(self)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        if not self._marked:
+            self._marked = True
+            self._written.append(self)
 
     def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+        self.inc(-amount)
+
+
+class DeltaReader:
+    """Identity of one consumer of :meth:`MetricsRegistry.scalar_deltas`.
+
+    The registry keeps a reader's position only while the reader object is
+    alive, and a fresh reader starts from zero — dropping the reader is how
+    a consumer (a flight recorder being cleared or collected) unsubscribes.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+_CREATION_ORDER = attrgetter("_order")
+
+
+class _ReaderState:
+    """One reader's position: last reported values and children to revisit."""
+
+    __slots__ = ("last", "pending")
+
+    def __init__(self) -> None:
+        self.last: dict[_ScalarChild, float] = {}
+        self.pending: set[_ScalarChild] = set()
 
 
 class Histogram:
@@ -123,12 +181,16 @@ class Histogram:
 class _Family:
     """All labeled children of one metric name, plus its kind/bucket spec."""
 
-    __slots__ = ("name", "kind", "buckets", "children")
+    __slots__ = ("name", "kind", "buckets", "index", "children")
 
-    def __init__(self, name: str, kind: str, buckets: tuple[float, ...] | None) -> None:
+    def __init__(
+        self, name: str, kind: str, buckets: tuple[float, ...] | None, index: int
+    ) -> None:
         self.name = name
         self.kind = kind
         self.buckets = buckets
+        #: Creation index within the registry (first half of a child's order).
+        self.index = index
         self.children: dict[LabelKey, Counter | Gauge | Histogram] = {}
 
 
@@ -155,6 +217,11 @@ class MetricsRegistry:
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
         self._lock = threading.Lock()
         self.max_children = max_children
+        #: Counter/gauge children written since the last scalar_deltas drain.
+        self._written: list[_ScalarChild] = []
+        self._readers: weakref.WeakKeyDictionary[DeltaReader, _ReaderState] = (
+            weakref.WeakKeyDictionary()
+        )
 
     # --- get-or-create ------------------------------------------------------
 
@@ -170,7 +237,9 @@ class MetricsRegistry:
             with self._lock:
                 family = self._families.get(name)
                 if family is None:
-                    family = self._families[name] = _Family(name, kind, buckets)
+                    family = self._families[name] = _Family(
+                        name, kind, buckets, len(self._families)
+                    )
         if family.kind != kind:
             raise ValueError(
                 f"metric {name!r} is a {family.kind}, requested as {kind}"
@@ -195,12 +264,13 @@ class MetricsRegistry:
                         key = OVERFLOW_KEY
                         child = family.children.get(key)
                     if child is None:
-                        if kind == "counter":
-                            child = Counter(name, key)
-                        elif kind == "gauge":
-                            child = Gauge(name, key)
-                        else:
+                        if kind == "histogram":
                             child = Histogram(name, key, family.buckets or DEFAULT_TIME_BUCKETS)
+                        else:
+                            child = (Counter if kind == "counter" else Gauge)(
+                                name, key, self._written,
+                                (family.index, len(family.children)),
+                            )
                         family.children[key] = child
             if overflowed and name != OVERFLOW_COUNTER:
                 # Outside the lock (counter() re-enters _child).  The guard
@@ -251,21 +321,70 @@ class MetricsRegistry:
             c.value for c in family.children.values() if not isinstance(c, Histogram)
         )
 
+    def _scalars(self):
+        """Every counter/gauge child in iteration order (hold the lock)."""
+        return (
+            child
+            for family in self._families.values()
+            if family.kind != "histogram"
+            for child in family.children.values()
+        )
+
     def scalar_children(self) -> list[tuple[str, LabelKey, float]]:
         """``(name, label key, value)`` for every counter/gauge child.
 
-        The family and child maps are copied while holding the registry
-        lock, so callers (e.g. the flight recorder's per-step counter
-        deltas) can iterate safely while other threads create metrics.
+        The children are collected while holding the registry lock, so
+        callers can iterate safely while other threads create metrics.
+        This walks and rebuilds every child: per-step readers use
+        :meth:`scalar_deltas` instead.
         """
         with self._lock:
-            children = [
-                (family.name, key, child)
-                for family in self._families.values()
-                if family.kind != "histogram"
-                for key, child in family.children.items()
-            ]
-        return [(name, key, child.value) for name, key, child in children]
+            children = list(self._scalars())
+        return [(child.name, child.labels, child.value) for child in children]
+
+    def scalar_deltas(self, reader: DeltaReader) -> dict[str, float]:
+        """Counter/gauge changes since ``reader``'s previous call, by series.
+
+        Each reader has its own position, so several consumers (the process
+        flight recorder, a test's private one) see the same deltas
+        independently.  A reader's first call reports every non-zero child
+        as a delta from 0; later calls visit only children written in
+        between, so the cost follows the writes, not the registry size.
+        Keys come in the registry's iteration order (family, then child
+        creation), whatever order the writes or other readers' calls took.
+
+        Writers mark children without a lock (see :class:`_ScalarChild`).
+        No increment is lost because the drain unmarks a child *before* any
+        reader looks at its value: a writer that still saw the mark wrote
+        its value first, and one that did not re-marks the child for the
+        next drain.  Two racing writers can at worst mark a child twice,
+        which the per-reader sets absorb.
+        """
+        with self._lock:
+            written = self._written
+            count = len(written)
+            if count:
+                # Appends racing with these two lines land past ``count``.
+                batch = written[:count]
+                del written[:count]
+                for child in batch:
+                    child._marked = False
+                for state in self._readers.values():
+                    state.pending.update(batch)
+            state = self._readers.get(reader)
+            if state is None:
+                state = self._readers[reader] = _ReaderState()
+                state.pending.update(self._scalars())
+            last = state.last
+            deltas: dict[str, float] = {}
+            for child in sorted(state.pending, key=_CREATION_ORDER):
+                value = child.value
+                previous = last.get(child, 0.0)
+                if value != previous:
+                    deltas[child.series] = value - previous
+                    last[child] = value
+            state.pending.clear()
+        return deltas
 
     def snapshot(self) -> dict:
         """All metrics as a JSON-ready dict (runs registered collectors)."""
@@ -297,6 +416,13 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent)
 
     def reset(self) -> None:
-        """Drop every family and child (collectors stay registered)."""
+        """Drop every family and child (collectors stay registered).
+
+        Delta readers start over, and children a caller still holds keep
+        marking the abandoned list, which nobody drains: like the rest of
+        the read side, deltas never report a child the registry dropped.
+        """
         with self._lock:
             self._families.clear()
+            self._written = []
+            self._readers.clear()

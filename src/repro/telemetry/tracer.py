@@ -29,6 +29,11 @@ interleave without corrupting each other's nesting.  *Sinks* registered
 with :meth:`Tracer.add_sink` observe every completed event — this is how
 the :class:`~repro.telemetry.flight.FlightRecorder` mirrors the span
 stream into its ring buffer.
+
+Memory: a tracer keeps its most recent :data:`TRACE_CAPACITY` spans (up to
+twice that between trims), so a process that runs for hours does not grow
+with every span it ever timed.  Sinks still see every span; a plain
+:class:`repro.sim.trace.Trace` stays unbounded.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ logger = logging.getLogger("repro.telemetry")
 
 #: Source tag stamped on every measured span (simulator traces default "").
 MEASURED_SOURCE = "measured"
+
+#: Most recent spans a tracer keeps.  The list is trimmed back to this many
+#: when it reaches twice as many, so it stays a plain list and one trim pays
+#: for ``TRACE_CAPACITY`` appends.
+TRACE_CAPACITY = 8192
 
 
 class _NullSpan:
@@ -92,7 +102,10 @@ class _Span:
             self.category,
             MEASURED_SOURCE,
         )
-        tracer.trace.events.append(event)
+        events = tracer.trace.events
+        events.append(event)
+        if len(events) >= 2 * TRACE_CAPACITY:
+            del events[:-TRACE_CAPACITY]
         for sink in tracer._sinks:
             try:
                 sink(event)

@@ -464,6 +464,68 @@ class TestTenantLabelCardinality:
         assert OVERFLOW_KEY not in family.children
 
 
+class TestStragglerStallPin:
+    """A sampled plan with stragglers through the tick loop, pinned.
+
+    Values recorded before ``_run_steps`` took its slowdown from
+    ``FaultPlan.slowdown_at``: 13 stragglers at 2.5x and 8 chip deaths on
+    8x8 under three 4x4 tenants.  Straggled ticks accrue stall debt (17
+    stalled ticks), slow steps are blamed through the barrier (20 chip
+    blames: two windows overlap inside one slice), tenant-0 also restarts
+    three times, tenant-2 never meets a straggler.
+    """
+
+    def test_per_tenant_reports_are_pinned(self):
+        specs = [
+            JobSpec(
+                name=f"tenant-{i}", slice_shape=(4, 4), target_steps=30,
+                priority=i % 2, arrival_tick=3 * i, min_chips=8,
+                checkpoint_interval=8, state_bytes=int(2e9),
+            )
+            for i in range(3)
+        ]
+        plan = FaultPlan.sample(
+            9, (8, 8), steps=60, expected_chip_failures=3.0,
+            expected_stragglers=8.0, straggler_slowdown=2.5,
+        )
+        assert (len(plan.stragglers), len(plan.chip_failures)) == (13, 8)
+        config = ClusterConfig(
+            mesh_shape=(8, 8), restore_bandwidth_bytes_per_s=10e9,
+            heal_after_s=15.0, seed=9,
+        )
+        result = run_cluster(specs, config, plan=plan)
+        assert (result.ticks, len(result.events)) == (52, 20)
+        clean = {
+            "restarts": 0, "lost_steps": 0, "restart_seconds": 0.0,
+            "detections": 0, "detection_seconds": 0.0, "preemptions": 0,
+            "mttr_seconds": 0.0, "mttd_seconds": 0.0, "useful_seconds": 30.0,
+        }
+        assert {
+            name: job.accounting_dict() for name, job in result.jobs.items()
+        } == {
+            "tenant-0": {
+                "steps_executed": 35, "restarts": 3, "lost_steps": 8,
+                "checkpoints_taken": 7,
+                "restart_seconds": 2.0999999999999996,
+                "total_seconds": 51.70000000000002, "useful_seconds": 30.0,
+                "detections": 3, "detection_seconds": 1.5, "preemptions": 0,
+                "goodput": 0.5802707930367503,
+                "mttr_seconds": 0.6999999999999998, "mttd_seconds": 0.5,
+            },
+            "tenant-1": {
+                **clean, "steps_executed": 30, "checkpoints_taken": 4,
+                "total_seconds": 36.0, "goodput": 0.8333333333333334,
+            },
+            "tenant-2": {
+                **clean, "steps_executed": 30, "checkpoints_taken": 4,
+                "total_seconds": 30.0, "goodput": 1.0,
+            },
+        }
+        m = telemetry.metrics
+        assert m.total("cluster_straggler_stall_ticks") == 17
+        assert m.total("cluster_straggler_blames") == 20
+
+
 class TestGoodputSchema:
     """Satellite: chaos and cluster runs share one accounting schema."""
 

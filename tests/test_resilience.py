@@ -87,6 +87,50 @@ class TestFaultPlan:
         assert plan.straggler_factor((2, 0), 6) == 1.0
         assert plan.straggler_factor((0, 0), 4) == 1.0
 
+    @given(
+        stragglers=st.lists(
+            st.builds(
+                StragglerFault,
+                device=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                start_step=st.integers(0, 12),
+                duration_steps=st.integers(1, 6),
+                slowdown=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]),
+            ),
+            max_size=8,
+        ),
+        devices=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=16, unique=True,
+        ),
+        step=st.integers(0, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slowdown_at_is_the_max_straggler_factor(self, stragglers, devices, step):
+        """The closed form equals the per-device scan it replaced, for any
+        container: windows may overlap on one device, and stragglers on
+        devices outside the set (dead chips, other slices) never count."""
+        plan = FaultPlan(stragglers=tuple(stragglers))
+        oracle = max(plan.straggler_factor(d, step) for d in devices)
+        assert plan.slowdown_at(step, devices) == oracle
+        assert plan.slowdown_at(step, tuple(devices)) == oracle
+        assert plan.slowdown_at(step, frozenset(devices)) == oracle
+        assert plan.slowdown_at(step, dict.fromkeys(devices)) == oracle
+
+    def test_slowdown_at_overlapping_windows_and_dead_devices(self):
+        plan = FaultPlan(
+            stragglers=(
+                StragglerFault((1, 1), 2, 6, 2.0),
+                StragglerFault((1, 1), 4, 2, 5.0),  # overlaps the first
+                StragglerFault((0, 2), 4, 2, 9.0),  # on a chip that is gone
+            ),
+        )
+        alive = [(0, 0), (1, 1)]
+        assert [plan.slowdown_at(step, alive) for step in range(1, 9)] == [
+            1.0, 2.0, 2.0, 5.0, 5.0, 2.0, 2.0, 1.0,
+        ]
+        assert plan.slowdown_at(4, alive + [(0, 2)]) == 9.0
+        assert plan.slowdown_at(4, [(0, 0)]) == 1.0
+
     def test_link_factor_window_and_bidirectionality(self):
         plan = FaultPlan(
             link_faults=(LinkFault((0, 0), (0, 1), start=1.0, duration=2.0),),
@@ -460,6 +504,37 @@ class TestChaosHarness:
         assert report.total_seconds == pytest.approx(4.0 + 10.0 + 1.0 + 1.5)
         assert report.useful_seconds == pytest.approx(10.0)
         assert report.goodput == pytest.approx(10.0 / 16.5)
+
+    def test_sampled_plan_with_stragglers_pinned(self):
+        """Accounting-mode seed recorded before the straggler slowdown went
+        closed-form: 8 stragglers, 4 chip failures and a preemption on 8x8,
+        one straggler window on a chip that died 90 steps earlier (counting
+        it would read 216.0 s)."""
+        plan = FaultPlan.sample(
+            5, (8, 8), 120, expected_chip_failures=3.0,
+            expected_stragglers=6.0, expected_preemptions=1.0,
+        )
+        assert len(plan.stragglers) == 8
+        config = ChaosConfig(
+            mesh_shape=(8, 8), target_steps=120, checkpoint_interval=10
+        )
+        report = run_chaos(plan, config, state_bytes=int(2e9))
+        assert report.accounting_dict() == {
+            "steps_executed": 140,
+            "restarts": 5,
+            "lost_steps": 24,
+            "checkpoints_taken": 13,
+            "restart_seconds": 12.0,
+            "total_seconds": 210.0,
+            "useful_seconds": 120.0,
+            "detections": 4,
+            "detection_seconds": 2.0,
+            "preemptions": 1,
+            "goodput": 0.5714285714285714,
+            "mttr_seconds": 2.4,
+            "mttd_seconds": 0.5,
+        }
+        assert report.survivors == 64 - 4 - 8
 
     def test_failure_counters_pinned(self):
         telemetry.enable()

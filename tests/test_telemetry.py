@@ -3,6 +3,7 @@ instrumented trainer/runtime hot paths."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 
 from repro import telemetry
 from repro.sim.trace import Trace
-from repro.telemetry.registry import DEFAULT_TIME_BUCKETS, MetricsRegistry
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.registry import DEFAULT_TIME_BUCKETS, DeltaReader, MetricsRegistry
+from repro.telemetry.tracer import TRACE_CAPACITY, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +104,61 @@ class TestRegistry:
         assert ("bytes", (("op", "ar"),), 7.0) in children
         assert ("loss", (), 0.25) in children
         assert all(name != "lat" for name, _, _ in children)
+
+    def test_scalar_deltas_first_call_then_only_changes(self):
+        m = MetricsRegistry()
+        m.counter("bytes", op="ar", axis="y").inc(7)
+        m.gauge("loss").set(0.25)
+        m.counter("untouched")  # created, never written: no delta
+        m.histogram("lat").observe(1.0)  # histograms excluded
+        reader = DeltaReader()
+        assert m.scalar_deltas(reader) == {"bytes{axis=y,op=ar}": 7.0, "loss": 0.25}
+        assert m.scalar_deltas(reader) == {}
+        m.gauge("loss").set(0.25)  # written, but to the same value
+        m.counter("bytes", op="ar", axis="y").inc(2)
+        m.gauge("depth").dec(3)
+        assert m.scalar_deltas(reader) == {"bytes{axis=y,op=ar}": 2.0, "depth": -3.0}
+
+    def test_scalar_deltas_keys_in_creation_order(self):
+        """Key order is the registry's iteration order (family, then child),
+        not the order of the writes."""
+        m = MetricsRegistry()
+        for name, labels in (("a", {"d": "0"}), ("b", {}), ("a", {"d": "1"})):
+            m.counter(name, **labels)
+        reader = DeltaReader()
+        m.scalar_deltas(reader)
+        m.counter("a", d="1").inc()
+        m.counter("b").inc()
+        m.counter("a", d="0").inc()
+        assert list(m.scalar_deltas(reader)) == ["a{d=0}", "a{d=1}", "b"]
+
+    def test_scalar_deltas_are_per_reader(self):
+        m = MetricsRegistry()
+        first, second = DeltaReader(), DeltaReader()
+        m.counter("c").inc(5)
+        assert m.scalar_deltas(first) == {"c": 5.0}
+        m.counter("c").inc(1)
+        m.gauge("g").set(2.0)
+        # ``first`` drained the write marks twice; ``second`` still sees
+        # everything since its own (first) call, ``first`` only the rest.
+        assert m.scalar_deltas(first) == {"c": 1.0, "g": 2.0}
+        assert m.scalar_deltas(second) == {"c": 6.0, "g": 2.0}
+        m.counter("c").inc(3)
+        assert m.scalar_deltas(second) == {"c": 3.0}
+        assert m.scalar_deltas(first) == {"c": 3.0}
+
+    def test_scalar_deltas_after_reset_start_from_zero(self):
+        """A child re-created after reset() is a new series: its delta is
+        its value, never the difference to the dropped child's."""
+        m = MetricsRegistry()
+        reader = DeltaReader()
+        stale = m.counter("c")
+        stale.inc(5)
+        assert m.scalar_deltas(reader) == {"c": 5.0}
+        m.reset()
+        m.counter("c").inc(1)
+        stale.inc(10)  # a child the registry dropped is no longer reported
+        assert m.scalar_deltas(reader) == {"c": 1.0}
 
     def test_histogram_bucket_edges(self):
         m = MetricsRegistry()
@@ -210,6 +266,28 @@ class TestTracer:
             pass
         (e,) = tr.trace.events
         assert e.start == pytest.approx(1.0)
+
+
+    def test_span_list_is_bounded_to_the_newest(self):
+        """A long-lived tracer keeps its newest spans; sinks see them all."""
+        ticks = itertools.count()
+        tr = Tracer(clock=lambda: float(next(ticks)))
+        seen = []
+        tr.add_sink(seen.append)
+        total = 3 * TRACE_CAPACITY
+        for i in range(total):
+            with tr.span(f"s{i}"):
+                pass
+            assert len(tr.trace.events) <= 2 * TRACE_CAPACITY
+        events = tr.trace.events
+        assert TRACE_CAPACITY <= len(events) <= 2 * TRACE_CAPACITY
+        assert [e.name for e in events] == [
+            f"s{i}" for i in range(total - len(events), total)
+        ]
+        assert len(seen) == total
+        assert seen[-len(events):] == events
+        tr.reset()
+        assert tr.trace.events == []
 
 
 class TestTraceMergeAndExport:

@@ -3,8 +3,13 @@ bundles, and the end-to-end chip-death acceptance path."""
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
+import sys
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -15,7 +20,12 @@ from repro.telemetry.flight import (
     FlightRecorder,
     on_terminal_failure,
 )
+from repro.telemetry.registry import DeltaReader, MetricsRegistry, _ScalarChild
 from repro.telemetry.tracer import Tracer
+
+
+def _delta_payloads(rec: FlightRecorder) -> list[dict]:
+    return [r.data["deltas"] for r in rec.records_of_kind("counters")]
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +260,169 @@ class TestCounterDeltas:
         finally:
             stop.set()
             t.join()
+
+
+    def test_two_recorders_see_the_same_deltas_independently(self):
+        """A private recorder beside the process-wide one: neither steals
+        the other's deltas, however their calls interleave."""
+        process, private = telemetry.flight_recorder, FlightRecorder(capacity=16)
+        telemetry.metrics.counter("steps_total", job="a").inc(3)
+        process.record_counter_deltas()
+        telemetry.metrics.counter("steps_total", job="a").inc(2)
+        telemetry.metrics.gauge("loss").set(0.5)
+        process.record_counter_deltas()
+        private.record_counter_deltas()
+        telemetry.metrics.counter("steps_total", job="a").inc(1)
+        private.record_counter_deltas()
+        process.record_counter_deltas()
+
+        assert _delta_payloads(process) == [
+            {"steps_total{job=a}": 3.0},
+            {"steps_total{job=a}": 2.0, "loss": 0.5},
+            {"steps_total{job=a}": 1.0},
+        ]
+        assert _delta_payloads(private) == [
+            {"steps_total{job=a}": 5.0, "loss": 0.5},
+            {"steps_total{job=a}": 1.0},
+        ]
+
+    def test_untouched_children_are_not_revisited(self, monkeypatch):
+        """Per-step cost follows the writes, not the registry size: after
+        the first call only written children are visited (counted as reads
+        of ``child.value``), and the rebuild-everything walk is never used."""
+        rec = FlightRecorder(capacity=16)
+        for i in range(700):
+            telemetry.metrics.counter("per_device_bytes", device=str(i)).inc(i + 1)
+        rec.record_counter_deltas()
+        assert len(_delta_payloads(rec)[-1]) == 700
+
+        def rebuilt(self):
+            raise AssertionError("scalar_children() is off the per-step path")
+
+        reads = []
+        slot = _ScalarChild.value  # the __slots__ descriptor
+
+        class CountingValue:
+            def __get__(self, obj, owner=None):
+                reads.append(obj)
+                return slot.__get__(obj, owner)
+
+            def __set__(self, obj, value):
+                slot.__set__(obj, value)
+
+        written = [
+            telemetry.metrics.counter("per_device_bytes", device=str(i))
+            for i in (3, 141, 699)
+        ]
+        for child in written:
+            child.inc(8)
+        monkeypatch.setattr(MetricsRegistry, "scalar_children", rebuilt)
+        monkeypatch.setattr(_ScalarChild, "value", CountingValue())
+        rec.record_counter_deltas()
+        assert sorted(map(id, reads)) == sorted(map(id, written))
+        del reads[:]
+        rec.record_counter_deltas()  # nothing written: nothing visited
+        assert reads == []
+        assert _delta_payloads(rec)[1:] == [
+            {f"per_device_bytes{{device={i}}}": 8.0 for i in (3, 141, 699)}
+        ]
+
+    def test_first_call_after_clear_reports_from_zero(self):
+        rec = FlightRecorder(capacity=16)
+        telemetry.metrics.counter("steps_total").inc(3)
+        telemetry.metrics.counter("idle")  # zero-valued: never a delta
+        rec.record_counter_deltas()
+        rec.clear()
+        telemetry.metrics.counter("steps_total").inc(1)
+        rec.record_counter_deltas()
+        assert _delta_payloads(rec) == [{"steps_total": 4.0}]
+
+    def test_counter_recreated_after_registry_reset(self):
+        """Regression: last-seen values were keyed by a string that outlived
+        the child, so a monotone counter showed a delta of -4 here."""
+        rec = FlightRecorder(capacity=16)
+        telemetry.metrics.counter("c").inc(5)
+        rec.record_counter_deltas()
+        telemetry.metrics.reset()
+        telemetry.metrics.counter("c").inc(1)
+        rec.record_counter_deltas()
+        assert _delta_payloads(rec) == [{"c": 5.0}, {"c": 1.0}]
+
+    def test_collected_recorder_leaves_the_registry(self):
+        registry = MetricsRegistry()
+        rec = FlightRecorder(capacity=4)
+        registry.counter("c").inc()
+        rec.record_counter_deltas(registry)
+        assert len(registry._readers) == 1
+        gone = weakref.ref(rec)
+        del rec
+        gc.collect()
+        assert gone() is None
+        assert len(registry._readers) == 0
+
+    def test_no_increment_lost_under_concurrent_writers(self):
+        """Writers mark children without a lock while the recorder drains
+        the marks: for every child the recorded deltas must sum exactly to
+        its value at the recorder's latest call.
+
+        A lost mark is repaired by the child's next write, so one counter
+        hammered forever would hide it.  Each writer therefore owns many
+        counters (``+=`` itself is only atomic per thread), writes each in a
+        burst of two and moves on, checking the stop flag per child: a mark
+        lost during the last lap stays lost.  More threads than cores, and
+        a poller that yields so every call interleaves with the writers.
+        """
+        registry = MetricsRegistry()
+        rec = FlightRecorder(capacity=1_000)
+        stop = threading.Event()
+        owned = [
+            [registry.counter(f"burst_{w}", slot=str(i)) for i in range(4000)]
+            for w in range(3)
+        ]
+
+        def burst_writer(mine):
+            for child in itertools.cycle(mine):
+                if stop.is_set():
+                    return
+                child.inc()
+                child.inc()
+
+        def hammer():
+            child = registry.counter("hammered")
+            while not stop.is_set():
+                child.inc()
+
+        def creator():
+            for i in itertools.count():
+                if stop.is_set():
+                    return
+                registry.gauge("churn", device=str(i % 3000)).inc()
+
+        threads = [threading.Thread(target=burst_writer, args=(m,)) for m in owned]
+        threads += [threading.Thread(target=hammer), threading.Thread(target=creator)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(60):
+                rec.record_counter_deltas(registry)
+                time.sleep(0)  # let the writers in between every two calls
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        rec.record_counter_deltas(registry)  # the recorder's latest call
+        sums: dict[str, float] = {}
+        for deltas in _delta_payloads(rec):
+            for series, delta in deltas.items():
+                sums[series] = sums.get(series, 0.0) + delta
+        # A new reader's first call is every non-zero child's value.
+        final = registry.scalar_deltas(DeltaReader())
+        assert final["hammered"] > 0 and len(final) > 12_000
+        assert sums == final
 
 
 class TestChipDeathAcceptance:
