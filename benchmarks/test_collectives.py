@@ -51,20 +51,20 @@ def grid_inputs():
 @pytest.fixture(scope="module")
 def big_ring_block():
     rng = np.random.default_rng(1)
-    return rng.standard_normal((BIG_DEVICES, SIZE)).astype(np.float32)
+    return rng.standard_normal((BIG_DEVICES, SIZE), dtype=np.float32)
 
 
 @pytest.fixture(scope="module")
 def huge_ring_block():
     rng = np.random.default_rng(3)
-    return rng.standard_normal((HUGE_DEVICES, SIZE)).astype(np.float32)
+    return rng.standard_normal((HUGE_DEVICES, SIZE), dtype=np.float32)
 
 
 @pytest.fixture(scope="module")
 def max_ring_block():
     # 4096 x 64K floats = 1 GiB of gradients, the full-pod configuration.
     rng = np.random.default_rng(4)
-    return rng.standard_normal((MAX_DEVICES, SIZE)).astype(np.float32)
+    return rng.standard_normal((MAX_DEVICES, SIZE), dtype=np.float32)
 
 
 @pytest.fixture(scope="module")

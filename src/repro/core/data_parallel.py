@@ -17,11 +17,11 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.core.overlap import OverlapResult, measured_overlap
-from repro.core.trainer import StepResult, _warn_direct_construction
+from repro.core.trainer import StepResult
 from repro.models.mlp import MLP
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.resilience.checkpoint import TrainerCheckpoint, record_checkpoint_metrics
-from repro.runtime.bucket import BucketPlan, GradientBucket
+from repro.runtime.bucket import BucketPlan
 
 
 def _copy_params(params: Params) -> Params:
@@ -52,7 +52,6 @@ class SingleDeviceTrainer:
     """Reference trainer: full batch on one device."""
 
     def __init__(self, model: MLP, optimizer: Optimizer) -> None:
-        _warn_direct_construction(self, SingleDeviceTrainer)
         self.model = model
         self.optimizer = optimizer
         self.params: Params | None = None
@@ -140,7 +139,6 @@ class DataParallelTrainer:
         num_buckets: int = 1,
         overlap: bool = False,
     ) -> None:
-        _warn_direct_construction(self, DataParallelTrainer)
         if dp_x < 1 or dp_y < 1:
             raise ValueError("replica mesh dims must be >= 1")
         if num_buckets < 1:
@@ -160,7 +158,6 @@ class DataParallelTrainer:
         self.params: Params | None = None
         self.state: OptimizerState | None = None
         self.step_index = 0
-        self._bucket: GradientBucket | None = None
         self._plan: BucketPlan | None = None
         #: Persistent device-major gradient stacks, one per bucket index:
         #: the (n, bucket.size) block the replicas flatten into each step.
@@ -178,7 +175,6 @@ class DataParallelTrainer:
         self.params = self.model.init_params(rng)
         self.state = self.optimizer.init_state(self.params)
         self.step_index = 0
-        self._bucket = None
         self._plan = None
         self._grad_blocks = {}
         self.last_overlap = None
@@ -187,11 +183,6 @@ class DataParallelTrainer:
         """The (cached) bucket partition for this model's gradient tree."""
         if self._plan is None:
             self._plan = BucketPlan(template, self.num_buckets)
-            # Back-compat alias: the single-bucket plan *is* the old fused
-            # bucket (identical layout), so keep exposing it.
-            self._bucket = (
-                self._plan.buckets[0] if self._plan.num_buckets == 1 else None
-            )
         return self._plan
 
     def _split(self, x: np.ndarray, labels: np.ndarray):
@@ -387,6 +378,5 @@ class DataParallelTrainer:
         self.params = _copy_params(ckpt.params)
         self.state = _copy_state(ckpt.opt_state)
         self.step_index = ckpt.step_index
-        self._bucket = None
         self._plan = None
         self._last_launches = []

@@ -24,7 +24,7 @@ from time import perf_counter as _perf
 
 import numpy as np
 
-from repro.core.trainer import StepResult, _warn_direct_construction
+from repro.core.trainer import StepResult
 from repro.models.layers import (
     dense_backward,
     relu,
@@ -209,7 +209,6 @@ class HybridParallelTrainer:
     ) -> None:
         if dp_size < 1:
             raise ValueError("dp_size must be >= 1")
-        _warn_direct_construction(self, HybridParallelTrainer)
         self.model = model
         self.optimizer = optimizer
         self.dp_size = dp_size

@@ -15,14 +15,10 @@ One way to build and drive every functional trainer:
   (so ``losses.append(trainer.step(...))`` keeps working everywhere the
   loss used to be a bare float) carrying per-phase seconds and bytes
   moved, consumed by telemetry and the chaos harness.
-
-The legacy constructors keep working but emit a ``DeprecationWarning``
-when called directly; :func:`make_trainer` is the supported surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Protocol, runtime_checkable
 
@@ -30,26 +26,6 @@ import numpy as np
 
 #: Strategies :func:`make_trainer` understands.
 STRATEGIES = ("single", "data_parallel", "wus", "hybrid")
-
-# Set while make_trainer runs so the deprecated constructors stay silent on
-# the supported path (single-threaded; the factory body does no user code).
-_IN_FACTORY = False
-
-
-def _warn_direct_construction(obj: object, cls: type) -> None:
-    """Deprecation for direct trainer construction outside the factory.
-
-    Fires only when ``cls`` is the *concrete* class being built, so a
-    subclass chain warns once, with the right name.
-    """
-    if _IN_FACTORY or type(obj) is not cls:
-        return
-    warnings.warn(
-        f"constructing {cls.__name__} directly is deprecated; use "
-        f"repro.core.make_trainer(TrainerConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class StepResult(float):
@@ -174,42 +150,37 @@ def make_trainer(config: TrainerConfig) -> Trainer:
     from repro.core.model_parallel import HybridParallelTrainer
     from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 
-    global _IN_FACTORY
-    _IN_FACTORY = True
-    try:
-        if config.strategy == "single":
-            trainer: Trainer = SingleDeviceTrainer(config.model, config.optimizer)
-        elif config.strategy == "data_parallel":
-            trainer = DataParallelTrainer(
-                config.model,
-                config.optimizer,
-                dp_x=config.mesh_shape[0],
-                dp_y=config.mesh_shape[1],
-                grad_dtype_policy=config.grad_dtype_policy,
-                guard=config.guard,
-                num_buckets=config.num_buckets,
-                overlap=config.overlap,
-            )
-        elif config.strategy == "wus":
-            trainer = WeightUpdateShardedTrainer(
-                config.model,
-                config.optimizer,
-                num_replicas=config.num_replicas,
-                grad_dtype_policy=config.grad_dtype_policy,
-                fused=config.fused,
-                num_buckets=config.num_buckets,
-                overlap=config.overlap,
-            )
-        else:  # hybrid
-            trainer = HybridParallelTrainer(
-                config.model,
-                config.optimizer,
-                dp_size=config.num_replicas,
-                mp_size=config.mp_size,
-                grad_dtype_policy=config.grad_dtype_policy,
-            )
-    finally:
-        _IN_FACTORY = False
+    if config.strategy == "single":
+        trainer: Trainer = SingleDeviceTrainer(config.model, config.optimizer)
+    elif config.strategy == "data_parallel":
+        trainer = DataParallelTrainer(
+            config.model,
+            config.optimizer,
+            dp_x=config.mesh_shape[0],
+            dp_y=config.mesh_shape[1],
+            grad_dtype_policy=config.grad_dtype_policy,
+            guard=config.guard,
+            num_buckets=config.num_buckets,
+            overlap=config.overlap,
+        )
+    elif config.strategy == "wus":
+        trainer = WeightUpdateShardedTrainer(
+            config.model,
+            config.optimizer,
+            num_replicas=config.num_replicas,
+            grad_dtype_policy=config.grad_dtype_policy,
+            fused=config.fused,
+            num_buckets=config.num_buckets,
+            overlap=config.overlap,
+        )
+    else:  # hybrid
+        trainer = HybridParallelTrainer(
+            config.model,
+            config.optimizer,
+            dp_size=config.num_replicas,
+            mp_size=config.mp_size,
+            grad_dtype_policy=config.grad_dtype_policy,
+        )
     if config.seed is not None:
         trainer.init(np.random.default_rng(config.seed))
     return trainer

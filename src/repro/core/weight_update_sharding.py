@@ -26,7 +26,7 @@ from time import perf_counter as _perf
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.core.trainer import StepResult, _warn_direct_construction
+from repro.core.trainer import StepResult
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.resilience.checkpoint import (
     TrainerCheckpoint,
@@ -291,7 +291,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
-        _warn_direct_construction(self, WeightUpdateShardedTrainer)
         self.fused = fused
         self.sharded_state: list[OptimizerState] | None = None
         self._bucket_states: list[list[OptimizerState]] | None = None
@@ -310,9 +309,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """(Re)shard the replicated slots along the bucketed fused layout."""
         assert self.params is not None
         self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
-        self._bucket = (
-            self._plan.buckets[0] if self._plan.num_buckets == 1 else None
-        )
         self._bucket_states = [
             shard_state_segments(full_state, bucket, self.num_replicas)
             for bucket in self._plan.buckets
@@ -456,7 +452,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         if self.fused:
             self._init_fused_shards(full)
         else:
-            self._bucket = None
             self._plan = None
             self._bucket_states = None
             self.sharded_state = shard_states(full, self.num_replicas)

@@ -32,9 +32,7 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.runtime.collectives import (
     padded_chunk_layout,
-    ring_all_reduce,
     ring_all_reduce_stacked,
-    two_phase_all_reduce,
     two_phase_all_reduce_stacked,
 )
 from repro.runtime.stacked import StackedValue
@@ -185,40 +183,19 @@ class GradientBucket:
     ) -> list[dict[str, np.ndarray]]:
         """One fused collective over per-device trees; unflattened results.
 
-        ``grid_shape=(x, y)`` with both dims > 1 selects the 2-D
-        hierarchical schedule (devices in x-major order); otherwise a flat
-        ring.  ``shard_transform`` is the fused shard hook of
-        :func:`repro.runtime.collectives.two_phase_all_reduce` and operates
-        on fused flat shards (it must be elementwise).
+        List adapter over :meth:`all_reduce_stacked` (which see for
+        ``grid_shape`` and ``shard_transform``): the trees are flattened
+        into one device-major block, and every result tensor is a
+        read-only view of the one reduced buffer (writing raises;
+        ``.copy()`` for ownership).
         """
-        with _telemetry.tracer.span("bucket_all_reduce", category="comm"):
-            return self._all_reduce(trees, dtype_policy, grid_shape, shard_transform)
-
-    def _all_reduce(
-        self,
-        trees: Sequence[Mapping[str, np.ndarray]],
-        dtype_policy: str,
-        grid_shape: tuple[int, int] | None,
-        shard_transform,
-    ) -> list[dict[str, np.ndarray]]:
-        buffers = [self.flatten(t) for t in trees]
-        if grid_shape is not None:
-            x_size, y_size = grid_shape
-            if x_size * y_size != len(buffers):
-                raise ValueError("grid_shape does not match number of devices")
-            grid = [
-                [buffers[x * y_size + y] for y in range(y_size)]
-                for x in range(x_size)
-            ]
-            reduced = two_phase_all_reduce(
-                grid, dtype_policy, shard_transform=shard_transform
-            )
-            flat_results = [reduced[x][y] for x in range(x_size) for y in range(y_size)]
-        else:
-            if shard_transform is not None:
-                raise ValueError("shard_transform requires the hierarchical schedule")
-            flat_results = ring_all_reduce(buffers, dtype_policy)
-        return [self.unflatten(r) for r in flat_results]
+        block = np.empty((len(trees), self.size), dtype=self.dtype)
+        for row, tree in zip(block, trees):
+            self.flatten(tree, out=row)
+        reduced = self.all_reduce_stacked(
+            block, dtype_policy, grid_shape, shard_transform
+        )
+        return [self.unflatten(row) for row in reduced.to_list()]
 
     def all_reduce_stacked(
         self,
@@ -230,10 +207,13 @@ class GradientBucket:
         """Device-major fused collective: one stacked block in, one out.
 
         ``block`` is the ``(n, self.size)`` device-major stack of fused
-        flat buffers (x-major device order when ``grid_shape`` is given).
+        flat buffers.  ``grid_shape=(x, y)`` selects the 2-D hierarchical
+        schedule (devices in x-major order); otherwise a flat ring.
+        ``shard_transform`` is the fused shard hook of
+        :func:`repro.runtime.collectives.two_phase_all_reduce_stacked`
+        and operates on fused flat shards (it must be elementwise).
         Returns the reduced fused buffer as a lazily *replicated*
-        :class:`StackedValue` — same ring arithmetic as
-        :meth:`all_reduce`, without materializing per-device result
+        :class:`StackedValue`, without materializing per-device result
         copies.  Unflatten a device's view (zero-copy, read-only) with
         :meth:`unflatten` when named tensors are needed.
         """

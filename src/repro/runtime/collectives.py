@@ -28,17 +28,24 @@ Two implementations coexist (DESIGN.md §6):
   **bit-identical** to the reference kernels under every dtype policy
   (property-tested in ``tests/test_runtime_collectives.py``).
 
-Every public collective also has a **device-major** entry point
-(DESIGN.md §12): inputs may arrive as one stacked ``(n_devices, *shape)``
-block (or :class:`~repro.runtime.stacked.StackedValue`) instead of a list
-of per-device arrays, and the ``*_stacked`` variants return a *replicated*
+Every collective executes **device-major** (DESIGN.md §11): inputs may
+arrive as one stacked ``(n_devices, *shape)`` block (or
+:class:`~repro.runtime.stacked.StackedValue`) or as a list of per-device
+arrays, and the ``*_stacked`` functions return a *replicated*
 ``StackedValue`` — one physical result buffer lazily viewed by every
-device — instead of materializing ``n`` identical copies.  The grid
-collectives batch their independent column/row rings into single stacked
-kernel calls (:func:`_linear_ring_passes_batched`), so a 64x64-grid phase
-is ``O(ring_steps)`` numpy operations rather than ``O(x * y *
-ring_steps)`` Python iterations.  This is what pushes the runtime from
-~256 to 4096 real devices.
+device — instead of materializing ``n`` identical copies.  The list entry
+points (:func:`ring_all_reduce`, :func:`ring_all_gather`,
+:func:`two_phase_all_reduce`, :func:`reduce_scatter_grid`,
+:func:`all_gather_grid`) are adapters over them: they regroup the input,
+call the device-major function and hand back its per-device views, so
+spans, counters and arithmetic exist once.  Their result rows are
+therefore **read-only views of one shared buffer** — writing into one
+raises; callers that need ownership ``.copy()``.  The grid collectives
+batch their independent column/row rings into single stacked kernel calls
+(:func:`_linear_ring_passes_batched`), so a 64x64-grid phase is
+``O(ring_steps)`` numpy operations rather than ``O(x * y * ring_steps)``
+Python iterations.  This is what pushes the runtime from ~256 to 4096
+real devices.
 
 Padding metadata is cached keyed by ``(n, size)`` and quantization staging
 buffers are pooled keyed by shape/dtype — both behind *bounded* LRUs so a
@@ -261,6 +268,8 @@ def _as_device_block(
         return block, list(flat2), n, shape
     if isinstance(arrays, np.ndarray) and arrays.ndim >= 2:
         n = arrays.shape[0]
+        if n == 0:
+            raise ValueError("need at least one device buffer")
         shape = tuple(arrays.shape[1:])
         flat2 = arrays.reshape(n, -1)
         block = flat2 if flat2.flags.c_contiguous else None
@@ -464,46 +473,25 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
 def ring_all_gather(value: ShardedValue) -> list[np.ndarray]:
     """All-gather shards back to a full buffer on every device.
 
-    The ring motion moves chunks without arithmetic, so the vectorized
-    fast path assembles the full buffer once and materializes one
-    independent copy per device — bit-identical to (and assertion-free,
-    unlike) the step-by-step :func:`_reference_ring_all_gather`.  For the
-    lazy zero-materialization variant see :func:`ring_all_gather_stacked`.
+    List adapter over :func:`ring_all_gather_stacked`: the rows are
+    read-only views of its one result buffer (writing raises; ``.copy()``
+    for ownership).
     """
-    n = value.num_devices
-    if n == 1:
-        return [value.assemble()]
-    t0 = _perf()
-    with _telemetry.tracer.span("ring_all_gather", category="comm"):
-        size = int(np.prod(value.shape)) if value.shape else 1
-        if value.block is not None:
-            full = value.block.reshape(-1)[:size]
-        else:
-            full = np.concatenate(value.shards)[:size]
-        out = np.empty((n, size), dtype=full.dtype)
-        out[:] = full
-    if _telemetry.enabled:
-        # The gather is pure data movement; the wire dtype stands in for
-        # the policy label (bf16 shards travel as f32, matching the wire).
-        policy = {"float64": "f64", "float32": "f32"}.get(
-            full.dtype.name, full.dtype.name
-        )
-        _record_collective(
-            "all_gather", n, value.padded_size // n, full.dtype.itemsize,
-            policy, _perf() - t0,
-        )
-    return [out[d].reshape(value.shape) for d in range(n)]
+    return ring_all_gather_stacked(value).to_list()
 
 
 def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
     """All-gather as a lazily replicated :class:`StackedValue`.
 
-    Bit-identical data motion to :func:`ring_all_gather`, but the result
-    is *one* physical buffer viewed by every device instead of ``n``
-    materialized copies — the dominant cost of the per-device gather at
-    large ``n`` (a 256-device gather of a 64 Ki-element buffer spends
-    ~85 % of its time on the copies).  Callers that need per-device
-    ownership materialize explicitly (``.materialized()``).
+    The ring motion moves chunks without arithmetic, so the full buffer is
+    assembled once — bit-identical to (and assertion-free, unlike) the
+    step-by-step :func:`_reference_ring_all_gather` — and the result is
+    *one* physical buffer viewed by every device instead of ``n``
+    materialized copies, the dominant cost of a per-device gather at large
+    ``n`` (a 256-device gather of a 64 Ki-element buffer spent ~85 % of
+    its time on the copies).  When ``value.block`` is set the result views
+    that block.  Callers that need per-device ownership materialize
+    explicitly (``.materialized()``).
     """
     n = value.num_devices
     size = int(np.prod(value.shape)) if value.shape else 1
@@ -515,6 +503,8 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
             full = np.concatenate(value.shards)[:size]
         result = StackedValue.replicate(full.reshape(value.shape), n)
     if _telemetry.enabled and n > 1:
+        # The gather is pure data movement; the wire dtype stands in for
+        # the policy label (bf16 shards travel as f32, matching the wire).
         policy = {"float64": "f64", "float32": "f32"}.get(
             full.dtype.name, full.dtype.name
         )
@@ -526,38 +516,24 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
 
 
 def ring_all_reduce(arrays, dtype_policy: str = "f32") -> list[np.ndarray]:
-    """Ring all-reduce = reduce-scatter + all-gather.
+    """Ring all-reduce = reduce-scatter + all-gather, one row per device.
 
-    The reduce-scatter shards land as rows of one contiguous block in chunk
-    order, so the gather phase reads the reduced buffer straight off the
-    block — no per-shard concatenation.  ``arrays`` may be a per-device
-    sequence, a device-major block, or a :class:`StackedValue`; for the
-    zero-materialization result see :func:`ring_all_reduce_stacked`.
+    List adapter over :func:`ring_all_reduce_stacked` (same inputs): the
+    rows are read-only views of its one reduced buffer (writing raises;
+    ``.copy()`` for ownership).
     """
-    t0 = _perf()
-    with _telemetry.tracer.span("ring_all_reduce", category="comm"):
-        shards, shape, _ = _ring_reduce_scatter_impl(arrays, dtype_policy)
-        n = shards.shape[0]
-        size = int(np.prod(shape)) if shape else 1
-        full = shards.reshape(-1)[:size]
-        out = np.empty((n, size), dtype=shards.dtype)
-        out[:] = full
-    if _telemetry.enabled:
-        # Reduce-scatter + all-gather: twice the one-phase ring traffic.
-        _record_collective(
-            "all_reduce", n, 2 * shards.shape[1],
-            _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
-            steps=2 * (n - 1),
-        )
-    return [out[d].reshape(shape) for d in range(n)]
+    return ring_all_reduce_stacked(arrays, dtype_policy).to_list()
 
 
 def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     """Device-major ring all-reduce returning a replicated result.
 
-    The reduce phase is the exact :func:`_linear_ring_passes` sequence of
-    the list API (bit-identical under every dtype policy); the gather
-    phase returns the reduced buffer as one replicated
+    ``arrays`` may be a per-device sequence, a device-major ``(n,
+    *shape)`` block, or a :class:`StackedValue`.  The reduce phase is the
+    :func:`_linear_ring_passes` sequence (bit-identical to the reference
+    under every dtype policy); its shards land as rows of one contiguous
+    block in chunk order, so the gather phase reads the reduced buffer
+    straight off the block and returns it as one replicated
     :class:`StackedValue` instead of ``n`` per-device copies.  This is the
     hot path the trainers use: stacked gradients in, one shared reduced
     buffer out.
@@ -570,6 +546,7 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
         full = shards.reshape(-1)[:size]
         result = StackedValue.replicate(full.reshape(shape), n)
     if _telemetry.enabled:
+        # Reduce-scatter + all-gather: twice the one-phase ring traffic.
         _record_collective(
             "all_reduce", n, 2 * shards.shape[1],
             _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
@@ -623,14 +600,13 @@ def _reduce_scatter_grid_core(
     y_size: int,
     shape: tuple[int, ...],
     dtype_policy: str,
-) -> tuple[np.ndarray, int, int, int]:
+) -> np.ndarray:
     """Batched phases 1+2 of the 2-D schedule.
 
     Sources are in x-major device order (``flats[x * y_size + y]`` is mesh
-    coordinate ``(x, y)``).  Returns ``(shards3, size, y_chunk, x_chunk)``
-    where ``shards3`` is the freshly allocated ``(y_size, x_size,
-    x_chunk)`` shard block: ``shards3[y, x]`` is device (x, y)'s fully
-    reduced shard (X-chunk ``x`` of Y-chunk ``y``).
+    coordinate ``(x, y)``).  Returns the freshly allocated ``(y_size,
+    x_size, x_chunk)`` shard block: ``shards3[y, x]`` is device (x, y)'s
+    fully reduced shard (X-chunk ``x`` of Y-chunk ``y``).
 
     Both ring phases run batched: the ``x_size`` independent column rings
     execute as *one* stacked kernel call
@@ -680,7 +656,58 @@ def _reduce_scatter_grid_core(
             "reduce_scatter", x_size, y_size * x_chunk, dtype.itemsize,
             dtype_policy, _perf() - t0, axis="x",
         )
-    return x_shards.reshape(y_size, x_size, x_chunk), size, y_chunk, x_chunk
+    return x_shards.reshape(y_size, x_size, x_chunk)
+
+
+def _all_gather_grid_core(
+    shards3: np.ndarray, shape: tuple[int, ...], dtype_policy: str
+) -> StackedValue:
+    """Phase 4 of the 2-D schedule: all-gather along X, then along Y.
+
+    ``shards3`` is the ``(y_size, x_size, x_chunk)`` shard block
+    (``shards3[y, x]`` is device (x, y)'s final shard: X-chunk ``x`` of
+    Y-chunk ``y`` of the padded flat buffer); ``shape`` is the original
+    (unpadded) buffer shape.  Pure data movement: the X-gather
+    concatenates the x shards (stripped to ``y_chunk``), the Y-gather the
+    y chunks (stripped to ``size``), and every device views the one
+    assembled buffer.
+    """
+    _dtype_for(dtype_policy)
+    y_size, x_size, _ = shards3.shape
+    size = int(np.prod(shape)) if shape else 1
+    _, y_chunk = padded_chunk_layout(y_size, size)
+    padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
+    t0 = _perf()
+    with _telemetry.tracer.span("all_gather_grid", category="comm"):
+        full = shards3.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
+        if np.shares_memory(full, shards3):
+            # Zero-copy assembly aliases the shard block (or whatever a
+            # user transform returned); the replicated result must own
+            # its memory.
+            full = full.copy()
+        result = StackedValue.replicate(full.reshape(shape), x_size * y_size)
+    if _telemetry.enabled:
+        m = _telemetry.metrics
+        itemsize = shards3.dtype.itemsize
+        m.counter(
+            "collective_bytes", op="all_gather", axis="x", policy=dtype_policy
+        ).inc(x_size * (x_size - 1) * y_size * x_chunk * itemsize)
+        m.counter(
+            "collective_bytes", op="all_gather", axis="y", policy=dtype_policy
+        ).inc(y_size * (y_size - 1) * x_size * y_chunk * itemsize)
+        m.counter("collective_ring_steps", op="all_gather", axis="xy").inc(
+            (x_size - 1) + (y_size - 1)
+        )
+        m.counter("collective_launches", op="all_gather", axis="xy").inc()
+        m.histogram("collective_seconds", op="all_gather", axis="xy").observe(
+            _perf() - t0
+        )
+    return result
+
+
+def _grid_rows(rows: list, x_size: int, y_size: int) -> list[list]:
+    """Regroup x-major per-device rows as a ``[x][y]`` grid."""
+    return [rows[x * y_size:(x + 1) * y_size] for x in range(x_size)]
 
 
 def reduce_scatter_grid(
@@ -691,26 +718,21 @@ def reduce_scatter_grid(
     ``grid[x][y]`` is the buffer of the chip at mesh coordinate (x, y).
     Returns per-device :class:`ShardedValue` views whose shards are the
     per-chip gradient shards fed to the sharded weight update: device (x, y)
-    owns X-chunk ``x`` of Y-chunk ``y``.
-
-    Both ring phases run batched: the ``x_size`` independent column rings
-    (and then the ``y_size`` row rings) execute as one stacked kernel call.
+    owns X-chunk ``x`` of Y-chunk ``y``.  List adapter over the batched
+    grid kernel (:func:`_reduce_scatter_grid_core`); the shards are
+    distinct rows of its one shard block.
     """
     x_size, y_size = _grid_shape(grid)
-    arrays = [np.asarray(g) for col in grid for g in col]
-    shape = _check_same_shape(arrays)
-    flats = [a.reshape(-1) for a in arrays]
-    shards3, _, _, _ = _reduce_scatter_grid_core(
-        flats, None, x_size, y_size, tuple(shape), dtype_policy
+    block, flats, _, shape = _as_device_block([g for col in grid for g in col])
+    shards3 = _reduce_scatter_grid_core(
+        flats, block, x_size, y_size, shape, dtype_policy
     )
-    out: list[list[ShardedValue]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-    for x in range(x_size):
-        for y in range(y_size):
-            shard = shards3[y, x]
-            out[x][y] = ShardedValue(
-                shards=[shard], shape=shard.shape, padded_size=shard.size
-            )
-    return out
+    per_device = [
+        ShardedValue([shard], shard.shape, shard.size)
+        for col in shards3.swapaxes(0, 1)
+        for shard in col
+    ]
+    return _grid_rows(per_device, x_size, y_size)
 
 
 def all_gather_grid(
@@ -722,48 +744,15 @@ def all_gather_grid(
 
     ``shards[x][y]`` is device (x, y)'s final shard (X-chunk ``x`` of
     Y-chunk ``y`` of the padded flat buffer); ``shape`` is the original
-    (unpadded) buffer shape.  Pure data movement: the full buffer is
-    assembled once and every device receives an independent copy.
+    (unpadded) buffer shape.  List adapter over the device-major gather:
+    the ``[x][y]`` results are read-only views of its one assembled buffer
+    (writing raises; ``.copy()`` for ownership).
     """
-    _dtype_for(dtype_policy)
-    x_size = len(shards)
-    y_size = len(shards[0])
-    size = int(np.prod(shape)) if shape else 1
-    padded_y, y_chunk = padded_chunk_layout(y_size, size)
-    padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
-    first = np.asarray(shards[0][0])
-    t0 = _perf()
-    with _telemetry.tracer.span("all_gather_grid", category="comm"):
-        # Assemble: X-gather concatenates x shards (strip to y_chunk), Y-gather
-        # concatenates the y chunks (strip to size).
-        assembled = np.empty((y_size, x_size, x_chunk), dtype=first.dtype)
-        for x in range(x_size):
-            for y in range(y_size):
-                assembled[y, x] = np.asarray(shards[x][y]).reshape(-1)
-        full = assembled.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
-        n = x_size * y_size
-        stacked = np.empty((n, size), dtype=full.dtype)
-        stacked[:] = full
-    if _telemetry.enabled:
-        dt = _perf() - t0
-        m = _telemetry.metrics
-        itemsize = first.dtype.itemsize
-        m.counter("collective_bytes", op="all_gather", axis="x", policy=dtype_policy).inc(
-            x_size * (x_size - 1) * y_size * x_chunk * itemsize
-        )
-        m.counter("collective_bytes", op="all_gather", axis="y", policy=dtype_policy).inc(
-            y_size * (y_size - 1) * x_size * y_chunk * itemsize
-        )
-        m.counter("collective_ring_steps", op="all_gather", axis="xy").inc(
-            (x_size - 1) + (y_size - 1)
-        )
-        m.counter("collective_launches", op="all_gather", axis="xy").inc()
-        m.histogram("collective_seconds", op="all_gather", axis="xy").observe(dt)
-    out: list[list[np.ndarray]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-    for x in range(x_size):
-        for y in range(y_size):
-            out[x][y] = stacked[x * y_size + y].reshape(shape)
-    return out
+    x_size, y_size = _grid_shape(shards)
+    flat = np.stack([np.ravel(shard) for col in shards for shard in col])
+    shards3 = flat.reshape(x_size, y_size, -1).swapaxes(0, 1)
+    gathered = _all_gather_grid_core(shards3, tuple(shape), dtype_policy)
+    return _grid_rows(gathered.to_list(), x_size, y_size)
 
 
 def two_phase_all_reduce(
@@ -771,35 +760,18 @@ def two_phase_all_reduce(
     dtype_policy: str = "f32",
     shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[list[np.ndarray]]:
-    """The full 2-D hierarchical all-reduce, optionally fusing a shard op.
+    """The full 2-D hierarchical all-reduce over a ``grid[x][y]`` of buffers.
 
-    ``shard_transform`` is applied to each device's reduced gradient shard
-    *between* the reduce-scatter and all-gather phases — this is exactly
-    where the paper's weight-update sharding computes the optimizer step, so
-    passing the update function here reproduces the fused schedule of
-    Section 3.3 (the transform must be elementwise/shape-preserving).
+    List adapter over :func:`two_phase_all_reduce_stacked` (which see for
+    ``shard_transform``): the ``[x][y]`` results are read-only views of
+    its one reduced buffer (writing raises; ``.copy()`` for ownership).
     """
     x_size, y_size = _grid_shape(grid)
-    shape = np.asarray(grid[0][0]).shape
-    with _telemetry.tracer.span("two_phase_all_reduce", category="comm"):
-        reduced = reduce_scatter_grid(grid, dtype_policy)
-        final_shards: list[list[np.ndarray]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-        with _telemetry.tracer.span("shard_transform", category="update"):
-            for x in range(x_size):
-                for y in range(y_size):
-                    shard = reduced[x][y].shards[0]
-                    if shard_transform is not None:
-                        transformed = np.asarray(shard_transform(shard))
-                        if transformed.shape != shard.shape:
-                            raise ValueError("shard_transform must preserve shape")
-                        shard = transformed
-                    final_shards[x][y] = shard
-        out = all_gather_grid(final_shards, shape, dtype_policy)
-    if _telemetry.enabled:
-        _telemetry.metrics.counter(
-            "collective_launches", op="two_phase_all_reduce", axis="xy"
-        ).inc()
-    return out
+    reduced = two_phase_all_reduce_stacked(
+        [g for col in grid for g in col], (x_size, y_size), dtype_policy,
+        shard_transform,
+    )
+    return _grid_rows(reduced.to_list(), x_size, y_size)
 
 
 def two_phase_all_reduce_stacked(
@@ -813,12 +785,16 @@ def two_phase_all_reduce_stacked(
     ``arrays`` is a device-major ``(x * y, *shape)`` block (or
     :class:`StackedValue`, or a flat per-device sequence) in x-major order;
     ``grid_shape`` is the mesh extent.  Both ring phases run as batched
-    stacked kernels, ``shard_transform`` (elementwise/shape-preserving,
-    exactly as for :func:`two_phase_all_reduce`) is applied *once* to the
-    whole ``(y, x, x_chunk)`` shard block between the phases — elementwise
-    transforms make that bit-identical to the per-shard loop — and the
-    gather phase returns one replicated :class:`StackedValue` instead of
-    ``x * y`` materialized copies.
+    stacked kernels and the gather phase returns one replicated
+    :class:`StackedValue` instead of ``x * y`` materialized copies.
+
+    ``shard_transform`` is applied to the reduced gradient shards *between*
+    the reduce-scatter and all-gather phases — exactly where the paper's
+    weight-update sharding computes the optimizer step, so passing the
+    update function here reproduces the fused schedule of Section 3.3.  It
+    must be elementwise and shape-preserving: it is called *once* on the
+    whole ``(y, x, x_chunk)`` shard block, which for elementwise
+    transforms is bit-identical to a per-shard loop.
     """
     x_size, y_size = grid_shape
     if x_size < 1 or y_size < 1:
@@ -828,9 +804,8 @@ def two_phase_all_reduce_stacked(
         raise ValueError(
             f"{n} device buffers do not fill a {x_size}x{y_size} grid"
         )
-    t0 = _perf()
     with _telemetry.tracer.span("two_phase_all_reduce", category="comm"):
-        shards3, size, y_chunk, x_chunk = _reduce_scatter_grid_core(
+        shards3 = _reduce_scatter_grid_core(
             flats, block, x_size, y_size, shape, dtype_policy
         )
         if shard_transform is not None:
@@ -839,33 +814,9 @@ def two_phase_all_reduce_stacked(
                 if transformed.shape != shards3.shape:
                     raise ValueError("shard_transform must preserve shape")
                 shards3 = transformed
-        with _telemetry.tracer.span("all_gather_grid", category="comm"):
-            padded_x = x_size * x_chunk
-            full = (
-                shards3.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
-            )
-            if np.shares_memory(full, shards3):
-                # Zero-copy assembly aliases the shard block (or whatever a
-                # user transform returned); the replicated result must own
-                # its memory.
-                full = full.copy()
-            result = StackedValue.replicate(full.reshape(shape), n)
+        result = _all_gather_grid_core(shards3, shape, dtype_policy)
     if _telemetry.enabled:
-        dt = _perf() - t0
-        m = _telemetry.metrics
-        itemsize = shards3.dtype.itemsize
-        m.counter(
-            "collective_bytes", op="all_gather", axis="x", policy=dtype_policy
-        ).inc(x_size * (x_size - 1) * y_size * x_chunk * itemsize)
-        m.counter(
-            "collective_bytes", op="all_gather", axis="y", policy=dtype_policy
-        ).inc(y_size * (y_size - 1) * x_size * y_chunk * itemsize)
-        m.counter("collective_ring_steps", op="all_gather", axis="xy").inc(
-            (x_size - 1) + (y_size - 1)
-        )
-        m.counter("collective_launches", op="all_gather", axis="xy").inc()
-        m.histogram("collective_seconds", op="all_gather", axis="xy").observe(dt)
-        m.counter(
+        _telemetry.metrics.counter(
             "collective_launches", op="two_phase_all_reduce", axis="xy"
         ).inc()
     return result

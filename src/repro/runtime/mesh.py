@@ -10,14 +10,16 @@ Collectives are routed through :class:`repro.runtime.bucket.GradientBucket`:
 sequence is *fused* — all named buffers travel in a single collective, the
 way real trainers bucket their gradients.
 
-Storage is hybrid (DESIGN.md §12): buffers placed with per-device ``put``
-live in per-device dicts, while ``put_stacked`` (and the results of a
-healthy ``all_reduce``) store one device-major
-:class:`~repro.runtime.stacked.StackedValue` per name — ``get`` serves
-zero-copy per-device views of it, and any per-device *write* (``put``,
-``apply_inplace``, ``restore_device``) first *demotes* the stacked value
-back to per-device rows so fault injection, degraded rings, and checkpoint
-assembly see exactly the legacy semantics.
+Storage is device-major (DESIGN.md §11): every name is one
+:class:`~repro.runtime.stacked.StackedValue` — so it has one shape and
+dtype across the mesh — plus the set of devices that *hold* it.  ``put``
+copies into the device's row, ``get`` serves a zero-copy view of it, and a
+row whose device is not a holder (never written, or dropped by
+``restore_device``) is unobservable.  Collective results are stored
+lazily replicated — one physical row viewed read-only by every holder —
+and the first per-device *write* (``put``, ``apply_inplace``) pays the
+broadcast copy (:meth:`StackedValue.materialized`), after which every
+device owns a distinct row again.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ class VirtualMesh:
             raise ValueError("mesh dims must be >= 1")
         self.x_size = x_size
         self.y_size = y_size
-        self._buffers: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-        #: Device-major storage: one StackedValue per name (DESIGN.md §12).
-        self._stacked: dict[str, StackedValue] = {}
+        #: One device-major StackedValue per name (DESIGN.md §11) ...
+        self._values: dict[str, StackedValue] = {}
+        #: ... and the devices whose rows of it are observable.
+        self._holders: dict[str, set[tuple[int, int]]] = {}
         self._buckets: dict[tuple, GradientBucket] = {}
         self._dead: set[tuple[int, int]] = set()
 
@@ -109,7 +112,6 @@ class VirtualMesh:
 
         Its pre-failure buffers are dropped — a repaired device re-joins
         empty and must be re-populated (normally from a checkpoint).
-        Stacked values are demoted first so the drop can be per-device.
         """
         self._check_device(device, require_alive=False)
         if device not in self._dead:
@@ -119,10 +121,8 @@ class VirtualMesh:
             "fault", "mesh_device_restored",
             device=list(device), alive=self.num_alive,
         )
-        for name in list(self._stacked):
-            self._demote(name)
-        for per_device in self._buffers.values():
-            per_device.pop(device, None)
+        for holders in self._holders.values():
+            holders.discard(device)
         logger.info("mesh %dx%d: device %s restored", self.x_size, self.y_size, device)
 
     # --- buffer management ---------------------------------------------------
@@ -131,33 +131,40 @@ class VirtualMesh:
         """Position of a device in x-major (stacked row) order."""
         return device[0] * self.y_size + device[1]
 
-    def _demote(self, name: str) -> None:
-        """Turn stacked storage back into per-device dict rows.
-
-        Replicated values pay their deferred broadcast copy here; distinct
-        values just hand out their row views.  Rows are stored for *every*
-        device (dead ones included) — matching ``fail_device``'s "buffers
-        are not freed" semantics, so a later ``restore_device`` can drop
-        exactly the restored device's stale row.
-        """
-        value = self._stacked.pop(name).materialized()
-        slot = self._buffers.setdefault(name, {})
-        for i, d in enumerate(self.devices()):
-            slot[d] = value.block[i]
+    def _held(self, name: str, device: tuple[int, int]) -> StackedValue:
+        """The value ``name`` that live ``device`` holds a row of."""
+        self._check_device(device)
+        if device not in self._holders.get(name, ()):
+            raise KeyError(f"buffer {name!r} not present on device {device}")
+        return self._values[name]
 
     def put(self, name: str, device: tuple[int, int], array: np.ndarray) -> None:
-        """Place a buffer on one device.
+        """Place a buffer on one device (copied into the device's row).
 
-        ``array`` is coerced to a base-class ``np.ndarray`` (``np.asarray``
-        copies only when it must), so ``ndarray`` subclasses store their
-        plain view rather than leaking subclass behavior into collectives.
-        A per-device write to a stacked name demotes it first.
+        A name has one shape and dtype across the mesh: a ``put`` that
+        disagrees with rows other live devices still hold raises
+        ``ValueError``.  Writing one device of a replicated value first
+        gives every holder its own row.
         """
         self._check_device(device)
-        if name in self._stacked:
-            self._demote(name)
         array = np.asarray(array)
-        self._buffers.setdefault(name, {})[device] = array
+        value = self._values.get(name)
+        if value is not None and (value.shape, value.dtype) != (array.shape, array.dtype):
+            others = self._holders[name] - self._dead - {device}
+            if others:
+                raise ValueError(
+                    f"buffer {name!r} is {value.dtype}{value.shape} on "
+                    f"{sorted(others)}; cannot put {array.dtype}{array.shape} "
+                    f"on {device}"
+                )
+            value = None
+        if value is None:
+            block = np.empty((self.num_devices,) + array.shape, dtype=array.dtype)
+            value = StackedValue(block, self.num_devices)
+            self._holders[name] = set()
+        self._values[name] = value = value.materialized()
+        value.device_view(self._device_index(device))[...] = array
+        self._holders[name].add(device)
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_put_bytes", device=device).inc(
                 array.nbytes
@@ -168,8 +175,8 @@ class VirtualMesh:
 
         ``value`` is a :class:`StackedValue` (or a ``(num_devices,
         *shape)`` ndarray) whose rows are the per-device buffers in
-        x-major order.  One dict entry replaces ``num_devices`` per-device
-        puts; ``get`` serves zero-copy row views of it.
+        x-major order.  It is stored as given (no copy); ``get`` serves
+        zero-copy row views of it.
         """
         if not isinstance(value, StackedValue):
             value = StackedValue(np.asarray(value), self.num_devices)
@@ -178,8 +185,8 @@ class VirtualMesh:
                 f"stacked value covers {value.num_devices} devices; "
                 f"mesh has {self.num_devices}"
             )
-        self._buffers.pop(name, None)
-        self._stacked[name] = value
+        self._values[name] = value
+        self._holders[name] = set(self.alive_devices())
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_put_bytes", device="stacked").inc(
                 value.block.nbytes
@@ -188,34 +195,24 @@ class VirtualMesh:
     def put_replicated(self, name: str, array: np.ndarray) -> None:
         """Place identical, independent copies of a buffer on every device.
 
-        The replicas are rows of one block allocation: a single fill
-        replaces the per-device copy + dict churn of a ``put`` loop while
-        each device still owns a distinct memory region.  Dead devices are
+        One block fill replaces a per-device ``put`` loop while each
+        device still owns a distinct memory region.  Dead devices are
         skipped — replication targets the surviving fleet.
         """
         arr = np.asarray(array)
-        block = np.empty((self.num_alive,) + arr.shape, dtype=arr.dtype)
+        block = np.empty((self.num_devices,) + arr.shape, dtype=arr.dtype)
         block[...] = arr
-        slot = self._buffers.setdefault(name, {})
-        for i, d in enumerate(self.alive_devices()):
-            slot[d] = block[i]
+        self._values[name] = StackedValue(block, self.num_devices)
+        self._holders[name] = set(self.alive_devices())
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_put_bytes", device="replicated").inc(
-                block.nbytes
+                self.num_alive * arr.nbytes
             )
 
     def get(self, name: str, device: tuple[int, int]) -> np.ndarray:
-        self._check_device(device)
-        stacked = self._stacked.get(name)
-        if stacked is not None:
-            buf = stacked.device_view(self._device_index(device))
-        else:
-            try:
-                buf = self._buffers[name][device]
-            except KeyError:
-                raise KeyError(
-                    f"buffer {name!r} not present on device {device}"
-                ) from None
+        """Zero-copy view of one device's buffer (read-only while the
+        value is a replicated collective result)."""
+        buf = self._held(name, device).device_view(self._device_index(device))
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_get_bytes", device=device).inc(
                 buf.nbytes
@@ -223,20 +220,18 @@ class VirtualMesh:
         return buf
 
     def get_stacked(self, name: str) -> StackedValue:
-        """The named value, device-major.
+        """The named value, device-major and zero-copy.
 
-        Zero-copy when the name is stored stacked; otherwise the
-        per-device buffers are packed into a fresh block (every device
-        must hold the buffer and be alive).
+        Every device must hold the buffer and be alive.
         """
-        value = self._stacked.get(name)
-        if value is not None:
-            if _telemetry.enabled:
-                _telemetry.metrics.counter("mesh_get_bytes", device="stacked").inc(
-                    value.block.nbytes
-                )
-            return value
-        return StackedValue.stack([self.get(name, d) for d in self.devices()])
+        for d in self.devices():
+            self._held(name, d)
+        value = self._values[name]
+        if _telemetry.enabled:
+            _telemetry.metrics.counter("mesh_get_bytes", device="stacked").inc(
+                value.block.nbytes
+            )
+        return value
 
     def get_all(self, name: str) -> list[np.ndarray]:
         """Buffers of every device, in device order."""
@@ -250,30 +245,36 @@ class VirtualMesh:
         ]
 
     def has(self, name: str) -> bool:
-        return name in self._buffers or name in self._stacked
+        return name in self._values
 
     def apply(self, name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Apply a function to the named buffer on every surviving device."""
-        for d in self.alive_devices():
-            self.put(name, d, fn(self.get(name, d)))
+        """Apply a function to the named buffer on every surviving device.
+
+        Every row is computed before the value is replaced, so ``fn`` may
+        change the buffer's shape or dtype (consistently across devices).
+        """
+        alive = list(self.alive_devices())
+        rows = [fn(self.get(name, d)) for d in alive]
+        self._holders[name].clear()  # every surviving row is replaced
+        for d, row in zip(alive, rows):
+            self.put(name, d, row)
 
     def apply_inplace(self, name: str, fn: Callable[[np.ndarray], None]) -> None:
         """Apply a *mutating* function to the named buffer on every device.
 
         ``fn`` must update its argument in place (its return value is
-        ignored); no copies are made and no dict entries are rewritten.
-        Stacked names are demoted first: replicated rows alias one memory
-        region, and a per-device mutation needs per-device ownership.
+        ignored).  No copies are made unless the value is a replicated
+        collective result: its rows alias one memory region, and a
+        per-device mutation needs per-device ownership.
         """
-        if name in self._stacked:
-            self._demote(name)
         try:
-            per_device = self._buffers[name]
+            value = self._values[name] = self._values[name].materialized()
         except KeyError:
             raise KeyError(f"buffer {name!r} not present on mesh") from None
-        for device, buf in per_device.items():
-            if device not in self._dead:
-                fn(buf)
+        holders = self._holders[name]
+        for device in self.alive_devices():
+            if device in holders:
+                fn(value.device_view(self._device_index(device)))
 
     def _check_device(self, device: tuple[int, int], require_alive: bool = True) -> None:
         x, y = device
@@ -287,9 +288,7 @@ class VirtualMesh:
     # --- collectives ----------------------------------------------------------
 
     def _bucket_for(self, names: tuple[str, ...]) -> GradientBucket:
-        template_device = next(self.alive_devices(), None)
-        if template_device is None:
-            raise DeviceLostError(sorted(self._dead), "every mesh device is dead")
+        template_device = next(self.alive_devices())  # all_reduce checked
         template = {nm: self.get(nm, template_device) for nm in names}
         key = tuple(
             (nm, template[nm].shape, template[nm].dtype.str) for nm in names
@@ -318,8 +317,9 @@ class VirtualMesh:
         whole set, as bucketed gradient summation does).  ``hierarchical``
         selects the 2-D schedule (default when both mesh dims exceed 1).
         ``shard_transform`` is the fused sharded-update hook of
-        :func:`repro.runtime.collectives.two_phase_all_reduce`, applied to
-        fused flat shards, and is only valid with the hierarchical schedule.
+        :func:`repro.runtime.collectives.two_phase_all_reduce_stacked`,
+        applied to the fused flat shards, and is only valid with the
+        hierarchical schedule.
 
         ``on_fault`` controls the semantics on a mesh with holes:
         ``"raise"`` (default) raises :class:`DeviceLostError` naming the
@@ -328,7 +328,10 @@ class VirtualMesh:
         2-D grid schedule needs a full grid, so healing falls back to a
         flat ring over the survivors, the way Figure 4's hop rings route
         around planned holes).  Dead devices' buffers do not contribute and
-        are not updated.
+        are not updated.  Healthy and healed collectives share one body:
+        the participants' rows are packed into one device-major block, the
+        stacked collective runs, and each name's result is stored lazily
+        replicated with the participants as its holders.
         """
         if on_fault not in ("raise", "heal"):
             raise ValueError(f"on_fault must be 'raise' or 'heal', got {on_fault!r}")
@@ -359,44 +362,26 @@ class VirtualMesh:
         participants = list(self.alive_devices())
         with _telemetry.tracer.span("mesh_all_reduce", category="comm"):
             bucket = self._bucket_for(names)
-            if not degraded:
-                # Device-major fast path (DESIGN.md §12): gather the fused
-                # buffers of the full mesh into one (n, bucket.size) block,
-                # run the stacked collective, and store each name's result
-                # as a lazily replicated StackedValue — no per-device
-                # result copies and no dict churn.
-                n = len(participants)
-                block = np.empty((n, bucket.size), dtype=bucket.dtype)
-                for i, d in enumerate(participants):
-                    bucket.flatten(
-                        {nm: self.get(nm, d) for nm in names}, out=block[i]
-                    )
-                reduced = bucket.all_reduce_stacked(
-                    block,
-                    dtype_policy,
-                    grid_shape=(self.x_size, self.y_size)
-                    if hierarchical
-                    else None,
-                    shard_transform=shard_transform,
-                )
-                flat = reduced.block[0]
-                for nm in names:
-                    part = flat[bucket.slice_of(nm)].reshape(bucket.shapes[nm])
-                    self._buffers.pop(nm, None)
-                    self._stacked[nm] = StackedValue.replicate(part, n)
+            trees = [{nm: self.get(nm, d) for nm in names} for d in participants]
+            value = self._values[names[0]]
+            if len(names) == 1 and not degraded and not value.replicated:
+                # The stored block already is the fused device-major block.
+                block = value.block.reshape(self.num_devices, bucket.size)
             else:
-                trees = [
-                    {nm: self.get(nm, d) for nm in names} for d in participants
-                ]
-                reduced = bucket.all_reduce(
-                    trees,
-                    dtype_policy,
-                    grid_shape=None,
-                    shard_transform=shard_transform,
-                )
-                for tree, d in zip(reduced, participants):
-                    for nm in names:
-                        self.put(nm, d, tree[nm])
+                block = np.empty((len(trees), bucket.size), dtype=bucket.dtype)
+                for row, tree in zip(block, trees):
+                    bucket.flatten(tree, out=row)
+            reduced = bucket.all_reduce_stacked(
+                block,
+                dtype_policy,
+                grid_shape=(self.x_size, self.y_size) if hierarchical else None,
+                shard_transform=shard_transform,
+            )
+            flat = reduced.block[0]
+            for nm in names:
+                part = flat[bucket.slice_of(nm)].reshape(bucket.shapes[nm])
+                self._values[nm] = StackedValue.replicate(part, self.num_devices)
+                self._holders[nm] = set(participants)
         if _telemetry.enabled:
             _telemetry.metrics.counter(
                 "mesh_allreduce_launches",
@@ -408,5 +393,5 @@ class VirtualMesh:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"VirtualMesh({self.x_size}x{self.y_size}, "
-            f"buffers={sorted(set(self._buffers) | set(self._stacked))})"
+            f"buffers={sorted(self._values)})"
         )

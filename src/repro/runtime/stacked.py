@@ -76,11 +76,13 @@ class StackedValue:
             raise IndexError(
                 f"device index {index} out of range for {self.num_devices}"
             )
+        # ``[i, ...]`` keeps 0-d buffers arrays (a bare ``[i]`` would
+        # return a detached scalar).
         if self.replicated:
-            view = self.block[0].view()
+            view = self.block[0, ...]
             view.flags.writeable = False
             return view
-        return self.block[index]
+        return self.block[index, ...]
 
     def rows(self) -> Iterator[np.ndarray]:
         """Per-device views in device order."""

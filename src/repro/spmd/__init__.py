@@ -34,14 +34,10 @@ Supported API::
     from repro.spmd import Sharding, ShardingSpec, make_partitioner
     plan = make_partitioner("v07").partition(graph, spec)   # PartitionPlan
     result = search_partitioning(graph, SearchConfig(num_shards=4))
-
-The legacy free functions (``replicated``/``split``/``partial``,
-``partition``, ``estimate_cost``) keep working but emit a
-``DeprecationWarning`` when called outside the facade.
 """
 
 from repro.spmd.ir import Graph, Node, ShapeError
-from repro.spmd.annotations import Sharding, replicated, split, partial
+from repro.spmd.annotations import Sharding
 from repro.spmd.plan import (
     FEATURE_SETS,
     Partitioner,
@@ -53,11 +49,10 @@ from repro.spmd.partitioner import (
     PartitionerFeatures,
     PartitionedGraph,
     CommOp,
-    partition,
     V06_FEATURES,
     V07_FEATURES,
 )
-from repro.spmd.estimator import PartitionCost, estimate_cost, model_parallel_speedup
+from repro.spmd.estimator import PartitionCost, model_parallel_speedup
 from repro.spmd.search import (
     SearchConfig,
     SearchResult,
@@ -142,10 +137,4 @@ __all__ = [
     "halo_exchange",
     "spatial_conv2d",
     "spatial_conv_stack",
-    # deprecated entry points (warn outside the facade)
-    "replicated",
-    "split",
-    "partial",
-    "partition",
-    "estimate_cost",
 ]

@@ -2,45 +2,12 @@
 
 :class:`Sharding` is the single layout type; the supported constructors are
 its classmethods (``Sharding.replicate`` / ``Sharding.split`` /
-``Sharding.partial_sum``).  The legacy free functions (``replicated`` /
-``split`` / ``partial``) keep working but emit a ``DeprecationWarning``
-unless called through the :func:`repro.spmd.make_partitioner` facade —
-the same factory-silent pattern :func:`repro.core.make_trainer` uses for
-the concrete trainer constructors.
+``Sharding.partial_sum``).
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-
-# Depth counter set while the repro.spmd facade (make_partitioner /
-# Partitioner / search) runs, so the deprecated module-level entry points
-# stay silent on the supported path (single-threaded, like make_trainer's
-# _IN_FACTORY flag).
-_FACADE_DEPTH = 0
-
-
-@contextmanager
-def _facade():
-    """Silence legacy-entry-point deprecation warnings within the facade."""
-    global _FACADE_DEPTH
-    _FACADE_DEPTH += 1
-    try:
-        yield
-    finally:
-        _FACADE_DEPTH -= 1
-
-
-def _warn_legacy(old: str, new: str) -> None:
-    if _FACADE_DEPTH:
-        return
-    warnings.warn(
-        f"calling {old} directly is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -100,20 +67,3 @@ class Sharding:
             return "replicated"
         return f"split(dim={self.dim}, {self.num_shards})"
 
-
-# --- legacy free functions (deprecated outside the facade) -----------------
-
-
-def replicated(num_shards: int) -> Sharding:
-    _warn_legacy("repro.spmd.replicated()", "Sharding.replicate()")
-    return Sharding.replicate(num_shards)
-
-
-def split(num_shards: int, dim: int) -> Sharding:
-    _warn_legacy("repro.spmd.split()", "Sharding.split()")
-    return Sharding.split(num_shards, dim)
-
-
-def partial(num_shards: int) -> Sharding:
-    _warn_legacy("repro.spmd.partial()", "Sharding.partial_sum()")
-    return Sharding.partial_sum(num_shards)

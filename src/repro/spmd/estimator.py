@@ -12,14 +12,14 @@ import math
 from dataclasses import dataclass
 
 from repro.hardware.topology import TorusMesh, single_pod
-from repro.spmd.annotations import Sharding, _warn_legacy
+from repro.spmd.annotations import Sharding
 from repro.spmd.ir import Node
 from repro.spmd.partitioner import (
     PartitionedGraph,
     PartitionerFeatures,
     V07_FEATURES,
     _check_dtype_consistent,
-    _partition_impl,
+    partition,
 )
 
 #: forward+backward multiplier applied to forward FLOPs.
@@ -86,36 +86,6 @@ def _tile_factor(node: Node, sharding: Sharding) -> float:
 
 
 def estimate_cost(
-    pg: PartitionedGraph,
-    mesh: TorusMesh | None = None,
-    *,
-    core_flops_rate: float | None = None,
-    mxu_efficiency: float = 0.35,
-    fwd_bwd_factor: float = FWD_BWD_FACTOR,
-    per_op_overhead: float = 2.0e-6,
-    dtype_bytes: int | None = None,
-) -> PartitionCost:
-    """Seconds per step for one partitioned model tile.
-
-    Deprecated as a direct entry point — the :func:`repro.spmd.make_partitioner`
-    facade attaches this cost to every :class:`repro.spmd.plan.PartitionPlan`.
-    """
-    _warn_legacy(
-        "repro.spmd.estimate_cost()",
-        "make_partitioner(...).partition(...).cost",
-    )
-    return _estimate_cost_impl(
-        pg,
-        mesh,
-        core_flops_rate=core_flops_rate,
-        mxu_efficiency=mxu_efficiency,
-        fwd_bwd_factor=fwd_bwd_factor,
-        per_op_overhead=per_op_overhead,
-        dtype_bytes=dtype_bytes,
-    )
-
-
-def _estimate_cost_impl(
     pg: PartitionedGraph,
     mesh: TorusMesh | None = None,
     *,
@@ -208,15 +178,15 @@ def model_parallel_speedup(
     if any(k < 1 for k in num_cores_list):
         raise ValueError("core counts must be >= 1")
     graph1 = build_graph()
-    base = _estimate_cost_impl(
-        _partition_impl(graph1, {}, 1, features, dtype_bytes),
+    base = estimate_cost(
+        partition(graph1, {}, 1, features, dtype_bytes),
         mesh,
         mxu_efficiency=mxu_efficiency,
     ).total_seconds
     out: dict[int, float] = {}
     for k in num_cores_list:
         graph = build_graph()
-        pg = _partition_impl(graph, seed_fn(graph, k), k, features, dtype_bytes)
-        cost = _estimate_cost_impl(pg, mesh, mxu_efficiency=mxu_efficiency)
+        pg = partition(graph, seed_fn(graph, k), k, features, dtype_bytes)
+        cost = estimate_cost(pg, mesh, mxu_efficiency=mxu_efficiency)
         out[k] = base / cost.total_seconds
     return out

@@ -190,14 +190,10 @@ class _Exec:
         """Sum ``parts`` with a real mesh collective (f64 policy = exact)."""
         name = f"graph_exec_ar_{self._n_reduces}"
         self._n_reduces += 1
-        shape = np.asarray(parts[0]).shape
         for device, p in zip(self.mesh.devices(), parts):
-            # 0-d payloads (reduce outputs) go through as 1-element vectors;
-            # the mesh's device-major views need at least one axis.
-            self.mesh.put(name, device, np.asarray(p).reshape(shape or (1,)))
+            self.mesh.put(name, device, p)
         self.mesh.all_reduce(name, dtype_policy="f64")
-        out = np.array(self.mesh.get(name, next(iter(self.mesh.devices()))))
-        return out.reshape(shape)
+        return np.array(self.mesh.get(name, next(iter(self.mesh.devices()))))
 
     def to_full(self, v: _Val) -> np.ndarray:
         """Materialize the full value (lossless for rep/split; partial

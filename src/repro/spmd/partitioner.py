@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.spmd.annotations import Sharding, _warn_legacy
+from repro.spmd.annotations import Sharding
 from repro.spmd.ir import Graph, Node
 
 
@@ -118,25 +118,8 @@ def partition(
 ) -> PartitionedGraph:
     """Propagate shardings through ``graph`` and insert communication.
 
-    Deprecated as a direct entry point — build a partitioner with
-    :func:`repro.spmd.make_partitioner` and call its ``partition`` method,
-    which also returns the costed :class:`repro.spmd.plan.PartitionPlan`.
-    """
-    _warn_legacy(
-        "repro.spmd.partition()",
-        "make_partitioner(...).partition(graph, ShardingSpec(...))",
-    )
-    return _partition_impl(graph, seeds, num_shards, features, dtype_bytes)
-
-
-def _partition_impl(
-    graph: Graph,
-    seeds: dict[int, Sharding],
-    num_shards: int,
-    features: PartitionerFeatures = V07_FEATURES,
-    dtype_bytes: int | None = None,
-) -> PartitionedGraph:
-    """Propagation + communication insertion (the facade-internal path).
+    The propagation pass behind :func:`repro.spmd.make_partitioner`, whose
+    ``partition`` method also costs the result.
 
     ``seeds`` maps node ids (typically inputs/parameters) to layouts; all
     other inputs default to replicated.  Communication payloads are priced

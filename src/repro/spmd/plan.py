@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.topology import TorusMesh
-from repro.spmd.annotations import Sharding, _facade
-from repro.spmd.estimator import PartitionCost, _estimate_cost_impl
+from repro.spmd.annotations import Sharding
+from repro.spmd.estimator import PartitionCost, estimate_cost
 from repro.spmd.ir import Graph
 from repro.spmd.partitioner import (
     CommOp,
@@ -30,7 +30,7 @@ from repro.spmd.partitioner import (
     PartitionerFeatures,
     V06_FEATURES,
     V07_FEATURES,
-    _partition_impl,
+    partition,
 )
 
 #: feature-set names accepted by :func:`make_partitioner`.
@@ -171,12 +171,9 @@ class Partitioner:
 
     def partition(self, graph: Graph, spec: ShardingSpec) -> PartitionPlan:
         """Propagate ``spec`` through ``graph`` and cost the result."""
-        with _facade():
-            seeds = spec.resolve(graph)
-            pg = _partition_impl(graph, seeds, spec.num_shards, self.features)
-            cost = _estimate_cost_impl(
-                pg, self.mesh, mxu_efficiency=self.mxu_efficiency
-            )
+        seeds = spec.resolve(graph)
+        pg = partition(graph, seeds, spec.num_shards, self.features)
+        cost = estimate_cost(pg, self.mesh, mxu_efficiency=self.mxu_efficiency)
         return PartitionPlan(graph=graph, spec=spec, partitioned=pg, cost=cost)
 
 

@@ -86,20 +86,6 @@ class TestMakeTrainer:
             for strategy in STRATEGIES:
                 make_trainer(_config(strategy=strategy, mp_size=2))
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda m: SingleDeviceTrainer(m, SGDMomentum(0.05)),
-            lambda m: DataParallelTrainer(m, SGDMomentum(0.05), dp_x=2),
-            lambda m: WeightUpdateShardedTrainer(m, SGDMomentum(0.05), num_replicas=2),
-            lambda m: HybridParallelTrainer(m, SGDMomentum(0.05), dp_size=2, mp_size=2),
-        ],
-    )
-    def test_direct_construction_warns_once(self, build):
-        with pytest.warns(DeprecationWarning, match="make_trainer") as record:
-            build(MLP([12, 24, 4]))
-        assert len(record) == 1
-
     def test_seed_returns_initialized_trainer(self):
         trainer = make_trainer(_config(seed=3))
         assert trainer.params  # init() already ran

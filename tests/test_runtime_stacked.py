@@ -22,17 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.runtime.bucket import GradientBucket
 from repro.runtime.collectives import (
     _LRUBufferPool,
+    _reference_all_gather_grid,
+    _reference_reduce_scatter_grid,
     _reference_ring_all_gather,
     _reference_ring_all_reduce,
     _reference_ring_reduce_scatter,
     _reference_two_phase_all_reduce,
+    all_gather_grid,
     padded_chunk_layout,
+    reduce_scatter_grid,
+    ring_all_gather,
     ring_all_gather_stacked,
     ring_all_reduce,
     ring_all_reduce_stacked,
     ring_reduce_scatter,
+    two_phase_all_reduce,
     two_phase_all_reduce_stacked,
 )
 from repro.runtime.mesh import VirtualMesh
@@ -252,6 +260,163 @@ class TestStackedBitIdentity:
         got = ring_all_reduce_stacked(block, "f32")
         for d in range(n):
             _assert_bit_identical(got.device_view(d), want[d])
+
+
+_WORK_COUNTERS = (
+    "collective_bytes", "collective_ring_steps", "collective_launches"
+)
+
+
+def _observe(call):
+    """``(result, per-label work counters, span names)`` of one call."""
+    telemetry.reset()
+    result = call()
+    snapshot = telemetry.metrics.snapshot()
+    counters = {
+        (family, tuple(sorted(child["labels"].items()))): child["value"]
+        for family in _WORK_COUNTERS
+        for child in snapshot.get(family, {"values": []})["values"]
+    }
+    spans = sorted(e.name for e in telemetry.tracer.trace.events)
+    return result, counters, spans
+
+
+def _assert_read_only(row: np.ndarray) -> None:
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[...] = 0
+
+
+class TestListAdapters:
+    """Each list entry point is its device-major twin plus a regrouping:
+    the same counters, the same spans, the same bits, read-only rows."""
+
+    X, Y, SIZE = 2, 3, 37  # ragged in both phases
+
+    @pytest.fixture(autouse=True)
+    def _telemetry_on(self):
+        telemetry.enable()
+        telemetry.reset()
+        yield
+        telemetry.reset()
+
+    def _grid(self, flat):
+        return [[flat[x * self.Y + y] for y in range(self.Y)] for x in range(self.X)]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_ring_all_reduce(self, policy):
+        arrays = _inputs(5, self.SIZE, seed=3)
+        stacked, want_counters, want_spans = _observe(
+            lambda: ring_all_reduce_stacked(np.stack(arrays), policy)
+        )
+        rows, counters, spans = _observe(lambda: ring_all_reduce(arrays, policy))
+        assert counters == want_counters and counters
+        assert spans == want_spans == ["ring_all_reduce"]
+        assert len(rows) == 5
+        for d, row in enumerate(rows):
+            _assert_bit_identical(row, stacked.device_view(d))
+            _assert_read_only(row)
+        assert np.shares_memory(rows[0], rows[4])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_ring_all_gather(self, policy):
+        sv = ring_reduce_scatter(_inputs(4, self.SIZE, seed=4), policy)
+        stacked, want_counters, want_spans = _observe(
+            lambda: ring_all_gather_stacked(sv)
+        )
+        rows, counters, spans = _observe(lambda: ring_all_gather(sv))
+        assert counters == want_counters and counters
+        assert spans == want_spans == ["ring_all_gather"]
+        for d, (row, want) in enumerate(zip(rows, _reference_ring_all_gather(sv))):
+            _assert_bit_identical(row, stacked.device_view(d))
+            _assert_bit_identical(row, want)
+            _assert_read_only(row)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_two_phase_all_reduce(self, policy):
+        flat = _inputs(self.X * self.Y, self.SIZE, seed=5)
+        halve = lambda s: s * np.float32(0.5)  # noqa: E731
+        stacked, want_counters, want_spans = _observe(
+            lambda: two_phase_all_reduce_stacked(
+                np.stack(flat), (self.X, self.Y), policy, halve
+            )
+        )
+        grid, counters, spans = _observe(
+            lambda: two_phase_all_reduce(self._grid(flat), policy, halve)
+        )
+        assert counters == want_counters and counters
+        assert spans == want_spans
+        assert {"two_phase_all_reduce", "all_gather_grid"} <= set(spans)
+        for x in range(self.X):
+            for y in range(self.Y):
+                _assert_bit_identical(
+                    grid[x][y], stacked.device_view(x * self.Y + y)
+                )
+                _assert_read_only(grid[x][y])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_grid_phases_compose_to_two_phase(self, policy):
+        """reduce_scatter_grid + all_gather_grid is the stacked 2-D
+        all-reduce, phase by phase: the sum of their counters and spans
+        (minus the fused launch marker) and the same result."""
+        flat = _inputs(self.X * self.Y, self.SIZE, seed=6)
+        grid = self._grid(flat)
+        stacked, want_counters, want_spans = _observe(
+            lambda: two_phase_all_reduce_stacked(
+                np.stack(flat), (self.X, self.Y), policy
+            )
+        )
+
+        def phases():
+            reduced = reduce_scatter_grid(grid, policy)
+            shards = [[sv.shards[0] for sv in col] for col in reduced]
+            return reduced, all_gather_grid(shards, (self.SIZE,), policy)
+
+        (reduced, gathered), counters, spans = _observe(phases)
+        fused_launch = (
+            "collective_launches",
+            (("axis", "xy"), ("op", "two_phase_all_reduce")),
+        )
+        assert want_counters.pop(fused_launch) == 1
+        assert counters == want_counters
+        want_spans.remove("two_phase_all_reduce")
+        assert spans == want_spans
+        want_reduced = _reference_reduce_scatter_grid(grid, policy)
+        want_shards = [[sv.shards[0] for sv in col] for col in want_reduced]
+        want_gathered = _reference_all_gather_grid(want_shards, (self.SIZE,), policy)
+        for x in range(self.X):
+            for y in range(self.Y):
+                _assert_bit_identical(
+                    reduced[x][y].shards[0], want_reduced[x][y].shards[0]
+                )
+                _assert_bit_identical(gathered[x][y], want_gathered[x][y])
+                _assert_bit_identical(
+                    gathered[x][y], stacked.device_view(x * self.Y + y)
+                )
+                _assert_read_only(gathered[x][y])
+
+    def test_bucket_all_reduce(self):
+        rng = np.random.default_rng(8)
+        trees = [
+            {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+            for _ in range(6)
+        ]
+        bucket = GradientBucket(trees[0])
+        block = np.stack([bucket.flatten(t) for t in trees])
+        for grid_shape in (None, (2, 3)):
+            stacked, want_counters, want_spans = _observe(
+                lambda: bucket.all_reduce_stacked(block, "f64", grid_shape)
+            )
+            fused, counters, spans = _observe(
+                lambda: bucket.all_reduce(trees, "f64", grid_shape)
+            )
+            assert counters == want_counters and counters
+            assert spans == want_spans and "bucket_all_reduce" in spans
+            want = bucket.unflatten(stacked.device_view(0))
+            for tree in fused:
+                for name in ("w", "b"):
+                    _assert_bit_identical(tree[name], want[name])
+                    _assert_read_only(tree[name])
 
 
 class TestMeshStacked:

@@ -94,16 +94,11 @@ class TestEstimateCost:
     def test_legacy_estimate_cost_warns_and_agrees(self):
         g = ssd_graph()
         plan = _plan(g, spatial_seeds(g, 4), 4)
-        with pytest.warns(DeprecationWarning, match="estimate_cost"):
-            legacy = estimate_cost(plan.partitioned)
-        assert legacy == plan.cost
+        assert estimate_cost(plan.partitioned) == plan.cost
 
     def test_legacy_partition_feeds_legacy_estimate(self):
         g = ssd_graph()
-        with pytest.warns(DeprecationWarning):
-            pg = partition(g, spatial_seeds(g, 4), 4)
-        with pytest.warns(DeprecationWarning):
-            cost = estimate_cost(pg)
+        cost = estimate_cost(partition(g, spatial_seeds(g, 4), 4))
         assert cost == _plan(ssd_graph(), spatial_seeds(g, 4), 4).cost
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spmd.annotations import Sharding, partial, replicated, split
+from repro.spmd.annotations import Sharding
 from repro.spmd.ir import Graph
 from repro.spmd.modelgraphs import (
     maskrcnn_graph,
@@ -48,21 +48,14 @@ class TestAnnotations:
 
 
 class TestDeprecatedEntryPoints:
-    """The legacy free functions work but warn outside the facade."""
-
-    def test_free_functions_warn_and_agree(self):
-        with pytest.warns(DeprecationWarning, match="replicated"):
-            assert replicated(4) == Sharding.replicate(4)
-        with pytest.warns(DeprecationWarning, match="split"):
-            assert split(4, 1) == Sharding.split(4, 1)
-        with pytest.warns(DeprecationWarning, match="partial"):
-            assert partial(4) == Sharding.partial_sum(4)
+    """The deprecation layer is gone: the module-level ``partition`` is the
+    pass the facade calls, and neither warns (test ids kept from when the
+    former did)."""
 
     def test_partition_warns_and_agrees_with_facade(self):
         g = transformer_block_graph()
         seeds = transformer_seeds(g, 4)
-        with pytest.warns(DeprecationWarning, match="partition"):
-            pg = partition(g, seeds, 4)
+        pg = partition(g, seeds, 4)
         plan = _plan(g, seeds, 4)
         assert pg.shardings == plan.shardings
         assert pg.comm_ops == plan.comm_ops
@@ -259,9 +252,8 @@ class TestDtypes:
         g = Graph(dtype_bytes=2)
         g.input((4, 4))
         g.reduce(0, dtype_bytes=4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="inconsistent"):
-                partition(g, {}, 2, V07_FEATURES, dtype_bytes=2)
+        with pytest.raises(ValueError, match="inconsistent"):
+            partition(g, {}, 2, V07_FEATURES, dtype_bytes=2)
 
     def test_graph_rejects_bad_dtype(self):
         with pytest.raises(ValueError):

@@ -375,7 +375,7 @@ class TestInstrumentedTrainers:
         m = telemetry.metrics
         assert m.value("train_steps", trainer="DataParallelTrainer") == 2
         # Exact traffic for the known mesh/bucket size: 2x2 grid, f64 wire.
-        size = trainer._bucket.size
+        size = trainer._plan.buckets[0].size
         _, y_chunk = padded_chunk_layout(2, size)
         _, x_chunk = padded_chunk_layout(2, y_chunk)
         steps = 2
