@@ -36,6 +36,29 @@ REJECTED = "rejected"
 
 JOB_STATES = (PENDING, RUNNING, COMPLETED, REJECTED)
 
+#: The per-tenant telemetry of a cluster run: ``cluster_*`` counter -> the
+#: :class:`JobReport` field it totals.  The report is the only ledger the
+#: scheduler keeps; the counters are published from it when the run ends.
+TENANT_COUNTERS = {
+    "cluster_steps": "steps_executed",
+    "cluster_lost_steps": "lost_steps",
+    "cluster_admissions": "admissions",
+    "cluster_admission_retries": "admission_retries",
+    "cluster_preemptions": "preemptions",
+    "cluster_evictions": "evictions",
+    "cluster_shrinks": "shrinks",
+    "cluster_regrows": "regrows",
+    "cluster_migrates": "migrations",
+    "cluster_grace_saves": "grace_saves",
+    "cluster_straggler_blames": "straggler_blames",
+    "cluster_straggler_stall_ticks": "straggler_stall_ticks",
+}
+#: Terminal state -> the counter a tenant ending in it adds one to.
+STATE_COUNTERS = {
+    COMPLETED: "cluster_completions",
+    REJECTED: "cluster_rejections",
+}
+
 
 def derive_subseed(seed: int, *path: str | int) -> int:
     """A 32-bit sub-seed that is a pure function of ``seed`` and a label path.
@@ -126,10 +149,13 @@ class JobSpec:
             raise ValueError("slo_goodput must be in [0, 1]")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
-        if self.trainer_config is not None and self.batch_fn_factory is None:
-            raise ValueError(
-                "real-numerics jobs need a batch_fn_factory(job_seed)"
-            )
+        if self.trainer_config is not None:
+            if self.batch_fn_factory is None:
+                raise ValueError(
+                    "real-numerics jobs need a batch_fn_factory(job_seed)"
+                )
+            # Every recovery path of the scheduler goes through a checkpoint.
+            self.trainer_config.require_checkpointing()
 
     @property
     def num_chips(self) -> int:
@@ -170,9 +196,24 @@ class JobReport(GoodputAccounting):
     regrows: int = 0
     migrations: int = 0
     queue_wait_ticks: int = 0
+    #: Best-effort saves that fit a preemption/host-eviction grace window.
+    grace_saves: int = 0
+    #: Chips blamed by the step barrier, and ticks lost waiting on them.
+    straggler_blames: int = 0
+    straggler_stall_ticks: int = 0
     slo_attained: bool | None = None
     timeline: list[tuple] = field(default_factory=list)
     final_params: dict[str, np.ndarray] | None = None
+
+    def ledger_dict(self) -> dict[str, object]:
+        """Every scalar of the ledger plus the derived rates, JSON-ready
+        (what a mid-run postmortem carries in place of registry counters)."""
+        scalars = {
+            name: value
+            for name, value in vars(self).items()
+            if name not in ("timeline", "final_params")
+        }
+        return {**scalars, **self.accounting_dict()}
 
     def record_run_step(self, step: int) -> None:
         """Extend the trailing ``("run", ...)`` segment with one step."""

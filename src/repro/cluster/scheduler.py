@@ -37,7 +37,9 @@ Per tick, in deterministic order:
 
 Everything is a pure function of ``(specs, config, plan, seed)``: one
 seed replays the whole multi-tenant run, event for event and bit for bit
-(:func:`solo_replay` pins the latter per tenant).
+(:func:`solo_replay` pins the latter per tenant).  Each tenant's
+:class:`~repro.cluster.jobs.JobReport` is the only ledger the loop writes;
+the ``cluster_*`` telemetry is published from the reports when ``run`` ends.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from repro.cluster.jobs import (
     PENDING,
     REJECTED,
     RUNNING,
+    STATE_COUNTERS,
+    TENANT_COUNTERS,
     JobReport,
     JobSpec,
     derive_subseed,
@@ -79,19 +83,21 @@ DEFAULT_ADMISSION_POLICY = RetryPolicy(
     jitter_frac=0.25,
 )
 
+#: Per-step barrier timeout in multiples of the base step time: steps slower
+#: than it get their straggler chips blamed through the
+#: :mod:`repro.controlplane.barrier` machinery.
+STRAGGLER_TIMEOUT = 1.5
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
     """Knobs of the shared pod and its recovery/admission machinery.
 
     ``heal_after_s`` turns chip deaths into repairable outages (``None``
-    means chips never return); ``heartbeat_interval_s`` replaces oracle
-    detection of unannounced deaths with a measured
-    :class:`~repro.controlplane.heartbeat.HeartbeatDetector` (interval,
-    timeout = interval/2, suspicion threshold 2).  ``straggler_timeout``
-    is the per-step barrier timeout in multiples of the base step time —
-    steps slower than it get their straggler chips blamed through the
-    :mod:`repro.controlplane.barrier` machinery.
+    means chips never return).  Unannounced deaths are declared by an
+    oracle after ``detection_timeout_s``; pass ``detector=`` to
+    :class:`ClusterScheduler`/:func:`run_cluster` to substitute a measured
+    :class:`~repro.controlplane.heartbeat.HeartbeatDetector`.
     """
 
     mesh_shape: tuple[int, int]
@@ -103,8 +109,6 @@ class ClusterConfig:
     preemption_grace_s: float = 30.0
     heal_after_s: float | None = None
     admission_policy: RetryPolicy = DEFAULT_ADMISSION_POLICY
-    heartbeat_interval_s: float | None = None
-    straggler_timeout: float = 1.5
     max_ticks: int = 10_000
     seed: int = 0
 
@@ -124,8 +128,6 @@ class ClusterConfig:
             raise ValueError("preemption_grace_s must be >= 0")
         if self.heal_after_s is not None and self.heal_after_s < 0:
             raise ValueError("heal_after_s must be >= 0")
-        if self.straggler_timeout <= 1.0:
-            raise ValueError("straggler_timeout must be > 1 step")
         if self.max_ticks < 1:
             raise ValueError("max_ticks must be >= 1")
 
@@ -278,20 +280,11 @@ class ClusterScheduler:
             raise ValueError("job names must be unique")
         self.config = config
         self.plan = plan if plan is not None else FaultPlan()
-        if detector is not None:
-            self.detector = detector
-        elif config.heartbeat_interval_s is not None:
-            from repro.controlplane.heartbeat import HeartbeatDetector
-
-            self.detector = HeartbeatDetector(
-                interval_s=config.heartbeat_interval_s,
-                timeout_s=config.heartbeat_interval_s / 2,
-                suspicion_threshold=2,
-            )
-        else:
+        if detector is None:
             from repro.controlplane.heartbeat import OracleDetector
 
-            self.detector = OracleDetector(config.detection_timeout_s)
+            detector = OracleDetector(config.detection_timeout_s)
+        self.detector = detector
         self.state = ClusterState(config.mesh_shape, config.chips_per_host)
         self.jobs = {s.name: _Job(s, config.seed) for s in specs}
         self.result = ClusterResult(
@@ -308,9 +301,30 @@ class ClusterScheduler:
         )
         logger.debug("tick %d: %s %s %s", self._tick, event, tenant, info)
 
-    def _count(self, metric: str, tenant: str, amount: float = 1.0) -> None:
-        if _telemetry.enabled:
-            _telemetry.metrics.counter(metric, tenant=tenant).inc(amount)
+    def _publish_metrics(self) -> None:
+        """Write the run's ``cluster_*`` counters and gauges, once: the
+        per-tenant totals of the :class:`JobReport` ledgers (paired by
+        ``TENANT_COUNTERS``) and the pod gauges as of the last tick."""
+        if not _telemetry.enabled:
+            return
+        m = _telemetry.metrics
+        for name, job in self.jobs.items():
+            report = job.report
+            for metric, field_name in TENANT_COUNTERS.items():
+                amount = getattr(report, field_name)
+                if amount:
+                    m.counter(metric, tenant=name).inc(amount)
+            if report.state in STATE_COUNTERS:
+                m.counter(STATE_COUNTERS[report.state], tenant=name).inc()
+            if report.slo_attained is not None:
+                m.gauge("cluster_slo_attained", tenant=name).set(
+                    1.0 if report.slo_attained else 0.0
+                )
+        states = [job.state for job in self.jobs.values()]
+        m.gauge("cluster_free_chips").set(self.state.free_chips)
+        m.gauge("cluster_dead_chips").set(self.state.dead_chips)
+        m.gauge("cluster_running_jobs").set(states.count(RUNNING))
+        m.gauge("cluster_pending_jobs").set(states.count(PENDING))
 
     def _restore_seconds(self, job: _Job) -> float:
         return job.ckpt_bytes / self.config.restore_bandwidth_bytes_per_s
@@ -365,21 +379,9 @@ class ClusterScheduler:
             for dev in self.plan.chip_failures_at_step(self._tick)
             if not self.state.is_dead(dev)
         ]
-        if not hits:
-            return
-        affected: dict[str, list[Device]] = {}
-        for dev in hits:
-            owner = self.state.fail_chip(dev, now_s)
-            if owner is not None:
-                affected.setdefault(owner, []).append(dev)
-        self._emit(
-            "chip_failure", "",
-            devices=[list(d) for d in hits],
-            owners=sorted(affected),
-        )
-        for name in sorted(affected):
-            self._shrink_or_evict(
-                self.jobs[name], affected[name], now_s, announced=False,
+        if hits:
+            self._fail_chips(
+                hits, now_s, "chip_failure", devices=[list(d) for d in hits]
             )
 
     def _handle_plan_preemptions(self, now_s: float) -> None:
@@ -387,31 +389,36 @@ class ClusterScheduler:
         for sig in self.plan.preemptions_at_step(self._tick):
             chips = self.state.hosts.get(sig.host, ())
             lost = [d for d in chips if not self.state.is_dead(d)]
-            if not lost:
-                continue
-            affected: dict[str, list[Device]] = {}
-            for dev in lost:
-                owner = self.state.fail_chip(dev, now_s)
-                if owner is not None:
-                    affected.setdefault(owner, []).append(dev)
-            self._emit(
-                "host_preemption", "",
-                host=sig.host, chips=len(lost), owners=sorted(affected),
-            )
-            for name in sorted(affected):
-                self._shrink_or_evict(
-                    self.jobs[name], affected[name], now_s,
-                    announced=True, grace_s=sig.grace_s,
+            if lost:
+                self._fail_chips(
+                    lost, now_s, "host_preemption", grace_s=sig.grace_s,
+                    host=sig.host, chips=len(lost),
                 )
+
+    def _fail_chips(
+        self, dead: list[Device], now_s: float, event: str,
+        grace_s: float | None = None, **info,
+    ) -> None:
+        """Mark the ``dead`` chips, emit ``event``, shrink or evict every owner.
+
+        ``grace_s`` is the announced loss's grace window; ``None`` means the
+        chips died unannounced.
+        """
+        affected: dict[str, list[Device]] = {}
+        for dev in dead:
+            owner = self.state.fail_chip(dev, now_s)
+            if owner is not None:
+                affected.setdefault(owner, []).append(dev)
+        self._emit(event, "", **info, owners=sorted(affected))
+        for name in sorted(affected):
+            self._shrink_or_evict(self.jobs[name], affected[name], now_s, grace_s)
 
     def _shrink_or_evict(
         self,
         job: _Job,
         lost_devices: list[Device],
         now_s: float,
-        *,
-        announced: bool,
-        grace_s: float = 0.0,
+        grace_s: float | None,
     ) -> None:
         """A running job lost chips: shrink onto the survivors or requeue.
 
@@ -425,12 +432,13 @@ class ClusterScheduler:
             return  # pending/terminal jobs hold no slice
         report = job.report
         stall_s = 0.0
+        announced = grace_s is not None
         if announced:
             save_s = self._restore_seconds(job)
             if save_s <= grace_s:
                 self._save_checkpoint(job, save_s, now_s)
                 stall_s += save_s
-                self._count("cluster_grace_saves", job.name)
+                report.grace_saves += 1
             lost_steps = job.step - job.ckpt_step
         else:
             latency = self.detector.detection_latency(now_s)
@@ -441,7 +449,6 @@ class ClusterScheduler:
             report.total_seconds += self.config.base_step_seconds
             lost_steps = (job.step - job.ckpt_step) + 1
         report.lost_steps += lost_steps
-        self._count("cluster_lost_steps", job.name, lost_steps)
         survivors = self.state.alive_in(job.name)
         if len(survivors) >= max(job.spec.min_chips, 1):
             # Elastic shrink in place: reshard the checkpoint onto fewer
@@ -454,7 +461,6 @@ class ClusterScheduler:
             report.shrinks += 1
             job.resume_at_s = now_s + stall_s
             self._build_trainer(job, len(survivors), restore=True)
-            self._count("cluster_shrinks", job.name)
             self._emit(
                 "shrink", job.name,
                 lost=[list(d) for d in lost_devices],
@@ -464,21 +470,24 @@ class ClusterScheduler:
         else:
             # Below the elastic floor: give the slice back and requeue with
             # the checkpoint — the job resumes from it on readmission.
-            self.state.release(job.name)
-            job.trainer = None
-            job.step = job.ckpt_step
-            job.state = PENDING
-            job.next_retry_tick = self._tick + 1
-            job.attempts = 0
+            self._requeue(job)
             report.total_seconds += stall_s
-            report.replicas = 0
             report.evictions += 1
-            self._count("cluster_evictions", job.name)
             self._emit(
                 "evict", job.name,
                 lost_steps=lost_steps, announced=announced,
                 survivors=len(survivors),
             )
+
+    def _requeue(self, job: _Job) -> None:
+        """Release the job's slice; it waits, rewound to its checkpoint."""
+        self.state.release(job.name)
+        job.trainer = None
+        job.step = job.ckpt_step
+        job.state = PENDING
+        job.next_retry_tick = self._tick + 1
+        job.attempts = 0
+        job.report.replicas = 0
 
     def _handle_heals(self, now_s: float) -> None:
         if self.config.heal_after_s is None:
@@ -523,21 +532,12 @@ class ClusterScheduler:
         report = victim.report
         if saved_in_grace:
             self._save_checkpoint(victim, save_s, now_s)
-            lost = 0
-            self._count("cluster_grace_saves", victim.name)
-        else:
-            lost = victim.step - victim.ckpt_step
-            victim.step = victim.ckpt_step
-            report.lost_steps += lost
-            self._count("cluster_lost_steps", victim.name, lost)
-        self.state.release(victim.name)
-        victim.trainer = None
-        victim.state = PENDING
-        victim.next_retry_tick = self._tick + 1
-        victim.attempts = 0
+            report.grace_saves += 1
+        # Zero after a grace-window save: the checkpoint is at this step.
+        lost = victim.step - victim.ckpt_step
+        report.lost_steps += lost
+        self._requeue(victim)
         report.preemptions += 1
-        report.replicas = 0
-        self._count("cluster_preemptions", victim.name)
         self._emit(
             "preempt", victim.name,
             by=by.name, hosts=[sig.host for sig in signals],
@@ -582,7 +582,6 @@ class ClusterScheduler:
             self._build_trainer(job, replicas, restore=False)
             # Initial snapshot before any work, as run_chaos takes one.
             self._save_checkpoint(job, 0.0, now_s)
-        self._count("cluster_admissions", job.name)
         self._emit(
             "admit", job.name,
             slice=[slc.x0, slc.y0, slc.width, slc.height],
@@ -615,15 +614,22 @@ class ClusterScheduler:
             job.attempts += 1
             if job.attempts >= policy.max_attempts:
                 job.state = REJECTED
-                self._count("cluster_rejections", job.name)
                 self._emit("reject", job.name, attempts=job.attempts)
                 logger.warning(
                     "tick %d: %s rejected after %d admission attempts",
                     self._tick, job.name, job.attempts,
                 )
                 if _telemetry.enabled:
+                    # The registry holds no cluster_* counters until the run
+                    # ends, so the bundle carries the ledgers themselves.
                     _telemetry.flight_recorder.dump(
-                        reason=f"tenant_rejected:{job.name}"
+                        reason=f"tenant_rejected:{job.name}",
+                        extra={
+                            "tenants": {
+                                name: other.report.ledger_dict()
+                                for name, other in self.jobs.items()
+                            }
+                        },
                     )
                 continue
             delay_s = policy.delay_after(job.attempts, key=job.retry_key)
@@ -631,7 +637,6 @@ class ClusterScheduler:
                 1, math.ceil(delay_s / self.config.base_step_seconds)
             )
             report.admission_retries += 1
-            self._count("cluster_admission_retries", job.name)
             self._emit(
                 "admission_retry", job.name,
                 attempt=job.attempts, delay_s=round(delay_s, 6),
@@ -677,7 +682,6 @@ class ClusterScheduler:
             job.report.regrows += 1
         else:
             job.report.migrations += 1
-        self._count(f"cluster_{kind}s", job.name)
         self._emit(kind, job.name, replicas=replicas)
 
     # --- execution -----------------------------------------------------------
@@ -692,13 +696,8 @@ class ClusterScheduler:
             x * y_size + y: base * self.plan.straggler_factor((x, y), self._tick)
             for (x, y) in alive
         }
-        result = resolve_barrier(
-            arrivals, timeout_s=base * self.config.straggler_timeout
-        )
-        if result.stragglers:
-            self._count(
-                "cluster_straggler_blames", job.name, len(result.stragglers)
-            )
+        result = resolve_barrier(arrivals, timeout_s=base * STRAGGLER_TIMEOUT)
+        job.report.straggler_blames += len(result.stragglers)
 
     def _run_steps(self, now_s: float) -> None:
         base = self.config.base_step_seconds
@@ -716,7 +715,7 @@ class ClusterScheduler:
                     # waits on its slowest chip and makes no progress.
                     job.stall_debt -= base
                     job.report.total_seconds += base
-                    self._count("cluster_straggler_stall_ticks", name)
+                    job.report.straggler_stall_ticks += 1
                     continue
             report = job.report
             if job.trainer is not None:
@@ -727,7 +726,6 @@ class ClusterScheduler:
             report.steps_executed += 1
             report.total_seconds += base
             job.step += 1
-            self._count("cluster_steps", name)
             self.result.chip_seconds_used += len(alive) * base
             if job.step >= job.spec.target_steps:
                 self._complete(job, now_s + base)
@@ -748,7 +746,6 @@ class ClusterScheduler:
         self.state.release(job.name)
         job.trainer = None
         job.state = COMPLETED
-        self._count("cluster_completions", job.name)
         self._emit(
             "complete", job.name,
             steps=job.step, goodput=round(report.goodput, 6),
@@ -757,65 +754,55 @@ class ClusterScheduler:
     # --- main loop -----------------------------------------------------------
 
     def run(self) -> ClusterResult:
-        config = self.config
-        while self._tick < config.max_ticks and not all(
-            job.terminal for job in self.jobs.values()
-        ):
-            now_s = self._tick * config.base_step_seconds
-            self._handle_chip_deaths(now_s)
-            self._handle_plan_preemptions(now_s)
-            self._handle_heals(now_s)
-            self._run_admission(now_s)
-            self._run_elasticity(now_s)
-            self._run_steps(now_s)
-            self.result.chip_seconds_capacity += (
-                self.state.total_chips - self.state.dead_chips
-            ) * config.base_step_seconds
-            if _telemetry.enabled:
-                m = _telemetry.metrics
-                m.gauge("cluster_free_chips").set(self.state.free_chips)
-                m.gauge("cluster_dead_chips").set(self.state.dead_chips)
-                m.gauge("cluster_running_jobs").set(
-                    sum(1 for j in self.jobs.values() if j.state == RUNNING)
-                )
-                m.gauge("cluster_pending_jobs").set(
-                    sum(1 for j in self.jobs.values() if j.state == PENDING)
-                )
-            self._tick += 1
-        self.result.ticks = self._tick
-        self.result.total_seconds = self._tick * config.base_step_seconds
-        for job in self.jobs.values():
-            report = job.report
-            if job.state == RUNNING:
-                # Horizon ended mid-run: progress so far is the useful work.
-                report.useful_seconds = (
-                    job.step * config.base_step_seconds
-                )
-                if job.trainer is not None:
-                    report.final_params = job.trainer.params
-            report.slo_attained = (
-                job.state == COMPLETED
-                and report.goodput >= job.spec.slo_goodput
-                and (
-                    job.spec.deadline_s is None
-                    or (
-                        report.finish_s is not None
-                        and report.finish_s <= job.spec.deadline_s
+        try:
+            config = self.config
+            while self._tick < config.max_ticks and not all(
+                job.terminal for job in self.jobs.values()
+            ):
+                now_s = self._tick * config.base_step_seconds
+                self._handle_chip_deaths(now_s)
+                self._handle_plan_preemptions(now_s)
+                self._handle_heals(now_s)
+                self._run_admission(now_s)
+                self._run_elasticity(now_s)
+                self._run_steps(now_s)
+                self.result.chip_seconds_capacity += (
+                    self.state.total_chips - self.state.dead_chips
+                ) * config.base_step_seconds
+                self._tick += 1
+            self.result.ticks = self._tick
+            self.result.total_seconds = self._tick * config.base_step_seconds
+            for job in self.jobs.values():
+                report = job.report
+                if job.state == RUNNING:
+                    # Horizon ended mid-run: progress so far is the useful work.
+                    report.useful_seconds = (
+                        job.step * config.base_step_seconds
+                    )
+                    if job.trainer is not None:
+                        report.final_params = job.trainer.params
+                report.slo_attained = (
+                    job.state == COMPLETED
+                    and report.goodput >= job.spec.slo_goodput
+                    and (
+                        job.spec.deadline_s is None
+                        or (
+                            report.finish_s is not None
+                            and report.finish_s <= job.spec.deadline_s
+                        )
                     )
                 )
+            logger.info(
+                "cluster run done: %d ticks, %d/%d completed, %d rejected, "
+                "%d preemptions, utilization %.3f, fairness %.3f",
+                self.result.ticks, self.result.completed, len(self.jobs),
+                self.result.rejected, self.result.preemptions,
+                self.result.utilization, self.result.fairness,
             )
-            if _telemetry.enabled:
-                _telemetry.metrics.gauge(
-                    "cluster_slo_attained", tenant=job.name
-                ).set(1.0 if report.slo_attained else 0.0)
-        logger.info(
-            "cluster run done: %d ticks, %d/%d completed, %d rejected, "
-            "%d preemptions, utilization %.3f, fairness %.3f",
-            self.result.ticks, self.result.completed, len(self.jobs),
-            self.result.rejected, self.result.preemptions,
-            self.result.utilization, self.result.fairness,
-        )
-        return self.result
+            return self.result
+        finally:
+            # Also on a raise: the counters of the ticks that did run.
+            self._publish_metrics()
 
 
 def run_cluster(

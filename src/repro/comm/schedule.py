@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from time import perf_counter as _perf
 
 from repro import telemetry as _telemetry
@@ -44,8 +44,12 @@ def _build_channels(
     return channels
 
 
-def _send_chunk(channels, segment, chunk_bytes: float):
-    """Store-and-forward a chunk across the links of one ring segment."""
+def _send_chunk(sim: Simulator, channels, segment, chunk_bytes: float):
+    """Store-and-forward a chunk across the links of one ring segment.
+
+    The healthy leaf: no fault lookup per link.  ``sim`` is unused; the
+    signature is the one :func:`_ring_phase` calls every leaf with.
+    """
     for link in segment:
         yield from channels[(link.src, link.dst)].transfer(chunk_bytes)
 
@@ -71,8 +75,13 @@ def _ring_segments(
 
 
 def _ring_phase(sim: Simulator, channels, mesh: TorusMesh, ring: Ring,
-                payload_bytes: float, reverse: bool):
-    """One direction of a ring phase: n-1 synchronous chunk-forward steps."""
+                payload_bytes: float, reverse: bool, send):
+    """One direction of a ring phase: n-1 synchronous chunk-forward steps.
+
+    ``send(sim, channels, segment, chunk_bytes)`` is the per-chunk transfer
+    generator: :func:`_send_chunk`, or :func:`_send_chunk_with_faults` bound
+    to a plan.
+    """
     n = ring.size
     steps = n - 1
     chunk = payload_bytes / n
@@ -80,8 +89,34 @@ def _ring_phase(sim: Simulator, channels, mesh: TorusMesh, ring: Ring,
     for _ in range(steps):
         sends = []
         for seg in segments:
-            sends.append(sim.process(_send_chunk(channels, seg, chunk)))
+            sends.append(sim.process(send(sim, channels, seg, chunk)))
         yield sim.all_of(sends)
+
+
+def _run_rings(
+    phase: str, mesh: TorusMesh, rings: list[Ring], payload_bytes: float,
+    bidirectional: bool, send,
+) -> float:
+    """Run every ring's schedule over one simulator of ``mesh``'s links.
+
+    Each ring direction is a process named after the phase and the ring's
+    first member, so a failure surfacing from ``run()`` says which ring died.
+    """
+    sim = Simulator()
+    channels = _build_channels(sim, mesh)
+    for ring in rings:
+        if ring.size < 2:
+            continue
+        if bidirectional and ring.closed:
+            directions = ((payload_bytes / 2, False), (payload_bytes / 2, True))
+        else:
+            directions = ((payload_bytes, False),)
+        for payload, reverse in directions:
+            sim.process(
+                _ring_phase(sim, channels, mesh, ring, payload, reverse, send),
+                name=f"{phase}[{ring.members[0]}]",
+            )
+    return sim.run()
 
 
 #: Memoized healthy-phase results keyed by (topology, rings, payload,
@@ -112,17 +147,9 @@ def _simulate_phase(
         return cached  # type: ignore[return-value]
     if _telemetry.enabled:
         _telemetry.metrics.counter("sim_phase_cache_misses").inc()
-    sim = Simulator()
-    channels = _build_channels(sim, mesh)
-    for ring in rings:
-        if ring.size < 2:
-            continue
-        if bidirectional and ring.closed:
-            sim.process(_ring_phase(sim, channels, mesh, ring, payload_bytes / 2, False))
-            sim.process(_ring_phase(sim, channels, mesh, ring, payload_bytes / 2, True))
-        else:
-            sim.process(_ring_phase(sim, channels, mesh, ring, payload_bytes, False))
-    result = sim.run()
+    result = _run_rings(
+        "ring_phase", mesh, rings, payload_bytes, bidirectional, _send_chunk
+    )
     while len(_PHASE_CACHE) >= _PHASE_CACHE_MAXSIZE:
         _PHASE_CACHE.popitem(last=False)
     _PHASE_CACHE[key] = result
@@ -147,13 +174,13 @@ def simulate_ring_reduce_scatter(
     """
     if isinstance(rings, Ring):
         rings = [rings]
-    return _attributed_phase("reduce_scatter", mesh, rings, payload_bytes, bidirectional)
+    return _attributed_phase(
+        "reduce_scatter", _simulate_phase, mesh, rings, payload_bytes, bidirectional
+    )
 
 
-def _attributed_phase(
-    phase: str, mesh, rings, payload_bytes: float, bidirectional: bool
-) -> float:
-    """Run one simulated phase, attributing modeled vs. measured seconds.
+def _attributed_phase(phase: str, simulate, *args) -> float:
+    """Run ``simulate(*args)``, attributing modeled vs. measured seconds.
 
     ``sim_phase_modeled_seconds`` accumulates the discrete-event *answer*
     (virtual seconds the schedule would take on hardware) while
@@ -162,7 +189,7 @@ def _attributed_phase(
     attributions side by side.
     """
     t0 = _perf()
-    modeled = _simulate_phase(mesh, rings, payload_bytes, bidirectional)
+    modeled = simulate(*args)
     if _telemetry.enabled:
         m = _telemetry.metrics
         m.counter("sim_phase_modeled_seconds", phase=phase).inc(modeled)
@@ -181,7 +208,9 @@ def simulate_ring_all_gather(
     """Event-driven all-gather time (identical data motion to reduce-scatter)."""
     if isinstance(rings, Ring):
         rings = [rings]
-    return _attributed_phase("all_gather", mesh, rings, payload_bytes, bidirectional)
+    return _attributed_phase(
+        "all_gather", _simulate_phase, mesh, rings, payload_bytes, bidirectional
+    )
 
 
 # --- fault-aware schedules ----------------------------------------------------
@@ -246,29 +275,6 @@ def _send_chunk_with_faults(
             yield sim.timeout(policy.delay_after(attempt))
 
 
-def _ring_phase_with_faults(
-    sim: Simulator, channels, mesh: TorusMesh, ring: Ring, payload_bytes: float,
-    reverse: bool, plan: FaultPlan, policy: RetryPolicy,
-    result: DegradedScheduleResult,
-):
-    """One direction of a ring phase over fault-injected links."""
-    n = ring.size
-    chunk = payload_bytes / n
-    segments = _ring_segments(mesh, ring, reverse)
-    for _ in range(n - 1):
-        sends = []
-        for seg in segments:
-            sends.append(
-                sim.process(
-                    _send_chunk_with_faults(
-                        sim, channels, seg, chunk, plan, policy, result
-                    ),
-                    name=f"send[{ring.members[0]}..]",
-                )
-            )
-        yield sim.all_of(sends)
-
-
 def _simulate_degraded_phase(
     phase: str,
     mesh: TorusMesh,
@@ -295,35 +301,10 @@ def _simulate_degraded_phase(
             "%s: %d of %d rings dropped (fewer than 2 survivors)",
             phase, result.dropped_rings, len(rings),
         )
-    t0 = _perf()
-    sim = Simulator()
-    channels = _build_channels(sim, mesh)
-    for ring in healed:
-        if ring.size < 2:
-            continue
-        if bidirectional and ring.closed:
-            for rev in (False, True):
-                sim.process(
-                    _ring_phase_with_faults(
-                        sim, channels, mesh, ring, payload_bytes / 2, rev,
-                        plan, policy, result,
-                    ),
-                    name=f"{phase}[{ring.members[0]}]",
-                )
-        else:
-            sim.process(
-                _ring_phase_with_faults(
-                    sim, channels, mesh, ring, payload_bytes, False,
-                    plan, policy, result,
-                ),
-                name=f"{phase}[{ring.members[0]}]",
-            )
-    result.seconds = sim.run()
-    if _telemetry.enabled:
-        m = _telemetry.metrics
-        m.counter("sim_phase_modeled_seconds", phase=phase).inc(result.seconds)
-        m.counter("sim_phase_wall_seconds", phase=phase).inc(_perf() - t0)
-        m.counter("sim_phase_runs", phase=phase).inc()
+    send = partial(_send_chunk_with_faults, plan=plan, policy=policy, result=result)
+    result.seconds = _attributed_phase(
+        phase, _run_rings, phase, mesh, healed, payload_bytes, bidirectional, send
+    )
     return result
 
 

@@ -138,38 +138,40 @@ class ConsistencyGuard:
     def find_desynced(
         self, hashes: Mapping[Device, str]
     ) -> tuple[tuple[Device, ...], bool]:
-        """Minority replicas under majority vote.
+        """Minority replicas under majority vote; telemetry-counted.
 
         Returns ``(desynced_devices, ambiguous)``: with a strict majority
         hash, the minority is desynced and resyncable; without one (a
         1-1 split, or three ways) every divergent replica is returned
         and ``ambiguous`` is True — no peer can be trusted as the donor,
         so recovery must rewind to a verified checkpoint.
-        """
-        if not hashes:
-            return (), False
-        counts = _Counter(hashes.values())
-        if len(counts) == 1:
-            return (), False
-        (top_hash, top_n), (_, second_n) = counts.most_common(2)
-        if top_n == second_n:
-            return tuple(sorted(hashes)), True
-        desynced = tuple(
-            sorted(d for d, h in hashes.items() if h != top_hash)
-        )
-        return desynced, False
 
-    def check_replicas(
-        self, views: Mapping[Device, Params], step: int
-    ) -> tuple[tuple[Device, ...], bool]:
-        """Hash every replica view and majority-vote; telemetry-counted."""
-        hashes = {d: self.param_hash(p) for d, p in views.items()}
-        desynced, ambiguous = self.find_desynced(hashes)
+        One call is one fleet-wide hash round: the chaos harness votes here
+        in both modes (over real hashes via :meth:`check_replicas`, over
+        overlay markers in accounting mode), so the round is counted here.
+        """
+        desynced: tuple[Device, ...] = ()
+        ambiguous = False
+        counts = _Counter(hashes.values())
+        if len(counts) > 1:
+            (top_hash, top_n), (_, second_n) = counts.most_common(2)
+            ambiguous = top_n == second_n
+            desynced = tuple(
+                sorted(d for d, h in hashes.items() if ambiguous or h != top_hash)
+            )
         if _telemetry.enabled:
             m = _telemetry.metrics
             m.counter("controlplane_hash_checks").inc()
             if desynced:
                 m.counter("controlplane_desyncs_caught").inc(len(desynced))
+        return desynced, ambiguous
+
+    def check_replicas(
+        self, views: Mapping[Device, Params], step: int
+    ) -> tuple[tuple[Device, ...], bool]:
+        """Hash every replica view and majority-vote (see :meth:`find_desynced`)."""
+        hashes = {d: self.param_hash(p) for d, p in views.items()}
+        desynced, ambiguous = self.find_desynced(hashes)
         if desynced:
             logger.warning(
                 "desync at step %d: %s diverged (%s recovery)",

@@ -27,6 +27,10 @@ import numpy as np
 #: Strategies :func:`make_trainer` understands.
 STRATEGIES = ("single", "data_parallel", "wus", "hybrid")
 
+#: Strategies whose trainers expose ``save_checkpoint``/``restore_checkpoint``
+#: (what the chaos harness and the cluster scheduler recover through).
+CHECKPOINTING_STRATEGIES = ("single", "data_parallel", "wus")
+
 
 class StepResult(float):
     """Loss of one step, with its timing and traffic accounting attached.
@@ -105,7 +109,6 @@ class TrainerConfig:
     grad_dtype_policy: str = "f64"
     num_buckets: int = 1
     overlap: bool = False
-    fused: bool = True
     mp_size: int = 1
     guard: Any = None
     seed: int | None = None
@@ -131,12 +134,18 @@ class TrainerConfig:
                 "bucketed overlap is only supported by the 'data_parallel' "
                 "and 'wus' strategies"
             )
-        if self.strategy == "wus" and not self.fused and self.num_buckets > 1:
-            raise ValueError("unfused WUS does not support multiple buckets")
 
     @property
     def num_replicas(self) -> int:
         return self.mesh_shape[0] * self.mesh_shape[1]
+
+    def require_checkpointing(self) -> None:
+        """Reject a strategy whose trainer cannot save/restore checkpoints."""
+        if self.strategy not in CHECKPOINTING_STRATEGIES:
+            raise ValueError(
+                f"strategy {self.strategy!r} cannot checkpoint; recovery needs "
+                f"one of {CHECKPOINTING_STRATEGIES}"
+            )
 
     def with_(self, **changes) -> "TrainerConfig":
         """A modified copy (sweep/chaos helper)."""
@@ -169,7 +178,6 @@ def make_trainer(config: TrainerConfig) -> Trainer:
             config.optimizer,
             num_replicas=config.num_replicas,
             grad_dtype_policy=config.grad_dtype_policy,
-            fused=config.fused,
             num_buckets=config.num_buckets,
             overlap=config.overlap,
         )

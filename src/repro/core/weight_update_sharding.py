@@ -32,7 +32,6 @@ from repro.resilience.checkpoint import (
     TrainerCheckpoint,
     record_checkpoint_metrics,
     unshard_state_segments,
-    unshard_states,
 )
 from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
@@ -122,8 +121,9 @@ def sharded_update(
         for partial in partials:
             for key, value in partial.items():
                 stats[key] = stats.get(key, 0.0) + value
-        # 2b. shard-local elementwise update.
-        new_chunks = []
+        # 2b. shard-local elementwise update, written into one (n, chunk)
+        #     block so the gather below reads it without concatenating.
+        new_block = np.empty((n, flat_param_chunks[0].size), dtype=np.float64)
         for d in range(n):
             new_chunk, new_slot = optimizer.apply(
                 name,
@@ -133,16 +133,17 @@ def sharded_update(
                 step,
                 stats,
             )
-            new_chunks.append(np.asarray(new_chunk, dtype=np.float64))
+            new_block[d] = new_chunk
             new_states[d][name] = new_slot
         # 3. all-gather the updated weight shards; the result is lazily
         #    replicated (one physical buffer) and the cast below copies it
         #    into the independently owned replica the trainer keeps.
         gathered = ring_all_gather_stacked(
             ShardedValue(
-                shards=new_chunks,
+                shards=list(new_block),
                 shape=param.shape,
-                padded_size=sum(c.size for c in new_chunks),
+                padded_size=new_block.size,
+                block=new_block,
             )
         )
         new_params[name] = gathered.device_view(0).astype(param.dtype)
@@ -189,7 +190,7 @@ def bucketed_sharded_update(
     per-layer trust-ratio norms are accumulated per *segment*, and ONE
     all-gather broadcasts the updated fused weights.  ``sharded_state`` must
     come from :func:`shard_state_segments` with the same bucket; the bucket
-    should be float64 so the update math matches the unfused path.
+    should be float64 so the update math matches the per-parameter path.
     """
     n = len(per_device_grads)
     if n < 1:
@@ -208,7 +209,7 @@ def bucketed_sharded_update(
     windows = bucket.shard_segments(n)
     with _telemetry.tracer.span("sharded_update", category="update"):
         # 2a. per-segment partial norms, summed per layer across devices (the
-        #     tiny scalar all-reduce of the unfused path, now over segments).
+        #     tiny scalar all-reduce of sharded_update, now over segments).
         stats: dict[str, dict[str, float]] = {name: {} for name in bucket.names}
         for d in range(n):
             for seg in windows[d]:
@@ -222,9 +223,10 @@ def bucketed_sharded_update(
                 acc = stats[seg.name]
                 for key, value in partial.items():
                     acc[key] = acc.get(key, 0.0) + value
-        # 2b. segment-local elementwise update into per-device chunk buffers.
+        # 2b. segment-local elementwise update into one (n, chunk) block of
+        #     per-device chunk rows (the gather reads it without concatenating).
         _, chunk = padded_chunk_layout(n, bucket.size)
-        new_chunks = [np.zeros(chunk, dtype=np.float64) for _ in range(n)]
+        new_block = np.zeros((n, chunk), dtype=np.float64)
         new_states: list[OptimizerState] = [dict() for _ in range(n)]
         for d in range(n):
             for seg in windows[d]:
@@ -236,13 +238,16 @@ def bucketed_sharded_update(
                     step,
                     stats[seg.name],
                 )
-                new_chunks[d][seg.local_slice] = np.asarray(new_vals, dtype=np.float64)
+                new_block[d, seg.local_slice] = new_vals
                 new_states[d][seg.name] = new_slot
     # 3. ONE fused all-gather of the updated weight shards (lazily
     #    replicated; the per-param astype below copies out of it).
     gathered = ring_all_gather_stacked(
         ShardedValue(
-            shards=new_chunks, shape=(bucket.size,), padded_size=n * chunk
+            shards=list(new_block),
+            shape=(bucket.size,),
+            padded_size=n * chunk,
+            block=new_block,
         )
     )
     new_flat = gathered.device_view(0)
@@ -262,11 +267,13 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
     is purely in how the update executes — which is the paper's point: WUS
     is a systems optimization that must not change the math.
 
-    ``fused=True`` (the default) runs the bucketed variant: one
-    reduce-scatter + one all-gather for the whole model instead of one pair
-    per parameter, with optimizer slots sharded along the fused layout.
+    The update runs bucketed (:func:`bucketed_sharded_update`): one
+    reduce-scatter + one all-gather per bucket instead of one pair per
+    parameter, with optimizer slots sharded along the fused layout.
+    :func:`sharded_update` is the per-parameter algorithm stated literally,
+    kept as the reference the equivalence tests step beside this trainer.
 
-    ``num_buckets > 1`` (fused only) splits the model into backprop-ordered
+    ``num_buckets > 1`` splits the model into backprop-ordered
     buckets, each with its own reduce-scatter -> sharded update ->
     all-gather pipeline stage; ``overlap=True`` models those stages
     launching behind the backward pass.  As in
@@ -280,29 +287,21 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         optimizer: Optimizer,
         num_replicas: int,
         grad_dtype_policy: str = "f64",
-        fused: bool = True,
         num_buckets: int = 1,
         overlap: bool = False,
     ) -> None:
-        if not fused and num_buckets > 1:
-            raise ValueError("unfused WUS does not support multiple buckets")
         super().__init__(
             model, optimizer, dp_x=num_replicas, dp_y=1,
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
-        self.fused = fused
         self.sharded_state: list[OptimizerState] | None = None
         self._bucket_states: list[list[OptimizerState]] | None = None
 
     def init(self, rng: np.random.Generator) -> None:
         super().init(rng)
         assert self.state is not None
-        if self.fused:
-            self._init_fused_shards(self.state)
-        else:
-            self.sharded_state = shard_states(self.state, self.num_replicas)
-            self._bucket_states = None
+        self._init_fused_shards(self.state)
         self.state = None  # slots only exist sharded from here on
 
     def _init_fused_shards(self, full_state: OptimizerState) -> None:
@@ -319,9 +318,7 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         )
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
-        if self.params is None or (
-            self.sharded_state is None and self._bucket_states is None
-        ):
+        if self.params is None or self._bucket_states is None:
             raise RuntimeError("call init() before step()")
         t0 = _perf()
         tracer = _telemetry.tracer
@@ -343,43 +340,26 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             # comm and update phases emit their own nested spans.
             launches: list[tuple[float, float]] = []
             with tracer.span("wus_update", category="update", actor="trainer"):
-                if self.fused:
-                    assert self._plan is not None
-                    assert self._bucket_states is not None
-                    for i, bucket in enumerate(self._plan.buckets):
-                        b0 = _perf()
-                        # flatten() only reads the bucket's own names, so the
-                        # full trees pass through unchanged.
-                        new_params, self._bucket_states[i] = bucketed_sharded_update(
-                            self.params,
-                            grads,
-                            self.optimizer,
-                            self._bucket_states[i],
-                            self.step_index,
-                            bucket,
-                            self.grad_dtype_policy,
-                        )
-                        self.params = {**self.params, **new_params}
-                        launches.append(
-                            (bucket.size * bucket.dtype.itemsize, _perf() - b0)
-                        )
-                    if self._plan.num_buckets == 1:
-                        self.sharded_state = self._bucket_states[0]
-                else:
-                    assert self.sharded_state is not None
+                assert self._plan is not None
+                for i, bucket in enumerate(self._plan.buckets):
                     b0 = _perf()
-                    self.params, self.sharded_state = sharded_update(
+                    # flatten() only reads the bucket's own names, so the
+                    # full trees pass through unchanged.
+                    new_params, self._bucket_states[i] = bucketed_sharded_update(
                         self.params,
                         grads,
                         self.optimizer,
-                        self.sharded_state,
+                        self._bucket_states[i],
                         self.step_index,
+                        bucket,
                         self.grad_dtype_policy,
                     )
-                    payload = sum(
-                        np.asarray(p).size * 8.0 for p in self.params.values()
+                    self.params = {**self.params, **new_params}
+                    launches.append(
+                        (bucket.size * bucket.dtype.itemsize, _perf() - b0)
                     )
-                    launches.append((payload, _perf() - b0))
+                if self._plan.num_buckets == 1:
+                    self.sharded_state = self._bucket_states[0]
             t_update = _perf()
             self._last_launches = launches
             if self.overlap:
@@ -412,21 +392,14 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         data movement — no arithmetic — so a same-shape round trip is
         bit-exact.
         """
-        if self.params is None or (
-            self.sharded_state is None and self._bucket_states is None
-        ):
+        if self.params is None or self._bucket_states is None:
             raise RuntimeError("call init() before save_checkpoint()")
-        if self.fused:
-            assert self._plan is not None
-            assert self._bucket_states is not None
-            merged: OptimizerState = {}
-            for bucket, states in zip(self._plan.buckets, self._bucket_states):
-                merged.update(unshard_state_segments(states, bucket))
-            # Buckets cover the tree in reverse order; restore template order.
-            full = {name: merged[name] for name in self.params}
-        else:
-            assert self.sharded_state is not None
-            full = unshard_states(self.sharded_state, self.params)
+        assert self._plan is not None
+        merged: OptimizerState = {}
+        for bucket, states in zip(self._plan.buckets, self._bucket_states):
+            merged.update(unshard_state_segments(states, bucket))
+        # Buckets cover the tree in reverse order; restore template order.
+        full = {name: merged[name] for name in self.params}
         ckpt = TrainerCheckpoint(
             step_index=self.step_index,
             params=_copy_params(self.params),
@@ -440,7 +413,7 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """Restore by **resharding** the full state onto this trainer's mesh.
 
         GSPMD-style resharding in miniature: the checkpoint holds assembled
-        tensors; the restore re-runs the same segment/chunk sharding that
+        tensors; the restore re-runs the same segment sharding that
         ``init`` performs, but over the checkpointed values and this
         trainer's (possibly different) ``num_replicas``.  A checkpoint
         taken on n devices therefore restores onto the n-1 survivors — or
@@ -448,13 +421,7 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """
         self.params = _copy_params(ckpt.params)
         self.step_index = ckpt.step_index
-        full = _copy_state(ckpt.opt_state)
-        if self.fused:
-            self._init_fused_shards(full)
-        else:
-            self._plan = None
-            self._bucket_states = None
-            self.sharded_state = shard_states(full, self.num_replicas)
+        self._init_fused_shards(_copy_state(ckpt.opt_state))
         self._last_launches = []
         self.last_overlap = None
         self.state = None  # slots only exist sharded, as after init()

@@ -93,6 +93,13 @@ def dimension_ordered_path(
     return path
 
 
+def _first_hop(mesh: TorusMesh, src: Coordinate, dst: Coordinate) -> Coordinate:
+    """``dimension_ordered_path(mesh, src, dst)[1]`` without walking the path."""
+    if src.x != dst.x:
+        return Coordinate(_step_toward(mesh, src.x, dst.x, "x"), src.y)
+    return Coordinate(src.x, _step_toward(mesh, src.y, dst.y, "y"))
+
+
 def path_links(mesh: TorusMesh, path: list[Coordinate]) -> list[Link]:
     """The directed links traversed by a coordinate path."""
     return [mesh.link_between(a, b) for a, b in zip(path, path[1:])]
@@ -113,8 +120,7 @@ def build_dense_routing(mesh: TorusMesh) -> dict[Coordinate, RoutingTable]:
         for dst in mesh.chips():
             if dst == src:
                 continue
-            path = dimension_ordered_path(mesh, src, dst)
-            table.install(dst, path[1])
+            table.install(dst, _first_hop(mesh, src, dst))
     return tables
 
 
@@ -133,14 +139,12 @@ def build_sparse_row_col_routing(mesh: TorusMesh) -> dict[Coordinate, RoutingTab
             dst = Coordinate(x, src.y)
             if dst == src:
                 continue
-            path = dimension_ordered_path(mesh, src, dst)
-            table.install(dst, path[1])
+            table.install(dst, _first_hop(mesh, src, dst))
         for y in range(mesh.y_size):
             dst = Coordinate(src.x, y)
             if dst == src:
                 continue
-            path = dimension_ordered_path(mesh, src, dst)
-            table.install(dst, path[1])
+            table.install(dst, _first_hop(mesh, src, dst))
     return tables
 
 

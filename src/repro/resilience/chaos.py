@@ -274,6 +274,7 @@ def run_chaos(
             )
         from repro.core.trainer import make_trainer
 
+        trainer_config.require_checkpointing()
         base_config = trainer_config
         if base_config.seed is None:
             base_config = base_config.with_(seed=0)
@@ -295,11 +296,57 @@ def run_chaos(
     report = ChaosReport()
 
     trainer = trainer_factory(len(alive)) if trainer_factory else None
-    ckpt = trainer.save_checkpoint() if trainer else None
-    ckpt_step = 0
+    ckpt = None
+    ckpt_bytes = state_bytes
+    step = ckpt_step = 0
     ckpt_time = 0.0
-    ckpt_bytes = ckpt.nbytes if ckpt is not None else state_bytes
-    report.checkpoints_taken += 1
+
+    def checkpoint(write_seconds: float) -> None:
+        """Snapshot at the current step, charging ``write_seconds`` for it."""
+        nonlocal ckpt, ckpt_bytes, ckpt_step, ckpt_time
+        if trainer is not None:
+            ckpt = trainer.save_checkpoint()
+            ckpt_bytes = ckpt.nbytes
+        report.total_seconds += write_seconds
+        ckpt_step = step
+        ckpt_time = report.total_seconds
+        report.checkpoints_taken += 1
+
+    def restart(lost: int, restart_s: float, *, reform: bool) -> None:
+        """Charge one restart and resume from the last checkpoint; ``reform``
+        first rebuilds the trainer for a fleet that shrank."""
+        nonlocal trainer, step
+        report.lost_steps += lost
+        report.restarts += 1
+        report.restart_seconds += restart_s
+        report.total_seconds += restart_s
+        if _telemetry.enabled:
+            m = _telemetry.metrics
+            m.counter("resilience_lost_steps").inc(lost)
+            m.counter("resilience_restarts").inc()
+            m.counter("resilience_restart_seconds").inc(restart_s)
+            m.gauge("resilience_mttr_seconds").set(report.mttr_seconds)
+        if trainer is not None:
+            if reform:
+                with _telemetry.tracer.span(
+                    "chaos_restart", category="resilience", actor="chaos"
+                ):
+                    trainer = trainer_factory(len(alive))
+                    trainer.restore_checkpoint(ckpt)
+            else:
+                trainer.restore_checkpoint(ckpt)
+        step = ckpt_step
+
+    def require_survivors(lost: list[Device], cause: str, origin: str) -> None:
+        """A plan that leaves no chip alive ends the run, with a postmortem."""
+        if not alive:
+            err = DeviceLostError(
+                lost, f"{cause} every chip; nothing left to restore onto"
+            )
+            _telemetry.on_terminal_failure(err, origin=origin, step=step)
+            raise err
+
+    checkpoint(0.0)  # the initial snapshot, before any work
 
     # Silent-corruption bookkeeping: a flipped replica's divergence from the
     # shared trajectory, carried as a sparse overlay of pending flips.  Flips
@@ -307,7 +354,6 @@ def run_chaos(
     overlays: dict[Device, list[BitFlipFault]] = {}
     consumed: set[BitFlipFault] = set()
 
-    step = 0
     while step < config.target_steps:
         # --- announced deaths: preemption signals with a grace window -------
         live_signals = []
@@ -321,13 +367,7 @@ def run_chaos(
             saved_in_grace = save_s <= grace_s
             if saved_in_grace:
                 # Best-effort save fits the grace window: zero lost steps.
-                if trainer is not None:
-                    ckpt = trainer.save_checkpoint()
-                    ckpt_bytes = ckpt.nbytes
-                ckpt_step = step
-                report.total_seconds += save_s
-                ckpt_time = report.total_seconds
-                report.checkpoints_taken += 1
+                checkpoint(save_s)
                 report.preempt_checkpoints_saved += 1
             for sig, victims in live_signals:
                 for device in victims:
@@ -341,29 +381,18 @@ def run_chaos(
                 saved_in_grace=saved_in_grace,
                 survivors=len(alive),
             )
-            if not alive:
-                err = DeviceLostError(
-                    [c for _, cs in live_signals for c in cs],
-                    "preemption took every chip; nothing left to restore onto",
-                )
-                _telemetry.on_terminal_failure(err, origin="chaos.preemption", step=step)
-                raise err
+            require_survivors(
+                [c for _, cs in live_signals for c in cs],
+                "preemption took", "chaos.preemption",
+            )
             # Announced death: no detection latency, only the restore move.
             restart_s = ckpt_bytes / config.restore_bandwidth_bytes_per_s
             lost = step - ckpt_step
-            report.lost_steps += lost
-            report.restarts += 1
-            report.restart_seconds += restart_s
-            report.total_seconds += restart_s
             if _telemetry.enabled:
                 m = _telemetry.metrics
                 m.counter("controlplane_preemptions").inc(len(live_signals))
                 if saved_in_grace:
                     m.counter("controlplane_preempt_checkpoints").inc()
-                m.counter("resilience_lost_steps").inc(lost)
-                m.counter("resilience_restarts").inc()
-                m.counter("resilience_restart_seconds").inc(restart_s)
-                m.gauge("resilience_mttr_seconds").set(report.mttr_seconds)
             logger.warning(
                 "preemption at step %d (hosts %s): %s, %d survivors "
                 "(%d steps lost, %.3fs restart)",
@@ -372,13 +401,7 @@ def run_chaos(
                 if saved_in_grace else "grace window too short to save",
                 len(alive), lost, restart_s,
             )
-            if trainer_factory is not None:
-                with _telemetry.tracer.span(
-                    "chaos_restart", category="resilience", actor="chaos"
-                ):
-                    trainer = trainer_factory(len(alive))
-                    trainer.restore_checkpoint(ckpt)
-            step = ckpt_step
+            restart(lost, restart_s, reform=True)
             continue
 
         # --- unannounced deaths: chip failures mid-step ---------------------
@@ -402,22 +425,13 @@ def run_chaos(
                 devices=[list(d) for d in hits],
                 survivors=len(alive),
             )
-            if not alive:
-                err = DeviceLostError(
-                    hits,
-                    "fault plan killed every chip; nothing left to restore onto",
-                )
-                _telemetry.on_terminal_failure(
-                    err, origin="chaos.chip_failure", step=step
-                )
-                raise err
+            require_survivors(hits, "fault plan killed", "chaos.chip_failure")
             # The step the failure interrupted is wasted, along with every
             # step completed since the last checkpoint (they get redone).
             report.total_seconds += (
                 config.base_step_seconds * plan.slowdown_at(step, alive)
             )
             lost = (step - ckpt_step) + 1
-            report.lost_steps += lost
             # The fleet hangs in a dead collective until the detector
             # declares the death; only then does the restore transfer start.
             latency = detector.detection_latency(report.total_seconds)
@@ -426,15 +440,8 @@ def run_chaos(
             restart_s = (
                 latency + ckpt_bytes / config.restore_bandwidth_bytes_per_s
             )
-            report.restarts += 1
-            report.restart_seconds += restart_s
-            report.total_seconds += restart_s
             if _telemetry.enabled:
                 m = _telemetry.metrics
-                m.counter("resilience_lost_steps").inc(lost)
-                m.counter("resilience_restarts").inc()
-                m.counter("resilience_restart_seconds").inc(restart_s)
-                m.gauge("resilience_mttr_seconds").set(report.mttr_seconds)
                 m.counter("controlplane_detections").inc()
                 m.counter("controlplane_detection_seconds").inc(latency)
                 m.histogram("controlplane_detection_latency_seconds").observe(
@@ -451,13 +458,7 @@ def run_chaos(
                 "%.3fs restart)",
                 step, hits, latency, ckpt_step, len(alive), lost, restart_s,
             )
-            if trainer_factory is not None:
-                with _telemetry.tracer.span(
-                    "chaos_restart", category="resilience", actor="chaos"
-                ):
-                    trainer = trainer_factory(len(alive))
-                    trainer.restore_checkpoint(ckpt)
-            step = ckpt_step
+            restart(lost, restart_s, reform=True)
             continue
 
         # --- silent corruption: bit flips land without any loud signal ------
@@ -517,13 +518,6 @@ def run_chaos(
                 }
                 desynced, ambiguous = guard.find_desynced(hashes)
                 resync_bytes = state_bytes
-                if _telemetry.enabled:
-                    m = _telemetry.metrics
-                    m.counter("controlplane_hash_checks").inc()
-                    if desynced:
-                        m.counter("controlplane_desyncs_caught").inc(
-                            len(desynced)
-                        )
             if desynced and not ambiguous:
                 # Quarantine the minority and resync it from the majority.
                 resync_s = (
@@ -544,18 +538,9 @@ def run_chaos(
                     )
             elif desynced and ambiguous:
                 # No trustworthy donor: rewind everyone to the checkpoint.
+                # Events and the flight record carry the *detection* step, so
+                # they are built before restart() resets ``step``.
                 lost = step - ckpt_step
-                restart_s = ckpt_bytes / config.restore_bandwidth_bytes_per_s
-                report.lost_steps += lost
-                report.restarts += 1
-                report.restart_seconds += restart_s
-                report.total_seconds += restart_s
-                if _telemetry.enabled:
-                    m = _telemetry.metrics
-                    m.counter("resilience_lost_steps").inc(lost)
-                    m.counter("resilience_restarts").inc()
-                    m.counter("resilience_restart_seconds").inc(restart_s)
-                    m.gauge("resilience_mttr_seconds").set(report.mttr_seconds)
                 for device, flips in sorted(overlays.items()):
                     report.desync_events.append(
                         DesyncEvent(
@@ -578,11 +563,14 @@ def run_chaos(
                     "chaos", "ambiguous_rewind",
                     step=step, rewound_to=ckpt_step, lost_steps=lost,
                 )
+                restart(
+                    lost,
+                    ckpt_bytes / config.restore_bandwidth_bytes_per_s,
+                    reform=False,
+                )
+                # Dumped after the charge so the bundle counts this restart.
                 if _telemetry.enabled:
                     _telemetry.flight_recorder.dump(reason="consistency_rewind")
-                if trainer is not None:
-                    trainer.restore_checkpoint(ckpt)
-                step = ckpt_step
                 continue
 
         if step < config.target_steps and policy.should_checkpoint(
@@ -591,15 +579,9 @@ def run_chaos(
             last_checkpoint_step=ckpt_step,
             last_checkpoint_time_s=ckpt_time,
         ):
-            if trainer is not None:
-                ckpt = trainer.save_checkpoint()
-                ckpt_bytes = ckpt.nbytes
             # Non-overlapped part of the snapshot write, if the model has one
             # (zero by default: writes stream out asynchronously).
-            report.total_seconds += config.checkpoint_write_seconds
-            ckpt_step = step
-            ckpt_time = report.total_seconds
-            report.checkpoints_taken += 1
+            checkpoint(config.checkpoint_write_seconds)
 
     report.useful_seconds = config.target_steps * config.base_step_seconds
     report.survivors = len(alive)

@@ -14,13 +14,9 @@ Bit-identity guarantee (pinned by the chaos tests): for either trainer,
 as never interrupting, because the assembled state round-trips through
 sharding losslessly (shards are disjoint views/copies, no arithmetic).
 
-The inverse-sharding helpers here mirror the two sharding layouts of
-:mod:`repro.core.weight_update_sharding`:
-
-* :func:`unshard_states` inverts ``shard_states`` (per-parameter padded
-  chunks);
-* :func:`unshard_state_segments` inverts ``shard_state_segments`` (fused
-  bucket windows spanning several parameters).
+:func:`unshard_state_segments` inverts the trainer's sharding layout,
+``shard_state_segments`` of :mod:`repro.core.weight_update_sharding`
+(fused bucket windows spanning several parameters).
 """
 
 from __future__ import annotations
@@ -114,30 +110,6 @@ class TrainerCheckpoint:
             opt_state=opt_state,
             trainer=meta.get("trainer", ""),
         )
-
-
-def unshard_states(
-    sharded_state: list[OptimizerState], params: Params
-) -> OptimizerState:
-    """Reassemble per-parameter chunked shards into full optimizer slots.
-
-    Inverse of :func:`repro.core.weight_update_sharding.shard_states`:
-    device ``d`` holds chunk ``d`` of each flattened slot (zero-padded to a
-    multiple of the device count); concatenating and trimming restores the
-    replicated slot exactly.
-    """
-    if not sharded_state:
-        raise ValueError("need at least one device's state")
-    full: OptimizerState = {}
-    for name, param in params.items():
-        slots = sharded_state[0][name]
-        full[name] = {}
-        for slot in slots:
-            flat = np.concatenate(
-                [np.asarray(dev[name][slot]).reshape(-1) for dev in sharded_state]
-            )
-            full[name][slot] = flat[: param.size].reshape(param.shape).copy()
-    return full
 
 
 def unshard_state_segments(

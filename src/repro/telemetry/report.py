@@ -91,8 +91,8 @@ def step_breakdown(trace: Trace | None = None, registry=None) -> str:
     Rows are (category, span name) pairs with total seconds, call count,
     and percentage of the total ``train_step`` span time (or of the whole
     trace span when no step spans were recorded).  A second block lists
-    the headline counters: collective traffic, bucket flatten cost, cache
-    hit rates, and the failure/recovery accounting of chaos runs.
+    every counter and gauge the registry holds, in name order — whatever
+    subsystem registered it (histograms are left to the JSON snapshot).
     """
     data = step_breakdown_data(trace, registry)
     lines = [
@@ -104,70 +104,9 @@ def step_breakdown(trace: Trace | None = None, registry=None) -> str:
             f"{row['category']:<10} {row['name']:<24} {row['seconds']:>10.4f} "
             f"{row['calls']:>7d} {100.0 * row['fraction']:>6.1f}%"
         )
-    snap = data["counters"]
     counter_lines = []
-    for name in (
-        "collective_bytes",
-        "collective_ring_steps",
-        "bucket_flatten_seconds",
-        "bucket_flatten_bytes",
-        "bucket_segment_cache_hits",
-        "bucket_segment_cache_misses",
-        "train_steps",
-        "step_phase_seconds",
-        "overlap_steps",
-        "overlap_comm_seconds",
-        "overlap_exposed_seconds",
-        "overlap_hidden_seconds",
-        "overlap_efficiency",
-        "overlap_buckets",
-        "input_prefetch_stall_seconds",
-        "resilience_checkpoints",
-        "resilience_checkpoint_bytes",
-        "resilience_device_failures",
-        "resilience_lost_steps",
-        "resilience_restarts",
-        "resilience_restart_seconds",
-        "resilience_mttr_seconds",
-        "resilience_retries",
-        "resilience_degraded_transfers",
-        "mesh_device_failures",
-        "mesh_degraded_collectives",
-        "controlplane_heartbeats_sent",
-        "controlplane_heartbeats_missed",
-        "controlplane_false_suspicions",
-        "controlplane_detections",
-        "controlplane_detection_seconds",
-        "controlplane_preemptions",
-        "controlplane_preempt_checkpoints",
-        "controlplane_bit_flips_injected",
-        "controlplane_hash_checks",
-        "controlplane_desyncs_caught",
-        "controlplane_nonfinite_tensors",
-        "controlplane_barrier_releases",
-        "controlplane_barrier_timeouts",
-        "controlplane_barrier_stragglers",
-        "service_submitted",
-        "service_completed",
-        "service_rejected",
-        "service_retries",
-        "service_worker_crashes",
-        "service_job_failures",
-        "service_degraded_runs",
-        "service_breaker_trips",
-        "service_breaker_recoveries",
-        "service_cache_hits",
-        "service_cache_misses",
-        "service_cache_evictions",
-        "service_sweep_jobs",
-        "spmd_search_runs",
-        "spmd_search_candidates_expanded",
-        "spmd_search_candidates_pruned",
-        "spmd_search_plans_validated",
-        "spmd_search_plans_returned",
-    ):
-        family = snap.get(name)
-        if not family:
+    for name, family in sorted(data["counters"].items()):
+        if family["type"] == "histogram":
             continue
         for entry in family["values"]:
             labels = ",".join(f"{k}={v}" for k, v in sorted(entry["labels"].items()))
@@ -304,6 +243,20 @@ def demo_run(
     return sim_trace
 
 
+#: Subsystems the demo run does not exercise, as ``(counter prefixes, what
+#: was idle, where those counters come from)``: the report says so instead
+#: of leaving the reader to wonder where the failure accounting went.
+_ABSENCE_NOTES = (
+    (("resilience_", "controlplane_"), "chaos harness or control-plane",
+     "Run `repro-experiments availability` for failure accounting."),
+    (("service_",), "simulation-service",
+     "Run `repro-service load` for the shedding and latency accounting."),
+    (("spmd_search_",), "partitioner-search",
+     "Run `python -m repro.spmd` or `repro-experiments spmd_search` for "
+     "the candidate expansion/prune accounting."),
+)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     """``repro-telemetry report``: the instrumented demo + breakdown."""
     try:
@@ -322,30 +275,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
         print(step_breakdown())
         snap = telemetry.metrics.snapshot()
-        if not any(
-            name.startswith(("resilience_", "controlplane_")) for name in snap
-        ):
-            print()
-            print(
-                "note: no resilience_* or controlplane_* counters were recorded "
-                "— this run had no chaos harness or control-plane activity. "
-                "Run `repro-experiments availability` for failure accounting."
-            )
-        if not any(name.startswith("service_") for name in snap):
-            print()
-            print(
-                "note: no service_* counters were recorded — this run had no "
-                "simulation-service activity. Run `repro-service load` for "
-                "the shedding and latency accounting."
-            )
-        if not any(name.startswith("spmd_search_") for name in snap):
-            print()
-            print(
-                "note: no spmd_search_* counters were recorded — this run "
-                "had no partitioner-search activity. Run `python -m "
-                "repro.spmd` or `repro-experiments spmd_search` for the "
-                "candidate expansion/prune accounting."
-            )
+        for prefixes, what, hint in _ABSENCE_NOTES:
+            if not any(name.startswith(prefixes) for name in snap):
+                families = " or ".join(f"{prefix}*" for prefix in prefixes)
+                print()
+                print(
+                    f"note: no {families} counters were recorded — this run "
+                    f"had no {what} activity. {hint}"
+                )
     write_chrome_trace(args.trace_out, sim_trace=sim_trace)
     if not args.json:
         print()

@@ -11,6 +11,8 @@ schema between ChaosReport and JobReport.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.cluster import (
     run_cluster,
     solo_replay,
 )
+from repro.cluster.jobs import TENANT_COUNTERS
 from repro.comm.schedule import simulate_degraded_reduce_scatter
 from repro.core.trainer import TrainerConfig
 from repro.hardware.rings import y_ring
@@ -41,6 +44,7 @@ from repro.resilience.faults import (
     LinkFault,
     PreemptionSignal,
     RetryPolicy,
+    StragglerFault,
 )
 from repro.telemetry.registry import OVERFLOW_COUNTER, OVERFLOW_KEY
 
@@ -383,6 +387,51 @@ class TestAdmissionRetryAndRejection:
         gaps = [b - a for a, b in zip(ticks, ticks[1:])]
         assert gaps == sorted(gaps)
 
+    def test_each_rejection_dumps_a_postmortem_with_the_ledgers(
+        self, tmp_path, monkeypatch
+    ):
+        """The registry has no cluster_* counters until the run ends, so the
+        bundle dumped at the rejecting tick carries the JobReports."""
+        specs = [
+            JobSpec(name="fits", slice_shape=(2, 2), target_steps=40,
+                    state_bytes=0),
+            JobSpec(name="too-big", slice_shape=(4, 4), target_steps=5,
+                    state_bytes=0),
+            JobSpec(name="too-wide", slice_shape=(3, 1), target_steps=5,
+                    arrival_tick=2, state_bytes=0),
+        ]
+        policy = RetryPolicy(
+            timeout_s=0.0, max_attempts=3, backoff_s=2.0, jitter_frac=0.25,
+        )
+        config = ClusterConfig(
+            mesh_shape=(2, 2), admission_policy=policy, seed=3,
+        )
+        # Written bundles: also proves the ledgers survive json.dump.
+        monkeypatch.setattr(telemetry.flight_recorder, "dump_dir", str(tmp_path))
+        result = run_cluster(specs, config)
+        bundles = [json.loads(path.read_text()) for path in tmp_path.iterdir()]
+        assert result.rejected == 2
+        assert sorted(b["reason"] for b in bundles) == [
+            "tenant_rejected:too-big", "tenant_rejected:too-wide",
+        ]
+        rejected_at = {e[2]: e[0] for e in result.trace() if e[1] == "reject"}
+        for bundle in bundles:
+            name = bundle["reason"].split(":")[1]
+            ledger = bundle["tenants"][name]
+            final = result.jobs[name]
+            assert ledger["state"] == REJECTED
+            assert ledger["admission_retries"] == policy.max_attempts - 1
+            # Waited every tick from arrival to the rejecting one, inclusive.
+            arrival = next(s.arrival_tick for s in specs if s.name == name)
+            assert ledger["queue_wait_ticks"] == rejected_at[name] - arrival + 1
+            assert ledger["queue_wait_ticks"] == final.queue_wait_ticks
+            # "As of that tick": the running tenant's ledger is mid-flight.
+            assert bundle["tenants"]["fits"]["state"] == "running"
+            assert (
+                0 < bundle["tenants"]["fits"]["steps_executed"]
+                < result.jobs["fits"].steps_executed
+            )
+
     def test_blocked_tenant_eventually_admitted_when_capacity_frees(self):
         specs = [
             JobSpec(name="holder", slice_shape=(2, 2), target_steps=6,
@@ -462,6 +511,116 @@ class TestTenantLabelCardinality:
         assert telemetry.metrics.total(OVERFLOW_COUNTER) == 0.0
         family = telemetry.metrics._families["cluster_steps"]
         assert OVERFLOW_KEY not in family.children
+
+
+class TestJobReportIsTheLedger:
+    """The scheduler keeps one per-tenant ledger — ``JobReport`` — and
+    publishes the ``cluster_*`` counters from it when ``run`` ends."""
+
+    def _scenario(self):
+        """12 tenants on 6x6: chip deaths (with healing), a host preemption,
+        two stragglers, and a late high-priority arrival that preempts."""
+        specs = [
+            JobSpec(
+                name=f"t{i:02d}", slice_shape=(2, 2), target_steps=12 + i,
+                priority=1 if i == 11 else 0,
+                arrival_tick=8 if i == 11 else i // 4,
+                min_chips=2 if i % 2 else 4, checkpoint_interval=5,
+                state_bytes=int(1e9),
+            )
+            for i in range(12)
+        ]
+        plan = FaultPlan(
+            chip_failures=(
+                ChipFailure((0, 0), at_step=3),
+                ChipFailure((2, 1), at_step=6),
+                ChipFailure((3, 3), at_step=9),
+            ),
+            preemptions=(PreemptionSignal(host=2, at_step=5, grace_s=30.0),),
+            stragglers=(
+                StragglerFault((4, 0), start_step=2, duration_steps=6, slowdown=2.5),
+                StragglerFault((1, 4), start_step=4, duration_steps=3, slowdown=1.8),
+            ),
+        )
+        config = ClusterConfig(
+            mesh_shape=(6, 6), chips_per_host=4, heal_after_s=6.0, seed=19,
+            admission_policy=RetryPolicy(
+                timeout_s=0.0, max_attempts=4, backoff_s=2.0, jitter_frac=0.25,
+            ),
+        )
+        return specs, config, plan
+
+    def test_published_counters_are_the_report_sums(self):
+        specs, config, plan = self._scenario()
+        result = run_cluster(specs, config, plan=plan)
+        kinds = {event for _, event, _ in result.trace()}
+        assert {"chip_failure", "host_preemption", "preempt", "shrink",
+                "evict", "migrate", "admission_retry"} <= kinds
+        m = telemetry.metrics
+        for metric, field_name in TENANT_COUNTERS.items():
+            for name, job in result.jobs.items():
+                assert m.value(metric, tenant=name) == getattr(job, field_name), (
+                    metric, name,
+                )
+        assert m.total("cluster_completions") == result.completed == 12
+        assert m.total("cluster_rejections") == result.rejected == 0
+        # The scenario exercises the three quantities that used to exist
+        # only as counters.
+        assert m.total("cluster_grace_saves") == 5
+        assert m.total("cluster_straggler_blames") == 7
+        assert m.total("cluster_straggler_stall_ticks") == 6
+        assert m.value("cluster_free_chips") == 36
+        assert m.value("cluster_running_jobs") == 0
+        assert all(
+            m.value("cluster_slo_attained", tenant=name) == 1.0
+            for name in result.jobs
+        )
+
+    def test_disabled_telemetry_returns_the_same_reports_and_writes_nothing(self):
+        specs, config, plan = self._scenario()
+        enabled = run_cluster(specs, config, plan=plan)
+        telemetry.reset()
+        with telemetry.disabled():
+            silent = run_cluster(specs, config, plan=plan)
+        assert silent.jobs == enabled.jobs  # dataclass eq: every field
+        assert silent.events == enabled.events
+        assert sum(j.grace_saves for j in silent.jobs.values()) == 5
+        assert sum(j.straggler_blames for j in silent.jobs.values()) == 7
+        assert sum(j.straggler_stall_ticks for j in silent.jobs.values()) == 6
+        snap = telemetry.metrics.snapshot()
+        assert not any(name.startswith("cluster_") for name in snap)
+
+    def test_a_run_that_raises_still_publishes(self):
+        class Boom(RuntimeError):
+            pass
+
+        def exploding_batches(job_seed):
+            batch = _batch_fn_factory(job_seed)
+
+            def at(step):
+                if step == 3:
+                    raise Boom("bad shard")
+                return batch(step)
+
+            return at
+
+        specs = [
+            JobSpec(
+                name="real", slice_shape=(2, 1), target_steps=8,
+                trainer_config=_trainer_config(),
+                batch_fn_factory=exploding_batches,
+            ),
+            JobSpec(name="acct", slice_shape=(1, 1), target_steps=8),
+        ]
+        scheduler = ClusterScheduler(specs, ClusterConfig(mesh_shape=(2, 2)))
+        with pytest.raises(Boom):
+            scheduler.run()
+        m = telemetry.metrics
+        # "acct" sorts first, so it ran tick 3 before "real" blew up.
+        assert m.value("cluster_steps", tenant="acct") == 4
+        assert m.value("cluster_steps", tenant="real") == 3
+        assert m.value("cluster_admissions", tenant="real") == 1
+        assert m.value("cluster_running_jobs") == 2
 
 
 class TestStragglerStallPin:
@@ -582,6 +741,19 @@ class TestSchedulerValidation:
             JobSpec(
                 name="a", slice_shape=(1, 1), target_steps=1,
                 trainer_config=_trainer_config(),
+            )
+
+    def test_strategy_that_cannot_checkpoint_is_rejected_in_the_spec(self):
+        """Every recovery path of the scheduler checkpoints; a hybrid
+        trainer cannot, so the spec is refused before any scheduler exists."""
+        hybrid = TrainerConfig(
+            model=MLP([8, 16, 4]), optimizer=Adam(learning_rate=0.01),
+            strategy="hybrid", mp_size=2,
+        )
+        with pytest.raises(ValueError, match="'hybrid' cannot checkpoint"):
+            JobSpec(
+                name="a", slice_shape=(2, 1), target_steps=1,
+                trainer_config=hybrid, batch_fn_factory=_batch_fn_factory,
             )
 
     def test_pending_forever_job_never_admitted_has_unit_goodput_excluded(self):

@@ -26,6 +26,7 @@ from repro import telemetry
 from repro.controlplane import (
     Barrier,
     ConsistencyGuard,
+    DesyncEvent,
     HeartbeatDetector,
     HostGroup,
     JobKilledError,
@@ -623,6 +624,38 @@ class TestChaosSilentCorruption:
             FaultPlan(), config, trainer_factory=_factory, batch_fn=_batch
         )
         assert _params_equal(report.final_params, reference.final_params)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "accounting"])
+    @pytest.mark.parametrize(
+        "replicas, recovery", [(4, "resync"), (2, "rewind")]
+    )
+    def test_desync_events_are_pinned(self, replicas, recovery, real):
+        """The flip lands before step 5 runs and the interval-2 guard fires
+        after step 5 completes: detected at step 6 in both recoveries — the
+        step the guard fired at, not the step 4 a rewind resumes from."""
+        plan = FaultPlan(
+            bit_flips=(
+                BitFlipFault(device=(1, 0), at_step=5, index=3, bit=12),
+            )
+        )
+        config = ChaosConfig(
+            mesh_shape=(replicas, 1), target_steps=10, checkpoint_interval=4
+        )
+        mode = (
+            dict(trainer_factory=_factory, batch_fn=_batch)
+            if real
+            else dict(state_bytes=1000)
+        )
+        report = run_chaos(
+            plan, config, guard=ConsistencyGuard(check_interval=2), **mode
+        )
+        assert report.desync_events == [
+            DesyncEvent(
+                device=(1, 0), injected_step=5, detected_step=6,
+                recovery=recovery,
+            )
+        ]
+        assert report.restarts == (1 if recovery == "rewind" else 0)
 
     def test_accounting_mode_tracks_desyncs(self):
         plan = FaultPlan(

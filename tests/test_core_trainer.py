@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import STRATEGIES, StepResult, Trainer, TrainerConfig, make_trainer
 from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
 from repro.core.model_parallel import HybridParallelTrainer
+from repro.core.trainer import CHECKPOINTING_STRATEGIES
 from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import LAMB, SGDMomentum
@@ -57,7 +58,6 @@ class TestTrainerConfig:
             (dict(strategy="single", mesh_shape=(2, 1)), "1x1"),
             (dict(strategy="hybrid", overlap=True), "bucketed overlap"),
             (dict(strategy="single", num_buckets=2), "bucketed overlap"),
-            (dict(strategy="wus", fused=False, num_buckets=2), "unfused WUS"),
         ],
     )
     def test_validation(self, overrides, match):
@@ -79,6 +79,10 @@ class TestMakeTrainer:
         trainer = make_trainer(_config(**overrides))
         assert type(trainer) is cls
         assert isinstance(trainer, Trainer)
+        # The one statement of which strategies can checkpoint stays true.
+        can_checkpoint = overrides["strategy"] in CHECKPOINTING_STRATEGIES
+        assert hasattr(trainer, "save_checkpoint") == can_checkpoint
+        assert hasattr(trainer, "restore_checkpoint") == can_checkpoint
 
     def test_factory_is_silent(self):
         with warnings.catch_warnings():

@@ -37,6 +37,23 @@ def _run(trainer, x, y, steps=4):
     return trainer, losses
 
 
+def _run_per_parameter(model, optimizer, x, y, replicas, steps=4):
+    """Section 3.2 stated literally: ``sharded_update`` stepped by hand."""
+    params = model.init_params(np.random.default_rng(7))
+    state = shard_states(optimizer.init_state(params), replicas)
+    losses = []
+    for step in range(steps):
+        shard_losses, grads = [], []
+        for xi, yi in zip(np.split(x, replicas), np.split(y, replicas)):
+            loss_i, g_i = model.loss_and_grad(params, xi, yi)
+            shard_losses.append(loss_i)
+            # Pre-scaled so the reduce-scatter sum is the global mean.
+            grads.append({k: v / replicas for k, v in g_i.items()})
+        params, state = sharded_update(params, grads, optimizer, state, step)
+        losses.append(float(np.mean(shard_losses)))
+    return params, losses
+
+
 def _max_param_diff(p1, p2):
     return max(
         float(np.max(np.abs(np.asarray(p1[k]) - np.asarray(p2[k])))) for k in p1
@@ -136,35 +153,16 @@ class TestShardedUpdateEquivalence:
         )
         assert covered == w0
 
-    def test_state_stays_sharded_unfused(self):
-        model = MLP([12, 16, 4])
-        x, y = _data()
-        wus = WeightUpdateShardedTrainer(
-            model, LAMB(0.01), num_replicas=4, fused=False
-        )
-        wus.init(np.random.default_rng(7))
-        assert wus.state is None
-        wus.step(x, y)
-        assert len(wus.sharded_state) == 4
-        total = model.init_params(np.random.default_rng(7))["w0"].size
-        chunk = wus.sharded_state[0]["w0"]["m"].size
-        assert chunk == -(-total // 4)  # per-parameter ceil division
-
     @pytest.mark.parametrize("name,make_opt", OPTIMIZERS)
     def test_fused_matches_unfused(self, name, make_opt):
-        """Bucketed WUS == per-parameter WUS to machine precision."""
+        """The (bucketed) trainer == per-parameter ``sharded_update``."""
         model = MLP([12, 16, 8, 4])
         x, y = _data()
         fused, fused_losses = _run(
             WeightUpdateShardedTrainer(model, make_opt(), num_replicas=4), x, y
         )
-        plain, plain_losses = _run(
-            WeightUpdateShardedTrainer(
-                model, make_opt(), num_replicas=4, fused=False
-            ),
-            x, y,
-        )
-        assert _max_param_diff(fused.params, plain.params) < 1e-10
+        plain_params, plain_losses = _run_per_parameter(model, make_opt(), x, y, 4)
+        assert _max_param_diff(fused.params, plain_params) < 1e-10
         assert fused_losses == pytest.approx(plain_losses, rel=1e-10)
 
     def test_mismatched_state_length(self, rng):

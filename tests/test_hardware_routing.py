@@ -86,6 +86,23 @@ class TestDenseRouting:
             path = resolve_route(tables, Coordinate(0, 0), dst)
             assert path[-1] == dst
 
+    @pytest.mark.parametrize("mesh_fixture", ["small_mesh", "small_torus"])
+    def test_installed_hop_is_first_hop_of_the_path(self, mesh_fixture, request):
+        """The builders install the next hop without walking the path; it
+        must be the path's second coordinate for every pair (on the torus
+        that includes the distance-2 wrap ties)."""
+        mesh = request.getfixturevalue(mesh_fixture)
+        dense = build_dense_routing(mesh)
+        sparse = build_sparse_row_col_routing(mesh)
+        for src in mesh.chips():
+            for dst in mesh.chips():
+                if dst == src:
+                    continue
+                hop = dimension_ordered_path(mesh, src, dst)[1]
+                assert dense[src].next_hop(dst) == hop, (src, dst)
+                if dst.x == src.x or dst.y == src.y:
+                    assert sparse[src].next_hop(dst) == hop, (src, dst)
+
     def test_multipod_exceeds_table(self):
         """The paper's constraint: 4096 destinations > 1024 entries."""
         with pytest.raises(RoutingError, match="full"):

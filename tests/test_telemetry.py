@@ -546,6 +546,32 @@ class TestReport:
         assert "no service_* counters" in captured.out
         assert "repro-service load" in captured.out
 
+    def test_breakdown_lists_whatever_the_registry_holds(self):
+        """The report has no per-subsystem name list: a cluster run's
+        counters and a family under a never-seen prefix both appear."""
+        from repro.cluster import ClusterConfig, JobSpec, run_cluster
+        from repro.telemetry import report
+
+        specs = [
+            JobSpec(name=name, slice_shape=(1, 1), target_steps=2)
+            for name in ("a", "b")
+        ]
+        run_cluster(specs, ClusterConfig(mesh_shape=(2, 1)))
+        telemetry.metrics.counter("brandnew_widgets", shape="round").inc(3)
+        telemetry.metrics.histogram("brandnew_latency_seconds").observe(0.1)
+        lines = report.step_breakdown().splitlines()
+        listed = {line.split()[0]: line.split()[-1] for line in lines if line}
+        assert listed["cluster_steps{tenant=a}"] == "2"
+        assert listed["cluster_steps{tenant=b}"] == "2"
+        assert listed["cluster_free_chips"] == "2"
+        assert listed["brandnew_widgets{shape=round}"] == "3"
+        assert not any(name.startswith("brandnew_latency") for name in listed)
+        families = [
+            line.split()[0].split("{")[0]
+            for line in lines[lines.index("counters") + 2:]
+        ]
+        assert families == sorted(families)
+
     def test_breakdown_lists_service_counters_when_present(self):
         """service_* counters recorded by a live service land in the
         headline-counter block of the step breakdown."""
