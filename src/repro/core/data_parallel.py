@@ -10,107 +10,31 @@ single-device training on the concatenated batch, up to summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter as _perf
 
 import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.core.overlap import OverlapResult, measured_overlap
-from repro.core.trainer import StepResult
+from repro.core.trainer import CheckpointingTrainer, StepResult
 from repro.models.mlp import MLP
-from repro.optim.base import Optimizer, OptimizerState, Params
-from repro.resilience.checkpoint import TrainerCheckpoint, record_checkpoint_metrics
+from repro.optim.base import Optimizer
 from repro.runtime.bucket import BucketPlan
 
 
-def _copy_params(params: Params) -> Params:
-    return {name: np.asarray(arr).copy() for name, arr in params.items()}
-
-
-def _copy_state(state: OptimizerState) -> OptimizerState:
-    return {
-        name: {slot: np.asarray(arr).copy() for slot, arr in slots.items()}
-        for name, slots in state.items()
-    }
-
-
-@dataclass
-class TrainLog:
-    """Per-step records from a training run."""
-
-    losses: list[float]
-
-    @property
-    def last_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no steps recorded")
-        return self.losses[-1]
-
-
-class SingleDeviceTrainer:
+class SingleDeviceTrainer(CheckpointingTrainer):
     """Reference trainer: full batch on one device."""
 
-    def __init__(self, model: MLP, optimizer: Optimizer) -> None:
-        self.model = model
-        self.optimizer = optimizer
-        self.params: Params | None = None
-        self.state: OptimizerState | None = None
-        self.step_index = 0
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.params = self.model.init_params(rng)
-        self.state = self.optimizer.init_state(self.params)
-        self.step_index = 0
-
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
-        if self.params is None or self.state is None:
-            raise RuntimeError("call init() before step()")
-        t0 = _perf()
-        loss, grads = self.model.loss_and_grad(self.params, x, labels)
-        t_fb = _perf()
-        self.params, self.state = self.optimizer.update(
-            self.params, dict(grads), self.state, self.step_index
-        )
-        t_up = _perf()
-        result = StepResult(
-            loss,
-            phase_seconds={
-                "forward_backward": t_fb - t0, "update": t_up - t_fb,
-            },
-            step_index=self.step_index,
-        )
-        self.step_index += 1
-        return result
-
-    def train(self, batches, steps: int) -> TrainLog:
-        losses = []
-        for _ in range(steps):
-            x, labels = next(batches)
-            losses.append(self.step(x, labels))
-        return TrainLog(losses)
-
-    def save_checkpoint(self) -> TrainerCheckpoint:
-        """Snapshot params + optimizer state (deep copies) at this step."""
-        if self.params is None or self.state is None:
-            raise RuntimeError("call init() before save_checkpoint()")
-        ckpt = TrainerCheckpoint(
-            step_index=self.step_index,
-            params=_copy_params(self.params),
-            opt_state=_copy_state(self.state),
-            trainer=type(self).__name__,
-        )
-        record_checkpoint_metrics(ckpt, type(self).__name__)
-        return ckpt
-
-    def restore_checkpoint(self, ckpt: TrainerCheckpoint) -> None:
-        """Resume from a snapshot; bit-identical to never interrupting."""
-        self.params = _copy_params(ckpt.params)
-        self.state = _copy_state(ckpt.opt_state)
-        self.step_index = ckpt.step_index
+        with self._step(x, labels) as run:
+            with run.phase("update", "update"):
+                self.params, self.state = self.optimizer.update(
+                    self.params, run.grads[0], self.state, self.step_index
+                )
+        return run.result
 
 
-class DataParallelTrainer:
+class DataParallelTrainer(CheckpointingTrainer):
     """Data parallelism over a logical ``dp_x x dp_y`` replica mesh.
 
     The global batch is split evenly over replicas.  Gradient summation uses
@@ -143,8 +67,7 @@ class DataParallelTrainer:
             raise ValueError("replica mesh dims must be >= 1")
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        self.model = model
-        self.optimizer = optimizer
+        super().__init__(model, optimizer)
         self.dp_x = dp_x
         self.dp_y = dp_y
         self.grad_dtype_policy = grad_dtype_policy
@@ -155,43 +78,18 @@ class DataParallelTrainer:
         self.guard = guard
         self.num_buckets = num_buckets
         self.overlap = overlap
-        self.params: Params | None = None
-        self.state: OptimizerState | None = None
-        self.step_index = 0
+        #: Bucket layout of the gradient tree; like the stacks below it
+        #: depends only on the model and ``num_buckets``, so it outlives
+        #: ``init()`` and restores (params and slots are replicated: a
+        #: restore onto this mesh has nothing else to re-lay-out).
         self._plan: BucketPlan | None = None
         #: Persistent device-major gradient stacks, one per bucket index:
         #: the (n, bucket.size) block the replicas flatten into each step.
         self._grad_blocks: dict[int, np.ndarray] = {}
-        self._last_launches: list[tuple[float, float]] = []
-        #: Overlap timeline of the most recent step (``overlap=True`` only).
-        self.last_overlap: OverlapResult | None = None
 
     @property
     def num_replicas(self) -> int:
         return self.dp_x * self.dp_y
-
-    def init(self, rng: np.random.Generator) -> None:
-        # All replicas start from identical weights (broadcast at setup).
-        self.params = self.model.init_params(rng)
-        self.state = self.optimizer.init_state(self.params)
-        self.step_index = 0
-        self._plan = None
-        self._grad_blocks = {}
-        self.last_overlap = None
-
-    def _collective_plan(self, template: dict) -> BucketPlan:
-        """The (cached) bucket partition for this model's gradient tree."""
-        if self._plan is None:
-            self._plan = BucketPlan(template, self.num_buckets)
-        return self._plan
-
-    def _split(self, x: np.ndarray, labels: np.ndarray):
-        n = self.num_replicas
-        if x.shape[0] % n != 0:
-            raise ValueError(
-                f"global batch {x.shape[0]} not divisible by {n} replicas"
-            )
-        return np.split(x, n), np.split(labels, n)
 
     def _summed_mean_grads(self, per_replica_grads: list[dict]) -> dict:
         """Fused collectives over the bucketed gradient tensors.
@@ -203,13 +101,13 @@ class DataParallelTrainer:
         the result is unpacked into zero-copy per-parameter views.  With
         the default single bucket this is exactly one collective for the
         whole model.  Per-bucket ``(payload_bytes, wall_seconds)`` launch
-        records land in ``self._last_launches`` for the overlap model.
+        records are appended to ``self._last_launches`` for the overlap model.
         """
         n = self.num_replicas
-        plan = self._collective_plan(per_replica_grads[0])
+        if self._plan is None:
+            self._plan = BucketPlan(per_replica_grads[0], self.num_buckets)
         mean: dict = {}
-        launches: list[tuple[float, float]] = []
-        for bi, bucket in enumerate(plan.buckets):
+        for bi, bucket in enumerate(self._plan.buckets):
             t0 = _perf()
             block = self._grad_blocks.get(bi)
             if block is None or block.shape != (n, bucket.size):
@@ -233,10 +131,9 @@ class DataParallelTrainer:
             # The replicated result's physical row is freshly owned by the
             # collective, so the optimizer may update through these views.
             mean.update(bucket.unflatten(reduced.block[0]))
-            launches.append(
+            self._last_launches.append(
                 (bucket.size * bucket.dtype.itemsize, _perf() - t0)
             )
-        self._last_launches = launches
         return mean
 
     def _model_overlap(self, fb_seconds: float) -> OverlapResult | None:
@@ -278,105 +175,18 @@ class DataParallelTrainer:
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         """One synchronous data-parallel step on the global batch.
 
-        Telemetry: the step emits a ``train_step`` span (category
-        ``"step"``) enclosing the four phase spans of the paper's step
-        breakdown — ``split``/``forward_backward``/``collective``/
-        ``update`` — plus a ``step_seconds`` histogram labeled by trainer.
-        With ``overlap=True`` the backprop-overlapped timeline of the same
-        step is modeled (``overlap_model`` span, ``overlap_*`` counters)
-        without changing any arithmetic.
+        All-reduce, then the replicated update: the ``collective`` and
+        ``update`` phases after the shared ``split``/``forward_backward``.
         """
-        if self.params is None or self.state is None:
-            raise RuntimeError("call init() before step()")
-        t0 = _perf()
-        tracer = _telemetry.tracer
-        with tracer.span("train_step", category="step", actor="trainer"):
-            with tracer.span("split", category="input", actor="trainer"):
-                xs, ys = self._split(x, labels)
-            t_split = _perf()
-            losses = []
-            grads = []
-            with tracer.span("forward_backward", category="compute", actor="trainer"):
-                for xi, yi in zip(xs, ys):
-                    loss_i, g_i = self.model.loss_and_grad(self.params, xi, yi)
-                    losses.append(loss_i)
-                    grads.append(dict(g_i))
-            t_fb = _perf()
-            with tracer.span("collective", category="comm", actor="trainer"):
-                mean_grads = self._summed_mean_grads(grads)
-            t_comm = _perf()
+        with self._step(x, labels) as run:
+            with run.phase("collective", "comm"):
+                mean_grads = self._summed_mean_grads(run.grads)
             if self.guard is not None:
                 self.guard.scan_tree(
                     mean_grads, kind="gradient", step=self.step_index
                 )
-            with tracer.span("update", category="update", actor="trainer"):
+            with run.phase("update", "update"):
                 self.params, self.state = self.optimizer.update(
                     self.params, mean_grads, self.state, self.step_index
                 )
-            t_update = _perf()
-            if self.overlap:
-                with tracer.span("overlap_model", category="overlap", actor="trainer"):
-                    self.last_overlap = self._model_overlap(t_fb - t_split)
-        result = StepResult(
-            float(np.mean(losses)),
-            phase_seconds={
-                "split": t_split - t0,
-                "forward_backward": t_fb - t_split,
-                "collective": t_comm - t_fb,
-                "update": t_update - t_comm,
-            },
-            bytes_moved=sum(nbytes for nbytes, _ in self._last_launches),
-            step_index=self.step_index,
-        )
-        self.step_index += 1
-        self._record_step(_perf() - t0, result)
-        return result
-
-    def _record_step(self, seconds: float, result: StepResult | None = None) -> None:
-        if not _telemetry.enabled:
-            return
-        m = _telemetry.metrics
-        trainer = type(self).__name__
-        m.histogram("step_seconds", trainer=trainer).observe(seconds)
-        m.counter("train_steps", trainer=trainer).inc()
-        if result is not None:
-            for phase, phase_seconds in result.phase_seconds.items():
-                m.counter(
-                    "step_phase_seconds", trainer=trainer, phase=phase
-                ).inc(phase_seconds)
-            _telemetry.flight_recorder.on_step(result, trainer=trainer)
-
-    def train(self, batches, steps: int) -> TrainLog:
-        losses = []
-        for _ in range(steps):
-            x, labels = next(batches)
-            losses.append(self.step(x, labels))
-        return TrainLog(losses)
-
-    def save_checkpoint(self) -> TrainerCheckpoint:
-        """Snapshot the replicated params + optimizer state (deep copies)."""
-        if self.params is None or self.state is None:
-            raise RuntimeError("call init() before save_checkpoint()")
-        ckpt = TrainerCheckpoint(
-            step_index=self.step_index,
-            params=_copy_params(self.params),
-            opt_state=_copy_state(self.state),
-            trainer=type(self).__name__,
-        )
-        record_checkpoint_metrics(ckpt, type(self).__name__)
-        return ckpt
-
-    def restore_checkpoint(self, ckpt: TrainerCheckpoint) -> None:
-        """Resume from a snapshot, on this trainer's replica mesh.
-
-        The restoring trainer's ``dp_x x dp_y`` may differ from the
-        producer's (elastic restore onto the surviving mesh): params and
-        optimizer state are replicated, so only the gradient-bucket layout
-        cache needs resetting.  Resuming is bit-identical to an
-        uninterrupted run *of this mesh shape* fed the same data.
-        """
-        self.params = _copy_params(ckpt.params)
-        self.state = _copy_state(ckpt.opt_state)
-        self.step_index = ckpt.step_index
-        self._plan = None
-        self._last_launches = []
+        return run.result

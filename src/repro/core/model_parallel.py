@@ -24,7 +24,7 @@ from time import perf_counter as _perf
 
 import numpy as np
 
-from repro.core.trainer import StepResult
+from repro.core.trainer import BaseTrainer, StepResult
 from repro.models.layers import (
     dense_backward,
     relu,
@@ -185,7 +185,7 @@ class FeatureShardedMLP:
         return loss, grads
 
 
-class HybridParallelTrainer:
+class HybridParallelTrainer(BaseTrainer):
     """Data x model parallelism on a ``dp x mp`` logical device grid.
 
     Device ``(d, k)`` holds model shard ``k`` and processes replica ``d``'s
@@ -209,14 +209,16 @@ class HybridParallelTrainer:
     ) -> None:
         if dp_size < 1:
             raise ValueError("dp_size must be >= 1")
-        self.model = model
-        self.optimizer = optimizer
+        super().__init__(model, optimizer)
         self.dp_size = dp_size
         self.mp = FeatureShardedMLP(model, mp_size)
         self.grad_dtype_policy = grad_dtype_policy
         self.shards: list[Params] | None = None  # one per model core
         self.shard_states: list[dict] | None = None
-        self.step_index = 0
+
+    @property
+    def num_replicas(self) -> int:
+        return self.dp_size
 
     @property
     def mp_size(self) -> int:
@@ -237,81 +239,51 @@ class HybridParallelTrainer:
             raise RuntimeError("call init() first")
         return self.mp.gather_params(self.shards)
 
+    @property
+    def _ready(self) -> bool:
+        return self.shards is not None
+
+    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
+        """Loss and per-model-core gradients of one replica row."""
+        return self.mp.loss_and_grad(self.shards, x, labels, self.grad_dtype_policy)
+
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
-        if self.shards is None or self.shard_states is None:
-            raise RuntimeError("call init() before step()")
+        """One step: peer reduction, then the model-group update."""
         dp = self.dp_size
-        if x.shape[0] % dp != 0:
-            raise ValueError(f"global batch {x.shape[0]} not divisible by {dp}")
-        t0 = _perf()
-        xs, ys = np.split(x, dp), np.split(labels, dp)
-        losses = []
-        replica_grads: list[list[dict]] = []  # [replica][model core]
-        for xi, yi in zip(xs, ys):
-            loss_i, g_i = self.mp.loss_and_grad(
-                self.shards, xi, yi, self.grad_dtype_policy
-            )
-            losses.append(loss_i)
-            replica_grads.append(g_i)
-        t_fb = _perf()
-        # Peer reduction across replicas for every shard tensor.
-        reduced: list[dict[str, np.ndarray]] = [dict() for _ in range(self.mp_size)]
-        bytes_moved = 0.0
-        for k in range(self.mp_size):
-            for name in replica_grads[0][k]:
-                contribs = [replica_grads[d][k][name] / dp for d in range(dp)]
-                reduced[k][name] = ring_all_reduce(contribs, self.grad_dtype_policy)[0]
-                bytes_moved += float(reduced[k][name].nbytes)
-        t_comm = _perf()
-        self._sharded_optimizer_step(reduced)
-        t_update = _perf()
-        result = StepResult(
-            float(np.mean(losses)),
-            phase_seconds={
-                "forward_backward": t_fb - t0,
-                "collective": t_comm - t_fb,
-                "update": t_update - t_comm,
-            },
-            bytes_moved=bytes_moved,
-            step_index=self.step_index,
-        )
-        self.step_index += 1
-        return result
+        with self._step(x, labels) as run:
+            # Peer reduction across replicas for every shard tensor;
+            # run.grads is indexed [replica][model core].
+            reduced: list[dict[str, np.ndarray]] = [dict() for _ in range(self.mp_size)]
+            with run.phase("collective", "comm"):
+                for k in range(self.mp_size):
+                    for name in run.grads[0][k]:
+                        t0 = _perf()
+                        reduced[k][name] = ring_all_reduce(
+                            [g[k][name] / dp for g in run.grads], self.grad_dtype_policy
+                        )[0]
+                        self._last_launches.append(
+                            (reduced[k][name].nbytes, _perf() - t0)
+                        )
+            with run.phase("update", "update"):
+                self._sharded_optimizer_step(reduced)
+        return run.result
 
     def _sharded_optimizer_step(self, grads: list[dict[str, np.ndarray]]) -> None:
         """Update each shard, reducing norm partials across the model group."""
-        assert self.shards is not None and self.shard_states is not None
-        m = self.mp_size
         for name in self.shards[0]:
             kind = self.mp._kind(int(name[1:]))
+            # For replicated tensors every core holds the full tensor, so
+            # core 0's stats are already global.
             replicated = kind == "replicated" or (kind == "row" and name.startswith("b"))
-            # Partial norm stats per shard; for replicated tensors every core
-            # holds the full tensor, so core 0's stats are already global.
-            if replicated:
-                stats = self.optimizer.norm_stats(
-                    name, self.shards[0][name], grads[0][name],
-                    self.shard_states[0][name], self.step_index,
-                )
-            else:
-                stats = {}
-                for k in range(m):
-                    partial = self.optimizer.norm_stats(
-                        name, self.shards[k][name], grads[k][name],
-                        self.shard_states[k][name], self.step_index,
-                    )
-                    for key, value in partial.items():
-                        stats[key] = stats.get(key, 0.0) + value
-            for k in range(m):
-                new_p, new_s = self.optimizer.apply(
-                    name, self.shards[k][name], grads[k][name],
-                    self.shard_states[k][name], self.step_index, stats,
-                )
+            updated = self.optimizer.update_shards(
+                name,
+                [
+                    (shard[name], grad[name], state[name])
+                    for shard, grad, state in zip(self.shards, grads, self.shard_states)
+                ],
+                self.step_index,
+                replicated=replicated,
+            )
+            for k, (new_p, new_s) in enumerate(updated):
                 self.shards[k][name] = new_p
                 self.shard_states[k][name] = new_s
-
-    def train(self, batches, steps: int):
-        losses = []
-        for _ in range(steps):
-            x, labels = next(batches)
-            losses.append(self.step(x, labels))
-        return losses

@@ -11,6 +11,8 @@ One way to build and drive every functional trainer:
   :class:`~repro.core.model_parallel.HybridParallelTrainer`;
 * :class:`Trainer` — the protocol every trainer satisfies
   (``init`` / ``step`` / ``train``);
+* :class:`BaseTrainer` / :class:`CheckpointingTrainer` — the one training
+  step (and the one checkpoint body) the four strategies share;
 * :class:`StepResult` — the single step return type: a ``float`` subclass
   (so ``losses.append(trainer.step(...))`` keeps working everywhere the
   loss used to be a bare float) carrying per-phase seconds and bytes
@@ -19,10 +21,18 @@ One way to build and drive every functional trainer:
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from time import perf_counter as _perf
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
+
+from repro import telemetry as _telemetry
+from repro.optim.base import OptimizerState, Params
+from repro.resilience.checkpoint import TrainerCheckpoint, record_checkpoint_metrics
+from repro.runtime.collectives import DTYPE_POLICIES
 
 #: Strategies :func:`make_trainer` understands.
 STRATEGIES = ("single", "data_parallel", "wus", "hybrid")
@@ -134,6 +144,22 @@ class TrainerConfig:
                 "bucketed overlap is only supported by the 'data_parallel' "
                 "and 'wus' strategies"
             )
+        # A field the strategy's trainer would silently drop is an error.
+        if self.guard is not None and self.strategy != "data_parallel":
+            raise ValueError(
+                "guard is only honoured by the 'data_parallel' strategy "
+                f"(got strategy {self.strategy!r})"
+            )
+        if self.mp_size > 1 and self.strategy != "hybrid":
+            raise ValueError(
+                "mp_size > 1 is only honoured by the 'hybrid' strategy "
+                f"(got strategy {self.strategy!r})"
+            )
+        if self.grad_dtype_policy not in DTYPE_POLICIES:
+            raise ValueError(
+                f"unknown grad_dtype_policy {self.grad_dtype_policy!r}; "
+                f"choose from {DTYPE_POLICIES}"
+            )
 
     @property
     def num_replicas(self) -> int:
@@ -150,6 +176,239 @@ class TrainerConfig:
     def with_(self, **changes) -> "TrainerConfig":
         """A modified copy (sweep/chaos helper)."""
         return replace(self, **changes)
+
+
+def _copy_params(params: Params) -> Params:
+    return {name: np.asarray(arr).copy() for name, arr in params.items()}
+
+
+def _copy_state(state: OptimizerState) -> OptimizerState:
+    return {
+        name: {slot: np.asarray(arr).copy() for slot, arr in slots.items()}
+        for name, slots in state.items()
+    }
+
+
+@dataclass
+class TrainLog:
+    """Per-step records from a training run."""
+
+    losses: list[float]
+
+    @property
+    def last_loss(self) -> float:
+        if not self.losses:
+            raise ValueError("no steps recorded")
+        return self.losses[-1]
+
+
+class _StepRun:
+    """One step in flight: what :meth:`BaseTrainer._step` hands a strategy."""
+
+    def __init__(self) -> None:
+        self.losses: list[float] = []
+        #: One entry per replica, as the strategy's ``_loss_and_grad`` made it.
+        self.grads: list = []
+        self.phase_seconds: dict[str, float] = {}
+        self.result: StepResult | None = None
+        self.start = self._mark = _perf()
+
+    @contextmanager
+    def phase(self, name: str, category: str):
+        """Run one phase under its span *and* record ``phase_seconds[name]``.
+
+        One name feeds both, so span names and phase keys cannot drift.
+        Each phase is timed from the end of the previous one, so the
+        phases add up to the step.
+        """
+        with _telemetry.tracer.span(name, category=category, actor="trainer"):
+            yield
+        now = _perf()
+        self.phase_seconds[name] = now - self._mark
+        self._mark = now
+
+
+class BaseTrainer(ABC):
+    """The training step, stated once for every strategy.
+
+    A parallelisation strategy changes *how the update executes*, never
+    the step around it (Section 3.2).  :meth:`_step` is that step; a
+    strategy supplies only what differs: ``_ready``, its per-replica
+    ``_loss_and_grad``, and — as the body of its ``step`` — its gradient
+    exchange + update.  Every strategy class defines ``step`` itself
+    rather than inheriting it, so that outside-in tracers, which wrap the
+    method found in each class's own ``__dict__``, see one per strategy.
+    """
+
+    #: Replicas the global batch is split over.
+    num_replicas: int = 1
+
+    def __init__(self, model: Any, optimizer: Any) -> None:
+        self.model = model
+        self.optimizer = optimizer
+        self.step_index = 0
+        #: ``True`` models the step's collectives launching behind the
+        #: backward pass (``_model_overlap`` of the data-parallel trainers).
+        self.overlap = False
+        #: Overlap timeline of the most recent step (``overlap=True`` only).
+        self.last_overlap: Any = None
+        #: ``(payload_bytes, wall_seconds)`` per gradient collective the
+        #: strategy launched this step; the payloads sum to ``bytes_moved``.
+        self._last_launches: list[tuple[float, float]] = []
+
+    @property
+    @abstractmethod
+    def _ready(self) -> bool:
+        """Whether ``init()`` (or a restore) has installed training state."""
+
+    @abstractmethod
+    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, Any]:
+        """One replica's loss and gradients on its micro-batch."""
+
+    def _split(self, x: np.ndarray, labels: np.ndarray):
+        n = self.num_replicas
+        if x.shape[0] % n != 0:
+            raise ValueError(
+                f"global batch {x.shape[0]} not divisible by {n} replicas"
+            )
+        return np.split(x, n), np.split(labels, n)
+
+    @contextmanager
+    def _step(self, x: np.ndarray, labels: np.ndarray):
+        """The step around a strategy's gradient exchange + update.
+
+        Yields the :class:`_StepRun` once the ``split`` and
+        ``forward_backward`` phases have run; the ``with`` body runs the
+        strategy's phases through ``run.phase``; on exit ``run.result``
+        holds the finished :class:`StepResult`.
+
+        Telemetry: one ``train_step`` span (category ``"step"``) encloses
+        the phase spans of the paper's step breakdown, named exactly as
+        ``StepResult.phase_seconds``.  With ``overlap`` the
+        backprop-overlapped timeline of the same step is modeled
+        (``overlap_model`` span, ``overlap_*`` counters) without changing
+        any arithmetic.
+        """
+        if not self._ready:
+            raise RuntimeError("call init() before step()")
+        run = _StepRun()
+        self._last_launches = []
+        tracer = _telemetry.tracer
+        with tracer.span("train_step", category="step", actor="trainer"):
+            with run.phase("split", "input"):
+                xs, ys = self._split(x, labels)
+            with run.phase("forward_backward", "compute"):
+                for xi, yi in zip(xs, ys):
+                    loss_i, grads_i = self._loss_and_grad(xi, yi)
+                    run.losses.append(loss_i)
+                    run.grads.append(grads_i)
+            yield run
+            if self.overlap:
+                with tracer.span("overlap_model", category="overlap", actor="trainer"):
+                    self.last_overlap = self._model_overlap(
+                        run.phase_seconds["forward_backward"]
+                    )
+        run.result = StepResult(
+            float(np.mean(run.losses)),
+            phase_seconds=run.phase_seconds,
+            bytes_moved=sum(nbytes for nbytes, _ in self._last_launches),
+            step_index=self.step_index,
+        )
+        self.step_index += 1
+        self._record_step(_perf() - run.start, run.result)
+
+    def _record_step(self, seconds: float, result: StepResult) -> None:
+        """Step telemetry, labeled by trainer class, plus the flight record."""
+        if not _telemetry.enabled:
+            return
+        m = _telemetry.metrics
+        trainer = type(self).__name__
+        m.histogram("step_seconds", trainer=trainer).observe(seconds)
+        m.counter("train_steps", trainer=trainer).inc()
+        for phase, phase_seconds in result.phase_seconds.items():
+            m.counter(
+                "step_phase_seconds", trainer=trainer, phase=phase
+            ).inc(phase_seconds)
+        _telemetry.flight_recorder.on_step(result, trainer=trainer)
+
+    def train(self, batches, steps: int) -> TrainLog:
+        losses = []
+        for _ in range(steps):
+            x, labels = next(batches)
+            losses.append(self.step(x, labels))
+        return TrainLog(losses)
+
+
+class CheckpointingTrainer(BaseTrainer):
+    """A trainer whose full state assembles into ``(params, opt_state)``.
+
+    Weights are replicated; optimizer slots are replicated too (``state``)
+    or, under weight-update sharding, exist only as shards — which is all
+    ``_full_state`` / ``_load_state`` abstract.  The assembled form is
+    mesh-independent, so the one checkpoint body below restores onto any
+    replica count (the :data:`CHECKPOINTING_STRATEGIES`).
+    """
+
+    def __init__(self, model: Any, optimizer: Any) -> None:
+        super().__init__(model, optimizer)
+        self.params: Params | None = None
+        self.state: OptimizerState | None = None
+
+    @property
+    def _ready(self) -> bool:
+        return self.params is not None
+
+    def init(self, rng: np.random.Generator) -> None:
+        # All replicas start from identical weights (broadcast at setup).
+        params = self.model.init_params(rng)
+        self._install(params, self.optimizer.init_state(params), 0)
+
+    def _install(
+        self, params: Params, full_state: OptimizerState, step_index: int
+    ) -> None:
+        """Adopt a full training state, dropping what a past step derived."""
+        self.params = params
+        self.step_index = step_index
+        self._last_launches = []
+        self.last_overlap = None
+        self._load_state(full_state)
+
+    def _load_state(self, full_state: OptimizerState) -> None:
+        """Keep the assembled optimizer slots (owned) in this strategy's form."""
+        self.state = full_state
+
+    def _full_state(self) -> OptimizerState:
+        """The assembled optimizer slots, as copies a checkpoint may keep."""
+        return _copy_state(self.state)
+
+    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
+        loss, grads = self.model.loss_and_grad(self.params, x, labels)
+        return loss, dict(grads)
+
+    def save_checkpoint(self) -> TrainerCheckpoint:
+        """Snapshot params + assembled optimizer state (deep copies)."""
+        if not self._ready:
+            raise RuntimeError("call init() before save_checkpoint()")
+        trainer = type(self).__name__
+        ckpt = TrainerCheckpoint(
+            step_index=self.step_index,
+            params=_copy_params(self.params),
+            opt_state=self._full_state(),
+            trainer=trainer,
+        )
+        record_checkpoint_metrics(ckpt, trainer)
+        return ckpt
+
+    def restore_checkpoint(self, ckpt: TrainerCheckpoint) -> None:
+        """Resume from a snapshot, on this trainer's replica mesh.
+
+        The mesh may differ from the producer's (elastic restore onto the
+        survivors).  Resuming is bit-identical to an uninterrupted run *of
+        this mesh shape* fed the same data.
+        """
+        self._install(
+            _copy_params(ckpt.params), _copy_state(ckpt.opt_state), ckpt.step_index
+        )
 
 
 def make_trainer(config: TrainerConfig) -> Trainer:

@@ -28,11 +28,7 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.core.trainer import StepResult
 from repro.optim.base import Optimizer, OptimizerState, Params
-from repro.resilience.checkpoint import (
-    TrainerCheckpoint,
-    record_checkpoint_metrics,
-    unshard_state_segments,
-)
+from repro.resilience.checkpoint import unshard_state_segments
 from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
     ShardedValue,
@@ -40,11 +36,7 @@ from repro.runtime.collectives import (
     ring_all_gather_stacked,
     ring_reduce_scatter,
 )
-from repro.core.data_parallel import (
-    DataParallelTrainer,
-    _copy_params,
-    _copy_state,
-)
+from repro.core.data_parallel import DataParallelTrainer
 
 
 def _chunk(flat: np.ndarray, num_devices: int) -> list[np.ndarray]:
@@ -105,34 +97,24 @@ def sharded_update(
             [g[name] for g in per_device_grads], dtype_policy
         )
         grad_shards = sharded.shards
-        # 2a. shard-local partial norms + scalar all-reduce (a plain sum —
-        #     the payload is a handful of floats per layer).
-        partials = [
-            optimizer.norm_stats(
-                name,
-                flat_param_chunks[d],
-                grad_shards[d].astype(np.float64),
-                sharded_state[d][name],
-                step,
-            )
-            for d in range(n)
-        ]
-        stats: dict[str, float] = {}
-        for partial in partials:
-            for key, value in partial.items():
-                stats[key] = stats.get(key, 0.0) + value
-        # 2b. shard-local elementwise update, written into one (n, chunk)
-        #     block so the gather below reads it without concatenating.
+        # 2. shard-local partial norms + scalar all-reduce (a plain sum —
+        #    the payload is a handful of floats per layer), then the
+        #    shard-local elementwise update, written into one (n, chunk)
+        #    block so the gather below reads it without concatenating.
+        updated = optimizer.update_shards(
+            name,
+            [
+                (
+                    flat_param_chunks[d],
+                    grad_shards[d].astype(np.float64),
+                    sharded_state[d][name],
+                )
+                for d in range(n)
+            ],
+            step,
+        )
         new_block = np.empty((n, flat_param_chunks[0].size), dtype=np.float64)
-        for d in range(n):
-            new_chunk, new_slot = optimizer.apply(
-                name,
-                flat_param_chunks[d],
-                grad_shards[d].astype(np.float64),
-                sharded_state[d][name],
-                step,
-                stats,
-            )
+        for d, (new_chunk, new_slot) in enumerate(updated):
             new_block[d] = new_chunk
             new_states[d][name] = new_slot
         # 3. all-gather the updated weight shards; the result is lazily
@@ -206,40 +188,36 @@ def bucketed_sharded_update(
         bucket.flatten(g, out=grad_block[d])
     sharded = ring_reduce_scatter(grad_block, dtype_policy)
     grad_shards = sharded.shards
-    windows = bucket.shard_segments(n)
     with _telemetry.tracer.span("sharded_update", category="update"):
-        # 2a. per-segment partial norms, summed per layer across devices (the
-        #     tiny scalar all-reduce of sharded_update, now over segments).
-        stats: dict[str, dict[str, float]] = {name: {} for name in bucket.names}
-        for d in range(n):
-            for seg in windows[d]:
-                partial = optimizer.norm_stats(
-                    seg.name,
-                    flat_params[seg.bucket_slice],
-                    grad_shards[d][seg.local_slice].astype(np.float64),
-                    sharded_state[d][seg.name],
-                    step,
-                )
-                acc = stats[seg.name]
-                for key, value in partial.items():
-                    acc[key] = acc.get(key, 0.0) + value
-        # 2b. segment-local elementwise update into one (n, chunk) block of
-        #     per-device chunk rows (the gather reads it without concatenating).
+        # Which (device, segment) windows hold each layer, in device order.
+        holders: dict[str, list] = {name: [] for name in bucket.names}
+        for d, window in enumerate(bucket.shard_segments(n)):
+            for seg in window:
+                holders[seg.name].append((d, seg))
+        # 2. per layer: segment-partial norms summed across the devices
+        #    holding it (the tiny scalar all-reduce of sharded_update, now
+        #    over segments), then the segment-local elementwise update into
+        #    one (n, chunk) block of per-device chunk rows (the gather
+        #    reads it without concatenating).
         _, chunk = padded_chunk_layout(n, bucket.size)
         new_block = np.zeros((n, chunk), dtype=np.float64)
         new_states: list[OptimizerState] = [dict() for _ in range(n)]
-        for d in range(n):
-            for seg in windows[d]:
-                new_vals, new_slot = optimizer.apply(
-                    seg.name,
-                    flat_params[seg.bucket_slice],
-                    grad_shards[d][seg.local_slice].astype(np.float64),
-                    sharded_state[d][seg.name],
-                    step,
-                    stats[seg.name],
-                )
+        for name, held in holders.items():
+            updated = optimizer.update_shards(
+                name,
+                [
+                    (
+                        flat_params[seg.bucket_slice],
+                        grad_shards[d][seg.local_slice].astype(np.float64),
+                        sharded_state[d][name],
+                    )
+                    for d, seg in held
+                ],
+                step,
+            )
+            for (d, seg), (new_vals, new_slot) in zip(held, updated):
                 new_block[d, seg.local_slice] = new_vals
-                new_states[d][seg.name] = new_slot
+                new_states[d][name] = new_slot
     # 3. ONE fused all-gather of the updated weight shards (lazily
     #    replicated; the per-param astype below copies out of it).
     gathered = ring_all_gather_stacked(
@@ -295,59 +273,31 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
-        self.sharded_state: list[OptimizerState] | None = None
+        #: Per bucket, each device's slot shards along the fused layout —
+        #: the only form the optimizer slots exist in (``state`` is None).
         self._bucket_states: list[list[OptimizerState]] | None = None
 
-    def init(self, rng: np.random.Generator) -> None:
-        super().init(rng)
-        assert self.state is not None
-        self._init_fused_shards(self.state)
-        self.state = None  # slots only exist sharded from here on
-
-    def _init_fused_shards(self, full_state: OptimizerState) -> None:
-        """(Re)shard the replicated slots along the bucketed fused layout."""
-        assert self.params is not None
-        self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
-        self._bucket_states = [
-            shard_state_segments(full_state, bucket, self.num_replicas)
-            for bucket in self._plan.buckets
-        ]
-        # Back-compat alias: with one bucket this is the old fused layout.
-        self.sharded_state = (
-            self._bucket_states[0] if self._plan.num_buckets == 1 else None
-        )
+    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
+        loss, grads = self.model.loss_and_grad(self.params, x, labels)
+        n = self.num_replicas
+        # Pre-scale so the reduce-scatter sum is the global mean.
+        return loss, {k: v / n for k, v in grads.items()}
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
-        if self.params is None or self._bucket_states is None:
-            raise RuntimeError("call init() before step()")
-        t0 = _perf()
-        tracer = _telemetry.tracer
-        with tracer.span("train_step", category="step", actor="trainer"):
-            with tracer.span("split", category="input", actor="trainer"):
-                xs, ys = self._split(x, labels)
-            t_split = _perf()
-            losses = []
-            grads = []
-            n = self.num_replicas
-            with tracer.span("forward_backward", category="compute", actor="trainer"):
-                for xi, yi in zip(xs, ys):
-                    loss_i, g_i = self.model.loss_and_grad(self.params, xi, yi)
-                    losses.append(loss_i)
-                    # Pre-scale so the reduce-scatter sum is the global mean.
-                    grads.append({k: v / n for k, v in g_i.items()})
-            t_fb = _perf()
-            # The fused reduce-scatter -> sharded update -> all-gather; the
-            # comm and update phases emit their own nested spans.
-            launches: list[tuple[float, float]] = []
-            with tracer.span("wus_update", category="update", actor="trainer"):
-                assert self._plan is not None
+        """One step: the fused reduce-scatter -> sharded update -> all-gather.
+
+        A single ``wus_update`` phase per step; its comm and update parts
+        emit their own nested spans.
+        """
+        with self._step(x, labels) as run:
+            with run.phase("wus_update", "update"):
                 for i, bucket in enumerate(self._plan.buckets):
                     b0 = _perf()
                     # flatten() only reads the bucket's own names, so the
                     # full trees pass through unchanged.
                     new_params, self._bucket_states[i] = bucketed_sharded_update(
                         self.params,
-                        grads,
+                        run.grads,
                         self.optimizer,
                         self._bucket_states[i],
                         self.step_index,
@@ -355,35 +305,16 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
                         self.grad_dtype_policy,
                     )
                     self.params = {**self.params, **new_params}
-                    launches.append(
+                    # Each bucket's modeled occupancy is its whole pipeline
+                    # stage (reduce-scatter + sharded update + all-gather):
+                    # that is what serializes on the reduce network under WUS.
+                    self._last_launches.append(
                         (bucket.size * bucket.dtype.itemsize, _perf() - b0)
                     )
-                if self._plan.num_buckets == 1:
-                    self.sharded_state = self._bucket_states[0]
-            t_update = _perf()
-            self._last_launches = launches
-            if self.overlap:
-                # Each bucket's modeled occupancy is its whole pipeline stage
-                # (reduce-scatter + sharded update + all-gather): that is
-                # what serializes on the reduce network under WUS.
-                with tracer.span("overlap_model", category="overlap", actor="trainer"):
-                    self.last_overlap = self._model_overlap(t_fb - t_split)
-        result = StepResult(
-            float(np.mean(losses)),
-            phase_seconds={
-                "split": t_split - t0,
-                "forward_backward": t_fb - t_split,
-                "wus_update": t_update - t_fb,
-            },
-            bytes_moved=sum(nbytes for nbytes, _ in launches),
-            step_index=self.step_index,
-        )
-        self.step_index += 1
-        self._record_step(_perf() - t0, result)
-        return result
+        return run.result
 
-    def save_checkpoint(self) -> TrainerCheckpoint:
-        """Snapshot with the sharded optimizer state **reassembled**.
+    def _full_state(self) -> OptimizerState:
+        """The sharded optimizer state **reassembled**.
 
         The slots only exist sharded (that is WUS's memory saving), but a
         checkpoint must be shape-independent: each slot is gathered from
@@ -392,36 +323,24 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         data movement — no arithmetic — so a same-shape round trip is
         bit-exact.
         """
-        if self.params is None or self._bucket_states is None:
-            raise RuntimeError("call init() before save_checkpoint()")
-        assert self._plan is not None
         merged: OptimizerState = {}
         for bucket, states in zip(self._plan.buckets, self._bucket_states):
             merged.update(unshard_state_segments(states, bucket))
         # Buckets cover the tree in reverse order; restore template order.
-        full = {name: merged[name] for name in self.params}
-        ckpt = TrainerCheckpoint(
-            step_index=self.step_index,
-            params=_copy_params(self.params),
-            opt_state=full,
-            trainer=type(self).__name__,
-        )
-        record_checkpoint_metrics(ckpt, type(self).__name__)
-        return ckpt
+        return {name: merged[name] for name in self.params}
 
-    def restore_checkpoint(self, ckpt: TrainerCheckpoint) -> None:
-        """Restore by **resharding** the full state onto this trainer's mesh.
+    def _load_state(self, full_state: OptimizerState) -> None:
+        """**Reshard** the full slots along this mesh's bucketed fused layout.
 
-        GSPMD-style resharding in miniature: the checkpoint holds assembled
-        tensors; the restore re-runs the same segment sharding that
-        ``init`` performs, but over the checkpointed values and this
-        trainer's (possibly different) ``num_replicas``.  A checkpoint
-        taken on n devices therefore restores onto the n-1 survivors — or
-        any other shape — with identical training semantics.
+        GSPMD-style resharding in miniature: ``init`` and a restore run the
+        same segment sharding, the latter over the checkpointed assembled
+        tensors and this trainer's (possibly different) ``num_replicas``.
+        A checkpoint taken on n devices therefore restores onto the n-1
+        survivors — or any other shape — with identical training semantics.
         """
-        self.params = _copy_params(ckpt.params)
-        self.step_index = ckpt.step_index
-        self._init_fused_shards(_copy_state(ckpt.opt_state))
-        self._last_launches = []
-        self.last_overlap = None
-        self.state = None  # slots only exist sharded, as after init()
+        self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
+        self._bucket_states = [
+            shard_state_segments(full_state, bucket, self.num_replicas)
+            for bucket in self._plan.buckets
+        ]
+        self.state = None  # slots only exist sharded from here on

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,9 @@ class Optimizer(abc.ABC):
     * :meth:`apply` — the elementwise update of one (shard of a) layer,
       parameterized by the already-reduced norm scalars.
 
-    The convenience :meth:`update` runs the full replicated step.
+    :meth:`update_shards` states how the two combine — the trust-ratio rule
+    of §3.2 — once; the convenience :meth:`update` runs the full
+    replicated step as its one-shard case.
     """
 
     @abc.abstractmethod
@@ -64,6 +66,34 @@ class Optimizer(abc.ABC):
         sharding — the invariant the WUS equivalence tests check.
         """
 
+    def update_shards(
+        self,
+        name: str,
+        shards: Sequence[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]],
+        step: int,
+        replicated: bool = False,
+    ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+        """Update one layer held as ``(param, grad, state)`` shards.
+
+        The LARS/LAMB trust-ratio rule: every shard's partial
+        :meth:`norm_stats` are summed — in the caller's shard order, so the
+        float additions are reproducible; this is the tiny scalar
+        all-reduce per layer of weight-update sharding — and each shard is
+        then :meth:`apply`-ed with the full-tensor statistics.  With
+        ``replicated`` every holder has the *whole* tensor (a replicated
+        tensor inside a model-parallel group), so the first holder's
+        statistics are already global and are applied to all.  Returns one
+        ``(new_param, new_state)`` per shard.
+        """
+        stats: dict[str, float] = {}
+        for param, grad, state in shards[:1] if replicated else shards:
+            for key, value in self.norm_stats(name, param, grad, state, step).items():
+                stats[key] = stats.get(key, 0.0) + value
+        return [
+            self.apply(name, param, grad, state, step, stats)
+            for param, grad, state in shards
+        ]
+
     def update(
         self, params: Params, grads: Grads, state: OptimizerState, step: int
     ) -> tuple[Params, OptimizerState]:
@@ -76,10 +106,9 @@ class Optimizer(abc.ABC):
                 raise ValueError(
                     f"gradient shape {g.shape} != param shape {p.shape} for {name!r}"
                 )
-            stats = self.norm_stats(name, p, g, state[name], step)
-            new_params[name], new_state[name] = self.apply(
-                name, p, g, state[name], step, stats
-            )
+            new_params[name], new_state[name] = self.update_shards(
+                name, [(p, g, state[name])], step
+            )[0]
         return new_params, new_state
 
     @staticmethod

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.controlplane.guard import ConsistencyGuard, SilentCorruptionError
 from repro.core import STRATEGIES, StepResult, Trainer, TrainerConfig, make_trainer
 from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
 from repro.core.model_parallel import HybridParallelTrainer
-from repro.core.trainer import CHECKPOINTING_STRATEGIES
+from repro.core.trainer import CHECKPOINTING_STRATEGIES, TrainLog
 from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 from repro.models.mlp import MLP, synthetic_classification
-from repro.optim import LAMB, SGDMomentum
+from repro.optim import LAMB, LARS, Adam, SGDMomentum
 
 
 def _workload(seed=0, batch=64, din=12, dout=4):
@@ -58,11 +60,31 @@ class TestTrainerConfig:
             (dict(strategy="single", mesh_shape=(2, 1)), "1x1"),
             (dict(strategy="hybrid", overlap=True), "bucketed overlap"),
             (dict(strategy="single", num_buckets=2), "bucketed overlap"),
+            # What the strategy's trainer would silently drop is rejected.
+            (dict(strategy="wus", guard=ConsistencyGuard()), "guard"),
+            (dict(strategy="data_parallel", mp_size=2), "mp_size > 1"),
+            (dict(grad_dtype_policy="fp8"), "grad_dtype_policy"),
         ],
     )
     def test_validation(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             _config(**overrides)
+
+    def test_guard_is_honoured_or_rejected(self):
+        """A raise-guard never trains through a NaN batch: the one strategy
+        that scans raises, every other refuses the config outright."""
+        guard = ConsistencyGuard(on_nonfinite="raise")
+        x, y = _workload()
+        x[0, 0] = np.nan
+        for strategy in STRATEGIES:
+            if strategy != "data_parallel":
+                with pytest.raises(ValueError, match="guard"):
+                    _config(strategy=strategy, guard=guard)
+        trainer = make_trainer(
+            _config(strategy="data_parallel", mesh_shape=(2, 1), guard=guard)
+        )
+        with pytest.raises(SilentCorruptionError):
+            trainer.step(x, y)
 
 
 class TestMakeTrainer:
@@ -88,7 +110,8 @@ class TestMakeTrainer:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             for strategy in STRATEGIES:
-                make_trainer(_config(strategy=strategy, mp_size=2))
+                mp_size = 2 if strategy == "hybrid" else 1
+                make_trainer(_config(strategy=strategy, mp_size=mp_size))
 
     def test_seed_returns_initialized_trainer(self):
         trainer = make_trainer(_config(seed=3))
@@ -145,6 +168,100 @@ class TestStepResult:
         assert all(v >= 0.0 for v in result.phase_seconds.values())
         if overrides["strategy"] != "single":
             assert result.bytes_moved > 0.0
+
+
+#: One arm per strategy, each with the options only it takes.
+FOUR_STRATEGIES = [
+    dict(strategy="single"),
+    dict(strategy="data_parallel", mesh_shape=(2, 2), num_buckets=2),
+    dict(strategy="wus", mesh_shape=(4, 1), num_buckets=2, overlap=True),
+    dict(strategy="hybrid", mesh_shape=(2, 1), mp_size=2),
+]
+
+
+class TestOneStepFourStrategies:
+    """The step around the update is one body: same checks, same telemetry."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_telemetry(self):
+        telemetry.enable()
+        telemetry.reset()
+        yield
+        telemetry.enable()
+        telemetry.reset()
+
+    @pytest.mark.parametrize(
+        "overrides", FOUR_STRATEGIES, ids=[o["strategy"] for o in FOUR_STRATEGIES]
+    )
+    def test_step_contract(self, overrides):
+        trainer = make_trainer(_config(seed=None, **overrides))
+        x, y = _workload()
+        with pytest.raises(RuntimeError, match=r"^call init\(\) before step\(\)$"):
+            trainer.step(x, y)
+        trainer.init(np.random.default_rng(0))
+        name = type(trainer).__name__
+        for done in (1, 2):
+            telemetry.tracer.reset()
+            result = trainer.step(x, y)
+            events = [e for e in telemetry.tracer.trace.events if e.actor == "trainer"]
+            (step,) = [e for e in events if e.name == "train_step"]
+            # Everything else the trainer opens is a phase, bar the modeled
+            # overlap timeline (which is not part of the measured step).
+            phases = [e for e in events if e.category not in ("step", "overlap")]
+            assert [e.name for e in phases] == list(result.phase_seconds)
+            for e in phases:
+                assert step.start - 1e-9 <= e.start and e.end <= step.end + 1e-9
+            assert telemetry.metrics.value("train_steps", trainer=name) == done
+            hist = telemetry.metrics.histogram("step_seconds", trainer=name)
+            assert hist.count == done
+
+        def batches():
+            while True:
+                yield x, y
+
+        log = trainer.train(batches(), steps=2)
+        assert isinstance(log, TrainLog)
+        assert len(log.losses) == 2 and log.last_loss == log.losses[-1]
+
+    @pytest.mark.parametrize(
+        "make_opt",
+        [lambda: SGDMomentum(0.05), lambda: Adam(0.01), lambda: LARS(0.05),
+         lambda: LAMB(0.02)],
+        ids=["sgd_momentum", "adam", "lars", "lamb"],
+    )
+    def test_update_is_the_one_shard_case(self, make_opt, rng):
+        """``Optimizer.update`` == ``update_shards`` at one shard == the
+        literal norm_stats -> apply, to the bit."""
+        opt = make_opt()
+        params = MLP([12, 24, 4]).init_params(rng)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        _, state = opt.update(params, grads, opt.init_state(params), 0)
+        new_params, new_state = opt.update(params, grads, state, 1)
+        for name, p in params.items():
+            shard = (p, grads[name], state[name])
+            literal = opt.apply(name, *shard, 1, opt.norm_stats(name, *shard, 1))
+            ((one_p, one_s),) = opt.update_shards(name, [shard], 1)
+            # Replicated holders: statistics from the first, applied to all.
+            both = opt.update_shards(name, [shard, shard], 1, replicated=True)
+            for got_p, got_s in [literal, (one_p, one_s), *both]:
+                assert np.array_equal(got_p, new_params[name])
+                for slot, arr in new_state[name].items():
+                    assert np.array_equal(got_s[slot], arr)
+
+    @pytest.mark.parametrize("strategy", ["data_parallel", "wus"])
+    def test_restore_clears_per_step_state(self, strategy):
+        """What one step derived (overlap timeline, launch records) does not
+        survive a restore, whichever strategy produced it."""
+        trainer = make_trainer(
+            _config(strategy=strategy, mesh_shape=(4, 1), num_buckets=2, overlap=True)
+        )
+        x, y = _workload()
+        ckpt = trainer.save_checkpoint()
+        trainer.step(x, y)
+        assert trainer.last_overlap is not None and trainer._last_launches
+        trainer.restore_checkpoint(ckpt)
+        assert trainer.last_overlap is None
+        assert trainer._last_launches == []
 
 
 class TestOverlapBitIdentity:

@@ -137,7 +137,8 @@ class TestShardedUpdateEquivalence:
         wus.init(np.random.default_rng(7))
         assert wus.state is None  # replicated slots are gone
         wus.step(x, y)
-        assert len(wus.sharded_state) == 4
+        (shards,) = wus._bucket_states  # one bucket: the whole fused model
+        assert len(shards) == 4
         # Fused layout: shards are windows of the whole flattened model, so
         # each parameter's slots are split along the fused chunk boundaries
         # and together cover the parameter exactly once.
@@ -145,10 +146,10 @@ class TestShardedUpdateEquivalence:
         total = sum(p.size for p in params.values())
         chunk = -(-total // 4)  # ceil division
         w0 = params["w0"].size
-        assert wus.sharded_state[0]["w0"]["m"].size == min(chunk, w0)
+        assert shards[0]["w0"]["m"].size == min(chunk, w0)
         covered = sum(
             state["w0"]["m"].size
-            for state in wus.sharded_state
+            for state in shards
             if "w0" in state
         )
         assert covered == w0
