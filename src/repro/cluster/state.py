@@ -106,18 +106,8 @@ class ClusterState:
             if owner is None and dev not in self._dead
         )
 
-    @property
-    def slices(self) -> dict[str, Slice]:
-        return dict(self._slices)
-
     def slice_of(self, job: str) -> Slice | None:
         return self._slices.get(job)
-
-    def owner_of(self, device: Device) -> str | None:
-        return self._owner[device]
-
-    def host_of(self, device: Device) -> int:
-        return self._host_of[device]
 
     def hosts_of(self, job: str) -> tuple[int, ...]:
         """The hosts driving at least one chip of ``job``'s slice."""

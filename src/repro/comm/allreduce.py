@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.comm.cost import (
     all_gather_time,
     reduce_scatter_time,
+    ring_all_reduce_time,
     ring_cost_for,
 )
 from repro.hardware.rings import model_peer_ring, x_line, y_ring
@@ -187,7 +188,7 @@ def model_parallel_allreduce(
         return 0.0
     if mp_size > mesh.x_size:
         raise ValueError(f"mp_size {mp_size} exceeds mesh x_size {mesh.x_size}")
-    return 2.0 * reduce_scatter_time(
+    return ring_all_reduce_time(
         mp_size,
         payload_bytes,
         mesh.link_bandwidth,

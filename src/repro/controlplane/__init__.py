@@ -15,7 +15,7 @@ resilience substrates:
   (discrete-event heartbeat protocol + closed-form detection latency)
   and the :class:`OracleDetector` baseline;
 * :mod:`~repro.controlplane.barrier` — :class:`Barrier` with timeout and
-  straggler attribution, wired to straggler faults and input imbalance;
+  straggler attribution (how the cluster scheduler names slow chips);
 * :mod:`~repro.controlplane.checkpointing` — step/wall-clock/
   risk-adaptive checkpoint policies;
 * :mod:`~repro.controlplane.guard` — :class:`ConsistencyGuard` hash
@@ -34,9 +34,7 @@ from __future__ import annotations
 from repro.controlplane.barrier import (
     Barrier,
     BarrierResult,
-    pipeline_arrivals,
     resolve_barrier,
-    step_arrivals,
 )
 from repro.controlplane.checkpointing import (
     CheckpointPolicy,
@@ -82,7 +80,5 @@ __all__ = [
     "StepInterval",
     "WallClockInterval",
     "apply_bit_flips",
-    "pipeline_arrivals",
     "resolve_barrier",
-    "step_arrivals",
 ]

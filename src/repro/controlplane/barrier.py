@@ -12,10 +12,7 @@ observing them.
 barrier's event fires either when everyone has arrived or when
 ``timeout_s`` expires — in which case the missing hosts are attributed
 as stragglers in the :class:`BarrierResult`.  :func:`resolve_barrier`
-wraps the common case of known arrival times, and the two ``*_arrivals``
-helpers derive those times from a
-:class:`~repro.resilience.faults.StragglerFault` plan or a
-:class:`~repro.input_pipeline.imbalance.ImbalanceReport`.
+wraps the common case of known arrival times.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
-from repro.controlplane.group import HostGroup
-from repro.input_pipeline.imbalance import ImbalanceReport
-from repro.resilience.faults import FaultPlan
 from repro.sim.engine import Simulator
 
 logger = logging.getLogger("repro.controlplane")
@@ -41,10 +35,6 @@ class BarrierResult:
     arrived: tuple[int, ...]
     stragglers: tuple[int, ...]
     timed_out: bool
-
-    @property
-    def num_participants(self) -> int:
-        return len(self.arrived) + len(self.stragglers)
 
 
 class Barrier:
@@ -93,9 +83,6 @@ class Barrier:
             return  # late arrival after release/timeout: already attributed
         if len(self._arrival_times) == len(self.participants):
             self.event.succeed(self._result(timed_out=False))
-
-    def arrival_time(self, participant: int) -> float | None:
-        return self._arrival_times.get(participant)
 
     def _result(self, timed_out: bool) -> BarrierResult:
         arrived = tuple(sorted(self._arrival_times))
@@ -158,36 +145,3 @@ def resolve_barrier(
         sim.process(arriver(host, at), name=f"arrive[{host}]")
     sim.run()
     return barrier.event.value
-
-
-def step_arrivals(
-    plan: FaultPlan, group: HostGroup, step: int, base_step_seconds: float
-) -> dict[int, float]:
-    """Per-host barrier arrival times for one step under a straggler plan.
-
-    A host arrives when its *slowest* chip finishes — the per-host max of
-    the plan's straggler factors times the fault-free step time.
-    """
-    if base_step_seconds <= 0:
-        raise ValueError("base_step_seconds must be > 0")
-    return {
-        host: base_step_seconds * plan.slowdown_at(step, chips)
-        for host, chips in group.hosts.items()
-    }
-
-
-def pipeline_arrivals(
-    report: ImbalanceReport, device_step_seconds: float
-) -> dict[int, float]:
-    """Per-host arrival times implied by an input-pipeline imbalance report.
-
-    Each host's feed slowdown inflates its arrival at the step barrier —
-    the §3.5 mechanism by which one slow JPEG-decoding host gates the
-    whole multipod.
-    """
-    if device_step_seconds <= 0:
-        raise ValueError("device_step_seconds must be > 0")
-    return {
-        host: device_step_seconds * result.slowdown
-        for host, result in enumerate(report.per_host)
-    }

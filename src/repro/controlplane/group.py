@@ -76,14 +76,6 @@ class HostGroup:
                 f"host {host} not in group of {self.num_hosts} hosts"
             ) from None
 
-    def host_of(self, device: Device) -> int:
-        """Inverse lookup: the host driving ``device``."""
-        x, y = device
-        x_size, y_size = self.mesh_shape
-        if not (0 <= x < x_size and 0 <= y < y_size):
-            raise ValueError(f"device {device} outside mesh {x_size}x{y_size}")
-        return (x * y_size + y) // self.chips_per_host
-
     def host_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.hosts))
 

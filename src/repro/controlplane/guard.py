@@ -65,11 +65,6 @@ class DesyncEvent:
     detected_step: int
     recovery: str  # "resync" (from majority) or "rewind" (to checkpoint)
 
-    @property
-    def detection_steps(self) -> int:
-        """Steps the corruption went unnoticed (bounded by check_interval)."""
-        return self.detected_step - self.injected_step
-
 
 def apply_bit_flips(params: Params, flips: Iterable[BitFlipFault]) -> Params:
     """A copy of ``params`` with each flip's bit toggled in place.

@@ -98,10 +98,6 @@ class MemoryModel:
     def fits(self) -> bool:
         return self.footprint().total <= self.per_core_budget
 
-    def headroom_bytes(self) -> float:
-        """Budget minus footprint (negative when over)."""
-        return self.per_core_budget - self.footprint().total
-
     def max_batch_per_core(self) -> float:
         """Largest per-core batch the activation budget allows."""
         fixed = self.footprint()

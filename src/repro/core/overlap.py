@@ -91,12 +91,6 @@ class OverlapResult:
             return 1.0
         return self.hidden_comm_seconds / self.comm_seconds
 
-    @property
-    def speedup_vs_serial(self) -> float:
-        if self.step_seconds <= 0.0:
-            return 1.0
-        return self.serial_step_seconds / self.step_seconds
-
 
 def simulate_overlap_schedule(
     bucket_ready_s: Sequence[float],

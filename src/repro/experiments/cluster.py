@@ -36,7 +36,7 @@ from repro.core.trainer import TrainerConfig
 from repro.experiments.report import Table
 from repro.models.mlp import MLP
 from repro.optim.adam import Adam
-from repro.resilience.faults import ChipFailure, FaultPlan
+from repro.resilience.faults import FaultPlan, fail_host
 
 #: Accounting-mode tenants restore ~3 GB of state over 10 GB/s.
 _STATE_BYTES = int(3e9)
@@ -130,15 +130,12 @@ def elastic_demo(seed: int = 2021) -> Table:
         ),
     ]
     # A 4x2 pod: admission is name-ordered, so "bystander" lands on columns
-    # 0-1 and "wave-victim" on 2-3.  The wave kills two of the victim's
-    # chips at tick 6; they heal after 8 s and the victim regrows in place
-    # at a checkpoint boundary.
+    # 0-1 and "wave-victim" on 2-3.  The wave kills host 2 -- column 2, two
+    # of the victim's chips -- at tick 6; they heal after 8 s and the
+    # victim regrows in place at a checkpoint boundary.
     plan = FaultPlan(
         seed=seed,
-        chip_failures=(
-            ChipFailure(device=(2, 0), at_step=6),
-            ChipFailure(device=(2, 1), at_step=6),
-        ),
+        chip_failures=fail_host((4, 2), 2, chips_per_host=2, at_step=6),
     )
     config = ClusterConfig(
         mesh_shape=(4, 2), chips_per_host=2, heal_after_s=8.0, seed=seed,

@@ -70,10 +70,6 @@ class Ring:
             path_links(mesh, dimension_ordered_path(mesh, a, b)) for a, b in pairs
         ]
 
-    def all_links(self, mesh: TorusMesh) -> list[Link]:
-        """Flat list of every physical link the ring touches."""
-        return [link for seg in self.segments(mesh) for link in seg]
-
 
 def y_ring(mesh: TorusMesh, x: int) -> Ring:
     """The Y-dimension ring (or line) in mesh column ``x``."""

@@ -97,19 +97,7 @@ class ModelCostSpec:
         """Per-replica gradient payload on the wire."""
         return self.params * self.grad_wire_dtype_bytes
 
-    @property
-    def weight_bytes(self) -> float:
-        return self.params * self.weight_dtype_bytes
-
     def steps_per_epoch(self, global_batch: int) -> float:
         if global_batch < 1:
             raise ValueError("global_batch must be >= 1")
         return self.dataset_examples / global_batch
-
-    def unpartitionable_fraction(self) -> float:
-        """FLOPs share with no spatially partitionable implementation."""
-        if not self.layers:
-            return 0.0
-        return 1.0 - sum(
-            l.flops_fraction for l in self.layers if l.spatially_partitionable
-        )

@@ -70,29 +70,3 @@ def softmax_cross_entropy(
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
     return loss, dlogits
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-6) -> tuple[np.ndarray, tuple]:
-    """Layer normalization over the last axis; returns (y, cache)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv
-    y = gamma * x_hat + beta
-    return y, (x_hat, inv, gamma)
-
-
-def layer_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of layer_norm; returns (dx, dgamma, dbeta)."""
-    x_hat, inv, gamma = cache
-    n = x_hat.shape[-1]
-    dgamma = (dy * x_hat).sum(axis=tuple(range(dy.ndim - 1)))
-    dbeta = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dx_hat = dy * gamma
-    dx = inv * (
-        dx_hat
-        - dx_hat.mean(axis=-1, keepdims=True)
-        - x_hat * (dx_hat * x_hat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dgamma, dbeta

@@ -14,7 +14,6 @@ from repro.models.layers import (
     dense_forward,
     relu,
     relu_backward,
-    softmax,
     softmax_cross_entropy,
 )
 from repro.optim.base import Grads, Params
@@ -93,9 +92,6 @@ class MLP:
 
     def accuracy(self, params: Params, x: np.ndarray, labels: np.ndarray) -> float:
         return float(np.mean(self.predict(params, x) == labels))
-
-    def predict_proba(self, params: Params, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(params, x))
 
 
 def synthetic_classification(

@@ -2,7 +2,6 @@
 
 from repro.numerics.bfloat16 import (
     BF16_EPS,
-    bf16_dtype_bytes,
     round_to_bfloat16,
     is_bfloat16_representable,
     bf16_add,
@@ -11,7 +10,6 @@ from repro.numerics.bfloat16 import (
 
 __all__ = [
     "BF16_EPS",
-    "bf16_dtype_bytes",
     "round_to_bfloat16",
     "is_bfloat16_representable",
     "bf16_add",

@@ -38,11 +38,6 @@ def _tmp(shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf
 
 
-def bf16_dtype_bytes() -> int:
-    """Wire size of one bfloat16 element."""
-    return 2
-
-
 def _round_inplace_nonan(out: np.ndarray) -> np.ndarray:
     """In-place RNE rounding of a float32 array assumed to hold no NaN.
 

@@ -45,6 +45,3 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         new_p = param.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
         return new_p.astype(param.dtype), {"m": m, "v": v}
-
-    def flops_per_param(self) -> float:
-        return 12.0

@@ -117,11 +117,3 @@ class Optimizer(abc.ABC):
             name: {slot: np.zeros_like(p, dtype=np.float64) for slot in slots}
             for name, p in params.items()
         }
-
-    def flops_per_param(self) -> float:
-        """Approximate vector-unit FLOPs per parameter per update.
-
-        Used by the step-time model to cost the (possibly sharded) weight
-        update on the chip's vector units (Section 3.2).
-        """
-        return 4.0

@@ -80,7 +80,3 @@ class LAMB(Optimizer):
             trust = 1.0
         new_p = param.astype(np.float64) - lr * trust * r
         return new_p.astype(param.dtype), {"m": m, "v": v}
-
-    def flops_per_param(self) -> float:
-        # moments (6), normalization (4: sqrt/div/add), norms (4), axpy (3)
-        return 18.0

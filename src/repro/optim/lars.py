@@ -84,7 +84,3 @@ class LARS(Optimizer):
         )
         new_p = p - v
         return new_p.astype(param.dtype), {"momentum": v}
-
-    def flops_per_param(self) -> float:
-        # two norms (2 flops/elem), axpy chain (~6 flops/elem)
-        return 8.0

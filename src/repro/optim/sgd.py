@@ -42,6 +42,3 @@ class SGDMomentum(Optimizer):
         v = self.momentum * state["momentum"] + g
         new_param = param - lr * v
         return new_param.astype(param.dtype), {"momentum": v}
-
-    def flops_per_param(self) -> float:
-        return 5.0

@@ -289,14 +289,6 @@ class FaultPlan:
             f.device for f in self.chip_failures if f.at_step == step
         )
 
-    def dead_through_step(self, step: int) -> frozenset[Device]:
-        """Devices dead once ``step`` has been reached (inclusive)."""
-        return frozenset(
-            f.device
-            for f in self.chip_failures
-            if f.at_step is not None and f.at_step <= step
-        )
-
     def preemptions_at_step(self, step: int) -> tuple[PreemptionSignal, ...]:
         """Preemption signals delivered at the start of ``step``."""
         return tuple(p for p in self.preemptions if p.at_step == step)
@@ -349,19 +341,6 @@ class FaultPlan:
             if f.applies(src, dst) and f.start <= t < f.end:
                 factor = min(factor, f.factor)
         return factor
-
-    def next_link_up(self, src: Device, dst: Device, t: float) -> float | None:
-        """Earliest time >= ``t`` at which the link carries traffic again.
-
-        ``None`` when the link is already up at ``t``.
-        """
-        if self.link_factor(src, dst, t) > 0.0:
-            return None
-        up = t
-        for f in sorted(self.link_faults, key=lambda f: f.start):
-            if f.applies(src, dst) and f.factor == 0.0 and f.start <= up < f.end:
-                up = f.end
-        return up
 
     # --- construction ---------------------------------------------------------
 

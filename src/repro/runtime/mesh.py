@@ -233,20 +233,6 @@ class VirtualMesh:
             )
         return value
 
-    def get_all(self, name: str) -> list[np.ndarray]:
-        """Buffers of every device, in device order."""
-        return [self.get(name, d) for d in self.devices()]
-
-    def grid(self, name: str) -> list[list[np.ndarray]]:
-        """Buffers as a [x][y] grid (for the 2-D collective)."""
-        return [
-            [self.get(name, (x, y)) for y in range(self.y_size)]
-            for x in range(self.x_size)
-        ]
-
-    def has(self, name: str) -> bool:
-        return name in self._values
-
     def apply(self, name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
         """Apply a function to the named buffer on every surviving device.
 

@@ -161,6 +161,3 @@ class SimJob:
     @property
     def label(self) -> str:
         return self.name or f"{self.kind}:{self.content_key[:12]}"
-
-    def canonical(self) -> str:
-        return canonical_spec(self.kind, self.params)

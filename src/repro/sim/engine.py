@@ -55,10 +55,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("event value read before trigger")

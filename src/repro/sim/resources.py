@@ -190,7 +190,3 @@ class Channel:
                 )
         finally:
             self._server.release()
-
-    @property
-    def queue_length(self) -> int:
-        return self._server.queue_length

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.comm.halo import conv_halo_rows
 from repro.runtime.mesh import VirtualMesh
 from repro.spmd.gather_exec import distributed_topk, sharded_onehot_gather, topk_direct
 from repro.spmd.ir import Graph, Node
@@ -300,9 +301,8 @@ def _exec_conv2d(ex: _Exec, node: Node) -> None:
     w = ex.to_full(ex.vals[w_id])
     kh, kw = node.attrs["kernel"]
     if xv.kind == "split" and xv.dim == 1:
-        halo = (kh - 1) // 2
         if kh % 2 == 1 and kw % 2 == 1 and all(
-            p.shape[1] >= halo for p in xv.parts
+            p.shape[1] >= conv_halo_rows(kh) for p in xv.parts
         ):
             parts, _ = spatial_conv2d(xv.parts, w)
             ex.vals[node.id] = _Val(kind="split", dim=1, parts=parts)

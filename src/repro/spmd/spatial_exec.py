@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def conv2d_direct(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Reference NHWC convolution with SAME padding (odd kernels).
+def conv2d_direct(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Reference NHWC stride-1 convolution with SAME padding (odd kernels).
 
     Small and clear rather than fast — it is the ground truth the sharded
     execution is checked against.
@@ -27,8 +27,6 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
         raise ValueError("kernels must be odd for SAME padding")
     if x.shape[3] != cin:
         raise ValueError(f"channel mismatch: {x.shape[3]} vs {cin}")
-    if stride != 1:
-        raise ValueError("only stride 1 is supported in the functional demo")
     b, h, wd, _ = x.shape
     ph, pw = kh // 2, kw // 2
     padded = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))

@@ -41,7 +41,13 @@ from repro.comm.schedule import (
     simulate_ring_all_gather,
     simulate_ring_reduce_scatter,
 )
-from repro.hardware.rings import model_peer_ring, x_line, y_ring
+from repro.hardware.rings import (
+    all_x_lines,
+    all_y_rings,
+    model_peer_ring,
+    x_line,
+    y_ring,
+)
 from repro.hardware.topology import TorusMesh, single_pod, slice_for_chips
 from repro.telemetry import critical_path as _cp
 
@@ -141,8 +147,8 @@ def two_phase_drift(
     """The 2-D hierarchical all-reduce, phase by phase, DES vs breakdown."""
     mesh = single_pod()
     bd = two_phase_allreduce(mesh, payload_bytes)
-    y_rings = [y_ring(mesh, x) for x in range(mesh.x_size)]
-    x_lines = [x_line(mesh, y) for y in range(mesh.y_size)]
+    y_rings = all_y_rings(mesh)
+    x_lines = all_x_lines(mesh)
     shard = payload_bytes / mesh.y_size
     case = "2d/pod"
     return [

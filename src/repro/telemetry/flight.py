@@ -220,9 +220,6 @@ class FlightRecorder:
         with self._lock:
             return list(self._records)
 
-    def records_of_kind(self, kind: str) -> list[FlightRecord]:
-        return [r for r in self.records if r.kind == kind]
-
     def clear(self) -> None:
         """Drop every record and restart the epoch (flag state untouched)."""
         with self._lock:

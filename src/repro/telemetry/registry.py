@@ -120,9 +120,6 @@ class Gauge(_ScalarChild):
             self._marked = True
             self._written.append(self)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class DeltaReader:
     """Identity of one consumer of :meth:`MetricsRegistry.scalar_deltas`.

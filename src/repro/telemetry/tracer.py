@@ -154,10 +154,6 @@ class Tracer:
         if fn not in self._sinks:
             self._sinks.append(fn)
 
-    def remove_sink(self, fn: Callable[[TraceEvent], None]) -> None:
-        if fn in self._sinks:
-            self._sinks.remove(fn)
-
     @property
     def depth(self) -> int:
         """Open spans on the calling thread (0 outside any ``with`` block)."""

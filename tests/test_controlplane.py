@@ -38,14 +38,10 @@ from repro.controlplane import (
     StepInterval,
     WallClockInterval,
     apply_bit_flips,
-    pipeline_arrivals,
     resolve_barrier,
-    step_arrivals,
 )
 from repro.core.data_parallel import DataParallelTrainer
 from repro.hardware.topology import TorusMesh
-from repro.input_pipeline.host import HostPipelineResult
-from repro.input_pipeline.imbalance import ImbalanceReport
 from repro.models.mlp import MLP
 from repro.optim.adam import Adam
 from repro.resilience.chaos import ChaosConfig, run_chaos
@@ -56,7 +52,6 @@ from repro.resilience.faults import (
     FaultPlan,
     LinkFault,
     PreemptionSignal,
-    StragglerFault,
     fail_host,
     host_map,
 )
@@ -106,9 +101,6 @@ class TestHostMap:
     def test_host_group_shares_the_rule(self):
         group = HostGroup((4, 4), chips_per_host=4)
         assert group.hosts == host_map((4, 4), chips_per_host=4)
-        for host, chips in group.hosts.items():
-            for device in chips:
-                assert group.host_of(device) == host
 
     def test_chips_of_unknown_host(self):
         group = HostGroup((4, 4), chips_per_host=8)
@@ -278,42 +270,6 @@ class TestBarrier:
         assert barrier.event.value.timed_out
         barrier.arrive(0)  # late: recorded, result unchanged
         assert barrier.event.value.stragglers == (0, 1)
-        assert barrier.arrival_time(0) == pytest.approx(1.0)
-
-    def test_step_arrivals_blames_the_straggling_host(self):
-        group = HostGroup((4, 4), chips_per_host=8)  # hosts 0, 1
-        plan = FaultPlan(
-            stragglers=(
-                StragglerFault(
-                    device=(3, 0), start_step=5, duration_steps=3, slowdown=4.0
-                ),
-            )
-        )
-        arrivals = step_arrivals(plan, group, step=6, base_step_seconds=1.0)
-        assert arrivals == {0: 1.0, 1: 4.0}
-        result = resolve_barrier(arrivals, timeout_s=2.0)
-        assert result.stragglers == (1,)
-        # Outside the straggler window everyone makes it.
-        clean = step_arrivals(plan, group, step=20, base_step_seconds=1.0)
-        assert not resolve_barrier(clean, timeout_s=2.0).timed_out
-
-    def test_pipeline_arrivals_from_imbalance_report(self):
-        slow = HostPipelineResult(
-            steps=10, device_step_seconds=1.0, total_seconds=15.0,
-            stall_seconds=5.0,
-        )
-        fast = HostPipelineResult(
-            steps=10, device_step_seconds=1.0, total_seconds=10.0,
-            stall_seconds=0.0,
-        )
-        report = ImbalanceReport(
-            label="test", num_hosts=3, per_host=(fast, slow, fast)
-        )
-        arrivals = pipeline_arrivals(report, device_step_seconds=2.0)
-        assert arrivals[0] == pytest.approx(2.0)
-        assert arrivals[1] == pytest.approx(3.0)
-        result = resolve_barrier(arrivals, timeout_s=2.5)
-        assert result.stragglers == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +551,7 @@ class TestChaosSilentCorruption:
         event = report.desync_events[0]
         assert event.recovery == "resync"
         assert event.device == (1, 0)
-        assert event.detection_steps <= guard.check_interval
+        assert event.detected_step - event.injected_step <= guard.check_interval
         reference = run_chaos(
             FaultPlan(), config, trainer_factory=_factory, batch_fn=_batch
         )

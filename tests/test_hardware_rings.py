@@ -41,10 +41,11 @@ class TestYRings:
         rings = all_y_rings(small_torus)
         seen = set()
         for ring in rings:
-            for link in ring.all_links(small_torus):
-                key = (link.src, link.dst)
-                assert key not in seen
-                seen.add(key)
+            for segment in ring.segments(small_torus):
+                for link in segment:
+                    key = (link.src, link.dst)
+                    assert key not in seen
+                    seen.add(key)
 
     def test_column_out_of_range(self, small_torus):
         with pytest.raises(ValueError):

@@ -55,8 +55,10 @@ class TestSpecsSanity:
     def test_segmentation_models_spatial(self):
         for spec in (ssd_spec(), maskrcnn_spec()):
             assert spec.max_model_parallel_cores == 8
-            assert any(l.spatially_partitionable for l in spec.layers)
-            assert 0.0 < spec.unpartitionable_fraction() < 0.5
+            partitionable = sum(
+                l.flops_fraction for l in spec.layers if l.spatially_partitionable
+            )
+            assert 0.5 < partitionable < 1.0
 
     def test_dlrm_embedding_traffic(self):
         spec = dlrm_spec()

@@ -6,8 +6,6 @@ import pytest
 from repro.models.layers import (
     dense_backward,
     dense_forward,
-    layer_norm,
-    layer_norm_backward,
     relu,
     relu_backward,
     softmax,
@@ -100,28 +98,3 @@ class TestSoftmaxCrossEntropy:
     def test_label_shape_check(self, rng):
         with pytest.raises(ValueError):
             softmax_cross_entropy(rng.standard_normal((4, 3)), np.zeros(5, int))
-
-
-class TestLayerNorm:
-    def test_normalizes(self, rng):
-        x = rng.standard_normal((6, 8)) * 5 + 3
-        y, _ = layer_norm(x, np.ones(8), np.zeros(8))
-        assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-10)
-        assert np.allclose(y.std(axis=-1), 1.0, atol=1e-3)
-
-    def test_backward_matches_numerical(self, rng):
-        x = rng.standard_normal((3, 5))
-        gamma = rng.standard_normal(5)
-        beta = rng.standard_normal(5)
-        target = rng.standard_normal((3, 5))
-
-        def loss():
-            y, _ = layer_norm(x, gamma, beta)
-            return 0.5 * np.sum((y - target) ** 2)
-
-        y, cache = layer_norm(x, gamma, beta)
-        dy = y - target
-        dx, dgamma, dbeta = layer_norm_backward(dy, cache)
-        assert np.allclose(dx, numerical_grad(loss, x), atol=1e-4)
-        assert np.allclose(dgamma, numerical_grad(loss, gamma), atol=1e-4)
-        assert np.allclose(dbeta, numerical_grad(loss, beta), atol=1e-4)

@@ -80,8 +80,6 @@ class TestFaultPlan:
             stragglers=(StragglerFault((2, 0), 4, 2, 3.0),),
         )
         assert plan.chip_failures_at_step(3) == ((0, 0),)
-        assert plan.dead_through_step(2) == frozenset()
-        assert plan.dead_through_step(5) == {(0, 0), (1, 1)}
         assert plan.straggler_factor((2, 0), 4) == 3.0
         assert plan.straggler_factor((2, 0), 6) == 1.0
         assert plan.straggler_factor((0, 0), 4) == 1.0
@@ -138,8 +136,6 @@ class TestFaultPlan:
         assert plan.link_factor((0, 0), (0, 1), 1.5) == 0.0
         assert plan.link_factor((0, 1), (0, 0), 1.5) == 0.0  # bidirectional
         assert plan.link_factor((0, 0), (0, 1), 3.0) == 1.0
-        assert plan.next_link_up((0, 0), (0, 1), 1.5) == 3.0
-        assert plan.next_link_up((0, 0), (0, 1), 0.0) is None
 
     def test_chip_failure_requires_a_time_or_step(self):
         with pytest.raises(ValueError):

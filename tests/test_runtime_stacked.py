@@ -424,7 +424,6 @@ class TestMeshStacked:
         m = VirtualMesh(2, 2)
         block = np.arange(8.0, dtype=np.float32).reshape(4, 2)
         m.put_stacked("w", block)
-        assert m.has("w")
         for x in range(2):
             for y in range(2):
                 _assert_bit_identical(m.get("w", (x, y)), block[x * 2 + y])
@@ -520,15 +519,6 @@ class TestMeshStacked:
         with pytest.raises(KeyError):
             m.get("g", (1, 0))
         np.testing.assert_allclose(m.get("g", (0, 0)), np.full(5, 3.0))
-
-    def test_checkpoint_assembly_path_get_all(self):
-        m = VirtualMesh(2, 1)
-        m.put("w", (0, 0), np.arange(3.0))
-        m.put("w", (1, 0), np.arange(3.0) + 10)
-        m.all_reduce("w", dtype_policy="f32")
-        bufs = m.get_all("w")
-        assert len(bufs) == 2
-        np.testing.assert_allclose(bufs[0], bufs[1])
 
 
 class TestBoundedCaches:

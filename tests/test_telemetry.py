@@ -59,7 +59,7 @@ class TestRegistry:
         g = m.gauge("hbm", device="0,0")
         g.set(5.0)
         g.inc(2.0)
-        g.dec(1.0)
+        g.inc(-1.0)
         assert m.value("hbm", device="0,0") == 6.0
 
     def test_label_cardinality_guard(self):
@@ -116,7 +116,7 @@ class TestRegistry:
         assert m.scalar_deltas(reader) == {}
         m.gauge("loss").set(0.25)  # written, but to the same value
         m.counter("bytes", op="ar", axis="y").inc(2)
-        m.gauge("depth").dec(3)
+        m.gauge("depth").inc(-3)
         assert m.scalar_deltas(reader) == {"bytes{axis=y,op=ar}": 2.0, "depth": -3.0}
 
     def test_scalar_deltas_keys_in_creation_order(self):

@@ -25,7 +25,7 @@ from repro.telemetry.tracer import Tracer
 
 
 def _delta_payloads(rec: FlightRecorder) -> list[dict]:
-    return [r.data["deltas"] for r in rec.records_of_kind("counters")]
+    return [r.data["deltas"] for r in rec.records if r.kind == "counters"]
 
 
 @pytest.fixture(autouse=True)
@@ -216,7 +216,7 @@ class TestPostmortem:
         on_terminal_failure(err, origin="layer1", recorder=rec)
         on_terminal_failure(err, origin="layer2", recorder=rec)
         assert rec.dump_count == 1
-        assert len(rec.records_of_kind("fault")) == 1
+        assert [r.kind for r in rec.records].count("fault") == 1
 
     def test_dump_counter_metric(self):
         rec = FlightRecorder(capacity=8)
@@ -233,7 +233,7 @@ class TestCounterDeltas:
         telemetry.metrics.gauge("loss").set(0.5)
         rec.record_counter_deltas()
         rec.record_counter_deltas()  # nothing moved: no record
-        deltas = rec.records_of_kind("counters")
+        deltas = [r for r in rec.records if r.kind == "counters"]
         assert len(deltas) == 2
         assert deltas[0].data["deltas"]["steps_total"] == 3
         assert deltas[1].data["deltas"]["steps_total"] == 2
