@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.comm.cost import (
+    RingCostParams,
     all_gather_time,
     reduce_scatter_time,
     ring_all_reduce_time,
@@ -57,6 +58,39 @@ class AllReduceBreakdown:
         return self.reduce_time + self.broadcast_time
 
 
+#: ``(Y ring, X line or peer ring)`` cost parameters by mesh geometry and
+#: model-parallel width.  :func:`ring_cost_for` walks every link of every
+#: segment looking for a cross-pod hop (0.5 ms on the 128-wide multipod
+#: line), and a step-time query asks for the same two rings every time.
+#: Keyed by value, since equal slices are rebuilt per query; emptied when
+#: full, which needs no ordering to keep consistent between threads.
+_PHASE_PARAMS: dict[tuple, tuple[RingCostParams | None, RingCostParams | None]] = {}
+_PHASE_PARAMS_MAXSIZE = 256
+
+
+def _phase_params(
+    mesh: TorusMesh, mp_size: int
+) -> tuple[RingCostParams | None, RingCostParams | None]:
+    """Ring parameters of the two phases; ``None`` for a phase with no ring."""
+    key = (
+        mesh.x_size, mesh.y_size, mesh.wrap_x, mesh.wrap_y,
+        mesh.cross_pod_every, mesh.chip, mp_size,
+    )
+    params = _PHASE_PARAMS.get(key)
+    if params is None:
+        yc = ring_cost_for(mesh, y_ring(mesh, 0)) if mesh.y_size > 1 else None
+        if mesh.x_size // mp_size < 2:
+            xc = None
+        elif mp_size == 1:
+            xc = ring_cost_for(mesh, x_line(mesh, 0))
+        else:
+            xc = ring_cost_for(mesh, model_peer_ring(mesh, 0, mp_size, 0))
+        if len(_PHASE_PARAMS) >= _PHASE_PARAMS_MAXSIZE:
+            _PHASE_PARAMS.clear()
+        _PHASE_PARAMS[key] = params = (yc, xc)
+    return params
+
+
 def two_phase_allreduce(
     mesh: TorusMesh,
     payload_bytes: float,
@@ -87,10 +121,11 @@ def two_phase_allreduce(
             f"mesh x_size {mesh.x_size} not divisible by mp_size {mp_size}"
         )
 
+    yc, xc = _phase_params(mesh, mp_size)
+
     # Phase Y: every chip participates in its column ring with the full
     # (per-chip) payload.
-    if mesh.y_size > 1:
-        yc = ring_cost_for(mesh, y_ring(mesh, 0))
+    if yc is not None:
         t_rs_y = reduce_scatter_time(
             yc.num_members, payload_bytes, yc.bandwidth, yc.latency, closed=yc.closed
         )
@@ -104,14 +139,8 @@ def two_phase_allreduce(
 
     # Phase X: replicas along X (hopping over model-parallel peers).
     x_replicas = mesh.x_size // mp_size
-    if x_replicas > 1:
-        if mp_size == 1:
-            ring = x_line(mesh, 0)
-            frac = 1.0
-        else:
-            ring = model_peer_ring(mesh, 0, mp_size, 0)
-            frac = 1.0 / mp_size
-        xc = ring_cost_for(mesh, ring)
+    if xc is not None:
+        frac = 1.0 if mp_size == 1 else 1.0 / mp_size
         t_rs_x = reduce_scatter_time(
             xc.num_members,
             after_y,

@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from math import inf
 from time import perf_counter as _perf
 
 from repro import telemetry as _telemetry
@@ -29,29 +30,44 @@ from repro.sim.engine import Simulator
 from repro.sim.resources import Channel
 
 
-def _build_channels(
-    sim: Simulator, mesh: TorusMesh
-) -> dict[tuple[Coordinate, Coordinate], Channel]:
-    """One FIFO channel per directed physical link."""
-    channels: dict[tuple[Coordinate, Coordinate], Channel] = {}
-    for link in mesh.links():
-        channels[(link.src, link.dst)] = Channel(
-            sim,
-            bandwidth=mesh.link_bandwidth,
-            latency=mesh.link_latency(link),
-            name=f"{link.src}->{link.dst}",
-        )
-    return channels
+def _hops(sim: Simulator, mesh: TorusMesh, channels, segment):
+    """``(link, channel)`` for each link of a segment.
 
-
-def _send_chunk(sim: Simulator, channels, segment, chunk_bytes: float):
-    """Store-and-forward a chunk across the links of one ring segment.
-
-    The healthy leaf: no fault lookup per link.  ``sim`` is unused; the
-    signature is the one :func:`_ring_phase` calls every leaf with.
+    ``channels`` holds one FIFO channel per directed physical link, shared by
+    every ring of the run and made when the first segment crosses the link:
+    a 512-chip slice has 1 984 directed links and its Y rings use 1 024.
     """
+    hops = []
     for link in segment:
-        yield from channels[(link.src, link.dst)].transfer(chunk_bytes)
+        key = (link.src, link.dst)
+        channel = channels.get(key)
+        if channel is None:
+            channel = channels[key] = Channel(
+                sim,
+                bandwidth=mesh.link_bandwidth,
+                latency=mesh.link_latency(link),
+                name=f"{link.src}->{link.dst}",
+            )
+        hops.append((link, channel))
+    return hops
+
+
+def _forward_chunk(hops, chunk_bytes: float):
+    """Store-and-forward a chunk over the links of a hop-over segment."""
+    for _, channel in hops:
+        yield from channel.transfer(chunk_bytes)
+
+
+def _chunk_sender(sim: Simulator, hops):
+    """The healthy leaf: no fault lookup per link.
+
+    On a one-link segment the link's own completion event is the chunk's
+    arrival; only a segment that hops over chips (a model-peer ring) needs a
+    process to walk its links.
+    """
+    if len(hops) == 1:
+        return hops[0][1].send
+    return lambda chunk_bytes: sim.process(_forward_chunk(hops, chunk_bytes))
 
 
 @lru_cache(maxsize=512)
@@ -75,35 +91,43 @@ def _ring_segments(
 
 
 def _ring_phase(sim: Simulator, channels, mesh: TorusMesh, ring: Ring,
-                payload_bytes: float, reverse: bool, send):
+                payload_bytes: float, reverse: bool, sender):
     """One direction of a ring phase: n-1 synchronous chunk-forward steps.
 
-    ``send(sim, channels, segment, chunk_bytes)`` is the per-chunk transfer
-    generator: :func:`_send_chunk`, or :func:`_send_chunk_with_faults` bound
-    to a plan.
+    ``sender(sim, hops)`` is asked once per segment for the function that
+    starts a chunk of so many bytes over it and returns the event of its
+    arrival: :func:`_chunk_sender`, or the fault-aware leaf bound to a plan.
     """
     n = ring.size
     steps = n - 1
     chunk = payload_bytes / n
-    segments = _ring_segments(mesh, ring, reverse)
+    sends = [
+        sender(sim, _hops(sim, mesh, channels, seg))
+        for seg in _ring_segments(mesh, ring, reverse)
+    ]
     for _ in range(steps):
-        sends = []
-        for seg in segments:
-            sends.append(sim.process(send(sim, channels, seg, chunk)))
-        yield sim.all_of(sends)
+        yield sim.all_of([send(chunk) for send in sends])
+
+
+def _check_payload(payload_bytes: float) -> None:
+    # NaN fails both comparisons: it would come back as a NaN time and, in
+    # the phase memo, as a key no later call can hit (nan != nan).
+    if not 0 <= payload_bytes < inf:
+        raise ValueError(
+            f"payload_bytes must be finite and non-negative, got {payload_bytes}"
+        )
 
 
 def _run_rings(
     phase: str, mesh: TorusMesh, rings: list[Ring], payload_bytes: float,
-    bidirectional: bool, send,
+    bidirectional: bool, sender, sim: Simulator,
 ) -> float:
-    """Run every ring's schedule over one simulator of ``mesh``'s links.
+    """Run every ring's schedule over ``sim``, one channel per link of ``mesh``.
 
     Each ring direction is a process named after the phase and the ring's
     first member, so a failure surfacing from ``run()`` says which ring died.
     """
-    sim = Simulator()
-    channels = _build_channels(sim, mesh)
+    channels: dict[tuple[Coordinate, Coordinate], Channel] = {}
     for ring in rings:
         if ring.size < 2:
             continue
@@ -113,7 +137,7 @@ def _run_rings(
             directions = ((payload_bytes, False),)
         for payload, reverse in directions:
             sim.process(
-                _ring_phase(sim, channels, mesh, ring, payload, reverse, send),
+                _ring_phase(sim, channels, mesh, ring, payload, reverse, sender),
                 name=f"{phase}[{ring.members[0]}]",
             )
     return sim.run()
@@ -135,20 +159,27 @@ def _simulate_phase(
     rings: list[Ring],
     payload_bytes: float,
     bidirectional: bool,
+    sim: Simulator | None = None,
 ) -> float:
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
+    """Memoized healthy phase; a miss runs on ``sim`` (default: a new one)."""
+    _check_payload(payload_bytes)
     key = (mesh, tuple(rings), float(payload_bytes), bidirectional)
     cached = _PHASE_CACHE.get(key, _PHASE_CACHE_MISS)
     if cached is not _PHASE_CACHE_MISS:
-        _PHASE_CACHE.move_to_end(key)
+        try:
+            _PHASE_CACHE.move_to_end(key)
+        except KeyError:
+            # Another thread's miss evicted the key since the get(); the
+            # value read is still this key's (the DES is deterministic).
+            pass
         if _telemetry.enabled:
             _telemetry.metrics.counter("sim_phase_cache_hits").inc()
         return cached  # type: ignore[return-value]
     if _telemetry.enabled:
         _telemetry.metrics.counter("sim_phase_cache_misses").inc()
     result = _run_rings(
-        "ring_phase", mesh, rings, payload_bytes, bidirectional, _send_chunk
+        "ring_phase", mesh, rings, payload_bytes, bidirectional, _chunk_sender,
+        sim if sim is not None else Simulator(),
     )
     while len(_PHASE_CACHE) >= _PHASE_CACHE_MAXSIZE:
         _PHASE_CACHE.popitem(last=False)
@@ -186,15 +217,20 @@ def _attributed_phase(phase: str, simulate, *args) -> float:
     (virtual seconds the schedule would take on hardware) while
     ``sim_phase_wall_seconds`` accumulates the wall-clock cost of producing
     it — the simulated/measured split that lets a report show both phase
-    attributions side by side.
+    attributions side by side.  ``sim_phase_events`` is that cost as a
+    count: the heap events processed for the answer on the simulator handed
+    to ``simulate`` as its last argument (none when the memo answered).
     """
     t0 = _perf()
-    modeled = simulate(*args)
+    sim = Simulator()
+    modeled = simulate(*args, sim)
     if _telemetry.enabled:
         m = _telemetry.metrics
         m.counter("sim_phase_modeled_seconds", phase=phase).inc(modeled)
         m.counter("sim_phase_wall_seconds", phase=phase).inc(_perf() - t0)
         m.counter("sim_phase_runs", phase=phase).inc()
+        if sim.events_processed:
+            m.counter("sim_phase_events", phase=phase).inc(sim.events_processed)
     return modeled
 
 
@@ -237,8 +273,7 @@ class DegradedScheduleResult:
 
 def _send_chunk_with_faults(
     sim: Simulator,
-    channels,
-    segment,
+    hops,
     chunk_bytes: float,
     plan: FaultPlan,
     policy: RetryPolicy,
@@ -251,7 +286,7 @@ def _send_chunk_with_faults(
     ``policy.max_attempts`` raises :class:`LinkDownError` into the schedule
     (failing the whole collective, as a synchronous fleet would observe).
     """
-    for link in segment:
+    for link, channel in hops:
         attempt = 0
         while True:
             factor = plan.link_factor(link.src, link.dst, sim.now)
@@ -262,9 +297,7 @@ def _send_chunk_with_faults(
                         _telemetry.metrics.counter(
                             "resilience_degraded_transfers"
                         ).inc()
-                yield from channels[(link.src, link.dst)].transfer(
-                    chunk_bytes, factor=factor
-                )
+                yield from channel.transfer(chunk_bytes, factor=factor)
                 break
             attempt += 1
             result.retries += 1
@@ -284,8 +317,7 @@ def _simulate_degraded_phase(
     policy: RetryPolicy | None,
     bidirectional: bool,
 ) -> DegradedScheduleResult:
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
+    _check_payload(payload_bytes)
     if isinstance(rings, Ring):
         rings = [rings]
     policy = policy if policy is not None else RetryPolicy()
@@ -301,9 +333,16 @@ def _simulate_degraded_phase(
             "%s: %d of %d rings dropped (fewer than 2 survivors)",
             phase, result.dropped_rings, len(rings),
         )
-    send = partial(_send_chunk_with_faults, plan=plan, policy=policy, result=result)
+
+    def sender(sim: Simulator, hops):
+        # Every link is looked up in the plan at the time the chunk reaches
+        # it: one process per chunk, whatever the segment's length.
+        return lambda chunk_bytes: sim.process(
+            _send_chunk_with_faults(sim, hops, chunk_bytes, plan, policy, result)
+        )
+
     result.seconds = _attributed_phase(
-        phase, _run_rings, phase, mesh, healed, payload_bytes, bidirectional, send
+        phase, _run_rings, phase, mesh, healed, payload_bytes, bidirectional, sender
     )
     return result
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from math import inf
 from typing import Any, Callable, Generator, Iterable
 
 logger = logging.getLogger("repro.sim")
@@ -89,9 +90,11 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        super().__init__(sim)
+        # One chained comparison refuses negative, infinite and NaN delays:
+        # a NaN key would break the heap order for every later event.
+        if not 0 <= delay < inf:
+            raise SimulationError(f"timeout must be finite and non-negative, got {delay}")
+        Event.__init__(self, sim)  # direct: one per event, and super() is not free
         self.delay = delay
         self._triggered = True
         self._value = value
@@ -221,6 +224,13 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
+    @property
+    def events_processed(self) -> int:
+        """Events popped off the heap so far: a machine-independent count of
+        the work a run did.  Every scheduled event takes one sequence
+        number, so this is the numbers handed out minus what still waits."""
+        return self._seq - len(self._heap)
+
     def _schedule(self, event: Event, delay: float) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
@@ -234,6 +244,24 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, time: float, value: Any = None) -> Event:
+        """An event firing at the absolute time ``time`` (not before now).
+
+        For a caller that already knows *when* — a FIFO link that has
+        decided a transfer's slot — the heap key is the caller's float
+        itself, not ``now + (time - now)``, which can round differently.
+        """
+        if not self._now <= time < inf:
+            raise SimulationError(
+                f"absolute time must be finite and not in the past, got {time} at t={self._now}"
+            )
+        event = Event(self)
+        event._triggered = True
+        event._value = value
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, event))
+        return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a generator as a concurrent process."""

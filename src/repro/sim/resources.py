@@ -6,12 +6,16 @@
   buffer of Section 3.5).
 * :class:`Channel` — a point-to-point link that serializes transfers at a
   fixed bandwidth with a per-message latency; the building block for
-  link-level collective schedules.
+  link-level collective schedules.  It admits transfers by reservation and
+  does not use :class:`Resource`, which stays as the reference FIFO server
+  the channel tests build their oracle link from.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from math import inf
 from typing import Any
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -128,9 +132,17 @@ class Store:
 class Channel:
     """A directed link moving messages at ``bandwidth`` bytes/s.
 
-    Transfers are serialized (the link is a single server); each transfer
-    occupies the link for ``latency + nbytes / bandwidth`` seconds.  This is
-    the standard alpha-beta link model used by the collective schedules.
+    Transfers are serialized (the link is a FIFO single server); each
+    transfer occupies the link for ``latency + nbytes / bandwidth`` seconds.
+    This is the standard alpha-beta link model used by the collective
+    schedules.
+
+    The service time is known when a transfer asks, so the link admits it by
+    *reservation*: its slot ``[start, start + duration)`` with ``start =
+    max(now, free_at)`` is decided on the spot and one completion event is
+    scheduled at the absolute time ``start + duration`` — the same floats a
+    queue of waiters granted one by one would produce, without a grant
+    event, a waiter queue or a release.
 
     Pass ``trace=`` to record every transfer's occupancy window as a
     :class:`~repro.sim.trace.TraceEvent` (actor ``actor`` or the channel
@@ -157,7 +169,7 @@ class Channel:
         self.name = name
         self.trace = trace
         self.actor = actor or name or "channel"
-        self._server = Resource(sim, capacity=1)
+        self._free_at = 0.0
         self.bytes_moved = 0.0
         self.busy_time = 0.0
 
@@ -167,26 +179,42 @@ class Channel:
         ``factor`` scales the effective bandwidth (a degraded link runs at
         ``factor * bandwidth``); it must be positive — a fully down link is
         modeled by the retry logic of the fault-aware schedules, not here.
+        A NaN or infinite result is refused: it would become the link's
+        ``free_at`` and poison every later transfer.
         """
         if factor <= 0:
             raise SimulationError("bandwidth factor must be positive")
-        return self.latency + nbytes / (self.bandwidth * factor)
+        duration = self.latency + nbytes / (self.bandwidth * factor)
+        if not duration < inf:
+            raise SimulationError(
+                f"transfer time must be finite, got {duration} for {nbytes} bytes"
+            )
+        return duration
 
-    def transfer(self, nbytes: float, factor: float = 1.0, label: str = ""):
-        """Process helper: move ``nbytes`` over the link (FIFO-serialized)."""
+    def send(self, nbytes: float, factor: float = 1.0, label: str = "") -> Event:
+        """Reserve the link's next free slot; the event fires on completion.
+
+        ``bytes_moved``, ``busy_time`` and the trace record are written when
+        the event fires, before anything waiting on it resumes.
+        """
         if nbytes < 0:
             raise SimulationError("transfer size must be non-negative")
         duration = self.transfer_time(nbytes, factor)
-        req = self._server.acquire()
-        yield req
-        try:
-            start = self.sim.now
-            yield self.sim.timeout(duration)
-            self.bytes_moved += nbytes
-            self.busy_time += duration
-            if self.trace is not None:
-                self.trace.record(
-                    self.actor, label or "transfer", start, duration, "comm"
-                )
-        finally:
-            self._server.release()
+        now = self.sim.now
+        start = self._free_at if self._free_at > now else now
+        done = self.sim.timeout_at(start + duration)  # refuses an overflow to inf
+        self._free_at = start + duration
+        done.callbacks.append(partial(self._completed, nbytes, start, duration, label))
+        return done
+
+    def _completed(
+        self, nbytes: float, start: float, duration: float, label: str, event: Event
+    ) -> None:
+        self.bytes_moved += nbytes
+        self.busy_time += duration
+        if self.trace is not None:
+            self.trace.record(self.actor, label or "transfer", start, duration, "comm")
+
+    def transfer(self, nbytes: float, factor: float = 1.0, label: str = ""):
+        """Process helper: ``yield from`` it to send and wait for completion."""
+        yield self.send(nbytes, factor, label)

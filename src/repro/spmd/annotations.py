@@ -8,6 +8,7 @@ its classmethods (``Sharding.replicate`` / ``Sharding.split`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -33,20 +34,23 @@ class Sharding:
 
     # --- supported constructors ----------------------------------------
 
+    # Interned: the partitioner asks for the same few layouts once per
+    # node per candidate, and a frozen value can be shared.
+
     @classmethod
     def replicate(cls, num_shards: int) -> "Sharding":
         """Fully replicated over ``num_shards`` cores."""
-        return cls(num_shards=num_shards)
+        return _interned(num_shards, None, False)
 
     @classmethod
     def split(cls, num_shards: int, dim: int) -> "Sharding":
         """Split along tensor dimension ``dim`` over ``num_shards`` cores."""
-        return cls(num_shards=num_shards, dim=dim)
+        return _interned(num_shards, dim, False)
 
     @classmethod
     def partial_sum(cls, num_shards: int) -> "Sharding":
         """Every core holds a partial sum (pending all-reduce)."""
-        return cls(num_shards=num_shards, partial=True)
+        return _interned(num_shards, None, True)
 
     # --- inspection -----------------------------------------------------
 
@@ -67,3 +71,7 @@ class Sharding:
             return "replicated"
         return f"split(dim={self.dim}, {self.num_shards})"
 
+
+@lru_cache(maxsize=1024)
+def _interned(num_shards: int, dim: int | None, partial: bool) -> Sharding:
+    return Sharding(num_shards, dim, partial)

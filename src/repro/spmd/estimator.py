@@ -109,10 +109,11 @@ def estimate_cost(
         core_flops_rate = mesh.chip.per_core_matmul_flops * mxu_efficiency
     hbm_per_core = mesh.chip.hbm_bandwidth / mesh.chip.cores
     graph = pg.graph
+    tables = graph.tables()
     compute = 0.0
     serial = 0.0
     for node in graph.topological():
-        flops = graph.node_flops(node) * fwd_bwd_factor
+        flops = tables.flops[node.id] * fwd_bwd_factor
         if flops == 0.0:
             continue
         serial += per_op_overhead
@@ -122,7 +123,7 @@ def estimate_cost(
         factor = _tile_factor(node, pg.compute_shardings[node.id])
         if node.op in ("elementwise", "add"):
             # Memory bound: read inputs + write output through HBM.
-            traffic = 3.0 * node.output_bytes() * fwd_bwd_factor
+            traffic = 3.0 * tables.output_bytes[node.id] * fwd_bwd_factor
             compute += traffic * factor / hbm_per_core
         else:
             compute += flops * factor / core_flops_rate

@@ -49,6 +49,15 @@ class Node:
         return self.elements * (self.dtype_bytes if dtype_bytes is None else dtype_bytes)
 
 
+@dataclass(frozen=True)
+class GraphTables:
+    """What every candidate layout of one graph reads, by node id."""
+
+    flops: tuple[float, ...]
+    output_bytes: tuple[float, ...]
+    ids_by_name: dict[str, int]
+
+
 class Graph:
     """A tensor program under construction (SSA, topologically ordered)."""
 
@@ -58,6 +67,7 @@ class Graph:
         self.name = name
         self.dtype_bytes = dtype_bytes
         self.nodes: list[Node] = []
+        self._tables: GraphTables | None = None
 
     def node(self, node_id: int) -> Node:
         if not 0 <= node_id < len(self.nodes):
@@ -76,6 +86,7 @@ class Graph:
             dtype_bytes=self.dtype_bytes if dtype_bytes is None else dtype_bytes,
         )
         self.nodes.append(node)
+        self._tables = None
         return node.id
 
     # --- builders -------------------------------------------------------
@@ -166,6 +177,22 @@ class Graph:
         if node.op == "reduce":
             return float(self.node(node.inputs[0]).elements)
         return 0.0
+
+    def tables(self) -> GraphTables:
+        """Per-node FLOPs and output bytes and the name -> id map.
+
+        Nodes are immutable and only ever appended, so the tables are built
+        on first use and dropped by the next ``_add``: a search scoring
+        thousands of layouts of one graph pays for them once.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = GraphTables(
+                flops=tuple(self.node_flops(n) for n in self.nodes),
+                output_bytes=tuple(n.output_bytes() for n in self.nodes),
+                ids_by_name={n.name: n.id for n in self.nodes},
+            )
+        return tables
 
     def total_flops(self) -> float:
         return sum(self.node_flops(n) for n in self.nodes)

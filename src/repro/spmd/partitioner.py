@@ -20,6 +20,7 @@ minimization; ``V07_FEATURES`` has them all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.spmd.annotations import Sharding
 from repro.spmd.ir import Graph, Node
@@ -73,6 +74,11 @@ class PartitionedGraph:
     """Layout each op *computed under* (what the cost estimator needs)."""
     comm_ops: list[CommOp] = field(default_factory=list)
     serial_nodes: set[int] = field(default_factory=set)
+    seeds: dict[int, Sharding] = field(default_factory=dict)
+    """The seed layouts this propagation started from."""
+    comm_marks: list[int] = field(default_factory=list)
+    """``len(comm_ops)`` when each node's turn came: with it, the state the
+    pass was in before any node can be rebuilt (:func:`repartition`)."""
 
     def sharding(self, node_id: int) -> Sharding:
         return self.shardings[node_id]
@@ -135,19 +141,72 @@ def partition(
                 f"seed for node {node_id} has {sharding.num_shards} shards, "
                 f"partitioner uses {num_shards}"
             )
-    pg = PartitionedGraph(graph=graph, num_shards=num_shards, features=features)
+    pg = PartitionedGraph(
+        graph=graph, num_shards=num_shards, features=features, seeds=dict(seeds)
+    )
+    return _propagate(pg, 0)
+
+
+def repartition(
+    parent: PartitionedGraph, node_id: int, sharding: Sharding
+) -> PartitionedGraph:
+    """``parent``'s propagation with one more seed, resumed at that node.
+
+    Nodes are visited in id order and a node's rule reads only its inputs,
+    so everything ``parent`` decided before ``node_id``'s turn holds for the
+    new seed set too.  That state is rebuilt from ``parent`` (which is not
+    modified) and the one pass continues from ``node_id``: the result
+    equals ``partition(graph, {**parent.seeds, node_id: sharding}, ...)``
+    field for field, for the cost of the nodes from ``node_id`` on.
+    """
+    if sharding.num_shards != parent.num_shards:
+        raise ValueError(
+            f"seed for node {node_id} has {sharding.num_shards} shards, "
+            f"partitioner uses {parent.num_shards}"
+        )
+    if node_id in parent.seeds:
+        raise ValueError(f"node {node_id} already has a seed")
+    parent.graph.node(node_id)  # raises ShapeError on unknown ids
+    mark = parent.comm_marks[node_id]
+    shardings = dict(islice(parent.shardings.items(), node_id))
+    for op in islice(parent.comm_ops, mark, None):
+        # The only rule that changes an *earlier* node's layout is the
+        # all-reduce of a partial operand at first use; the ones logged
+        # from ``node_id``'s turn on have not happened yet.
+        if op.kind == "all_reduce" and op.node_id < node_id:
+            shardings[op.node_id] = parent.compute_shardings[op.node_id]
+    pg = PartitionedGraph(
+        graph=parent.graph,
+        num_shards=parent.num_shards,
+        features=parent.features,
+        shardings=shardings,
+        compute_shardings=dict(islice(parent.compute_shardings.items(), node_id)),
+        comm_ops=parent.comm_ops[:mark],
+        serial_nodes={n for n in parent.serial_nodes if n < node_id},
+        seeds={**parent.seeds, node_id: sharding},
+        comm_marks=parent.comm_marks[:node_id],
+    )
+    return _propagate(pg, node_id)
+
+
+def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
+    """Visit the nodes from ``start`` on; ``pg`` holds the state before it."""
+    graph, seeds, features = pg.graph, pg.seeds, pg.features
+    num_shards = pg.num_shards
     if num_shards == 1:
-        for node in graph.topological():
+        for node in graph.nodes[start:]:
+            pg.comm_marks.append(0)
             pg._set(node.id, Sharding.replicate(1))
         return pg
+
+    output_bytes = graph.tables().output_bytes
 
     def resolve_partial(node_id: int) -> Sharding:
         """All-reduce a partial value before a consumer that needs it."""
         s = pg.shardings[node_id]
         if not s.partial:
             return s
-        node = graph.node(node_id)
-        pg.comm_ops.append(CommOp("all_reduce", node_id, node.output_bytes()))
+        pg.comm_ops.append(CommOp("all_reduce", node_id, output_bytes[node_id]))
         s = Sharding.replicate(num_shards)
         pg.shardings[node_id] = s  # layout change only; compute ran as partial
         return s
@@ -159,12 +218,12 @@ def partition(
             resolve_partial(node_id)
             return
         if s.dim is not None:
-            node = graph.node(node_id)
-            pg.comm_ops.append(CommOp("all_gather", node_id, node.output_bytes()))
+            pg.comm_ops.append(CommOp("all_gather", node_id, output_bytes[node_id]))
 
     reshard_steps = 1 if features.minimize_reshards else 2
 
-    for node in graph.topological():
+    for node in graph.nodes[start:]:
+        pg.comm_marks.append(len(pg.comm_ops))
         if node.op in ("input", "parameter"):
             pg._set(node.id, seeds.get(node.id, Sharding.replicate(num_shards)))
             continue
@@ -223,12 +282,11 @@ def partition(
             for other_id, other in zip(node.inputs[1:], in_shardings[1:]):
                 if other.dim != chosen.dim and not other.replicated and not chosen.replicated:
                     # Layout mismatch: reshard the second operand.
-                    other_node = graph.node(other_id)
                     pg.comm_ops.append(
                         CommOp(
                             "reshard",
                             other_id,
-                            other_node.output_bytes() / num_shards,
+                            output_bytes[other_id] / num_shards,
                             steps=reshard_steps,
                         )
                     )

@@ -11,9 +11,9 @@ Mirrors the ``TrainerConfig``/``make_trainer``/``StepResult`` pattern of
   assignments, the inserted :class:`~repro.spmd.partitioner.CommOp`\\ s and
   the :class:`~repro.spmd.estimator.PartitionCost`.
 
-The legacy free functions (``replicated``/``split``/``partial``,
-``partition``, ``estimate_cost``) keep working but warn unless reached
-through this facade.
+The propagation pass (:func:`repro.spmd.partitioner.partition`) and the
+estimator (:func:`repro.spmd.estimator.estimate_cost`) stay importable for
+code that needs one without the other (Figure 9's speedup curves).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.spmd.partitioner import (
     V06_FEATURES,
     V07_FEATURES,
     partition,
+    repartition,
 )
 
 #: feature-set names accepted by :func:`make_partitioner`.
@@ -89,7 +90,6 @@ class ShardingSpec:
     def resolve(self, graph: Graph) -> dict[int, Sharding]:
         """Map every assignment to a node id in ``graph``."""
         handles: dict[str, int] = getattr(graph, "handles", {}) or {}
-        by_name = {n.name: n.id for n in graph.nodes}
         out: dict[int, Sharding] = {}
         for ref, sharding in self.assignments:
             if isinstance(ref, int):
@@ -97,7 +97,7 @@ class ShardingSpec:
                 graph.node(node_id)  # raises ShapeError on unknown ids
             elif ref in handles:
                 node_id = handles[ref]
-            elif ref in by_name:
+            elif ref in (by_name := graph.tables().ids_by_name):
                 node_id = by_name[ref]
             else:
                 raise KeyError(
@@ -173,6 +173,30 @@ class Partitioner:
         """Propagate ``spec`` through ``graph`` and cost the result."""
         seeds = spec.resolve(graph)
         pg = partition(graph, seeds, spec.num_shards, self.features)
+        return self._costed(graph, spec, pg)
+
+    def extend(
+        self, plan: PartitionPlan, node_id: int, sharding: Sharding
+    ) -> PartitionPlan:
+        """``plan`` with one more tensor assigned a layout, re-propagated
+        only from that tensor on (:func:`~repro.spmd.partitioner.repartition`).
+
+        Equal, field for field, to ``partition(graph, spec)`` with the
+        assignment appended to ``plan.spec`` — what lets a search score a
+        mutation of a layout for the cost of the subgraph it touches.
+        ``plan`` must have been made with this partitioner's feature set.
+        """
+        if plan.partitioned.features != self.features:
+            raise ValueError("plan was partitioned under a different feature set")
+        spec = ShardingSpec(
+            plan.spec.num_shards, plan.spec.assignments + ((node_id, sharding),)
+        )
+        pg = repartition(plan.partitioned, node_id, sharding)
+        return self._costed(plan.graph, spec, pg)
+
+    def _costed(
+        self, graph: Graph, spec: ShardingSpec, pg: PartitionedGraph
+    ) -> PartitionPlan:
         cost = estimate_cost(pg, self.mesh, mxu_efficiency=self.mxu_efficiency)
         return PartitionPlan(graph=graph, spec=spec, partitioned=pg, cost=cost)
 

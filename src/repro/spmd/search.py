@@ -137,24 +137,20 @@ def seedable_nodes(graph: Graph, seed_nodes: str) -> list[Node]:
 
 @dataclass
 class _Candidate:
-    """One beam entry: a (partial) assignment and its scored plan."""
+    """One beam entry: a (partial) assignment and its scored plan.
 
-    assignment: tuple[tuple[int, Sharding], ...]
+    ``key`` is the assignment's canonical form: its non-replicated entries
+    ``(node id, dim, partial)`` in node order.  Assigning "replicate" leaves
+    the key, and so the plan, unchanged.
+    """
+
+    key: tuple[tuple[int, int | None, bool], ...]
     plan: PartitionPlan
     tiebreak: float
 
     @property
     def cost(self) -> float:
         return self.plan.total_seconds
-
-
-def _spec_for(
-    num_shards: int, assignment: tuple[tuple[int, Sharding], ...]
-) -> ShardingSpec:
-    non_trivial = tuple(
-        (nid, s) for nid, s in assignment if not s.replicated
-    )
-    return ShardingSpec(num_shards=num_shards, assignments=non_trivial)
 
 
 def search_partitioning(
@@ -177,34 +173,45 @@ def search_partitioning(
         derive_subseed(config.seed, "spmd_search", graph.name, str(k))
     )
 
-    baseline = partitioner.partition(graph, ShardingSpec.replicated(k))
     nodes = seedable_nodes(graph, config.seed_nodes)
 
-    expanded = 0
-    pruned = 0
+    baseline = partitioner.partition(graph, ShardingSpec.replicated(k))
+    # Plans propagated by this call, by candidate key; None where
+    # propagation is infeasible.  A key is propagated once, and from its
+    # beam parent's plan on (``Partitioner.extend``), not from the graph's
+    # first node.  The table dies with the call: nothing keyed on
+    # (graph, config) or (graph, spec) may outlive one search.
+    propagated: dict[tuple, PartitionPlan | None] = {(): baseline}
     # Best plans seen anywhere in the search, deduplicated by assignment.
     pool: dict[tuple, _Candidate] = {}
+    expanded = 0
+    pruned = 0
 
-    def score(
-        assignment: tuple[tuple[int, Sharding], ...]
-    ) -> _Candidate | None:
+    def score(key: tuple) -> _Candidate | None:
+        """Count one candidate whose key has been propagated."""
         nonlocal expanded, pruned
         expanded += 1
-        spec = _spec_for(k, assignment)
-        try:
-            plan = partitioner.partition(graph, spec)
-        except (NotImplementedError, ValueError, KeyError):
-            # Propagation infeasible under this feature set: prune.
+        plan = propagated[key]
+        if plan is None:
             pruned += 1
             return None
-        cand = _Candidate(
-            assignment=assignment, plan=plan, tiebreak=float(rng.random())
-        )
-        key = tuple((nid, s.dim, s.partial) for nid, s in assignment if not s.replicated)
-        best = pool.get(key)
-        if best is None or cand.cost < best.cost:
-            pool[key] = cand
+        # One draw per feasible scored candidate, in scoring order.
+        cand = _Candidate(key=key, plan=plan, tiebreak=float(rng.random()))
+        pool.setdefault(key, cand)
         return cand
+
+    def extended(parent: _Candidate, node: Node, sharding: Sharding) -> tuple:
+        """Key of ``parent`` with ``node`` laid out as ``sharding``."""
+        if sharding.replicated:
+            return parent.key  # the parent's own plan
+        key = parent.key + ((node.id, sharding.dim, sharding.partial),)
+        if key not in propagated:
+            try:
+                propagated[key] = partitioner.extend(parent.plan, node.id, sharding)
+            except (NotImplementedError, ValueError, KeyError):
+                # Propagation infeasible under this feature set: prune.
+                propagated[key] = None
+        return key
 
     root = score(())
     assert root is not None  # the replicated assignment always propagates
@@ -216,7 +223,7 @@ def search_partitioning(
         frontier: list[_Candidate] = []
         for cand in beam:
             for sharding in candidate_shardings(node, k):
-                nxt = score(cand.assignment + ((node.id, sharding),))
+                nxt = score(extended(cand, node, sharding))
                 if nxt is not None:
                     frontier.append(nxt)
         if frontier:
@@ -251,6 +258,7 @@ def search_partitioning(
         m.counter("spmd_search_runs").inc()
         m.counter("spmd_search_candidates_expanded").inc(expanded)
         m.counter("spmd_search_candidates_pruned").inc(pruned)
+        m.counter("spmd_search_partitions_run").inc(len(propagated))
         m.counter("spmd_search_plans_validated").inc(len(validations))
         m.counter("spmd_search_plans_returned").inc(len(plans))
     return SearchResult(

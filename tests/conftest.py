@@ -42,3 +42,14 @@ def the_multipod() -> TorusMesh:
 @pytest.fixture
 def pod() -> TorusMesh:
     return single_pod()
+
+
+@pytest.fixture
+def fresh_telemetry():
+    """Telemetry on, every counter at zero before and after the test."""
+    from repro import telemetry
+
+    telemetry.enable()
+    telemetry.reset()
+    yield telemetry.metrics
+    telemetry.reset()

@@ -5,15 +5,23 @@ simulation of a ring schedule must reproduce the analytic cost exactly for
 uncontended rings and for the contended model-peer rings.
 """
 
+import threading
+from collections import OrderedDict
+
 import pytest
 
+from repro import telemetry
+from repro.comm import schedule
 from repro.comm.cost import reduce_scatter_time, ring_cost_for
 from repro.comm.schedule import (
+    simulate_degraded_all_gather,
+    simulate_degraded_reduce_scatter,
     simulate_ring_all_gather,
     simulate_ring_reduce_scatter,
 )
-from repro.hardware.rings import model_peer_ring, x_line, y_ring
+from repro.hardware.rings import all_y_rings, model_peer_ring, x_line, y_ring
 from repro.hardware.topology import TorusMesh, slice_for_chips
+from repro.resilience.faults import FaultPlan
 
 PAYLOAD = 1.0e6
 
@@ -101,3 +109,99 @@ class TestEdgeCases:
     def test_negative_payload_rejected(self, pod):
         with pytest.raises(ValueError):
             simulate_ring_reduce_scatter(pod, y_ring(pod, 0), -1.0)
+
+
+class TestPayloadsAreRefusedAtTheDoor:
+    """A NaN payload used to come back as a NaN time *and* leave a memo
+    entry no later call could hit (``nan != nan``), evicting a real one."""
+
+    @pytest.mark.parametrize("payload", [float("nan"), float("inf"), -1.0])
+    def test_healthy_phase(self, payload):
+        mesh = TorusMesh(2, 4, wrap_y=True)
+        memo = dict(schedule._PHASE_CACHE)
+        for simulate in (simulate_ring_reduce_scatter, simulate_ring_all_gather):
+            with pytest.raises(ValueError, match="payload_bytes"):
+                simulate(mesh, y_ring(mesh, 0), payload)
+        assert dict(schedule._PHASE_CACHE) == memo
+
+    @pytest.mark.parametrize("payload", [float("nan"), float("inf"), -1.0])
+    def test_degraded_phase(self, payload):
+        mesh = TorusMesh(2, 4, wrap_y=True)
+        for simulate in (simulate_degraded_reduce_scatter, simulate_degraded_all_gather):
+            with pytest.raises(ValueError, match="payload_bytes"):
+                simulate(mesh, y_ring(mesh, 0), payload, FaultPlan())
+
+
+class TestPhaseMemoUnderThreads:
+    def test_a_hit_survives_eviction_between_get_and_move_to_end(self, monkeypatch):
+        """The service runs two workers.  With the memo full, one worker's
+        miss can evict the key another has just read; the reader must still
+        answer.  Capacity 1 and a ``get`` that lets the second thread run to
+        completion put the eviction exactly there, every time."""
+        mesh = TorusMesh(1, 4, wrap_y=True)
+        ring = y_ring(mesh, 0)
+        evicted_by = []
+
+        class Interleaved(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not default and not evicted_by:
+                    other = threading.Thread(
+                        target=lambda: evicted_by.append(
+                            simulate_ring_reduce_scatter(mesh, ring, 2 * PAYLOAD)
+                        )
+                    )
+                    other.start()
+                    other.join(timeout=60)
+                    assert not other.is_alive()
+                return value
+
+        cache = Interleaved()
+        monkeypatch.setattr(schedule, "_PHASE_CACHE", cache)
+        monkeypatch.setattr(schedule, "_PHASE_CACHE_MAXSIZE", 1)
+        cold = simulate_ring_reduce_scatter(mesh, ring, PAYLOAD)
+        warm = simulate_ring_reduce_scatter(mesh, ring, PAYLOAD)
+        assert warm == cold
+        # The interleaving happened: the other thread's entry is the only one.
+        assert len(evicted_by) == 1
+        assert [key[2] for key in cache] == [2 * PAYLOAD]
+
+
+@pytest.mark.usefixtures("fresh_telemetry")
+class TestWorkCounters:
+    """The cost of a DES answer as a count of heap events, not only as time."""
+
+    @staticmethod
+    def _events(phase="reduce_scatter"):
+        return telemetry.metrics.value("sim_phase_events", phase=phase)
+
+    def test_cold_512_chip_phase_is_one_event_per_chunk_send(self):
+        mesh = slice_for_chips(512)  # 16 closed Y rings of 32
+        rings = all_y_rings(mesh)
+        # rings x directions x segments x steps; 128 032 events before
+        # links admitted by reservation (four per send).
+        chunk_sends = 16 * 2 * 32 * 31
+        simulate_ring_reduce_scatter(mesh, rings, 1234567.0)
+        assert chunk_sends <= self._events() <= 1.1 * chunk_sends
+
+    def test_every_cold_call_executes_its_events_and_a_warm_one_none(self):
+        mesh = slice_for_chips(64)
+        rings = all_y_rings(mesh)
+        simulate_ring_reduce_scatter(mesh, rings, 1.0e6 + 1)
+        first = self._events()
+        simulate_ring_reduce_scatter(mesh, rings, 1.0e6 + 2)  # never seen: cold
+        assert first > 0 and self._events() == 2 * first
+        simulate_ring_reduce_scatter(mesh, rings, 1.0e6 + 2)  # the memo answers
+        assert self._events() == 2 * first
+        assert telemetry.metrics.total("sim_phase_cache_hits") == 1
+
+    def test_hop_over_and_fault_leaves_keep_a_process_per_chunk(self):
+        mesh = slice_for_chips(64)
+        peers = [model_peer_ring(mesh, 0, 2, p) for p in range(2)]
+        simulate_ring_reduce_scatter(mesh, peers, PAYLOAD + 3)
+        # 2 rings x 3 segments x 3 steps, each a process (bootstrap, one
+        # event per link, completion) of two links.
+        sends = 2 * 3 * 3
+        assert self._events() >= 4 * sends
+        simulate_degraded_reduce_scatter(mesh, all_y_rings(mesh), PAYLOAD, FaultPlan())
+        assert self._events("reduce_scatter_degraded") >= 3 * (8 * 7 * 7)

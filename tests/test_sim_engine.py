@@ -301,3 +301,70 @@ class TestUnhandledFailures:
         sim.process(waiter(sim, children))
         sim.run()
         assert caught == ["child died"]
+
+
+class TestTimesAreRefusedAtTheDoor:
+    """A NaN heap key compares false with everything: before it was refused,
+    processes due at 1.0, nan, 0.5, 2.0 fired as 0.5, 1.0, nan, 2.0 and
+    ``now`` read nan in between."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1e-9])
+    def test_timeout_refuses_a_non_finite_or_negative_delay(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.timeout(delay)
+        assert sim.run() == 0.0  # nothing was scheduled
+
+    def test_a_process_yielding_a_nan_timeout_fails_instead_of_reordering(self):
+        sim = Simulator()
+        fired = []
+
+        def p(sim, delay):
+            yield sim.timeout(delay)
+            fired.append(sim.now)
+
+        for delay in (1.0, float("nan"), 0.5, 2.0):
+            sim.process(p(sim, delay))
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert sim.now == 0.0 and fired == []
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), 0.999])
+    def test_timeout_at_refuses_a_non_finite_or_past_time(self, time):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.timeout_at(time)
+
+    def test_timeout_at_fires_at_the_callers_float(self):
+        sim = Simulator()
+        sim.run(until=0.96)
+        when = 10.44  # a relative timeout would fire at 10.440000000000001
+        assert 0.96 + (when - 0.96) != when
+        seen = []
+
+        def p(sim):
+            value = yield sim.timeout_at(when, "v")
+            seen.append((sim.now, value))
+
+        sim.process(p(sim))
+        sim.timeout_at(sim.now)  # "now" is not the past
+        sim.run()
+        assert seen == [(when, "v")]
+
+
+class TestEventsProcessed:
+    def test_counts_what_run_popped(self):
+        sim = Simulator()
+        assert sim.events_processed == 0
+
+        def ticker(sim):
+            for _ in range(5):
+                yield sim.timeout(1.0)
+
+        sim.process(ticker(sim))
+        sim.run(until=2.5)
+        partway = sim.events_processed
+        sim.run()
+        # bootstrap + 5 timeouts + the process's own completion event
+        assert 0 < partway < sim.events_processed == 7

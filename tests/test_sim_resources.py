@@ -1,9 +1,12 @@
 """Resource, Store, and Channel tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator, SimulationError
 from repro.sim.resources import Channel, Resource, Store
+from repro.sim.trace import Trace
 
 
 class TestResource:
@@ -200,3 +203,114 @@ class TestChannel:
         sim.process(sender(sim))
         with pytest.raises(SimulationError):
             sim.run()
+
+
+class _ReferenceLink:
+    """The FIFO single server as ``Channel`` ran it before it admitted by
+    reservation: a capacity-1 :class:`Resource`, one grant event per
+    transfer, the service time as a ``timeout`` from the grant."""
+
+    def __init__(self, sim, bandwidth, latency, trace):
+        self.sim, self.bandwidth, self.latency, self.trace = sim, bandwidth, latency, trace
+        self.server = Resource(sim, capacity=1)
+        self.bytes_moved = 0.0
+        self.busy_time = 0.0
+
+    def transfer(self, nbytes, factor=1.0, label=""):
+        duration = self.latency + nbytes / (self.bandwidth * factor)
+        yield self.server.acquire()
+        try:
+            start = self.sim.now
+            yield self.sim.timeout(duration)
+            self.bytes_moved += nbytes
+            self.busy_time += duration
+            self.trace.record("link", label or "transfer", start, duration, "comm")
+        finally:
+            self.server.release()
+
+
+def _completion_times(make_link, arrivals):
+    """Run one transfer per ``(arrival, nbytes, factor)``; finish time each."""
+    sim = Simulator()
+    trace = Trace()
+    link = make_link(sim, trace)
+    finished = [None] * len(arrivals)
+
+    def sender(i, arrival, nbytes, factor):
+        yield sim.timeout(arrival)
+        yield from link.transfer(nbytes, factor, label=f"t{i}")
+        finished[i] = sim.now
+
+    for i, arrival in enumerate(arrivals):
+        sim.process(sender(i, *arrival))
+    sim.run()
+    return finished, link.bytes_moved, link.busy_time, trace.events
+
+
+#: Arrival times from a small set as well as a continuum: ties (several
+#: transfers asking at one instant, or at the instant the link falls free)
+#: are the interesting case.
+_arrival = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 4.0))
+_transfer = st.tuples(
+    _arrival,
+    st.one_of(st.sampled_from([0.0, 50.0, 100.0]), st.floats(0.0, 1e3)),
+    st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+)
+
+
+class TestChannelAdmission:
+    @given(
+        arrivals=st.lists(_transfer, min_size=1, max_size=12),
+        latency=st.sampled_from([0.0, 0.25, 1e-6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reservation_is_the_fifo_server(self, arrivals, latency):
+        """Same finish time for every transfer, to the bit, and the same
+        statistics and trace records, as the grant-by-grant FIFO link."""
+        reserved = _completion_times(
+            lambda sim, trace: Channel(sim, 100.0, latency, trace=trace, actor="link"),
+            arrivals,
+        )
+        reference = _completion_times(
+            lambda sim, trace: _ReferenceLink(sim, 100.0, latency, trace), arrivals
+        )
+        assert reserved == reference
+
+    def test_one_heap_event_per_send(self):
+        sim = Simulator()
+        ch = Channel(sim, bandwidth=100.0)
+        events = [ch.send(100.0), ch.send(50.0), ch.send(0.0)]
+        assert ch.bytes_moved == 0.0  # written at completion, not at reservation
+        assert sim.run() == 1.5
+        assert sim.events_processed == len(events)
+        assert (ch.bytes_moved, ch.busy_time) == (150.0, 1.5)
+
+    def test_stats_are_written_before_a_waiter_resumes(self):
+        sim = Simulator()
+        ch = Channel(sim, bandwidth=100.0)
+        seen = []
+
+        def sender(sim):
+            yield ch.send(100.0)
+            seen.append((sim.now, ch.bytes_moved, ch.busy_time))
+
+        sim.process(sender(sim))
+        sim.run()
+        assert seen == [(1.0, 100.0, 1.0)]
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), -1.0])
+    def test_send_refuses_a_bad_size(self, nbytes):
+        sim = Simulator()
+        ch = Channel(sim, bandwidth=100.0)
+        with pytest.raises(SimulationError):
+            ch.send(nbytes)
+        # The refused transfer reserved nothing: the link is still free now.
+        done = ch.send(100.0)
+        sim.run()
+        assert done.triggered and sim.now == 1.0
+
+    @pytest.mark.parametrize("factor", [float("nan"), 0.0, -0.5, 1e-320])
+    def test_transfer_time_refuses_a_bad_factor(self, factor):
+        ch = Channel(Simulator(), bandwidth=100.0)
+        with pytest.raises(SimulationError):
+            ch.transfer_time(1e300, factor)

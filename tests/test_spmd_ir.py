@@ -107,3 +107,25 @@ class TestFlops:
         g = Graph()
         x = g.input((4, 4))
         assert g.node(x).output_bytes(2) == 32
+
+
+class TestTables:
+    def test_tables_hold_what_the_per_node_readers_compute(self):
+        g = Graph()
+        a = g.input((8, 16), name="a")
+        b = g.parameter((16, 4), name="b")
+        g.matmul(a, b, name="y")
+        tables = g.tables()
+        assert tables.flops == tuple(g.node_flops(n) for n in g.nodes)
+        assert tables.output_bytes == tuple(n.output_bytes() for n in g.nodes)
+        assert tables.ids_by_name == {"a": 0, "b": 1, "y": 2}
+        assert g.tables() is tables  # built once
+
+    def test_tables_are_dropped_when_a_node_is_appended(self):
+        g = Graph()
+        a = g.input((8, 16), name="a")
+        stale = g.tables()
+        g.elementwise(a, name="relu")
+        assert g.tables() is not stale
+        assert g.tables().ids_by_name == {"a": 0, "relu": 1}
+        assert len(g.tables().flops) == 2

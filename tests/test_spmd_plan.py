@@ -167,3 +167,31 @@ class TestExecutePlan:
         bad = ValidationResult(ok=False, num_nodes=5, mismatched_nodes=("x",))
         assert "bit-exact" in good.describe()
         assert "MISMATCH" in bad.describe()
+
+
+class TestSharedValues:
+    def test_sharding_constructors_return_interned_instances(self):
+        assert Sharding.replicate(4) is Sharding.replicate(4)
+        assert Sharding.split(4, 1) is Sharding.split(4, 1)
+        assert Sharding.partial_sum(4) is Sharding.partial_sum(4)
+        assert Sharding.split(4, 1) is not Sharding.split(4, 2)
+        # ...equal to, and hashing like, a directly constructed one.
+        assert Sharding.split(4, 1) == Sharding(4, dim=1)
+        assert hash(Sharding.partial_sum(2)) == hash(Sharding(2, partial=True))
+        with pytest.raises(ValueError):
+            Sharding.split(4, -1)
+        with pytest.raises(ValueError):
+            Sharding.replicate(0)
+
+    def test_resolve_builds_no_name_map_for_integer_references(self, monkeypatch):
+        g = resnet_block_graph()
+        spec = ShardingSpec(4, ((0, Sharding.split(4, 1)), ("image", Sharding.split(4, 2))))
+        with pytest.raises(ValueError, match="resolve to node 0"):
+            spec.resolve(g)  # a handle and an id naming one tensor
+        monkeypatch.setattr(Graph, "tables", lambda self: pytest.fail("name map built"))
+        assert ShardingSpec(4, ((0, Sharding.split(4, 1)),)).resolve(g) == {
+            0: Sharding.split(4, 1)
+        }
+        assert ShardingSpec(4, (("image", Sharding.split(4, 1)),)).resolve(g) == {
+            0: Sharding.split(4, 1)
+        }

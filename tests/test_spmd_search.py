@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.spmd import (
     SearchConfig,
+    Sharding,
     ShardingSpec,
     make_partitioner,
     search_partitioning,
@@ -228,3 +229,116 @@ class TestSearchPlumbing:
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
+
+
+@pytest.mark.usefixtures("fresh_telemetry")
+class TestOnePropagationPerLayout:
+    """The search propagates each distinct layout once, from its beam
+    parent's plan on -- and remembers nothing once it has returned."""
+
+    def test_ssd_all_k2_counts_are_pinned(self):
+        result = search_partitioning(
+            ssd_graph(), SearchConfig(num_shards=2, seed=0, seed_nodes="all")
+        )
+        total = telemetry.metrics.total
+        assert result.stats.candidates_expanded == total("spmd_search_candidates_expanded") == 493
+        assert result.stats.candidates_pruned == total("spmd_search_candidates_pruned") == 384
+        # Extending a layout by "replicate" is the layout itself.
+        assert 0 < total("spmd_search_partitions_run") < 493
+
+    def test_nothing_keyed_on_a_search_outlives_it(self):
+        graph = ssd_graph()
+        config = SearchConfig(num_shards=4, seed=3, seed_nodes="all")
+        runs = []
+        for _ in range(2):
+            before = telemetry.metrics.total("spmd_search_partitions_run")
+            search_partitioning(graph, config)
+            runs.append(telemetry.metrics.total("spmd_search_partitions_run") - before)
+        assert runs[0] == runs[1] > 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(GRAPHS)),
+        k=st.sampled_from([2, 4, 8]),
+        nodes=st.sampled_from(["handles", "all"]),
+        features=st.sampled_from(["v06", "v07"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_every_returned_plan_equals_a_fresh_partition(
+        self, name, k, nodes, features, seed
+    ):
+        partitioner = make_partitioner(features)
+        result = search_partitioning(
+            GRAPHS[name](),
+            SearchConfig(num_shards=k, seed=seed, seed_nodes=nodes, beam_width=4),
+            partitioner,
+        )
+        for plan in result.plans + (result.baseline,):
+            fresh = partitioner.partition(plan.graph, plan.spec)
+            assert fresh is not plan
+            _assert_same_plan(plan, fresh)
+
+
+def _assert_same_plan(plan, fresh):
+    """Field for field, floats to the bit, lists in order."""
+    assert plan.spec == fresh.spec
+    assert plan.shardings == fresh.shardings
+    assert plan.compute_shardings == fresh.compute_shardings
+    assert plan.comm_ops == fresh.comm_ops
+    assert plan.serial_nodes == fresh.serial_nodes
+    assert plan.partitioned == fresh.partitioned
+    for field in ("compute_seconds", "serial_seconds", "comm_seconds", "comm_bytes"):
+        assert getattr(plan.cost, field).hex() == getattr(fresh.cost, field).hex()
+
+
+class TestExtend:
+    """``Partitioner.extend`` resumes propagation at the new seed; the
+    result must be the plan a pass over the whole graph produces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        build=st.sampled_from([resnet_block_graph, small_transformer, ssd_graph]),
+        k=st.sampled_from([1, 2, 4]),
+        features=st.sampled_from(["v06", "v07"]),
+        data=st.data(),
+    )
+    def test_extend_equals_partition_or_fails_the_same_way(
+        self, build, k, features, data
+    ):
+        graph = build()
+        partitioner = make_partitioner(features)
+        plan = partitioner.partition(graph, ShardingSpec.replicated(k))
+        # Any node may be seeded, in any order: a seed on a computed value
+        # is ignored by propagation, a later seed may precede an earlier one.
+        order = data.draw(st.permutations(range(len(graph.nodes))))
+        for node_id in order[: data.draw(st.integers(1, 4))]:
+            node = graph.node(node_id)
+            dim = data.draw(st.sampled_from([None, *range(len(node.shape))]))
+            sharding = Sharding.replicate(k) if dim is None else Sharding.split(k, dim)
+            spec = ShardingSpec(k, plan.spec.assignments + ((node_id, sharding),))
+            try:
+                fresh = partitioner.partition(graph, spec)
+            except (NotImplementedError, ValueError, KeyError) as exc:
+                with pytest.raises(type(exc)):
+                    partitioner.extend(plan, node_id, sharding)
+                break
+            before = (dict(plan.shardings), list(plan.comm_ops), set(plan.serial_nodes))
+            extended = partitioner.extend(plan, node_id, sharding)
+            _assert_same_plan(extended, fresh)
+            # The parent plan is read, never written.
+            assert before == (plan.shardings, plan.comm_ops, plan.serial_nodes)
+            plan = extended
+
+    def test_extend_checks_what_partition_checks(self):
+        graph = resnet_block_graph()
+        v07 = make_partitioner("v07")
+        plan = v07.partition(graph, ShardingSpec.replicated(4))
+        with pytest.raises(ValueError):  # shard count of the spec
+            v07.extend(plan, 0, Sharding.split(2, 1))
+        with pytest.raises(ValueError):  # unknown node id (ShapeError)
+            v07.extend(plan, len(graph.nodes), Sharding.split(4, 0))
+        once = v07.extend(plan, 0, Sharding.split(4, 1))
+        with pytest.raises(ValueError):  # one layout per tensor
+            v07.extend(once, 0, Sharding.split(4, 2))
+        with pytest.raises(ValueError):  # another compiler's plan
+            make_partitioner("v06").extend(plan, 0, Sharding.split(4, 1))
