@@ -53,6 +53,7 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.cluster.jobs import (
     COMPLETED,
+    JOB_STATES,
     PENDING,
     REJECTED,
     RUNNING,
@@ -209,12 +210,17 @@ class _Job:
     __slots__ = (
         "spec", "report", "trainer", "trainer_base", "batch_fn", "ckpt",
         "ckpt_step", "ckpt_time", "ckpt_bytes", "step", "resume_at_s",
-        "next_retry_tick", "attempts", "stall_debt", "retry_key",
+        "next_retry_tick", "attempts", "stall_debt", "retry_key", "by_state",
     )
 
-    def __init__(self, spec: JobSpec, cluster_seed: int) -> None:
+    def __init__(
+        self, spec: JobSpec, cluster_seed: int, by_state: dict[str, set[str]]
+    ) -> None:
         self.spec = spec
         self.report = JobReport(tenant=spec.name, priority=spec.priority)
+        #: The scheduler's state -> job names index; see :attr:`state`.
+        self.by_state = by_state
+        by_state[self.report.state].add(spec.name)
         self.trainer = None
         self.trainer_base = _resolve_trainer_config(spec, cluster_seed)
         self.batch_fn = (
@@ -245,11 +251,10 @@ class _Job:
 
     @state.setter
     def state(self, value: str) -> None:
+        """The one writer of ``report.state`` and of the state index."""
+        self.by_state[self.report.state].remove(self.spec.name)
+        self.by_state[value].add(self.spec.name)
         self.report.state = value
-
-    @property
-    def terminal(self) -> bool:
-        return self.report.state in (COMPLETED, REJECTED)
 
 
 def _resolve_trainer_config(spec: JobSpec, cluster_seed: int):
@@ -286,11 +291,34 @@ class ClusterScheduler:
             detector = OracleDetector(config.detection_timeout_s)
         self.detector = detector
         self.state = ClusterState(config.mesh_shape, config.chips_per_host)
-        self.jobs = {s.name: _Job(s, config.seed) for s in specs}
+        self._check_plan()
+        #: State -> names of the jobs in it; only ``_Job.state`` moves a name.
+        self._by_state: dict[str, set[str]] = {s: set() for s in JOB_STATES}
+        self.jobs = {
+            s.name: _Job(s, config.seed, self._by_state) for s in specs
+        }
         self.result = ClusterResult(
             jobs={name: job.report for name, job in self.jobs.items()}
         )
         self._tick = 0
+
+    def _check_plan(self) -> None:
+        """Refuse a fault plan that names a chip or host the pod lacks,
+        before tick 0 (an off-pod fault would otherwise raise mid-run or be
+        dropped silently)."""
+        x_size, y_size = self.config.mesh_shape
+        for fault in self.plan.chip_failures + self.plan.stragglers:
+            if not self.state.has_chip(fault.device):
+                raise ValueError(
+                    f"fault plan names device {fault.device}, not on the "
+                    f"{x_size}x{y_size} pod: {fault}"
+                )
+        for signal in self.plan.preemptions:
+            if signal.host not in self.state.hosts:
+                raise ValueError(
+                    f"fault plan names host {signal.host}, but the pod has "
+                    f"hosts 0..{len(self.state.hosts) - 1}: {signal}"
+                )
 
     # --- bookkeeping helpers -------------------------------------------------
 
@@ -320,11 +348,10 @@ class ClusterScheduler:
                 m.gauge("cluster_slo_attained", tenant=name).set(
                     1.0 if report.slo_attained else 0.0
                 )
-        states = [job.state for job in self.jobs.values()]
         m.gauge("cluster_free_chips").set(self.state.free_chips)
         m.gauge("cluster_dead_chips").set(self.state.dead_chips)
-        m.gauge("cluster_running_jobs").set(states.count(RUNNING))
-        m.gauge("cluster_pending_jobs").set(states.count(PENDING))
+        m.gauge("cluster_running_jobs").set(len(self._by_state[RUNNING]))
+        m.gauge("cluster_pending_jobs").set(len(self._by_state[PENDING]))
 
     def _restore_seconds(self, job: _Job) -> float:
         return job.ckpt_bytes / self.config.restore_bandwidth_bytes_per_s
@@ -505,9 +532,8 @@ class ClusterScheduler:
         candidates = sorted(
             (
                 other
-                for other in self.jobs.values()
-                if other.state == RUNNING
-                and other.spec.priority < job.spec.priority
+                for other in map(self.jobs.get, self._by_state[RUNNING])
+                if other.spec.priority < job.spec.priority
             ),
             key=lambda other: (other.spec.priority, other.name),
         )
@@ -594,8 +620,8 @@ class ClusterScheduler:
         waiting = sorted(
             (
                 job
-                for job in self.jobs.values()
-                if job.state == PENDING and self._tick >= job.spec.arrival_tick
+                for job in map(self.jobs.get, self._by_state[PENDING])
+                if self._tick >= job.spec.arrival_tick
             ),
             key=lambda job: (
                 -job.spec.priority, job.spec.arrival_tick, job.name,
@@ -647,9 +673,9 @@ class ClusterScheduler:
 
     def _run_elasticity(self, now_s: float) -> None:
         """Regrow running jobs over healed chips; migrate shrunken jobs."""
-        for name in sorted(self.jobs):
+        for name in sorted(self._by_state[RUNNING]):
             job = self.jobs[name]
-            if job.state != RUNNING or now_s < job.resume_at_s:
+            if now_s < job.resume_at_s:
                 continue
             alive = self.state.alive_in(name)
             if len(alive) > job.report.replicas:
@@ -701,9 +727,9 @@ class ClusterScheduler:
 
     def _run_steps(self, now_s: float) -> None:
         base = self.config.base_step_seconds
-        for name in sorted(self.jobs):
+        for name in sorted(self._by_state[RUNNING]):
             job = self.jobs[name]
-            if job.state != RUNNING or now_s < job.resume_at_s:
+            if now_s < job.resume_at_s:
                 continue
             alive = self.state.alive_in(name)
             slowdown = self.plan.slowdown_at(self._tick, alive)
@@ -756,9 +782,8 @@ class ClusterScheduler:
     def run(self) -> ClusterResult:
         try:
             config = self.config
-            while self._tick < config.max_ticks and not all(
-                job.terminal for job in self.jobs.values()
-            ):
+            live = (self._by_state[PENDING], self._by_state[RUNNING])
+            while self._tick < config.max_ticks and any(live):
                 now_s = self._tick * config.base_step_seconds
                 self._handle_chip_deaths(now_s)
                 self._handle_plan_preemptions(now_s)

@@ -15,15 +15,18 @@ healed), and the host that drives them.  A dead chip inside a slice stays
 assigned — the owning job shrinks around it and regrows in place when the
 chip heals; a dead free chip is simply not allocatable until healed.
 
-Everything is deterministic: allocation scans anchors in row-major order
-(first fit, trying the rotated shape second), so the same request stream
-always produces the same packing.
+Everything is deterministic: allocation takes the first anchor in
+row-major order (first fit, trying the rotated shape second), so the same
+request stream always produces the same packing.  First fit is answered
+from one bitmask per column (bit ``y`` of column ``x`` is chip ``(x, y)``),
+so its cost follows the pod's width, not its chip count.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.resilience.faults import Device, host_map
 
@@ -54,7 +57,7 @@ class Slice:
     def num_chips(self) -> int:
         return self.width * self.height
 
-    @property
+    @cached_property
     def devices(self) -> tuple[Device, ...]:
         """The slice's chips, x-major (the repo's canonical enumeration)."""
         return tuple(
@@ -62,6 +65,15 @@ class Slice:
             for x in range(self.x0, self.x0 + self.width)
             for y in range(self.y0, self.y0 + self.height)
         )
+
+    @property
+    def columns(self) -> range:
+        return range(self.x0, self.x0 + self.width)
+
+    @property
+    def row_mask(self) -> int:
+        """The slice's rows as one column bitmask."""
+        return ((1 << self.height) - 1) << self.y0
 
 
 class ClusterState:
@@ -80,12 +92,15 @@ class ClusterState:
         self._host_of: dict[Device, int] = {
             chip: h for h, chips in self.hosts.items() for chip in chips
         }
-        self._owner: dict[Device, str | None] = {
-            (x, y): None for x in range(x_size) for y in range(y_size)
-        }
+        #: Per column x: bit y set when chip (x, y) is in a slice / dead.
+        #: Written by allocate / release / fail_chip / heal_chip only.
+        self._owned = [0] * x_size
+        self._dead_cols = [0] * x_size
         #: Dead chip -> the time it died (drives heal eligibility).
         self._dead: dict[Device, float] = {}
         self._slices: dict[str, Slice] = {}
+        #: Job -> its live chips; dropped when its slice or a chip in it changes.
+        self._alive: dict[str, tuple[Device, ...]] = {}
 
     # --- read side -----------------------------------------------------------
 
@@ -100,11 +115,15 @@ class ClusterState:
     @property
     def free_chips(self) -> int:
         """Chips that are allocatable right now (unowned and alive)."""
-        return sum(
-            1
-            for dev, owner in self._owner.items()
-            if owner is None and dev not in self._dead
+        return self.total_chips - sum(
+            (owned | dead).bit_count()
+            for owned, dead in zip(self._owned, self._dead_cols)
         )
+
+    def has_chip(self, device: Device) -> bool:
+        """Whether ``device`` is an ``(x, y)`` on this pod."""
+        x, y = device
+        return 0 <= x < self.mesh_shape[0] and 0 <= y < self.mesh_shape[1]
 
     def slice_of(self, job: str) -> Slice | None:
         return self._slices.get(job)
@@ -119,27 +138,21 @@ class ClusterState:
 
     def alive_in(self, job: str) -> tuple[Device, ...]:
         """The currently usable chips of ``job``'s slice, x-major."""
-        slc = self._slices[job]
-        return tuple(d for d in slc.devices if d not in self._dead)
+        alive = self._alive.get(job)
+        if alive is None:
+            slc = self._slices[job]
+            alive = self._alive[job] = tuple(
+                d for d in slc.devices if d not in self._dead
+            )
+        return alive
+
+    def _owner(self, device: Device) -> str | None:
+        return next(
+            (job for job, slc in self._slices.items() if device in slc.devices),
+            None,
+        )
 
     # --- allocation ----------------------------------------------------------
-
-    def _fits(
-        self,
-        x0: int,
-        y0: int,
-        width: int,
-        height: int,
-        extra_free: frozenset[str] = frozenset(),
-    ) -> bool:
-        for x in range(x0, x0 + width):
-            for y in range(y0, y0 + height):
-                if (x, y) in self._dead:
-                    return False
-                owner = self._owner[(x, y)]
-                if owner is not None and owner not in extra_free:
-                    return False
-        return True
 
     def find_anchor(
         self,
@@ -148,22 +161,47 @@ class ClusterState:
     ) -> tuple[int, int, int, int] | None:
         """First-fit anchor for a ``shape`` rectangle, or ``None``.
 
-        Scans anchors row-major (x-major, matching chip enumeration), the
-        requested orientation first and the rotated one second.
-        ``evictable`` names jobs whose chips may be counted as free — the
-        hypothetical-eviction check the preemption planner uses before
-        actually evicting anyone.
+        The first anchor in row-major order (x-major, matching chip
+        enumeration), the requested orientation first and the rotated one
+        second.  ``evictable`` names jobs whose chips may be counted as
+        free — the hypothetical-eviction check the preemption planner uses
+        before actually evicting anyone; dead chips inside their slices
+        still block.
+
+        A ``w x h`` rectangle fits at ``(x0, y0)`` when bits ``y0 .. y0+h-1``
+        are free in columns ``x0 .. x0+w-1``: AND the ``w`` columns' free
+        masks, then AND the result with itself shifted down by ``1 .. h-1``.
+        A set bit ``y0`` survives exactly where the rectangle fits, so the
+        lowest set bit of the first ``x0`` that has one is the anchor a
+        row-major scan would find first.
         """
         x_size, y_size = self.mesh_shape
+        owned = self._owned
+        if evictable:
+            owned = owned.copy()
+            for job in evictable:
+                slc = self._slices.get(job)
+                if slc is not None:
+                    for x in slc.columns:
+                        owned[x] &= ~slc.row_mask
+        full = (1 << y_size) - 1
+        free = [
+            full & ~(taken | dead) for taken, dead in zip(owned, self._dead_cols)
+        ]
         w, h = shape
         orientations = [(w, h)] if w == h else [(w, h), (h, w)]
         for ow, oh in orientations:
             if ow > x_size or oh > y_size:
                 continue
             for x0 in range(x_size - ow + 1):
-                for y0 in range(y_size - oh + 1):
-                    if self._fits(x0, y0, ow, oh, evictable):
-                        return (x0, y0, ow, oh)
+                across = full  # rows free in every one of the ow columns
+                for rows in free[x0:x0 + ow]:
+                    across &= rows
+                fits = across
+                for shift in range(1, oh):
+                    fits &= across >> shift
+                if fits:
+                    return (x0, (fits & -fits).bit_length() - 1, ow, oh)
         return None
 
     def allocate(self, job: str, shape: tuple[int, int]) -> Slice | None:
@@ -175,8 +213,9 @@ class ClusterState:
             return None
         x0, y0, w, h = anchor
         slc = Slice(job=job, x0=x0, y0=y0, width=w, height=h)
-        for dev in slc.devices:
-            self._owner[dev] = job
+        rows = slc.row_mask
+        for x in slc.columns:
+            self._owned[x] |= rows
         self._slices[job] = slc
         logger.debug("allocated %dx%d at (%d,%d) to %s", w, h, x0, y0, job)
         return slc
@@ -186,19 +225,28 @@ class ClusterState:
         slc = self._slices.pop(job, None)
         if slc is None:
             return None
-        for dev in slc.devices:
-            self._owner[dev] = None
+        rows = slc.row_mask
+        for x in slc.columns:
+            self._owned[x] &= ~rows
+        self._alive.pop(job, None)
         return slc
 
     # --- faults and healing --------------------------------------------------
 
+    def _check_on_pod(self, device: Device) -> None:
+        if not self.has_chip(device):
+            raise ValueError(f"device {device} not on the pod")
+
     def fail_chip(self, device: Device, now_s: float) -> str | None:
         """Mark one chip dead; returns the owning job (``None`` if free)."""
-        if device not in self._owner:
-            raise ValueError(f"device {device} not on the pod")
+        self._check_on_pod(device)
+        owner = self._owner(device)
         if device not in self._dead:
             self._dead[device] = now_s
-        return self._owner[device]
+            x, y = device
+            self._dead_cols[x] |= 1 << y
+            self._alive.pop(owner, None)
+        return owner
 
     def heal_ready(self, now_s: float, heal_after_s: float) -> tuple[Device, ...]:
         """Dead chips whose repair window has elapsed by ``now_s``."""
@@ -212,5 +260,10 @@ class ClusterState:
 
     def heal_chip(self, device: Device) -> str | None:
         """Return a repaired chip to service; returns the owning job."""
-        self._dead.pop(device, None)
-        return self._owner[device]
+        self._check_on_pod(device)
+        owner = self._owner(device)
+        if self._dead.pop(device, None) is not None:
+            x, y = device
+            self._dead_cols[x] &= ~(1 << y)
+            self._alive.pop(owner, None)
+        return owner

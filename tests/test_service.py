@@ -524,6 +524,27 @@ class TestClusterAdapter:
         for report in payload["tenants"].values():
             assert "goodput" in report and "steps_executed" in report
 
+    def test_off_pod_fault_plan_fails_fast_without_retry(self, monkeypatch):
+        """The executor samples its plan from the params, so an off-pod plan
+        is substituted here; the scheduler refuses it before tick 0 and the
+        service treats that as a deterministic failure (one attempt)."""
+        from repro.resilience.faults import ChipFailure, FaultPlan
+
+        off_pod = FaultPlan(chip_failures=(ChipFailure((7, 7), at_step=3),))
+        monkeypatch.setattr(
+            FaultPlan, "sample", classmethod(lambda cls, *a, **k: off_pod)
+        )
+        svc = _service(concurrency=1, queue_depth=4, cache_entries=0)
+        with svc:
+            handle = svc.submit(SimJob("cluster", {
+                "tenants": [{"name": "t0", "slice_shape": [2, 2]}],
+                "mesh_shape": [4, 4], "seed": 1,
+            }))
+            with pytest.raises(JobFailed, match=r"ValueError: .*\(7, 7\), not on the 4x4 pod"):
+                handle.result(timeout=60.0)
+            assert handle.attempts == 1
+        assert svc.stats.retries == 0
+
     def test_adapter_validates_policy_kind(self):
         from repro.service.executors import to_cluster_spec
 
