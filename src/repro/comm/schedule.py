@@ -9,6 +9,15 @@ tolerance for contended peer rings).
 The schedules mirror XLA's synchronous collective-permute steps: a ring
 reduce-scatter runs ``n - 1`` steps, each step every member forwards one
 chunk to its ring neighbor, with a barrier between steps.
+
+A healthy phase simulates one ring direction per *symmetry class*: ring
+directions that share a directed link form one component, and components
+with the same shape (ring sizes, payloads, and per hop the link's latency,
+bandwidth and which of the component's links it is) replay the same float
+sequence, so one representative per shape gives the phase's exact time.
+That is what lets the 4096-chip Multipod's 2-D all-reduce run here: its
+128 Y-ring columns and 32 X-line rows are one class each.  Fault-injected
+phases look every link up in the plan and keep the full simulation.
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ def _hops(sim: Simulator, mesh: TorusMesh, channels, segment):
     """``(link, channel)`` for each link of a segment.
 
     ``channels`` holds one FIFO channel per directed physical link, shared by
-    every ring of the run and made when the first segment crosses the link:
-    a 512-chip slice has 1 984 directed links and its Y rings use 1 024.
+    every ring of the run and made when the first segment crosses the link.
+    Its keys, ``(link.src, link.dst)``, are also what
+    :func:`_symmetry_classes` joins ring directions on, so a link two
+    simulated directions cross is one channel and one queue.
     """
     hops = []
     for link in segment:
@@ -118,29 +129,131 @@ def _check_payload(payload_bytes: float) -> None:
         )
 
 
-def _run_rings(
-    phase: str, mesh: TorusMesh, rings: list[Ring], payload_bytes: float,
-    bidirectional: bool, sender, sim: Simulator,
-) -> float:
-    """Run every ring's schedule over ``sim``, one channel per link of ``mesh``.
+def _directions(
+    rings: list[Ring], payload_bytes: float, bidirectional: bool
+) -> list[tuple[Ring, float, bool]]:
+    """``(ring, payload, reverse)`` per ring direction, in process order.
 
-    Each ring direction is a process named after the phase and the ring's
-    first member, so a failure surfacing from ``run()`` says which ring died.
+    ``bidirectional`` sends half the payload each way round a closed ring;
+    an open line always runs the one-directional pipeline.  A ring of one
+    chip has nothing to send.
     """
-    channels: dict[tuple[Coordinate, Coordinate], Channel] = {}
+    directions = []
     for ring in rings:
         if ring.size < 2:
             continue
         if bidirectional and ring.closed:
-            directions = ((payload_bytes / 2, False), (payload_bytes / 2, True))
+            half = payload_bytes / 2
+            directions += ((ring, half, False), (ring, half, True))
         else:
-            directions = ((payload_bytes, False),)
-        for payload, reverse in directions:
-            sim.process(
-                _ring_phase(sim, channels, mesh, ring, payload, reverse, sender),
-                name=f"{phase}[{ring.members[0]}]",
-            )
+            directions.append((ring, payload_bytes, False))
+    return directions
+
+
+def _count_classes(phase: str, classes: int, directions: int) -> None:
+    """``sim_phase_classes``: symmetry classes simulated for the phase (the
+    full simulation counts each ring direction as one); ``sim_phase_rings``:
+    the ring directions they stand for."""
+    if _telemetry.enabled:
+        m = _telemetry.metrics
+        m.counter("sim_phase_classes", phase=phase).inc(classes)
+        m.counter("sim_phase_rings", phase=phase).inc(directions)
+
+
+def _run_directions(
+    phase: str, mesh: TorusMesh, directions, sender, sim: Simulator
+) -> float:
+    """Run each direction's schedule over ``sim``, one channel per link.
+
+    Each direction is a process named after the phase and the ring's first
+    member, so a failure surfacing from ``run()`` says which ring died.
+    """
+    channels: dict[tuple[Coordinate, Coordinate], Channel] = {}
+    for ring, payload, reverse in directions:
+        sim.process(
+            _ring_phase(sim, channels, mesh, ring, payload, reverse, sender),
+            name=f"{phase}[{ring.members[0]}]",
+        )
     return sim.run()
+
+
+def _run_rings(
+    phase: str, mesh: TorusMesh, rings: list[Ring], payload_bytes: float,
+    bidirectional: bool, sender, sim: Simulator,
+) -> float:
+    """The full simulation: every ring direction of the phase is a process.
+
+    The fault-injected phase runs here, since its sender looks every link up
+    in the plan and equal shapes no longer mean equal times; it is also the
+    oracle :func:`_symmetry_classes` is tested against.
+    """
+    directions = _directions(rings, payload_bytes, bidirectional)
+    _count_classes(phase, len(directions), len(directions))
+    return _run_directions(phase, mesh, directions, sender, sim)
+
+
+def _symmetry_classes(mesh: TorusMesh, directions) -> tuple[list, int]:
+    """The directions to simulate for the healthy phase, and how many classes.
+
+    Directions that cross a common directed link join one component
+    (union-find on the ``(src, dst)`` keys :func:`_hops` makes channels
+    for).  A component's shape is, per direction in process order, the ring
+    size, the payload and per segment the hops as (index of the link among
+    the component's links by first crossing, latency, bandwidth).  The
+    first component of each shape is kept, in process order.
+
+    Why the kept ones give the phase's exact time: a direction's events take
+    their times only from its own chain -- a send reserves ``start +
+    duration`` on its links, a barrier fires at the time of its last send --
+    so components that share no link cannot move each other's floats, and
+    two of one shape make the same float sequence.  Their heap entries
+    interleave, but within a component the order is the one it would have
+    alone.  ``run()`` returns the last event's time: the slowest class's.
+    """
+    segments = [_ring_segments(mesh, ring, reverse) for ring, _, reverse in directions]
+    parent = list(range(len(directions)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first_on_link: dict[tuple[Coordinate, Coordinate], int] = {}
+    for i, segs in enumerate(segments):
+        for seg in segs:
+            for link in seg:
+                j = first_on_link.setdefault((link.src, link.dst), i)
+                if j != i:
+                    parent[root(i)] = root(j)
+
+    components: dict[int, list[int]] = {}
+    for i in range(len(directions)):
+        components.setdefault(root(i), []).append(i)
+    bandwidth = mesh.link_bandwidth
+    shapes: dict[tuple, list[int]] = {}
+    for members in components.values():
+        link_ids: dict[tuple[Coordinate, Coordinate], int] = {}
+        shape = tuple(
+            (
+                directions[i][0].size,
+                directions[i][1],
+                tuple(
+                    tuple(
+                        (
+                            link_ids.setdefault((link.src, link.dst), len(link_ids)),
+                            mesh.link_latency(link),
+                            bandwidth,
+                        )
+                        for link in seg
+                    )
+                    for seg in segments[i]
+                ),
+            )
+            for i in members
+        )
+        shapes.setdefault(shape, members)
+    kept = sorted(i for members in shapes.values() for i in members)
+    return [directions[i] for i in kept], len(shapes)
 
 
 #: Memoized healthy-phase results keyed by (topology, rings, payload,
@@ -155,13 +268,15 @@ _PHASE_CACHE_MISS = object()
 
 
 def _simulate_phase(
+    phase: str,
     mesh: TorusMesh,
     rings: list[Ring],
     payload_bytes: float,
     bidirectional: bool,
     sim: Simulator | None = None,
 ) -> float:
-    """Memoized healthy phase; a miss runs on ``sim`` (default: a new one)."""
+    """Memoized healthy phase; a miss simulates one ring direction per
+    symmetry class on ``sim`` (default: a new one)."""
     _check_payload(payload_bytes)
     key = (mesh, tuple(rings), float(payload_bytes), bidirectional)
     cached = _PHASE_CACHE.get(key, _PHASE_CACHE_MISS)
@@ -177,9 +292,11 @@ def _simulate_phase(
         return cached  # type: ignore[return-value]
     if _telemetry.enabled:
         _telemetry.metrics.counter("sim_phase_cache_misses").inc()
-    result = _run_rings(
-        "ring_phase", mesh, rings, payload_bytes, bidirectional, _chunk_sender,
-        sim if sim is not None else Simulator(),
+    directions = _directions(rings, payload_bytes, bidirectional)
+    kept, classes = _symmetry_classes(mesh, directions)
+    _count_classes(phase, classes, len(directions))
+    result = _run_directions(
+        phase, mesh, kept, _chunk_sender, sim if sim is not None else Simulator()
     )
     while len(_PHASE_CACHE) >= _PHASE_CACHE_MAXSIZE:
         _PHASE_CACHE.popitem(last=False)
@@ -211,7 +328,8 @@ def simulate_ring_reduce_scatter(
 
 
 def _attributed_phase(phase: str, simulate, *args) -> float:
-    """Run ``simulate(*args)``, attributing modeled vs. measured seconds.
+    """Run ``simulate(phase, *args, sim)``, attributing modeled vs. measured
+    seconds.
 
     ``sim_phase_modeled_seconds`` accumulates the discrete-event *answer*
     (virtual seconds the schedule would take on hardware) while
@@ -223,7 +341,7 @@ def _attributed_phase(phase: str, simulate, *args) -> float:
     """
     t0 = _perf()
     sim = Simulator()
-    modeled = simulate(*args, sim)
+    modeled = simulate(phase, *args, sim)
     if _telemetry.enabled:
         m = _telemetry.metrics
         m.counter("sim_phase_modeled_seconds", phase=phase).inc(modeled)
@@ -342,7 +460,7 @@ def _simulate_degraded_phase(
         )
 
     result.seconds = _attributed_phase(
-        phase, _run_rings, phase, mesh, healed, payload_bytes, bidirectional, sender
+        phase, _run_rings, mesh, healed, payload_bytes, bidirectional, sender
     )
     return result
 

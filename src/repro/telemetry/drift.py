@@ -22,7 +22,8 @@ Three drift families:
   ``all_gather_time`` on the same :func:`ring_cost_for` parameters;
 * **2d** — the hierarchical gradient all-reduce, phase by phase: DES per
   phase (column rings, then row lines on the ``1/y`` shard) vs the
-  matching :class:`~repro.comm.allreduce.AllReduceBreakdown` field;
+  matching :class:`~repro.comm.allreduce.AllReduceBreakdown` field, up to
+  the paper's 4096-chip Multipod and its model-parallel peer rings;
 * **overlap** — the overlap engine's DES trace, re-read through the
   critical-path analyzer (:mod:`repro.telemetry.critical_path`): the
   attribution buckets must reproduce the engine's own
@@ -48,7 +49,7 @@ from repro.hardware.rings import (
     x_line,
     y_ring,
 )
-from repro.hardware.topology import TorusMesh, single_pod, slice_for_chips
+from repro.hardware.topology import TorusMesh, multipod, single_pod, slice_for_chips
 from repro.telemetry import critical_path as _cp
 
 #: Default acceptance ceiling on relative drift.  The two implementations
@@ -144,27 +145,51 @@ def ring_drift(payload_bytes: float = DEFAULT_PAYLOAD_BYTES) -> list[DriftEntry]
 def two_phase_drift(
     payload_bytes: float = DEFAULT_PAYLOAD_BYTES,
 ) -> list[DriftEntry]:
-    """The 2-D hierarchical all-reduce, phase by phase, DES vs breakdown."""
-    mesh = single_pod()
-    bd = two_phase_allreduce(mesh, payload_bytes)
-    y_rings = all_y_rings(mesh)
-    x_lines = all_x_lines(mesh)
-    shard = payload_bytes / mesh.y_size
-    case = "2d/pod"
-    return [
-        DriftEntry(case, "reduce_scatter_y",
-                   simulate_ring_reduce_scatter(mesh, y_rings, payload_bytes),
-                   bd.reduce_scatter_y),
-        DriftEntry(case, "reduce_scatter_x",
-                   simulate_ring_reduce_scatter(mesh, x_lines, shard),
-                   bd.reduce_scatter_x),
-        DriftEntry(case, "all_gather_x",
-                   simulate_ring_all_gather(mesh, x_lines, shard),
-                   bd.all_gather_x),
-        DriftEntry(case, "all_gather_y",
-                   simulate_ring_all_gather(mesh, y_rings, payload_bytes),
-                   bd.all_gather_y),
-    ]
+    """The 2-D hierarchical all-reduce, phase by phase, DES vs breakdown.
+
+    On one pod and on the 2- and 4-pod Multipods (1 024 / 2 048 / 4 096
+    chips, X lines crossing pod boundaries), and the X phase of the 4096-chip
+    all-reduce under 2- and 4-way model parallelism: every row's peer rings
+    hop over their model-parallel neighbours and share the X links.
+    """
+    entries: list[DriftEntry] = []
+    for pods in (1, 2, 4):
+        mesh = multipod(pods)
+        bd = two_phase_allreduce(mesh, payload_bytes)
+        y_rings = all_y_rings(mesh)
+        x_lines = all_x_lines(mesh)
+        shard = payload_bytes / mesh.y_size
+        case = f"2d/multipod{pods}"
+        entries += [
+            DriftEntry(case, "reduce_scatter_y",
+                       simulate_ring_reduce_scatter(mesh, y_rings, payload_bytes),
+                       bd.reduce_scatter_y),
+            DriftEntry(case, "reduce_scatter_x",
+                       simulate_ring_reduce_scatter(mesh, x_lines, shard),
+                       bd.reduce_scatter_x),
+            DriftEntry(case, "all_gather_x",
+                       simulate_ring_all_gather(mesh, x_lines, shard),
+                       bd.all_gather_x),
+            DriftEntry(case, "all_gather_y",
+                       simulate_ring_all_gather(mesh, y_rings, payload_bytes),
+                       bd.all_gather_y),
+        ]
+    # The loop's last mesh is the 4096-chip Multipod, ``shard`` its X payload.
+    for mp in (2, 4):
+        bd = two_phase_allreduce(mesh, payload_bytes, mp_size=mp)
+        peers = [
+            model_peer_ring(mesh, y, mp, p) for y in range(mesh.y_size) for p in range(mp)
+        ]
+        case = f"ring/peer_contended_mp{mp}_{mesh.num_chips}"
+        entries += [
+            DriftEntry(case, "reduce_scatter_x",
+                       simulate_ring_reduce_scatter(mesh, peers, shard),
+                       bd.reduce_scatter_x),
+            DriftEntry(case, "all_gather_x",
+                       simulate_ring_all_gather(mesh, peers, shard),
+                       bd.all_gather_x),
+        ]
+    return entries
 
 
 def overlap_drift(
@@ -246,18 +271,18 @@ def format_report(
 ) -> str:
     """Aligned drift table, one row per (case, phase)."""
     lines = [
-        f"{'case':<26} {'phase':<18} {'measured':>14} {'predicted':>14} {'drift':>10}",
-        "-" * 86,
+        f"{'case':<30} {'phase':<18} {'measured':>14} {'predicted':>14} {'drift':>10}",
+        "-" * 90,
     ]
     for e in entries:
         flag = ""
         if tolerance is not None and e.drift_rel > tolerance:
             flag = "  << DRIFT"
         lines.append(
-            f"{e.case:<26} {e.phase:<18} {e.measured_s:>14.6e} "
+            f"{e.case:<30} {e.phase:<18} {e.measured_s:>14.6e} "
             f"{e.predicted_s:>14.6e} {e.drift_rel:>10.2e}{flag}"
         )
-    lines.append("-" * 86)
+    lines.append("-" * 90)
     worst = max_drift(entries)
     tail = f" (tolerance {tolerance:.0e})" if tolerance is not None else ""
     lines.append(f"max relative drift: {worst:.2e}{tail}")

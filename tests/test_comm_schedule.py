@@ -9,6 +9,8 @@ import threading
 from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.comm import schedule
@@ -19,9 +21,10 @@ from repro.comm.schedule import (
     simulate_ring_all_gather,
     simulate_ring_reduce_scatter,
 )
-from repro.hardware.rings import all_y_rings, model_peer_ring, x_line, y_ring
-from repro.hardware.topology import TorusMesh, slice_for_chips
+from repro.hardware.rings import all_x_lines, all_y_rings, model_peer_ring, x_line, y_ring
+from repro.hardware.topology import TorusMesh, multipod, slice_for_chips
 from repro.resilience.faults import FaultPlan
+from repro.sim.engine import Simulator
 
 PAYLOAD = 1.0e6
 
@@ -178,10 +181,14 @@ class TestWorkCounters:
     def test_cold_512_chip_phase_is_one_event_per_chunk_send(self):
         mesh = slice_for_chips(512)  # 16 closed Y rings of 32
         rings = all_y_rings(mesh)
-        # rings x directions x segments x steps; 128 032 events before
-        # links admitted by reservation (four per send).
-        chunk_sends = 16 * 2 * 32 * 31
         simulate_ring_reduce_scatter(mesh, rings, 1234567.0)
+        # The 16 x 2 ring directions share no link and have one shape: one
+        # of them is simulated, segments x steps sends.  31 744 events when
+        # every direction ran.
+        value = telemetry.metrics.value
+        assert value("sim_phase_classes", phase="reduce_scatter") == 1
+        assert value("sim_phase_rings", phase="reduce_scatter") == 16 * 2
+        chunk_sends = 32 * 31
         assert chunk_sends <= self._events() <= 1.1 * chunk_sends
 
     def test_every_cold_call_executes_its_events_and_a_warm_one_none(self):
@@ -205,3 +212,75 @@ class TestWorkCounters:
         assert self._events() >= 4 * sends
         simulate_degraded_reduce_scatter(mesh, all_y_rings(mesh), PAYLOAD, FaultPlan())
         assert self._events("reduce_scatter_degraded") >= 3 * (8 * 7 * 7)
+
+    def test_4096_chip_two_phase_all_reduce_is_one_class_per_phase(self):
+        """The Multipod's 2-D all-reduce: 256 Y-ring directions and 32 X
+        lines, one shape each: 17 283 events, 782 656 when every direction
+        ran.  The all-gathers repeat the reduce-scatters and hit the memo."""
+        mesh = multipod(4)  # 128 x 32
+        y_rings, x_lines = all_y_rings(mesh), all_x_lines(mesh)
+        payload = 2.0**24 + 5.0  # not used elsewhere: both phases run cold
+        shard = payload / mesh.y_size
+        simulate_ring_reduce_scatter(mesh, y_rings, payload)
+        simulate_ring_reduce_scatter(mesh, x_lines, shard)
+        simulate_ring_all_gather(mesh, x_lines, shard)
+        simulate_ring_all_gather(mesh, y_rings, payload)
+        value = telemetry.metrics.value
+        assert value("sim_phase_classes", phase="reduce_scatter") == 2
+        assert value("sim_phase_rings", phase="reduce_scatter") == 128 * 2 + 32
+        events = self._events() + self._events("all_gather")
+        assert events <= 1.1 * (32 * 31 + 127 * 127)
+
+
+MESHES = {
+    "torus": TorusMesh(8, 4, wrap_x=True, wrap_y=True),
+    "line": TorusMesh(8, 4),
+    # Closed Y rings of 7 and open X lines of 8: both have 7 segments.
+    "y_wrap": TorusMesh(8, 7, wrap_y=True),
+    "multipod2": multipod(2),
+    # A pod boundary at x = 6: of the 4-way peer rings only peer 2 and 3
+    # cross it, so latency alone tells their shapes apart.
+    "uneven_pods": TorusMesh(8, 4, wrap_y=True, cross_pod_every=6),
+}
+
+
+@st.composite
+def phases(draw):
+    """A mesh and a random mix of its Y rings, X lines and peer rings."""
+    mesh = MESHES[draw(st.sampled_from(sorted(MESHES)))]
+    rows = st.integers(0, mesh.y_size - 1)
+    columns = draw(st.lists(st.integers(0, mesh.x_size - 1), max_size=3, unique=True))
+    rings = [y_ring(mesh, x) for x in columns]
+    rings += [x_line(mesh, y) for y in draw(st.lists(rows, max_size=2, unique=True))]
+    for mp in draw(st.lists(st.sampled_from((2, 4)), max_size=2)):
+        y = draw(rows)
+        peers = draw(st.lists(st.integers(0, mp - 1), min_size=1, unique=True))
+        rings += [model_peer_ring(mesh, y, mp, p) for p in peers]
+    rings = draw(st.permutations(list(dict.fromkeys(rings))))
+    payload = draw(st.floats(0.0, 1e8, allow_nan=False))
+    return mesh, rings, payload, draw(st.booleans())
+
+
+class TestSymmetryReductionIsExact:
+    """One simulated direction per symmetry class gives, to the bit, the
+    time of the full simulation with every ring direction a process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(phases())
+    # Each part of a component's shape, pinned by a case it alone tells apart
+    # (ring size, which links two directions share, link latency), with the
+    # slower component second: a wrong merge would keep the faster one.
+    @example((MESHES["y_wrap"], [y_ring(MESHES["y_wrap"], 0), x_line(MESHES["y_wrap"], 0)],
+              PAYLOAD, False))
+    @example((MESHES["line"], [model_peer_ring(MESHES["line"], y, mp, p)
+                               for y, mp, p in ((0, 2, 0), (0, 4, 3), (1, 2, 1), (1, 4, 3))],
+              PAYLOAD, True))
+    @example((MESHES["uneven_pods"], [model_peer_ring(MESHES["uneven_pods"], y, 4, p)
+                                      for y, p in ((0, 0), (1, 2))], PAYLOAD, True))
+    def test_reduced_phase_equals_the_full_simulation(self, phase):
+        mesh, rings, payload, bidirectional = phase
+        full = schedule._run_rings(
+            "full", mesh, rings, payload, bidirectional, schedule._chunk_sender, Simulator()
+        )
+        reduced = schedule._simulate_phase("ring_phase", mesh, rings, payload, bidirectional)
+        assert reduced.hex() == full.hex()

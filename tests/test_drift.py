@@ -4,9 +4,14 @@ gauges must land in the registry."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro import telemetry
+from repro.telemetry import drift
 from repro.telemetry.drift import (
     DEFAULT_TOLERANCE,
     DriftEntry,
@@ -57,6 +62,13 @@ class TestModelAgreement:
         assert {"reduce_scatter_y", "all_gather_y"} <= phases
         assert max_drift(entries) < DEFAULT_TOLERANCE
 
+    def test_two_phase_drift_reaches_the_4096_chip_multipod(self):
+        cases = {e.case for e in two_phase_drift()}
+        assert {
+            "2d/multipod1", "2d/multipod2", "2d/multipod4",
+            "ring/peer_contended_mp2_4096", "ring/peer_contended_mp4_4096",
+        } <= cases
+
     def test_overlap_drift_within_tolerance(self):
         entries = overlap_drift(models=("resnet50",))
         phases = {e.phase for e in entries}
@@ -84,6 +96,31 @@ class TestGate:
         ok, bad = check_drift(entries, tolerance=1e-6)
         assert not ok
         assert [e.case for e in bad] == ["rotten"]
+
+    def test_gate_trips_on_a_perturbed_4096_chip_row(self, monkeypatch):
+        """The CI step (``check_regression.py --drift-only``) fails when the
+        closed form of the 4096-chip X phase moves by 1e-5."""
+        real = drift.two_phase_allreduce
+
+        def rotten(mesh, payload_bytes, *, mp_size=1):
+            bd = real(mesh, payload_bytes, mp_size=mp_size)
+            if mesh.num_chips < 4096:
+                return bd
+            return dataclasses.replace(bd, reduce_scatter_x=bd.reduce_scatter_x * (1 + 1e-5))
+
+        monkeypatch.setattr(drift, "two_phase_allreduce", rotten)
+        ok, bad = check_drift(two_phase_drift(), tolerance=1e-6)
+        assert not ok
+        assert {(e.case, e.phase) for e in bad} == {
+            ("2d/multipod4", "reduce_scatter_x"),
+            ("ring/peer_contended_mp2_4096", "reduce_scatter_x"),
+            ("ring/peer_contended_mp4_4096", "reduce_scatter_x"),
+        }
+        script = Path(__file__).parents[1] / "benchmarks" / "check_regression.py"
+        spec = importlib.util.spec_from_file_location("check_regression", script)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        assert gate.check_model_drift(1e-6) is False
 
     def test_gauges_exported(self):
         entries = drift_report(include_overlap=False)

@@ -13,6 +13,9 @@ Regenerate (only when a PR *means* to move a number, and says so)::
 
 The tables use nothing but entry points that exist on both sides of the
 change, so the same command on a checkout of the parent wrote the files.
+The Multipod rows (``multipod*``, ``peer/4096/*``, ``mixed/*``) came later,
+written the same way on the parent of the change that simulates one ring
+direction per symmetry class; every older row stayed identical.
 """
 
 from __future__ import annotations
@@ -90,6 +93,35 @@ def des_table() -> dict[str, object]:
                 rings = [model_peer_ring(mesh, y, mp, p) for y in ys for p in range(mp)]
                 seconds = simulate_ring_reduce_scatter(mesh, rings, PAYLOADS[1])
                 out[f"peer/{chips}/mp{mp}/{rows}"] = seconds.hex()
+
+    # Paper scale (Figure 4 on the 128x32 Multipod): Y torus rings, X lines
+    # crossing pod boundaries, and every row's hop-over peer rings at once.
+    for pods in (2, 4):
+        mesh = multipod(pods)
+        for family, rings in (("y", all_y_rings(mesh)), ("x", all_x_lines(mesh))):
+            out[f"multipod{pods}/{family}"] = simulate_ring_reduce_scatter(
+                mesh, rings, PAYLOADS[1]
+            ).hex()
+    mesh = multipod(4)
+    for mp in (2, 4):
+        rings = [model_peer_ring(mesh, y, mp, p) for y in range(mesh.y_size) for p in range(mp)]
+        out[f"peer/4096/mp{mp}/all"] = simulate_ring_reduce_scatter(
+            mesh, rings, PAYLOADS[2]
+        ).hex()
+
+    # One phase whose link-sharing components differ in shape: closed Y
+    # rings, a lone peer ring, a contended pair of peer rings on another row
+    # and an X line of its own.
+    mesh = multipod(2)
+    mixed = [
+        y_ring(mesh, 0), y_ring(mesh, 33), model_peer_ring(mesh, 2, 4, 1),
+        model_peer_ring(mesh, 5, 2, 0), model_peer_ring(mesh, 5, 2, 1), x_line(mesh, 9),
+    ]
+    for bidirectional in (True, False):
+        way = "bi" if bidirectional else "uni"
+        out[f"mixed/multipod2/{way}"] = simulate_ring_reduce_scatter(
+            mesh, mixed, PAYLOADS[0], bidirectional=bidirectional
+        ).hex()
 
     def degraded(key, simulate, mesh, rings, plan, policy=None):
         result = simulate(mesh, rings, PAYLOADS[0], plan, policy=policy)

@@ -583,12 +583,12 @@ class TestScheduleMemo:
         mesh = TorusMesh(1, 4, wrap_y=True)
         rings = [y_ring(mesh, 0)]
         schedule._PHASE_CACHE.clear()
-        first = schedule._simulate_phase(mesh, rings, 1e6, True)
+        first = schedule._simulate_phase("ring_phase", mesh, rings, 1e6, True)
         assert len(schedule._PHASE_CACHE) == 1
-        again = schedule._simulate_phase(mesh, rings, 1e6, True)
+        again = schedule._simulate_phase("ring_phase", mesh, rings, 1e6, True)
         assert again == first
         assert len(schedule._PHASE_CACHE) == 1  # hit, not a second entry
-        other = schedule._simulate_phase(mesh, rings, 2e6, True)
+        other = schedule._simulate_phase("ring_phase", mesh, rings, 2e6, True)
         assert other != first
         assert len(schedule._PHASE_CACHE) == 2
 
@@ -601,7 +601,7 @@ class TestScheduleMemo:
         rings = [y_ring(mesh, 0)]
         schedule._PHASE_CACHE.clear()
         for i in range(schedule._PHASE_CACHE_MAXSIZE + 5):
-            schedule._simulate_phase(mesh, rings, float(i + 1), True)
+            schedule._simulate_phase("ring_phase", mesh, rings, float(i + 1), True)
         assert len(schedule._PHASE_CACHE) <= schedule._PHASE_CACHE_MAXSIZE
 
     def test_degraded_phase_not_memoized(self):
