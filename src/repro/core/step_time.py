@@ -128,6 +128,9 @@ class StepTimeModel:
         self.mxu_efficiency = mxu_efficiency
         self.step_overhead = step_overhead
         self.input_bandwidth_per_host = input_bandwidth_per_host
+        #: Overlap schedules this model has run, by bucket count: asking
+        #: for the result and then the breakdown runs the DES once.
+        self._overlap_results: dict[int, OverlapResult] = {}
 
     # --- components ---------------------------------------------------------
 
@@ -195,15 +198,19 @@ class StepTimeModel:
         )
         return model_parallel_allreduce(self.mesh, cfg.mp_chips, payload)
 
+    def gradient_payload(self) -> float:
+        """Gradient bytes each chip sums per step: the model's share on
+        its model-parallel cores."""
+        return self.spec.gradient_bytes / self.config.mp_cores
+
     def allreduce_time(self) -> float:
         """Cross-replica gradient summation (Section 3.3)."""
-        cfg, spec = self.config, self.spec
+        cfg = self.config
         if cfg.num_replicas == 1:
             return 0.0
-        payload = spec.gradient_bytes / cfg.mp_cores
         return gradient_allreduce(
             self.mesh,
-            payload,
+            self.gradient_payload(),
             mp_size=cfg.mp_chips if cfg.mp_chips > 1 else 1,
             use_2d=cfg.use_2d_allreduce,
         ).total
@@ -228,33 +235,35 @@ class StepTimeModel:
             num_buckets = self.overlap_buckets
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        cfg, spec = self.config, self.spec
-        if cfg.num_replicas == 1:
+        if self.config.num_replicas == 1:
             return 0.0
         if num_buckets == 1:
             return self.allreduce_time()
         alpha, bw = self._launch_params()
-        payload = spec.gradient_bytes / cfg.mp_cores
-        slope = payload / bw if math.isfinite(bw) else 0.0
+        slope = self.gradient_payload() / bw if math.isfinite(bw) else 0.0
         return num_buckets * alpha + slope
 
     def overlap_result(self, num_buckets: int | None = None) -> OverlapResult:
-        """Run the overlap engine for this model/slice at a bucket count."""
+        """Run the overlap engine for this model/slice at a bucket count
+        (once per bucket count and model)."""
         if num_buckets is None:
             num_buckets = self.overlap_buckets
-        cfg, spec = self.config, self.spec
+        result = self._overlap_results.get(num_buckets)
+        if result is not None:
+            return result
         alpha, bw = self._launch_params()
-        payload = spec.gradient_bytes / cfg.mp_cores
-        if cfg.num_replicas == 1:
+        payload = self.gradient_payload()
+        if self.config.num_replicas == 1:
             payload, alpha, bw = 0.0, 0.0, math.inf
-        return analytic_overlap(
-            fractions=layer_backward_fractions(spec),
+        result = self._overlap_results[num_buckets] = analytic_overlap(
+            fractions=layer_backward_fractions(self.spec),
             compute_seconds=self.compute_time(),
             grad_bytes=payload,
             num_buckets=num_buckets,
             comm_alpha=alpha,
             comm_bytes_per_second=bw,
         )
+        return result
 
     def weight_update_time(self) -> float:
         """Optimizer update time — HBM-bound (Section 3.2).

@@ -13,11 +13,16 @@ paper's BERT configuration across slice sizes:
 
 ``overlap_onoff_ablation`` is the headline on/off comparison at each
 slice's best bucket count — the step-time win the overlap engine models.
+
+Both tables read one :func:`_sweep`: one model per (chips, buckets), whose
+overlap schedule runs once.  :func:`run` builds it once for the two
+tables; nothing from it outlives the call.
 """
 
 from __future__ import annotations
 
-from repro.core.step_time import StepTimeModel
+from repro.core.overlap import OverlapResult
+from repro.core.step_time import StepTimeBreakdown, StepTimeModel
 from repro.core.strategy import ParallelismConfig
 from repro.experiments.calibration import CALIBRATIONS, spec_for
 from repro.experiments.report import Table
@@ -26,6 +31,12 @@ from repro.experiments.report import Table
 #: per chip up to the 4096-chip multipod.
 _CHIP_SWEEP = (256, 1024, 4096)
 _BUCKET_SWEEP = (1, 2, 4, 8, 16, 32, 64)
+
+#: Per slice: (chips, serial breakdown, per bucket count in sweep order
+#: (buckets, overlap result, overlap-aware breakdown)).
+_Sweep = list[
+    tuple[int, StepTimeBreakdown, list[tuple[int, OverlapResult, StepTimeBreakdown]]]
+]
 
 
 def _model(chips: int, num_buckets: int, overlap: bool) -> StepTimeModel:
@@ -41,19 +52,28 @@ def _model(chips: int, num_buckets: int, overlap: bool) -> StepTimeModel:
     )
 
 
-def bucket_sweep_ablation() -> Table:
+def _sweep() -> _Sweep:
+    """Every (chips, buckets) model of the ablation, each run once."""
+    out: _Sweep = []
+    for chips in _CHIP_SWEEP:
+        serial = _model(chips, 1, overlap=False).breakdown()
+        runs = []
+        for buckets in _BUCKET_SWEEP:
+            model = _model(chips, buckets, overlap=True)
+            runs.append((buckets, model.overlap_result(), model.breakdown()))
+        out.append((chips, serial, runs))
+    return out
+
+
+def bucket_sweep_ablation(sweep: _Sweep) -> Table:
     """Exposed-comm vs bucket count on BERT (chips x buckets)."""
     table = Table(
         "Overlap bucket-size trade-off (BERT, 4 examples/chip)",
         ["Chips", "Buckets", "allreduce ms", "exposed ms", "hidden %",
          "serial step ms", "overlap step ms", "speedup"],
     )
-    for chips in _CHIP_SWEEP:
-        serial = _model(chips, 1, overlap=False).breakdown()
-        for buckets in _BUCKET_SWEEP:
-            model = _model(chips, buckets, overlap=True)
-            result = model.overlap_result()
-            breakdown = model.breakdown()
+    for chips, serial, runs in sweep:
+        for buckets, result, breakdown in runs:
             table.add_row(
                 chips,
                 buckets,
@@ -67,20 +87,16 @@ def bucket_sweep_ablation() -> Table:
     return table
 
 
-def overlap_onoff_ablation() -> Table:
+def overlap_onoff_ablation(sweep: _Sweep) -> Table:
     """Overlap on/off at each slice's best bucket count."""
     table = Table(
         "Overlap engine on/off (BERT, best bucket count per slice)",
         ["Chips", "Overlap", "Buckets", "step ms", "allreduce share %",
          "speedup"],
     )
-    for chips in _CHIP_SWEEP:
-        serial = _model(chips, 1, overlap=False).breakdown()
-        best_buckets = min(
-            _BUCKET_SWEEP,
-            key=lambda b: _model(chips, b, overlap=True).breakdown().device_time,
-        )
-        best = _model(chips, best_buckets, overlap=True).breakdown()
+    for chips, serial, runs in sweep:
+        # min() keeps the first of equal step times: the fewest buckets.
+        best_buckets, _, best = min(runs, key=lambda run: run[2].device_time)
         for label, buckets, breakdown in (
             ("off", 1, serial), ("on", best_buckets, best)
         ):
@@ -101,4 +117,5 @@ def overlap_onoff_ablation() -> Table:
 
 
 def run() -> list[Table]:
-    return [bucket_sweep_ablation(), overlap_onoff_ablation()]
+    sweep = _sweep()
+    return [bucket_sweep_ablation(sweep), overlap_onoff_ablation(sweep)]

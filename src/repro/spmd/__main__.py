@@ -12,7 +12,10 @@ then asserts the claims CI gates on:
   <= the all-replicated baseline;
 * **matches/beats the hand annotation** under V07 features;
 * **bit-exactness** — the winning plan computes the same numbers as the
-  unsharded reference on a small VirtualMesh.
+  unsharded reference on a small VirtualMesh;
+* **resumed scoring is a full pass** — every ranked plan, scored by the
+  search from its parent's prefix sums, re-partitioned from scratch has
+  ``float.hex``-equal compute, serial, comm seconds and comm bytes.
 
 Exits non-zero on any failure so CI can gate on it.
 """
@@ -32,6 +35,13 @@ from repro.spmd import (
     transformer_block_graph,
 )
 from repro.spmd.modelgraphs import transformer_seeds
+
+
+def _cost_bits(plan) -> tuple[str, ...]:
+    c = plan.cost
+    return tuple(
+        x.hex() for x in (c.compute_seconds, c.serial_seconds, c.comm_seconds, c.comm_bytes)
+    )
 
 
 def main() -> int:
@@ -85,6 +95,14 @@ def main() -> int:
             bool(result.validations) and result.validations[0].ok,
             f"{name}: winning plan is bit-exact "
             f"({result.validations[0].describe() if result.validations else 'no verdict'})",
+        )
+        check(
+            all(
+                _cost_bits(partitioner.partition(graph, p.spec)) == _cost_bits(p)
+                for p in result.plans
+            ),
+            f"{name}: every ranked plan's resumed cost equals a full pass, "
+            f"float.hex for float.hex",
         )
 
         replay = search_partitioning(graph, config, partitioner)

@@ -9,7 +9,8 @@ that the Figure 9 speedup-vs-cores curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.hardware.topology import TorusMesh, single_pod
 from repro.spmd.annotations import Sharding
@@ -25,15 +26,40 @@ from repro.spmd.partitioner import (
 #: forward+backward multiplier applied to forward FLOPs.
 FWD_BWD_FACTOR = 3.0
 
+#: fixed per-node cost (dispatch, fusion boundaries), seconds.
+PER_OP_OVERHEAD = 2.0e-6
+
+
+class CostPrefix(NamedTuple):
+    """The running sums of one estimate, where a later one may resume.
+
+    ``compute[i]`` / ``serial[i]`` are the sums before node ``i`` was
+    priced, ``comm[j]`` / ``comm_bytes[j]`` the forward sums before comm
+    op ``j``; each list ends with the final sum.  ``prices`` are the rates
+    they were summed at (:func:`cost_prices`): a resume at other rates
+    would mix two price lists in one total.
+    """
+
+    prices: tuple[float, ...]
+    compute: list[float]
+    serial: list[float]
+    comm: list[float]
+    comm_bytes: list[float]
+
 
 @dataclass(frozen=True)
 class PartitionCost:
-    """Per-step cost of a partitioned graph on one model tile."""
+    """Per-step cost of a partitioned graph on one model tile.
+
+    ``prefix`` belongs to the plan this cost prices; equality and repr see
+    only the four totals.
+    """
 
     compute_seconds: float
     serial_seconds: float
     comm_seconds: float
     comm_bytes: float
+    prefix: CostPrefix | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_seconds(self) -> float:
@@ -85,6 +111,29 @@ def _tile_factor(node: Node, sharding: Sharding) -> float:
     return padded / s
 
 
+def cost_prices(
+    mesh: TorusMesh,
+    *,
+    core_flops_rate: float | None = None,
+    mxu_efficiency: float = 0.35,
+    fwd_bwd_factor: float = FWD_BWD_FACTOR,
+    per_op_overhead: float = PER_OP_OVERHEAD,
+) -> tuple[float, ...]:
+    """The rates :func:`estimate_cost` prices at: ``(core FLOP/s, HBM
+    bytes/s per core, link bytes/s, link latency, fwd+bwd factor, per-op
+    overhead)``."""
+    if core_flops_rate is None:
+        core_flops_rate = mesh.chip.per_core_matmul_flops * mxu_efficiency
+    return (
+        core_flops_rate,
+        mesh.chip.hbm_bandwidth / mesh.chip.cores,
+        mesh.link_bandwidth,
+        mesh.chip.link_latency,
+        fwd_bwd_factor,
+        per_op_overhead,
+    )
+
+
 def estimate_cost(
     pg: PartitionedGraph,
     mesh: TorusMesh | None = None,
@@ -92,8 +141,9 @@ def estimate_cost(
     core_flops_rate: float | None = None,
     mxu_efficiency: float = 0.35,
     fwd_bwd_factor: float = FWD_BWD_FACTOR,
-    per_op_overhead: float = 2.0e-6,
+    per_op_overhead: float = PER_OP_OVERHEAD,
     dtype_bytes: int | None = None,
+    resume: tuple[PartitionCost, int] | None = None,
 ) -> PartitionCost:
     """Seconds per step for one partitioned model tile.
 
@@ -102,40 +152,71 @@ def estimate_cost(
     charged as memory-bound (HBM) rather than MXU work.  HBM traffic is
     priced at each node's own ``dtype_bytes``; an explicit width must be
     consistent with the graph (see :func:`_check_dtype_consistent`).
+
+    The result's ``prefix`` keeps the running sums before every node and
+    comm op.  ``resume=(parent_cost, node_id)`` starts from
+    ``parent_cost``'s sums before ``node_id`` and before comm op
+    ``pg.comm_marks[node_id]``, and walks only what follows.  It is for
+    ``pg = repartition(parent, node_id, ...)``, whose nodes and comm ops
+    before those points are ``parent``'s, with ``parent_cost`` summed at
+    the same :func:`cost_prices` (``Partitioner.extend`` checks both).
+    The additions then happen in the order of a full walk, so every float
+    is the full walk's.
     """
     _check_dtype_consistent(pg.graph, dtype_bytes)
     mesh = mesh if mesh is not None else single_pod()
-    if core_flops_rate is None:
-        core_flops_rate = mesh.chip.per_core_matmul_flops * mxu_efficiency
-    hbm_per_core = mesh.chip.hbm_bandwidth / mesh.chip.cores
+    prices = cost_prices(
+        mesh,
+        core_flops_rate=core_flops_rate,
+        mxu_efficiency=mxu_efficiency,
+        fwd_bwd_factor=fwd_bwd_factor,
+        per_op_overhead=per_op_overhead,
+    )
+    core_flops_rate, hbm_per_core, bw, alpha, _, _ = prices
     graph = pg.graph
     tables = graph.tables()
-    compute = 0.0
-    serial = 0.0
-    for node in graph.topological():
-        flops = tables.flops[node.id] * fwd_bwd_factor
+    if resume is None:
+        start = mark = 0
+        compute = serial = comm = comm_bytes = 0.0
+        computes: list[float] = []
+        serials: list[float] = []
+        comms: list[float] = []
+        comm_byte_sums: list[float] = []
+    else:
+        parent, start = resume
+        prefix = parent.prefix
+        mark = pg.comm_marks[start]
+        compute, serial = prefix.compute[start], prefix.serial[start]
+        comm, comm_bytes = prefix.comm[mark], prefix.comm_bytes[mark]
+        computes, serials = prefix.compute[:start], prefix.serial[:start]
+        comms, comm_byte_sums = prefix.comm[:mark], prefix.comm_bytes[:mark]
+    flops_of, serial_nodes, shardings = tables.flops, pg.serial_nodes, pg.compute_shardings
+    for node in graph.nodes[start:]:  # topological by construction
+        computes.append(compute)
+        serials.append(serial)
+        flops = flops_of[node.id] * fwd_bwd_factor
         if flops == 0.0:
             continue
         serial += per_op_overhead
-        if node.id in pg.serial_nodes:
+        if node.id in serial_nodes:
             serial += flops / core_flops_rate
             continue
-        factor = _tile_factor(node, pg.compute_shardings[node.id])
+        factor = _tile_factor(node, shardings[node.id])
         if node.op in ("elementwise", "add"):
             # Memory bound: read inputs + write output through HBM.
             traffic = 3.0 * tables.output_bytes[node.id] * fwd_bwd_factor
             compute += traffic * factor / hbm_per_core
         else:
             compute += flops * factor / core_flops_rate
-    comm = 0.0
-    comm_bytes = 0.0
+    computes.append(compute)
+    serials.append(serial)
     # Model-parallel groups sit on X-adjacent cores: the two cores of a chip
     # plus neighbor chips over ICI links.  Within-chip transfers are fast;
     # we charge the ICI link uniformly, which is conservative.
-    bw = mesh.link_bandwidth
-    alpha = mesh.chip.link_latency
     k = pg.num_shards
-    for op in pg.comm_ops:
+    for op in pg.comm_ops[mark:]:
+        comms.append(comm)
+        comm_byte_sums.append(comm_bytes)
         comm_bytes += op.bytes_per_shard
         if op.kind == "halo":
             # Both boundary transfers overlap on full-duplex links.
@@ -149,14 +230,15 @@ def estimate_cost(
             comm += op.steps * (alpha + op.bytes_per_shard / bw)
         else:  # pragma: no cover - exhaustive kinds
             raise ValueError(f"unknown comm op kind {op.kind!r}")
+    comms.append(comm)
+    comm_byte_sums.append(comm_bytes)
     # Backward pass roughly mirrors forward communication.
-    comm *= 2.0
-    comm_bytes *= 2.0
     return PartitionCost(
         compute_seconds=compute,
         serial_seconds=serial,
-        comm_seconds=comm,
-        comm_bytes=comm_bytes,
+        comm_seconds=comm * 2.0,
+        comm_bytes=comm_bytes * 2.0,
+        prefix=CostPrefix(prices, computes, serials, comms, comm_byte_sums),
     )
 
 

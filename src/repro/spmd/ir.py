@@ -51,11 +51,18 @@ class Node:
 
 @dataclass(frozen=True)
 class GraphTables:
-    """What every candidate layout of one graph reads, by node id."""
+    """What every candidate layout of one graph reads, by node id.
+
+    Each field is a pure function of the graph's nodes, never of a layout.
+    ``conv_filter_seeds`` holds the input/parameter nodes some ``conv2d``
+    reads as its filter: a split seed there is refused before propagation
+    (:func:`repro.spmd.partitioner.repartition`).
+    """
 
     flops: tuple[float, ...]
     output_bytes: tuple[float, ...]
     ids_by_name: dict[str, int]
+    conv_filter_seeds: frozenset[int]
 
 
 class Graph:
@@ -179,7 +186,8 @@ class Graph:
         return 0.0
 
     def tables(self) -> GraphTables:
-        """Per-node FLOPs and output bytes and the name -> id map.
+        """Per-node FLOPs and output bytes, the name -> id map and the
+        conv-filter seeds.
 
         Nodes are immutable and only ever appended, so the tables are built
         on first use and dropped by the next ``_add``: a search scoring
@@ -187,10 +195,16 @@ class Graph:
         """
         tables = self._tables
         if tables is None:
+            nodes = self.nodes
             tables = self._tables = GraphTables(
-                flops=tuple(self.node_flops(n) for n in self.nodes),
-                output_bytes=tuple(n.output_bytes() for n in self.nodes),
-                ids_by_name={n.name: n.id for n in self.nodes},
+                flops=tuple(self.node_flops(n) for n in nodes),
+                output_bytes=tuple(n.output_bytes() for n in nodes),
+                ids_by_name={n.name: n.id for n in nodes},
+                conv_filter_seeds=frozenset(
+                    n.inputs[1] for n in nodes
+                    if n.op == "conv2d"
+                    and nodes[n.inputs[1]].op in ("input", "parameter")
+                ),
             )
         return tables
 

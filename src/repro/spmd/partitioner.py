@@ -47,6 +47,18 @@ V06_FEATURES = PartitionerFeatures(
 V07_FEATURES = PartitionerFeatures()
 
 
+class PartitionInfeasible(NotImplementedError):
+    """A layout the partitioner has no rule for.
+
+    ``nodes_visited`` counts the nodes the failed pass had started on,
+    the failing one included; a seed refused before the pass is 0.
+    """
+
+    def __init__(self, message: str, nodes_visited: int) -> None:
+        super().__init__(message)
+        self.nodes_visited = nodes_visited
+
+
 @dataclass(frozen=True)
 class CommOp:
     """A communication operation inserted by the partitioner.
@@ -158,6 +170,13 @@ def repartition(
     modified) and the one pass continues from ``node_id``: the result
     equals ``partition(graph, {**parent.seeds, node_id: sharding}, ...)``
     field for field, for the cost of the nodes from ``node_id`` on.
+
+    A split seed on an input/parameter some conv reads as its filter
+    (``GraphTables.conv_filter_seeds``) is refused at once, with the error
+    the pass would raise at that conv: ``parent`` propagated every other
+    node without raising, and no rule rewrites a split layout.  At one
+    shard every seed is ignored, so nothing is refused; a partial seed may
+    be all-reduced by an earlier consumer, so it goes through the pass.
     """
     if sharding.num_shards != parent.num_shards:
         raise ValueError(
@@ -167,6 +186,12 @@ def repartition(
     if node_id in parent.seeds:
         raise ValueError(f"node {node_id} already has a seed")
     parent.graph.node(node_id)  # raises ShapeError on unknown ids
+    if (
+        parent.num_shards > 1
+        and sharding.dim is not None
+        and node_id in parent.graph.tables().conv_filter_seeds
+    ):
+        raise PartitionInfeasible("sharded conv filters not supported", 0)
     mark = parent.comm_marks[node_id]
     shardings = dict(islice(parent.shardings.items(), node_id))
     for op in islice(parent.comm_ops, mark, None):
@@ -200,14 +225,16 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
         return pg
 
     output_bytes = graph.tables().output_bytes
+    comm_ops, comm_marks = pg.comm_ops, pg.comm_marks
+    replicated = Sharding.replicate(num_shards)
 
     def resolve_partial(node_id: int) -> Sharding:
         """All-reduce a partial value before a consumer that needs it."""
         s = pg.shardings[node_id]
         if not s.partial:
             return s
-        pg.comm_ops.append(CommOp("all_reduce", node_id, output_bytes[node_id]))
-        s = Sharding.replicate(num_shards)
+        comm_ops.append(CommOp("all_reduce", node_id, output_bytes[node_id]))
+        s = replicated
         pg.shardings[node_id] = s  # layout change only; compute ran as partial
         return s
 
@@ -218,22 +245,25 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
             resolve_partial(node_id)
             return
         if s.dim is not None:
-            pg.comm_ops.append(CommOp("all_gather", node_id, output_bytes[node_id]))
+            comm_ops.append(CommOp("all_gather", node_id, output_bytes[node_id]))
 
     reshard_steps = 1 if features.minimize_reshards else 2
 
     for node in graph.nodes[start:]:
-        pg.comm_marks.append(len(pg.comm_ops))
-        if node.op in ("input", "parameter"):
-            pg._set(node.id, seeds.get(node.id, Sharding.replicate(num_shards)))
+        comm_marks.append(len(comm_ops))
+        op = node.op
+        if op in ("input", "parameter"):
+            pg._set(node.id, seeds.get(node.id, replicated))
             continue
 
-        if node.op == "conv2d":
+        if op == "conv2d":
             x_id, w_id = node.inputs
             xs = resolve_partial(x_id)
             ws = pg.shardings[w_id]
             if not ws.replicated:
-                raise NotImplementedError("sharded conv filters not supported")
+                raise PartitionInfeasible(
+                    "sharded conv filters not supported", node.id - start + 1
+                )
             if xs.dim in (1, 2):  # spatial split
                 kh, kw = node.attrs["kernel"]
                 k_dim = kh if xs.dim == 1 else kw
@@ -243,7 +273,7 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
                     b, h, w, c = x_node.shape
                     row = (w * c) if xs.dim == 1 else (h * c)
                     steps = 1 if features.optimized_halo_barriers else 2
-                    pg.comm_ops.append(
+                    comm_ops.append(
                         CommOp(
                             "halo",
                             node.id,
@@ -257,10 +287,10 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
             elif xs.dim == 3:  # input channels = contracting dim
                 pg._set(node.id, Sharding.partial_sum(num_shards))
             else:
-                pg._set(node.id, Sharding.replicate(num_shards))
+                pg._set(node.id, replicated)
             continue
 
-        if node.op == "matmul":
+        if op == "matmul":
             a_id, b_id = node.inputs
             sa = resolve_partial(a_id)
             sb = resolve_partial(b_id)
@@ -273,16 +303,16 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
             elif sb.dim == 1:
                 pg._set(node.id, Sharding.split(num_shards, 1))
             else:
-                pg._set(node.id, Sharding.replicate(num_shards))
+                pg._set(node.id, replicated)
             continue
 
-        if node.op in ("elementwise", "add"):
+        if op in ("elementwise", "add"):
             in_shardings = [resolve_partial(i) for i in node.inputs]
             chosen = in_shardings[0]
             for other_id, other in zip(node.inputs[1:], in_shardings[1:]):
                 if other.dim != chosen.dim and not other.replicated and not chosen.replicated:
                     # Layout mismatch: reshard the second operand.
-                    pg.comm_ops.append(
+                    comm_ops.append(
                         CommOp(
                             "reshard",
                             other_id,
@@ -295,7 +325,7 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
             pg._set(node.id, chosen)
             continue
 
-        if node.op == "gather":
+        if op == "gather":
             (x_id,) = node.inputs
             xs = resolve_partial(x_id)
             if features.partition_gather or features.gather_as_onehot_matmul:
@@ -305,34 +335,36 @@ def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
             else:
                 gathered(x_id)
                 pg.serial_nodes.add(node.id)
-                pg._set(node.id, Sharding.replicate(num_shards))
+                pg._set(node.id, replicated)
             continue
 
-        if node.op == "topk":
+        if op == "topk":
             (x_id,) = node.inputs
             xs = resolve_partial(x_id)
             if features.partition_topk and xs.dim is not None:
                 # Local top-k then a tiny candidate exchange.
                 k = node.attrs["k"]
-                pg.comm_ops.append(
+                comm_ops.append(
                     CommOp("all_gather", node.id, float(k) * node.dtype_bytes)
                 )
-                pg._set(node.id, Sharding.replicate(num_shards))
+                pg._set(node.id, replicated)
             else:
                 gathered(x_id)
                 pg.serial_nodes.add(node.id)
-                pg._set(node.id, Sharding.replicate(num_shards))
+                pg._set(node.id, replicated)
             continue
 
-        if node.op == "reduce":
+        if op == "reduce":
             (x_id,) = node.inputs
             xs = pg.shardings[x_id]
             if xs.partial or xs.dim is not None:
                 # Partial local reductions + a scalar all-reduce.
-                pg.comm_ops.append(CommOp("all_reduce", node.id, float(node.dtype_bytes)))
-            pg._set(node.id, Sharding.replicate(num_shards))
+                comm_ops.append(CommOp("all_reduce", node.id, float(node.dtype_bytes)))
+            pg._set(node.id, replicated)
             continue
 
-        raise NotImplementedError(f"no partitioning rule for op {node.op!r}")
+        raise PartitionInfeasible(
+            f"no partitioning rule for op {op!r}", node.id - start + 1
+        )
 
     return pg

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hardware.topology import TorusMesh
+from repro.hardware.topology import TorusMesh, single_pod
 from repro.spmd.annotations import Sharding
-from repro.spmd.estimator import PartitionCost, estimate_cost
+from repro.spmd.estimator import PartitionCost, cost_prices, estimate_cost
 from repro.spmd.ir import Graph
 from repro.spmd.partitioner import (
     CommOp,
@@ -168,6 +168,16 @@ class Partitioner:
     features: PartitionerFeatures = V07_FEATURES
     mesh: TorusMesh | None = None
     mxu_efficiency: float = 0.35
+    _cost_mesh: TorusMesh = field(init=False, repr=False, compare=False)
+    _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Resolved once: every plan this partitioner costs reads them.
+        cost_mesh = self.mesh if self.mesh is not None else single_pod()
+        object.__setattr__(self, "_cost_mesh", cost_mesh)
+        object.__setattr__(
+            self, "_prices", cost_prices(cost_mesh, mxu_efficiency=self.mxu_efficiency)
+        )
 
     def partition(self, graph: Graph, spec: ShardingSpec) -> PartitionPlan:
         """Propagate ``spec`` through ``graph`` and cost the result."""
@@ -179,25 +189,39 @@ class Partitioner:
         self, plan: PartitionPlan, node_id: int, sharding: Sharding
     ) -> PartitionPlan:
         """``plan`` with one more tensor assigned a layout, re-propagated
-        only from that tensor on (:func:`~repro.spmd.partitioner.repartition`).
+        (:func:`~repro.spmd.partitioner.repartition`) and re-priced
+        (:func:`~repro.spmd.estimator.estimate_cost`'s ``resume``) only from
+        that tensor on.
 
-        Equal, field for field, to ``partition(graph, spec)`` with the
-        assignment appended to ``plan.spec`` — what lets a search score a
-        mutation of a layout for the cost of the subgraph it touches.
-        ``plan`` must have been made with this partitioner's feature set.
+        Equal, field for field and float for float, to ``partition(graph,
+        spec)`` with the assignment appended to ``plan.spec`` — what lets a
+        search score a mutation of a layout for the cost of the subgraph it
+        touches.  ``plan`` must have been made with this partitioner's
+        feature set and priced at its rates (same mesh chip and MXU
+        efficiency), or its prefix sums would leak into the new plan.
         """
-        if plan.partitioned.features != self.features:
+        features = plan.partitioned.features
+        if features is not self.features and features != self.features:
             raise ValueError("plan was partitioned under a different feature set")
+        prefix = plan.cost.prefix
+        if prefix is None or prefix.prices != self._prices:
+            raise ValueError("plan was priced under a different mesh or MXU efficiency")
         spec = ShardingSpec(
             plan.spec.num_shards, plan.spec.assignments + ((node_id, sharding),)
         )
         pg = repartition(plan.partitioned, node_id, sharding)
-        return self._costed(plan.graph, spec, pg)
+        return self._costed(plan.graph, spec, pg, resume=(plan.cost, node_id))
 
     def _costed(
-        self, graph: Graph, spec: ShardingSpec, pg: PartitionedGraph
+        self,
+        graph: Graph,
+        spec: ShardingSpec,
+        pg: PartitionedGraph,
+        resume: tuple[PartitionCost, int] | None = None,
     ) -> PartitionPlan:
-        cost = estimate_cost(pg, self.mesh, mxu_efficiency=self.mxu_efficiency)
+        cost = estimate_cost(
+            pg, self._cost_mesh, mxu_efficiency=self.mxu_efficiency, resume=resume
+        )
         return PartitionPlan(graph=graph, spec=spec, partitioned=pg, cost=cost)
 
 

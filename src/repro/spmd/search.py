@@ -186,6 +186,9 @@ def search_partitioning(
     pool: dict[tuple, _Candidate] = {}
     expanded = 0
     pruned = 0
+    # Nodes walked by propagation and by the estimator (the baseline's
+    # full passes, then each extension from its seed on).
+    nodes_propagated = nodes_priced = len(graph.nodes)
 
     def score(key: tuple) -> _Candidate | None:
         """Count one candidate whose key has been propagated."""
@@ -202,15 +205,21 @@ def search_partitioning(
 
     def extended(parent: _Candidate, node: Node, sharding: Sharding) -> tuple:
         """Key of ``parent`` with ``node`` laid out as ``sharding``."""
+        nonlocal nodes_propagated, nodes_priced
         if sharding.replicated:
             return parent.key  # the parent's own plan
         key = parent.key + ((node.id, sharding.dim, sharding.partial),)
         if key not in propagated:
             try:
                 propagated[key] = partitioner.extend(parent.plan, node.id, sharding)
-            except (NotImplementedError, ValueError, KeyError):
+            except (NotImplementedError, ValueError, KeyError) as exc:
                 # Propagation infeasible under this feature set: prune.
                 propagated[key] = None
+                nodes_propagated += getattr(exc, "nodes_visited", 0)
+            else:
+                walked = len(graph.nodes) - node.id
+                nodes_propagated += walked
+                nodes_priced += walked
         return key
 
     root = score(())
@@ -221,8 +230,9 @@ def search_partitioning(
     for node in nodes:
         rounds += 1
         frontier: list[_Candidate] = []
+        options = candidate_shardings(node, k)
         for cand in beam:
-            for sharding in candidate_shardings(node, k):
+            for sharding in options:
                 nxt = score(extended(cand, node, sharding))
                 if nxt is not None:
                     frontier.append(nxt)
@@ -259,6 +269,8 @@ def search_partitioning(
         m.counter("spmd_search_candidates_expanded").inc(expanded)
         m.counter("spmd_search_candidates_pruned").inc(pruned)
         m.counter("spmd_search_partitions_run").inc(len(propagated))
+        m.counter("spmd_search_nodes_propagated").inc(nodes_propagated)
+        m.counter("spmd_search_nodes_priced").inc(nodes_priced)
         m.counter("spmd_search_plans_validated").inc(len(validations))
         m.counter("spmd_search_plans_returned").inc(len(plans))
     return SearchResult(

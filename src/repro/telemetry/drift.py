@@ -15,7 +15,7 @@ exported as ``model_drift_rel{case,phase}`` gauges and gated in
 edits the analytic formula, forgets the scheduler, or vice versa) fails
 CI instead of quietly skewing every capacity plan built on the model.
 
-Three drift families:
+Four drift families:
 
 * **ring** — one ring collective: DES ``simulate_ring_reduce_scatter`` /
   ``all_gather`` vs :func:`repro.comm.cost.reduce_scatter_time` /
@@ -24,6 +24,9 @@ Three drift families:
   phase (column rings, then row lines on the ``1/y`` shard) vs the
   matching :class:`~repro.comm.allreduce.AllReduceBreakdown` field, up to
   the paper's 4096-chip Multipod and its model-parallel peer rings;
+* **steptime** — :meth:`StepTimeModel.allreduce_time` of each Table 1
+  model at 4096 chips, in the configuration the planner picks, vs the DES
+  of that all-reduce;
 * **overlap** — the overlap engine's DES trace, re-read through the
   critical-path analyzer (:mod:`repro.telemetry.critical_path`): the
   attribution buckets must reproduce the engine's own
@@ -69,15 +72,21 @@ _DENOM_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class DriftEntry:
-    """One measured-vs-predicted comparison for a (case, phase) pair."""
+    """One measured-vs-predicted comparison for a (case, phase) pair.
+
+    ``measured_s`` is ``None`` when the case has no DES twin: the row is
+    reported, with nothing to gate.
+    """
 
     case: str
     phase: str
-    measured_s: float
+    measured_s: float | None
     predicted_s: float
 
     @property
     def drift_rel(self) -> float:
+        if self.measured_s is None:
+            return 0.0
         denom = max(abs(self.predicted_s), _DENOM_FLOOR)
         return abs(self.measured_s - self.predicted_s) / denom
 
@@ -142,6 +151,32 @@ def ring_drift(payload_bytes: float = DEFAULT_PAYLOAD_BYTES) -> list[DriftEntry]
     return entries
 
 
+_PHASES = ("reduce_scatter_y", "reduce_scatter_x", "all_gather_x", "all_gather_y")
+
+
+def _two_phase_des(
+    mesh: TorusMesh, payload_bytes: float, mp_size: int = 1
+) -> dict[str, float]:
+    """DES seconds of each phase of ``two_phase_allreduce(mesh,
+    payload_bytes, mp_size=mp_size)``: every Y ring, then every X line (or
+    every row's peer rings under model parallelism) on the ``1/y`` shard."""
+    y_rings = all_y_rings(mesh)
+    if mp_size == 1:
+        x_rings = all_x_lines(mesh)
+    else:
+        x_rings = [
+            model_peer_ring(mesh, y, mp_size, p)
+            for y in range(mesh.y_size) for p in range(mp_size)
+        ]
+    shard = payload_bytes / mesh.y_size
+    return {
+        "reduce_scatter_y": simulate_ring_reduce_scatter(mesh, y_rings, payload_bytes),
+        "reduce_scatter_x": simulate_ring_reduce_scatter(mesh, x_rings, shard),
+        "all_gather_x": simulate_ring_all_gather(mesh, x_rings, shard),
+        "all_gather_y": simulate_ring_all_gather(mesh, y_rings, payload_bytes),
+    }
+
+
 def two_phase_drift(
     payload_bytes: float = DEFAULT_PAYLOAD_BYTES,
 ) -> list[DriftEntry]:
@@ -156,39 +191,55 @@ def two_phase_drift(
     for pods in (1, 2, 4):
         mesh = multipod(pods)
         bd = two_phase_allreduce(mesh, payload_bytes)
-        y_rings = all_y_rings(mesh)
-        x_lines = all_x_lines(mesh)
-        shard = payload_bytes / mesh.y_size
-        case = f"2d/multipod{pods}"
+        des = _two_phase_des(mesh, payload_bytes)
         entries += [
-            DriftEntry(case, "reduce_scatter_y",
-                       simulate_ring_reduce_scatter(mesh, y_rings, payload_bytes),
-                       bd.reduce_scatter_y),
-            DriftEntry(case, "reduce_scatter_x",
-                       simulate_ring_reduce_scatter(mesh, x_lines, shard),
-                       bd.reduce_scatter_x),
-            DriftEntry(case, "all_gather_x",
-                       simulate_ring_all_gather(mesh, x_lines, shard),
-                       bd.all_gather_x),
-            DriftEntry(case, "all_gather_y",
-                       simulate_ring_all_gather(mesh, y_rings, payload_bytes),
-                       bd.all_gather_y),
+            DriftEntry(f"2d/multipod{pods}", phase, des[phase], getattr(bd, phase))
+            for phase in _PHASES
         ]
-    # The loop's last mesh is the 4096-chip Multipod, ``shard`` its X payload.
+    # The loop's last mesh is the 4096-chip Multipod; its Y phases are
+    # already simulated (and cached) at this payload.
     for mp in (2, 4):
         bd = two_phase_allreduce(mesh, payload_bytes, mp_size=mp)
-        peers = [
-            model_peer_ring(mesh, y, mp, p) for y in range(mesh.y_size) for p in range(mp)
-        ]
-        case = f"ring/peer_contended_mp{mp}_{mesh.num_chips}"
+        des = _two_phase_des(mesh, payload_bytes, mp)
         entries += [
-            DriftEntry(case, "reduce_scatter_x",
-                       simulate_ring_reduce_scatter(mesh, peers, shard),
-                       bd.reduce_scatter_x),
-            DriftEntry(case, "all_gather_x",
-                       simulate_ring_all_gather(mesh, peers, shard),
-                       bd.all_gather_x),
+            DriftEntry(f"ring/peer_contended_mp{mp}_{mesh.num_chips}", phase,
+                       des[phase], getattr(bd, phase))
+            for phase in ("reduce_scatter_x", "all_gather_x")
         ]
+    return entries
+
+
+def steptime_drift() -> list[DriftEntry]:
+    """``StepTimeModel.allreduce_time`` vs the DES of the same all-reduce,
+    one row per Table 1 model at its payload on the 4096-chip Multipod.
+
+    Each model runs the configuration :func:`~repro.core.planner.plan_parallelism`
+    picks for it on that slice, so the row prices the payload, mesh and
+    model-parallel hop-over the step-time model charges.  A configuration
+    whose all-reduce has no DES twin (the flat-ring baseline, or a single
+    replica) gets a row that says so.
+    """
+    from repro.core.planner import plan_parallelism
+    from repro.core.step_time import StepTimeModel
+    from repro.experiments.calibration import spec_for
+    from repro.experiments.table1 import TABLE1_ROWS
+
+    num_chips = 4096
+    entries: list[DriftEntry] = []
+    for name in dict.fromkeys(row[0] for row in TABLE1_ROWS):
+        spec = spec_for(name)
+        config = plan_parallelism(spec, num_chips).config
+        model = StepTimeModel(spec, config)
+        measured = None
+        if config.use_2d_allreduce and config.num_replicas > 1:
+            des = _two_phase_des(model.mesh, model.gradient_payload(), config.mp_chips)
+            # Summed as ``AllReduceBreakdown.total`` sums its phases.
+            measured = (des["reduce_scatter_y"] + des["reduce_scatter_x"]) + (
+                des["all_gather_x"] + des["all_gather_y"]
+            )
+        entries.append(DriftEntry(
+            f"steptime/{name}_{num_chips}", "allreduce", measured, model.allreduce_time()
+        ))
     return entries
 
 
@@ -240,11 +291,15 @@ def drift_report(
     """All drift entries; exports ``model_drift_rel`` gauges per entry."""
     from repro import telemetry
 
-    entries = ring_drift(payload_bytes) + two_phase_drift(payload_bytes)
+    entries = (
+        ring_drift(payload_bytes) + two_phase_drift(payload_bytes) + steptime_drift()
+    )
     if include_overlap:
         entries += overlap_drift()
     if telemetry.enabled:
         for e in entries:
+            if e.measured_s is None:
+                continue
             telemetry.metrics.gauge(
                 "model_drift_rel", case=e.case, phase=e.phase
             ).set(e.drift_rel)
@@ -278,6 +333,12 @@ def format_report(
         flag = ""
         if tolerance is not None and e.drift_rel > tolerance:
             flag = "  << DRIFT"
+        if e.measured_s is None:
+            lines.append(
+                f"{e.case:<30} {e.phase:<18} {'no DES twin':>14} "
+                f"{e.predicted_s:>14.6e} {'-':>10}"
+            )
+            continue
         lines.append(
             f"{e.case:<30} {e.phase:<18} {e.measured_s:>14.6e} "
             f"{e.predicted_s:>14.6e} {e.drift_rel:>10.2e}{flag}"

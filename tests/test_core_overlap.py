@@ -23,6 +23,7 @@ from repro.core.overlap import (
     measured_overlap,
     simulate_overlap_schedule,
 )
+from repro.core import step_time
 from repro.core.step_time import StepTimeModel
 from repro.core.strategy import ParallelismConfig
 from repro.experiments.calibration import CALIBRATIONS, spec_for
@@ -269,6 +270,27 @@ class TestStepTimeOverlap:
         assert b.device_time == pytest.approx(
             b.compute + b.allreduce + b.mp_comm + b.weight_update + b.embedding
         )
+
+    def test_overlap_schedule_runs_once_per_bucket_count_and_model(
+        self, bert_model, monkeypatch
+    ):
+        runs = []
+
+        def counted(**kw):
+            runs.append(kw["num_buckets"])
+            return analytic_overlap(**kw)
+
+        monkeypatch.setattr(step_time, "analytic_overlap", counted)
+        model = bert_model(overlap=True, overlap_buckets=8)
+        result = model.overlap_result()
+        breakdown = model.breakdown()
+        assert model.overlap_result(8) is result
+        model.overlap_result(4)
+        assert runs == [8, 4]
+        assert breakdown.exposed_allreduce == result.exposed_comm_seconds
+        # The memo is the model's own: a new model runs its schedule again.
+        bert_model(overlap=True, overlap_buckets=8).breakdown()
+        assert runs == [8, 4, 8]
 
     @pytest.mark.parametrize("buckets", [1, 2, 4, 8, 16, 32])
     def test_overlap_step_never_worse_than_serial(self, bert_model, buckets):

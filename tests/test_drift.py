@@ -21,8 +21,10 @@ from repro.telemetry.drift import (
     max_drift,
     overlap_drift,
     ring_drift,
+    steptime_drift,
     two_phase_drift,
 )
+from repro.experiments.table1 import TABLE1_ROWS
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +70,38 @@ class TestModelAgreement:
             "2d/multipod1", "2d/multipod2", "2d/multipod4",
             "ring/peer_contended_mp2_4096", "ring/peer_contended_mp4_4096",
         } <= cases
+
+    def test_steptime_drift_has_a_twinned_row_per_table1_model(self):
+        entries = steptime_drift()
+        models = dict.fromkeys(row[0] for row in TABLE1_ROWS)
+        assert [e.case for e in entries] == [f"steptime/{m}_4096" for m in models]
+        assert all(e.measured_s is not None for e in entries)
+        assert max_drift(entries) < DEFAULT_TOLERANCE
+
+    def test_a_configuration_without_des_twin_says_so(self, monkeypatch):
+        from repro.core import planner
+
+        real = planner.plan_parallelism
+
+        def flat_ring(spec, num_chips):
+            """The flat-ring baseline wherever it applies (no model
+            parallelism)."""
+            choice = real(spec, num_chips)
+            if choice.config.mp_chips > 1:
+                return choice
+            config = dataclasses.replace(choice.config, use_2d_allreduce=False)
+            return dataclasses.replace(choice, config=config)
+
+        monkeypatch.setattr(planner, "plan_parallelism", flat_ring)
+        entries = steptime_drift()
+        untwinned = [e for e in entries if e.measured_s is None]
+        assert [e.case for e in untwinned] == [
+            "steptime/resnet50_4096", "steptime/bert_4096",
+            "steptime/ssd_4096", "steptime/dlrm_4096",
+        ]
+        assert all(e.predicted_s > 0 for e in untwinned)
+        assert check_drift(entries) == (True, [])
+        assert format_report(entries).count("no DES twin") == len(untwinned)
 
     def test_overlap_drift_within_tolerance(self):
         entries = overlap_drift(models=("resnet50",))
@@ -121,6 +155,17 @@ class TestGate:
         gate = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gate)
         assert gate.check_model_drift(1e-6) is False
+
+    def test_gate_trips_on_a_perturbed_step_time_all_reduce(self, monkeypatch):
+        from repro.core.step_time import StepTimeModel
+
+        real = StepTimeModel.allreduce_time
+        monkeypatch.setattr(
+            StepTimeModel, "allreduce_time", lambda self: real(self) * (1 + 1e-5)
+        )
+        entries = steptime_drift()
+        ok, bad = check_drift(entries, tolerance=1e-6)
+        assert not ok and bad == entries
 
     def test_gauges_exported(self):
         entries = drift_report(include_overlap=False)

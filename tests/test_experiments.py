@@ -351,3 +351,22 @@ class TestAvailability:
         for row in table.rows:
             assert row[6] == "yes", row
             assert 0.0 < float(row[5]) <= 1.0
+
+
+class TestOverlapAblation:
+    def test_each_schedule_is_simulated_once(self, monkeypatch):
+        """Both tables read one sweep: 3 slices x 7 bucket counts, one
+        overlap DES each, and the serial rows run none."""
+        from repro.core import step_time
+
+        runs = []
+        real = step_time.analytic_overlap
+
+        def counted(**kw):
+            runs.append(kw["num_buckets"])
+            return real(**kw)
+
+        monkeypatch.setattr(step_time, "analytic_overlap", counted)
+        sweep, onoff = EXPERIMENTS["overlap"]()
+        assert len(runs) == len(sweep.rows) == 21
+        assert len(onoff.rows) == 6

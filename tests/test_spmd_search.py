@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.hardware.chip import TPU_V2
+from repro.hardware.topology import TorusMesh, single_pod
 from repro.spmd import (
+    PartitionCost,
     SearchConfig,
     Sharding,
     ShardingSpec,
@@ -17,6 +20,7 @@ from repro.spmd import (
 )
 from repro.spmd.ir import Graph
 from repro.spmd.modelgraphs import (
+    maskrcnn_graph,
     resnet_block_graph,
     spatial_seeds,
     ssd_graph,
@@ -245,6 +249,11 @@ class TestOnePropagationPerLayout:
         assert result.stats.candidates_pruned == total("spmd_search_candidates_pruned") == 384
         # Extending a layout by "replicate" is the layout itself.
         assert 0 < total("spmd_search_partitions_run") < 493
+        # Every pruned candidate is a split conv filter, refused at its
+        # seed: only the baseline (68 nodes) and the feasible extensions,
+        # each from its seed on, are walked -- by both passes.
+        assert total("spmd_search_nodes_propagated") == 284
+        assert total("spmd_search_nodes_priced") == 284
 
     def test_nothing_keyed_on_a_search_outlives_it(self):
         graph = ssd_graph()
@@ -291,14 +300,46 @@ def _assert_same_plan(plan, fresh):
         assert getattr(plan.cost, field).hex() == getattr(fresh.cost, field).hex()
 
 
-class TestExtend:
-    """``Partitioner.extend`` resumes propagation at the new seed; the
-    result must be the plan a pass over the whole graph produces."""
+def computed_filter_graph() -> Graph:
+    """Conv filters that are computed values, beside one read directly.
 
-    @settings(max_examples=40, deadline=None)
+    ``w_act`` is a parameter read through an elementwise op, so it is no
+    seed-time refusal candidate: a split of it fails only at the conv, a
+    partial of it is all-reduced first and passes.  ``w_direct`` is also
+    read by an elementwise op before its conv, so a partial seed on it is
+    all-reduced before the conv sees it.
+    """
+    g = Graph("computed_filters")
+    x = g.input((1, 8, 8, 4), name="x")
+    w_act = g.parameter((3, 3, 4, 4), name="w_act")
+    w_direct = g.parameter((3, 3, 4, 4), name="w_direct")
+    g.elementwise(w_direct, name="w_direct_norm")
+    y = g.conv2d(x, g.elementwise(w_act, name="w_act_fn"), name="conv_act")
+    g.conv2d(y, w_direct, name="conv_direct")
+    return g
+
+
+#: Every graph ``plan_query`` searches (the transformer at its bench size),
+#: plus filters that are computed values.
+EXTEND_GRAPHS = [
+    resnet_block_graph,
+    small_transformer,
+    functools.partial(transformer_block_graph, seq=27),
+    ssd_graph,
+    maskrcnn_graph,
+    computed_filter_graph,
+]
+
+
+class TestExtend:
+    """``Partitioner.extend`` resumes propagation and pricing at the new
+    seed; the result must be the plan a pass over the whole graph
+    produces, or the failure that pass raises."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        build=st.sampled_from([resnet_block_graph, small_transformer, ssd_graph]),
-        k=st.sampled_from([1, 2, 4]),
+        build=st.sampled_from(EXTEND_GRAPHS),
+        k=st.sampled_from([1, 2, 4, 8]),
         features=st.sampled_from(["v06", "v07"]),
         data=st.data(),
     )
@@ -308,13 +349,20 @@ class TestExtend:
         graph = build()
         partitioner = make_partitioner(features)
         plan = partitioner.partition(graph, ShardingSpec.replicated(k))
+        filters = {n.inputs[1] for n in graph.nodes if n.op == "conv2d"}
         # Any node may be seeded, in any order: a seed on a computed value
         # is ignored by propagation, a later seed may precede an earlier one.
+        # Conv filters, computed or not, come first half of the time.
         order = data.draw(st.permutations(range(len(graph.nodes))))
+        if data.draw(st.booleans()):
+            order = sorted(order, key=lambda i: i not in filters)
         for node_id in order[: data.draw(st.integers(1, 4))]:
             node = graph.node(node_id)
-            dim = data.draw(st.sampled_from([None, *range(len(node.shape))]))
-            sharding = Sharding.replicate(k) if dim is None else Sharding.split(k, dim)
+            sharding = data.draw(st.sampled_from([
+                Sharding.replicate(k),
+                Sharding.partial_sum(k),
+                *(Sharding.split(k, d) for d in range(len(node.shape))),
+            ]))
             spec = ShardingSpec(k, plan.spec.assignments + ((node_id, sharding),))
             try:
                 fresh = partitioner.partition(graph, spec)
@@ -329,6 +377,43 @@ class TestExtend:
             assert before == (plan.shardings, plan.comm_ops, plan.serial_nodes)
             plan = extended
 
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_split_filter_seeds_are_refused_only_where_the_pass_fails(self, k):
+        graph = computed_filter_graph()
+        v07 = make_partitioner("v07")
+        plan = v07.partition(graph, ShardingSpec.replicated(k))
+        ids = graph.tables().ids_by_name
+        assert graph.tables().conv_filter_seeds == {ids["w_direct"]}
+        split = Sharding.split(k, 3)
+        if k == 1:  # every seed is ignored at one shard
+            for name in ("w_direct", "w_act", "w_act_fn"):
+                v07.extend(plan, ids[name], split)
+            return
+        with pytest.raises(NotImplementedError) as refused:
+            v07.extend(plan, ids["w_direct"], split)
+        assert refused.value.nodes_visited == 0  # refused at the seed
+        with pytest.raises(NotImplementedError) as walked:
+            v07.extend(plan, ids["w_act"], split)
+        assert walked.value.nodes_visited == ids["conv_act"] - ids["w_act"] + 1
+        # Computed filters ignore seeds; a partial filter is all-reduced
+        # by its earlier elementwise reader before the conv reads it.
+        v07.extend(plan, ids["w_act_fn"], split)
+        v07.extend(plan, ids["w_direct"], Sharding.partial_sum(k))
+
+    def test_prefix_sums_are_not_part_of_the_cost(self):
+        graph = ssd_graph()
+        v07 = make_partitioner("v07")
+        plan = v07.partition(graph, ShardingSpec.replicated(2))
+        cost = plan.cost
+        assert cost.prefix is not None
+        assert len(cost.prefix.compute) == len(graph.nodes) + 1
+        assert len(cost.prefix.comm) == len(plan.comm_ops) + 1
+        bare = PartitionCost(
+            cost.compute_seconds, cost.serial_seconds, cost.comm_seconds, cost.comm_bytes
+        )
+        assert bare == cost and hash(bare) == hash(cost)
+        assert repr(bare) == repr(cost) and "prefix" not in repr(cost)
+
     def test_extend_checks_what_partition_checks(self):
         graph = resnet_block_graph()
         v07 = make_partitioner("v07")
@@ -342,3 +427,16 @@ class TestExtend:
             v07.extend(once, 0, Sharding.split(4, 2))
         with pytest.raises(ValueError):  # another compiler's plan
             make_partitioner("v06").extend(plan, 0, Sharding.split(4, 1))
+        # Prefix sums summed at other prices would leak into the child.
+        for foreign in (
+            make_partitioner("v07", mxu_efficiency=0.5),
+            make_partitioner("v07", mesh=TorusMesh(4, 4, chip=TPU_V2)),
+        ):
+            with pytest.raises(ValueError):
+                foreign.extend(plan, 0, Sharding.split(4, 1))
+        # The same prices on another mesh object are trusted.
+        same = make_partitioner("v07", mesh=single_pod())
+        _assert_same_plan(
+            same.extend(plan, 0, Sharding.split(4, 1)),
+            same.partition(graph, once.spec),
+        )
