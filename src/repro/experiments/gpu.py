@@ -89,7 +89,7 @@ def gpu_end_to_end(
     )
     allreduce = cluster.allreduce_time(spec.gradient_bytes)
     # Optimizer update, HBM-bound, replicated (no WUS in the comparator).
-    update = spec.params * spec.optimizer_bytes_per_param / cluster.chip.hbm_bandwidth
+    update = cluster.chip.hbm_time(spec.params * spec.optimizer_bytes_per_param)
     step = compute + allreduce + update + step_overhead
     convergence = ConvergenceModel(spec)
     steps = convergence.steps_to_converge(global_batch)

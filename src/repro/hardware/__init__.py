@@ -25,7 +25,6 @@ from repro.hardware.chip import (
     GPU_V100,
     GPU_A100,
     TPU_V3_HOST,
-    chip_spec,
 )
 from repro.hardware.topology import (
     Coordinate,
@@ -62,7 +61,6 @@ __all__ = [
     "GPU_V100",
     "GPU_A100",
     "TPU_V3_HOST",
-    "chip_spec",
     "Coordinate",
     "Link",
     "LinkKind",

@@ -91,12 +91,6 @@ class ChipSpec:
             raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
         return flops / (self.peak_matmul_flops * efficiency)
 
-    def vector_time(self, flops: float, efficiency: float = 1.0) -> float:
-        """Seconds to execute ``flops`` on the vector units."""
-        if not 0.0 < efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-        return flops / (self.peak_vector_flops * efficiency)
-
     def hbm_time(self, num_bytes: float) -> float:
         """Seconds to stream ``num_bytes`` through HBM."""
         return num_bytes / self.hbm_bandwidth
@@ -194,16 +188,3 @@ GPU_A100 = ChipSpec(
 )
 
 TPU_V3_HOST = HostSpec()
-
-_CHIP_REGISTRY: dict[str, ChipSpec] = {
-    spec.name: spec for spec in (TPU_V2, TPU_V3, TPU_V4, GPU_V100, GPU_A100)
-}
-
-
-def chip_spec(name: str) -> ChipSpec:
-    """Look up a chip spec by name (e.g. ``"tpu-v3"``)."""
-    try:
-        return _CHIP_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_CHIP_REGISTRY))
-        raise KeyError(f"unknown chip {name!r}; known chips: {known}") from None

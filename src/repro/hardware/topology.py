@@ -252,29 +252,6 @@ class TorusMesh:
         cut_links = self.y_size * (2 if self.wrap_x else 1)
         return cut_links * self.link_bandwidth
 
-    def sub_slice(self, x_size: int, y_size: int) -> "TorusMesh":
-        """A rectangular slice anchored at the origin.
-
-        Wrap links survive only along dimensions the slice spans fully.
-        """
-        if x_size > self.x_size or y_size > self.y_size:
-            raise ValueError(
-                f"slice {x_size}x{y_size} exceeds mesh {self.x_size}x{self.y_size}"
-            )
-        return TorusMesh(
-            x_size,
-            y_size,
-            wrap_x=self.wrap_x and x_size == self.x_size,
-            wrap_y=self.wrap_y and y_size == self.y_size,
-            cross_pod_every=(
-                self.cross_pod_every
-                if self.cross_pod_every is not None and x_size > self.cross_pod_every
-                else None
-            ),
-            chip=self.chip,
-            host=self.host,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         wraps = "".join(d for d, w in (("x", self.wrap_x), ("y", self.wrap_y)) if w)
         return (

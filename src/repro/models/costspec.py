@@ -96,8 +96,3 @@ class ModelCostSpec:
     def gradient_bytes(self) -> float:
         """Per-replica gradient payload on the wire."""
         return self.params * self.grad_wire_dtype_bytes
-
-    def steps_per_epoch(self, global_batch: int) -> float:
-        if global_batch < 1:
-            raise ValueError("global_batch must be >= 1")
-        return self.dataset_examples / global_batch

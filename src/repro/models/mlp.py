@@ -90,9 +90,6 @@ class MLP:
         """Predicted class indices."""
         return np.argmax(self.forward(params, x), axis=-1)
 
-    def accuracy(self, params: Params, x: np.ndarray, labels: np.ndarray) -> float:
-        return float(np.mean(self.predict(params, x) == labels))
-
 
 def synthetic_classification(
     rng: np.random.Generator,

@@ -5,7 +5,6 @@ from repro.numerics.bfloat16 import (
     round_to_bfloat16,
     is_bfloat16_representable,
     bf16_add,
-    bf16_sum,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "round_to_bfloat16",
     "is_bfloat16_representable",
     "bf16_add",
-    "bf16_sum",
 ]

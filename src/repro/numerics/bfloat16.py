@@ -138,17 +138,3 @@ def bf16_add(
         np.add(out, round_to_bfloat16(b), out=out)
         return round_to_bfloat16(out, out=out)
     return round_to_bfloat16(round_to_bfloat16(a) + round_to_bfloat16(b))
-
-
-def bf16_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    """Left-to-right bf16 accumulation of several arrays.
-
-    This mirrors what a ring reduce-scatter does to each chunk: the partial
-    sum is rounded to bfloat16 at every hop.
-    """
-    if not arrays:
-        raise ValueError("need at least one array")
-    acc = round_to_bfloat16(arrays[0])
-    for a in arrays[1:]:
-        acc = bf16_add(acc, a)
-    return acc

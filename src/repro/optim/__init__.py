@@ -19,7 +19,6 @@ from repro.optim.schedules import (
     LRSchedule,
     ConstantSchedule,
     LinearWarmupPolyDecay,
-    PiecewiseConstant,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "LRSchedule",
     "ConstantSchedule",
     "LinearWarmupPolyDecay",
-    "PiecewiseConstant",
 ]

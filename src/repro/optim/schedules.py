@@ -61,24 +61,6 @@ class LinearWarmupPolyDecay(LRSchedule):
         return self.end + (self.peak - self.end) * frac**self.power
 
 
-class PiecewiseConstant(LRSchedule):
-    """Step-decay schedule: boundaries and the value to use before each."""
-
-    def __init__(self, boundaries: list[int], values: list[float]) -> None:
-        if len(values) != len(boundaries) + 1:
-            raise ValueError("need exactly len(boundaries) + 1 values")
-        if sorted(boundaries) != list(boundaries):
-            raise ValueError("boundaries must be sorted")
-        self.boundaries = list(boundaries)
-        self.values = list(values)
-
-    def __call__(self, step: int) -> float:
-        for boundary, value in zip(self.boundaries, self.values):
-            if step < boundary:
-                return value
-        return self.values[-1]
-
-
 def as_schedule(lr: "float | LRSchedule") -> LRSchedule:
     """Coerce a bare float into a constant schedule."""
     if isinstance(lr, LRSchedule):

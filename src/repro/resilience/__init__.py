@@ -21,9 +21,9 @@ actually face:
   restarts, restart seconds, MTTR).
 
 Only :mod:`.faults` is imported eagerly — it is a leaf module, which lets
-low-level modules (``repro.runtime.mesh``, ``repro.comm.schedule``) import
-the typed errors without a cycle; ``checkpoint`` and ``chaos`` load on
-first attribute access (PEP 562).
+low-level modules (``repro.comm.schedule``) import the typed errors
+without a cycle; ``checkpoint`` and ``chaos`` load on first attribute
+access (PEP 562).
 """
 
 from __future__ import annotations

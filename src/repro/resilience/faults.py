@@ -4,23 +4,26 @@ The paper's Multipod runs 4096 chips in lockstep, so a single preempted
 host, flapped optical link, or straggler chip stalls every synchronous
 collective.  This module provides the *plan* side of chaos engineering for
 the reproduction: a :class:`FaultPlan` is an immutable, seed-deterministic
-schedule of fault events that both execution substrates consume —
+schedule of fault events that the failure-aware layers consume —
 
-* the functional :class:`~repro.runtime.mesh.VirtualMesh` (a dead device
-  makes its buffers unreachable; collectives either heal over survivors or
-  raise :class:`DeviceLostError`),
 * the discrete-event collective schedules in :mod:`repro.comm.schedule`
   (link faults degrade bandwidth or hard-fail transfers, which retry with
   backoff and eventually raise :class:`LinkDownError`),
 * the elastic training harness in :mod:`repro.resilience.chaos` (chip
-  failures interrupt steps; checkpoints restore onto the surviving mesh).
+  failures interrupt steps; checkpoints restore onto the surviving mesh),
+* the cluster scheduler in :mod:`repro.cluster` (dead chips leave the
+  pod's free map; jobs migrate or shrink).
+
+The functional :class:`~repro.runtime.mesh.VirtualMesh` is not among them:
+it is a fixed, healthy mesh, and device death is modelled by the layers
+above.
 
 Determinism is the point: the same seed replays the same churn, so chaos
 tests pin exact goodput numbers and bit-identical recovery.
 
-Devices are plain ``(x, y)`` tuples, compatible with both
-``VirtualMesh`` device keys and ``repro.hardware.topology.Coordinate``
-(a NamedTuple — tuple equality holds across the two).
+Devices are plain ``(x, y)`` tuples, compatible with
+``repro.hardware.topology.Coordinate`` (a NamedTuple — tuple equality
+holds across the two).
 """
 
 from __future__ import annotations
@@ -38,17 +41,11 @@ Device = tuple[int, int]
 
 
 class DeviceLostError(RuntimeError):
-    """A buffer access or collective touched one or more failed devices."""
+    """A fault plan killed every device a run could continue on."""
 
-    def __init__(self, devices: Device | Iterable[Device], message: str = "") -> None:
-        if isinstance(devices, tuple) and len(devices) == 2 and all(
-            isinstance(c, int) for c in devices
-        ):
-            devices = (devices,)
+    def __init__(self, devices: Iterable[Device], message: str) -> None:
         self.devices: tuple[Device, ...] = tuple(sorted(devices))
-        super().__init__(
-            message or f"device(s) lost: {', '.join(map(str, self.devices))}"
-        )
+        super().__init__(message)
 
 
 class LinkDownError(RuntimeError):
@@ -487,8 +484,8 @@ def host_map(
     assigned to hosts in consecutive blocks of ``chips_per_host``.
 
     ``topology`` is either an ``(x_size, y_size)`` shape tuple or any
-    object exposing ``x_size``/``y_size`` (a ``TorusMesh`` or a
-    ``VirtualMesh``).  ``chips_per_host`` defaults to the topology's own
+    object exposing ``x_size``/``y_size`` (a ``TorusMesh``).
+    ``chips_per_host`` defaults to the topology's own
     ``host.chips_per_host`` when it has one, else 8 (TPU-v3).
     """
     if isinstance(topology, tuple):

@@ -179,22 +179,18 @@ class GradientBucket:
         trees: Sequence[Mapping[str, np.ndarray]],
         dtype_policy: str = "f32",
         grid_shape: tuple[int, int] | None = None,
-        shard_transform=None,
     ) -> list[dict[str, np.ndarray]]:
         """One fused collective over per-device trees; unflattened results.
 
         List adapter over :meth:`all_reduce_stacked` (which see for
-        ``grid_shape`` and ``shard_transform``): the trees are flattened
-        into one device-major block, and every result tensor is a
-        read-only view of the one reduced buffer (writing raises;
-        ``.copy()`` for ownership).
+        ``grid_shape``): the trees are flattened into one device-major
+        block, and every result tensor is a read-only view of the one
+        reduced buffer (writing raises; ``.copy()`` for ownership).
         """
         block = np.empty((len(trees), self.size), dtype=self.dtype)
         for row, tree in zip(block, trees):
             self.flatten(tree, out=row)
-        reduced = self.all_reduce_stacked(
-            block, dtype_policy, grid_shape, shard_transform
-        )
+        reduced = self.all_reduce_stacked(block, dtype_policy, grid_shape)
         return [self.unflatten(row) for row in reduced.to_list()]
 
     def all_reduce_stacked(
@@ -202,16 +198,12 @@ class GradientBucket:
         block: np.ndarray | StackedValue,
         dtype_policy: str = "f32",
         grid_shape: tuple[int, int] | None = None,
-        shard_transform=None,
     ) -> StackedValue:
         """Device-major fused collective: one stacked block in, one out.
 
         ``block`` is the ``(n, self.size)`` device-major stack of fused
         flat buffers.  ``grid_shape=(x, y)`` selects the 2-D hierarchical
         schedule (devices in x-major order); otherwise a flat ring.
-        ``shard_transform`` is the fused shard hook of
-        :func:`repro.runtime.collectives.two_phase_all_reduce_stacked`
-        and operates on fused flat shards (it must be elementwise).
         Returns the reduced fused buffer as a lazily *replicated*
         :class:`StackedValue`, without materializing per-device result
         copies.  Unflatten a device's view (zero-copy, read-only) with
@@ -227,12 +219,7 @@ class GradientBucket:
                 x_size, y_size = grid_shape
                 if x_size * y_size != n:
                     raise ValueError("grid_shape does not match number of devices")
-                return two_phase_all_reduce_stacked(
-                    block, grid_shape, dtype_policy,
-                    shard_transform=shard_transform,
-                )
-            if shard_transform is not None:
-                raise ValueError("shard_transform requires the hierarchical schedule")
+                return two_phase_all_reduce_stacked(block, grid_shape, dtype_policy)
             return ring_all_reduce_stacked(block, dtype_policy)
 
 

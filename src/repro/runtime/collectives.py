@@ -6,9 +6,10 @@ The algorithms replicate the data motion of the hardware schedules:
   chunk ``(d - s) mod n`` to device ``(d + 1) mod n``, which accumulates it;
 * ring all-gather — the same motion without reduction;
 * 2-D hierarchical all-reduce — reduce-scatter along Y per mesh column,
-  reduce-scatter along X per row, an optional per-shard transform (the
-  *sharded weight update* of Section 3.2/3.3), then all-gathers along X and
-  Y.
+  reduce-scatter along X per row, then all-gathers along X and Y.  The
+  *sharded weight update* of Section 3.2/3.3 runs between the two halves:
+  :func:`reduce_scatter_grid` / :func:`ring_reduce_scatter` hand each
+  device its shard, and the all-gathers return the updated values.
 
 Reductions can run in float64/float32 or emulated bfloat16 (rounding the
 partial sum at every hop, as in-network bf16 summation does).
@@ -681,9 +682,8 @@ def _all_gather_grid_core(
     with _telemetry.tracer.span("all_gather_grid", category="comm"):
         full = shards3.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
         if np.shares_memory(full, shards3):
-            # Zero-copy assembly aliases the shard block (or whatever a
-            # user transform returned); the replicated result must own
-            # its memory.
+            # Zero-copy assembly aliases the shard block; the replicated
+            # result must own its memory.
             full = full.copy()
         result = StackedValue.replicate(full.reshape(shape), x_size * y_size)
     if _telemetry.enabled:
@@ -756,29 +756,23 @@ def all_gather_grid(
 
 
 def two_phase_all_reduce(
-    grid: Sequence[Sequence[np.ndarray]],
-    dtype_policy: str = "f32",
-    shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
+    grid: Sequence[Sequence[np.ndarray]], dtype_policy: str = "f32"
 ) -> list[list[np.ndarray]]:
     """The full 2-D hierarchical all-reduce over a ``grid[x][y]`` of buffers.
 
-    List adapter over :func:`two_phase_all_reduce_stacked` (which see for
-    ``shard_transform``): the ``[x][y]`` results are read-only views of
-    its one reduced buffer (writing raises; ``.copy()`` for ownership).
+    List adapter over :func:`two_phase_all_reduce_stacked`: the ``[x][y]``
+    results are read-only views of its one reduced buffer (writing raises;
+    ``.copy()`` for ownership).
     """
     x_size, y_size = _grid_shape(grid)
     reduced = two_phase_all_reduce_stacked(
-        [g for col in grid for g in col], (x_size, y_size), dtype_policy,
-        shard_transform,
+        [g for col in grid for g in col], (x_size, y_size), dtype_policy
     )
     return _grid_rows(reduced.to_list(), x_size, y_size)
 
 
 def two_phase_all_reduce_stacked(
-    arrays,
-    grid_shape: tuple[int, int],
-    dtype_policy: str = "f32",
-    shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
+    arrays, grid_shape: tuple[int, int], dtype_policy: str = "f32"
 ) -> StackedValue:
     """Device-major 2-D hierarchical all-reduce with a replicated result.
 
@@ -787,14 +781,6 @@ def two_phase_all_reduce_stacked(
     ``grid_shape`` is the mesh extent.  Both ring phases run as batched
     stacked kernels and the gather phase returns one replicated
     :class:`StackedValue` instead of ``x * y`` materialized copies.
-
-    ``shard_transform`` is applied to the reduced gradient shards *between*
-    the reduce-scatter and all-gather phases — exactly where the paper's
-    weight-update sharding computes the optimizer step, so passing the
-    update function here reproduces the fused schedule of Section 3.3.  It
-    must be elementwise and shape-preserving: it is called *once* on the
-    whole ``(y, x, x_chunk)`` shard block, which for elementwise
-    transforms is bit-identical to a per-shard loop.
     """
     x_size, y_size = grid_shape
     if x_size < 1 or y_size < 1:
@@ -808,12 +794,6 @@ def two_phase_all_reduce_stacked(
         shards3 = _reduce_scatter_grid_core(
             flats, block, x_size, y_size, shape, dtype_policy
         )
-        if shard_transform is not None:
-            with _telemetry.tracer.span("shard_transform", category="update"):
-                transformed = np.asarray(shard_transform(shards3))
-                if transformed.shape != shards3.shape:
-                    raise ValueError("shard_transform must preserve shape")
-                shards3 = transformed
         result = _all_gather_grid_core(shards3, shape, dtype_policy)
     if _telemetry.enabled:
         _telemetry.metrics.counter(
@@ -955,21 +935,9 @@ def _reference_all_gather_grid(
 
 
 def _reference_two_phase_all_reduce(
-    grid: Sequence[Sequence[np.ndarray]],
-    dtype_policy: str = "f32",
-    shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
+    grid: Sequence[Sequence[np.ndarray]], dtype_policy: str = "f32"
 ) -> list[list[np.ndarray]]:
-    x_size, y_size = _grid_shape(grid)
     shape = np.asarray(grid[0][0]).shape
     reduced = _reference_reduce_scatter_grid(grid, dtype_policy)
-    final_shards: list[list[np.ndarray]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-    for x in range(x_size):
-        for y in range(y_size):
-            shard = reduced[x][y].shards[0]
-            if shard_transform is not None:
-                transformed = np.asarray(shard_transform(shard))
-                if transformed.shape != shard.shape:
-                    raise ValueError("shard_transform must preserve shape")
-                shard = transformed
-            final_shards[x][y] = shard
+    final_shards = [[sv.shards[0] for sv in col] for col in reduced]
     return _reference_all_gather_grid(final_shards, shape, dtype_policy)

@@ -18,7 +18,9 @@ interrupts at every index.
 The journal is keyed by content key (the SHA-256 of the canonical spec,
 same as the result cache), and its header pins the sweep identity — a
 journal from a *different* job set refuses to resume rather than
-silently serving wrong answers.
+silently serving wrong answers.  Each record also carries the SHA-256 of
+its own canonical JSON, so a flipped byte that still parses is caught:
+the resume re-runs from that record instead of serving it.
 """
 
 from __future__ import annotations
@@ -65,62 +67,101 @@ def sweep_id(jobs: Sequence[SimJob]) -> str:
     return digest.hexdigest()
 
 
+def _record_digest(record: dict) -> str:
+    """SHA-256 of a journal record's canonical JSON."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
 class SweepJournal:
     """Append-only JSON-lines journal of ``content_key -> payload``.
 
     Line 1 is a header pinning the sweep id; each subsequent line is one
-    completed job.  Appends flush + fsync before returning, so a job is
-    either durably journaled or will re-run — never half-recorded (a
-    torn trailing line from a mid-write kill is detected and ignored).
+    completed job, carrying the SHA-256 of its own canonical JSON.  Appends
+    flush + fsync before returning, so a job is either durably journaled
+    or will re-run — never half-recorded.  The durable prefix ends at the
+    first line that is torn (a kill mid-write: no newline, or not JSON) or
+    fails its digest (a corrupted byte): that job and every later one
+    re-run, and :meth:`start` cuts the file back to the prefix so new
+    appends land on a clean line.  A header or record that parses but is
+    not what this class writes raises :class:`ServiceError`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
+        #: Bytes of the file :meth:`load` trusted (``None``: not loaded).
+        self._durable_bytes: int | None = None
 
     def load(self, expected_sweep_id: str) -> dict[str, dict]:
         """Completed entries, or ``{}`` for a fresh journal.
 
         Raises :class:`ServiceError` if the journal belongs to a
         different job set — resuming someone else's sweep would serve
-        wrong answers with confidence.
+        wrong answers with confidence — or is malformed.
         """
+        self._durable_bytes = 0
         if not self.path.exists():
             return {}
-        entries: dict[str, dict] = {}
-        with self.path.open("r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
+        # The piece after the last newline is unterminated, so torn.
+        *lines, _ = self.path.read_bytes().split(b"\n")
+        if not lines:  # no complete header: nothing was journaled
             return {}
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ServiceError(
                 f"sweep journal {self.path} has a corrupt header"
             ) from exc
+        if not isinstance(header, dict):
+            raise ServiceError(f"sweep journal {self.path} header is not an object")
         if header.get("sweep_id") != expected_sweep_id:
             raise ServiceError(
                 f"journal {self.path} belongs to sweep "
-                f"{header.get('sweep_id', '?')[:12]}..., not "
+                f"{str(header.get('sweep_id', '?'))[:12]}..., not "
                 f"{expected_sweep_id[:12]}...; refusing to resume"
             )
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn tail from a kill mid-write: everything before it
-                # is durable, the torn job simply re-runs.
-                logger.warning(
-                    "sweep journal %s: ignoring torn trailing line", self.path
-                )
-                break
-            entries[record["key"]] = record["payload"]
+        entries: dict[str, dict] = {}
+        durable = len(lines[0]) + 1
+        for number, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    logger.warning(
+                        "sweep journal %s: line %d is torn; re-running from it",
+                        self.path, number,
+                    )
+                    break
+                if not isinstance(record, dict):
+                    raise ServiceError(
+                        f"sweep journal {self.path} line {number} is not an object"
+                    )
+                if record.pop("sha256", None) != _record_digest(record):
+                    logger.warning(
+                        "sweep journal %s: line %d fails its digest; "
+                        "re-running from it", self.path, number,
+                    )
+                    break
+                key, payload = record.get("key"), record.get("payload")
+                if not isinstance(key, str) or not isinstance(payload, dict):
+                    raise ServiceError(
+                        f"sweep journal {self.path} line {number} has no key/payload"
+                    )
+                entries[key] = payload
+            durable += len(line) + 1
+        self._durable_bytes = durable
         return entries
 
     def start(self, sid: str, total: int) -> None:
-        """Write the header for a fresh journal (no-op if it exists)."""
-        if self.path.exists() and self.path.stat().st_size > 0:
+        """Make the file a clean journal of sweep ``sid``: cut a loaded one
+        back to its durable prefix, or write the header of a fresh one."""
+        if self._durable_bytes is None:
+            self.load(sid)
+        if self._durable_bytes:
+            if self.path.stat().st_size > self._durable_bytes:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(self._durable_bytes)
+                    fh.flush()
+                    os.fsync(fh.fileno())
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("w", encoding="utf-8") as fh:
@@ -132,14 +173,10 @@ class SweepJournal:
             os.fsync(fh.fileno())
 
     def append(self, key: str, label: str, payload: dict) -> None:
+        record = {"key": key, "label": label, "payload": payload}
+        record["sha256"] = _record_digest(record)
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"key": key, "label": label, "payload": payload},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 

@@ -24,7 +24,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
     AllOf,
-    AnyOf,
 )
 from repro.sim.resources import Resource, Store, Channel
 from repro.sim.trace import Trace, TraceEvent
@@ -36,7 +35,6 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "Resource",
     "Store",
     "Channel",

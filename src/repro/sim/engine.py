@@ -3,7 +3,7 @@
 The design follows SimPy's proven architecture — an event heap ordered by
 (time, priority, sequence), generator-based processes that yield events —
 but is deliberately small: only the features the repro needs (timeouts,
-process joins, AllOf/AnyOf, resources, stores) are implemented, with
+process joins, AllOf, resources, stores) are implemented, with
 deterministic FIFO ordering everywhere so simulations are reproducible.
 """
 
@@ -32,7 +32,7 @@ class Event:
 
     A failed event is *defused* once its exception is delivered somewhere
     that can handle it (thrown into a waiting process, or absorbed into a
-    failing AllOf/AnyOf).  Failed events that are still undefused when
+    failing AllOf).  Failed events that are still undefused when
     processed re-raise from :meth:`Simulator.run` — a process crash cannot
     be silently swallowed just because nobody joined on it.
     """
@@ -183,34 +183,6 @@ class AllOf(Event):
             self.succeed([ev._value for ev in self._events])
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf needs at least one event")
-        for ev in self._events:
-            if ev._processed:
-                self._on_child(ev)
-                break
-            ev.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            # Late losers of the race are not absorbed; a failing one stays
-            # undefused and surfaces from run().
-            return
-        if event._exception is not None:
-            event._defused = True  # the condition now carries the failure
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
-
-
 class Simulator:
     """The event loop: a clock plus a heap of scheduled events."""
 
@@ -269,9 +241,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def run(self, until: float | None = None) -> float:
         """Process events until the heap is empty (or the time horizon).

@@ -96,10 +96,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def level(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> Event:
         """An event that fires once the item is in the store."""
         ev = self.sim.event()

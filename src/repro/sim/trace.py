@@ -11,7 +11,6 @@ timelines sit side by side in the viewer.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 
@@ -112,13 +111,6 @@ class Trace:
         if total <= 0:
             return 0.0
         return self.busy_time(actor) / total
-
-    def by_category(self) -> dict[str, float]:
-        """Total time per category, summed over actors."""
-        out: dict[str, float] = defaultdict(float)
-        for e in self.events:
-            out[e.category] += e.duration
-        return dict(out)
 
     def actors(self) -> list[str]:
         return sorted({e.actor for e in self.events})

@@ -58,12 +58,6 @@ class Sharding:
     def replicated(self) -> bool:
         return self.dim is None and not self.partial
 
-    def tile_fraction(self) -> float:
-        """Per-core share of the tensor's elements."""
-        if self.dim is None:
-            return 1.0
-        return 1.0 / self.num_shards
-
     def describe(self) -> str:
         if self.partial:
             return f"partial(+{self.num_shards})"

@@ -208,9 +208,6 @@ class Graph:
             )
         return tables
 
-    def total_flops(self) -> float:
-        return sum(self.node_flops(n) for n in self.nodes)
-
     def topological(self) -> list[Node]:
         """Nodes are appended in topological order by construction."""
         return list(self.nodes)

@@ -21,8 +21,8 @@ input pipeline) is instrumented against the process-wide objects here:
     the millisecond-scale kernels being measured (PR 1 benchmark medians
     stay within the 5% acceptance band either way).
 
-Use :func:`enable` / :func:`disable` (or the :func:`disabled` context
-manager) rather than writing the flag from other modules, and
+``REPRO_TELEMETRY=0`` in the environment starts a process with the flag
+off; the :func:`disabled` context manager turns it off for a block.  Use
 :func:`reset` to clear both metrics and spans between runs.  The
 ``repro-telemetry`` console script (:mod:`repro.telemetry.report`) renders
 a step-time breakdown and writes merged Chrome-trace JSON.
@@ -30,7 +30,6 @@ a step-time breakdown and writes merged Chrome-trace JSON.
 
 from __future__ import annotations
 
-import logging
 import os
 from contextlib import contextmanager
 
@@ -44,8 +43,6 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.tracer import MEASURED_SOURCE, Tracer
 from repro.telemetry.flight import FlightRecord, FlightRecorder, on_terminal_failure
-
-logger = logging.getLogger("repro.telemetry")
 
 #: Global kill switch checked by every instrumentation site.  Default on:
 #: the instrumented paths are millisecond-scale, the probes nanosecond-scale.
@@ -64,20 +61,6 @@ tracer = Tracer()
 #: on ``enabled``, so ``REPRO_TELEMETRY=0`` silences it entirely.
 flight_recorder = FlightRecorder()
 tracer.add_sink(flight_recorder.on_trace_event)
-
-
-def enable() -> None:
-    """Turn instrumentation on (the default state)."""
-    global enabled
-    enabled = True
-    logger.debug("telemetry enabled")
-
-
-def disable() -> None:
-    """Turn all instrumentation sites into near-no-ops."""
-    global enabled
-    enabled = False
-    logger.debug("telemetry disabled")
 
 
 @contextmanager
@@ -110,9 +93,7 @@ __all__ = [
     "MEASURED_SOURCE",
     "MetricsRegistry",
     "Tracer",
-    "disable",
     "disabled",
-    "enable",
     "enabled",
     "flight_recorder",
     "metrics",

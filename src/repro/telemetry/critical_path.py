@@ -116,11 +116,6 @@ class CriticalPathResult:
     def makespan(self) -> float:
         return self.attribution.window_seconds
 
-    @property
-    def path_seconds(self) -> float:
-        """Busy + wait seconds along the chain (<= makespan)."""
-        return sum(s.event.duration + s.wait_s for s in self.path)
-
     def to_json(self) -> dict:
         return {
             "makespan_seconds": self.makespan,

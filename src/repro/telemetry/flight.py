@@ -8,8 +8,8 @@ events, and control-plane transitions (heartbeat suspicions/detections,
 barrier releases/timeouts, checkpoint/restore) — and serializes them into
 a JSON **postmortem bundle** whenever a terminal failure surfaces:
 
-* :class:`~repro.resilience.faults.DeviceLostError` (dead-buffer access,
-  a fault plan exterminating the fleet);
+* :class:`~repro.resilience.faults.DeviceLostError` (a fault plan
+  exterminating the fleet under :func:`~repro.resilience.chaos.run_chaos`);
 * :class:`~repro.controlplane.group.JobKilledError` (coordinator death in
   the single-client topology);
 * a :class:`~repro.controlplane.guard.ConsistencyGuard` ambiguous-tie
@@ -321,8 +321,8 @@ def on_terminal_failure(
 ) -> str | None:
     """Record ``exc`` as a fault and dump a postmortem bundle.
 
-    Call sites raise terminal errors from several layers (a dead mesh
-    buffer inside a collective, the chaos harness re-raising it); the
+    Call sites raise terminal errors from several layers (a link that
+    stays down inside a DES process, the simulator re-raising it); the
     exception object is tagged after the first dump so the same failure
     propagating upward produces exactly one bundle.  Returns the written
     bundle path (``None`` when memory-only or telemetry is disabled).

@@ -45,11 +45,11 @@ def pod() -> TorusMesh:
 
 
 @pytest.fixture
-def fresh_telemetry():
+def fresh_telemetry(monkeypatch):
     """Telemetry on, every counter at zero before and after the test."""
     from repro import telemetry
 
-    telemetry.enable()
+    monkeypatch.setattr(telemetry, "enabled", True)
     telemetry.reset()
     yield telemetry.metrics
     telemetry.reset()

@@ -680,8 +680,8 @@ class TestChaosPolicies:
 
 
 class TestChaosTelemetry:
-    def test_controlplane_counters_recorded(self):
-        telemetry.enable()
+    def test_controlplane_counters_recorded(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "enabled", True)
         telemetry.reset()
         try:
             plan = FaultPlan(

@@ -183,11 +183,10 @@ class TestOneStepFourStrategies:
     """The step around the update is one body: same checks, same telemetry."""
 
     @pytest.fixture(autouse=True)
-    def _clean_telemetry(self):
-        telemetry.enable()
+    def _clean_telemetry(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "enabled", True)
         telemetry.reset()
         yield
-        telemetry.enable()
         telemetry.reset()
 
     @pytest.mark.parametrize(

@@ -161,7 +161,8 @@ class TestCriticalPath:
             [0.0, 0.3, 0.7], [0.5, 0.5, 0.5], 1.0
         )
         result = analyze(ov.trace)
-        assert result.path_seconds <= result.makespan + 1e-12
+        path_seconds = sum(s.event.duration + s.wait_s for s in result.path)
+        assert path_seconds <= result.makespan + 1e-12
         assert result.path[-1].event.end == pytest.approx(result.makespan)
 
     def test_empty(self):

@@ -28,11 +28,10 @@ from repro.experiments.table1 import TABLE1_ROWS
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
-    telemetry.enable()
+def _clean_telemetry(monkeypatch):
+    monkeypatch.setattr(telemetry, "enabled", True)
     telemetry.reset()
     yield
-    telemetry.enable()
     telemetry.reset()
 
 

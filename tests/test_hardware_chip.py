@@ -10,7 +10,6 @@ from repro.hardware.chip import (
     TPU_V2,
     TPU_V3,
     TPU_V4,
-    chip_spec,
 )
 
 
@@ -44,9 +43,6 @@ class TestChipSpec:
         with pytest.raises(ValueError):
             TPU_V3.matmul_time(1e12, efficiency=1.5)
 
-    def test_vector_time(self):
-        assert TPU_V3.vector_time(4e12) == pytest.approx(1.0)
-
     def test_hbm_time(self):
         assert TPU_V3.hbm_time(900e9) == pytest.approx(1.0)
 
@@ -55,14 +51,6 @@ class TestChipSpec:
             ChipSpec("bad", 0, 1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             ChipSpec("bad", 2, -1, 1, 1, 1, 1)
-
-    def test_registry_lookup(self):
-        assert chip_spec("tpu-v3") is TPU_V3
-        assert chip_spec("gpu-a100") is GPU_A100
-
-    def test_registry_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown chip"):
-            chip_spec("tpu-v99")
 
 
 class TestHostSpec:

@@ -150,15 +150,6 @@ class TestSlices:
         with pytest.raises(ValueError, match="no canonical slice"):
             slice_for_chips(100)
 
-    def test_sub_slice(self, pod):
-        s = pod.sub_slice(8, 32)
-        assert (s.x_size, s.y_size) == (8, 32)
-        assert s.wrap_y and not s.wrap_x
-
-    def test_sub_slice_too_big(self, pod):
-        with pytest.raises(ValueError):
-            pod.sub_slice(64, 8)
-
 
 class TestMultipodConstructor:
     def test_single_pod_is_full_torus(self):

@@ -66,12 +66,6 @@ class TestSpecsSanity:
         # Dense params are tiny; embeddings dominate memory, not gradients.
         assert spec.params < 10e6
 
-    def test_steps_per_epoch(self):
-        spec = resnet50_spec()
-        assert spec.steps_per_epoch(65536) == pytest.approx(1281167 / 65536)
-        with pytest.raises(ValueError):
-            spec.steps_per_epoch(0)
-
 
 class TestValidation:
     def test_negative_params_rejected(self):

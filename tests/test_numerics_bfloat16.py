@@ -1,14 +1,12 @@
 """bfloat16 emulation tests, including hypothesis properties."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.numerics.bfloat16 import (
     BF16_EPS,
     bf16_add,
-    bf16_sum,
     is_bfloat16_representable,
     round_to_bfloat16,
 )
@@ -80,23 +78,17 @@ class TestBf16Arithmetic:
         # The tiny addend is lost after rounding the sum.
         assert float(out) == 1.0
 
-    def test_sum_matches_serial_adds(self, rng):
-        arrays = [rng.standard_normal(16).astype(np.float32) for _ in range(5)]
+    def test_sum_close_to_exact(self, rng):
+        """Serial bf16 adds (one rounding per hop, as a ring does) stay
+        within n roundings of the exact sum."""
+        arrays = [rng.standard_normal(64).astype(np.float32) for _ in range(8)]
+        exact = np.sum(arrays, axis=0, dtype=np.float64)
         acc = round_to_bfloat16(arrays[0])
         for a in arrays[1:]:
             acc = bf16_add(acc, a)
-        assert np.array_equal(bf16_sum(arrays), acc)
-
-    def test_sum_close_to_exact(self, rng):
-        arrays = [rng.standard_normal(64).astype(np.float32) for _ in range(8)]
-        exact = np.sum(arrays, axis=0, dtype=np.float64)
-        approx = bf16_sum(arrays).astype(np.float64)
+        approx = acc.astype(np.float64)
         scale = np.sum(np.abs(arrays), axis=0)
         assert np.all(np.abs(approx - exact) <= 8 * BF16_EPS * scale + 1e-6)
-
-    def test_empty_sum_rejected(self):
-        with pytest.raises(ValueError):
-            bf16_sum([])
 
     def test_representable_check(self):
         assert is_bfloat16_representable(1.0)

@@ -9,7 +9,6 @@ from repro.optim import (
     LARS,
     ConstantSchedule,
     LinearWarmupPolyDecay,
-    PiecewiseConstant,
     SGDMomentum,
 )
 
@@ -198,14 +197,3 @@ class TestSchedules:
         with pytest.raises(ValueError):
             LinearWarmupPolyDecay(peak=1.0, warmup_steps=100, total_steps=100)
 
-    def test_piecewise(self):
-        s = PiecewiseConstant([10, 20], [1.0, 0.1, 0.01])
-        assert s(5) == 1.0
-        assert s(15) == 0.1
-        assert s(25) == 0.01
-
-    def test_piecewise_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant([10], [1.0])
-        with pytest.raises(ValueError):
-            PiecewiseConstant([20, 10], [1.0, 0.5, 0.1])

@@ -102,23 +102,30 @@ def unreached(root: Path) -> set[str]:
     return out
 
 
-def design_survivors() -> dict[str, str]:
-    """Name -> reason kind, from the survivor table of DESIGN.md §3 (a row
-    may name several defs that stay for one reason)."""
+def design_survivors() -> dict[str, tuple[str, str]]:
+    """Name -> (reason kind, ROADMAP column), from the survivor table of
+    DESIGN.md §3 (a row may name several defs that stay for one reason)."""
     section = (REPO / "DESIGN.md").read_text().split("### Survivors", 1)[1].split("\n## ", 1)[0]
-    out: dict[str, str] = {}
-    for names, kind in re.findall(r"^\| (`[^|]+`) \| \d+ \| (\w+) \|", section, flags=re.M):
-        out.update(dict.fromkeys(re.findall(r"`([\w.]+)`", names), kind))
+    out: dict[str, tuple[str, str]] = {}
+    row = r"^\| (`[^|]+`) \| \d+ \| (\w+) \| [^|]* \| *([^|]*?) *\|$"
+    for names, kind, item in re.findall(row, section, flags=re.M):
+        out.update(dict.fromkeys(re.findall(r"`([\w.]+)`", names), (kind, item)))
     return out
 
 
-#: The reasons DESIGN §3 allows; ``held`` rows are ROADMAP item 9's backlog.
-REASON_KINDS = {"oracle", "paper", "roadmap", "held"}
+#: The reasons DESIGN §3 allows.  A name reached only by its own tests has
+#: none of them: it is deleted with those tests, not listed.
+REASON_KINDS = {"oracle", "paper", "roadmap"}
 
 
 def test_unreached_set_is_exactly_the_design_table():
     survivors = design_survivors()
-    assert survivors and set(survivors.values()) <= REASON_KINDS
+    assert survivors and {kind for kind, _ in survivors.values()} <= REASON_KINDS
+    unnumbered = {
+        name for name, (kind, item) in survivors.items()
+        if kind == "roadmap" and not item.isdigit()
+    }
+    assert unnumbered == set(), "a roadmap row names the ROADMAP item that will consume it"
     found = unreached(REPO)
     assert found - set(survivors) == set(), "reached only from tests/: wire in, delete, or list in DESIGN §3"
     assert set(survivors) - found == set(), "now reached (or gone): drop the row from DESIGN §3"

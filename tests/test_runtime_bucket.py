@@ -132,13 +132,6 @@ class TestFusedAllReduce:
         with pytest.raises(ValueError):
             GradientBucket(trees[0]).all_reduce(trees, grid_shape=(3, 2))
 
-    def test_shard_transform_requires_hierarchical(self, rng):
-        trees = [_tree(rng) for _ in range(4)]
-        with pytest.raises(ValueError):
-            GradientBucket(trees[0]).all_reduce(
-                trees, shard_transform=lambda s: s
-            )
-
     def test_scalar_entry(self, rng):
         trees = [
             {"s": np.float64(i + 1), "v": np.full(3, float(i + 1))}

@@ -17,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.collectives import (
+    _reference_all_gather_grid,
+    _reference_reduce_scatter_grid,
     _reference_ring_all_gather,
     _reference_ring_all_reduce,
     _reference_ring_reduce_scatter,
     _reference_two_phase_all_reduce,
+    all_gather_grid,
+    reduce_scatter_grid,
     ring_all_gather,
     ring_all_reduce,
     ring_reduce_scatter,
@@ -118,16 +122,21 @@ def test_two_phase_bit_identical(x, y, size, policy, seed):
 
 
 def test_two_phase_shard_transform_bit_identical():
+    """A per-shard update between the grid reduce-scatter and all-gather
+    (the weight-update-sharding schedule) keeps the reference bits."""
     rng = np.random.default_rng(3)
     grid = [
         [rng.standard_normal(37).astype(np.float32) for _ in range(3)]
         for _ in range(2)
     ]
-    transform = lambda s: s * np.float32(0.5)  # noqa: E731
+
+    def updated(reduced):
+        return [[sv.shards[0] * np.float32(0.5) for sv in col] for col in reduced]
+
     for policy in POLICIES:
-        got = two_phase_all_reduce(grid, policy, shard_transform=transform)
-        want = _reference_two_phase_all_reduce(
-            grid, policy, shard_transform=transform
+        got = all_gather_grid(updated(reduce_scatter_grid(grid, policy)), (37,), policy)
+        want = _reference_all_gather_grid(
+            updated(_reference_reduce_scatter_grid(grid, policy)), (37,), policy
         )
         for gcol, wcol in zip(got, want):
             for g, w in zip(gcol, wcol):

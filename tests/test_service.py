@@ -13,6 +13,7 @@ adapter, and the load experiment's accounting invariant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 
@@ -24,7 +25,6 @@ from repro import telemetry
 from repro.service import (
     CircuitBreaker,
     CrashPlan,
-    DeadlineExceeded,
     JobFailed,
     Overloaded,
     RateLimited,
@@ -499,6 +499,104 @@ class TestResumableSweep:
         with _fresh_sweep_service() as svc:
             resumed = run_sweep(svc, jobs, path)
         assert resumed.reused == 2 and resumed.executed == 1
+
+
+@pytest.fixture(scope="module")
+def fresh_sweep(tmp_path_factory):
+    """One uninterrupted three-job sweep: its journal bytes and payloads."""
+    jobs = _sweep_jobs(3)
+    path = tmp_path_factory.mktemp("fresh") / "j.jsonl"
+    with _fresh_sweep_service() as svc:
+        result = run_sweep(svc, jobs, path)
+    return jobs, path.read_bytes(), result.payloads
+
+
+class TestDamagedJournal:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        damage=st.one_of(
+            st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+            st.tuples(
+                st.just("flip"), st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(1, 255),
+            ),
+        )
+    )
+    def test_a_resume_serves_the_fresh_payloads_or_refuses(
+        self, fresh_sweep, tmp_path_factory, damage
+    ):
+        """Cut the journal anywhere or XOR one byte anywhere, then resume:
+        every payload served equals the fresh run's, or the resume raises
+        ``ServiceError`` (a digit flipped inside a payload still parses, so
+        only the record digest can catch it)."""
+        jobs, journal, payloads = fresh_sweep
+        data = bytearray(journal)
+        at = int(damage[1] * len(data))
+        if damage[0] == "truncate":
+            del data[at:]
+        else:
+            data[at] ^= damage[2]
+        path = tmp_path_factory.mktemp("damaged") / "j.jsonl"
+        path.write_bytes(bytes(data))
+        with _fresh_sweep_service() as svc:
+            try:
+                resumed = run_sweep(svc, jobs, path)
+            except ServiceError:
+                return
+            again = run_sweep(svc, jobs, path)
+        assert json.dumps(resumed.payloads) == json.dumps(payloads)
+        # The resume left a whole journal behind: nothing runs twice.
+        assert again.executed == 0
+        assert json.dumps(again.payloads) == json.dumps(payloads)
+
+    def test_a_flipped_payload_digit_is_rerun_not_served(self, fresh_sweep, tmp_path):
+        """The case the fuzz above is for, pinned: the line still parses,
+        only its digest tells."""
+        jobs, journal, payloads = fresh_sweep
+        data = bytearray(journal)
+        at = journal.index(b'"payload": {')
+        at += next(i for i, c in enumerate(journal[at:]) if chr(c).isdigit())
+        data[at] ^= 1  # one decimal digit to its neighbour
+        json.loads(bytes(data).split(b"\n")[1])
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(bytes(data))
+        with _fresh_sweep_service() as svc:
+            resumed = run_sweep(svc, jobs, path)
+        assert (resumed.executed, resumed.reused) == (3, 0)
+        assert json.dumps(resumed.payloads) == json.dumps(payloads)
+
+
+class TestAllChipsDeadPlan:
+    def test_chaos_job_whose_plan_kills_every_chip_fails_once(self):
+        """A sampled 2x2 plan that kills all four chips (about 1 draw in
+        4 000 at the benchmark's rate): ``run_chaos`` has nothing left to
+        restore onto, and the service fails the job deterministically --
+        one attempt, nothing cached, a postmortem, every submission
+        accounted for."""
+        from repro.service.executors import _chaos_plan_and_config
+
+        params = {
+            "mesh_shape": [2, 2], "steps": 50,
+            "expected_chip_failures": 0.3, "expected_stragglers": 1.0,
+        }
+        seed = next(
+            s for s in itertools.count()
+            if len(_chaos_plan_and_config({**params, "seed": s})[0].chip_failures) == 4
+        )
+        assert seed == 3284
+        svc = _service(concurrency=1, queue_depth=4)
+        with svc:
+            handle = svc.submit(SimJob("chaos", {**params, "seed": seed}))
+            with pytest.raises(JobFailed) as exc_info:
+                handle.result(timeout=60.0)
+        assert exc_info.value.attempts == handle.attempts == 1
+        assert exc_info.value.cause.startswith("DeviceLostError: ")
+        assert svc.cache.get(handle.job.content_key) is None
+        bundle = telemetry.flight_recorder.last_postmortem
+        assert bundle is not None and bundle["reason"] == "service.job_failed"
+        stats = svc.stats
+        assert (stats.submitted, stats.failed, stats.retries) == (1, 1, 0)
+        assert stats.submitted == stats.completed + stats.failed + stats.rejected_total
 
 
 class TestClusterAdapter:

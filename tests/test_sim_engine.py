@@ -211,23 +211,6 @@ class TestCombinators:
         sim.run()
         assert log == [0.0]
 
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        log = []
-
-        def p(sim):
-            value = yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-            log.append((sim.now, value))
-
-        sim.process(p(sim))
-        sim.run()
-        assert log == [(1.0, "fast")]
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.any_of([])
-
 
 class TestUnhandledFailures:
     """Unhandled process crashes must surface from run(), naming the culprit."""
@@ -265,23 +248,6 @@ class TestUnhandledFailures:
         sim.process(watcher(sim, child))
         sim.run()  # must not raise: the watcher consumed the failure
         assert caught == ["boom"]
-
-    def test_any_of_race_loser_failure_still_surfaces(self):
-        # A process that loses an any_of race and *then* crashes has no
-        # joiner left; its failure must not be silently dropped.
-        sim = Simulator()
-
-        def loser(sim):
-            yield sim.timeout(2.0)
-            raise ValueError("late crash")
-
-        def racer(sim, loser_proc):
-            yield sim.any_of([sim.timeout(1.0), loser_proc])
-
-        proc = sim.process(loser(sim), name="loser")
-        sim.process(racer(sim, proc))
-        with pytest.raises(ValueError, match="late crash"):
-            sim.run()
 
     def test_all_of_child_failure_delivered_to_waiter(self):
         sim = Simulator()

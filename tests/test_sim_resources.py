@@ -150,7 +150,7 @@ class TestStore:
         s.put(1)
         s.put(2)
         sim.run()
-        assert s.level == 2
+        assert len(s) == 2
 
 
 class TestChannel:

@@ -41,13 +41,6 @@ class TestTrace:
         assert t.utilization("a") == pytest.approx(0.25)
         assert t.utilization("b") == pytest.approx(1.0)
 
-    def test_by_category(self):
-        t = Trace()
-        t.record("a", "x", 0.0, 1.0, "compute")
-        t.record("b", "y", 0.0, 2.0, "compute")
-        t.record("a", "z", 1.0, 0.5, "comm")
-        assert t.by_category() == {"compute": 3.0, "comm": 0.5}
-
     def test_actors_sorted(self):
         t = Trace()
         t.record("b", "x", 0, 1)

@@ -29,10 +29,6 @@ class TestAnnotations:
         assert Sharding.split(4, 1).dim == 1
         assert Sharding.partial_sum(4).partial
 
-    def test_tile_fraction(self):
-        assert Sharding.replicate(4).tile_fraction() == 1.0
-        assert Sharding.split(4, 0).tile_fraction() == 0.25
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             Sharding(num_shards=0)

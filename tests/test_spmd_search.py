@@ -209,8 +209,8 @@ class TestSearchPlumbing:
         assert s.rounds == len(seedable_nodes(resnet_block_graph(), "handles"))
         assert 0 <= s.candidates_pruned <= s.candidates_expanded
 
-    def test_telemetry_counters(self):
-        telemetry.enable()
+    def test_telemetry_counters(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "enabled", True)
         telemetry.reset()
         try:
             result = search_partitioning(

@@ -16,12 +16,11 @@ from repro.telemetry.tracer import TRACE_CAPACITY, Tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
+def _clean_telemetry(monkeypatch):
     """Each test starts from empty global metrics/trace and enabled state."""
-    telemetry.enable()
+    monkeypatch.setattr(telemetry, "enabled", True)
     telemetry.reset()
     yield
-    telemetry.enable()
     telemetry.reset()
 
 
@@ -244,12 +243,11 @@ class TestTracer:
 
     def test_disabled_span_is_noop(self):
         tr = Tracer()
-        telemetry.disable()
-        span = tr.span("x")
-        with span:
-            pass
+        with telemetry.disabled():
+            span = tr.span("x")
+            with span:
+                pass
         assert tr.trace.events == []
-        telemetry.enable()
         assert tr.span("x") is not span  # live span once re-enabled
 
     def test_disabled_context_manager_restores(self):

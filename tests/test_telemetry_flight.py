@@ -29,11 +29,10 @@ def _delta_payloads(rec: FlightRecorder) -> list[dict]:
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
-    telemetry.enable()
+def _clean_telemetry(monkeypatch):
+    monkeypatch.setattr(telemetry, "enabled", True)
     telemetry.reset()
     yield
-    telemetry.enable()
     telemetry.reset()
 
 
@@ -130,26 +129,26 @@ class TestConcurrentWriters:
 
 
 class TestDisabled:
-    def test_record_is_noop_when_disabled(self):
+    def test_record_is_noop_when_disabled(self, monkeypatch):
         rec = FlightRecorder(capacity=8)
-        telemetry.disable()
+        monkeypatch.setattr(telemetry, "enabled", False)
         rec.record("span", "a")
         rec.record_fault(RuntimeError("x"))
         rec.record_counter_deltas()
         assert len(rec) == 0
 
-    def test_on_terminal_failure_disabled_writes_nothing(self, tmp_path):
+    def test_on_terminal_failure_disabled_writes_nothing(self, tmp_path, monkeypatch):
         rec = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        telemetry.disable()
+        monkeypatch.setattr(telemetry, "enabled", False)
         assert on_terminal_failure(RuntimeError("boom"), recorder=rec) is None
         assert rec.last_postmortem is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_repro_telemetry_0_disables_process_recorder(self):
+    def test_repro_telemetry_0_disables_process_recorder(self, monkeypatch):
         """The process recorder's writes are gated on the same flag
         ``REPRO_TELEMETRY=0`` clears at import."""
         telemetry.flight_recorder.clear()
-        telemetry.disable()
+        monkeypatch.setattr(telemetry, "enabled", False)
         telemetry.flight_recorder.record("span", "a")
         telemetry.tracer.span("x").__enter__()
         assert len(telemetry.flight_recorder) == 0
