@@ -5,7 +5,7 @@ from repro.metrics.accuracy import (
     coordinator_top1_accuracy,
     pad_eval_dataset,
 )
-from repro.metrics.auc import auc_naive, auc_sorted, auc_binned
+from repro.metrics.auc import auc_naive, auc_sorted
 from repro.metrics.coco import (
     CocoEvalSchedule,
     coordinator_eval_schedule,
@@ -18,7 +18,6 @@ __all__ = [
     "pad_eval_dataset",
     "auc_naive",
     "auc_sorted",
-    "auc_binned",
     "CocoEvalSchedule",
     "coordinator_eval_schedule",
     "round_robin_eval_schedule",

@@ -4,9 +4,7 @@ The DLRM eval metric is AUC over 89M predictions.  The paper replaced
 60-second library calls with a 2-second custom implementation built on
 multithreaded sorting and loop fusion; the numpy equivalent here is
 :func:`auc_sorted` — one sort plus fused vector ops.  :func:`auc_naive` is
-the O(n^2) pairwise definition (the correctness oracle), and
-:func:`auc_binned` the histogram approximation big eval systems sometimes
-accept.
+the O(n^2) pairwise definition (the correctness oracle).
 """
 
 from __future__ import annotations
@@ -66,29 +64,6 @@ def auc_sorted(scores: np.ndarray, labels: np.ndarray) -> float:
     rank_sum_pos = float(ranks[sorted_labels].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def auc_binned(
-    scores: np.ndarray, labels: np.ndarray, num_bins: int = 10_000
-) -> float:
-    """Histogram-approximate AUC: O(n) with bounded bin error.
-
-    Bins scores, accumulates per-bin positive/negative counts, and applies
-    the midrank formula on bins.  Error is bounded by within-bin ordering.
-    """
-    scores, labels = _validate(scores, labels)
-    if num_bins < 2:
-        raise ValueError("num_bins must be >= 2")
-    lo, hi = float(scores.min()), float(scores.max())
-    if hi == lo:
-        return 0.5
-    idx = np.minimum(((scores - lo) / (hi - lo) * num_bins).astype(np.int64),
-                     num_bins - 1)
-    pos_hist = np.bincount(idx[labels], minlength=num_bins).astype(np.float64)
-    neg_hist = np.bincount(idx[~labels], minlength=num_bins).astype(np.float64)
-    neg_below = np.concatenate([[0.0], np.cumsum(neg_hist)[:-1]])
-    wins = float(np.sum(pos_hist * (neg_below + 0.5 * neg_hist)))
-    return wins / (pos_hist.sum() * neg_hist.sum())
 
 
 def synthetic_pctr(

@@ -18,8 +18,8 @@ input pipeline) is instrumented against the process-wide objects here:
     Module-level flag, **on by default**.  Instrumentation sites guard with
     ``if telemetry.enabled:`` (or get a shared no-op span), keeping the
     disabled cost to one attribute lookup and the enabled cost far below
-    the millisecond-scale kernels being measured (PR 1 benchmark medians
-    stay within the 5% acceptance band either way).
+    the millisecond-scale kernels being measured (``bench/run.py --trace
+    1`` reports it per workload as ``telemetry.overhead_pct``).
 
 ``REPRO_TELEMETRY=0`` in the environment starts a process with the flag
 off; the :func:`disabled` context manager turns it off for a block.  Use
@@ -65,7 +65,7 @@ tracer.add_sink(flight_recorder.on_trace_event)
 
 @contextmanager
 def disabled():
-    """Temporarily disable telemetry (used by the micro-benchmarks)."""
+    """Temporarily disable telemetry (the benchmark's telemetry-off passes)."""
     global enabled
     prev = enabled
     enabled = False

@@ -10,10 +10,11 @@ out event by event.  They are supposed to agree to float round-off — the
 DESIGN §6 validation tests pin exactly that — and this module turns that
 agreement into a *continuously checked gauge*: per-phase relative drift
 between "measured" (DES / trace-derived) and "predicted" (closed form),
-exported as ``model_drift_rel{case,phase}`` gauges and gated in
-``benchmarks/check_regression.py`` so silent cost-model rot (someone
-edits the analytic formula, forgets the scheduler, or vice versa) fails
-CI instead of quietly skewing every capacity plan built on the model.
+exported as ``model_drift_rel{case,phase}`` gauges and gated by
+``python -m repro.telemetry.report drift --tolerance 1e-6`` so silent
+cost-model rot (someone edits the analytic formula, forgets the
+scheduler, or vice versa) fails CI instead of quietly skewing every
+capacity plan built on the model.
 
 Four drift families:
 

@@ -9,25 +9,35 @@
   the slice, ``free_chips`` equal to a recount;
 * the scheduler's state index partitioning its jobs by ``report.state``
   at every transition of sampled runs, and nothing of it outliving a run;
+* every tenant's ``JobReport`` ledger at every tick of sampled runs: equal
+  to the ``cluster_*`` counters published from it, to the events and the
+  timeline the run recorded, and summing to the run's wall time; Jain
+  fairness in (0, 1];
 * fault plans naming chips or hosts the pod lacks, refused before tick 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro import telemetry
 from repro.cluster import (
+    COMPLETED,
     JOB_STATES,
+    REJECTED,
+    RUNNING,
     ClusterConfig,
     ClusterScheduler,
     ClusterState,
     JobSpec,
     run_cluster,
 )
+from repro.cluster.jobs import STATE_COUNTERS, TENANT_COUNTERS
 from repro.resilience.faults import (
     ChipFailure,
     FaultPlan,
@@ -302,6 +312,93 @@ class TestStateIndex:
         assert a.events == b.events and a.jobs == b.jobs
         assert (a.ticks, a.chip_seconds_used) == (b.ticks, b.chip_seconds_used)
         assert {event for _, event, _ in a.trace()} >= {"preempt", "shrink"}
+
+
+#: Tenant event -> the ``JobReport`` field that counts it.
+EVENT_FIELDS = {
+    "admit": "admissions",
+    "admission_retry": "admission_retries",
+    "preempt": "preemptions",
+    "evict": "evictions",
+    "shrink": "shrinks",
+    "regrow": "regrows",
+    "migrate": "migrations",
+}
+
+
+class _Ledgered(_Checked):
+    """Also checks every tenant's ledger at the end of every tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.events = {name: Counter() for name in self.jobs}
+        self.lost_steps = dict.fromkeys(self.jobs, 0)
+        #: Ticks a running tenant sat out a recovery charge (``resume_at_s``
+        #: ahead of the clock): the one kind of tick no ledger field counts.
+        self.recovering = dict.fromkeys(self.jobs, 0)
+        self.ended: dict[str, int] = {}
+
+    def _emit(self, event, tenant, **info):
+        super()._emit(event, tenant, **info)
+        if tenant:
+            self.events[tenant][event] += 1
+            self.lost_steps[tenant] += info.get("lost_steps", 0)
+
+    def _run_steps(self, now_s):
+        for name in self._by_state[RUNNING]:
+            if now_s < self.jobs[name].resume_at_s:
+                self.recovering[name] += 1
+        super()._run_steps(now_s)
+        telemetry.reset()
+        self._publish_metrics()
+        elapsed = self._tick + 1
+        for name, job in self.jobs.items():
+            if job.state in (COMPLETED, REJECTED):
+                self.ended.setdefault(name, elapsed)
+            self._ledger_holds(name, elapsed)
+
+    def _ledger_holds(self, name: str, elapsed: int) -> None:
+        spec, report = self.jobs[name].spec, self.jobs[name].report
+        published = telemetry.metrics.value
+        for metric, field_name in TENANT_COUNTERS.items():
+            assert published(metric, tenant=name) == getattr(report, field_name), metric
+        for state, metric in STATE_COUNTERS.items():
+            assert published(metric, tenant=name) == (report.state == state), metric
+        for event, field_name in EVENT_FIELDS.items():
+            assert self.events[name][event] == getattr(report, field_name), event
+        assert report.lost_steps == self.lost_steps[name]
+        runs = [op for op in report.timeline if op[0] == "run"]
+        assert report.steps_executed == sum(end - start for _, start, end in runs)
+        assert report.checkpoints_taken == sum(op[0] == "save" for op in report.timeline)
+        # Each tick in the system is a wait, a step, a straggler stall or a
+        # recovery stall; the tick of an admission is both a wait and a
+        # running tick, the tick of a preemption neither.
+        in_system = (
+            report.queue_wait_ticks + report.steps_executed
+            + report.straggler_stall_ticks + self.recovering[name]
+            + report.preemptions - report.admissions
+        )
+        before = min(spec.arrival_tick, elapsed)
+        after = elapsed - self.ended.get(name, elapsed)
+        assert before + in_system + after == elapsed
+
+
+class TestLedgers:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        tenants=st.integers(1, 12),
+        mesh=st.sampled_from(((4, 4), (6, 6), (8, 4))),
+    )
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_ledgers_hold_at_every_tick(self, fresh_telemetry, seed, tenants, mesh):
+        """Published counters, recorded events and wall time all agree
+        with the ledgers, tick by tick; Jain fairness stays in (0, 1]."""
+        specs, config, plan = _sampled_run(seed, tenants, mesh)
+        result = _Ledgered(specs, config, plan=plan).run()
+        assert 0.0 < result.fairness <= 1.0
 
 
 class TestFaultPlanIsCheckedAgainstThePod:

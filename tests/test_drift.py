@@ -5,13 +5,11 @@ gauges must land in the registry."""
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from repro import telemetry
-from repro.telemetry import drift
+from repro.telemetry import drift, report
 from repro.telemetry.drift import (
     DEFAULT_TOLERANCE,
     DriftEntry,
@@ -130,9 +128,10 @@ class TestGate:
         assert not ok
         assert [e.case for e in bad] == ["rotten"]
 
-    def test_gate_trips_on_a_perturbed_4096_chip_row(self, monkeypatch):
-        """The CI step (``check_regression.py --drift-only``) fails when the
-        closed form of the 4096-chip X phase moves by 1e-5."""
+    def test_gate_trips_on_a_perturbed_4096_chip_row(self, monkeypatch, capsys):
+        """The CI step (``python -m repro.telemetry.report drift --tolerance
+        1e-6``) exits 1 when the closed form of the 4096-chip X phase moves
+        by 1e-5."""
         real = drift.two_phase_allreduce
 
         def rotten(mesh, payload_bytes, *, mp_size=1):
@@ -149,11 +148,8 @@ class TestGate:
             ("ring/peer_contended_mp2_4096", "reduce_scatter_x"),
             ("ring/peer_contended_mp4_4096", "reduce_scatter_x"),
         }
-        script = Path(__file__).parents[1] / "benchmarks" / "check_regression.py"
-        spec = importlib.util.spec_from_file_location("check_regression", script)
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
-        assert gate.check_model_drift(1e-6) is False
+        assert report.main(["drift", "--tolerance", "1e-6"]) == 1
+        assert capsys.readouterr().out.count("<< DRIFT") == len(bad)
 
     def test_gate_trips_on_a_perturbed_step_time_all_reduce(self, monkeypatch):
         from repro.core.step_time import StepTimeModel

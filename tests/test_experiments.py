@@ -52,6 +52,7 @@ class TestTable2:
         return table2.run()
 
     def test_init_times_close_to_paper(self, table):
+        assert len(table.rows) == len(PAPER_INIT_SECONDS) // 2  # TF and JAX per model
         for row in table.rows:
             name = row[0]
             assert row[1] == pytest.approx(PAPER_INIT_SECONDS[(name, "tf")], rel=0.1)
@@ -179,6 +180,22 @@ class TestAblations:
         rates = t.column("Mexamples/s per host")
         assert rates[-1] > rates[0]  # fully optimized beats naive
         assert t.rows[-1][2] == "yes"
+
+    def test_uncompressed_input_removes_host_imbalance(self):
+        t = ablations.input_pipeline_ablation()
+        slowdown = dict(zip(t.column("Pipeline"), t.column("max slowdown")))
+        assert slowdown["jpeg_compressed"] > slowdown["uncompressed"]
+        assert slowdown["uncompressed"] < 1.05
+
+    def test_large_shuffle_buffer_reduces_batch_bias(self):
+        t = ablations.shuffle_quality_ablation()
+        bias = {(r[0], r[1]): r[3] for r in t.rows}
+        assert bias[("shuffle_before_repeat", 1024)] < bias[("shuffle_before_repeat", 64)]
+
+    def test_naive_auc_extrapolates_past_1000x_sorted(self):
+        t = ablations.auc_ablation(n=500_000)
+        sorted_row, naive_row = t.rows[0], t.rows[1]
+        assert float(naive_row[3]) > 1000 * float(sorted_row[3])
 
 
 class TestNewAblations:

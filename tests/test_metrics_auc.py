@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.auc import auc_binned, auc_naive, auc_sorted, synthetic_pctr
+from repro.metrics.auc import auc_naive, auc_sorted, synthetic_pctr
 
 
 class TestKnownValues:
@@ -57,12 +57,6 @@ class TestAgreement:
             auc_naive(scores, labels), rel=1e-10
         )
 
-    def test_binned_close_to_exact(self, rng):
-        scores, labels = synthetic_pctr(rng, 50_000)
-        exact = auc_sorted(scores, labels)
-        approx = auc_binned(scores, labels, num_bins=5_000)
-        assert approx == pytest.approx(exact, abs=0.005)
-
 
 class TestValidation:
     def test_single_class_rejected(self):
@@ -76,14 +70,6 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             auc_sorted(np.zeros(3), np.zeros(4))
-
-    def test_binned_bins_validation(self, rng):
-        scores, labels = synthetic_pctr(rng, 100)
-        with pytest.raises(ValueError):
-            auc_binned(scores, labels, num_bins=1)
-
-    def test_binned_constant_scores(self):
-        assert auc_binned(np.ones(10), np.array([0, 1] * 5)) == 0.5
 
 
 class TestSyntheticPctr:

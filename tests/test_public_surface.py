@@ -1,9 +1,9 @@
 """The public surface of ``repro`` is what an entry point reaches.
 
 A public top-level def or public method under ``src/repro`` must be
-referenced from entry-point code -- ``src/`` itself, ``examples/``,
+referenced from entry-point code -- ``src/`` itself, ``examples/`` or
 ``bench/`` (including the string entries of ``bench/trace.py``'s patch
-tables) or ``benchmarks/`` -- or be a named survivor in DESIGN.md §3.
+tables) -- or be a named survivor in DESIGN.md §3.
 ``tests/`` is not an entry point: code only tests reach serves no traffic.
 
 The count is done on the AST.  A reference is a ``Name``, the attribute
@@ -22,7 +22,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = "src/repro"
-ENTRY_ROOTS = ("src", "examples", "bench", "benchmarks")
+ENTRY_ROOTS = ("src", "examples", "bench")
 #: file -> the module-level tables whose string entries name what the
 #: file patches (and so calls) at run time.
 PATCH_TABLES = {"bench/trace.py": ("FUNCTIONS", "METHODS")}

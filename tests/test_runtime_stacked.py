@@ -3,8 +3,9 @@
 The stacked kernels of :mod:`repro.runtime.collectives` claim the exact
 ring accumulation order of the per-device references at any scale — these
 tests pin that with hypothesis across policies and with deterministic
-256+/4096-device cases, exercise the stacked mesh storage, and lock down
-the bounded-LRU behavior of the scratch/layout/schedule caches.
+256+/4096-device cases, exercise the stacked mesh storage, lock down
+the bounded-LRU behavior of the scratch/layout/schedule caches, and hold
+the paper's full-pod ring and 64x64 grid under two seconds per call.
 
 The full 4096-device run against ``_reference_*`` takes minutes (the
 reference is O(n^2) Python steps), so tier-1 pins 4096 devices against the
@@ -14,6 +15,7 @@ runs only with ``REPRO_SLOW_TESTS=1``.
 """
 
 import os
+import time
 import warnings
 
 import numpy as np
@@ -259,6 +261,30 @@ class TestStackedBitIdentity:
         got = ring_all_reduce_stacked(block, "f32")
         for d in range(n):
             _assert_bit_identical(got.device_view(d), want[d])
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        pytest.param(lambda b: ring_all_reduce_stacked(b, "f32"), id="ring"),
+        pytest.param(
+            lambda b: two_phase_all_reduce_stacked(b, (64, 64), "f32"),
+            id="grid",
+        ),
+    ],
+)
+def test_full_pod_stays_under_two_seconds(reduce):
+    """The paper's 4096-chip pod on the device-major path: the ring and the
+    64x64 grid over 4096 x 8192 f32 floats (128 MiB) each match the f64
+    sum, and a warm call takes under two seconds.  Falling off the stacked
+    path costs 10-100x, far past the bound."""
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((4096, 8192), dtype=np.float32)
+    truth = np.sum(block, axis=0, dtype=np.float64)
+    assert np.allclose(reduce(block).device_view(0), truth, rtol=1e-3, atol=1e-1)
+    start = time.perf_counter()
+    reduce(block)
+    assert time.perf_counter() - start < 2.0
 
 
 _WORK_COUNTERS = (
