@@ -25,11 +25,16 @@ from repro.runtime.bucket import BucketPlan
 class SingleDeviceTrainer(CheckpointingTrainer):
     """Reference trainer: full batch on one device."""
 
+    def _forward_backward(self, xs: np.ndarray, labels: np.ndarray):
+        """The stacked call with one replica; its one gradient tree."""
+        losses, grads = self.model.loss_and_grad(self.params, xs, labels)
+        return losses, {name: g[0] for name, g in grads.items()}
+
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         with self._step(x, labels) as run:
             with run.phase("update", "update"):
                 self.params, self.state = self.optimizer.update(
-                    self.params, run.grads[0], self.state, self.step_index
+                    self.params, run.grads, self.state, self.step_index
                 )
         return run.result
 
@@ -78,49 +83,77 @@ class DataParallelTrainer(CheckpointingTrainer):
         self.guard = guard
         self.num_buckets = num_buckets
         self.overlap = overlap
-        #: Bucket layout of the gradient tree; like the stacks below it
+        #: Bucket layout of the gradient tree; like the blocks below it
         #: depends only on the model and ``num_buckets``, so it outlives
         #: ``init()`` and restores (params and slots are replicated: a
         #: restore onto this mesh has nothing else to re-lay-out).
         self._plan: BucketPlan | None = None
-        #: Persistent device-major gradient stacks, one per bucket index:
-        #: the (n, bucket.size) block the replicas flatten into each step.
-        self._grad_blocks: dict[int, np.ndarray] = {}
+        #: Persistent device-major gradient blocks, one ``(n, bucket.size)``
+        #: stack per bucket of ``_blocks_plan``, and the ``(n, *shape)``
+        #: view of each tensor that the model writes its gradients through.
+        self._grad_blocks: list[np.ndarray] = []
+        self._grad_views: dict[str, np.ndarray] = {}
+        self._blocks_plan: BucketPlan | None = None
 
     @property
     def num_replicas(self) -> int:
         return self.dp_x * self.dp_y
 
-    def _summed_mean_grads(self, per_replica_grads: list[dict]) -> dict:
-        """Fused collectives over the bucketed gradient tensors.
+    def _gradient_views(self) -> dict[str, np.ndarray]:
+        """The ``(n, *shape)`` gradient views, laid out for the current plan.
 
-        Each replica's gradients are packed into one contiguous buffer per
-        bucket (layout cached across steps) and scaled by ``1/n`` so the
-        collective yields the mean over the global batch; a ring or 2-D
-        hierarchical all-reduce per bucket then moves the gradients, and
-        the result is unpacked into zero-copy per-parameter views.  With
-        the default single bucket this is exactly one collective for the
-        whole model.  Per-bucket ``(payload_bytes, wall_seconds)`` launch
-        records are appended to ``self._last_launches`` for the overlap model.
+        The data-parallel plan follows the gradient tree's order (the
+        backward's, :attr:`MLP.grad_names`); the layout decides which ring
+        chunk each element travels in, so that order is part of the
+        numerics.  Blocks are re-laid-out only when the plan changes.
         """
-        n = self.num_replicas
         if self._plan is None:
-            self._plan = BucketPlan(per_replica_grads[0], self.num_buckets)
-        mean: dict = {}
-        for bi, bucket in enumerate(self._plan.buckets):
-            t0 = _perf()
-            block = self._grad_blocks.get(bi)
-            if block is None or block.shape != (n, bucket.size):
-                block = self._grad_blocks[bi] = np.empty(
-                    (n, bucket.size), dtype=bucket.dtype
-                )
-            for i, g in enumerate(per_replica_grads):
-                bucket.flatten(g, out=block[i])
-            # Replicas contribute grad/n so the collective yields the mean
-            # over the global batch (each replica loss is a micro-batch
-            # mean).  One whole-stack scale — elementwise identical to the
-            # old per-replica loop.
+            self._plan = BucketPlan(
+                {name: self.params[name] for name in self.model.grad_names},
+                self.num_buckets,
+            )
+        if self._blocks_plan is not self._plan:
+            n = self.num_replicas
+            # The gradients' own dtype, not the plan's (WUS lays its plan
+            # out in f64): ``block /= n`` then rounds as each ``g / n`` did.
+            dtype = np.result_type(*(p.dtype for p in self.params.values()))
+            self._grad_blocks = [
+                np.empty((n, bucket.size), dtype=dtype) for bucket in self._plan.buckets
+            ]
+            self._grad_views = {}
+            for bucket, block in zip(self._plan.buckets, self._grad_blocks):
+                self._grad_views.update(bucket.stacked_views(block))
+            self._blocks_plan = self._plan
+        return self._grad_views
+
+    def _forward_backward(self, xs: np.ndarray, labels: np.ndarray):
+        """One stacked call writes every replica's gradients into the blocks.
+
+        Replicas contribute grad/n, so the collective yields the mean over
+        the global batch (each replica loss is a micro-batch mean): one
+        whole-block scale, elementwise identical to a per-replica ``g / n``.
+        """
+        losses, _ = self.model.loss_and_grad(
+            self.params, xs, labels, out=self._gradient_views()
+        )
+        n = self.num_replicas
+        for block in self._grad_blocks:
             block /= n
+        return losses, self._grad_blocks
+
+    def _summed_mean_grads(self, blocks: list[np.ndarray]) -> dict:
+        """Fused collectives over the bucketed gradient blocks.
+
+        A ring or 2-D hierarchical all-reduce per bucket sums the
+        replicas' pre-scaled gradients, and the result is unpacked into
+        zero-copy per-parameter views.  With the default single bucket
+        this is exactly one collective for the whole model.  Per-bucket
+        ``(payload_bytes, wall_seconds)`` launch records are appended to
+        ``self._last_launches`` for the overlap model.
+        """
+        mean: dict = {}
+        for bucket, block in zip(self._plan.buckets, blocks):
+            t0 = _perf()
             reduced = bucket.all_reduce_stacked(
                 block,
                 self.grad_dtype_policy,

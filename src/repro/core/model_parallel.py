@@ -243,9 +243,20 @@ class HybridParallelTrainer(BaseTrainer):
     def _ready(self) -> bool:
         return self.shards is not None
 
-    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
-        """Loss and per-model-core gradients of one replica row."""
-        return self.mp.loss_and_grad(self.shards, x, labels, self.grad_dtype_policy)
+    def _forward_backward(self, xs: np.ndarray, labels: np.ndarray):
+        """Each replica row's loss and per-model-core gradients.
+
+        The feature-sharded model has no stacked form, so this is the one
+        trainer that still loops over its replicas.
+        """
+        losses, grads = [], []
+        for xi, yi in zip(xs, labels):
+            loss, shard_grads = self.mp.loss_and_grad(
+                self.shards, xi, yi, self.grad_dtype_policy
+            )
+            losses.append(loss)
+            grads.append(shard_grads)
+        return losses, grads
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         """One step: peer reduction, then the model-group update."""

@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from time import perf_counter as _perf
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -206,9 +206,11 @@ class _StepRun:
     """One step in flight: what :meth:`BaseTrainer._step` hands a strategy."""
 
     def __init__(self) -> None:
-        self.losses: list[float] = []
-        #: One entry per replica, as the strategy's ``_loss_and_grad`` made it.
-        self.grads: list = []
+        #: Every replica's loss, as the strategy's ``_forward_backward`` made them.
+        self.losses: Sequence[float] = ()
+        #: The step's gradients in the strategy's own form: a tree, one tree
+        #: per replica, or the gradient blocks the model wrote into.
+        self.grads: Any = None
         self.phase_seconds: dict[str, float] = {}
         self.result: StepResult | None = None
         self.start = self._mark = _perf()
@@ -233,11 +235,12 @@ class BaseTrainer(ABC):
 
     A parallelisation strategy changes *how the update executes*, never
     the step around it (Section 3.2).  :meth:`_step` is that step; a
-    strategy supplies only what differs: ``_ready``, its per-replica
-    ``_loss_and_grad``, and — as the body of its ``step`` — its gradient
-    exchange + update.  Every strategy class defines ``step`` itself
-    rather than inheriting it, so that outside-in tracers, which wrap the
-    method found in each class's own ``__dict__``, see one per strategy.
+    strategy supplies only what differs: ``_ready``, its
+    ``_forward_backward`` over the replica stack, and — as the body of its
+    ``step`` — its gradient exchange + update.  Every strategy class
+    defines ``step`` itself rather than inheriting it, so that outside-in
+    tracers, which wrap the method found in each class's own ``__dict__``,
+    see one per strategy.
     """
 
     #: Replicas the global batch is split over.
@@ -262,16 +265,22 @@ class BaseTrainer(ABC):
         """Whether ``init()`` (or a restore) has installed training state."""
 
     @abstractmethod
-    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, Any]:
-        """One replica's loss and gradients on its micro-batch."""
+    def _forward_backward(
+        self, xs: np.ndarray, labels: np.ndarray
+    ) -> tuple[Sequence[float], Any]:
+        """Every replica's loss and gradients, from its row of the stacks.
+
+        ``xs`` is ``[n, batch / n, ...]`` and ``labels`` ``[n, batch / n]``.
+        """
 
     def _split(self, x: np.ndarray, labels: np.ndarray):
+        """The global batch as ``[n, batch / n, ...]`` replica stacks."""
         n = self.num_replicas
         if x.shape[0] % n != 0:
             raise ValueError(
                 f"global batch {x.shape[0]} not divisible by {n} replicas"
             )
-        return np.split(x, n), np.split(labels, n)
+        return x.reshape(n, -1, *x.shape[1:]), labels.reshape(n, -1)
 
     @contextmanager
     def _step(self, x: np.ndarray, labels: np.ndarray):
@@ -291,6 +300,12 @@ class BaseTrainer(ABC):
         """
         if not self._ready:
             raise RuntimeError("call init() before step()")
+        x, labels = np.asarray(x), np.asarray(labels)
+        if labels.shape != x.shape[:1]:
+            raise ValueError(
+                f"labels shape {labels.shape} does not match a batch of "
+                f"{x.shape[0]} rows"
+            )
         run = _StepRun()
         self._last_launches = []
         tracer = _telemetry.tracer
@@ -298,10 +313,7 @@ class BaseTrainer(ABC):
             with run.phase("split", "input"):
                 xs, ys = self._split(x, labels)
             with run.phase("forward_backward", "compute"):
-                for xi, yi in zip(xs, ys):
-                    loss_i, grads_i = self._loss_and_grad(xi, yi)
-                    run.losses.append(loss_i)
-                    run.grads.append(grads_i)
+                run.losses, run.grads = self._forward_backward(xs, ys)
             yield run
             if self.overlap:
                 with tracer.span("overlap_model", category="overlap", actor="trainer"):
@@ -380,10 +392,6 @@ class CheckpointingTrainer(BaseTrainer):
     def _full_state(self) -> OptimizerState:
         """The assembled optimizer slots, as copies a checkpoint may keep."""
         return _copy_state(self.state)
-
-    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
-        loss, grads = self.model.loss_and_grad(self.params, x, labels)
-        return loss, dict(grads)
 
     def save_checkpoint(self) -> TrainerCheckpoint:
         """Snapshot params + assembled optimizer state (deep copies)."""

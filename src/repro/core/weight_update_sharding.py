@@ -156,7 +156,7 @@ def shard_state_segments(
 
 def bucketed_sharded_update(
     params: Params,
-    per_device_grads: list[dict[str, np.ndarray]],
+    grad_block: np.ndarray,
     optimizer: Optimizer,
     sharded_state: list[OptimizerState],
     step: int,
@@ -166,26 +166,29 @@ def bucketed_sharded_update(
     """One weight-update-sharded step with *fused* gradient buckets.
 
     Same math as :func:`sharded_update` but the whole model travels in a
-    single pair of collectives: every device's gradients are flattened into
-    one bucket buffer, ONE reduce-scatter leaves each device a contiguous
-    window of the fused buffer (generally spanning several parameters), the
-    per-layer trust-ratio norms are accumulated per *segment*, and ONE
-    all-gather broadcasts the updated fused weights.  ``sharded_state`` must
-    come from :func:`shard_state_segments` with the same bucket; the bucket
-    should be float64 so the update math matches the per-parameter path.
+    single pair of collectives: ``grad_block`` is the device-major
+    ``(n, bucket.size)`` stack of every device's gradients in the bucket's
+    layout (already scaled so their *sum* is the desired global gradient),
+    ONE reduce-scatter leaves each device a contiguous window of it
+    (generally spanning several parameters), the per-layer trust-ratio
+    norms are accumulated per *segment*, and ONE all-gather broadcasts the
+    updated fused weights.  ``sharded_state`` must come from
+    :func:`shard_state_segments` with the same bucket; the bucket should be
+    float64 so the update math matches the per-parameter path.
     """
-    n = len(per_device_grads)
+    if grad_block.ndim != 2 or grad_block.shape[1] != bucket.size:
+        raise ValueError(
+            f"grad_block must be (n, {bucket.size}); got {grad_block.shape}"
+        )
+    n = grad_block.shape[0]
     if n < 1:
         raise ValueError("need at least one device")
     if len(sharded_state) != n:
         raise ValueError("sharded_state must have one entry per device")
     flat_params = bucket.flatten(params)
     # 1. ONE fused reduce-scatter over the whole model's gradients, fed as
-    #    a single device-major (n, bucket.size) stack so quantization and
-    #    the ring sweeps run whole-block.
-    grad_block = np.empty((n, bucket.size), dtype=bucket.dtype)
-    for d, g in enumerate(per_device_grads):
-        bucket.flatten(g, out=grad_block[d])
+    #    a single device-major stack so quantization and the ring sweeps
+    #    run whole-block.
     sharded = ring_reduce_scatter(grad_block, dtype_policy)
     grad_shards = sharded.shards
     with _telemetry.tracer.span("sharded_update", category="update"):
@@ -277,12 +280,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         #: the only form the optimizer slots exist in (``state`` is None).
         self._bucket_states: list[list[OptimizerState]] | None = None
 
-    def _loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
-        loss, grads = self.model.loss_and_grad(self.params, x, labels)
-        n = self.num_replicas
-        # Pre-scale so the reduce-scatter sum is the global mean.
-        return loss, {k: v / n for k, v in grads.items()}
-
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         """One step: the fused reduce-scatter -> sharded update -> all-gather.
 
@@ -291,13 +288,11 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """
         with self._step(x, labels) as run:
             with run.phase("wus_update", "update"):
-                for i, bucket in enumerate(self._plan.buckets):
+                for i, (bucket, block) in enumerate(zip(self._plan.buckets, run.grads)):
                     b0 = _perf()
-                    # flatten() only reads the bucket's own names, so the
-                    # full trees pass through unchanged.
                     new_params, self._bucket_states[i] = bucketed_sharded_update(
                         self.params,
-                        run.grads,
+                        block,
                         self.optimizer,
                         self._bucket_states[i],
                         self.step_index,
@@ -337,6 +332,9 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         tensors and this trainer's (possibly different) ``num_replicas``.
         A checkpoint taken on n devices therefore restores onto the n-1
         survivors — or any other shape — with identical training semantics.
+
+        Unlike the data-parallel plan, this one follows ``params`` order; the
+        next step lays the gradient blocks out along it.
         """
         self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
         self._bucket_states = [

@@ -14,10 +14,15 @@ import numpy as np
 def dense_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
 ) -> np.ndarray:
-    """``y = x @ w (+ b)`` for a [batch, in] activation."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ValueError("dense_forward expects 2-D x and w")
-    if x.shape[1] != w.shape[0]:
+    """``y = x @ w (+ b)`` for a [..., batch, in] activation.
+
+    Leading axes (a stack of replicas) run as one ``np.matmul`` over the
+    stack, which makes the same per-slice GEMM call as the 2-D product: each
+    slice of the result has the bits of the 2-D call on that slice.
+    """
+    if x.ndim < 2 or w.ndim != 2:
+        raise ValueError("dense_forward expects x of [..., batch, in] and a 2-D w")
+    if x.shape[-1] != w.shape[0]:
         raise ValueError(f"shape mismatch: x {x.shape} @ w {w.shape}")
     y = x @ w
     if b is not None:
@@ -26,12 +31,22 @@ def dense_forward(
 
 
 def dense_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray
+    x: np.ndarray,
+    w: np.ndarray,
+    dy: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a dense layer: returns (dx, dw, db)."""
+    """Gradients of a dense layer: returns (dx, dw, db).
+
+    Over leading axes the parameter gradients stay per slice: ``dw`` is
+    ``[..., in, out]`` and ``db`` ``[..., out]``, each slice the 2-D call's
+    bits (per-slice GEMM; ``db`` adds the batch rows in the same order).
+    ``out=(dw, db)`` writes them into those arrays instead of new ones.
+    """
+    dw_out, db_out = (None, None) if out is None else out
     dx = dy @ w.T
-    dw = x.T @ dy
-    db = dy.sum(axis=0)
+    dw = np.matmul(np.swapaxes(x, -1, -2), dy, out=dw_out)
+    db = np.sum(dy, axis=-2, out=db_out)
     return dx, dw, db
 
 
@@ -52,21 +67,34 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy loss and gradient w.r.t. logits.
 
-    ``labels`` are integer class indices of shape [batch].
+    ``logits`` are ``[..., batch, classes]`` and ``labels`` integer class
+    indices ``[..., batch]`` in ``[0, classes)``; anything else raises
+    ``ValueError`` (a negative index would otherwise pick a class from the
+    end).  The mean runs over ``batch``: 2-D logits give a ``float``, leading
+    axes a float64 array of the per-slice losses.
     """
-    if logits.ndim != 2:
-        raise ValueError("logits must be [batch, classes]")
-    batch = logits.shape[0]
-    if labels.shape != (batch,):
-        raise ValueError(f"labels shape {labels.shape} != ({batch},)")
-    probs = softmax(logits)
+    if logits.ndim < 2:
+        raise ValueError("logits must be [..., batch, classes]")
+    batch, classes = logits.shape[-2:]
+    labels = np.asarray(labels)
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} != {logits.shape[:-1]}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(
+            f"labels must lie in [0, {classes}); got {labels.min()}..{labels.max()}"
+        )
+    probs = softmax(logits).reshape(-1, classes)
+    rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
     eps = 1e-12
-    picked = probs[np.arange(batch), labels]
-    loss = float(-np.mean(np.log(picked + eps)))
+    picked = probs[rows, flat_labels].reshape(labels.shape)
+    loss = -np.mean(np.log(picked + eps), axis=-1)
     dlogits = probs.copy()
-    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits[rows, flat_labels] -= 1.0
     dlogits /= batch
-    return loss, dlogits
+    loss = float(loss) if logits.ndim == 2 else loss.astype(np.float64)
+    return loss, dlogits.reshape(logits.shape)

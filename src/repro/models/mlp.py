@@ -7,6 +7,8 @@ up), small enough that hundreds of equivalence checks run in seconds.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.models.layers import (
@@ -60,10 +62,36 @@ class MLP:
                 h = relu(h)
         return h
 
+    @property
+    def grad_names(self) -> tuple[str, ...]:
+        """Parameter names in the order the backward pass produces them."""
+        return tuple(
+            name for i in reversed(range(self.num_layers)) for name in (f"w{i}", f"b{i}")
+        )
+
     def loss_and_grad(
-        self, params: Params, x: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, Grads]:
-        """Mean cross-entropy loss and gradients for a mini-batch."""
+        self,
+        params: Params,
+        x: np.ndarray,
+        labels: np.ndarray,
+        out: Mapping[str, np.ndarray] | None = None,
+    ) -> tuple[float | np.ndarray, Grads]:
+        """Mean cross-entropy loss and gradients for a mini-batch.
+
+        ``x`` is ``[batch, features]`` with ``labels`` ``[batch]``, or a
+        stack of replicas ``[n, batch, features]`` with ``labels``
+        ``[n, batch]``: then the n per-replica losses come back as a float64
+        array and each gradient as ``[n, *shape]``.  Row ``r`` of a stacked
+        result has exactly the bits of the 2-D call on replica ``r``
+        (``np.matmul`` over a stack makes the same per-slice GEMM call, and
+        the reductions add in the same order).
+
+        ``out`` maps every parameter name to an array of the gradient's
+        (stacked) shape and this model's dtype — typically a view of a
+        collective's gradient block — that receives the gradient in place;
+        the returned gradients are then those arrays.  Gradients come back
+        in :attr:`grad_names` order.
+        """
         activations = [x.astype(self.dtype)]
         pre_relu: list[np.ndarray] = []
         h = activations[0]
@@ -78,10 +106,11 @@ class MLP:
         loss, dy = softmax_cross_entropy(h, labels)
         grads: dict[str, np.ndarray] = {}
         for i in reversed(range(self.num_layers)):
-            x_in = activations[i]
-            dx, dw, db = dense_backward(x_in, params[f"w{i}"], dy)
-            grads[f"w{i}"] = dw
-            grads[f"b{i}"] = db
+            w, b = f"w{i}", f"b{i}"
+            dx, grads[w], grads[b] = dense_backward(
+                activations[i], params[w], dy,
+                out=None if out is None else (out[w], out[b]),
+            )
             if i > 0:
                 dy = relu_backward(pre_relu[i - 1], dx)
         return loss, grads

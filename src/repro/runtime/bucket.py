@@ -8,7 +8,9 @@ provides that abstraction for the functional layer:
 
 * :class:`GradientBucket` records the offset map of a named parameter tree
   (name -> slice of one flat buffer) and converts trees to/from fused flat
-  buffers — ``unflatten`` returns zero-copy reshaped views;
+  buffers — ``unflatten`` returns zero-copy reshaped views, and
+  ``stacked_views`` the ``(n, *shape)`` views a stacked backward pass
+  writes every device's gradients through;
 * :meth:`GradientBucket.all_reduce` runs a *single* ring or 2-D
   hierarchical collective over the fused per-device buffers;
 * :meth:`GradientBucket.segments` maps a device's reduce-scatter shard back
@@ -70,12 +72,15 @@ class GradientBucket:
         self.names: tuple[str, ...] = tuple(template)
         self.shapes: dict[str, tuple[int, ...]] = {}
         self.offsets: dict[str, int] = {}
+        self._slices: dict[str, slice] = {}
         offset = 0
         for name in self.names:
             arr = np.asarray(template[name])
             self.shapes[name] = arr.shape
             self.offsets[name] = offset
-            offset += arr.size if arr.shape else 1
+            size = arr.size if arr.shape else 1
+            self._slices[name] = slice(offset, offset + size)
+            offset += size
         self.size = offset
         self.dtype = np.dtype(
             dtype
@@ -92,9 +97,7 @@ class GradientBucket:
 
     def slice_of(self, name: str) -> slice:
         """Position of one tensor inside the flat buffer."""
-        offset = self.offsets[name]
-        size = int(np.prod(self.shapes[name])) if self.shapes[name] else 1
-        return slice(offset, offset + size)
+        return self._slices[name]
 
     def flatten(
         self, tree: Mapping[str, np.ndarray], out: np.ndarray | None = None
@@ -131,6 +134,26 @@ class GradientBucket:
             m.counter("bucket_unflatten_seconds").inc(_perf() - t0)
             m.counter("bucket_unflatten_calls").inc()
         return tree
+
+    def stacked_views(self, block: np.ndarray) -> dict[str, np.ndarray]:
+        """``(n, *shape)`` views of a device-major ``(n, >= size)`` block.
+
+        What a stacked computation writes through to fill the block in
+        place: each view is checked to alias the block, since a reshape
+        that silently copied would leave the writes in a temporary.
+        """
+        if block.ndim != 2 or block.shape[1] < self.size:
+            raise ValueError(
+                f"block must be (n, >= {self.size}); got {block.shape}"
+            )
+        n = block.shape[0]
+        views = {}
+        for name in self.names:
+            view = block[:, self.slice_of(name)].reshape(n, *self.shapes[name])
+            if not np.may_share_memory(view, block):
+                raise ValueError(f"the ({n}, *shape) view of {name!r} would copy")
+            views[name] = view
+        return views
 
     def segments(self, start: int, stop: int) -> tuple[BucketSegment, ...]:
         """Per-tensor segments overlapping the window ``[start, stop)``.

@@ -263,6 +263,59 @@ class TestOneStepFourStrategies:
         assert trainer._last_launches == []
 
 
+def _trained_state(trainer):
+    """Copies of everything a step may change: weights and optimizer slots."""
+    if isinstance(trainer, HybridParallelTrainer):
+        tree = {"shards": trainer.shards, "slots": trainer.shard_states}
+    else:
+        ckpt = trainer.save_checkpoint()
+        tree = {"params": ckpt.params, "slots": ckpt.opt_state}
+
+    def flat(node, path=""):
+        if isinstance(node, dict):
+            return [kv for key in sorted(node) for kv in flat(node[key], f"{path}/{key}")]
+        if isinstance(node, list):
+            return [kv for i, item in enumerate(node) for kv in flat(item, f"{path}/{i}")]
+        return [(path, np.array(node, copy=True))]
+
+    return flat(tree)
+
+
+class TestRefusedBatches:
+    """A batch the model cannot honour is refused before anything trains.
+
+    Labels outside ``[0, classes)`` or not integer used to train silently
+    (``-1`` picked the last class) or fail mid-step with a bare numpy
+    ``IndexError``; a label count that disagrees with the rows surfaced from
+    inside replica 0 or from ``np.split``.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides", FOUR_STRATEGIES, ids=[o["strategy"] for o in FOUR_STRATEGIES]
+    )
+    def test_refused_step_changes_nothing(self, overrides):
+        trainer = make_trainer(_config(**overrides))
+        x, y = _workload()  # 64 rows, 4 classes
+        before = _trained_state(trainer)
+        bad_labels = {
+            "negative": (x, np.where(np.arange(64) == 5, -1, y), r"lie in \[0, 4\)"),
+            "too large": (x, np.where(np.arange(64) == 9, 4, y), r"lie in \[0, 4\)"),
+            "fractional": (x, y + 0.5, "integer class indices"),
+            "more labels": (x, np.concatenate([y, y[:4]]), "does not match a batch"),
+            "fewer labels": (x, y[:62], "does not match a batch"),
+        }
+        for name, (bx, by, match) in bad_labels.items():
+            with pytest.raises(ValueError, match=match):
+                trainer.step(bx, by)
+            assert trainer.step_index == 0, name
+        after = _trained_state(trainer)
+        assert [path for path, _ in after] == [path for path, _ in before]
+        for (path, a), (_, b) in zip(before, after):
+            assert np.array_equal(a, b), path
+        trainer.step(x, y)
+        assert trainer.step_index == 1
+
+
 class TestOverlapBitIdentity:
     """Overlap mode must not perturb a single bit of the training math."""
 

@@ -98,3 +98,27 @@ class TestSoftmaxCrossEntropy:
     def test_label_shape_check(self, rng):
         with pytest.raises(ValueError):
             softmax_cross_entropy(rng.standard_normal((4, 3)), np.zeros(5, int))
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            # -1 used to pick the last class: the same loss as labels [3, 0].
+            ([-1, 0], r"lie in \[0, 4\)"),
+            ([4, 0], r"lie in \[0, 4\)"),
+            ([0.5, 0.0], "integer class indices"),
+            ([1.0, 0.0], "integer class indices"),
+            ([True, False], "integer class indices"),
+        ],
+    )
+    def test_labels_outside_the_classes_are_refused(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            softmax_cross_entropy(np.zeros((2, 4)), np.array(labels))
+
+    def test_leading_axes_are_per_slice(self, rng):
+        logits = rng.standard_normal((3, 5, 4))
+        labels = rng.integers(0, 4, size=(3, 5))
+        losses, dlogits = softmax_cross_entropy(logits, labels)
+        assert losses.shape == (3,)
+        for r in range(3):
+            loss, d = softmax_cross_entropy(logits[r], labels[r])
+            assert losses[r] == loss and np.array_equal(dlogits[r], d)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import SGDMomentum
+from repro.runtime.bucket import GradientBucket
 
 
 class TestConstruction:
@@ -72,6 +73,55 @@ class TestForwardBackward:
         pred = m.predict(params, x)
         assert pred.shape == (64,)
         assert 0.0 <= np.mean(pred == labels) <= 1.0
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: stricter than ``array_equal`` (-0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedReplicas:
+    """The stacked call over ``[n, batch, features]`` is n 2-D calls, to the bit."""
+
+    SENTINEL = -7.25
+    PAD = 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 32, 256])
+    def test_every_row_is_the_per_replica_call(self, n, dtype):
+        m = MLP([12, 24, 8, 4], dtype=dtype)
+        params = m.init_params(np.random.default_rng(n))
+        bucket = GradientBucket({name: params[name] for name in m.grad_names})
+        for b in (1, 2, 3, 16):
+            rng = np.random.default_rng((n, b))
+            x = rng.standard_normal((n, b, 12))
+            labels = rng.integers(0, 4, size=(n, b))
+            losses, grads = m.loss_and_grad(params, x, labels)
+            # The same call writing into a bucket block with padding columns.
+            block = np.full((n, bucket.size + self.PAD), self.SENTINEL, dtype=dtype)
+            views = bucket.stacked_views(block)
+            assert all(np.shares_memory(view, block) for view in views.values())
+            out_losses, out_grads = m.loss_and_grad(params, x, labels, out=views)
+            assert all(out_grads[name] is views[name] for name in views)
+            assert (block[:, bucket.size:] == self.SENTINEL).all()
+            assert tuple(grads) == tuple(out_grads) == m.grad_names
+            assert losses.shape == (n,) and losses.dtype == np.float64
+            assert _same_bits(losses, out_losses)
+            for r in range(n):
+                loss, ref = m.loss_and_grad(params, x[r], labels[r])
+                assert isinstance(loss, float) and losses[r] == loss
+                for name, g in ref.items():
+                    assert np.array_equal(grads[name][r], g)
+                    assert _same_bits(grads[name][r], g)
+                    assert _same_bits(views[name][r], g)
+                    flat = block[r, bucket.slice_of(name)]
+                    assert _same_bits(flat, g.reshape(-1))
+
+    def test_views_that_do_not_fit_are_refused(self):
+        bucket = GradientBucket({"w": np.zeros((3, 2)), "b": np.zeros(2)})
+        with pytest.raises(ValueError, match="block must be"):
+            bucket.stacked_views(np.zeros((4, bucket.size - 1)))
 
 
 class TestSyntheticData:
