@@ -214,18 +214,28 @@ class _StepRun:
         self.phase_seconds: dict[str, float] = {}
         self.result: StepResult | None = None
         self.start = self._mark = _perf()
+        self._phase = ("", "")
 
-    @contextmanager
-    def phase(self, name: str, category: str):
+    def phase(self, name: str, category: str) -> "_StepRun":
         """Run one phase under its span *and* record ``phase_seconds[name]``.
 
         One name feeds both, so span names and phase keys cannot drift.
         Each phase is timed from the end of the previous one, so the
-        phases add up to the step.
+        phases add up to the step; its span is cut from the same two clock
+        marks (one reading per boundary, no open-span bookkeeping).
+        Phases run one after another, never nested.
         """
-        with _telemetry.tracer.span(name, category=category, actor="trainer"):
-            yield
+        self._phase = (name, category)
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
         now = _perf()
+        name, category = self._phase
+        if _telemetry.enabled:
+            _telemetry.tracer.emit(name, category, "trainer", self._mark, now)
         self.phase_seconds[name] = now - self._mark
         self._mark = now
 
@@ -293,7 +303,8 @@ class BaseTrainer(ABC):
 
         Telemetry: one ``train_step`` span (category ``"step"``) encloses
         the phase spans of the paper's step breakdown, named exactly as
-        ``StepResult.phase_seconds``.  With ``overlap`` the
+        ``StepResult.phase_seconds``; all of them are cut from the step's
+        own clock marks.  With ``overlap`` the
         backprop-overlapped timeline of the same step is modeled
         (``overlap_model`` span, ``overlap_*`` counters) without changing
         any arithmetic.
@@ -309,7 +320,7 @@ class BaseTrainer(ABC):
         run = _StepRun()
         self._last_launches = []
         tracer = _telemetry.tracer
-        with tracer.span("train_step", category="step", actor="trainer"):
+        try:
             with run.phase("split", "input"):
                 xs, ys = self._split(x, labels)
             with run.phase("forward_backward", "compute"):
@@ -320,6 +331,10 @@ class BaseTrainer(ABC):
                     self.last_overlap = self._model_overlap(
                         run.phase_seconds["forward_backward"]
                     )
+        finally:
+            end = _perf()
+            if _telemetry.enabled:
+                tracer.emit("train_step", "step", "trainer", run.start, end)
         run.result = StepResult(
             float(np.mean(run.losses)),
             phase_seconds=run.phase_seconds,
@@ -327,7 +342,7 @@ class BaseTrainer(ABC):
             step_index=self.step_index,
         )
         self.step_index += 1
-        self._record_step(_perf() - run.start, run.result)
+        self._record_step(end - run.start, run.result)
 
     def _record_step(self, seconds: float, result: StepResult) -> None:
         """Step telemetry, labeled by trainer class, plus the flight record."""

@@ -191,36 +191,39 @@ def bucketed_sharded_update(
     #    run whole-block.
     sharded = ring_reduce_scatter(grad_block, dtype_policy)
     grad_shards = sharded.shards
-    with _telemetry.tracer.span("sharded_update", category="update"):
-        # Which (device, segment) windows hold each layer, in device order.
-        holders: dict[str, list] = {name: [] for name in bucket.names}
-        for d, window in enumerate(bucket.shard_segments(n)):
-            for seg in window:
-                holders[seg.name].append((d, seg))
-        # 2. per layer: segment-partial norms summed across the devices
-        #    holding it (the tiny scalar all-reduce of sharded_update, now
-        #    over segments), then the segment-local elementwise update into
-        #    one (n, chunk) block of per-device chunk rows (the gather
-        #    reads it without concatenating).
-        _, chunk = padded_chunk_layout(n, bucket.size)
-        new_block = np.zeros((n, chunk), dtype=np.float64)
-        new_states: list[OptimizerState] = [dict() for _ in range(n)]
-        for name, held in holders.items():
-            updated = optimizer.update_shards(
-                name,
-                [
-                    (
-                        flat_params[seg.bucket_slice],
-                        grad_shards[d][seg.local_slice].astype(np.float64),
-                        sharded_state[d][name],
-                    )
-                    for d, seg in held
-                ],
-                step,
-            )
-            for (d, seg), (new_vals, new_slot) in zip(held, updated):
-                new_block[d, seg.local_slice] = new_vals
-                new_states[d][name] = new_slot
+    t0 = _perf()
+    # Which (device, segment) windows hold each layer, in device order.
+    holders: dict[str, list] = {name: [] for name in bucket.names}
+    for d, window in enumerate(bucket.shard_segments(n)):
+        for seg in window:
+            holders[seg.name].append((d, seg))
+    # 2. per layer: segment-partial norms summed across the devices
+    #    holding it (the tiny scalar all-reduce of sharded_update, now
+    #    over segments), then the segment-local elementwise update into
+    #    one (n, chunk) block of per-device chunk rows (the gather
+    #    reads it without concatenating).
+    _, chunk = padded_chunk_layout(n, bucket.size)
+    new_block = np.zeros((n, chunk), dtype=np.float64)
+    new_states: list[OptimizerState] = [dict() for _ in range(n)]
+    for name, held in holders.items():
+        updated = optimizer.update_shards(
+            name,
+            [
+                (
+                    flat_params[seg.bucket_slice],
+                    grad_shards[d][seg.local_slice].astype(np.float64),
+                    sharded_state[d][name],
+                )
+                for d, seg in held
+            ],
+            step,
+        )
+        for (d, seg), (new_vals, new_slot) in zip(held, updated):
+            new_block[d, seg.local_slice] = new_vals
+            new_states[d][name] = new_slot
+    if _telemetry.enabled:
+        tracer = _telemetry.tracer
+        tracer.emit("sharded_update", "update", tracer.actor, t0, _perf())
     # 3. ONE fused all-gather of the updated weight shards (lazily
     #    replicated; the per-param astype below copies out of it).
     gathered = ring_all_gather_stacked(

@@ -38,16 +38,31 @@ def dense_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a dense layer: returns (dx, dw, db).
 
-    Over leading axes the parameter gradients stay per slice: ``dw`` is
+    ``dw`` and ``db`` are :func:`dense_param_grads` (which see for leading
+    axes and ``out``); ``dx = dy @ w.T`` is what the layer below needs.
+    """
+    dw, db = dense_param_grads(x, dy, out)
+    return dy @ w.T, dw, db
+
+
+def dense_param_grads(
+    x: np.ndarray,
+    dy: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A dense layer's parameter gradients (dw, db), without its ``dx``.
+
+    Over leading axes the gradients stay per slice: ``dw`` is
     ``[..., in, out]`` and ``db`` ``[..., out]``, each slice the 2-D call's
     bits (per-slice GEMM; ``db`` adds the batch rows in the same order).
     ``out=(dw, db)`` writes them into those arrays instead of new ones.
+    The first layer of a network calls this alone: nothing consumes its
+    ``dx``.
     """
     dw_out, db_out = (None, None) if out is None else out
-    dx = dy @ w.T
     dw = np.matmul(np.swapaxes(x, -1, -2), dy, out=dw_out)
     db = np.sum(dy, axis=-2, out=db_out)
-    return dx, dw, db
+    return dw, db
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.models.layers import (
     dense_backward,
+    dense_param_grads,
     dense_forward,
     relu,
     relu_backward,
@@ -107,11 +108,13 @@ class MLP:
         grads: dict[str, np.ndarray] = {}
         for i in reversed(range(self.num_layers)):
             w, b = f"w{i}", f"b{i}"
-            dx, grads[w], grads[b] = dense_backward(
-                activations[i], params[w], dy,
-                out=None if out is None else (out[w], out[b]),
-            )
-            if i > 0:
+            into = None if out is None else (out[w], out[b])
+            if i == 0:  # the input layer's dx would feed nothing
+                grads[w], grads[b] = dense_param_grads(activations[i], dy, into)
+            else:
+                dx, grads[w], grads[b] = dense_backward(
+                    activations[i], params[w], dy, into
+                )
                 dy = relu_backward(pre_relu[i - 1], dx)
         return loss, grads
 

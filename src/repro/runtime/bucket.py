@@ -88,6 +88,7 @@ class GradientBucket:
             else np.result_type(*(np.asarray(template[n]).dtype for n in self.names))
         )
         self._segment_cache: dict[tuple[int, int], tuple[BucketSegment, ...]] = {}
+        self._shard_cache: dict[int, tuple[tuple[BucketSegment, ...], ...]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -189,11 +190,21 @@ class GradientBucket:
         return result
 
     def shard_segments(self, num_devices: int) -> tuple[tuple[BucketSegment, ...], ...]:
-        """Segments of every device's reduce-scatter shard, in device order."""
+        """Segments of every device's reduce-scatter shard, in device order.
+
+        Cached per device count as well; a hit counts one segment-cache hit
+        per window, as the window lookups it stands for would.
+        """
+        windows = self._shard_cache.get(num_devices)
+        if windows is not None:
+            if _telemetry.enabled:
+                _telemetry.metrics.counter("bucket_segment_cache_hits").inc(num_devices)
+            return windows
         _, chunk = padded_chunk_layout(num_devices, self.size)
-        return tuple(
+        windows = self._shard_cache[num_devices] = tuple(
             self.segments(d * chunk, (d + 1) * chunk) for d in range(num_devices)
         )
+        return windows
 
     # --- fused collectives ---------------------------------------------------
 

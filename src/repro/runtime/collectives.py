@@ -121,6 +121,24 @@ def padded_chunk_layout(n: int, size: int) -> tuple[int, int]:
 # --- telemetry ---------------------------------------------------------------
 
 
+#: ``dtype.char`` -> policy label of a gather's wire dtype (``dtype.name``
+#: is a slow property, and the gather asks on every step).
+_WIRE_POLICY = {"d": "f64", "f": "f32"}
+
+
+def _comm_span(name: str, t0: float) -> float:
+    """Emit the ``comm`` span ``name`` begun at mark ``t0``; return its end.
+
+    The collectives time themselves anyway (``collective_seconds``), so
+    their spans are cut from those marks rather than opened around the
+    work.  Only called when telemetry is enabled.
+    """
+    end = _perf()
+    tracer = _telemetry.tracer
+    tracer.emit(name, "comm", tracer.actor, t0, end)
+    return end
+
+
 def _record_collective(
     op: str, n: int, chunk: int, itemsize: int, policy: str, seconds: float,
     axis: str = "ring", steps: int | None = None,
@@ -460,13 +478,12 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
     the rounding pattern of real hardware rings.
     """
     t0 = _perf()
-    with _telemetry.tracer.span("ring_reduce_scatter", category="comm"):
-        shards, shape, padded = _ring_reduce_scatter_impl(arrays, dtype_policy)
+    shards, shape, padded = _ring_reduce_scatter_impl(arrays, dtype_policy)
     n = shards.shape[0]
     if _telemetry.enabled:
         _record_collective(
-            "reduce_scatter", n, padded // n,
-            _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
+            "reduce_scatter", n, padded // n, _dtype_for(dtype_policy).itemsize,
+            dtype_policy, _comm_span("ring_reduce_scatter", t0) - t0,
         )
     return ShardedValue(list(shards), shape, padded, block=shards)
 
@@ -497,21 +514,21 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
     n = value.num_devices
     size = int(np.prod(value.shape)) if value.shape else 1
     t0 = _perf()
-    with _telemetry.tracer.span("ring_all_gather", category="comm"):
-        if value.block is not None:
-            full = value.block.reshape(-1)[:size]
-        else:
-            full = np.concatenate(value.shards)[:size]
-        result = StackedValue.replicate(full.reshape(value.shape), n)
-    if _telemetry.enabled and n > 1:
+    if value.block is not None:
+        full = value.block.reshape(-1)[:size]
+    else:
+        full = np.concatenate(value.shards)[:size]
+    result = StackedValue.replicate(full.reshape(value.shape), n)
+    if not _telemetry.enabled:
+        return result
+    seconds = _comm_span("ring_all_gather", t0) - t0
+    if n > 1:
         # The gather is pure data movement; the wire dtype stands in for
         # the policy label (bf16 shards travel as f32, matching the wire).
-        policy = {"float64": "f64", "float32": "f32"}.get(
-            full.dtype.name, full.dtype.name
-        )
+        policy = _WIRE_POLICY.get(full.dtype.char) or full.dtype.name
         _record_collective(
             "all_gather", n, value.padded_size // n, full.dtype.itemsize,
-            policy, _perf() - t0,
+            policy, seconds,
         )
     return result
 
@@ -540,18 +557,17 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     buffer out.
     """
     t0 = _perf()
-    with _telemetry.tracer.span("ring_all_reduce", category="comm"):
-        shards, shape, _ = _ring_reduce_scatter_impl(arrays, dtype_policy)
-        n = shards.shape[0]
-        size = int(np.prod(shape)) if shape else 1
-        full = shards.reshape(-1)[:size]
-        result = StackedValue.replicate(full.reshape(shape), n)
+    shards, shape, _ = _ring_reduce_scatter_impl(arrays, dtype_policy)
+    n = shards.shape[0]
+    size = int(np.prod(shape)) if shape else 1
+    full = shards.reshape(-1)[:size]
+    result = StackedValue.replicate(full.reshape(shape), n)
     if _telemetry.enabled:
         # Reduce-scatter + all-gather: twice the one-phase ring traffic.
         _record_collective(
             "all_reduce", n, 2 * shards.shape[1],
-            _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
-            steps=2 * (n - 1),
+            _dtype_for(dtype_policy).itemsize, dtype_policy,
+            _comm_span("ring_all_reduce", t0) - t0, steps=2 * (n - 1),
         )
     return result
 
@@ -623,15 +639,14 @@ def _reduce_scatter_grid_core(
     # Y phase: one ring per mesh column, all columns batched.
     padded_y, y_chunk = padded_chunk_layout(y_size, size)
     t0 = _perf()
-    with _telemetry.tracer.span("reduce_scatter_y", category="comm"):
-        acc_y = np.empty((x_size, padded_y), dtype=dtype)
-        acc_y[:, size:] = 0
-        _linear_ring_passes_batched(acc_y, srcs3, size, y_chunk, bf16_round)
+    acc_y = np.empty((x_size, padded_y), dtype=dtype)
+    acc_y[:, size:] = 0
+    _linear_ring_passes_batched(acc_y, srcs3, size, y_chunk, bf16_round)
     if _telemetry.enabled:
         # x_size concurrent column rings of y_size members each.
         _record_collective(
             "reduce_scatter", y_size, x_size * y_chunk, dtype.itemsize,
-            dtype_policy, _perf() - t0, axis="y",
+            dtype_policy, _comm_span("reduce_scatter_y", t0) - t0, axis="y",
         )
     # X phase: for each Y-shard index, a ring across columns.  Sources are
     # the Y accumulators (already quantized, so no re-rounding for bf16):
@@ -645,17 +660,16 @@ def _reduce_scatter_grid_core(
     acc_y3 = acc_y.reshape(x_size, y_size, y_chunk)
     padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
     t0 = _perf()
-    with _telemetry.tracer.span("reduce_scatter_x", category="comm"):
-        x_shards = np.empty((y_size, padded_x), dtype=dtype)
-        x_shards[:, y_chunk:] = 0
-        _linear_ring_passes_batched(
-            x_shards, acc_y3.transpose(1, 0, 2), y_chunk, x_chunk, bf16_round
-        )
+    x_shards = np.empty((y_size, padded_x), dtype=dtype)
+    x_shards[:, y_chunk:] = 0
+    _linear_ring_passes_batched(
+        x_shards, acc_y3.transpose(1, 0, 2), y_chunk, x_chunk, bf16_round
+    )
     if _telemetry.enabled:
         # y_size concurrent row rings over the already-1/y payload.
         _record_collective(
             "reduce_scatter", x_size, y_size * x_chunk, dtype.itemsize,
-            dtype_policy, _perf() - t0, axis="x",
+            dtype_policy, _comm_span("reduce_scatter_x", t0) - t0, axis="x",
         )
     return x_shards.reshape(y_size, x_size, x_chunk)
 
@@ -679,14 +693,14 @@ def _all_gather_grid_core(
     _, y_chunk = padded_chunk_layout(y_size, size)
     padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
     t0 = _perf()
-    with _telemetry.tracer.span("all_gather_grid", category="comm"):
-        full = shards3.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
-        if np.shares_memory(full, shards3):
-            # Zero-copy assembly aliases the shard block; the replicated
-            # result must own its memory.
-            full = full.copy()
-        result = StackedValue.replicate(full.reshape(shape), x_size * y_size)
+    full = shards3.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
+    if np.shares_memory(full, shards3):
+        # Zero-copy assembly aliases the shard block; the replicated
+        # result must own its memory.
+        full = full.copy()
+    result = StackedValue.replicate(full.reshape(shape), x_size * y_size)
     if _telemetry.enabled:
+        seconds = _comm_span("all_gather_grid", t0) - t0
         m = _telemetry.metrics
         itemsize = shards3.dtype.itemsize
         m.counter(
@@ -700,7 +714,7 @@ def _all_gather_grid_core(
         )
         m.counter("collective_launches", op="all_gather", axis="xy").inc()
         m.histogram("collective_seconds", op="all_gather", axis="xy").observe(
-            _perf() - t0
+            seconds
         )
     return result
 
@@ -790,12 +804,13 @@ def two_phase_all_reduce_stacked(
         raise ValueError(
             f"{n} device buffers do not fill a {x_size}x{y_size} grid"
         )
-    with _telemetry.tracer.span("two_phase_all_reduce", category="comm"):
-        shards3 = _reduce_scatter_grid_core(
-            flats, block, x_size, y_size, shape, dtype_policy
-        )
-        result = _all_gather_grid_core(shards3, shape, dtype_policy)
+    t0 = _perf()
+    shards3 = _reduce_scatter_grid_core(
+        flats, block, x_size, y_size, shape, dtype_policy
+    )
+    result = _all_gather_grid_core(shards3, shape, dtype_policy)
     if _telemetry.enabled:
+        _comm_span("two_phase_all_reduce", t0)
         _telemetry.metrics.counter(
             "collective_launches", op="two_phase_all_reduce", axis="xy"
         ).inc()

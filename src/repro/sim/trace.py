@@ -11,16 +11,18 @@ timelines sit side by side in the viewer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One timed span on some actor's timeline.
 
     ``source`` tags where the event came from (e.g. ``"sim"`` vs
     ``"measured"``); events from different sources export to distinct
-    Chrome-trace process lanes.
+    Chrome-trace process lanes.  An immutable tuple rather than a frozen
+    dataclass: the tracer builds one per measured span on every training
+    step, and a tuple costs a third as much to build.
     """
 
     actor: str
@@ -67,7 +69,7 @@ class Trace:
         if source is None:
             self.events.extend(other.events)
         else:
-            self.events.extend(replace(e, source=source) for e in other.events)
+            self.events.extend(e._replace(source=source) for e in other.events)
         return self
 
     def busy_time(self, actor: str) -> float:

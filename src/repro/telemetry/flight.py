@@ -26,6 +26,12 @@ record stores only floats/strings, never tensors.  Writers are
 lock-protected, so concurrent measured spans (e.g. input-pipeline host
 threads) cannot corrupt the ring.
 
+Writing sits on every training step, reading only on a postmortem: a
+writer appends what it already holds (the span's ``TraceEvent``, the
+step's ``StepResult``, the drained ``(child, delta)`` pairs) beside the
+function that turns it into a :class:`FlightRecord`, and records are
+built when :attr:`FlightRecorder.records` or a bundle reads the ring.
+
 Bundles are written to ``REPRO_POSTMORTEM_DIR`` (or
 ``FlightRecorder.dump_dir``) when set; otherwise the bundle is only built
 in memory and kept at :attr:`FlightRecorder.last_postmortem`, so library
@@ -44,7 +50,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.telemetry.registry import DeltaReader
+from repro import telemetry as _telemetry
+from repro.telemetry.registry import DeltaReader, series_deltas
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -83,6 +90,29 @@ class FlightRecord:
         return {"t": self.t, "kind": self.kind, "name": self.name, "data": self.data}
 
 
+def _span_record(t: float, event) -> FlightRecord:
+    return FlightRecord(t, "span", event.name, {
+        "actor": event.actor,
+        "category": event.category,
+        "start": event.start,
+        "duration": event.duration,
+    })
+
+
+def _step_record(t: float, result, trainer: str) -> FlightRecord:
+    return FlightRecord(t, "step", "train_step", {
+        "trainer": trainer,
+        "step_index": getattr(result, "step_index", -1),
+        "loss": float(result),
+        "phase_seconds": dict(getattr(result, "phase_seconds", {}) or {}),
+        "bytes_moved": getattr(result, "bytes_moved", 0.0),
+    })
+
+
+def _deltas_record(t: float, pairs) -> FlightRecord:
+    return FlightRecord(t, "counters", "counter_deltas", {"deltas": series_deltas(pairs)})
+
+
 class FlightRecorder:
     """Bounded ring buffer of recent telemetry, dumpable as a postmortem.
 
@@ -103,7 +133,8 @@ class FlightRecorder:
             raise ValueError("capacity must be >= 1")
         self._clock = clock
         self._epoch = clock()
-        self._records: deque[FlightRecord] = deque(maxlen=self.capacity)
+        #: ``(build, t, *args)`` entries: ``build(t, *args)`` is the record.
+        self._records: deque[tuple] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         self._delta_reader = DeltaReader()
         self.dump_dir = (
@@ -128,33 +159,19 @@ class FlightRecorder:
 
     def record(self, kind: str, name: str, **data) -> None:
         """Append one record (no-op while telemetry is disabled)."""
-        from repro import telemetry
-
-        if not telemetry.enabled:
+        if not _telemetry.enabled:
             return
-        rec = FlightRecord(self.now(), kind, name, data)
+        entry = (FlightRecord, self.now(), kind, name, data)
         with self._lock:
-            self._records.append(rec)
+            self._records.append(entry)
 
     def on_trace_event(self, event) -> None:
         """Tracer sink: mirror every measured span into the ring."""
-        from repro import telemetry
-
-        if not telemetry.enabled:
+        if not _telemetry.enabled:
             return
-        rec = FlightRecord(
-            self.now(),
-            "span",
-            event.name,
-            {
-                "actor": event.actor,
-                "category": event.category,
-                "start": event.start,
-                "duration": event.duration,
-            },
-        )
+        entry = (_span_record, self._clock() - self._epoch, event)
         with self._lock:
-            self._records.append(rec)
+            self._records.append(entry)
 
     def record_counter_deltas(self, registry=None) -> None:
         """Record which scalar metrics moved (and by how much) since last call.
@@ -163,18 +180,18 @@ class FlightRecorder:
         collectors are skipped — this runs per training step) through
         :meth:`~repro.telemetry.registry.MetricsRegistry.scalar_deltas`,
         which visits only the children written since this recorder's last
-        call, and stores the changed values keyed ``name{k=v,...}``.  The
-        first call, and the first after :meth:`clear`, reports every
-        non-zero child as a delta from 0.
+        call, and stores the changed values, keyed ``name{k=v,...}`` when
+        read.  The first call, and the first after :meth:`clear`, reports
+        every non-zero child as a delta from 0.
         """
-        from repro import telemetry
-
-        if not telemetry.enabled:
+        if not _telemetry.enabled:
             return
-        registry = registry if registry is not None else telemetry.metrics
-        deltas = registry.scalar_deltas(self._delta_reader)
-        if deltas:
-            self.record("counters", "counter_deltas", deltas=deltas)
+        registry = registry if registry is not None else _telemetry.metrics
+        pairs = registry.scalar_deltas(self._delta_reader)
+        if pairs:
+            entry = (_deltas_record, self.now(), pairs)
+            with self._lock:
+                self._records.append(entry)
 
     def record_fault(self, exc: BaseException, origin: str = "", **context) -> None:
         """Record a fault event (terminal or survived) into the ring."""
@@ -188,20 +205,11 @@ class FlightRecorder:
 
     def on_step(self, result, trainer: str = "") -> None:
         """Record one trainer step boundary plus the counter deltas it caused."""
-        from repro import telemetry
-
-        if not telemetry.enabled:
+        if not _telemetry.enabled:
             return
-        phases = dict(getattr(result, "phase_seconds", {}) or {})
-        self.record(
-            "step",
-            "train_step",
-            trainer=trainer,
-            step_index=getattr(result, "step_index", -1),
-            loss=float(result),
-            phase_seconds=phases,
-            bytes_moved=getattr(result, "bytes_moved", 0.0),
-        )
+        entry = (_step_record, self.now(), result, trainer)
+        with self._lock:
+            self._records.append(entry)
         self.record_counter_deltas()
 
     # --- read side ----------------------------------------------------------
@@ -218,7 +226,8 @@ class FlightRecorder:
     def records(self) -> list[FlightRecord]:
         """Snapshot of the ring contents, oldest first."""
         with self._lock:
-            return list(self._records)
+            entries = list(self._records)
+        return [build(*args) for build, *args in entries]
 
     def clear(self) -> None:
         """Drop every record and restart the epoch (flag state untouched)."""
@@ -238,9 +247,7 @@ class FlightRecorder:
         extra: Mapping[str, object] | None = None,
     ) -> dict:
         """The JSON-ready bundle: fault, ring contents, final counters."""
-        from repro import telemetry
-
-        registry = registry if registry is not None else telemetry.metrics
+        registry = registry if registry is not None else _telemetry.metrics
         fault = None
         if exc is not None:
             fault = {
@@ -303,11 +310,9 @@ class FlightRecorder:
             )
             out_path = None
         self.last_postmortem_seconds = self._clock() - t0
-        from repro import telemetry
-
-        if telemetry.enabled:
-            telemetry.metrics.counter("flight_postmortems", reason=reason).inc()
-            telemetry.metrics.gauge("flight_postmortem_seconds").set(
+        if _telemetry.enabled:
+            _telemetry.metrics.counter("flight_postmortems", reason=reason).inc()
+            _telemetry.metrics.gauge("flight_postmortem_seconds").set(
                 self.last_postmortem_seconds
             )
         return out_path
@@ -327,9 +332,7 @@ def on_terminal_failure(
     propagating upward produces exactly one bundle.  Returns the written
     bundle path (``None`` when memory-only or telemetry is disabled).
     """
-    from repro import telemetry
-
-    if not telemetry.enabled:
+    if not _telemetry.enabled:
         return None
     if getattr(exc, "_repro_postmortem_done", False):
         return None
@@ -337,6 +340,6 @@ def on_terminal_failure(
         exc._repro_postmortem_done = True  # type: ignore[attr-defined]
     except AttributeError:  # exotic exception with __slots__: dump anyway
         pass
-    rec = recorder if recorder is not None else telemetry.flight_recorder
+    rec = recorder if recorder is not None else _telemetry.flight_recorder
     rec.record_fault(exc, origin=origin, **context)
     return rec.dump(reason=origin or type(exc).__name__, exc=exc)

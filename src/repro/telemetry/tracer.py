@@ -21,6 +21,13 @@ When the module-level ``repro.telemetry.enabled`` flag is off, ``span``
 returns a shared no-op context — two attribute lookups and no allocation,
 which is the "near-zero cost" guarantee the instrumented hot paths rely on.
 
+Code that already reads the clock around its work — a trainer's step and
+phases, a collective timing its launch — does not open a span at all: it
+hands its own marks to :meth:`Tracer.emit`, the function every ``with``
+block also ends in.  Such a span costs one event, one list append and the
+sinks, with no context-manager object, no open-span stack push and no
+extra clock read.
+
 Concurrency: the open-span stack is **thread-local** (each writer thread
 nests independently) and completed events land in the shared trace via a
 single GIL-atomic list append, so concurrent writers (input-pipeline host
@@ -43,6 +50,7 @@ import threading
 import time
 from typing import Callable
 
+from repro import telemetry as _telemetry
 from repro.sim.trace import Trace, TraceEvent
 
 logger = logging.getLogger("repro.telemetry")
@@ -94,23 +102,7 @@ class _Span:
         stack = tracer._stack
         if stack and stack[-1] is self:
             stack.pop()
-        event = TraceEvent(
-            self.actor,
-            self.name,
-            self._start - tracer._epoch,
-            max(0.0, end - self._start),
-            self.category,
-            MEASURED_SOURCE,
-        )
-        events = tracer.trace.events
-        events.append(event)
-        if len(events) >= 2 * TRACE_CAPACITY:
-            del events[:-TRACE_CAPACITY]
-        for sink in tracer._sinks:
-            try:
-                sink(event)
-            except Exception:  # a broken sink must not kill the traced code
-                logger.exception("trace sink %r failed", sink)
+        tracer.emit(self.name, self.category, self.actor, self._start, end)
 
 
 class Tracer:
@@ -143,11 +135,37 @@ class Tracer:
 
     def span(self, name: str, category: str = "", actor: str | None = None):
         """Context manager timing one span; no-op when telemetry is disabled."""
-        from repro import telemetry
-
-        if not telemetry.enabled:
+        if not _telemetry.enabled:
             return _NULL_SPAN
         return _Span(self, name, category, actor or self.actor)
+
+    def emit(
+        self, name: str, category: str, actor: str, start: float, end: float
+    ) -> None:
+        """Record one finished span, timed by this tracer's clock readings.
+
+        The one way a span lands in the trace and reaches the sinks: a
+        ``with span(...)`` block ends here, and so does a span its caller
+        timed itself from clock marks it takes anyway (a trainer's phases).
+        Callers check ``repro.telemetry.enabled`` first.
+        """
+        event = TraceEvent(
+            actor,
+            name,
+            start - self._epoch,
+            max(0.0, end - start),
+            category,
+            MEASURED_SOURCE,
+        )
+        events = self.trace.events
+        events.append(event)
+        if len(events) >= 2 * TRACE_CAPACITY:
+            del events[:-TRACE_CAPACITY]
+        for sink in self._sinks:
+            try:
+                sink(event)
+            except Exception:  # a broken sink must not kill the traced code
+                logger.exception("trace sink %r failed", sink)
 
     def add_sink(self, fn: Callable[[TraceEvent], None]) -> None:
         """Call ``fn(event)`` for every completed span (flight recorder hook)."""

@@ -6,6 +6,7 @@ import pytest
 from repro.models.layers import (
     dense_backward,
     dense_forward,
+    dense_param_grads,
     relu,
     relu_backward,
     softmax,
@@ -58,6 +59,18 @@ class TestDense:
         assert np.allclose(dw, numerical_grad(loss, w), atol=1e-5)
         assert np.allclose(dx, numerical_grad(loss, x), atol=1e-5)
         assert np.allclose(db, dy.sum(axis=0))
+
+    def test_param_grads_are_the_backward_bits(self, rng):
+        """The input layer's call without ``dx`` writes what the full
+        backward writes, into ``out`` when given."""
+        x = rng.standard_normal((2, 5, 4))
+        w = rng.standard_normal((4, 3))
+        dy = rng.standard_normal((2, 5, 3))
+        _, dw, db = dense_backward(x, w, dy)
+        out = (np.empty_like(dw), np.empty_like(db))
+        got = dense_param_grads(x, dy, out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert dw.tobytes() == out[0].tobytes() and db.tobytes() == out[1].tobytes()
 
 
 class TestRelu:

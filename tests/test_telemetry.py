@@ -11,8 +11,18 @@ import pytest
 
 from repro import telemetry
 from repro.sim.trace import Trace
-from repro.telemetry.registry import DEFAULT_TIME_BUCKETS, DeltaReader, MetricsRegistry
+from repro.telemetry.registry import (
+    DEFAULT_TIME_BUCKETS,
+    DeltaReader,
+    MetricsRegistry,
+    series_deltas,
+)
 from repro.telemetry.tracer import TRACE_CAPACITY, Tracer
+
+
+def _deltas(m: MetricsRegistry, reader: DeltaReader) -> dict[str, float]:
+    """``reader``'s deltas since its last call, by series in registry order."""
+    return series_deltas(m.scalar_deltas(reader))
 
 
 @pytest.fixture(autouse=True)
@@ -111,12 +121,33 @@ class TestRegistry:
         m.counter("untouched")  # created, never written: no delta
         m.histogram("lat").observe(1.0)  # histograms excluded
         reader = DeltaReader()
-        assert m.scalar_deltas(reader) == {"bytes{axis=y,op=ar}": 7.0, "loss": 0.25}
-        assert m.scalar_deltas(reader) == {}
+        assert _deltas(m, reader) == {"bytes{axis=y,op=ar}": 7.0, "loss": 0.25}
+        assert _deltas(m, reader) == {}
         m.gauge("loss").set(0.25)  # written, but to the same value
         m.counter("bytes", op="ar", axis="y").inc(2)
         m.gauge("depth").inc(-3)
-        assert m.scalar_deltas(reader) == {"bytes{axis=y,op=ar}": 2.0, "depth": -3.0}
+        assert _deltas(m, reader) == {"bytes{axis=y,op=ar}": 2.0, "depth": -3.0}
+
+    def test_idle_scalar_deltas_skip_the_lock(self):
+        """A reader with nothing written since its last call (the usual
+        accounting-mode step) is answered before the lock is taken."""
+        m = MetricsRegistry()
+        reader = DeltaReader()
+        m.counter("c").inc()
+        assert _deltas(m, reader) == {"c": 1.0}
+
+        class Untouchable:
+            def __enter__(self):
+                raise AssertionError("an idle drain took the lock")
+
+            def __exit__(self, *exc):
+                return None
+
+        lock, m._lock = m._lock, Untouchable()
+        assert m.scalar_deltas(reader) == []
+        m._lock = lock
+        m.counter("c").inc(2)
+        assert _deltas(m, reader) == {"c": 2.0}
 
     def test_scalar_deltas_keys_in_creation_order(self):
         """Key order is the registry's iteration order (family, then child),
@@ -129,22 +160,22 @@ class TestRegistry:
         m.counter("a", d="1").inc()
         m.counter("b").inc()
         m.counter("a", d="0").inc()
-        assert list(m.scalar_deltas(reader)) == ["a{d=0}", "a{d=1}", "b"]
+        assert list(_deltas(m, reader)) == ["a{d=0}", "a{d=1}", "b"]
 
     def test_scalar_deltas_are_per_reader(self):
         m = MetricsRegistry()
         first, second = DeltaReader(), DeltaReader()
         m.counter("c").inc(5)
-        assert m.scalar_deltas(first) == {"c": 5.0}
+        assert _deltas(m, first) == {"c": 5.0}
         m.counter("c").inc(1)
         m.gauge("g").set(2.0)
         # ``first`` drained the write marks twice; ``second`` still sees
         # everything since its own (first) call, ``first`` only the rest.
-        assert m.scalar_deltas(first) == {"c": 1.0, "g": 2.0}
-        assert m.scalar_deltas(second) == {"c": 6.0, "g": 2.0}
+        assert _deltas(m, first) == {"c": 1.0, "g": 2.0}
+        assert _deltas(m, second) == {"c": 6.0, "g": 2.0}
         m.counter("c").inc(3)
-        assert m.scalar_deltas(second) == {"c": 3.0}
-        assert m.scalar_deltas(first) == {"c": 3.0}
+        assert _deltas(m, second) == {"c": 3.0}
+        assert _deltas(m, first) == {"c": 3.0}
 
     def test_scalar_deltas_after_reset_start_from_zero(self):
         """A child re-created after reset() is a new series: its delta is
@@ -153,11 +184,11 @@ class TestRegistry:
         reader = DeltaReader()
         stale = m.counter("c")
         stale.inc(5)
-        assert m.scalar_deltas(reader) == {"c": 5.0}
+        assert _deltas(m, reader) == {"c": 5.0}
         m.reset()
         m.counter("c").inc(1)
         stale.inc(10)  # a child the registry dropped is no longer reported
-        assert m.scalar_deltas(reader) == {"c": 1.0}
+        assert _deltas(m, reader) == {"c": 1.0}
 
     def test_histogram_bucket_edges(self):
         m = MetricsRegistry()
@@ -202,6 +233,65 @@ class TestRegistry:
         m.reset()
         assert m.value("c") == 0.0
         assert m.snapshot() == {}
+
+    def test_cached_lookup_returns_the_canonical_child(self):
+        """Repeated calls hit the remembered raw call; any spelling of the
+        same label set still reaches the one child."""
+        m = MetricsRegistry()
+        child = m.counter("c", x="3", y="2")
+        assert m.counter("c", x="3", y="2") is child
+        assert ("counter", "c", ("x", "3"), ("y", "2")) in m._cache
+        assert m.counter("c", y="2", x="3") is child
+        assert m.counter("c", x=3, y="2") is child
+        assert m.counter("c", x=3, y="2") is child
+        # Equal values that stringify differently stay different series.
+        assert m.counter("f", on=1) is not m.counter("f", on=True)
+        assert m.counter("f", on="1") is m.counter("f", on=1)
+
+    def test_reset_forgets_cached_children(self):
+        m = MetricsRegistry()
+        stale = m.counter("c", x="1")
+        assert m.counter("c", x="1") is stale
+        m.reset()
+        fresh = m.counter("c", x="1")
+        assert fresh is not stale
+        fresh.inc(2)
+        assert m.value("c", x="1") == 2
+
+    def test_clashes_still_raise_after_caching(self):
+        m = MetricsRegistry()
+        for _ in range(2):
+            m.counter("c", x="1")
+            m.gauge("g")
+            m.histogram("h", buckets=[1.0, 2.0])
+            m.histogram("h")
+        with pytest.raises(ValueError):
+            m.gauge("c", x="1")
+        with pytest.raises(ValueError):
+            m.counter("g")
+        with pytest.raises(ValueError):
+            m.histogram("h", buckets=[1.0, 3.0])
+        assert m.histogram("h", buckets=[1.0, 2.0]) is m.histogram("h")
+
+    def test_unhashable_label_value_takes_the_canonical_path(self):
+        m = MetricsRegistry()
+        child = m.counter("c", shape=[2, 2])
+        assert m.counter("c", shape=[2, 2]) is child
+        assert m.counter("c", shape="[2, 2]") is child
+        child.inc(3)
+        assert m.value("c", shape=[2, 2]) == 3
+
+    def test_overflowed_label_set_counts_on_every_call(self):
+        """An overflowed set is never remembered: each lookup adds to
+        telemetry_label_overflow, as every lookup always did."""
+        m = MetricsRegistry(max_children=2)
+        m.counter("bytes", device="0")
+        m.counter("bytes", device="1")
+        for _ in range(3):
+            m.counter("bytes", device="2").inc()
+        assert m.value("telemetry_label_overflow", metric="bytes") == 3
+        assert m.value("bytes", overflow="true") == 3
+        assert m.counter("bytes", device="1") is m.counter("bytes", device="1")
 
     def test_collector_runs_at_snapshot(self):
         m = MetricsRegistry()

@@ -20,7 +20,12 @@ from repro.telemetry.flight import (
     FlightRecorder,
     on_terminal_failure,
 )
-from repro.telemetry.registry import DeltaReader, MetricsRegistry, _ScalarChild
+from repro.telemetry.registry import (
+    DeltaReader,
+    MetricsRegistry,
+    _ScalarChild,
+    series_deltas,
+)
 from repro.telemetry.tracer import Tracer
 
 
@@ -419,7 +424,7 @@ class TestCounterDeltas:
             for series, delta in deltas.items():
                 sums[series] = sums.get(series, 0.0) + delta
         # A new reader's first call is every non-zero child's value.
-        final = registry.scalar_deltas(DeltaReader())
+        final = series_deltas(registry.scalar_deltas(DeltaReader()))
         assert final["hammered"] > 0 and len(final) > 12_000
         assert sums == final
 
