@@ -44,6 +44,7 @@ the ``cluster_*`` telemetry is published from the reports when ``run`` ends.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -64,12 +65,10 @@ from repro.cluster.jobs import (
     derive_subseed,
 )
 from repro.cluster.state import ClusterState
-from repro.resilience.faults import (
-    Device,
-    FaultPlan,
-    PreemptionSignal,
-    RetryPolicy,
+from repro.resilience.chaos import (
+    Recovery, check_plan, check_recovery_knobs, trainer_for,
 )
+from repro.resilience.faults import Device, FaultPlan, RetryPolicy
 
 logger = logging.getLogger("repro.cluster")
 
@@ -114,17 +113,7 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        x, y = self.mesh_shape
-        if x < 1 or y < 1:
-            raise ValueError("mesh dims must be >= 1")
-        if self.chips_per_host < 1:
-            raise ValueError("chips_per_host must be >= 1")
-        if self.base_step_seconds <= 0:
-            raise ValueError("base_step_seconds must be > 0")
-        if self.restore_bandwidth_bytes_per_s <= 0:
-            raise ValueError("restore bandwidth must be > 0")
-        if self.checkpoint_write_seconds < 0:
-            raise ValueError("checkpoint_write_seconds must be >= 0")
+        check_recovery_knobs(self)
         if self.preemption_grace_s < 0:
             raise ValueError("preemption_grace_s must be >= 0")
         if self.heal_after_s is not None and self.heal_after_s < 0:
@@ -208,38 +197,34 @@ class _Job:
     """Mutable runtime of one job (the report carries the durable outcome)."""
 
     __slots__ = (
-        "spec", "report", "trainer", "trainer_base", "batch_fn", "ckpt",
-        "ckpt_step", "ckpt_time", "ckpt_bytes", "step", "resume_at_s",
+        "spec", "report", "rec", "batch_fn", "step", "resume_at_s",
         "next_retry_tick", "attempts", "stall_debt", "retry_key", "by_state",
     )
 
     def __init__(
-        self, spec: JobSpec, cluster_seed: int, by_state: dict[str, set[str]]
+        self, spec: JobSpec, config: ClusterConfig, detector,
+        by_state: dict[str, set[str]],
     ) -> None:
         self.spec = spec
         self.report = JobReport(tenant=spec.name, priority=spec.priority)
         #: The scheduler's state -> job names index; see :attr:`state`.
         self.by_state = by_state
         by_state[self.report.state].add(spec.name)
-        self.trainer = None
-        self.trainer_base = _resolve_trainer_config(spec, cluster_seed)
-        self.batch_fn = (
-            spec.batch_fn_factory(
-                derive_subseed(cluster_seed, "batches", spec.name)
-            )
-            if spec.batch_fn_factory is not None
-            else None
+        #: Trainer, checkpoint slot and failure charges; records the timeline.
+        self.rec = Recovery(
+            self.report, config.restore_bandwidth_bytes_per_s, detector,
+            ckpt_bytes=spec.state_bytes, timeline=self.report.timeline,
+            build_trainer=_trainer_builder(spec, config.seed),
         )
-        self.ckpt = None
-        self.ckpt_step = 0
-        self.ckpt_time = 0.0
-        self.ckpt_bytes = spec.state_bytes
+        batches = spec.batch_fn_factory
+        seed = derive_subseed(config.seed, "batches", spec.name)
+        self.batch_fn = None if batches is None else batches(seed)
         self.step = 0
         self.resume_at_s = 0.0
         self.next_retry_tick = spec.arrival_tick
         self.attempts = 0
         self.stall_debt = 0.0
-        self.retry_key = derive_subseed(cluster_seed, "retry", spec.name)
+        self.retry_key = derive_subseed(config.seed, "retry", spec.name)
 
     @property
     def name(self) -> str:
@@ -257,8 +242,9 @@ class _Job:
         self.report.state = value
 
 
-def _resolve_trainer_config(spec: JobSpec, cluster_seed: int):
-    """The job's trainer config with its init seed derived from the cluster seed."""
+def _trainer_builder(spec: JobSpec, cluster_seed: int):
+    """``replicas -> trainer`` for the job (``None`` in accounting mode), its
+    init seed derived from the cluster seed."""
     if spec.trainer_config is None:
         return None
     base = spec.trainer_config
@@ -266,7 +252,7 @@ def _resolve_trainer_config(spec: JobSpec, cluster_seed: int):
         base = base.with_(
             seed=derive_subseed(cluster_seed, "init", spec.name)
         )
-    return base
+    return functools.partial(trainer_for, base)
 
 
 class ClusterScheduler:
@@ -289,36 +275,17 @@ class ClusterScheduler:
             from repro.controlplane.heartbeat import OracleDetector
 
             detector = OracleDetector(config.detection_timeout_s)
-        self.detector = detector
         self.state = ClusterState(config.mesh_shape, config.chips_per_host)
-        self._check_plan()
+        check_plan(self.plan, config.mesh_shape, self.state.hosts)
         #: State -> names of the jobs in it; only ``_Job.state`` moves a name.
         self._by_state: dict[str, set[str]] = {s: set() for s in JOB_STATES}
         self.jobs = {
-            s.name: _Job(s, config.seed, self._by_state) for s in specs
+            s.name: _Job(s, config, detector, self._by_state) for s in specs
         }
         self.result = ClusterResult(
             jobs={name: job.report for name, job in self.jobs.items()}
         )
         self._tick = 0
-
-    def _check_plan(self) -> None:
-        """Refuse a fault plan that names a chip or host the pod lacks,
-        before tick 0 (an off-pod fault would otherwise raise mid-run or be
-        dropped silently)."""
-        x_size, y_size = self.config.mesh_shape
-        for fault in self.plan.chip_failures + self.plan.stragglers:
-            if not self.state.has_chip(fault.device):
-                raise ValueError(
-                    f"fault plan names device {fault.device}, not on the "
-                    f"{x_size}x{y_size} pod: {fault}"
-                )
-        for signal in self.plan.preemptions:
-            if signal.host not in self.state.hosts:
-                raise ValueError(
-                    f"fault plan names host {signal.host}, but the pod has "
-                    f"hosts 0..{len(self.state.hosts) - 1}: {signal}"
-                )
 
     # --- bookkeeping helpers -------------------------------------------------
 
@@ -353,23 +320,6 @@ class ClusterScheduler:
         m.gauge("cluster_running_jobs").set(len(self._by_state[RUNNING]))
         m.gauge("cluster_pending_jobs").set(len(self._by_state[PENDING]))
 
-    def _restore_seconds(self, job: _Job) -> float:
-        return job.ckpt_bytes / self.config.restore_bandwidth_bytes_per_s
-
-    def _save_checkpoint(
-        self, job: _Job, charge_s: float, now_s: float | None = None
-    ) -> None:
-        """Snapshot the job's full state; ``charge_s`` is the non-overlapped cost."""
-        if job.trainer is not None:
-            job.ckpt = job.trainer.save_checkpoint()
-            job.ckpt_bytes = job.ckpt.nbytes
-        job.ckpt_step = job.step
-        if now_s is not None:
-            job.ckpt_time = now_s
-        job.report.checkpoints_taken += 1
-        job.report.total_seconds += charge_s
-        job.report.timeline.append(("save", job.step))
-
     def _should_checkpoint(self, job: _Job, now_s: float) -> bool:
         """Per-tenant policy decision; ``None`` keeps the legacy fixed rule."""
         policy = job.spec.checkpoint_policy
@@ -378,25 +328,16 @@ class ClusterScheduler:
         return policy.should_checkpoint(
             step=job.step,
             now_s=now_s,
-            last_checkpoint_step=job.ckpt_step,
-            last_checkpoint_time_s=job.ckpt_time,
+            last_checkpoint_step=job.rec.ckpt_step,
+            last_checkpoint_time_s=job.rec.ckpt_time,
         )
 
     def _build_trainer(self, job: _Job, replicas: int, restore: bool) -> None:
         """(Re)construct the job's trainer and optionally restore its checkpoint."""
-        if job.trainer_base is not None:
-            from repro.core.trainer import make_trainer
-
-            job.trainer = make_trainer(
-                job.trainer_base.with_(mesh_shape=(replicas, 1))
-            )
-        job.report.timeline.append(("build", replicas))
+        job.rec.build(replicas)
         job.report.replicas = replicas
         if restore:
-            if job.trainer is not None:
-                job.trainer.restore_checkpoint(job.ckpt)
-            job.report.timeline.append(("restore", job.ckpt_step))
-            job.step = job.ckpt_step
+            job.step = job.rec.restore()
 
     # --- fault handling ------------------------------------------------------
 
@@ -449,44 +390,28 @@ class ClusterScheduler:
     ) -> None:
         """A running job lost chips: shrink onto the survivors or requeue.
 
-        Announced losses (host preemptions) get the grace-window
-        best-effort save — zero lost steps when the checkpoint write fits
-        inside the window.  Unannounced deaths charge the detector's
-        latency as a fleet hang plus the wasted partial step, exactly as
-        :func:`~repro.resilience.chaos.run_chaos` does for a single job.
+        Announced losses (host preemptions) get the grace-window save;
+        unannounced deaths charge the wasted base step and the detector's
+        latency — through the same :class:`~repro.resilience.chaos.Recovery`
+        body :func:`~repro.resilience.chaos.run_chaos` charges.
         """
         if job.state != RUNNING:
             return  # pending/terminal jobs hold no slice
         report = job.report
-        stall_s = 0.0
         announced = grace_s is not None
         if announced:
-            save_s = self._restore_seconds(job)
-            if save_s <= grace_s:
-                self._save_checkpoint(job, save_s, now_s)
-                stall_s += save_s
-                report.grace_saves += 1
-            lost_steps = job.step - job.ckpt_step
+            _, lost_steps = job.rec.grace_save(job.step, grace_s, now_s)
+            hang_s = 0.0
         else:
-            latency = self.detector.detection_latency(now_s)
-            report.detections += 1
-            report.detection_seconds += latency
-            stall_s += latency
-            # The interrupted step is wasted wall time on top of the rework.
-            report.total_seconds += self.config.base_step_seconds
-            lost_steps = (job.step - job.ckpt_step) + 1
-        report.lost_steps += lost_steps
+            lost_steps, hang_s = job.rec.death(
+                job.step, self.config.base_step_seconds, now_s
+            )
         survivors = self.state.alive_in(job.name)
         if len(survivors) >= max(job.spec.min_chips, 1):
             # Elastic shrink in place: reshard the checkpoint onto fewer
             # replicas and replay from it.
-            restore_s = self._restore_seconds(job)
-            stall_s += restore_s
-            report.restarts += 1
-            report.restart_seconds += stall_s
-            report.total_seconds += stall_s
+            job.resume_at_s = now_s + job.rec.restart(lost_steps, hang_s)
             report.shrinks += 1
-            job.resume_at_s = now_s + stall_s
             self._build_trainer(job, len(survivors), restore=True)
             self._emit(
                 "shrink", job.name,
@@ -496,9 +421,10 @@ class ClusterScheduler:
             )
         else:
             # Below the elastic floor: give the slice back and requeue with
-            # the checkpoint — the job resumes from it on readmission.
+            # the checkpoint; readmission charges the restore.
             self._requeue(job)
-            report.total_seconds += stall_s
+            report.lost_steps += lost_steps
+            report.total_seconds += hang_s
             report.evictions += 1
             self._emit(
                 "evict", job.name,
@@ -509,8 +435,8 @@ class ClusterScheduler:
     def _requeue(self, job: _Job) -> None:
         """Release the job's slice; it waits, rewound to its checkpoint."""
         self.state.release(job.name)
-        job.trainer = None
-        job.step = job.ckpt_step
+        job.rec.trainer = None
+        job.step = job.rec.ckpt_step
         job.state = PENDING
         job.next_retry_tick = self._tick + 1
         job.attempts = 0
@@ -547,26 +473,16 @@ class ClusterScheduler:
 
     def _preempt(self, victim: _Job, now_s: float, by: _Job) -> None:
         """Evict ``victim`` through the announced grace-window path."""
-        grace = self.config.preemption_grace_s
-        signals = [
-            PreemptionSignal(host=h, at_step=self._tick, grace_s=grace)
-            for h in self.state.hosts_of(victim.name)
-        ]
-        grace_s = min(sig.grace_s for sig in signals)
-        save_s = self._restore_seconds(victim)
-        saved_in_grace = save_s <= grace_s
+        hosts = list(self.state.hosts_of(victim.name))
+        saved_in_grace, lost = victim.rec.grace_save(
+            victim.step, self.config.preemption_grace_s, now_s
+        )
         report = victim.report
-        if saved_in_grace:
-            self._save_checkpoint(victim, save_s, now_s)
-            report.grace_saves += 1
-        # Zero after a grace-window save: the checkpoint is at this step.
-        lost = victim.step - victim.ckpt_step
         report.lost_steps += lost
         self._requeue(victim)
         report.preemptions += 1
         self._emit(
-            "preempt", victim.name,
-            by=by.name, hosts=[sig.host for sig in signals],
+            "preempt", victim.name, by=by.name, hosts=hosts,
             saved_in_grace=saved_in_grace, lost_steps=lost,
         )
         logger.warning(
@@ -597,17 +513,13 @@ class ClusterScheduler:
         replicas = len(self.state.alive_in(job.name))
         if resuming:
             # Moving the checkpoint back onto the new slice is a restart.
-            restore_s = self._restore_seconds(job)
-            report.restarts += 1
-            report.restart_seconds += restore_s
-            report.total_seconds += restore_s
-            job.resume_at_s = now_s + restore_s
+            job.resume_at_s = now_s + job.rec.restart(0)
             self._build_trainer(job, replicas, restore=True)
         else:
             job.resume_at_s = now_s
             self._build_trainer(job, replicas, restore=False)
             # Initial snapshot before any work, as run_chaos takes one.
-            self._save_checkpoint(job, 0.0, now_s)
+            job.rec.save(job.step, 0.0, now_s)
         self._emit(
             "admit", job.name,
             slice=[slc.x0, slc.y0, slc.width, slc.height],
@@ -699,8 +611,8 @@ class ClusterScheduler:
 
     def _resize(self, job: _Job, replicas: int, now_s: float, kind: str) -> None:
         """Announced replica-count change at a checkpoint boundary."""
-        self._save_checkpoint(job, self.config.checkpoint_write_seconds, now_s)
-        restore_s = self._restore_seconds(job)
+        job.rec.save(job.step, self.config.checkpoint_write_seconds, now_s)
+        restore_s = job.rec.transfer_seconds(job.rec.ckpt_bytes)
         job.report.total_seconds += restore_s
         job.resume_at_s = now_s + self.config.checkpoint_write_seconds + restore_s
         self._build_trainer(job, replicas, restore=True)
@@ -744,9 +656,9 @@ class ClusterScheduler:
                     job.report.straggler_stall_ticks += 1
                     continue
             report = job.report
-            if job.trainer is not None:
+            if job.rec.trainer is not None:
                 x, labels = job.batch_fn(job.step)
-                result = job.trainer.step(x, labels)
+                result = job.rec.trainer.step(x, labels)
                 del result  # the loss is the job's own business
             report.record_run_step(job.step)
             report.steps_executed += 1
@@ -756,8 +668,9 @@ class ClusterScheduler:
             if job.step >= job.spec.target_steps:
                 self._complete(job, now_s + base)
             elif self._should_checkpoint(job, now_s + base):
-                self._save_checkpoint(
-                    job, self.config.checkpoint_write_seconds, now_s + base
+                job.rec.save(
+                    job.step, self.config.checkpoint_write_seconds,
+                    now_s + base,
                 )
 
     def _complete(self, job: _Job, finish_s: float) -> None:
@@ -767,10 +680,10 @@ class ClusterScheduler:
         )
         report.finish_s = finish_s
         report.completed_tick = self._tick
-        if job.trainer is not None:
-            report.final_params = job.trainer.params
+        if job.rec.trainer is not None:
+            report.final_params = job.rec.trainer.params
         self.state.release(job.name)
-        job.trainer = None
+        job.rec.trainer = None
         job.state = COMPLETED
         self._emit(
             "complete", job.name,
@@ -804,8 +717,8 @@ class ClusterScheduler:
                     report.useful_seconds = (
                         job.step * config.base_step_seconds
                     )
-                    if job.trainer is not None:
-                        report.final_params = job.trainer.params
+                    if job.rec.trainer is not None:
+                        report.final_params = job.rec.trainer.params
                 report.slo_attained = (
                     job.state == COMPLETED
                     and report.goodput >= job.spec.slo_goodput
@@ -858,9 +771,7 @@ def solo_replay(
     """
     if spec.trainer_config is None:
         return None
-    from repro.core.trainer import make_trainer
-
-    base = _resolve_trainer_config(spec, cluster_seed)
+    build = _trainer_builder(spec, cluster_seed)
     batch_fn = spec.batch_fn_factory(
         derive_subseed(cluster_seed, "batches", spec.name)
     )
@@ -869,7 +780,7 @@ def solo_replay(
     for op in report.timeline:
         kind = op[0]
         if kind == "build":
-            trainer = make_trainer(base.with_(mesh_shape=(op[1], 1)))
+            trainer = build(op[1])
         elif kind == "save":
             ckpt = trainer.save_checkpoint()
         elif kind == "restore":

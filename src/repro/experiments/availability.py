@@ -32,6 +32,8 @@ draws and therefore the same tables.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import telemetry as _telemetry
@@ -43,12 +45,12 @@ from repro.controlplane import (
     RiskAdaptive,
     SingleClientCoordinator,
 )
-from repro.core.trainer import TrainerConfig, make_trainer
+from repro.core.trainer import TrainerConfig
 from repro.experiments.report import Table
 from repro.frameworks.base import GraphProfile
 from repro.models.mlp import MLP
 from repro.optim.adam import Adam
-from repro.resilience.chaos import ChaosConfig, run_chaos
+from repro.resilience.chaos import ChaosConfig, run_chaos, trainer_for
 from repro.resilience.faults import FaultPlan
 
 #: Checkpoint payload of the modeled sweep: ~400M params in f32 plus two
@@ -150,10 +152,9 @@ def chaos_demo(seed: int = 7) -> Table:
         seed=seed,
     )
 
-    def factory(num_replicas: int):
-        # The same trainer run_chaos builds internally from trainer_config;
-        # the replay check needs its own handle to re-execute from scratch.
-        return make_trainer(trainer_config.with_(mesh_shape=(num_replicas, 1)))
+    # The same trainer run_chaos builds internally from trainer_config; the
+    # replay check needs its own handle to re-execute from scratch.
+    factory = functools.partial(trainer_for, trainer_config)
 
     def batch(step: int):
         rng = np.random.default_rng(10_000 + step)

@@ -18,7 +18,10 @@ actually face:
 * :mod:`repro.resilience.chaos` — the elastic harness: run a trainer under
   a fault plan, checkpoint on an interval, shrink to the surviving replica
   set on device loss, restore and replay, and account goodput (lost steps,
-  restarts, restart seconds, MTTR).
+  restarts, restart seconds, MTTR).  Its ``Recovery`` body — checkpoint
+  slot, grace-window save, death and restart charges — with
+  ``check_plan`` and ``trainer_for`` is what the cluster scheduler charges
+  every fault through too.
 
 Only :mod:`.faults` is imported eagerly — it is a leaf module, which lets
 low-level modules (``repro.comm.schedule``) import the typed errors

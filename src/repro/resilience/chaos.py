@@ -47,9 +47,10 @@ sweep thousands of chips without doing any numerics.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -113,12 +114,22 @@ class ChaosConfig:
             raise ValueError("target_steps must be >= 0")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.base_step_seconds <= 0:
-            raise ValueError("base_step_seconds must be > 0")
-        if self.chips_per_host < 1:
-            raise ValueError("chips_per_host must be >= 1")
-        if self.checkpoint_write_seconds < 0:
-            raise ValueError("checkpoint_write_seconds must be >= 0")
+        check_recovery_knobs(self)
+
+
+def check_recovery_knobs(config) -> None:
+    """The knobs :class:`ChaosConfig` and the cluster's ``ClusterConfig``
+    share, refused alike before any run."""
+    if min(config.mesh_shape) < 1:
+        raise ValueError("mesh dims must be >= 1")
+    if config.chips_per_host < 1:
+        raise ValueError("chips_per_host must be >= 1")
+    if config.base_step_seconds <= 0:
+        raise ValueError("base_step_seconds must be > 0")
+    if config.restore_bandwidth_bytes_per_s <= 0:
+        raise ValueError("restore bandwidth must be > 0")
+    if config.checkpoint_write_seconds < 0:
+        raise ValueError("checkpoint_write_seconds must be >= 0")
 
 
 @dataclass
@@ -167,21 +178,9 @@ class GoodputAccounting:
 
     def accounting_dict(self) -> dict[str, float]:
         """The stable, JSON-ready goodput schema (fields + derived rates)."""
-        return {
-            "steps_executed": self.steps_executed,
-            "restarts": self.restarts,
-            "lost_steps": self.lost_steps,
-            "checkpoints_taken": self.checkpoints_taken,
-            "restart_seconds": self.restart_seconds,
-            "total_seconds": self.total_seconds,
-            "useful_seconds": self.useful_seconds,
-            "detections": self.detections,
-            "detection_seconds": self.detection_seconds,
-            "preemptions": self.preemptions,
-            "goodput": self.goodput,
-            "mttr_seconds": self.mttr_seconds,
-            "mttd_seconds": self.mttd_seconds,
-        }
+        names = [f.name for f in fields(GoodputAccounting)]
+        names += ["goodput", "mttr_seconds", "mttd_seconds"]
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass
@@ -195,7 +194,7 @@ class ChaosReport(GoodputAccounting):
 
     device_failures: int = 0
     survivors: int = 0
-    preempt_checkpoints_saved: int = 0
+    grace_saves: int = 0
     guard_checks: int = 0
     desync_events: list["DesyncEvent"] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
@@ -211,12 +210,137 @@ class ChaosReport(GoodputAccounting):
         return len(self.desync_events)
 
 
+# --- the recovery rules run_chaos and the cluster scheduler share ----------
+
+
+def check_plan(plan, mesh_shape: tuple[int, int], hosts) -> None:
+    """Refuse a fault naming a chip off the mesh, or a host ``hosts`` (a
+    :func:`~repro.resilience.faults.host_map`) lacks, before any work."""
+    x_size, y_size = mesh_shape
+    faults = plan.chip_failures + plan.stragglers + plan.bit_flips
+    named = [(f.device, f) for f in faults]
+    named += [(d, f) for f in plan.link_faults for d in (f.src, f.dst)]
+    for (x, y), fault in named:
+        if not (0 <= x < x_size and 0 <= y < y_size):
+            raise ValueError(
+                f"fault plan names device {(x, y)}, not on the "
+                f"{x_size}x{y_size} pod: {fault}"
+            )
+    for signal in plan.preemptions:
+        if signal.host not in hosts:
+            raise ValueError(
+                f"fault plan names host {signal.host}, but the pod has "
+                f"hosts 0..{len(hosts) - 1}: {signal}"
+            )
+
+
+def trainer_for(config: "TrainerConfig", replicas: int):
+    """``config``'s trainer on a ``(replicas, 1)`` mesh."""
+    from repro.core.trainer import make_trainer
+
+    return make_trainer(config.with_(mesh_shape=(replicas, 1)))
+
+
+@dataclass(eq=False, slots=True)
+class Recovery:
+    """One job's trainer, checkpoint slot and failure charges, the body both
+    :func:`run_chaos` and the cluster scheduler price every fault through.
+
+    ``ledger`` is the job's report (:class:`GoodputAccounting` plus
+    ``grace_saves``).  ``build_trainer(replicas)`` makes a fresh trainer;
+    without one the job is accounting-only over ``ckpt_bytes`` of state.
+    ``timeline``, if given, records the ``("build", replicas)``,
+    ``("save", step)`` and ``("restore", step)`` ops for replay.  A
+    ``now_s`` of ``None`` reads the clock as the ledger's ``total_seconds``.
+    """
+
+    ledger: object
+    bandwidth_bytes_per_s: float
+    detector: object
+    ckpt_bytes: float = 0
+    build_trainer: Callable[[int], object] | None = None
+    timeline: list | None = None
+    trainer: object = None
+    ckpt: object = None
+    ckpt_step: int = 0
+    ckpt_time: float = 0.0
+
+    def transfer_seconds(self, nbytes: float) -> float:
+        """Moving ``nbytes`` of training state over the restore link (a
+        checkpoint costs the same to write out as to move back)."""
+        return nbytes / self.bandwidth_bytes_per_s
+
+    def _log(self, *op) -> None:
+        if self.timeline is not None:
+            self.timeline.append(op)
+
+    def build(self, replicas: int) -> None:
+        """A fresh trainer for ``replicas`` replicas (none in accounting mode)."""
+        if self.build_trainer is not None:
+            self.trainer = self.build_trainer(replicas)
+        self._log("build", replicas)
+
+    def restore(self) -> int:
+        """Load the checkpoint; returns the step to resume at."""
+        if self.trainer is not None:
+            self.trainer.restore_checkpoint(self.ckpt)
+        self._log("restore", self.ckpt_step)
+        return self.ckpt_step
+
+    def save(
+        self, step: int, write_s: float, now_s: float | None = None
+    ) -> None:
+        """Snapshot at ``step``, charging ``write_s`` for the write."""
+        if self.trainer is not None:
+            self.ckpt = self.trainer.save_checkpoint()
+            self.ckpt_bytes = self.ckpt.nbytes
+        self.ledger.total_seconds += write_s
+        self.ckpt_step = step
+        self.ckpt_time = self.ledger.total_seconds if now_s is None else now_s
+        self.ledger.checkpoints_taken += 1
+        self._log("save", step)
+
+    def grace_save(
+        self, step: int, grace_s: float, now_s: float | None = None
+    ) -> tuple[bool, int]:
+        """An announced death: save if the write fits the grace window.
+        Returns ``(saved, lost steps)``."""
+        save_s = self.transfer_seconds(self.ckpt_bytes)
+        saved = save_s <= grace_s
+        if saved:
+            self.save(step, save_s, now_s)
+            self.ledger.grace_saves += 1
+        return saved, step - self.ckpt_step
+
+    def death(
+        self, step: int, wasted_s: float, now_s: float | None = None
+    ) -> tuple[int, float]:
+        """An unannounced death wastes the partial ``step`` (``wasted_s``)
+        and hangs the fleet until the detector declares it.  Returns
+        ``(lost steps, detection latency)``."""
+        ledger = self.ledger
+        ledger.total_seconds += wasted_s
+        latency = self.detector.detection_latency(
+            ledger.total_seconds if now_s is None else now_s
+        )
+        ledger.detections += 1
+        ledger.detection_seconds += latency
+        return step - self.ckpt_step + 1, latency
+
+    def restart(self, lost: int, hang_s: float = 0.0) -> float:
+        """Charge one restart (the hang, then the checkpoint's move back)
+        and return its seconds; the caller rebuilds and restores."""
+        restart_s = hang_s + self.transfer_seconds(self.ckpt_bytes)
+        ledger = self.ledger
+        ledger.lost_steps += lost
+        ledger.restarts += 1
+        ledger.restart_seconds += restart_s
+        ledger.total_seconds += restart_s
+        return restart_s
+
+
 def _params_nbytes(params: dict[str, np.ndarray]) -> int:
     return sum(int(np.asarray(a).nbytes) for a in params.values())
-
-
-def _injected_step(flips: list[BitFlipFault], fallback: int) -> int:
-    return min((f.at_step for f in flips), default=fallback)
 
 
 def run_chaos(
@@ -261,28 +385,25 @@ def run_chaos(
     completes.  ``checkpoint_policy`` defaults to the legacy
     ``StepInterval(config.checkpoint_interval)``.
 
-    Raises :class:`DeviceLostError` if the plan exterminates every chip.
+    Raises ``ValueError`` before step 0 for a plan naming a chip or host
+    the mesh lacks (:func:`check_plan`), and :class:`DeviceLostError` if
+    the plan exterminates every chip.
     """
     from repro.controlplane.checkpointing import StepInterval
     from repro.controlplane.guard import DesyncEvent, apply_bit_flips
     from repro.controlplane.heartbeat import OracleDetector
 
+    hosts = host_map(config.mesh_shape, config.chips_per_host)
+    check_plan(plan, config.mesh_shape, hosts)
     if trainer_config is not None:
         if trainer_factory is not None:
             raise ValueError(
                 "pass either trainer_factory or trainer_config, not both"
             )
-        from repro.core.trainer import make_trainer
-
         trainer_config.require_checkpointing()
-        base_config = trainer_config
-        if base_config.seed is None:
-            base_config = base_config.with_(seed=0)
-
-        def trainer_factory(num_replicas: int) -> object:
-            return make_trainer(
-                base_config.with_(mesh_shape=(num_replicas, 1))
-            )
+        if trainer_config.seed is None:
+            trainer_config = trainer_config.with_(seed=0)
+        trainer_factory = functools.partial(trainer_for, trainer_config)
 
     if (trainer_factory is None) != (batch_fn is None):
         raise ValueError("trainer_factory and batch_fn go together")
@@ -292,50 +413,41 @@ def run_chaos(
     x_size, y_size = config.mesh_shape
     # An insertion-ordered set: x-major iteration, O(1) membership and removal.
     alive = dict.fromkeys((x, y) for x in range(x_size) for y in range(y_size))
-    hosts = host_map(config.mesh_shape, config.chips_per_host)
     report = ChaosReport()
+    rec = Recovery(
+        report, config.restore_bandwidth_bytes_per_s, detector,
+        ckpt_bytes=state_bytes, build_trainer=trainer_factory,
+    )
+    rec.build(len(alive))
+    step = 0
 
-    trainer = trainer_factory(len(alive)) if trainer_factory else None
-    ckpt = None
-    ckpt_bytes = state_bytes
-    step = ckpt_step = 0
-    ckpt_time = 0.0
-
-    def checkpoint(write_seconds: float) -> None:
-        """Snapshot at the current step, charging ``write_seconds`` for it."""
-        nonlocal ckpt, ckpt_bytes, ckpt_step, ckpt_time
-        if trainer is not None:
-            ckpt = trainer.save_checkpoint()
-            ckpt_bytes = ckpt.nbytes
-        report.total_seconds += write_seconds
-        ckpt_step = step
-        ckpt_time = report.total_seconds
-        report.checkpoints_taken += 1
-
-    def restart(lost: int, restart_s: float, *, reform: bool) -> None:
-        """Charge one restart and resume from the last checkpoint; ``reform``
-        first rebuilds the trainer for a fleet that shrank."""
-        nonlocal trainer, step
-        report.lost_steps += lost
-        report.restarts += 1
-        report.restart_seconds += restart_s
-        report.total_seconds += restart_s
+    def resume(lost: int, restart_s: float, *, reform: bool) -> None:
+        """Publish the restart just charged and resume from the checkpoint;
+        ``reform`` first rebuilds the trainer for a fleet that shrank."""
+        nonlocal step
         if _telemetry.enabled:
             m = _telemetry.metrics
             m.counter("resilience_lost_steps").inc(lost)
             m.counter("resilience_restarts").inc()
             m.counter("resilience_restart_seconds").inc(restart_s)
             m.gauge("resilience_mttr_seconds").set(report.mttr_seconds)
-        if trainer is not None:
-            if reform:
-                with _telemetry.tracer.span(
-                    "chaos_restart", category="resilience", actor="chaos"
-                ):
-                    trainer = trainer_factory(len(alive))
-                    trainer.restore_checkpoint(ckpt)
-            else:
-                trainer.restore_checkpoint(ckpt)
-        step = ckpt_step
+        if reform and rec.trainer is not None:
+            with _telemetry.tracer.span(
+                "chaos_restart", category="resilience", actor="chaos"
+            ):
+                rec.build(len(alive))
+                step = rec.restore()
+        else:
+            step = rec.restore()
+
+    def caught(device: Device, flips: list[BitFlipFault], recovery: str):
+        """The desync the guard caught on ``device`` at this step."""
+        return DesyncEvent(
+            device=device,
+            injected_step=min((f.at_step for f in flips), default=step),
+            detected_step=step,
+            recovery=recovery,
+        )
 
     def require_survivors(lost: list[Device], cause: str, origin: str) -> None:
         """A plan that leaves no chip alive ends the run, with a postmortem."""
@@ -346,7 +458,7 @@ def run_chaos(
             _telemetry.on_terminal_failure(err, origin=origin, step=step)
             raise err
 
-    checkpoint(0.0)  # the initial snapshot, before any work
+    rec.save(step, 0.0)  # the initial snapshot, before any work
 
     # Silent-corruption bookkeeping: a flipped replica's divergence from the
     # shared trajectory, carried as a sparse overlay of pending flips.  Flips
@@ -358,21 +470,18 @@ def run_chaos(
         # --- announced deaths: preemption signals with a grace window -------
         live_signals = []
         for sig in plan.preemptions_at_step(step):
-            victims = [c for c in hosts.get(sig.host, ()) if c in alive]
+            victims = [c for c in hosts[sig.host] if c in alive]
             if victims:
                 live_signals.append((sig, victims))
         if live_signals:
-            save_s = ckpt_bytes / config.restore_bandwidth_bytes_per_s
-            grace_s = min(sig.grace_s for sig, _ in live_signals)
-            saved_in_grace = save_s <= grace_s
-            if saved_in_grace:
-                # Best-effort save fits the grace window: zero lost steps.
-                checkpoint(save_s)
-                report.preempt_checkpoints_saved += 1
-            for sig, victims in live_signals:
-                for device in victims:
-                    del alive[device]
-                    overlays.pop(device, None)
+            saved_in_grace, lost = rec.grace_save(
+                step, min(sig.grace_s for sig, _ in live_signals)
+            )
+            # Two signals for one host name its chips twice; each dies once.
+            gone = list(dict.fromkeys(c for _, cs in live_signals for c in cs))
+            for device in gone:
+                del alive[device]
+                overlays.pop(device, None)
             report.preemptions += len(live_signals)
             _telemetry.flight_recorder.record(
                 "chaos", "preemption",
@@ -381,13 +490,9 @@ def run_chaos(
                 saved_in_grace=saved_in_grace,
                 survivors=len(alive),
             )
-            require_survivors(
-                [c for _, cs in live_signals for c in cs],
-                "preemption took", "chaos.preemption",
-            )
+            require_survivors(gone, "preemption took", "chaos.preemption")
             # Announced death: no detection latency, only the restore move.
-            restart_s = ckpt_bytes / config.restore_bandwidth_bytes_per_s
-            lost = step - ckpt_step
+            restart_s = rec.restart(lost)
             if _telemetry.enabled:
                 m = _telemetry.metrics
                 m.counter("controlplane_preemptions").inc(len(live_signals))
@@ -401,7 +506,7 @@ def run_chaos(
                 if saved_in_grace else "grace window too short to save",
                 len(alive), lost, restart_s,
             )
-            restart(lost, restart_s, reform=True)
+            resume(lost, restart_s, reform=True)
             continue
 
         # --- unannounced deaths: chip failures mid-step ---------------------
@@ -427,19 +532,12 @@ def run_chaos(
             )
             require_survivors(hits, "fault plan killed", "chaos.chip_failure")
             # The step the failure interrupted is wasted, along with every
-            # step completed since the last checkpoint (they get redone).
-            report.total_seconds += (
-                config.base_step_seconds * plan.slowdown_at(step, alive)
+            # step completed since the last checkpoint (they get redone);
+            # the restore transfer starts once the detector declares it.
+            lost, latency = rec.death(
+                step, config.base_step_seconds * plan.slowdown_at(step, alive)
             )
-            lost = (step - ckpt_step) + 1
-            # The fleet hangs in a dead collective until the detector
-            # declares the death; only then does the restore transfer start.
-            latency = detector.detection_latency(report.total_seconds)
-            report.detections += 1
-            report.detection_seconds += latency
-            restart_s = (
-                latency + ckpt_bytes / config.restore_bandwidth_bytes_per_s
-            )
+            restart_s = rec.restart(lost, latency)
             if _telemetry.enabled:
                 m = _telemetry.metrics
                 m.counter("controlplane_detections").inc()
@@ -449,16 +547,17 @@ def run_chaos(
                 )
             _telemetry.flight_recorder.record(
                 "chaos", "restart",
-                step=step, rewound_to=ckpt_step, lost_steps=lost,
+                step=step, rewound_to=rec.ckpt_step, lost_steps=lost,
                 detection_s=latency, restart_s=restart_s,
             )
             logger.warning(
                 "chip failure at step %d (%s): detected after %.3fs, "
                 "rewinding to step %d on %d survivors (%d steps lost, "
                 "%.3fs restart)",
-                step, hits, latency, ckpt_step, len(alive), lost, restart_s,
+                step, hits, latency, rec.ckpt_step, len(alive), lost,
+                restart_s,
             )
-            restart(lost, restart_s, reform=True)
+            resume(lost, restart_s, reform=True)
             continue
 
         # --- silent corruption: bit flips land without any loud signal ------
@@ -474,10 +573,9 @@ def run_chaos(
                     ).inc()
 
         slowdown = plan.slowdown_at(step, alive)
-        if trainer is not None:
-            assert batch_fn is not None
+        if rec.trainer is not None:
             x, labels = batch_fn(step)
-            res = trainer.step(x, labels)
+            res = rec.trainer.step(x, labels)
             report.losses.append(float(res))
             phases = getattr(res, "phase_seconds", None)
             if phases:
@@ -488,7 +586,7 @@ def run_chaos(
             report.measured_bytes_moved += getattr(res, "bytes_moved", 0.0)
         report.total_seconds += config.base_step_seconds * slowdown
         report.steps_executed += 1
-        if trainer is None:
+        if rec.trainer is None:
             # Accounting mode has no trainer StepResult to mirror; keep the
             # flight timeline alive with the modeled step boundary instead.
             _telemetry.flight_recorder.record(
@@ -501,8 +599,8 @@ def run_chaos(
         if guard is not None and guard.due(step):
             report.total_seconds += guard.hash_seconds
             report.guard_checks += 1
-            if trainer is not None:
-                clean = trainer.params
+            if rec.trainer is not None:
+                clean = rec.trainer.params
                 views = {
                     d: apply_bit_flips(clean, overlays[d])
                     if d in overlays else clean
@@ -520,54 +618,36 @@ def run_chaos(
                 resync_bytes = state_bytes
             if desynced and not ambiguous:
                 # Quarantine the minority and resync it from the majority.
-                resync_s = (
-                    len(desynced)
-                    * resync_bytes
-                    / config.restore_bandwidth_bytes_per_s
+                report.total_seconds += rec.transfer_seconds(
+                    len(desynced) * resync_bytes
                 )
-                report.total_seconds += resync_s
-                for device in desynced:
-                    flips = overlays.pop(device, [])
-                    report.desync_events.append(
-                        DesyncEvent(
-                            device=device,
-                            injected_step=_injected_step(flips, step),
-                            detected_step=step,
-                            recovery="resync",
-                        )
-                    )
+                report.desync_events += [
+                    caught(device, overlays.pop(device, []), "resync")
+                    for device in desynced
+                ]
             elif desynced and ambiguous:
                 # No trustworthy donor: rewind everyone to the checkpoint.
                 # Events and the flight record carry the *detection* step, so
-                # they are built before restart() resets ``step``.
-                lost = step - ckpt_step
-                for device, flips in sorted(overlays.items()):
-                    report.desync_events.append(
-                        DesyncEvent(
-                            device=device,
-                            injected_step=_injected_step(flips, step),
-                            detected_step=step,
-                            recovery="rewind",
-                        )
-                    )
+                # they are built before resume() resets ``step``.
+                lost = step - rec.ckpt_step
+                report.desync_events += [
+                    caught(device, flips, "rewind")
+                    for device, flips in sorted(overlays.items())
+                ]
                 overlays.clear()
                 logger.warning(
                     "ambiguous desync at step %d: rewinding to step %d "
                     "(%d steps lost)",
-                    step, ckpt_step, lost,
+                    step, rec.ckpt_step, lost,
                 )
                 # The fleet survives, but it just rewound on corrupted state
                 # with no trustworthy donor — exactly the moment an operator
                 # wants the preceding timeline, so dump a postmortem bundle.
                 _telemetry.flight_recorder.record(
                     "chaos", "ambiguous_rewind",
-                    step=step, rewound_to=ckpt_step, lost_steps=lost,
+                    step=step, rewound_to=rec.ckpt_step, lost_steps=lost,
                 )
-                restart(
-                    lost,
-                    ckpt_bytes / config.restore_bandwidth_bytes_per_s,
-                    reform=False,
-                )
+                resume(lost, rec.restart(lost), reform=False)
                 # Dumped after the charge so the bundle counts this restart.
                 if _telemetry.enabled:
                     _telemetry.flight_recorder.dump(reason="consistency_rewind")
@@ -576,17 +656,17 @@ def run_chaos(
         if step < config.target_steps and policy.should_checkpoint(
             step=step,
             now_s=report.total_seconds,
-            last_checkpoint_step=ckpt_step,
-            last_checkpoint_time_s=ckpt_time,
+            last_checkpoint_step=rec.ckpt_step,
+            last_checkpoint_time_s=rec.ckpt_time,
         ):
             # Non-overlapped part of the snapshot write, if the model has one
             # (zero by default: writes stream out asynchronously).
-            checkpoint(config.checkpoint_write_seconds)
+            rec.save(step, config.checkpoint_write_seconds)
 
     report.useful_seconds = config.target_steps * config.base_step_seconds
     report.survivors = len(alive)
-    if trainer is not None:
-        report.final_params = trainer.params
+    if rec.trainer is not None:
+        report.final_params = rec.trainer.params
     logger.info(
         "chaos run done: %d/%d steps useful, %d failures, %d preemptions, "
         "%d desyncs, goodput %.3f",

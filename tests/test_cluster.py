@@ -727,6 +727,87 @@ class TestGoodputSchema:
         assert 0.0 < result.utilization <= 1.0
 
 
+#: One fault each on a 4x2 pod with 2-chip hosts, checkpoint every 4 steps:
+#: the faults land on multiples of 4 or rewind to one, so the cluster's
+#: ``step % 4 == 0`` rule and run_chaos's ``StepInterval(4)`` save at the
+#: same steps.
+CROSS_LOOP_PLANS = {
+    "chip_death": FaultPlan(chip_failures=(ChipFailure((1, 1), at_step=7),)),
+    "grace_fits": FaultPlan(
+        preemptions=(PreemptionSignal(host=0, at_step=8, grace_s=30.0),)
+    ),
+    "grace_too_short": FaultPlan(
+        preemptions=(PreemptionSignal(host=0, at_step=10, grace_s=0.0),)
+    ),
+}
+
+
+class TestOneRecoveryPath:
+    """A tenant alone on the whole pod is charged exactly what run_chaos
+    charges the same job: both loops price a fault through one body."""
+
+    @staticmethod
+    def _both(plan, *, real: bool):
+        """``(chaos report, job report)`` for one 20-step job under ``plan``."""
+        trainer = _trainer_config().with_(seed=5) if real else None
+
+        def batches(job_seed: int):
+            # 168 rows split evenly over 8, 7 and 6 survivors.
+            def batch(step: int):
+                rng = np.random.default_rng(step)
+                return rng.standard_normal((168, 8)), rng.integers(0, 4, size=168)
+
+            return batch
+
+        spec = JobSpec(
+            name="solo", slice_shape=(4, 2), target_steps=20,
+            checkpoint_interval=4, state_bytes=int(2e9),
+            trainer_config=trainer, batch_fn_factory=batches if real else None,
+        )
+        cluster_config = ClusterConfig(
+            mesh_shape=(4, 2), chips_per_host=2,
+            restore_bandwidth_bytes_per_s=1e9,
+        )
+        job = run_cluster([spec], cluster_config, plan=plan).jobs["solo"]
+        chaos_config = ChaosConfig(
+            mesh_shape=(4, 2), target_steps=20, checkpoint_interval=4,
+            chips_per_host=2, restore_bandwidth_bytes_per_s=1e9,
+        )
+        mode = (
+            dict(trainer_config=trainer, batch_fn=batches(0)) if real
+            else dict(state_bytes=int(2e9))
+        )
+        return run_chaos(plan, chaos_config, **mode), job
+
+    @pytest.mark.parametrize("real", [False, True], ids=["accounting", "real"])
+    @pytest.mark.parametrize("name", sorted(CROSS_LOOP_PLANS))
+    def test_cluster_charges_what_run_chaos_charges(self, name, real):
+        chaos, job = self._both(CROSS_LOOP_PLANS[name], real=real)
+        assert job.state == COMPLETED
+        ledger = chaos.accounting_dict()
+        # ``preemptions`` means different events in the two loops: a
+        # preemption signal for run_chaos, eviction by a higher-priority
+        # tenant for the scheduler (a host signal is a host_preemption event).
+        assert (ledger.pop("preemptions"), job.preemptions) == (
+            (0, 0) if name == "chip_death" else (1, 0)
+        )
+        assert ledger == {
+            key: value for key, value in job.accounting_dict().items()
+            if key in ledger
+        }
+        assert chaos.grace_saves == job.grace_saves == (name == "grace_fits")
+        if real:
+            assert _params_equal(chaos.final_params, job.final_params)
+
+    def test_grace_window_save_is_charged_once(self):
+        """20 steps + the 2 s save + the 2 s restore; the scheduler used to
+        add the save a second time through the restart (26 s, 4 s)."""
+        chaos, job = self._both(CROSS_LOOP_PLANS["grace_fits"], real=False)
+        for report in (chaos, job):
+            assert (report.total_seconds, report.restart_seconds) == (24.0, 2.0)
+            assert report.lost_steps == 0
+
+
 class TestSchedulerValidation:
     def test_duplicate_job_names_rejected(self):
         specs = [

@@ -6,6 +6,10 @@ the scheduler kept its jobs indexed by state.  Those changes move work, not
 numbers: every event (with its info dict), tick count, pod float, per-tenant
 ledger and timeline, and every final-parameter byte must equal the file.
 Floats are compared as ``float.hex()``; ``==`` on the JSON, no tolerance.
+The five runs whose tenants shrink or are evicted after a grace-window save
+(``evict`` and ``mixed/seed*``) were rewritten when the scheduler stopped
+charging that save twice; the file then matched the old scheduler with only
+the second charge removed, byte for byte.
 
 The scenarios cover the 16x16 capacity-planning pod at 2, 32 and 100
 tenants under sampled chip deaths with healing, the 8-tenant 8x8 jobs the

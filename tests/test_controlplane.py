@@ -475,7 +475,7 @@ class TestChaosPreemption:
         )
         report = run_chaos(plan, config, state_bytes=int(2e9))
         assert report.preemptions == 1
-        assert report.preempt_checkpoints_saved == 1
+        assert report.grace_saves == 1
         assert report.lost_steps == 0
         assert report.detections == 0  # announced death: nothing to detect
         assert report.survivors == 8
@@ -489,7 +489,7 @@ class TestChaosPreemption:
             chips_per_host=8, restore_bandwidth_bytes_per_s=1e9,
         )
         report = run_chaos(plan, config, state_bytes=int(2e9))
-        assert report.preempt_checkpoints_saved == 0
+        assert report.grace_saves == 0
         assert report.lost_steps == 2  # steps 4, 5 redone from the step-4 ckpt
 
     def test_preemption_with_trainer_stays_bit_identical(self):

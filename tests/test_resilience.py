@@ -24,11 +24,13 @@ from repro.optim.lamb import LAMB
 from repro.resilience.chaos import ChaosConfig, run_chaos
 from repro.resilience.checkpoint import TrainerCheckpoint
 from repro.resilience.faults import (
+    BitFlipFault,
     ChipFailure,
     DeviceLostError,
     FaultPlan,
     LinkDownError,
     LinkFault,
+    PreemptionSignal,
     RetryPolicy,
     StragglerFault,
 )
@@ -571,6 +573,59 @@ class TestChaosHarness:
                 batch_fn=lambda step: calls.append(step) or _batch(step),
             )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            (FaultPlan(chip_failures=(ChipFailure((5, 5), at_step=1),)),
+             r"device \(5, 5\), not on the 2x2 pod: ChipFailure"),
+            (FaultPlan(preemptions=(PreemptionSignal(host=99, at_step=1),)),
+             r"host 99, but the pod has hosts 0\.\.0"),
+            (FaultPlan(bit_flips=(BitFlipFault((2, 0), at_step=1),)),
+             r"device \(2, 0\), not on the 2x2 pod: BitFlipFault"),
+            (FaultPlan(stragglers=(StragglerFault((0, 2), 0, 2, 2.0),)),
+             r"device \(0, 2\), not on the 2x2 pod: StragglerFault"),
+            (FaultPlan(link_faults=(LinkFault((1, 1), (1, 2), 0.0, 1.0),)),
+             r"device \(1, 2\), not on the 2x2 pod: LinkFault"),
+        ],
+        ids=["chip", "host", "bit_flip", "straggler", "link"],
+    )
+    def test_plan_off_the_mesh_is_refused_before_step_0(self, plan, match):
+        """Such a fault used to be dropped: 0 failures and goodput 1.0."""
+        calls = []
+        config = ChaosConfig(mesh_shape=(2, 2), target_steps=4)
+        for mode in (
+            dict(state_bytes=1),
+            dict(trainer_factory=lambda n: calls.append(n) or self._factory(n),
+                 batch_fn=_batch),
+        ):
+            with pytest.raises(ValueError, match=match):
+                run_chaos(plan, config, **mode)
+        assert calls == []  # nothing was built
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e9])
+    def test_non_positive_restore_bandwidth_is_refused(self, bandwidth):
+        """0 used to divide by zero at the first restart; a negative value
+        reported negative restart seconds under ``telemetry.disabled()``."""
+        with pytest.raises(ValueError, match="restore bandwidth must be > 0"):
+            ChaosConfig(
+                mesh_shape=(2, 1), target_steps=4,
+                restore_bandwidth_bytes_per_s=bandwidth,
+            )
+
+    def test_two_signals_for_one_host_kill_its_chips_once(self):
+        """A sampled plan may preempt one host twice at one step; that used
+        to raise ``KeyError`` when the second signal deleted the chips again."""
+        plan = FaultPlan(preemptions=(
+            PreemptionSignal(host=0, at_step=3),
+            PreemptionSignal(host=0, at_step=3),
+        ))
+        config = ChaosConfig(mesh_shape=(2, 2), target_steps=6, chips_per_host=2)
+        report = run_chaos(
+            plan, config, trainer_factory=self._factory, batch_fn=_batch
+        )
+        assert (report.preemptions, report.restarts, report.survivors) == (2, 1, 2)
+        assert report.grace_saves == 1 and report.lost_steps == 0
 
 
 class TestReportIntegration:
