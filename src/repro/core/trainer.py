@@ -22,7 +22,7 @@ One way to build and drive every functional trainer:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter as _perf
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
@@ -256,6 +256,11 @@ class BaseTrainer(ABC):
     #: Replicas the global batch is split over.
     num_replicas: int = 1
 
+    #: Whether :meth:`_launch_counts` covers every counter the step's
+    #: collectives and buckets write, so that they leave those to the
+    #: step's one registry call (see :meth:`_record_step`).
+    _tallies_launches: bool = False
+
     def __init__(self, model: Any, optimizer: Any) -> None:
         self.model = model
         self.optimizer = optimizer
@@ -268,6 +273,10 @@ class BaseTrainer(ABC):
         #: ``(payload_bytes, wall_seconds)`` per gradient collective the
         #: strategy launched this step; the payloads sum to ``bytes_moved``.
         self._last_launches: list[tuple[float, float]] = []
+        #: The step's counter series, their phases and the fixed amounts
+        #: ahead of the phases'; worked out on the first step after a plan
+        #: change.
+        self._step_counters: tuple[Any, tuple[str, ...], list[float]] | None = None
 
     @property
     @abstractmethod
@@ -282,6 +291,14 @@ class BaseTrainer(ABC):
 
         ``xs`` is ``[n, batch / n, ...]`` and ``labels`` ``[n, batch / n]``.
         """
+
+    def _launch_counts(self) -> Sequence[tuple[str, dict[str, str], float]]:
+        """``(name, labels, amount)`` of every counter a step's launches write.
+
+        A pure function of the strategy's plan, its replica count and its
+        dtype policy; empty unless :attr:`_tallies_launches`.
+        """
+        return ()
 
     def _split(self, x: np.ndarray, labels: np.ndarray):
         """The global batch as ``[n, batch / n, ...]`` replica stacks."""
@@ -304,7 +321,8 @@ class BaseTrainer(ABC):
         Telemetry: one ``train_step`` span (category ``"step"``) encloses
         the phase spans of the paper's step breakdown, named exactly as
         ``StepResult.phase_seconds``; all of them are cut from the step's
-        own clock marks.  With ``overlap`` the
+        own clock marks.  The step's counters are written in one registry
+        call at its end (:meth:`_record_step`).  With ``overlap`` the
         backprop-overlapped timeline of the same step is modeled
         (``overlap_model`` span, ``overlap_*`` counters) without changing
         any arithmetic.
@@ -320,42 +338,80 @@ class BaseTrainer(ABC):
         run = _StepRun()
         self._last_launches = []
         tracer = _telemetry.tracer
+        record = _telemetry.StepRecord()
         try:
-            with run.phase("split", "input"):
-                xs, ys = self._split(x, labels)
-            with run.phase("forward_backward", "compute"):
-                run.losses, run.grads = self._forward_backward(xs, ys)
-            yield run
-            if self.overlap:
-                with tracer.span("overlap_model", category="overlap", actor="trainer"):
-                    self.last_overlap = self._model_overlap(
-                        run.phase_seconds["forward_backward"]
-                    )
+            with record if self._tallies_launches else nullcontext():
+                try:
+                    with run.phase("split", "input"):
+                        xs, ys = self._split(x, labels)
+                    with run.phase("forward_backward", "compute"):
+                        run.losses, run.grads = self._forward_backward(xs, ys)
+                    yield run
+                    if self.overlap:
+                        with tracer.span(
+                            "overlap_model", category="overlap", actor="trainer"
+                        ):
+                            self.last_overlap = self._model_overlap(
+                                run.phase_seconds["forward_backward"]
+                            )
+                finally:
+                    end = _perf()
+                    if _telemetry.enabled:
+                        tracer.emit("train_step", "step", "trainer", run.start, end)
         finally:
-            end = _perf()
-            if _telemetry.enabled:
-                tracer.emit("train_step", "step", "trainer", run.start, end)
+            if record.spans:
+                tracer.emit_all(record.spans)
+        losses = np.asarray(run.losses)
         run.result = StepResult(
-            float(np.mean(run.losses)),
+            # np.mean's own arithmetic (one add.reduce, one division),
+            # without its dispatch.
+            float(np.add.reduce(losses) / losses.size),
             phase_seconds=run.phase_seconds,
             bytes_moved=sum(nbytes for nbytes, _ in self._last_launches),
             step_index=self.step_index,
         )
         self.step_index += 1
-        self._record_step(end - run.start, run.result)
+        self._record_step(end - run.start, run.result, record.counts)
 
-    def _record_step(self, seconds: float, result: StepResult) -> None:
-        """Step telemetry, labeled by trainer class, plus the flight record."""
+    def _counter_set(self, phases: tuple[str, ...]):
+        """The step's counter series — its launches', ``train_steps``, then
+        the phase seconds — and the fixed amounts ahead of the phases'."""
+        trainer = type(self).__name__
+        fixed: dict[tuple, list] = {}  # series -> [labels, amount]
+        for name, labels, amount in self._launch_counts():
+            fixed.setdefault((name, *labels.items()), [labels, 0.0])[1] += amount
+        fixed[("train_steps",)] = [{"trainer": trainer}, 1.0]
+        series = [(key[0], labels) for key, (labels, _) in fixed.items()]
+        series += [
+            ("step_phase_seconds", {"trainer": trainer, "phase": phase})
+            for phase in phases
+        ]
+        amounts = [amount for _, amount in fixed.values()]
+        return _telemetry.CounterSet(series), phases, amounts
+
+    def _record_step(
+        self, seconds: float, result: StepResult, counts: dict[str, float]
+    ) -> None:
+        """Step telemetry, labeled by trainer class, plus the flight record.
+
+        Every counter the step wrote is one :class:`CounterSet` amount —
+        the launches' fixed counts (for a strategy that tallies them), the
+        measured amounts its sites added to ``counts``, the step and the
+        phase seconds — written in one registry call.
+        """
         if not _telemetry.enabled:
             return
+        phase_seconds = result.phase_seconds
+        if self._step_counters is None or self._step_counters[1] != tuple(phase_seconds):
+            self._step_counters = self._counter_set(tuple(phase_seconds))
+        counters, _, fixed = self._step_counters
+        amounts = [*fixed, *phase_seconds.values()]
+        for key, amount in counts.items():
+            amounts[counters.index[key]] += amount
         m = _telemetry.metrics
+        m.add(counters, amounts)
         trainer = type(self).__name__
         m.histogram("step_seconds", trainer=trainer).observe(seconds)
-        m.counter("train_steps", trainer=trainer).inc()
-        for phase, phase_seconds in result.phase_seconds.items():
-            m.counter(
-                "step_phase_seconds", trainer=trainer, phase=phase
-            ).inc(phase_seconds)
         _telemetry.flight_recorder.on_step(result, trainer=trainer)
 
     def train(self, batches, steps: int) -> TrainLog:
@@ -398,6 +454,7 @@ class CheckpointingTrainer(BaseTrainer):
         self.step_index = step_index
         self._last_launches = []
         self.last_overlap = None
+        self._step_counters = None
         self._load_state(full_state)
 
     def _load_state(self, full_state: OptimizerState) -> None:

@@ -28,12 +28,12 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.core.trainer import StepResult
 from repro.optim.base import Optimizer, OptimizerState, Params
-from repro.resilience.checkpoint import unshard_state_segments
 from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
     ShardedValue,
     padded_chunk_layout,
     ring_all_gather_stacked,
+    ring_launch_counts,
     ring_reduce_scatter,
 )
 from repro.core.data_parallel import DataParallelTrainer
@@ -132,37 +132,15 @@ def sharded_update(
     return new_params, new_states
 
 
-def shard_state_segments(
-    state: OptimizerState, bucket: GradientBucket, num_devices: int
-) -> list[OptimizerState]:
-    """Shard optimizer slots along the *fused* bucket layout.
-
-    Device ``d`` holds, for every parameter overlapping its fused
-    reduce-scatter window, the slot values of exactly that segment —
-    zero-copy views into the replicated slots (segments of distinct devices
-    are disjoint, so no aliasing between devices).
-    """
-    if num_devices < 1:
-        raise ValueError("num_devices must be >= 1")
-    per_device: list[OptimizerState] = [dict() for _ in range(num_devices)]
-    for d, segs in enumerate(bucket.shard_segments(num_devices)):
-        for seg in segs:
-            slots = state[seg.name]
-            per_device[d][seg.name] = {
-                slot: arr.reshape(-1)[seg.tensor_slice] for slot, arr in slots.items()
-            }
-    return per_device
-
-
 def bucketed_sharded_update(
     params: Params,
     grad_block: np.ndarray,
     optimizer: Optimizer,
-    sharded_state: list[OptimizerState],
+    slots: dict[str, np.ndarray],
     step: int,
     bucket: GradientBucket,
     dtype_policy: str = "f64",
-) -> tuple[Params, list[OptimizerState]]:
+) -> Params:
     """One weight-update-sharded step with *fused* gradient buckets.
 
     Same math as :func:`sharded_update` but the whole model travels in a
@@ -170,11 +148,18 @@ def bucketed_sharded_update(
     ``(n, bucket.size)`` stack of every device's gradients in the bucket's
     layout (already scaled so their *sum* is the desired global gradient),
     ONE reduce-scatter leaves each device a contiguous window of it
-    (generally spanning several parameters), the per-layer trust-ratio
-    norms are accumulated per *segment*, and ONE all-gather broadcasts the
-    updated fused weights.  ``sharded_state`` must come from
-    :func:`shard_state_segments` with the same bucket; the bucket should be
-    float64 so the update math matches the per-parameter path.
+    (generally spanning several parameters), and ONE all-gather broadcasts
+    the updated fused weights.
+
+    ``slots`` holds each optimizer slot as one flat, bucket-ordered float64
+    array of ``bucket.size`` elements; device ``d``'s shard of it is
+    window ``d``, exactly as in the reduce-scatter's shard block.  A
+    parameter's shards across the devices are therefore one contiguous
+    range of every flat array, so its elementwise update runs once over
+    that range, while its trust-ratio norms are still summed per device
+    segment, in device order.  The slots are updated in place; the new
+    parameters are returned.  The bucket should be float64 so the update
+    math matches the per-parameter path.
     """
     if grad_block.ndim != 2 or grad_block.shape[1] != bucket.size:
         raise ValueError(
@@ -183,49 +168,36 @@ def bucketed_sharded_update(
     n = grad_block.shape[0]
     if n < 1:
         raise ValueError("need at least one device")
-    if len(sharded_state) != n:
-        raise ValueError("sharded_state must have one entry per device")
     flat_params = bucket.flatten(params)
     # 1. ONE fused reduce-scatter over the whole model's gradients, fed as
     #    a single device-major stack so quantization and the ring sweeps
-    #    run whole-block.
+    #    run whole-block.  Its shard block, read flat, is the summed
+    #    gradient in bucket order.
     sharded = ring_reduce_scatter(grad_block, dtype_policy)
-    grad_shards = sharded.shards
     t0 = _perf()
-    # Which (device, segment) windows hold each layer, in device order.
-    holders: dict[str, list] = {name: [] for name in bucket.names}
-    for d, window in enumerate(bucket.shard_segments(n)):
-        for seg in window:
-            holders[seg.name].append((d, seg))
-    # 2. per layer: segment-partial norms summed across the devices
-    #    holding it (the tiny scalar all-reduce of sharded_update, now
-    #    over segments), then the segment-local elementwise update into
-    #    one (n, chunk) block of per-device chunk rows (the gather
-    #    reads it without concatenating).
+    grads = sharded.block.reshape(-1).astype(np.float64, copy=False)
+    # 2. per layer, over its one range: the segment-partial norms summed
+    #    across the devices holding it (the tiny scalar all-reduce of
+    #    sharded_update), then the elementwise update, written into one
+    #    (n, chunk) block of per-device chunk rows (the gather reads it
+    #    without concatenating).
     _, chunk = padded_chunk_layout(n, bucket.size)
-    new_block = np.zeros((n, chunk), dtype=np.float64)
-    new_states: list[OptimizerState] = [dict() for _ in range(n)]
-    for name, held in holders.items():
-        updated = optimizer.update_shards(
-            name,
-            [
-                (
-                    flat_params[seg.bucket_slice],
-                    grad_shards[d][seg.local_slice].astype(np.float64),
-                    sharded_state[d][name],
-                )
-                for d, seg in held
-            ],
-            step,
+    new_block = np.empty((n, chunk), dtype=np.float64)  # padding never read
+    new_flat = new_block.reshape(-1)
+    for name, span, segments in bucket.tensor_segments(n):
+        state = {slot: flat[span] for slot, flat in slots.items()}
+        ((new_vals, new_state),) = optimizer.update_shards(
+            name, [(flat_params[span], grads[span], state)], step, segments=segments
         )
-        for (d, seg), (new_vals, new_slot) in zip(held, updated):
-            new_block[d, seg.local_slice] = new_vals
-            new_states[d][name] = new_slot
+        new_flat[span] = new_vals
+        for slot, values in new_state.items():
+            state[slot][...] = values
     if _telemetry.enabled:
         tracer = _telemetry.tracer
         tracer.emit("sharded_update", "update", tracer.actor, t0, _perf())
-    # 3. ONE fused all-gather of the updated weight shards (lazily
-    #    replicated; the per-param astype below copies out of it).
+    # 3. ONE fused all-gather of the updated weight shards, lazily
+    #    replicated: its one physical row views this step's freshly owned
+    #    block, so the new weights are views of that row.
     gathered = ring_all_gather_stacked(
         ShardedValue(
             shards=list(new_block),
@@ -234,14 +206,13 @@ def bucketed_sharded_update(
             block=new_block,
         )
     )
-    new_flat = gathered.device_view(0)
-    new_params = {
+    new_flat = gathered.block[0]
+    return {
         name: new_flat[bucket.slice_of(name)]
         .reshape(bucket.shapes[name])
-        .astype(params[name].dtype)
+        .astype(params[name].dtype, copy=False)
         for name in bucket.names
     }
-    return new_params, new_states
 
 
 class WeightUpdateShardedTrainer(DataParallelTrainer):
@@ -279,9 +250,31 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
-        #: Per bucket, each device's slot shards along the fused layout —
-        #: the only form the optimizer slots exist in (``state`` is None).
-        self._bucket_states: list[list[OptimizerState]] | None = None
+        #: Per bucket, each optimizer slot as one flat bucket-ordered array,
+        #: device ``d`` holding window ``d`` — the only form the optimizer
+        #: slots exist in (``state`` is None).
+        self._bucket_slots: list[dict[str, np.ndarray]] | None = None
+
+    #: The launches are a pure function of the plan (see _launch_counts).
+    _tallies_launches = True
+
+    def _launch_counts(self):
+        """Per bucket: its flatten, fused reduce-scatter, segment lookup and
+        all-gather, as the bucket and the collectives would count them."""
+        n = self.num_replicas
+        counts = []
+        for bucket in self._plan.buckets:
+            counts += [
+                ("bucket_flatten_bytes", {}, bucket.size * bucket.dtype.itemsize),
+                ("bucket_flatten_calls", {}, 1),
+                ("bucket_flatten_seconds", {}, 0.0),  # measured
+                *ring_launch_counts(
+                    "reduce_scatter", n, bucket.size, self.grad_dtype_policy
+                ),
+                ("bucket_segment_cache_hits", {}, n),
+                *ring_launch_counts("all_gather", n, bucket.size, "f64"),
+            ]
+        return counts
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         """One step: the fused reduce-scatter -> sharded update -> all-gather.
@@ -293,11 +286,11 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             with run.phase("wus_update", "update"):
                 for i, (bucket, block) in enumerate(zip(self._plan.buckets, run.grads)):
                     b0 = _perf()
-                    new_params, self._bucket_states[i] = bucketed_sharded_update(
+                    new_params = bucketed_sharded_update(
                         self.params,
                         block,
                         self.optimizer,
-                        self._bucket_states[i],
+                        self._bucket_slots[i],
                         self.step_index,
                         bucket,
                         self.grad_dtype_policy,
@@ -315,33 +308,45 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """The sharded optimizer state **reassembled**.
 
         The slots only exist sharded (that is WUS's memory saving), but a
-        checkpoint must be shape-independent: each slot is gathered from
-        its per-device shards into the full replicated tensor, so the
-        snapshot can restore onto any replica count.  Reassembly is pure
-        data movement — no arithmetic — so a same-shape round trip is
-        bit-exact.
+        checkpoint must be shape-independent: each full slot is the range
+        of its parameter in the flat arrays the device windows tile, copied
+        out, so the snapshot can restore onto any replica count.
+        Reassembly is pure data movement — no arithmetic — so a same-shape
+        round trip is bit-exact.
         """
         merged: OptimizerState = {}
-        for bucket, states in zip(self._plan.buckets, self._bucket_states):
-            merged.update(unshard_state_segments(states, bucket))
+        for bucket, slots in zip(self._plan.buckets, self._bucket_slots):
+            for name, span, _ in bucket.tensor_segments(self.num_replicas):
+                merged[name] = {
+                    slot: flat[span].reshape(bucket.shapes[name]).copy()
+                    for slot, flat in slots.items()
+                }
         # Buckets cover the tree in reverse order; restore template order.
         return {name: merged[name] for name in self.params}
 
     def _load_state(self, full_state: OptimizerState) -> None:
-        """**Reshard** the full slots along this mesh's bucketed fused layout.
+        """Lay the full slots out flat along this mesh's bucketed layout.
 
-        GSPMD-style resharding in miniature: ``init`` and a restore run the
-        same segment sharding, the latter over the checkpointed assembled
-        tensors and this trainer's (possibly different) ``num_replicas``.
-        A checkpoint taken on n devices therefore restores onto the n-1
-        survivors — or any other shape — with identical training semantics.
+        ``init`` and a restore run the same layout, the latter over the
+        checkpointed assembled tensors and this trainer's (possibly
+        different) ``num_replicas``: every slot of a bucket becomes one
+        flat array in bucket order, whose device windows follow from the
+        replica count alone.  A checkpoint taken on n devices therefore
+        restores onto the n-1 survivors — or any other shape — with
+        identical training semantics.  The device segments the steps sum
+        their norms over are looked up here, so the first step finds them.
 
         Unlike the data-parallel plan, this one follows ``params`` order; the
         next step lays the gradient blocks out along it.
         """
         self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
-        self._bucket_states = [
-            shard_state_segments(full_state, bucket, self.num_replicas)
-            for bucket in self._plan.buckets
-        ]
+        self._bucket_slots = []
+        for bucket in self._plan.buckets:
+            slots: dict[str, np.ndarray] = {}
+            for name, span, _ in bucket.tensor_segments(self.num_replicas):
+                for slot, values in full_state[name].items():
+                    if slot not in slots:
+                        slots[slot] = np.empty(bucket.size, dtype=np.float64)
+                    slots[slot][span] = np.asarray(values).reshape(-1)
+            self._bucket_slots.append(slots)
         self.state = None  # slots only exist sharded from here on

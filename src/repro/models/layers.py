@@ -61,7 +61,7 @@ def dense_param_grads(
     """
     dw_out, db_out = (None, None) if out is None else out
     dw = np.matmul(np.swapaxes(x, -1, -2), dy, out=dw_out)
-    db = np.sum(dy, axis=-2, out=db_out)
+    db = np.add.reduce(dy, axis=-2, out=db_out)  # np.sum's reduction
     return dw, db
 
 
@@ -107,9 +107,11 @@ def softmax_cross_entropy(
     rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
     eps = 1e-12
     picked = probs[rows, flat_labels].reshape(labels.shape)
-    loss = -np.mean(np.log(picked + eps), axis=-1)
-    dlogits = probs.copy()
+    # np.mean's own arithmetic (one add.reduce, one division), without its
+    # dispatch: this runs on every training step.
+    loss = -(np.add.reduce(np.log(picked + eps), axis=-1) / batch)
+    dlogits = probs  # ``picked`` is a copy: probs is free to overwrite
     dlogits[rows, flat_labels] -= 1.0
     dlogits /= batch
-    loss = float(loss) if logits.ndim == 2 else loss.astype(np.float64)
+    loss = float(loss) if logits.ndim == 2 else loss.astype(np.float64, copy=False)
     return loss, dlogits.reshape(logits.shape)

@@ -33,15 +33,17 @@ class Adam(Optimizer):
         return self._zeros_like(params, ("m", "v"))
 
     def norm_stats(self, name, param, grad, state, step):
-        return {}
+        return {}, None
 
-    def apply(self, name, param, grad, state, step, stats):
+    def apply(self, name, param, grad, state, step, stats, work):
         lr = self.learning_rate(step)
-        g = grad.astype(np.float64)
+        g = grad.astype(np.float64, copy=False)
         m = self.beta1 * state["m"] + (1.0 - self.beta1) * g
         v = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
         t = step + 1
         m_hat = m / (1.0 - self.beta1**t)
         v_hat = v / (1.0 - self.beta2**t)
-        new_p = param.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        return new_p.astype(param.dtype), {"m": m, "v": v}
+        new_p = param.astype(np.float64, copy=False) - lr * m_hat / (
+            np.sqrt(v_hat) + self.epsilon
+        )
+        return new_p.astype(param.dtype, copy=False), {"m": m, "v": v}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -21,12 +21,12 @@ class Optimizer(abc.ABC):
     Subclasses implement three methods:
 
     * :meth:`init_state` — allocate slot variables;
-    * :meth:`norm_stats` — the per-layer scalars that require *global*
-      tensor norms (empty for plain SGD); given a parameter/gradient
-      *shard*, partial squared norms are returned, which the sharded update
-      path sums across devices before calling :meth:`apply`;
-    * :meth:`apply` — the elementwise update of one (shard of a) layer,
-      parameterized by the already-reduced norm scalars.
+    * :meth:`norm_stats` — the elementwise pre-pass of one (range of a)
+      layer: the arrays whose *full-tensor* L2 norms the update needs (none
+      for plain SGD and Adam), and whatever :meth:`apply` reuses, so that
+      every element is computed once;
+    * :meth:`apply` — the elementwise update of that range, parameterized
+      by the already-reduced norm scalars.
 
     :meth:`update_shards` states how the two combine — the trust-ratio rule
     of §3.2 — once; the convenience :meth:`update` runs the full
@@ -40,12 +40,13 @@ class Optimizer(abc.ABC):
     @abc.abstractmethod
     def norm_stats(
         self, name: str, param: np.ndarray, grad: np.ndarray, state: dict[str, np.ndarray], step: int
-    ) -> dict[str, float]:
-        """Partial (shard-local) squared-norm statistics for one layer.
+    ) -> tuple[dict[str, np.ndarray], Any]:
+        """Norm operands of one layer (or a range of it), and the reused work.
 
-        Keys are stat names; values are *sums of squares* (or other
-        associative partials) over the given shard, so that summing the
-        dicts across shards yields the full-tensor statistics.
+        Returns ``(operands, work)``.  ``operands`` maps each statistic the
+        update needs to the float64 array, over the given range, whose *sum
+        of squares* it is; :meth:`update_shards` sums those squares per
+        device segment.  ``work`` is handed to :meth:`apply` unchanged.
         """
 
     @abc.abstractmethod
@@ -57,13 +58,15 @@ class Optimizer(abc.ABC):
         state: dict[str, np.ndarray],
         step: int,
         stats: dict[str, float],
+        work: Any,
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Elementwise update of one layer (or any shard of it).
+        """Elementwise update of one layer (or any range of it).
 
-        ``stats`` must contain the globally reduced values of the keys
-        produced by :meth:`norm_stats`.  Returns the new parameter (shard)
-        and new state (shard).  Must be elementwise so it commutes with
-        sharding — the invariant the WUS equivalence tests check.
+        ``stats`` holds the globally reduced sums of squares of the operands
+        :meth:`norm_stats` returned, ``work`` its second value for this very
+        range.  Returns the new parameter (range) and new state (range).
+        Must be elementwise so it commutes with sharding — the invariant the
+        WUS equivalence tests check.
         """
 
     def update_shards(
@@ -72,26 +75,34 @@ class Optimizer(abc.ABC):
         shards: Sequence[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]],
         step: int,
         replicated: bool = False,
+        segments: Sequence[slice] = (slice(None),),
     ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
         """Update one layer held as ``(param, grad, state)`` shards.
 
-        The LARS/LAMB trust-ratio rule: every shard's partial
-        :meth:`norm_stats` are summed — in the caller's shard order, so the
-        float additions are reproducible; this is the tiny scalar
-        all-reduce per layer of weight-update sharding — and each shard is
-        then :meth:`apply`-ed with the full-tensor statistics.  With
-        ``replicated`` every holder has the *whole* tensor (a replicated
-        tensor inside a model-parallel group), so the first holder's
-        statistics are already global and are applied to all.  Returns one
-        ``(new_param, new_state)`` per shard.
+        The LARS/LAMB trust-ratio rule: each shard's norm operands are
+        squared and summed over its ``segments`` (slices of the shard's
+        flattened range, one per device that holds a part of it) — in the
+        caller's shard order, then segment order, so the float additions
+        are reproducible; this is the tiny scalar all-reduce per layer of
+        weight-update sharding — and each shard is then :meth:`apply`-ed
+        with the full-tensor statistics.  A weight-update-sharded layer is
+        one contiguous shard with one segment per device; a replicated
+        update is one shard with one segment.  With ``replicated`` every
+        holder has the *whole* tensor (a replicated tensor inside a
+        model-parallel group), so the first holder's statistics are already
+        global and are applied to all.  Returns one ``(new_param,
+        new_state)`` per shard.
         """
+        prepared = [self.norm_stats(name, p, g, s, step) for p, g, s in shards]
         stats: dict[str, float] = {}
-        for param, grad, state in shards[:1] if replicated else shards:
-            for key, value in self.norm_stats(name, param, grad, state, step).items():
-                stats[key] = stats.get(key, 0.0) + value
+        for operands, _ in prepared[:1] if replicated else prepared:
+            for key, values in operands.items():
+                for seg in segments:
+                    part = values[seg]
+                    stats[key] = stats.get(key, 0.0) + float(np.sum(part * part))
         return [
-            self.apply(name, param, grad, state, step, stats)
-            for param, grad, state in shards
+            self.apply(name, param, grad, state, step, stats, work)
+            for (param, grad, state), (_, work) in zip(shards, prepared)
         ]
 
     def update(

@@ -5,9 +5,9 @@ parallelism (Section 4.1).  It is also the motivating example for
 weight-update sharding: the paper measured its update at ~18% of the BERT
 step time on 512 chips when executed replicated (Section 3.2).  The trust
 ratio ``||w|| / ||r||`` requires full-tensor norms of both the weights and
-the Adam-normalized update, exposed through :meth:`norm_stats` as two
-partial sums of squares (``r`` is elementwise given the moments, so the
-partial norm of ``r`` is computable shard-locally).
+the Adam-normalized update, exposed through :meth:`norm_stats` as the two
+arrays whose squares the update sums (``r`` is elementwise given the
+moments, so the partial norm of ``r`` is computable shard-locally).
 """
 
 from __future__ import annotations
@@ -46,10 +46,15 @@ class LAMB(Optimizer):
     def init_state(self, params: Params) -> OptimizerState:
         return self._zeros_like(params, ("m", "v"))
 
-    def _normalized_update(self, name, param, grad, state, step):
-        """New moments and the Adam-normalized update r (all elementwise)."""
-        g = grad.astype(np.float64)
-        p = param.astype(np.float64)
+    def norm_stats(self, name, param, grad, state, step):
+        """The weights and the Adam-normalized update ``r``, each element once.
+
+        ``r`` is elementwise given the new moments, so its norm's partial
+        sums are computable on any range; the moments and ``r`` are what
+        :meth:`apply` reuses.
+        """
+        g = grad.astype(np.float64, copy=False)
+        p = param.astype(np.float64, copy=False)
         m = self.beta1 * state["m"] + (1.0 - self.beta1) * g
         v = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
         # Bias correction (step is 0-based).
@@ -59,24 +64,16 @@ class LAMB(Optimizer):
         r = m_hat / (np.sqrt(v_hat) + self.epsilon)
         if self._decay(name):
             r = r + self.weight_decay * p
-        return m, v, r
+        return {"param_sq": p, "update_sq": r}, (p, m, v, r)
 
-    def norm_stats(self, name, param, grad, state, step):
-        p = param.astype(np.float64)
-        _, _, r = self._normalized_update(name, param, grad, state, step)
-        return {
-            "param_sq": float(np.sum(p * p)),
-            "update_sq": float(np.sum(r * r)),
-        }
-
-    def apply(self, name, param, grad, state, step, stats):
+    def apply(self, name, param, grad, state, step, stats, work):
         lr = self.learning_rate(step)
-        m, v, r = self._normalized_update(name, param, grad, state, step)
+        p, m, v, r = work
         w_norm = float(np.sqrt(stats["param_sq"]))
         r_norm = float(np.sqrt(stats["update_sq"]))
         if w_norm > 0 and r_norm > 0:
             trust = w_norm / r_norm
         else:
             trust = 1.0
-        new_p = param.astype(np.float64) - lr * trust * r
-        return new_p.astype(param.dtype), {"m": m, "v": v}
+        new_p = p - lr * trust * r
+        return new_p.astype(param.dtype, copy=False), {"m": m, "v": v}

@@ -2,9 +2,9 @@
 
 LARS scales each layer's learning rate by ``||w|| / (||g|| + wd*||w||)``,
 which is what lets MLPerf ResNet-50 train at batch 65536 (Section 4.2).
-The trust ratio needs full-tensor norms: :meth:`norm_stats` returns partial
-sums of squares so the sharded update can all-reduce two scalars per layer
-instead of the whole gradient.
+The trust ratio needs full-tensor norms: :meth:`norm_stats` names the two
+arrays whose partial sums of squares the sharded update all-reduces (two
+scalars per layer instead of the whole gradient).
 """
 
 from __future__ import annotations
@@ -51,23 +51,19 @@ class LARS(Optimizer):
         return self._zeros_like(params, ("momentum",))
 
     def norm_stats(self, name, param, grad, state, step):
+        p = param.astype(np.float64, copy=False)
+        g = grad.astype(np.float64, copy=False)
         if self._skip(name):
-            return {}
-        p = param.astype(np.float64)
-        g = grad.astype(np.float64)
-        return {
-            "param_sq": float(np.sum(p * p)),
-            "grad_sq": float(np.sum(g * g)),
-        }
+            return {}, (p, g)
+        return {"param_sq": p, "grad_sq": g}, (p, g)
 
-    def apply(self, name, param, grad, state, step, stats):
+    def apply(self, name, param, grad, state, step, stats, work):
         lr = self.learning_rate(step)
-        p = param.astype(np.float64)
-        g = grad.astype(np.float64)
+        p, g = work
         if self._skip(name):
             v = self.momentum * state["momentum"] + g
             new_p = p - lr * v
-            return new_p.astype(param.dtype), {"momentum": v}
+            return new_p.astype(param.dtype, copy=False), {"momentum": v}
         w_norm = float(np.sqrt(stats["param_sq"]))
         g_norm = float(np.sqrt(stats["grad_sq"]))
         if w_norm > 0 and g_norm > 0:
@@ -83,4 +79,4 @@ class LARS(Optimizer):
             g + self.weight_decay * p
         )
         new_p = p - v
-        return new_p.astype(param.dtype), {"momentum": v}
+        return new_p.astype(param.dtype, copy=False), {"momentum": v}

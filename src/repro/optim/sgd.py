@@ -32,13 +32,13 @@ class SGDMomentum(Optimizer):
         return self._zeros_like(params, ("momentum",))
 
     def norm_stats(self, name, param, grad, state, step):
-        return {}
+        return {}, None
 
-    def apply(self, name, param, grad, state, step, stats):
+    def apply(self, name, param, grad, state, step, stats, work):
         lr = self.learning_rate(step)
-        g = grad.astype(np.float64)
+        g = grad.astype(np.float64, copy=False)
         if self.weight_decay:
             g = g + self.weight_decay * param
         v = self.momentum * state["momentum"] + g
         new_param = param - lr * v
-        return new_param.astype(param.dtype), {"momentum": v}
+        return new_param.astype(param.dtype, copy=False), {"momentum": v}

@@ -14,9 +14,12 @@ Bit-identity guarantee (pinned by the chaos tests): for either trainer,
 as never interrupting, because the assembled state round-trips through
 sharding losslessly (shards are disjoint views/copies, no arithmetic).
 
-:func:`unshard_state_segments` inverts the trainer's sharding layout,
-``shard_state_segments`` of :mod:`repro.core.weight_update_sharding`
-(fused bucket windows spanning several parameters).
+Under :mod:`repro.core.weight_update_sharding` each bucket's slots are
+flat, bucket-ordered arrays whose device windows are the reduce-scatter's
+(fused windows spanning several parameters): a checkpoint slices every
+parameter's range out of them, and a restore onto any replica count lays
+the full slots out flat again, the new windows following from the new
+replica count alone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.optim.base import OptimizerState, Params
-from repro.runtime.bucket import GradientBucket
 
 logger = logging.getLogger("repro.resilience")
 
@@ -110,42 +112,6 @@ class TrainerCheckpoint:
             opt_state=opt_state,
             trainer=meta.get("trainer", ""),
         )
-
-
-def unshard_state_segments(
-    sharded_state: list[OptimizerState], bucket: GradientBucket
-) -> OptimizerState:
-    """Reassemble fused-bucket-window shards into full optimizer slots.
-
-    Inverse of
-    :func:`repro.core.weight_update_sharding.shard_state_segments`: device
-    ``d`` holds, for every parameter overlapping its fused reduce-scatter
-    window, that segment of each slot.  The windows tile the bucket, so
-    writing each segment back at its ``tensor_slice`` restores every slot.
-    """
-    n = len(sharded_state)
-    if n < 1:
-        raise ValueError("need at least one device's state")
-    flats: dict[str, dict[str, np.ndarray]] = {}
-    for d, segs in enumerate(bucket.shard_segments(n)):
-        for seg in segs:
-            dev_slots = sharded_state[d][seg.name]
-            per_name = flats.setdefault(seg.name, {})
-            for slot, arr in dev_slots.items():
-                dest = per_name.get(slot)
-                if dest is None:
-                    size = int(np.prod(bucket.shapes[seg.name]) or 1)
-                    dest = per_name[slot] = np.empty(
-                        size, dtype=np.asarray(arr).dtype
-                    )
-                dest[seg.tensor_slice] = np.asarray(arr).reshape(-1)
-    return {
-        name: {
-            slot: flat.reshape(bucket.shapes[name])
-            for slot, flat in per_name.items()
-        }
-        for name, per_name in flats.items()
-    }
 
 
 def record_checkpoint_metrics(ckpt: TrainerCheckpoint, trainer: str) -> None:

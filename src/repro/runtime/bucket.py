@@ -14,9 +14,10 @@ provides that abstraction for the functional layer:
 * :meth:`GradientBucket.all_reduce` runs a *single* ring or 2-D
   hierarchical collective over the fused per-device buffers;
 * :meth:`GradientBucket.segments` maps a device's reduce-scatter shard back
-  to the per-parameter segments it covers — what the sharded optimizer
-  update needs to apply per-layer math (trust ratios, weight decay
-  skipping) to a fused shard.
+  to the per-parameter segments it covers, and
+  :meth:`GradientBucket.tensor_segments` groups every device's segments by
+  parameter — what the sharded optimizer update needs to apply per-layer
+  math (trust ratios, weight decay skipping) to a fused shard.
 
 The trainers in :mod:`repro.core` and :class:`repro.runtime.mesh.VirtualMesh`
 route their gradient collectives through buckets, turning O(num_params)
@@ -89,6 +90,7 @@ class GradientBucket:
         )
         self._segment_cache: dict[tuple[int, int], tuple[BucketSegment, ...]] = {}
         self._shard_cache: dict[int, tuple[tuple[BucketSegment, ...], ...]] = {}
+        self._tensor_cache: dict[int, tuple[tuple[str, slice, tuple[slice, ...]], ...]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -112,8 +114,15 @@ class GradientBucket:
         for name in self.names:
             out[self.slice_of(name)] = np.asarray(tree[name]).reshape(-1)
         if _telemetry.enabled:
+            seconds = _perf() - t0
+            record = _telemetry.step_record()
+            if record is not None:  # the step tallies the call and bytes
+                counts = record.counts
+                key = "bucket_flatten_seconds"
+                counts[key] = counts.get(key, 0.0) + seconds
+                return out
             m = _telemetry.metrics
-            m.counter("bucket_flatten_seconds").inc(_perf() - t0)
+            m.counter("bucket_flatten_seconds").inc(seconds)
             m.counter("bucket_flatten_bytes").inc(self.size * self.dtype.itemsize)
             m.counter("bucket_flatten_calls").inc()
         return out
@@ -193,11 +202,12 @@ class GradientBucket:
         """Segments of every device's reduce-scatter shard, in device order.
 
         Cached per device count as well; a hit counts one segment-cache hit
-        per window, as the window lookups it stands for would.
+        per window, as the window lookups it stands for would (a tallied
+        step counts its hits itself).
         """
         windows = self._shard_cache.get(num_devices)
         if windows is not None:
-            if _telemetry.enabled:
+            if _telemetry.enabled and _telemetry.step_record() is None:
                 _telemetry.metrics.counter("bucket_segment_cache_hits").inc(num_devices)
             return windows
         _, chunk = padded_chunk_layout(num_devices, self.size)
@@ -205,6 +215,30 @@ class GradientBucket:
             self.segments(d * chunk, (d + 1) * chunk) for d in range(num_devices)
         )
         return windows
+
+    def tensor_segments(
+        self, num_devices: int
+    ) -> tuple[tuple[str, slice, tuple[slice, ...]], ...]:
+        """:meth:`shard_segments` grouped by tensor, in template order.
+
+        Per tensor: its slice of the flat buffer and, in device order, the
+        parts of it that fall in each device's reduce-scatter window, as
+        slices of the tensor's own flattened range.  The windows are looked
+        up through :meth:`shard_segments` (so the lookup counts as one);
+        the grouping is cached per device count.
+        """
+        windows = self.shard_segments(num_devices)
+        grouped = self._tensor_cache.get(num_devices)
+        if grouped is None:
+            parts: dict[str, list[slice]] = {name: [] for name in self.names}
+            for window in windows:
+                for seg in window:
+                    parts[seg.name].append(seg.tensor_slice)
+            grouped = self._tensor_cache[num_devices] = tuple(
+                (name, self.slice_of(name), tuple(segs))
+                for name, segs in parts.items()
+            )
+        return grouped
 
     # --- fused collectives ---------------------------------------------------
 

@@ -57,6 +57,7 @@ allocations beyond their outputs.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -139,25 +140,58 @@ def _comm_span(name: str, t0: float) -> float:
     return end
 
 
-def _record_collective(
-    op: str, n: int, chunk: int, itemsize: int, policy: str, seconds: float,
+def _launch_counts(
+    op: str, n: int, chunk: int, itemsize: int, policy: str,
     axis: str = "ring", steps: int | None = None,
-) -> None:
-    """Account one collective launch: bytes on the wire, ring steps, time.
+) -> tuple[tuple[str, dict[str, str], int], ...]:
+    """One collective launch's counters: bytes on the wire, ring steps, launch.
 
     The byte model is the ring's: ``n - 1`` hops, every device forwarding
     one ``chunk``-element message per hop — ``n * (n - 1) * chunk *
     itemsize`` bytes per phase, the same traffic term the alpha-beta cost
-    model charges.  Only called when telemetry is enabled.
+    model charges.  ``(name, labels, amount)`` triples.
+    """
+    return (
+        ("collective_bytes", {"op": op, "axis": axis, "policy": policy},
+         n * (n - 1) * chunk * itemsize),
+        ("collective_ring_steps", {"op": op, "axis": axis},
+         n - 1 if steps is None else steps),
+        ("collective_launches", {"op": op, "axis": axis}, 1),
+    )
+
+
+def ring_launch_counts(
+    op: str, n: int, size: int, dtype_policy: str
+) -> tuple[tuple[str, dict[str, str], int], ...]:
+    """The counters one ``n``-device ring ``op`` over ``size`` elements writes.
+
+    What :func:`ring_reduce_scatter` (``op="reduce_scatter"``) and
+    :func:`ring_all_gather_stacked` (``"all_gather"``, on its wire dtype's
+    policy; nothing for one device) record per launch, as ``(name, labels,
+    amount)`` triples: a trainer step whose launches follow from its
+    bucket plan adds these up once per plan and writes them itself.
+    """
+    if op == "all_gather" and n == 1:
+        return ()
+    _, chunk = padded_chunk_layout(n, size)
+    return _launch_counts(op, n, chunk, _dtype_for(dtype_policy).itemsize, dtype_policy)
+
+
+def _record_collective(
+    op: str, n: int, chunk: int, itemsize: int, policy: str, seconds: float,
+    axis: str = "ring", steps: int | None = None,
+) -> None:
+    """Account one collective launch: its counters (see :func:`_launch_counts`)
+    unless the running step tallies them, and its measured time.
+
+    Only called when telemetry is enabled.
     """
     m = _telemetry.metrics
-    if steps is None:
-        steps = n - 1
-    m.counter("collective_bytes", op=op, axis=axis, policy=policy).inc(
-        n * (n - 1) * chunk * itemsize
-    )
-    m.counter("collective_ring_steps", op=op, axis=axis).inc(steps)
-    m.counter("collective_launches", op=op, axis=axis).inc()
+    if _telemetry.step_record() is None:
+        for name, labels, amount in _launch_counts(
+            op, n, chunk, itemsize, policy, axis, steps
+        ):
+            m.counter(name, **labels).inc(amount)
     m.histogram("collective_seconds", op=op, axis=axis).observe(seconds)
 
 
@@ -328,21 +362,24 @@ def _linear_ring_passes(
     """
     n = len(srcs)
     for d in range(n):
+        src = srcs[d]
         lo = d * chunk
         hi = min(lo + chunk, size)
         if hi > lo:
-            acc[lo:hi] = srcs[d][lo:hi]
+            acc[lo:hi] = src[lo:hi]
         end = min(lo, size)
         if end > 0:
-            np.add(srcs[d][:end], acc[:end], out=acc[:end])
+            head = acc[:end]
+            np.add(src[:end], head, out=head)
             if bf16_round is not None:
-                bf16_round(acc[:end])
+                bf16_round(head)
     for d in range(n - 1):
         start = min((d + 1) * chunk, size)
         if start < size:
-            np.add(srcs[d][start:size], acc[start:size], out=acc[start:size])
+            tail = acc[start:size]
+            np.add(srcs[d][start:size], tail, out=tail)
             if bf16_round is not None:
-                bf16_round(acc[start:size])
+                bf16_round(tail)
     return acc
 
 
@@ -423,7 +460,11 @@ def _quantized_sources(
     identical, but ``O(1)`` dispatches for a 4096-row stack.
     """
     if policy != "bf16":
-        if all(f.dtype == dtype for f in flats):
+        in_wire_dtype = (
+            block.dtype == dtype if block is not None
+            else all(f.dtype == dtype for f in flats)
+        )
+        if in_wire_dtype:
             return flats, None
         staged = _scratch((len(flats), flats[0].size), dtype)
         if block is not None:
@@ -459,7 +500,7 @@ def _ring_reduce_scatter_impl(
     """
     dtype = _dtype_for(dtype_policy)
     block, flats, n, shape = _as_device_block(arrays)
-    size = int(np.prod(shape)) if shape else 1
+    size = math.prod(shape)
     padded, chunk = padded_chunk_layout(n, size)
     srcs, bf16_round = _quantized_sources(flats, dtype, dtype_policy, block)
     acc = np.empty(padded, dtype=dtype)
@@ -512,7 +553,7 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
     explicitly (``.materialized()``).
     """
     n = value.num_devices
-    size = int(np.prod(value.shape)) if value.shape else 1
+    size = math.prod(value.shape)
     t0 = _perf()
     if value.block is not None:
         full = value.block.reshape(-1)[:size]
@@ -559,7 +600,7 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     t0 = _perf()
     shards, shape, _ = _ring_reduce_scatter_impl(arrays, dtype_policy)
     n = shards.shape[0]
-    size = int(np.prod(shape)) if shape else 1
+    size = math.prod(shape)
     full = shards.reshape(-1)[:size]
     result = StackedValue.replicate(full.reshape(shape), n)
     if _telemetry.enabled:
@@ -633,7 +674,7 @@ def _reduce_scatter_grid_core(
     results stay bit-identical to the per-ring references.
     """
     dtype = _dtype_for(dtype_policy)
-    size = int(np.prod(shape)) if shape else 1
+    size = math.prod(shape)
     srcs2, bf16_round = _quantized_grid_block(flats, dtype, dtype_policy, block)
     srcs3 = srcs2.reshape(x_size, y_size, size)
     # Y phase: one ring per mesh column, all columns batched.
@@ -689,7 +730,7 @@ def _all_gather_grid_core(
     """
     _dtype_for(dtype_policy)
     y_size, x_size, _ = shards3.shape
-    size = int(np.prod(shape)) if shape else 1
+    size = math.prod(shape)
     _, y_chunk = padded_chunk_layout(y_size, size)
     padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
     t0 = _perf()

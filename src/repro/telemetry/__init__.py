@@ -18,13 +18,16 @@ input pipeline) is instrumented against the process-wide objects here:
     Module-level flag, **on by default**.  Instrumentation sites guard with
     ``if telemetry.enabled:`` (or get a shared no-op span), keeping the
     disabled cost to one attribute lookup.  Enabled, a training step pays
-    per span (seven on a weight-update-sharded step) an event built from
-    clock marks the step takes anyway, per metric write a remembered-child
-    lookup, and one step record plus counter-delta drain whose records are
-    formatted only when read.  That is a fixed few tens of microseconds
-    per step, small beside millisecond-scale kernels and not beside the
-    sub-millisecond steps of the chaos jobs; ``bench/run.py --trace 1``
-    reports it per workload as ``telemetry.overhead_pct``.
+    per span an event built from clock marks the step takes anyway, one
+    registry call for all its own counters (a :class:`CounterSet`), one
+    observation per histogram, and one step record plus counter-delta
+    drain whose records are formatted only when read.  A
+    weight-update-sharded step, whose launches its bucket plan fixes, also
+    writes its collectives' and bucket's counters in that one call, and
+    hands its seven spans to the sinks at once (a :class:`StepRecord`,
+    :mod:`repro.telemetry.step`); DESIGN §7 states the budget as counts.
+    ``bench/run.py --trace 1`` reports the cost per workload as
+    ``telemetry.overhead_pct``.
 
 ``REPRO_TELEMETRY=0`` in the environment starts a process with the flag
 off; the :func:`disabled` context manager turns it off for a block.  Use
@@ -40,12 +43,14 @@ from contextlib import contextmanager
 
 from repro.telemetry.registry import (
     Counter,
+    CounterSet,
     DEFAULT_MAX_CHILDREN,
     DEFAULT_TIME_BUCKETS,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
+from repro.telemetry.step import StepRecord, step_record
 from repro.telemetry.tracer import MEASURED_SOURCE, Tracer
 from repro.telemetry.flight import FlightRecord, FlightRecorder, on_terminal_failure
 
@@ -65,7 +70,7 @@ tracer = Tracer()
 #: :mod:`repro.telemetry.flight`).  Always attached; every write is gated
 #: on ``enabled``, so ``REPRO_TELEMETRY=0`` silences it entirely.
 flight_recorder = FlightRecorder()
-tracer.add_sink(flight_recorder.on_trace_event)
+tracer.add_sink(flight_recorder.on_trace_events)
 
 
 @contextmanager
@@ -89,6 +94,7 @@ def reset() -> None:
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "DEFAULT_MAX_CHILDREN",
     "DEFAULT_TIME_BUCKETS",
     "FlightRecord",
@@ -97,6 +103,7 @@ __all__ = [
     "Histogram",
     "MEASURED_SOURCE",
     "MetricsRegistry",
+    "StepRecord",
     "Tracer",
     "disabled",
     "enabled",
@@ -104,5 +111,6 @@ __all__ = [
     "metrics",
     "on_terminal_failure",
     "reset",
+    "step_record",
     "tracer",
 ]

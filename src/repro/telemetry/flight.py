@@ -165,13 +165,15 @@ class FlightRecorder:
         with self._lock:
             self._records.append(entry)
 
-    def on_trace_event(self, event) -> None:
-        """Tracer sink: mirror every measured span into the ring."""
-        if not _telemetry.enabled:
+    def on_trace_events(self, events) -> None:
+        """Tracer sink: mirror measured spans into the ring, one write per
+        call (a tallied step's spans come as one call)."""
+        if not _telemetry.enabled or not events:
             return
-        entry = (_span_record, self._clock() - self._epoch, event)
+        t = self._clock() - self._epoch
         with self._lock:
-            self._records.append(entry)
+            for event in events:
+                self._records.append((_span_record, t, event))
 
     def record_counter_deltas(self, registry=None) -> None:
         """Record which scalar metrics moved (and by how much) since last call.
@@ -204,13 +206,18 @@ class FlightRecorder:
         )
 
     def on_step(self, result, trainer: str = "") -> None:
-        """Record one trainer step boundary plus the counter deltas it caused."""
+        """Record one trainer step boundary plus the counter deltas it
+        caused (one ring write; the deltas follow the step, as
+        :meth:`record_counter_deltas` would add them)."""
         if not _telemetry.enabled:
             return
-        entry = (_step_record, self.now(), result, trainer)
+        t = self.now()
+        entries = [(_step_record, t, result, trainer)]
+        pairs = _telemetry.metrics.scalar_deltas(self._delta_reader)
+        if pairs:
+            entries.append((_deltas_record, t, pairs))
         with self._lock:
-            self._records.append(entry)
-        self.record_counter_deltas()
+            self._records.extend(entries)
 
     # --- read side ----------------------------------------------------------
 

@@ -31,6 +31,11 @@ counter and gauge writes mark their child, and
 that read costs the same whether the registry holds ten children or a
 thousand.  It returns ``(child, delta)`` pairs as computed; naming and
 ordering them (:func:`series_deltas`) waits until someone reads them.
+
+A writer whose series are fixed — a trainer step under one bucket plan —
+describes them once as a :class:`CounterSet` and writes all of them with
+one :meth:`MetricsRegistry.add` call, which looks the children up only on
+its first call against a registry (and again after a reset).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import logging
 import threading
 import weakref
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -69,6 +74,12 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def _series(name: str, labels: LabelKey) -> str:
+    """A child's ``name{k=v,...}`` key."""
+    pairs = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{pairs}}}" if pairs else name
+
+
 class _ScalarChild:
     """State shared by :class:`Counter` and :class:`Gauge` children.
 
@@ -86,8 +97,7 @@ class _ScalarChild:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        pairs = ",".join(f"{k}={v}" for k, v in labels)
-        self.series = f"{name}{{{pairs}}}" if pairs else name
+        self.series = _series(name, labels)
         #: Family then child creation index, packed into one int that sorts
         #: in the registry's iteration order.
         self._order = order
@@ -167,6 +177,30 @@ class _ReaderState:
         self.ref = weakref.ref(reader, lambda _, states=states: states.pop(key, None))
 
 
+class CounterSet:
+    """Counter series written together, looked up once per registry.
+
+    ``series`` are ``(name, labels)`` pairs (``str`` label values);
+    :meth:`MetricsRegistry.add` increments all of them in one call, by one
+    amount each, and ``index`` maps each series' ``name{k=v,...}`` key to
+    its position in those amounts.
+    """
+
+    __slots__ = ("series", "index", "_registry", "_generation", "_children")
+
+    def __init__(self, series: Iterable[tuple[str, Mapping[str, str]]]) -> None:
+        self.series = tuple((name, dict(labels)) for name, labels in series)
+        self.index = {
+            _series(name, _label_key(labels)): i
+            for i, (name, labels) in enumerate(self.series)
+        }
+        if len(self.index) != len(self.series):
+            raise ValueError("a series is listed twice")
+        self._registry: MetricsRegistry | None = None
+        self._generation = -1
+        self._children: tuple[Counter, ...] = ()
+
+
 class Histogram:
     """Fixed-bucket histogram: counts per upper bound plus an overflow bucket.
 
@@ -243,6 +277,9 @@ class MetricsRegistry:
         #: Raw ``(kind, name, *labels.items())`` call -> the child it found
         #: (see the module docstring for which calls are remembered).
         self._cache: dict[tuple, Counter | Gauge | Histogram] = {}
+        #: Bumped by every reset: a :class:`CounterSet` looked up before it
+        #: holds dropped children.
+        self._generation = 0
 
     # --- get-or-create ------------------------------------------------------
 
@@ -331,6 +368,26 @@ class MetricsRegistry:
         if spec is not None and list(spec) != sorted(set(spec)):
             raise ValueError("histogram buckets must be strictly increasing")
         return self._child(name, "histogram", labels, spec)
+
+    def add(self, counters: CounterSet, amounts: Sequence[float]) -> None:
+        """Increment ``counters.series[i]`` by ``amounts[i]``, in one call.
+
+        The children are looked up on the first call against this registry
+        and again after a :meth:`reset`; later calls only increment.
+        """
+        if counters._registry is not self or counters._generation != self._generation:
+            counters._children = tuple(
+                self.counter(name, **labels) for name, labels in counters.series
+            )
+            counters._registry, counters._generation = self, self._generation
+        # Counter.inc, inlined: this runs once per training step.
+        for child, amount in zip(counters._children, amounts):
+            if amount < 0:
+                raise ValueError("counters only go up; use a gauge")
+            child.value += amount
+            if not child._marked:
+                child._marked = True
+                child._written.append(child)
 
     # --- collectors ---------------------------------------------------------
 
@@ -478,3 +535,4 @@ class MetricsRegistry:
             self._cache.clear()
             self._written = []
             self._readers.clear()
+            self._generation += 1

@@ -26,14 +26,18 @@ phases, a collective timing its launch — does not open a span at all: it
 hands its own marks to :meth:`Tracer.emit`, the function every ``with``
 block also ends in.  Such a span costs one event, one list append and the
 sinks, with no context-manager object, no open-span stack push and no
-extra clock read.
+extra clock read.  Inside a tallied trainer step (:mod:`repro.telemetry.step`)
+it costs one tuple: the step hands all its marks to :meth:`Tracer.emit_all`
+when it ends, which builds the events in one pass and gives the sinks
+(the flight recorder) the whole step in one call.
 
 Concurrency: the open-span stack is **thread-local** (each writer thread
 nests independently) and completed events land in the shared trace via a
 single GIL-atomic list append, so concurrent writers (input-pipeline host
 threads, a chaos harness driving a trainer while a detector thread spans)
 interleave without corrupting each other's nesting.  *Sinks* registered
-with :meth:`Tracer.add_sink` observe every completed event — this is how
+with :meth:`Tracer.add_sink` observe every completed event, as the list
+each record call completes — this is how
 the :class:`~repro.telemetry.flight.FlightRecorder` mirrors the span
 stream into its ring buffer.
 
@@ -52,11 +56,26 @@ from typing import Callable
 
 from repro import telemetry as _telemetry
 from repro.sim.trace import Trace, TraceEvent
+from repro.telemetry.step import step_record
 
 logger = logging.getLogger("repro.telemetry")
 
 #: Source tag stamped on every measured span (simulator traces default "").
 MEASURED_SOURCE = "measured"
+
+#: Builds a :class:`TraceEvent` from its six fields without the Python-level
+#: ``NamedTuple.__new__`` frame (one event per measured span).
+_tuple_new = tuple.__new__
+
+
+def _event(
+    epoch: float, name: str, category: str, actor: str, start: float, end: float
+) -> TraceEvent:
+    """The measured span ``[start, end]`` (clock readings) as a trace event."""
+    return _tuple_new(TraceEvent, (
+        actor, name, start - epoch, end - start if end > start else 0.0,
+        category, MEASURED_SOURCE,
+    ))
 
 #: Most recent spans a tracer keeps.  The list is trimmed back to this many
 #: when it reaches twice as many, so it stays a plain list and one trim pays
@@ -122,7 +141,7 @@ class Tracer:
         self.actor = actor
         self.trace = Trace()
         self._local = threading.local()
-        self._sinks: list[Callable[[TraceEvent], None]] = []
+        self._sinks: list[Callable[[list[TraceEvent]], None]] = []
         self._epoch = clock()
 
     @property
@@ -144,31 +163,42 @@ class Tracer:
     ) -> None:
         """Record one finished span, timed by this tracer's clock readings.
 
-        The one way a span lands in the trace and reaches the sinks: a
-        ``with span(...)`` block ends here, and so does a span its caller
-        timed itself from clock marks it takes anyway (a trainer's phases).
+        The one way a span reaches the trace and the sinks: a ``with
+        span(...)`` block ends here, and so does a span its caller timed
+        itself from clock marks it takes anyway (a trainer's phases).
+        While a tallied trainer step runs on this thread
+        (:func:`~repro.telemetry.step.step_record`), the marks wait in its
+        record and the step records them all with :meth:`emit_all`.
         Callers check ``repro.telemetry.enabled`` first.
         """
-        event = TraceEvent(
-            actor,
-            name,
-            start - self._epoch,
-            max(0.0, end - start),
-            category,
-            MEASURED_SOURCE,
-        )
+        record = step_record()
+        if record is not None:
+            record.spans.append((name, category, actor, start, end))
+            return
+        self._deliver((_event(self._epoch, name, category, actor, start, end),))
+
+    def emit_all(self, spans) -> None:
+        """Record finished spans given as ``(name, category, actor, start,
+        end)`` marks, in order: their events join the trace, and every sink
+        sees them all in one call."""
+        epoch = self._epoch
+        self._deliver([_event(epoch, *span) for span in spans])
+
+    def _deliver(self, batch) -> None:
         events = self.trace.events
-        events.append(event)
+        events.extend(batch)
         if len(events) >= 2 * TRACE_CAPACITY:
             del events[:-TRACE_CAPACITY]
         for sink in self._sinks:
             try:
-                sink(event)
+                sink(batch)
             except Exception:  # a broken sink must not kill the traced code
                 logger.exception("trace sink %r failed", sink)
 
-    def add_sink(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Call ``fn(event)`` for every completed span (flight recorder hook)."""
+    def add_sink(self, fn: Callable[[list[TraceEvent]], None]) -> None:
+        """Call ``fn(events)`` with the spans each record call completes, in
+        order (the flight recorder hook: one call per span, or per tallied
+        step)."""
         if fn not in self._sinks:
             self._sinks.append(fn)
 

@@ -230,7 +230,7 @@ class TestOneStepFourStrategies:
     )
     def test_update_is_the_one_shard_case(self, make_opt, rng):
         """``Optimizer.update`` == ``update_shards`` at one shard == the
-        literal norm_stats -> apply, to the bit."""
+        literal norm_stats -> sums of squares -> apply, to the bit."""
         opt = make_opt()
         params = MLP([12, 24, 4]).init_params(rng)
         grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
@@ -238,7 +238,9 @@ class TestOneStepFourStrategies:
         new_params, new_state = opt.update(params, grads, state, 1)
         for name, p in params.items():
             shard = (p, grads[name], state[name])
-            literal = opt.apply(name, *shard, 1, opt.norm_stats(name, *shard, 1))
+            operands, work = opt.norm_stats(name, *shard, 1)
+            stats = {k: float(np.sum(x * x)) for k, x in operands.items()}
+            literal = opt.apply(name, *shard, 1, stats, work)
             ((one_p, one_s),) = opt.update_shards(name, [shard], 1)
             # Replicated holders: statistics from the first, applied to all.
             both = opt.update_shards(name, [shard, shard], 1, replicated=True)

@@ -8,6 +8,8 @@ for LARS and LAMB whose trust ratios need cross-shard norm reductions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
 from repro.core.weight_update_sharding import (
@@ -137,22 +139,61 @@ class TestShardedUpdateEquivalence:
         wus.init(np.random.default_rng(7))
         assert wus.state is None  # replicated slots are gone
         wus.step(x, y)
-        (shards,) = wus._bucket_states  # one bucket: the whole fused model
-        assert len(shards) == 4
-        # Fused layout: shards are windows of the whole flattened model, so
-        # each parameter's slots are split along the fused chunk boundaries
-        # and together cover the parameter exactly once.
-        params = model.init_params(np.random.default_rng(7))
-        total = sum(p.size for p in params.values())
-        chunk = -(-total // 4)  # ceil division
-        w0 = params["w0"].size
-        assert shards[0]["w0"]["m"].size == min(chunk, w0)
-        covered = sum(
-            state["w0"]["m"].size
-            for state in shards
-            if "w0" in state
+        assert wus.state is None
+        (bucket,) = wus._plan.buckets  # one bucket: the whole fused model
+        (slots,) = wus._bucket_slots
+        assert set(slots) == {"m", "v"}
+        # Flat layout: each slot is one bucket-ordered array and device d's
+        # shard is window d of it, as in the reduce-scatter's shard block.
+        # The windows cover every element of every parameter exactly once,
+        # and a parameter's slot is its range of the flat array.
+        chunk = -(-bucket.size // 4)  # ceil division
+        covered = np.zeros(bucket.size, dtype=int)
+        for d in range(4):
+            covered[d * chunk:(d + 1) * chunk] += 1
+        full = wus.save_checkpoint().opt_state
+        for name in bucket.names:
+            assert np.all(covered[bucket.slice_of(name)] == 1)
+            for slot, flat in slots.items():
+                assert flat.shape == (bucket.size,)
+                assert np.array_equal(
+                    flat[bucket.slice_of(name)], full[name][slot].reshape(-1)
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        num_buckets=st.integers(1, 3),
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+    )
+    def test_checkpoint_restores_onto_any_replica_count(self, dims, num_buckets, n, m):
+        """Saved on n replicas, restored onto m: every slot and parameter
+        is the same array, whatever the bucket sizes."""
+        model = MLP(dims)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((60, dims[0]))  # 60 divides by every n in 1..6
+        y = rng.integers(0, dims[-1], size=60)
+        source = WeightUpdateShardedTrainer(
+            model, LAMB(0.01), num_replicas=n, num_buckets=num_buckets
         )
-        assert covered == w0
+        source.init(np.random.default_rng(7))
+        source.step(x, y)
+        saved = source.save_checkpoint()
+        target = WeightUpdateShardedTrainer(
+            model, LAMB(0.01), num_replicas=m, num_buckets=num_buckets
+        )
+        target.restore_checkpoint(saved)
+        assert target.state is None
+        again = target.save_checkpoint()
+        assert again.step_index == saved.step_index
+        assert again.params.keys() == saved.params.keys()
+        for name, param in saved.params.items():
+            assert np.array_equal(again.params[name], param)
+            assert again.opt_state[name].keys() == saved.opt_state[name].keys()
+            for slot, arr in saved.opt_state[name].items():
+                got = again.opt_state[name][slot]
+                assert got.shape == arr.shape and np.array_equal(got, arr)
 
     @pytest.mark.parametrize("name,make_opt", OPTIMIZERS)
     def test_fused_matches_unfused(self, name, make_opt):

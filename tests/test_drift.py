@@ -5,6 +5,7 @@ gauges must land in the registry."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -23,6 +24,31 @@ from repro.telemetry.drift import (
     two_phase_drift,
 )
 from repro.experiments.table1 import TABLE1_ROWS
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _des_twins_once():
+    """The module's tests read the same DES twins: each (mesh geometry,
+    payload, model-parallel size) all-reduce and each overlap trace is
+    simulated once, and every test still computes its own closed forms
+    and gates."""
+    simulate = drift._two_phase_des
+    twins: dict = {}
+
+    def two_phase_des(mesh, payload_bytes, mp_size=1):
+        geometry = (
+            mesh.x_size, mesh.y_size, mesh.wrap_x, mesh.wrap_y,
+            mesh.cross_pod_every, mesh.chip, mesh.host,
+        )
+        key = (geometry, payload_bytes, mp_size)
+        if key not in twins:
+            twins[key] = simulate(mesh, payload_bytes, mp_size)
+        return twins[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drift, "_two_phase_des", two_phase_des)
+        mp.setattr(drift, "overlap_drift", functools.cache(drift.overlap_drift))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -84,16 +84,17 @@ class TestCommon:
                 sub_state = {
                     slot: arr.reshape(-1)[idx] for slot, arr in state[key].items()
                 }
-                partial = opt.norm_stats(key, flat_p[idx], flat_g[idx], sub_state, 3)
-                for k2, v2 in partial.items():
-                    stats[k2] = stats.get(k2, 0.0) + v2
+                operands, _ = opt.norm_stats(key, flat_p[idx], flat_g[idx], sub_state, 3)
+                for k2, v2 in operands.items():
+                    stats[k2] = stats.get(k2, 0.0) + float(np.sum(v2 * v2))
             pieces = []
             for idx in halves:
                 sub_state = {
                     slot: arr.reshape(-1)[idx] for slot, arr in state[key].items()
                 }
+                _, work = opt.norm_stats(key, flat_p[idx], flat_g[idx], sub_state, 3)
                 new_piece, _ = opt.apply(
-                    key, flat_p[idx], flat_g[idx], sub_state, 3, stats
+                    key, flat_p[idx], flat_g[idx], sub_state, 3, stats, work
                 )
                 pieces.append(new_piece)
             rebuilt = np.concatenate(pieces).reshape(p.shape)

@@ -361,7 +361,7 @@ class TestTracer:
         ticks = itertools.count()
         tr = Tracer(clock=lambda: float(next(ticks)))
         seen = []
-        tr.add_sink(seen.append)
+        tr.add_sink(seen.extend)
         total = 3 * TRACE_CAPACITY
         for i in range(total):
             with tr.span(f"s{i}"):

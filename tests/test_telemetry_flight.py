@@ -111,7 +111,7 @@ class TestConcurrentWriters:
         corrupting the ring; per-thread span stacks stay consistent."""
         tracer = Tracer()
         rec = FlightRecorder(capacity=128)
-        tracer.add_sink(rec.on_trace_event)
+        tracer.add_sink(rec.on_trace_events)
         n_threads, n_each = 6, 40
 
         def worker(tid: int):
