@@ -15,12 +15,12 @@ small tensor IR — and searches it automatically:
   frozen :class:`ShardingSpec`, the :func:`make_partitioner` factory, and
   the :class:`PartitionPlan` result (assignments + inserted comm + cost);
 * :mod:`repro.spmd.partitioner` — annotation propagation and communication
-  insertion, with feature flags reproducing the paper's v0.6 -> v0.7 XLA
-  improvements (gather/topk partitioning, gather -> one-hot matmul,
-  reshard minimization, Section 4.5);
+  insertion over int-coded layouts, with feature flags reproducing the
+  paper's v0.6 -> v0.7 XLA improvements (gather/topk partitioning, gather
+  -> one-hot matmul, reshard minimization, Section 4.5);
 * :mod:`repro.spmd.estimator` — per-device compute/communication cost of a
-  partitioned graph on a mesh, driving the Figure 9 model-parallelism
-  speedup curves;
+  partitioned graph on a mesh (one accumulation loop over a per-call
+  price table), driving the Figure 9 model-parallelism speedup curves;
 * :mod:`repro.spmd.search` — GSPMD-style automatic partitioner search:
   beam-search per-tensor shardings, prune on propagation feasibility,
   rank by estimated step time (:func:`search_partitioning`);

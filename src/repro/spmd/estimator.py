@@ -4,22 +4,31 @@ Converts a :class:`~repro.spmd.partitioner.PartitionedGraph` into per-core
 compute seconds (accounting for tile imbalance and serial unpartitioned
 ops) plus communication seconds on the model tile's X-line links, and from
 that the Figure 9 speedup-vs-cores curves.
+
+Every estimate sums through one loop, :func:`price_walk`, over a whole
+graph or resumed from a parent's prefix sums; it looks node prices up in a
+:class:`PriceTable` that one call (one search, one partition, one
+:func:`estimate_cost`) builds and fills per (node, layout code) on first
+use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from repro.hardware.topology import TorusMesh, single_pod
 from repro.spmd.annotations import Sharding
-from repro.spmd.ir import Node
+from repro.spmd.ir import POINTWISE, Graph, Node
 from repro.spmd.partitioner import (
+    SERIAL,
     PartitionedGraph,
     PartitionerFeatures,
     V07_FEATURES,
     _check_dtype_consistent,
+    layout_sharding,
     partition,
 )
 
@@ -46,6 +55,14 @@ class CostPrefix(NamedTuple):
     comm: list[float]
     comm_bytes: list[float]
 
+    def totals(self) -> tuple[float, float, float, float]:
+        """Compute, serial and comm seconds and comm bytes of one step:
+        the final sums, comm doubled (the backward pass roughly mirrors the
+        forward communication)."""
+        return (
+            self.compute[-1], self.serial[-1], self.comm[-1] * 2.0, self.comm_bytes[-1] * 2.0
+        )
+
 
 @dataclass(frozen=True)
 class PartitionCost:
@@ -60,6 +77,11 @@ class PartitionCost:
     comm_seconds: float
     comm_bytes: float
     prefix: CostPrefix | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, prefix: CostPrefix) -> "PartitionCost":
+        """The cost whose running sums ``prefix`` holds."""
+        return cls(*prefix.totals(), prefix=prefix)
 
     @property
     def total_seconds(self) -> float:
@@ -134,6 +156,143 @@ def cost_prices(
     )
 
 
+class PriceTable:
+    """The price of each (node, layout code) of one graph on one tile, at
+    one set of :func:`cost_prices` rates.
+
+    Built per call -- one search, one ``Partitioner.partition`` /
+    ``extend``, one :func:`estimate_cost` -- and filled on first use, so
+    :func:`_tile_factor` and the FLOPs (or HBM traffic) quotient run at
+    most once per pair however many layouts of the graph the call prices.
+    It depends on the tile size and the rates, so nothing may keep it past
+    the call that built it.  ``rows[i]`` is ``None`` for a node with no
+    work (it is not charged at all), else the prices of node ``i`` met so
+    far by layout code.
+    """
+
+    def __init__(self, graph: Graph, num_shards: int, prices: tuple[float, ...]) -> None:
+        self.graph = graph
+        self.num_shards = num_shards
+        self.prices = prices
+        fwd_bwd_factor = prices[4]
+        #: forward+backward FLOPs of each node
+        self.work = [flops * fwd_bwd_factor for flops in graph.tables().flops]
+        self.rows: list[dict[int, float] | None] = [
+            None if work == 0.0 else {} for work in self.work
+        ]
+
+    def price(self, node_id: int, code: int) -> float:
+        """Seconds node ``node_id`` adds to the serial sum (``SERIAL``: run
+        whole, on one core's worth of MXU) or to the compute sum (any other
+        code: the slowest core's tile), remembered for the next lookup."""
+        core_flops_rate, hbm_per_core, _, _, fwd_bwd_factor, _ = self.prices
+        flops = self.work[node_id]
+        if code == SERIAL:
+            seconds = flops / core_flops_rate
+        else:
+            graph = self.graph
+            factor = _tile_factor(
+                graph.nodes[node_id], layout_sharding(code, self.num_shards)
+            )
+            tables = graph.tables()
+            if tables.kinds[node_id] == POINTWISE:
+                # Memory bound: read inputs + write output through HBM.
+                traffic = 3.0 * tables.output_bytes[node_id] * fwd_bwd_factor
+                seconds = traffic * factor / hbm_per_core
+            else:
+                seconds = flops * factor / core_flops_rate
+        self.rows[node_id][code] = seconds
+        return seconds
+
+
+def check_resumable(prefix: CostPrefix | None, prices: tuple[float, ...]) -> None:
+    """Refuse to resume sums that do not exist or were summed at other
+    rates: the result would mix two price lists in one total."""
+    if prefix is None:
+        raise ValueError("the parent cost keeps no prefix sums to resume from")
+    if prefix.prices != prices:
+        raise ValueError(
+            "the parent cost was priced under a different mesh, MXU efficiency "
+            "or rate"
+        )
+
+
+def price_walk(
+    pg: PartitionedGraph,
+    table: PriceTable,
+    resume: tuple[CostPrefix, int] | None = None,
+) -> CostPrefix:
+    """The one accumulation loop: sum ``pg``'s node and comm-op prices.
+
+    ``resume=(parent, start)`` is for ``pg`` the
+    :func:`~repro.spmd.partitioner.repartition` of a plan at ``start``,
+    whose prefix sums ``parent`` were summed at the table's rates: the node
+    sums start from ``parent``'s sums before ``start`` and the comm sums
+    from its sums before comm op ``pg.comm_marks[start]``, and only what
+    follows is walked.  The additions happen one node at a time in node
+    order, then one comm op at a time in log order, as in a walk over the
+    whole graph, so every float is the whole walk's.
+    """
+    _, _, bw, alpha, _, per_op_overhead = table.prices
+    if resume is None:
+        start = mark = 0
+        compute = serial = comm = comm_bytes = 0.0
+        computes: list[float] = []
+        serials: list[float] = []
+        comms: list[float] = []
+        comm_byte_sums: list[float] = []
+    else:
+        parent, start = resume
+        mark = pg.comm_marks[start]
+        compute, serial = parent.compute[start], parent.serial[start]
+        comm, comm_bytes = parent.comm[mark], parent.comm_bytes[mark]
+        computes, serials = parent.compute[:start], parent.serial[:start]
+        comms, comm_byte_sums = parent.comm[:mark], parent.comm_bytes[:mark]
+    rows, computed, price = table.rows, pg.computed, table.price
+    for i in range(start, len(rows)):  # topological by construction
+        computes.append(compute)
+        serials.append(serial)
+        row = rows[i]
+        if row is None:
+            continue
+        serial += per_op_overhead
+        code = computed[i]
+        seconds = row.get(code)
+        if seconds is None:
+            seconds = price(i, code)
+        if code == SERIAL:
+            serial += seconds
+        else:
+            compute += seconds
+    computes.append(compute)
+    serials.append(serial)
+    # Model-parallel groups sit on X-adjacent cores: the two cores of a chip
+    # plus neighbor chips over ICI links.  Within-chip transfers are fast;
+    # we charge the ICI link uniformly, which is conservative.
+    k = table.num_shards
+    frac = (k - 1) / k if k > 1 else 0.0
+    all_reduce_frac, all_gather_frac = 2.0 * frac, 1.0 * frac
+    ring_alpha = (k - 1) * alpha
+    for kind, _, nbytes, steps in islice(pg.comm, mark, None):
+        comms.append(comm)
+        comm_byte_sums.append(comm_bytes)
+        comm_bytes += nbytes
+        if kind == "halo":
+            # Both boundary transfers overlap on full-duplex links.
+            comm += steps * (alpha + (nbytes / 2.0) / bw)
+        elif kind == "all_reduce":
+            comm += steps * (all_reduce_frac * nbytes / bw + ring_alpha)
+        elif kind == "all_gather":
+            comm += steps * (all_gather_frac * nbytes / bw + ring_alpha)
+        elif kind == "reshard":
+            comm += steps * (alpha + nbytes / bw)
+        else:  # pragma: no cover - exhaustive kinds
+            raise ValueError(f"unknown comm op kind {kind!r}")
+    comms.append(comm)
+    comm_byte_sums.append(comm_bytes)
+    return CostPrefix(table.prices, computes, serials, comms, comm_byte_sums)
+
+
 def estimate_cost(
     pg: PartitionedGraph,
     mesh: TorusMesh | None = None,
@@ -155,13 +314,10 @@ def estimate_cost(
 
     The result's ``prefix`` keeps the running sums before every node and
     comm op.  ``resume=(parent_cost, node_id)`` starts from
-    ``parent_cost``'s sums before ``node_id`` and before comm op
-    ``pg.comm_marks[node_id]``, and walks only what follows.  It is for
-    ``pg = repartition(parent, node_id, ...)``, whose nodes and comm ops
-    before those points are ``parent``'s, with ``parent_cost`` summed at
-    the same :func:`cost_prices` (``Partitioner.extend`` checks both).
-    The additions then happen in the order of a full walk, so every float
-    is the full walk's.
+    ``parent_cost``'s sums and walks only what follows (:func:`price_walk`).
+    It is for ``pg = repartition(parent, node_id, ...)``, whose nodes and
+    comm ops before that point are ``parent``'s; ``parent_cost`` must have
+    been summed at this call's rates, else ``ValueError``.
     """
     _check_dtype_consistent(pg.graph, dtype_bytes)
     mesh = mesh if mesh is not None else single_pod()
@@ -172,74 +328,12 @@ def estimate_cost(
         fwd_bwd_factor=fwd_bwd_factor,
         per_op_overhead=per_op_overhead,
     )
-    core_flops_rate, hbm_per_core, bw, alpha, _, _ = prices
-    graph = pg.graph
-    tables = graph.tables()
+    table = PriceTable(pg.graph, pg.num_shards, prices)
     if resume is None:
-        start = mark = 0
-        compute = serial = comm = comm_bytes = 0.0
-        computes: list[float] = []
-        serials: list[float] = []
-        comms: list[float] = []
-        comm_byte_sums: list[float] = []
-    else:
-        parent, start = resume
-        prefix = parent.prefix
-        mark = pg.comm_marks[start]
-        compute, serial = prefix.compute[start], prefix.serial[start]
-        comm, comm_bytes = prefix.comm[mark], prefix.comm_bytes[mark]
-        computes, serials = prefix.compute[:start], prefix.serial[:start]
-        comms, comm_byte_sums = prefix.comm[:mark], prefix.comm_bytes[:mark]
-    flops_of, serial_nodes, shardings = tables.flops, pg.serial_nodes, pg.compute_shardings
-    for node in graph.nodes[start:]:  # topological by construction
-        computes.append(compute)
-        serials.append(serial)
-        flops = flops_of[node.id] * fwd_bwd_factor
-        if flops == 0.0:
-            continue
-        serial += per_op_overhead
-        if node.id in serial_nodes:
-            serial += flops / core_flops_rate
-            continue
-        factor = _tile_factor(node, shardings[node.id])
-        if node.op in ("elementwise", "add"):
-            # Memory bound: read inputs + write output through HBM.
-            traffic = 3.0 * tables.output_bytes[node.id] * fwd_bwd_factor
-            compute += traffic * factor / hbm_per_core
-        else:
-            compute += flops * factor / core_flops_rate
-    computes.append(compute)
-    serials.append(serial)
-    # Model-parallel groups sit on X-adjacent cores: the two cores of a chip
-    # plus neighbor chips over ICI links.  Within-chip transfers are fast;
-    # we charge the ICI link uniformly, which is conservative.
-    k = pg.num_shards
-    for op in pg.comm_ops[mark:]:
-        comms.append(comm)
-        comm_byte_sums.append(comm_bytes)
-        comm_bytes += op.bytes_per_shard
-        if op.kind == "halo":
-            # Both boundary transfers overlap on full-duplex links.
-            comm += op.steps * (alpha + (op.bytes_per_shard / 2.0) / bw)
-        elif op.kind in ("all_reduce", "all_gather"):
-            frac = (k - 1) / k if k > 1 else 0.0
-            phases = 2.0 if op.kind == "all_reduce" else 1.0
-            comm += op.steps * (phases * frac * op.bytes_per_shard / bw
-                                + (k - 1) * alpha)
-        elif op.kind == "reshard":
-            comm += op.steps * (alpha + op.bytes_per_shard / bw)
-        else:  # pragma: no cover - exhaustive kinds
-            raise ValueError(f"unknown comm op kind {op.kind!r}")
-    comms.append(comm)
-    comm_byte_sums.append(comm_bytes)
-    # Backward pass roughly mirrors forward communication.
-    return PartitionCost(
-        compute_seconds=compute,
-        serial_seconds=serial,
-        comm_seconds=comm * 2.0,
-        comm_bytes=comm_bytes * 2.0,
-        prefix=CostPrefix(prices, computes, serials, comms, comm_byte_sums),
-    )
+        return PartitionCost.of(price_walk(pg, table))
+    parent, start = resume
+    check_resumable(parent.prefix, prices)
+    return PartitionCost.of(price_walk(pg, table, (parent.prefix, start)))
 
 
 def model_parallel_speedup(

@@ -49,11 +49,24 @@ class Node:
         return self.elements * (self.dtype_bytes if dtype_bytes is None else dtype_bytes)
 
 
+#: Node kinds, one per partitioning rule (``GraphTables.kinds``): inputs
+#: and parameters take their seed layout, elementwise ops and adds share the
+#: pointwise rule; an op no rule covers is ``NO_RULE``.
+NO_RULE, SEED, CONV, MATMUL, POINTWISE, GATHER, TOPK, REDUCE = range(-1, 7)
+_KINDS = {
+    "input": SEED, "parameter": SEED, "conv2d": CONV, "matmul": MATMUL,
+    "elementwise": POINTWISE, "add": POINTWISE, "gather": GATHER,
+    "topk": TOPK, "reduce": REDUCE,
+}
+
+
 @dataclass(frozen=True)
 class GraphTables:
     """What every candidate layout of one graph reads, by node id.
 
-    Each field is a pure function of the graph's nodes, never of a layout.
+    Each field is a pure function of the graph's nodes, never of a layout,
+    a tile size, a feature set or a price.  ``kinds`` and ``inputs`` are
+    what the propagation pass dispatches on and reads.
     ``conv_filter_seeds`` holds the input/parameter nodes some ``conv2d``
     reads as its filter: a split seed there is refused before propagation
     (:func:`repro.spmd.partitioner.repartition`).
@@ -61,6 +74,8 @@ class GraphTables:
 
     flops: tuple[float, ...]
     output_bytes: tuple[float, ...]
+    kinds: tuple[int, ...]
+    inputs: tuple[tuple[int, ...], ...]
     ids_by_name: dict[str, int]
     conv_filter_seeds: frozenset[int]
 
@@ -186,8 +201,8 @@ class Graph:
         return 0.0
 
     def tables(self) -> GraphTables:
-        """Per-node FLOPs and output bytes, the name -> id map and the
-        conv-filter seeds.
+        """Per-node FLOPs, output bytes, rule kinds and inputs, the name -> id
+        map and the conv-filter seeds.
 
         Nodes are immutable and only ever appended, so the tables are built
         on first use and dropped by the next ``_add``: a search scoring
@@ -199,6 +214,8 @@ class Graph:
             tables = self._tables = GraphTables(
                 flops=tuple(self.node_flops(n) for n in nodes),
                 output_bytes=tuple(n.output_bytes() for n in nodes),
+                kinds=tuple(_KINDS.get(n.op, NO_RULE) for n in nodes),
+                inputs=tuple(n.inputs for n in nodes),
                 ids_by_name={n.name: n.id for n in nodes},
                 conv_filter_seeds=frozenset(
                     n.inputs[1] for n in nodes

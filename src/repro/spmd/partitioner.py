@@ -15,15 +15,31 @@ communication each op induces:
 :class:`PartitionerFeatures` toggles reproduce the MLPerf v0.6 vs v0.7
 compiler: ``V06_FEATURES`` lacks gather/topk partitioning and reshard
 minimization; ``V07_FEATURES`` has them all.
+
+Every rule lives once, in :func:`_propagate`, which walks the nodes in id
+order over small int layout codes held in lists indexed by node id.  A
+:class:`PartitionedGraph` is that state; the :class:`Sharding` dicts and
+:class:`CommOp` list readers see are views of it, built on first read, so
+a search can score a layout without building any of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from repro.spmd.annotations import Sharding
-from repro.spmd.ir import Graph, Node
+from repro.spmd.ir import (
+    CONV,
+    GATHER,
+    MATMUL,
+    POINTWISE,
+    REDUCE,
+    SEED,
+    TOPK,
+    Graph,
+)
 
 
 @dataclass(frozen=True)
@@ -73,39 +89,90 @@ class CommOp:
     steps: int = 1
 
 
+#: Layout codes: how a partitioned graph holds each node's
+#: :class:`Sharding` on its tile -- replicated, a pending partial sum, or
+#: split along dimension ``d`` as ``SPLIT + d``.  ``SERIAL`` is a computed
+#: layout only: replicated, run whole on every core because no rule
+#: partitions the op (the Amdahl term the estimator charges serially).
+SERIAL, REPLICATED, PARTIAL, SPLIT = -1, 0, 1, 2
+
+
+def layout_code(sharding: Sharding) -> int:
+    """The code of ``sharding`` (its shard count is the graph's)."""
+    if sharding.partial:
+        return PARTIAL
+    return REPLICATED if sharding.dim is None else SPLIT + sharding.dim
+
+
+def layout_sharding(code: int, num_shards: int) -> Sharding:
+    """The interned :class:`Sharding` a layout code stands for."""
+    if code >= SPLIT:
+        return Sharding.split(num_shards, code - SPLIT)
+    if code == PARTIAL:
+        return Sharding.partial_sum(num_shards)
+    return Sharding.replicate(num_shards)
+
+
 @dataclass
 class PartitionedGraph:
-    """The result of partitioning: per-node layouts and induced comm."""
+    """The result of partitioning: per-node layouts and induced comm.
+
+    The state is what the propagation pass writes: lists indexed by node
+    id of layout codes, ``layouts`` (the current layout of each value,
+    updated when a partial is resolved) and ``computed`` (the layout each
+    op computed under, what the cost estimator prices), the comm log as
+    ``(kind, node_id, bytes_per_shard, steps)`` tuples, and ``comm_marks``
+    (``len(comm)`` when each node's turn came: with it, the state the pass
+    was in before any node can be rebuilt, :func:`repartition`).
+
+    ``shardings``, ``compute_shardings``, ``comm_ops``, ``serial_nodes``
+    and ``seeds`` are views of that state, built on first read: a search
+    reads none of them for the layouts it discards.  Equality compares the
+    state, which is equality of the views.
+    """
 
     graph: Graph
     num_shards: int
     features: PartitionerFeatures
-    shardings: dict[int, Sharding] = field(default_factory=dict)
-    """Current layout of each value (updated when partials are resolved)."""
-    compute_shardings: dict[int, Sharding] = field(default_factory=dict)
-    """Layout each op *computed under* (what the cost estimator needs)."""
-    comm_ops: list[CommOp] = field(default_factory=list)
-    serial_nodes: set[int] = field(default_factory=set)
-    seeds: dict[int, Sharding] = field(default_factory=dict)
-    """The seed layouts this propagation started from."""
-    comm_marks: list[int] = field(default_factory=list)
-    """``len(comm_ops)`` when each node's turn came: with it, the state the
-    pass was in before any node can be rebuilt (:func:`repartition`)."""
+    seed_codes: dict[int, int]
+    layouts: list[int]
+    computed: list[int]
+    comm: list[tuple[str, int, float, int]]
+    comm_marks: list[int]
 
-    def sharding(self, node_id: int) -> Sharding:
-        return self.shardings[node_id]
+    @cached_property
+    def shardings(self) -> dict[int, Sharding]:
+        """Current layout of each value (updated when partials are resolved)."""
+        k = self.num_shards
+        return {i: layout_sharding(c, k) for i, c in enumerate(self.layouts)}
 
-    def _set(self, node_id: int, sharding: Sharding) -> None:
-        self.shardings[node_id] = sharding
-        self.compute_shardings[node_id] = sharding
+    @cached_property
+    def compute_shardings(self) -> dict[int, Sharding]:
+        """Layout each op *computed under* (what the cost estimator needs)."""
+        k = self.num_shards
+        return {i: layout_sharding(c, k) for i, c in enumerate(self.computed)}
+
+    @cached_property
+    def comm_ops(self) -> list[CommOp]:
+        return [CommOp(*op) for op in self.comm]
+
+    @cached_property
+    def serial_nodes(self) -> set[int]:
+        return {i for i, c in enumerate(self.computed) if c == SERIAL}
+
+    @cached_property
+    def seeds(self) -> dict[int, Sharding]:
+        """The seed layouts this propagation started from."""
+        k = self.num_shards
+        return {i: layout_sharding(c, k) for i, c in self.seed_codes.items()}
 
     def comm_bytes(self) -> float:
-        return sum(c.bytes_per_shard for c in self.comm_ops)
+        return sum(op[2] for op in self.comm)
 
     def comm_by_kind(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for c in self.comm_ops:
-            out[c.kind] = out.get(c.kind, 0.0) + c.bytes_per_shard
+        for kind, _, nbytes, _ in self.comm:
+            out[kind] = out.get(kind, 0.0) + nbytes
         return out
 
 
@@ -154,7 +221,8 @@ def partition(
                 f"partitioner uses {num_shards}"
             )
     pg = PartitionedGraph(
-        graph=graph, num_shards=num_shards, features=features, seeds=dict(seeds)
+        graph, num_shards, features,
+        {node_id: layout_code(s) for node_id, s in seeds.items()}, [], [], [], [],
     )
     return _propagate(pg, 0)
 
@@ -183,188 +251,194 @@ def repartition(
             f"seed for node {node_id} has {sharding.num_shards} shards, "
             f"partitioner uses {parent.num_shards}"
         )
-    if node_id in parent.seeds:
+    if node_id in parent.seed_codes:
         raise ValueError(f"node {node_id} already has a seed")
-    parent.graph.node(node_id)  # raises ShapeError on unknown ids
-    if (
-        parent.num_shards > 1
-        and sharding.dim is not None
-        and node_id in parent.graph.tables().conv_filter_seeds
-    ):
+    graph = parent.graph
+    graph.node(node_id)  # raises ShapeError on unknown ids
+    code = layout_code(sharding)
+    if refused_at_seed(graph, parent.num_shards, node_id, code):
         raise PartitionInfeasible("sharded conv filters not supported", 0)
+    return resume(parent, node_id, code)
+
+
+def refused_at_seed(graph: Graph, num_shards: int, node_id: int, code: int) -> bool:
+    """Whether seeding ``node_id`` with layout ``code`` fails before any
+    node is walked: a split of an input/parameter some conv reads as its
+    filter, on more than one shard."""
+    return (
+        code >= SPLIT
+        and num_shards > 1
+        and node_id in graph.tables().conv_filter_seeds
+    )
+
+
+def resume(parent: PartitionedGraph, node_id: int, code: int) -> PartitionedGraph:
+    """:func:`repartition` for a seed known to be new, of the parent's shard
+    count and not :func:`refused_at_seed` (a search's candidates are, by
+    construction)."""
+    graph = parent.graph
     mark = parent.comm_marks[node_id]
-    shardings = dict(islice(parent.shardings.items(), node_id))
-    for op in islice(parent.comm_ops, mark, None):
+    layouts = parent.layouts[:node_id]
+    computed = parent.computed
+    for kind, op_node, _, _ in islice(parent.comm, mark, None):
         # The only rule that changes an *earlier* node's layout is the
         # all-reduce of a partial operand at first use; the ones logged
         # from ``node_id``'s turn on have not happened yet.
-        if op.kind == "all_reduce" and op.node_id < node_id:
-            shardings[op.node_id] = parent.compute_shardings[op.node_id]
+        if op_node < node_id and kind == "all_reduce":
+            layouts[op_node] = computed[op_node]
     pg = PartitionedGraph(
-        graph=parent.graph,
-        num_shards=parent.num_shards,
-        features=parent.features,
-        shardings=shardings,
-        compute_shardings=dict(islice(parent.compute_shardings.items(), node_id)),
-        comm_ops=parent.comm_ops[:mark],
-        serial_nodes={n for n in parent.serial_nodes if n < node_id},
-        seeds={**parent.seeds, node_id: sharding},
-        comm_marks=parent.comm_marks[:node_id],
+        graph,
+        parent.num_shards,
+        parent.features,
+        {**parent.seed_codes, node_id: code},
+        layouts,
+        computed[:node_id],
+        parent.comm[:mark],
+        parent.comm_marks[:node_id],
     )
     return _propagate(pg, node_id)
 
 
 def _propagate(pg: PartitionedGraph, start: int) -> PartitionedGraph:
-    """Visit the nodes from ``start`` on; ``pg`` holds the state before it."""
-    graph, seeds, features = pg.graph, pg.seeds, pg.features
+    """Visit the nodes from ``start`` on; ``pg`` holds the state before it.
+
+    Every layout rule lives here, once, over layout codes.
+    """
+    graph = pg.graph
+    end = len(graph.nodes)
+    layouts, computed, comm, comm_marks = pg.layouts, pg.computed, pg.comm, pg.comm_marks
     num_shards = pg.num_shards
     if num_shards == 1:
-        for node in graph.nodes[start:]:
-            pg.comm_marks.append(0)
-            pg._set(node.id, Sharding.replicate(1))
+        rest = end - start
+        layouts += [REPLICATED] * rest
+        computed += [REPLICATED] * rest
+        comm_marks += [0] * rest
         return pg
 
-    output_bytes = graph.tables().output_bytes
-    comm_ops, comm_marks = pg.comm_ops, pg.comm_marks
-    replicated = Sharding.replicate(num_shards)
+    nodes = graph.nodes
+    tables = graph.tables()
+    kinds, inputs, output_bytes = tables.kinds, tables.inputs, tables.output_bytes
+    seeds, features = pg.seed_codes, pg.features
+    log = comm.append
 
-    def resolve_partial(node_id: int) -> Sharding:
+    def resolve_partial(node_id: int) -> int:
         """All-reduce a partial value before a consumer that needs it."""
-        s = pg.shardings[node_id]
-        if not s.partial:
-            return s
-        comm_ops.append(CommOp("all_reduce", node_id, output_bytes[node_id]))
-        s = replicated
-        pg.shardings[node_id] = s  # layout change only; compute ran as partial
-        return s
+        log(("all_reduce", node_id, output_bytes[node_id], 1))
+        layouts[node_id] = REPLICATED  # layout change only; compute ran as partial
+        return REPLICATED
 
-    def gathered(node_id: int) -> None:
-        """All-gather a sharded operand so a serial op can see all of it."""
-        s = pg.shardings[node_id]
-        if s.partial:
-            resolve_partial(node_id)
-            return
-        if s.dim is not None:
-            comm_ops.append(CommOp("all_gather", node_id, output_bytes[node_id]))
-
+    partition_gather = features.partition_gather or features.gather_as_onehot_matmul
+    halo_steps = 1 if features.optimized_halo_barriers else 2
     reshard_steps = 1 if features.minimize_reshards else 2
 
-    for node in graph.nodes[start:]:
-        comm_marks.append(len(comm_ops))
-        op = node.op
-        if op in ("input", "parameter"):
-            pg._set(node.id, seeds.get(node.id, replicated))
-            continue
+    for i in range(start, end):
+        comm_marks.append(len(comm))
+        kind = kinds[i]
+        if kind == SEED:
+            code = seeds.get(i, REPLICATED)
 
-        if op == "conv2d":
-            x_id, w_id = node.inputs
-            xs = resolve_partial(x_id)
-            ws = pg.shardings[w_id]
-            if not ws.replicated:
+        elif kind == CONV:
+            x_id, w_id = inputs[i]
+            xs = layouts[x_id]
+            if xs == PARTIAL:
+                xs = resolve_partial(x_id)
+            if layouts[w_id] != REPLICATED:
                 raise PartitionInfeasible(
-                    "sharded conv filters not supported", node.id - start + 1
+                    "sharded conv filters not supported", i - start + 1
                 )
-            if xs.dim in (1, 2):  # spatial split
-                kh, kw = node.attrs["kernel"]
-                k_dim = kh if xs.dim == 1 else kw
-                halo = (k_dim - 1) // 2
+            if xs == SPLIT + 1 or xs == SPLIT + 2:  # spatial split
+                kh, kw = nodes[i].attrs["kernel"]
+                halo = ((kh if xs == SPLIT + 1 else kw) - 1) // 2
                 if halo > 0:
-                    x_node = graph.node(x_id)
+                    x_node = nodes[x_id]
                     b, h, w, c = x_node.shape
-                    row = (w * c) if xs.dim == 1 else (h * c)
-                    steps = 1 if features.optimized_halo_barriers else 2
-                    comm_ops.append(
-                        CommOp(
-                            "halo",
-                            node.id,
-                            2.0 * halo * row * b * x_node.dtype_bytes,
-                            steps=steps,
-                        )
-                    )
-                pg._set(node.id, Sharding.split(num_shards, xs.dim))
-            elif xs.dim == 0:  # batch split: embarrassingly parallel
-                pg._set(node.id, Sharding.split(num_shards, 0))
-            elif xs.dim == 3:  # input channels = contracting dim
-                pg._set(node.id, Sharding.partial_sum(num_shards))
+                    row = (w * c) if xs == SPLIT + 1 else (h * c)
+                    log(("halo", i, 2.0 * halo * row * b * x_node.dtype_bytes, halo_steps))
+                code = xs
+            elif xs == SPLIT:  # batch split: embarrassingly parallel
+                code = SPLIT
+            elif xs == SPLIT + 3:  # input channels = contracting dim
+                code = PARTIAL
             else:
-                pg._set(node.id, replicated)
-            continue
+                code = REPLICATED
 
-        if op == "matmul":
-            a_id, b_id = node.inputs
-            sa = resolve_partial(a_id)
-            sb = resolve_partial(b_id)
-            if sa.dim == 1 or sb.dim == 0:
+        elif kind == MATMUL:
+            a_id, b_id = inputs[i]
+            sa = layouts[a_id]
+            if sa == PARTIAL:
+                sa = resolve_partial(a_id)
+            sb = layouts[b_id]
+            if sb == PARTIAL:
+                sb = resolve_partial(b_id)
+            if sa == SPLIT + 1 or sb == SPLIT:
                 # Contracting dimension sharded on either side: local slices
                 # multiply, result is a partial sum.
-                pg._set(node.id, Sharding.partial_sum(num_shards))
-            elif sa.dim == 0:
-                pg._set(node.id, Sharding.split(num_shards, 0))
-            elif sb.dim == 1:
-                pg._set(node.id, Sharding.split(num_shards, 1))
+                code = PARTIAL
+            elif sa == SPLIT:
+                code = SPLIT
+            elif sb == SPLIT + 1:
+                code = SPLIT + 1
             else:
-                pg._set(node.id, replicated)
-            continue
+                code = REPLICATED
 
-        if op in ("elementwise", "add"):
-            in_shardings = [resolve_partial(i) for i in node.inputs]
-            chosen = in_shardings[0]
-            for other_id, other in zip(node.inputs[1:], in_shardings[1:]):
-                if other.dim != chosen.dim and not other.replicated and not chosen.replicated:
+        elif kind == POINTWISE:
+            operands = inputs[i]
+            for x_id in operands:
+                if layouts[x_id] == PARTIAL:
+                    resolve_partial(x_id)
+            code = layouts[operands[0]]
+            for other_id in operands[1:]:
+                other = layouts[other_id]
+                if other != code and other != REPLICATED and code != REPLICATED:
                     # Layout mismatch: reshard the second operand.
-                    comm_ops.append(
-                        CommOp(
-                            "reshard",
-                            other_id,
-                            output_bytes[other_id] / num_shards,
-                            steps=reshard_steps,
-                        )
-                    )
-                elif chosen.replicated and not other.replicated:
-                    chosen = other
-            pg._set(node.id, chosen)
-            continue
+                    log(("reshard", other_id, output_bytes[other_id] / num_shards,
+                         reshard_steps))
+                elif code == REPLICATED and other != REPLICATED:
+                    code = other
 
-        if op == "gather":
-            (x_id,) = node.inputs
-            xs = resolve_partial(x_id)
-            if features.partition_gather or features.gather_as_onehot_matmul:
+        elif kind == GATHER:
+            (x_id,) = inputs[i]
+            xs = layouts[x_id]
+            if xs == PARTIAL:
+                xs = resolve_partial(x_id)
+            if partition_gather:
                 # Partitioned (as one-hot matmuls on the MXU when enabled):
                 # output rows split over cores.
-                pg._set(node.id, Sharding.split(num_shards, 0))
+                code = SPLIT
             else:
-                gathered(x_id)
-                pg.serial_nodes.add(node.id)
-                pg._set(node.id, replicated)
-            continue
+                # All-gather a sharded operand so a serial op sees all of it.
+                if xs >= SPLIT:
+                    log(("all_gather", x_id, output_bytes[x_id], 1))
+                code = SERIAL
 
-        if op == "topk":
-            (x_id,) = node.inputs
-            xs = resolve_partial(x_id)
-            if features.partition_topk and xs.dim is not None:
+        elif kind == TOPK:
+            (x_id,) = inputs[i]
+            xs = layouts[x_id]
+            if xs == PARTIAL:
+                xs = resolve_partial(x_id)
+            if features.partition_topk and xs != REPLICATED:
                 # Local top-k then a tiny candidate exchange.
-                k = node.attrs["k"]
-                comm_ops.append(
-                    CommOp("all_gather", node.id, float(k) * node.dtype_bytes)
-                )
-                pg._set(node.id, replicated)
+                node = nodes[i]
+                log(("all_gather", i, float(node.attrs["k"]) * node.dtype_bytes, 1))
+                code = REPLICATED
             else:
-                gathered(x_id)
-                pg.serial_nodes.add(node.id)
-                pg._set(node.id, replicated)
-            continue
+                if xs >= SPLIT:
+                    log(("all_gather", x_id, output_bytes[x_id], 1))
+                code = SERIAL
 
-        if op == "reduce":
-            (x_id,) = node.inputs
-            xs = pg.shardings[x_id]
-            if xs.partial or xs.dim is not None:
+        elif kind == REDUCE:
+            (x_id,) = inputs[i]
+            if layouts[x_id] != REPLICATED:
                 # Partial local reductions + a scalar all-reduce.
-                comm_ops.append(CommOp("all_reduce", node.id, float(node.dtype_bytes)))
-            pg._set(node.id, replicated)
-            continue
+                log(("all_reduce", i, float(nodes[i].dtype_bytes), 1))
+            code = REPLICATED
 
-        raise PartitionInfeasible(
-            f"no partitioning rule for op {op!r}", node.id - start + 1
-        )
+        else:
+            raise PartitionInfeasible(
+                f"no partitioning rule for op {nodes[i].op!r}", i - start + 1
+            )
+
+        computed.append(code)
+        layouts.append(REPLICATED if code == SERIAL else code)
 
     return pg

@@ -13,7 +13,10 @@ Mirrors the ``TrainerConfig``/``make_trainer``/``StepResult`` pattern of
 
 The propagation pass (:func:`repro.spmd.partitioner.partition`) and the
 estimator (:func:`repro.spmd.estimator.estimate_cost`) stay importable for
-code that needs one without the other (Figure 9's speedup curves).
+code that needs one without the other (Figure 9's speedup curves).  A
+:class:`Partitioner` prices through a per-call
+:class:`~repro.spmd.estimator.PriceTable`; a search shares one table over
+all its candidates and builds plan objects only for the plans it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ from dataclasses import dataclass, field
 
 from repro.hardware.topology import TorusMesh, single_pod
 from repro.spmd.annotations import Sharding
-from repro.spmd.estimator import PartitionCost, cost_prices, estimate_cost
+from repro.spmd.estimator import (
+    CostPrefix,
+    PartitionCost,
+    PriceTable,
+    check_resumable,
+    cost_prices,
+    price_walk,
+)
 from repro.spmd.ir import Graph
 from repro.spmd.partitioner import (
     CommOp,
@@ -168,30 +178,27 @@ class Partitioner:
     features: PartitionerFeatures = V07_FEATURES
     mesh: TorusMesh | None = None
     mxu_efficiency: float = 0.35
-    _cost_mesh: TorusMesh = field(init=False, repr=False, compare=False)
     _prices: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Resolved once: every plan this partitioner costs reads them.
         cost_mesh = self.mesh if self.mesh is not None else single_pod()
-        object.__setattr__(self, "_cost_mesh", cost_mesh)
         object.__setattr__(
             self, "_prices", cost_prices(cost_mesh, mxu_efficiency=self.mxu_efficiency)
         )
 
     def partition(self, graph: Graph, spec: ShardingSpec) -> PartitionPlan:
         """Propagate ``spec`` through ``graph`` and cost the result."""
-        seeds = spec.resolve(graph)
-        pg = partition(graph, seeds, spec.num_shards, self.features)
-        return self._costed(graph, spec, pg)
+        pg = partition(graph, spec.resolve(graph), spec.num_shards, self.features)
+        return self.plan(spec, pg, price_walk(pg, self.price_table(graph, spec.num_shards)))
 
     def extend(
         self, plan: PartitionPlan, node_id: int, sharding: Sharding
     ) -> PartitionPlan:
         """``plan`` with one more tensor assigned a layout, re-propagated
         (:func:`~repro.spmd.partitioner.repartition`) and re-priced
-        (:func:`~repro.spmd.estimator.estimate_cost`'s ``resume``) only from
-        that tensor on.
+        (:func:`~repro.spmd.estimator.price_walk` from ``plan``'s prefix
+        sums) only from that tensor on.
 
         Equal, field for field and float for float, to ``partition(graph,
         spec)`` with the assignment appended to ``plan.spec`` — what lets a
@@ -203,26 +210,26 @@ class Partitioner:
         features = plan.partitioned.features
         if features is not self.features and features != self.features:
             raise ValueError("plan was partitioned under a different feature set")
-        prefix = plan.cost.prefix
-        if prefix is None or prefix.prices != self._prices:
-            raise ValueError("plan was priced under a different mesh or MXU efficiency")
+        check_resumable(plan.cost.prefix, self._prices)
         spec = ShardingSpec(
             plan.spec.num_shards, plan.spec.assignments + ((node_id, sharding),)
         )
         pg = repartition(plan.partitioned, node_id, sharding)
-        return self._costed(plan.graph, spec, pg, resume=(plan.cost, node_id))
+        table = self.price_table(plan.graph, pg.num_shards)
+        return self.plan(spec, pg, price_walk(pg, table, (plan.cost.prefix, node_id)))
 
-    def _costed(
-        self,
-        graph: Graph,
-        spec: ShardingSpec,
-        pg: PartitionedGraph,
-        resume: tuple[PartitionCost, int] | None = None,
+    def price_table(self, graph: Graph, num_shards: int) -> PriceTable:
+        """A fresh table of this partitioner's prices for ``graph`` on
+        ``num_shards`` cores, for one call's plans (never cache it)."""
+        return PriceTable(graph, num_shards, self._prices)
+
+    def plan(
+        self, spec: ShardingSpec, pg: PartitionedGraph, prefix: CostPrefix
     ) -> PartitionPlan:
-        cost = estimate_cost(
-            pg, self._cost_mesh, mxu_efficiency=self.mxu_efficiency, resume=resume
+        """The plan object for a propagated and priced state."""
+        return PartitionPlan(
+            graph=pg.graph, spec=spec, partitioned=pg, cost=PartitionCost.of(prefix)
         )
-        return PartitionPlan(graph=graph, spec=spec, partitioned=pg, cost=cost)
 
 
 def make_partitioner(

@@ -9,8 +9,11 @@ scored with a communication cost model.  This module does that over
 1. **enumerate** candidate layouts for each seedable tensor (replicate, or
    split along any dimension large enough to tile);
 2. **beam-search** assignments one tensor at a time, scoring every
-   candidate with the real partitioner + cost estimator through the
-   :func:`repro.spmd.make_partitioner` facade;
+   candidate with the real partitioner + cost estimator of a
+   :func:`repro.spmd.make_partitioner` partitioner: each candidate is its
+   parent's propagation resumed at the new seed and re-priced from the
+   parent's prefix sums through one per-search price table, and plan
+   objects are built only for the plans returned;
 3. **prune** candidates whose propagation fails (shape/feasibility errors
    from the partition pass);
 4. **rank** the surviving plans by estimated ``total_seconds``, always
@@ -28,14 +31,26 @@ candidates go through priorities drawn from
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.spmd.annotations import Sharding
+from repro.spmd.estimator import CostPrefix, price_walk
 from repro.spmd.graph_exec import ExecutionUnsupported, ValidationResult, validate_plan
 from repro.spmd.ir import Graph, Node
+from repro.spmd.partitioner import (
+    REPLICATED,
+    PartitionedGraph,
+    PartitionInfeasible,
+    layout_code,
+    partition,
+    refused_at_seed,
+    resume,
+)
 from repro.spmd.plan import (
     Partitioner,
     PartitionPlan,
@@ -135,22 +150,15 @@ def seedable_nodes(graph: Graph, seed_nodes: str) -> list[Node]:
     return [n for n in graph.topological() if n.op in ("input", "parameter")]
 
 
-@dataclass
-class _Candidate:
-    """One beam entry: a (partial) assignment and its scored plan.
+#: Rank scored candidates by estimated step time, then seed-stable priority.
+_RANK = itemgetter(0, 1)
 
-    ``key`` is the assignment's canonical form: its non-replicated entries
-    ``(node id, dim, partial)`` in node order.  Assigning "replicate" leaves
-    the key, and so the plan, unchanged.
-    """
 
-    key: tuple[tuple[int, int | None, bool], ...]
-    plan: PartitionPlan
-    tiebreak: float
-
-    @property
-    def cost(self) -> float:
-        return self.plan.total_seconds
+def _tiebreaks(rng: np.random.Generator, block: int = 64) -> Iterator[float]:
+    """``rng``'s doubles in order, drawn ``block`` at a time: the i-th is
+    the value the i-th ``rng.random()`` call would return."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def search_partitioning(
@@ -169,83 +177,88 @@ def search_partitioning(
     if partitioner is None:
         partitioner = make_partitioner("v07")
     k = config.num_shards
-    rng = np.random.default_rng(
-        derive_subseed(config.seed, "spmd_search", graph.name, str(k))
-    )
+    tiebreak = _tiebreaks(
+        np.random.default_rng(derive_subseed(config.seed, "spmd_search", graph.name, str(k)))
+    ).__next__
 
     nodes = seedable_nodes(graph, config.seed_nodes)
 
-    baseline = partitioner.partition(graph, ShardingSpec.replicated(k))
-    # Plans propagated by this call, by candidate key; None where
-    # propagation is infeasible.  A key is propagated once, and from its
-    # beam parent's plan on (``Partitioner.extend``), not from the graph's
-    # first node.  The table dies with the call: nothing keyed on
-    # (graph, config) or (graph, spec) may outlive one search.
-    propagated: dict[tuple, PartitionPlan | None] = {(): baseline}
-    # Best plans seen anywhere in the search, deduplicated by assignment.
-    pool: dict[tuple, _Candidate] = {}
-    expanded = 0
+    # One price table for every candidate of this call; it dies with the
+    # call (nothing keyed on k, features or prices may outlive a search).
+    table = partitioner.price_table(graph, k)
+    root_pg = partition(graph, {}, k, partitioner.features)
+    baseline = partitioner.plan(
+        ShardingSpec.replicated(k), root_pg, price_walk(root_pg, table)
+    )
+    # A scored candidate is (cost, tiebreak, state, prefix sums): a layout
+    # propagated once, from its beam parent's state on (what
+    # ``Partitioner.extend`` does, without the plan object).  Extending by
+    # "replicate" *is* the parent's state, and every other extension is a
+    # new assignment (its last entry is the round's node), so the pool of
+    # distinct assignments is the root plus every feasible extension, in
+    # scoring order.  One draw per feasible scored candidate, in scoring
+    # order; the root, the all-replicated baseline, is the first.
+    root = (baseline.total_seconds, tiebreak(), root_pg, baseline.cost.prefix)
+    pool: list[tuple[float, float, PartitionedGraph, CostPrefix]] = [root]
+    beam = [root]
+    expanded = 1
     pruned = 0
+    partitions_run = 1  # the baseline, then every new assignment
     # Nodes walked by propagation and by the estimator (the baseline's
     # full passes, then each extension from its seed on).
     nodes_propagated = nodes_priced = len(graph.nodes)
 
-    def score(key: tuple) -> _Candidate | None:
-        """Count one candidate whose key has been propagated."""
-        nonlocal expanded, pruned
-        expanded += 1
-        plan = propagated[key]
-        if plan is None:
-            pruned += 1
-            return None
-        # One draw per feasible scored candidate, in scoring order.
-        cand = _Candidate(key=key, plan=plan, tiebreak=float(rng.random()))
-        pool.setdefault(key, cand)
-        return cand
-
-    def extended(parent: _Candidate, node: Node, sharding: Sharding) -> tuple:
-        """Key of ``parent`` with ``node`` laid out as ``sharding``."""
-        nonlocal nodes_propagated, nodes_priced
-        if sharding.replicated:
-            return parent.key  # the parent's own plan
-        key = parent.key + ((node.id, sharding.dim, sharding.partial),)
-        if key not in propagated:
-            try:
-                propagated[key] = partitioner.extend(parent.plan, node.id, sharding)
-            except (NotImplementedError, ValueError, KeyError) as exc:
-                # Propagation infeasible under this feature set: prune.
-                propagated[key] = None
-                nodes_propagated += getattr(exc, "nodes_visited", 0)
-            else:
-                walked = len(graph.nodes) - node.id
-                nodes_propagated += walked
-                nodes_priced += walked
-        return key
-
-    root = score(())
-    assert root is not None  # the replicated assignment always propagates
-    beam: list[_Candidate] = [root]
-
     rounds = 0
     for node in nodes:
         rounds += 1
-        frontier: list[_Candidate] = []
-        options = candidate_shardings(node, k)
-        for cand in beam:
-            for sharding in options:
-                nxt = score(extended(cand, node, sharding))
-                if nxt is not None:
-                    frontier.append(nxt)
+        frontier = []
+        node_id = node.id
+        walked = len(graph.nodes) - node_id
+        options = [
+            (code, refused_at_seed(graph, k, node_id, code))
+            for code in map(layout_code, candidate_shardings(node, k))
+        ]
+        for parent in beam:
+            parent_cost, _, parent_pg, parent_prefix = parent
+            for code, refused in options:
+                expanded += 1
+                if code == REPLICATED:
+                    cand = (parent_cost, tiebreak(), parent_pg, parent_prefix)
+                else:
+                    partitions_run += 1
+                    if refused:  # a split conv filter, before any walk
+                        pruned += 1
+                        continue
+                    try:
+                        pg = resume(parent_pg, node_id, code)
+                    except PartitionInfeasible as exc:
+                        # Propagation infeasible under this feature set: prune.
+                        pruned += 1
+                        nodes_propagated += exc.nodes_visited
+                        continue
+                    nodes_propagated += walked
+                    nodes_priced += walked
+                    prefix = price_walk(pg, table, (parent_prefix, node_id))
+                    compute, serial, comm, _ = prefix.totals()
+                    # ``PartitionCost.total_seconds`` of the plan this would be.
+                    cost = compute + serial + comm
+                    cand = (cost, tiebreak(), pg, prefix)
+                    pool.append(cand)
+                frontier.append(cand)
         if frontier:
-            frontier.sort(key=lambda c: (c.cost, c.tiebreak))
+            frontier.sort(key=_RANK)
             beam = frontier[: config.beam_width]
         # An empty frontier keeps the previous beam: every extension of
         # this node was infeasible, so its layout stays unassigned.
 
-    ranked = sorted(pool.values(), key=lambda c: (c.cost, c.tiebreak))
-    plans = tuple(c.plan for c in ranked[: config.top_k])
-    if not plans:  # pragma: no cover - pool always holds the root
-        plans = (baseline,)
+    pool.sort(key=_RANK)
+    # Plan objects only for what the caller reads; a spec lists its
+    # assignments in the order the search made them.
+    plans = tuple(
+        baseline if pg is root_pg
+        else partitioner.plan(ShardingSpec(k, tuple(pg.seeds.items())), pg, prefix)
+        for _, _, pg, prefix in pool[: config.top_k]
+    )
 
     validations: list[ValidationResult] = []
     if config.validate:
@@ -268,7 +281,7 @@ def search_partitioning(
         m.counter("spmd_search_runs").inc()
         m.counter("spmd_search_candidates_expanded").inc(expanded)
         m.counter("spmd_search_candidates_pruned").inc(pruned)
-        m.counter("spmd_search_partitions_run").inc(len(propagated))
+        m.counter("spmd_search_partitions_run").inc(partitions_run)
         m.counter("spmd_search_nodes_propagated").inc(nodes_propagated)
         m.counter("spmd_search_nodes_priced").inc(nodes_priced)
         m.counter("spmd_search_plans_validated").inc(len(validations))

@@ -252,8 +252,8 @@ _ABSENCE_NOTES = (
     (("service_",), "simulation-service",
      "Run `repro-service load` for the shedding and latency accounting."),
     (("spmd_search_",), "partitioner-search",
-     "Run `python -m repro.spmd` or `repro-experiments spmd_search` for "
-     "the candidate expansion/prune accounting."),
+     "Run `repro-experiments spmd_search` for the candidate "
+     "expansion/prune accounting."),
 )
 
 

@@ -4,8 +4,10 @@ import functools
 
 import pytest
 
+from repro.hardware.topology import slice_for_chips
 from repro.spmd.annotations import Sharding
 from repro.spmd.estimator import (
+    PartitionCost,
     _tile_factor,
     estimate_cost,
     model_parallel_speedup,
@@ -18,7 +20,7 @@ from repro.spmd.modelgraphs import (
     transformer_block_graph,
     transformer_seeds,
 )
-from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES, partition
+from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES, partition, repartition
 from repro.spmd.plan import ShardingSpec, make_partitioner
 
 
@@ -100,6 +102,47 @@ class TestEstimateCost:
         g = ssd_graph()
         cost = estimate_cost(partition(g, spatial_seeds(g, 4), 4))
         assert cost == _plan(ssd_graph(), spatial_seeds(g, 4), 4).cost
+
+
+class TestResumedEstimate:
+    """``estimate_cost(resume=...)`` continues the parent's sums only at the
+    rates they were summed at."""
+
+    FIELDS = ("compute_seconds", "serial_seconds", "comm_seconds", "comm_bytes")
+
+    def _resumed(self):
+        graph = transformer_block_graph(seq=27)
+        base = partition(graph, {}, 4)
+        pg = repartition(base, 9, Sharding.split(4, 1))
+        return base, pg
+
+    def test_resume_at_the_same_rates_is_a_full_walk(self):
+        base, pg = self._resumed()
+        mesh = slice_for_chips(64)
+        parent = estimate_cost(base, mesh)
+        resumed = estimate_cost(pg, mesh, resume=(parent, 9))
+        full = estimate_cost(pg, mesh)
+        assert [getattr(resumed, f).hex() for f in self.FIELDS] == [
+            getattr(full, f).hex() for f in self.FIELDS
+        ]
+
+    def test_resume_at_other_rates_is_refused(self):
+        base, pg = self._resumed()
+        parent = estimate_cost(base, slice_for_chips(64))
+        with pytest.raises(ValueError, match="different"):
+            estimate_cost(
+                pg, slice_for_chips(64), mxu_efficiency=0.9, resume=(parent, 9)
+            )
+
+    def test_resume_without_prefix_sums_is_refused(self):
+        base, pg = self._resumed()
+        parent = estimate_cost(base, slice_for_chips(64))
+        bare = PartitionCost(
+            parent.compute_seconds, parent.serial_seconds,
+            parent.comm_seconds, parent.comm_bytes,
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            estimate_cost(pg, slice_for_chips(64), resume=(bare, 9))
 
 
 class TestSpeedupCurves:

@@ -1,8 +1,13 @@
 """Tests for the automatic partitioner search (repro.spmd.search)."""
 
+import copy
+import dataclasses
 import functools
-
+import gc
 import math
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +23,7 @@ from repro.spmd import (
     make_partitioner,
     search_partitioning,
 )
+from repro.spmd.estimator import PriceTable
 from repro.spmd.ir import Graph
 from repro.spmd.modelgraphs import (
     maskrcnn_graph,
@@ -27,7 +33,7 @@ from repro.spmd.modelgraphs import (
     transformer_block_graph,
     transformer_seeds,
 )
-from repro.spmd.search import candidate_shardings, seedable_nodes
+from repro.spmd.search import _tiebreaks, candidate_shardings, seedable_nodes
 
 small_transformer = functools.partial(
     transformer_block_graph, seq=16, hidden=32, ffn=64, vocab=128
@@ -98,6 +104,14 @@ class TestSearchProperties:
             # Feasible: the spec re-partitions without raising.
             replay = make_partitioner("v07").partition(plan.graph, plan.spec)
             assert replay.total_seconds == plan.total_seconds
+
+    def test_tiebreaks_are_the_generators_scalar_draws(self):
+        """Drawn in blocks, the i-th tiebreak is the i-th ``rng.random()``."""
+        blocked = _tiebreaks(np.random.default_rng(7), block=5)
+        scalar = np.random.default_rng(7)
+        assert [next(blocked) for _ in range(23)] == [
+            float(scalar.random()) for _ in range(23)
+        ]
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -185,6 +199,36 @@ class TestPinnedRegressions:
         assert result.best.total_seconds < hand.total_seconds
 
 
+class TestSearchedWinnersAtK4:
+    """Every claim of the former CI search smoke, at its configuration: a
+    search over every input/parameter of the two executable graphs at
+    k = 4 returns feasible plans no worse than replicated or the hand
+    annotation, each equal to a fresh partition, replays bit-identically,
+    and its winner computes bit-exactly what the unsharded graph does."""
+
+    @pytest.mark.parametrize(
+        "name,hand_fn",
+        [("resnet_block", spatial_seeds), ("small_transformer", transformer_seeds)],
+    )
+    def test_winner_validates_and_matches_or_beats_hand(self, name, hand_fn):
+        graph = GRAPHS[name]()
+        partitioner = make_partitioner("v07")
+        config = SearchConfig(num_shards=4, seed=2021, seed_nodes="all", validate=True)
+        result = search_partitioning(graph, config, partitioner)
+        hand = partitioner.partition(
+            graph, ShardingSpec.from_seeds(4, dict(hand_fn(graph, 4)))
+        )
+        assert result.best.total_seconds <= result.baseline.total_seconds
+        assert result.best.total_seconds <= hand.total_seconds
+        assert result.stats.plans_validated == 1
+        assert result.validations[0].ok
+        for plan in result.plans:
+            assert 0.0 < plan.total_seconds < math.inf
+            _assert_same_plan(plan, partitioner.partition(graph, plan.spec))
+        replay = search_partitioning(graph, config, partitioner)
+        assert [_plan_key(p) for p in replay.plans] == [_plan_key(p) for p in result.plans]
+
+
 class TestSearchPlumbing:
     def test_describe(self):
         result = search_partitioning(
@@ -255,14 +299,34 @@ class TestOnePropagationPerLayout:
         assert total("spmd_search_nodes_propagated") == 284
         assert total("spmd_search_nodes_priced") == 284
 
-    def test_nothing_keyed_on_a_search_outlives_it(self):
+    def test_nothing_keyed_on_a_search_outlives_it(self, monkeypatch):
         graph = ssd_graph()
         config = SearchConfig(num_shards=4, seed=3, seed_nodes="all")
+        tables = graph.tables()  # graph-only, built before the first search
+        attributes = dict(vars(graph))
+        fields = copy.deepcopy(dataclasses.asdict(tables))
+        price_tables = []
+        build = PriceTable.__init__
+
+        def recorded(table, *args, **kwargs):
+            build(table, *args, **kwargs)
+            price_tables.append(weakref.ref(table))
+
+        monkeypatch.setattr(PriceTable, "__init__", recorded)
         runs = []
         for _ in range(2):
             before = telemetry.metrics.total("spmd_search_partitions_run")
-            search_partitioning(graph, config)
+            result = search_partitioning(graph, config)
             runs.append(telemetry.metrics.total("spmd_search_partitions_run") - before)
+            assert price_tables
+            del result
+            gc.collect()
+            # Prices depend on k, features and rates: the search's table dies
+            # with its result, and the graph carries nothing new.
+            assert all(ref() is None for ref in price_tables)
+            assert vars(graph).keys() == attributes.keys()
+            assert all(vars(graph)[name] is value for name, value in attributes.items())
+            assert dataclasses.asdict(tables) == fields
         assert runs[0] == runs[1] > 0
 
     @settings(max_examples=10, deadline=None)
