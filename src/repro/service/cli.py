@@ -6,14 +6,12 @@ Usage::
     repro-service submit --kind chaos --params '{"steps": 50}' --deadline 5
     repro-service sweep --jobs jobs.json --journal sweep.jsonl
     repro-service load
-    repro-service smoke
 
 ``submit`` runs one job through an in-process service and prints the
 JSON payload; ``sweep`` runs a job file (a JSON list of
 ``{"kind": ..., "params": ..., "name": ...}``) against a journal —
 rerunning after a kill resumes with zero recomputation; ``load`` prints
-the ok-rate/latency table of :mod:`repro.experiments.service_load`;
-``smoke`` runs the chaos self-test of :mod:`repro.service.__main__`.
+the ok-rate/latency table of :mod:`repro.experiments.service_load`.
 """
 
 from __future__ import annotations
@@ -138,12 +136,6 @@ def cmd_load(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.service.__main__ import run_smoke
-
-    return run_smoke()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-service",
@@ -194,11 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         "load", help="print the ok-rate / median-latency load table"
     )
     p_load.set_defaults(fn=cmd_load)
-
-    p_smoke = sub.add_parser(
-        "smoke", help="run the chaos self-test (same as python -m repro.service)"
-    )
-    p_smoke.set_defaults(fn=cmd_smoke)
 
     args = parser.parse_args(argv)
     return args.fn(args)

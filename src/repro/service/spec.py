@@ -148,6 +148,10 @@ class SimJob:
             raise ValueError(
                 f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}"
             )
+        if not isinstance(self.params, dict):
+            raise TypeError(
+                f"params must be a JSON object, not {type(self.params).__name__}"
+            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
         # Validate canonicalizability eagerly: a spec that cannot hash

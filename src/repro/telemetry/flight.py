@@ -58,17 +58,8 @@ logger = logging.getLogger("repro.telemetry")
 #: Bundle schema tag, bumped on incompatible layout changes.
 POSTMORTEM_SCHEMA = "repro.postmortem/v1"
 
-#: Default ring capacity; override per-recorder or via REPRO_FLIGHT_CAPACITY.
+#: Default ring capacity; pass ``capacity`` for another.
 DEFAULT_CAPACITY = 256
-
-
-def _default_capacity() -> int:
-    raw = os.environ.get("REPRO_FLIGHT_CAPACITY", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CAPACITY
-    return value if value >= 1 else DEFAULT_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,11 @@ class FlightRecorder:
 
     def __init__(
         self,
-        capacity: int | None = None,
+        capacity: int = DEFAULT_CAPACITY,
         clock=time.perf_counter,
         dump_dir: str | None = None,
     ) -> None:
-        self.capacity = capacity if capacity is not None else _default_capacity()
+        self.capacity = capacity
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._clock = clock

@@ -14,19 +14,14 @@ chip deaths, stragglers, a bit flip resynced from the majority and one
 rewound to the checkpoint, a heartbeat detector, wall-clock and
 risk-adaptive checkpoint policies, a non-zero checkpoint write cost, a
 caller-supplied trainer factory, and sampled plans over several seeds.
-Only the wall-clock ``measured_phase_seconds`` is left out.
-
-Regenerate (only when a change *means* to move a number, and says so)::
-
-    PYTHONPATH=src python tests/test_chaos_golden.py
+Only the wall-clock ``measured_phase_seconds`` is left out.  Regenerate
+with ``tests/golden.py capture`` (see there), only when a change *means* to
+move a number.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +42,7 @@ from repro.resilience.faults import (
     PreemptionSignal,
     StragglerFault,
 )
-
-GOLDEN = Path(__file__).parent / "data" / "golden_chaos.json"
+from tests.golden import assert_matches, digest, encode, load
 
 SEEDS = (0, 1, 7, 2021)
 #: Sampled 2x2 plans that leave a chip alive (seed 2021 preempts both hosts).
@@ -61,40 +55,24 @@ SKIPPED = {"measured_phase_seconds", "desync_events", "losses", "final_params"}
 LAYERS, BATCH = [8, 16, 4], 12
 
 
-def _hexed(value):
-    return value.hex() if isinstance(value, float) else value
-
-
-def params_digest(params) -> str | None:
-    """SHA-256 over every parameter's name, dtype, shape and bytes."""
-    if params is None:
-        return None
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        array = np.ascontiguousarray(params[name])
-        digest.update(f"{name}|{array.dtype}|{array.shape}|".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 def report_record(report: ChaosReport) -> dict[str, object]:
     """Everything a ``ChaosReport`` says but wall-clock time, floats as hex."""
     ledger = {
-        f.name: _hexed(getattr(report, f.name))
+        f.name: getattr(report, f.name)
         for f in dataclasses.fields(report)
         if f.name not in SKIPPED
     }
     for rate in ("goodput", "mttr_seconds", "mttd_seconds"):
-        ledger[rate] = _hexed(getattr(report, rate))
-    return {
+        ledger[rate] = getattr(report, rate)
+    return encode({
         "ledger": ledger,
         "desyncs": [
-            [list(e.device), e.injected_step, e.detected_step, e.recovery]
+            [e.device, e.injected_step, e.detected_step, e.recovery]
             for e in report.desync_events
         ],
-        "losses": [loss.hex() for loss in report.losses],
-        "params": params_digest(report.final_params),
-    }
+        "losses": report.losses,
+        "params": digest(report.final_params, root=None),
+    })
 
 
 def _batch(step: int):
@@ -223,21 +201,16 @@ def chaos_table() -> dict[str, object]:
         }
 
 
-def _golden() -> dict[str, object]:
-    return json.loads(GOLDEN.read_text())
+TABLES = {"golden_chaos.json": chaos_table}
 
 
 def test_chaos_runs_are_bit_identical_to_the_golden_file():
-    golden = _golden()
-    found = json.loads(json.dumps(chaos_table()))
-    assert found.keys() == golden.keys()
-    moved = sorted(key for key in golden if found[key] != golden[key])
-    assert not moved, f"{len(moved)} of {len(golden)} runs moved: {moved}"
+    assert_matches(chaos_table(), load("golden_chaos.json"))
 
 
 def test_the_golden_cases_reach_every_branch_of_the_loop():
     """A golden file that never rewinds proves nothing about rewinding."""
-    golden = _golden()
+    golden = load("golden_chaos.json")
     ledgers = {key: record["ledger"] for key, record in golden.items()}
     for mode in ("acct", "real"):
         runs = [ledger for key, ledger in ledgers.items() if key.startswith(mode)]
@@ -261,17 +234,8 @@ def test_telemetry_does_not_move_the_ledger(key, monkeypatch):
     telemetry.reset()
     try:
         ((_, plan, config, kwargs),) = [c for c in cases() if c[0] == key]
-        found = json.loads(json.dumps(report_record(run_chaos(plan, config, **kwargs))))
+        found = report_record(run_chaos(plan, config, **kwargs))
     finally:
         telemetry.reset()
-    assert found == _golden()[key]
+    assert_matches({key: found}, {key: load("golden_chaos.json")[key]})
 
-
-if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    rows = ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-        for key, value in sorted(chaos_table().items())
-    )
-    GOLDEN.write_text("{\n" + rows + "\n}\n")  # one run per line
-    print(f"wrote {GOLDEN}")

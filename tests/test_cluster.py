@@ -249,6 +249,10 @@ class TestPriorityPreemption:
         assert high.preemptions == 0
         assert high.goodput == 1.0
 
+    def test_same_seed_reruns_the_same_trace(self):
+        specs, config, result = self._run()
+        assert run_cluster(specs, config).trace() == result.trace()
+
     def test_both_tenants_replay_bit_identically_solo(self):
         specs, config, result = self._run()
         for spec in specs:

@@ -18,22 +18,14 @@ stragglers beside priority preemption and admission rejection, an
 elastic-floor eviction, a run cut off by ``max_ticks``, and the
 real-numerics ``contention_demo`` / ``elastic_demo``.
 
-Regenerate (only when a change *means* to move a number, and says so)::
-
-    PYTHONPATH=src python tests/test_cluster_golden.py
-
 It uses nothing but entry points that exist on both sides of the change,
-so the same command on a checkout of the earlier commit wrote the file.
+so the earlier commit wrote the file.  Regenerate with ``tests/golden.py
+capture`` (see there), only when a change *means* to move a number.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
 from unittest import mock
-
-import numpy as np
 
 from repro import telemetry
 from repro.cluster import (
@@ -47,34 +39,10 @@ from repro.cluster import (
 from repro.experiments import cluster as cluster_experiments
 from repro.resilience.faults import ChipFailure, FaultPlan, PreemptionSignal, StragglerFault
 from repro.service.executors import to_cluster_spec
-
-DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden_cluster.json"
+from tests.golden import assert_matches, digest, encode, load
 
 POD = (16, 16)
 SEEDS = (0, 1, 7, 2021)
-
-
-def _hexed(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _hexed(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_hexed(item) for item in value]
-    return value
-
-
-def params_digest(params) -> str | None:
-    """SHA-256 over every parameter's name, dtype, shape and bytes."""
-    if params is None:
-        return None
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        array = np.ascontiguousarray(params[name])
-        digest.update(f"{name}|{array.dtype}|{array.shape}|".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
 
 
 #: ``JobReport.ledger_dict()`` keys; a ledger is stored as its values in
@@ -85,29 +53,26 @@ LEDGER_KEYS = list(JobReport().ledger_dict())
 def _ledger(report) -> list[object]:
     ledger = report.ledger_dict()
     assert list(ledger) == LEDGER_KEYS
-    return _hexed(list(ledger.values()))
+    return list(ledger.values())
 
 
 def result_record(result) -> dict[str, object]:
     """Everything a ``ClusterResult`` says, floats as hex."""
-    return {
+    return encode({
         "ticks": result.ticks,
-        "total_seconds": result.total_seconds.hex(),
-        "chip_seconds_capacity": result.chip_seconds_capacity.hex(),
-        "chip_seconds_used": result.chip_seconds_used.hex(),
-        "events": [
-            [tick, event, tenant, _hexed(info)]
-            for tick, event, tenant, info in result.events
-        ],
+        "total_seconds": result.total_seconds,
+        "chip_seconds_capacity": result.chip_seconds_capacity,
+        "chip_seconds_used": result.chip_seconds_used,
+        "events": result.events,
         "tenants": {
             name: {
                 "ledger": _ledger(report),
-                "timeline": _hexed(report.timeline),
-                "params": params_digest(report.final_params),
+                "timeline": report.timeline,
+                "params": digest(report.final_params, root=None),
             }
             for name, report in sorted(result.jobs.items())
         },
-    }
+    })
 
 
 def _pod_tenants(count: int) -> list[JobSpec]:
@@ -220,7 +185,7 @@ def _demo_records(demo, seed: int) -> dict[str, object]:
     with mock.patch.object(cluster_experiments, "ClusterScheduler", Recording):
         table = demo(seed)
     (result,) = caught
-    return {"rows": _hexed(table.rows), "result": result_record(result)}
+    return {"rows": encode(table.rows), "result": result_record(result)}
 
 
 def cluster_table() -> dict[str, object]:
@@ -238,21 +203,16 @@ def cluster_table() -> dict[str, object]:
     return out
 
 
-def _golden() -> dict[str, object]:
-    return json.loads(GOLDEN.read_text())
+TABLES = {"golden_cluster.json": cluster_table}
 
 
 def test_cluster_runs_are_bit_identical_to_the_golden_file():
-    golden = _golden()
-    found = json.loads(json.dumps(cluster_table()))  # tuples -> lists
-    assert found.keys() == golden.keys()
-    moved = sorted(key for key in golden if found[key] != golden[key])
-    assert not moved, f"{len(moved)} of {len(golden)} runs moved: {moved}"
+    assert_matches(cluster_table(), load("golden_cluster.json"))
 
 
 def test_the_golden_scenarios_reach_every_path_of_the_loop():
     """A golden file that never preempts proves nothing about preemption."""
-    golden = _golden()
+    golden = load("golden_cluster.json")
     keys = golden.pop("ledger_keys")
     records = [record.get("result", record) for record in golden.values()]
     kinds = {event[1] for record in records for event in record["events"]}
@@ -270,12 +230,3 @@ def test_the_golden_scenarios_reach_every_path_of_the_loop():
     assert sum(tenant["params"] is not None for tenant in tenants) == 12
     assert sum(key.startswith("pod/") for key in golden) == 3 * len(SEEDS)
 
-
-if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    rows = ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-        for key, value in sorted(cluster_table().items())
-    )
-    GOLDEN.write_text("{\n" + rows + "\n}\n")  # one run per line
-    print(f"wrote {GOLDEN}")

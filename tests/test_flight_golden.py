@@ -14,27 +14,19 @@ record's ``t``, a span's ``start``/``duration``, a step's
 So are the gauges the runtime's process-wide caches publish at snapshot
 time, which count whatever ran earlier in the process.
 
-Regenerate (only when a change *means* to record something else, and says
-so)::
-
-    PYTHONPATH=src python tests/test_flight_golden.py
-
 It uses nothing but entry points that exist on both sides of the change,
-so the same command on a checkout of the earlier commit wrote the file.
+so the earlier commit wrote the file.  Regenerate with ``tests/golden.py
+capture`` (see there), only when a change *means* to record something else.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.service.executors import execute_chaos
 from repro.telemetry.flight import DEFAULT_CAPACITY
-
-GOLDEN = Path(__file__).parent / "data" / "golden_flight.json"
+from tests.golden import assert_matches, load
 
 #: The chaos job of ``golden_train.json``: its sampled plan kills three of
 #: the four chips, so the trainer restores onto 3, 2 and 1 survivors.
@@ -113,6 +105,9 @@ def flight_table() -> dict:
         telemetry.reset()
 
 
+TABLES = {"golden_flight.json": flight_table}
+
+
 @pytest.fixture(autouse=True)
 def _clean_telemetry(monkeypatch):
     monkeypatch.setattr(telemetry, "enabled", True)
@@ -123,21 +118,15 @@ def _clean_telemetry(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["full", "accounting"])
 def test_flight_bundle_matches_the_golden_file(mode):
-    if telemetry.flight_recorder.capacity != DEFAULT_CAPACITY:
-        pytest.skip("the golden file holds a ring of the default capacity")
-    golden = json.loads(GOLDEN.read_text())[mode]
-    got = json.loads(json.dumps(bundle_record(degraded=mode == "accounting")))
-    assert got["num_records"] == golden["num_records"]
-    for i, (a, b) in enumerate(zip(got["records"], golden["records"])):
-        assert a == b, f"record {i}"
-    assert got == golden
+    found = bundle_record(degraded=mode == "accounting")
+    assert_matches({mode: found}, {mode: load("golden_flight.json")[mode]})
 
 
 def test_the_golden_file_covers_both_modes():
     """Both runs lost three chips; the full run filled the ring with spans,
     step records and counter deltas, the accounting run left gaps between
     its counter deltas (steps that wrote no metric)."""
-    golden = json.loads(GOLDEN.read_text())
+    golden = load("golden_flight.json")
     assert set(golden) == {"full", "accounting"}
     assert all(run["device_failures"] == 3 for run in golden.values())
     full, accounting = golden["full"], golden["accounting"]
@@ -146,8 +135,3 @@ def test_the_golden_file_covers_both_modes():
     kinds = [r["kind"] for r in accounting["records"]]
     assert kinds.count("step") > kinds.count("counters") > 0
 
-
-if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(flight_table(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")

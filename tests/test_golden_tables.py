@@ -7,22 +7,17 @@ The DES admission path (``Channel``) and the search's scoring path changed
 in that PR; the bar is that no simulated time, ranked plan or cost float
 moved by one bit.  ``==`` on the hex strings, no tolerance.
 
-Regenerate (only when a PR *means* to move a number, and says so)::
-
-    PYTHONPATH=src python tests/test_golden_tables.py
-
 The tables use nothing but entry points that exist on both sides of the
-change, so the same command on a checkout of the parent wrote the files.
-The Multipod rows (``multipod*``, ``peer/4096/*``, ``mixed/*``) came later,
-written the same way on the parent of the change that simulates one ring
-direction per symmetry class; every older row stayed identical.
+change, so the parent wrote the files.  The Multipod rows (``multipod*``,
+``peer/4096/*``, ``mixed/*``) came later, written on the parent of the
+change that simulates one ring direction per symmetry class; every older
+row stayed identical.  Regenerate with ``tests/golden.py capture`` (see
+there), only when a change *means* to move a number.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from pathlib import Path
 
 from repro.comm.schedule import (
     simulate_degraded_all_gather,
@@ -42,15 +37,10 @@ from repro.spmd.modelgraphs import (
     ssd_graph,
     transformer_block_graph,
 )
-
-DATA = Path(__file__).parent / "data"
+from tests.golden import assert_matches, encode, load
 
 #: Not round numbers: the chunk size ``payload / n`` must not be exact.
 PAYLOADS = (1.0e6, 7.3e6 + 1.0 / 3.0, float(2**26 + 1))
-
-
-def _hex(value):
-    return value.hex() if isinstance(value, float) else value
 
 
 def des_table() -> dict[str, object]:
@@ -65,7 +55,7 @@ def des_table() -> dict[str, object]:
                         mesh, rings, payload, bidirectional=bidirectional
                     )
                     way = "bi" if bidirectional else "uni"
-                    out[f"rings/{chips}/{family}/p{i}/{way}"] = seconds.hex()
+                    out[f"rings/{chips}/{family}/p{i}/{way}"] = seconds
 
     torus = TorusMesh(4, 4, wrap_x=True, wrap_y=True)
     line = TorusMesh(4, 4)
@@ -73,16 +63,16 @@ def des_table() -> dict[str, object]:
         ring = y_ring(mesh, 1)
         out[f"single/{name}/reduce_scatter"] = simulate_ring_reduce_scatter(
             mesh, ring, PAYLOADS[0]
-        ).hex()
+        )
         out[f"single/{name}/all_gather_uni"] = simulate_ring_all_gather(
             mesh, ring, PAYLOADS[1], bidirectional=False
-        ).hex()
+        )
 
     # Cross-pod optical links have their own latency (Figure 2).
     pods = multipod(2)
     out["single/multipod2/x_line"] = simulate_ring_reduce_scatter(
         pods, x_line(pods, 3), PAYLOADS[0]
-    ).hex()
+    )
 
     # Contended model-peer rings: several logical rings queue on every X
     # link, and a chunk crosses ``mp`` links per step (one process each).
@@ -92,7 +82,7 @@ def des_table() -> dict[str, object]:
             for rows, ys in (("row0", (0,)), ("all", range(mesh.y_size))):
                 rings = [model_peer_ring(mesh, y, mp, p) for y in ys for p in range(mp)]
                 seconds = simulate_ring_reduce_scatter(mesh, rings, PAYLOADS[1])
-                out[f"peer/{chips}/mp{mp}/{rows}"] = seconds.hex()
+                out[f"peer/{chips}/mp{mp}/{rows}"] = seconds
 
     # Paper scale (Figure 4 on the 128x32 Multipod): Y torus rings, X lines
     # crossing pod boundaries, and every row's hop-over peer rings at once.
@@ -101,13 +91,13 @@ def des_table() -> dict[str, object]:
         for family, rings in (("y", all_y_rings(mesh)), ("x", all_x_lines(mesh))):
             out[f"multipod{pods}/{family}"] = simulate_ring_reduce_scatter(
                 mesh, rings, PAYLOADS[1]
-            ).hex()
+            )
     mesh = multipod(4)
     for mp in (2, 4):
         rings = [model_peer_ring(mesh, y, mp, p) for y in range(mesh.y_size) for p in range(mp)]
         out[f"peer/4096/mp{mp}/all"] = simulate_ring_reduce_scatter(
             mesh, rings, PAYLOADS[2]
-        ).hex()
+        )
 
     # One phase whose link-sharing components differ in shape: closed Y
     # rings, a lone peer ring, a contended pair of peer rings on another row
@@ -121,12 +111,12 @@ def des_table() -> dict[str, object]:
         way = "bi" if bidirectional else "uni"
         out[f"mixed/multipod2/{way}"] = simulate_ring_reduce_scatter(
             mesh, mixed, PAYLOADS[0], bidirectional=bidirectional
-        ).hex()
+        )
 
     def degraded(key, simulate, mesh, rings, plan, policy=None):
         result = simulate(mesh, rings, PAYLOADS[0], plan, policy=policy)
         out[f"degraded/{key}"] = {
-            "seconds": result.seconds.hex(),
+            "seconds": result.seconds,
             "retries": result.retries,
             "degraded_transfers": result.degraded_transfers,
             "healed_rings": result.healed_rings,
@@ -160,17 +150,14 @@ def des_table() -> dict[str, object]:
         bucket_bytes=[3.0, 2.0, 0.5, 4.0, 1.0],
     )
     out["overlap/schedule"] = {
-        "step": result.step_seconds.hex(),
-        "exposed": result.exposed_comm_seconds.hex(),
-        "trace": [
-            [e.actor, e.name, e.start.hex(), e.duration.hex(), e.category]
-            for e in result.trace.events
-        ],
+        "step": result.step_seconds,
+        "exposed": result.exposed_comm_seconds,
+        "trace": [[e.actor, e.name, e.start, e.duration, e.category] for e in result.trace.events],
     }
     for t, table in enumerate(EXPERIMENTS["overlap"]()):
         for r, row in enumerate(table.rows):
-            out[f"overlap/table{t}/row{r}"] = [_hex(v) for v in row]
-    return out
+            out[f"overlap/table{t}/row{r}"] = row
+    return encode(out)
 
 
 GRAPHS = {
@@ -187,10 +174,9 @@ def _layout(sharding) -> str:
     return "R" if sharding.dim is None else str(sharding.dim)
 
 
-def _cost(plan) -> list[str]:
+def _cost(plan) -> list[float]:
     c = plan.cost
-    return [c.compute_seconds.hex(), c.serial_seconds.hex(), c.comm_seconds.hex(),
-            c.comm_bytes.hex()]
+    return [c.compute_seconds, c.serial_seconds, c.comm_seconds, c.comm_bytes]
 
 
 def plan_row(plan) -> dict[str, object]:
@@ -228,33 +214,15 @@ def search_table() -> dict[str, object]:
                                 "baseline": _cost(result.baseline),
                                 "plans": [plan_row(p) for p in result.plans],
                             }
-    return out
+    return encode(out)
 
 
 TABLES = {"golden_des.json": des_table, "golden_search.json": search_table}
 
 
-def _assert_equal_to_golden(filename: str) -> None:
-    golden = json.loads((DATA / filename).read_text())
-    found = json.loads(json.dumps(TABLES[filename]()))  # tuples -> lists
-    assert found.keys() == golden.keys()
-    moved = {key: (golden[key], found[key]) for key in golden if found[key] != golden[key]}
-    assert not moved, f"{len(moved)} of {len(golden)} entries moved, e.g. {next(iter(moved.items()))}"
-
-
 def test_des_values_are_bit_identical_to_the_parent():
-    _assert_equal_to_golden("golden_des.json")
+    assert_matches(des_table(), load("golden_des.json"))
 
 
 def test_search_results_are_bit_identical_to_the_parent():
-    _assert_equal_to_golden("golden_search.json")
-
-
-if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    for filename, build in TABLES.items():
-        rows = ",\n".join(
-            f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(build().items())
-        )
-        (DATA / filename).write_text("{\n" + rows + "\n}\n")  # one case per line
-        print(f"wrote {DATA / filename}")
+    assert_matches(search_table(), load("golden_search.json"))

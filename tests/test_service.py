@@ -95,6 +95,13 @@ class TestSpecAndContentKey:
         with pytest.raises(ValueError, match="deadline"):
             SimJob("steptime", {}, deadline_s=0.0)
 
+    @pytest.mark.parametrize("params", [[1], "x", 3, None])
+    def test_params_that_are_not_an_object_rejected(self, params):
+        # Admitted, they would fail only in the executor, as an
+        # AttributeError on ``params.get``.
+        with pytest.raises(TypeError, match="params must be a JSON object"):
+            SimJob("steptime", params)
+
     def test_label_defaults_to_kind_plus_key_prefix(self):
         job = SimJob("steptime", {"chips": 64})
         assert job.label == f"steptime:{job.content_key[:12]}"

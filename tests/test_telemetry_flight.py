@@ -55,12 +55,6 @@ class TestRingBounds:
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_CAPACITY
 
-    def test_capacity_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_CAPACITY", "17")
-        assert FlightRecorder().capacity == 17
-        monkeypatch.setenv("REPRO_FLIGHT_CAPACITY", "garbage")
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)

@@ -16,19 +16,13 @@ LAMB; one hybrid data x model parallel row; and one real-numerics
 ``run_chaos`` report built exactly as the service's chaos executor builds
 it, through three chip deaths.
 
-Regenerate (only when a change *means* to move a number, and says so)::
-
-    PYTHONPATH=src python tests/test_train_golden.py
-
 It uses nothing but entry points that exist on both sides of the change,
-so the same command on a checkout of the earlier commit wrote the file.
+so the earlier commit wrote the file.  Regenerate with ``tests/golden.py
+capture`` (see there), only when a change *means* to move a number.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,9 +34,7 @@ from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import LAMB, LARS, Adam, SGDMomentum
 from repro.resilience import chaos
 from repro.service.executors import execute_chaos
-
-DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden_train.json"
+from tests.golden import assert_matches, digest, encode, load
 
 STEPS = 20
 
@@ -89,26 +81,6 @@ CHAOS_JOB = {
 }
 
 
-def digest(tree) -> str:
-    """SHA-256 over a nested tree of arrays: names, dtypes, shapes, bytes."""
-    sha = hashlib.sha256()
-
-    def feed(node, path):
-        if isinstance(node, dict):
-            for name in sorted(node):
-                feed(node[name], f"{path}/{name}")
-        elif isinstance(node, (list, tuple)):
-            for i, item in enumerate(node):
-                feed(item, f"{path}/{i}")
-        else:
-            array = np.ascontiguousarray(node)
-            sha.update(f"{path}|{array.dtype}|{array.shape}|".encode())
-            sha.update(array.tobytes())
-
-    feed(tree, "")
-    return sha.hexdigest()
-
-
 def _bench_batches():
     rng = np.random.default_rng(1)
     x, y = synthetic_classification(
@@ -150,21 +122,21 @@ def arms():
 
 def arm_record(config: TrainerConfig, batch_fn) -> dict[str, object]:
     trainer = make_trainer(config)
-    losses = [float(trainer.step(*batch_fn(step))).hex() for step in range(STEPS)]
+    losses = [float(trainer.step(*batch_fn(step))) for step in range(STEPS)]
     if config.strategy == "hybrid":
-        return {
+        return encode({
             "losses": losses,
             "params": digest(trainer.full_params()),
             "state": digest(trainer.shard_states),
-        }
+        })
     ckpt = trainer.save_checkpoint()
-    return {
+    return encode({
         "losses": losses,
         "params": digest(trainer.params),
         "checkpoint": digest(
             {"step": np.int64(ckpt.step_index), "params": ckpt.params, "slots": ckpt.opt_state}
         ),
-    }
+    })
 
 
 def chaos_record() -> dict[str, object]:
@@ -181,12 +153,12 @@ def chaos_record() -> dict[str, object]:
     with mock.patch.object(chaos, "run_chaos", recording):
         payload = execute_chaos(dict(CHAOS_JOB))
     (report,) = caught
-    return {
-        "losses": [float(v).hex() for v in report.losses],
+    return encode({
+        "losses": [float(v) for v in report.losses],
         "params": digest(report.final_params),
         "survivors": payload["survivors"],
         "device_failures": payload["device_failures"],
-    }
+    })
 
 
 def train_table() -> dict[str, object]:
@@ -196,36 +168,28 @@ def train_table() -> dict[str, object]:
     return out
 
 
-def _golden() -> dict[str, object]:
-    return json.loads(GOLDEN.read_text())
+TABLES = {"golden_train.json": train_table}
 
 
 @pytest.mark.parametrize("key", sorted(arms()))
 def test_training_is_bit_identical_to_the_golden_file(key):
     config, batch_fn = arms()[key]
     with telemetry.disabled():
-        assert arm_record(config, batch_fn) == _golden()[key]
+        found = arm_record(config, batch_fn)
+    assert_matches({key: found}, {key: load("golden_train.json")[key]})
 
 
 def test_chaos_job_is_bit_identical_to_the_golden_file():
     with telemetry.disabled():
-        assert chaos_record() == _golden()["chaos_job"]
+        found = chaos_record()
+    assert_matches({"chaos_job": found}, {"chaos_job": load("golden_train.json")["chaos_job"]})
 
 
 def test_the_golden_file_covers_every_arm():
     """One row per arm, and the chaos run really lost chips mid-training."""
-    golden = _golden()
+    golden = load("golden_train.json")
     assert set(golden) == set(arms()) | {"chaos_job"}
     job = golden["chaos_job"]
     assert job["device_failures"] == 3 and job["survivors"] == 1
     assert len(job["losses"]) >= CHAOS_JOB["steps"]
 
-
-if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    rows = ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-        for key, value in sorted(train_table().items())
-    )
-    GOLDEN.write_text("{\n" + rows + "\n}\n")  # one arm per line
-    print(f"wrote {GOLDEN}")
