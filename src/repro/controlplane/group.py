@@ -44,6 +44,9 @@ class JobKilledError(RuntimeError):
             reason or f"host {host} failure is fatal to the control plane"
         )
 
+    def __reduce__(self):
+        return type(self), (self.host, str(self)), self.__dict__
+
 
 @dataclass(frozen=True)
 class HostGroup:

@@ -55,6 +55,9 @@ class SilentCorruptionError(RuntimeError):
             f"non-finite {kind} values{at} in: {', '.join(names)}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.names, self.step), self.__dict__
+
 
 @dataclass(frozen=True)
 class DesyncEvent:

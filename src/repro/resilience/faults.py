@@ -47,6 +47,9 @@ class DeviceLostError(RuntimeError):
         self.devices: tuple[Device, ...] = tuple(sorted(devices))
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.devices, str(self)), self.__dict__
+
 
 class LinkDownError(RuntimeError):
     """A link transfer exhausted its retry budget while the link was down."""
@@ -58,6 +61,9 @@ class LinkDownError(RuntimeError):
         super().__init__(
             f"link {src}->{dst} still down after {attempts} attempt(s)"
         )
+
+    def __reduce__(self):
+        return type(self), (self.src, self.dst, self.attempts), self.__dict__
 
 
 @dataclass(frozen=True)

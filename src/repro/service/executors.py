@@ -31,6 +31,18 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
+
+# Modules, not names: an executor looks each entry point up when it runs
+# (tests and tracing replace some), and a forked service worker starts with
+# all of them loaded.
+from repro import cluster
+from repro.controlplane import checkpointing
+from repro.core import step_time, strategy, trainer
+from repro.experiments import calibration
+from repro.models import mlp
+from repro.optim import sgd
+from repro.resilience import chaos, faults
 from repro.service.spec import SimJob
 
 logger = logging.getLogger("repro.service")
@@ -38,24 +50,26 @@ logger = logging.getLogger("repro.service")
 #: Job classes with an accounting-only fallback the breaker can route to.
 DEGRADABLE_KINDS = frozenset({"chaos"})
 
+#: ``(kind, degraded)`` pairs a service worker hands to its forked process:
+#: the jobs that run numerics for tens of milliseconds.  Step-time queries
+#: and degraded chaos runs stay on the worker thread, where a sub-millisecond
+#: job does not pay the pipe round trip.
+FORKED_JOBS = frozenset({("chaos", False), ("cluster", False)})
+
 
 # --- steptime ----------------------------------------------------------------
 
 
 def execute_steptime(params: dict) -> dict:
     """One step-time query: ``{model, chips, global_batch, overlap, buckets}``."""
-    from repro.core.step_time import StepTimeModel
-    from repro.core.strategy import ParallelismConfig
-    from repro.experiments.calibration import spec_for
-
     model_name = params.get("model", "resnet50")
     chips = int(params.get("chips", 256))
     global_batch = int(params.get("global_batch", 8192))
     overlap = bool(params.get("overlap", False))
     buckets = int(params.get("buckets", 1))
-    model = StepTimeModel(
-        spec_for(model_name),
-        ParallelismConfig(num_chips=chips, global_batch=global_batch),
+    model = step_time.StepTimeModel(
+        calibration.spec_for(model_name),
+        strategy.ParallelismConfig(num_chips=chips, global_batch=global_batch),
         overlap=overlap,
         overlap_buckets=buckets,
     )
@@ -79,12 +93,9 @@ def execute_steptime(params: dict) -> dict:
 
 
 def _chaos_plan_and_config(params: dict):
-    from repro.resilience.chaos import ChaosConfig
-    from repro.resilience.faults import FaultPlan
-
     mesh_shape = tuple(params.get("mesh_shape", (2, 2)))
     steps = int(params.get("steps", 50))
-    plan = FaultPlan.sample(
+    plan = faults.FaultPlan.sample(
         seed=int(params.get("seed", 0)),
         mesh_shape=mesh_shape,
         steps=steps,
@@ -92,7 +103,7 @@ def _chaos_plan_and_config(params: dict):
         expected_stragglers=float(params.get("expected_stragglers", 0.0)),
         expected_preemptions=float(params.get("expected_preemptions", 0.0)),
     )
-    config = ChaosConfig(
+    config = chaos.ChaosConfig(
         mesh_shape=mesh_shape,
         target_steps=steps,
         checkpoint_interval=int(params.get("checkpoint_interval", 5)),
@@ -110,24 +121,16 @@ def execute_chaos(params: dict, degraded: bool = False) -> dict:
     checkpoint payload — the graceful fallback the circuit breaker
     routes chaos jobs to while open.
     """
-    import numpy as np
-
-    from repro.resilience.chaos import run_chaos
-
     plan, config = _chaos_plan_and_config(params)
     if degraded:
-        report = run_chaos(
+        report = chaos.run_chaos(
             plan, config, state_bytes=int(params.get("state_bytes", int(1e9)))
         )
         payload = {"mode": "accounting", "losses": []}
     else:
-        from repro.core.trainer import TrainerConfig
-        from repro.models.mlp import MLP
-        from repro.optim.sgd import SGDMomentum
-
-        trainer_config = TrainerConfig(
-            model=MLP([8, 16, 4]),
-            optimizer=SGDMomentum(learning_rate=0.05),
+        trainer_config = trainer.TrainerConfig(
+            model=mlp.MLP([8, 16, 4]),
+            optimizer=sgd.SGDMomentum(learning_rate=0.05),
             strategy="wus",
             seed=int(params.get("seed", 0)),
         )
@@ -137,7 +140,7 @@ def execute_chaos(params: dict, degraded: bool = False) -> dict:
             # 12 samples: divisible by every survivor count of a 2x2 mesh.
             return rng.standard_normal((12, 8)), rng.integers(0, 4, size=12)
 
-        report = run_chaos(
+        report = chaos.run_chaos(
             plan, config, trainer_config=trainer_config, batch_fn=batch_fn
         )
         payload = {
@@ -158,22 +161,16 @@ def _checkpoint_policy(raw: dict | None):
     """Build a per-tenant ``CheckpointPolicy`` from a JSON description."""
     if not raw:
         return None
-    from repro.controlplane.checkpointing import (
-        RiskAdaptive,
-        StepInterval,
-        WallClockInterval,
-    )
-
     kind = raw.get("policy", "risk_adaptive")
     if kind == "risk_adaptive":
-        return RiskAdaptive(
+        return checkpointing.RiskAdaptive(
             hazard_per_second=float(raw["hazard_per_second"]),
             checkpoint_seconds=float(raw["checkpoint_seconds"]),
         )
     if kind == "wall_clock":
-        return WallClockInterval(float(raw["every_seconds"]))
+        return checkpointing.WallClockInterval(float(raw["every_seconds"]))
     if kind == "step":
-        return StepInterval(int(raw["every_steps"]))
+        return checkpointing.StepInterval(int(raw["every_steps"]))
     raise ValueError(
         f"unknown checkpoint policy {kind!r}; choose from "
         "risk_adaptive, wall_clock, step"
@@ -193,9 +190,7 @@ def to_cluster_spec(tenant: dict):
     "hazard_per_second": h, "checkpoint_seconds": c}}`` (also
     ``"wall_clock"``/``every_seconds`` and ``"step"``/``every_steps``).
     """
-    from repro.cluster import JobSpec
-
-    return JobSpec(
+    return cluster.JobSpec(
         checkpoint_policy=_checkpoint_policy(tenant.get("checkpoint_policy")),
         name=str(tenant["name"]),
         slice_shape=tuple(tenant.get("slice_shape", (2, 2))),
@@ -211,27 +206,24 @@ def to_cluster_spec(tenant: dict):
 
 def execute_cluster(params: dict) -> dict:
     """Run a multi-tenant cluster scenario fed from the service queue."""
-    from repro.cluster import ClusterConfig, run_cluster
-    from repro.resilience.faults import FaultPlan
-
     tenants = params.get("tenants", ())
     if not tenants:
         raise ValueError("cluster job needs at least one tenant")
     specs = [to_cluster_spec(t) for t in tenants]
     mesh_shape = tuple(params.get("mesh_shape", (4, 4)))
-    config = ClusterConfig(
+    config = cluster.ClusterConfig(
         mesh_shape=mesh_shape,
         chips_per_host=int(params.get("chips_per_host", 8)),
         max_ticks=int(params.get("max_ticks", 2000)),
         seed=int(params.get("seed", 0)),
     )
-    plan = FaultPlan.sample(
+    plan = faults.FaultPlan.sample(
         seed=int(params.get("seed", 0)),
         mesh_shape=mesh_shape,
         steps=int(params.get("max_ticks", 2000)),
         expected_chip_failures=float(params.get("expected_chip_failures", 0.0)),
     )
-    result = run_cluster(specs, config, plan=plan)
+    result = cluster.run_cluster(specs, config, plan=plan)
     return {
         "ticks": result.ticks,
         "completed": result.completed,

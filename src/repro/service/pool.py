@@ -5,6 +5,9 @@ The pool is the part of the service that actually runs jobs: a bounded
 job at a time through a callback supplied by the
 :class:`~repro.service.service.SimulationService` (which owns retries,
 breakers, and the cache — the pool only owns threads and the queue).
+A :class:`WorkerProcess` is the forked child a worker thread hands its
+heavy jobs to, so their numerics run outside this process's interpreter
+lock.
 
 Crash injection (:class:`CrashPlan`) makes the service itself
 chaos-testable: whether worker ``w``'s attempt ``k`` at job ``j`` dies
@@ -18,7 +21,9 @@ pin "this job crashes twice, then succeeds" behavior.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import queue as _queue
+import signal
 import threading
 import time
 
@@ -141,21 +146,24 @@ class WorkerPool:
         self.concurrency = concurrency
         self.queue: _queue.Queue = _queue.Queue(maxsize=queue_depth)
         self._execute_fn = execute_fn
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, args=(i,),
-                name=f"{name}-worker-{i}", daemon=True,
-            )
-            for i in range(concurrency)
-        ]
+        self._name = name
+        self._threads: list[threading.Thread] = []
         self._started = False
 
     def start(self) -> None:
+        """Start fresh worker threads (a stopped pool starts again)."""
         if self._started:
             return
-        self._started = True
+        self._threads = [
+            threading.Thread(
+                target=self._worker_loop, args=(i,),
+                name=f"{self._name}-worker-{i}", daemon=True,
+            )
+            for i in range(self.concurrency)
+        ]
         for t in self._threads:
             t.start()
+        self._started = True
 
     def stop(self, timeout: float = 5.0) -> None:
         """Drain-stop: workers finish queued jobs, then exit on the sentinel."""
@@ -196,3 +204,74 @@ class WorkerPool:
                         None,
                         ServiceError(f"internal service error: {exc!r}"),
                     )
+
+
+#: Held around every fork and the parent's close of the child's pipe end: a
+#: child forked in between would hold that end open, and the parent would
+#: never read EOF when the other child dies.
+_FORK_LOCK = threading.Lock()
+
+
+def _child_main(serve, conn, parent_end) -> None:
+    # The parent's end is closed here so that its copy is the only one: the
+    # child reads EOF once the parent is gone.
+    parent_end.close()
+    # The parent decides when its workers stop.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    serve(conn)
+
+
+class WorkerProcess:
+    """One forked child process serving requests over a pipe.
+
+    The child runs ``serve(conn)``, which should return when ``conn.recv()``
+    reads ``None`` or raises ``EOFError``.  :meth:`call` sends one request
+    and returns the reply; when the child has died it raises ``EOFError`` or
+    ``OSError`` instead, and :meth:`restart` forks a fresh child.  The
+    ``"fork"`` start method is used, so the child starts with the parent's
+    modules and state as they are at the fork.
+    """
+
+    def __init__(self, serve) -> None:
+        self._serve = serve
+        self._closed = False
+        self._fork()
+
+    def _fork(self) -> None:
+        context = multiprocessing.get_context("fork")
+        with _FORK_LOCK:
+            conn, child_end = context.Pipe()
+            self.process = context.Process(
+                target=_child_main, args=(self._serve, child_end, conn),
+                name="repro-service-process", daemon=True,
+            )
+            self.process.start()
+            child_end.close()
+        self.conn = conn
+
+    def call(self, request):
+        """Send ``request`` and wait for the child's reply."""
+        self.conn.send(request)
+        return self.conn.recv()
+
+    def restart(self) -> None:
+        """Reap the child and, unless :meth:`close` ran, fork another."""
+        self.conn.close()
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+        if not self._closed:
+            self._fork()
+
+    def close(self) -> None:
+        """Ask the child to exit, then join it (killed after 5 s)."""
+        self._closed = True
+        try:
+            self.conn.send(None)
+        except OSError:  # the child is already gone
+            pass
+        self.conn.close()
+        self.process.join(5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()

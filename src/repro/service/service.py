@@ -15,8 +15,15 @@ workers die:
   :class:`~repro.service.spec.DeadlineExceeded`.  Every submission is
   accounted: ``submitted == completed + typed rejections + failures``
   is an invariant the tests pin.
+* **Heavy jobs off the interpreter lock.**  Each worker thread has a
+  forked :class:`~repro.service.pool.WorkerProcess`; the job kinds in
+  :data:`~repro.service.executors.FORKED_JOBS` (full chaos runs, cluster
+  scenarios) execute there, so light jobs keep flowing on the threads
+  while they run.  The child returns the payload or the executor's
+  exception, and the job's telemetry, which the worker merges here.
 * **Crash tolerance.**  Worker crashes (injected seed-deterministically
-  by :class:`~repro.service.pool.CrashPlan`) retry on the shared
+  by :class:`~repro.service.pool.CrashPlan`, or a forked process that
+  dies mid-job, which is re-forked) retry on the shared
   :class:`~repro.resilience.faults.RetryPolicy` — exponential backoff,
   deterministic per-job jitter.  Exhausted budgets raise
   :class:`~repro.service.spec.JobFailed` and dump a flight-recorder
@@ -33,6 +40,7 @@ workers die:
 from __future__ import annotations
 
 import logging
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,9 +49,9 @@ from repro import telemetry as _telemetry
 from repro.cluster.jobs import derive_subseed
 from repro.resilience.faults import RetryPolicy
 from repro.service.cache import ResultCache
-from repro.service.executors import DEGRADABLE_KINDS, execute
+from repro.service.executors import DEGRADABLE_KINDS, FORKED_JOBS, execute
 from repro.service.limits import CircuitBreaker, TokenBucket
-from repro.service.pool import CrashPlan, JobHandle, WorkerPool
+from repro.service.pool import CrashPlan, JobHandle, WorkerPool, WorkerProcess
 from repro.service.spec import (
     DeadlineExceeded,
     JobFailed,
@@ -65,6 +73,44 @@ DEFAULT_SERVICE_RETRY = RetryPolicy(
     backoff_factor=2.0,
     jitter_frac=0.25,
 )
+
+
+def _picklable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a ``ServiceError``
+    carrying its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 — any failure means it cannot cross
+        return ServiceError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _serve_forked(conn) -> None:
+    """A forked worker's loop: run each ``(job, degraded, telemetry flag)``
+    request and reply ``(payload, error, telemetry)``.
+
+    ``execute`` is looked up per request, so an executor replaced before
+    the service started runs here as it does on the worker threads.  Each
+    job records its telemetry from a reset state, under the flag the
+    service sent, and the reply carries it whole (:func:`repro.telemetry.
+    export`); nothing when the flag is off.
+    """
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        job, degraded, enabled = request
+        _telemetry.enabled = enabled
+        _telemetry.reset()
+        payload = error = None
+        try:
+            payload = execute(job, degraded=degraded)
+        except Exception as exc:  # noqa: BLE001 — the service decides
+            error = _picklable(exc)
+        conn.send((payload, error, _telemetry.export() if enabled else None))
 
 
 @dataclass(frozen=True)
@@ -171,11 +217,24 @@ class SimulationService:
         self.pool = WorkerPool(
             self.config.concurrency, self.config.queue_depth, self._execute
         )
+        #: Worker ``i``'s forked process, for the jobs in ``FORKED_JOBS``.
+        self._processes: list[WorkerProcess] = []
         self._started = False
 
     # --- lifecycle -----------------------------------------------------------
 
     def start(self) -> "SimulationService":
+        """Fork one process per worker, then start the worker threads.
+
+        Forking first means no worker thread can hold a lock the children
+        inherit.  A stopped service starts again with fresh threads and
+        processes.
+        """
+        if self._started:
+            return self
+        self._processes = [
+            WorkerProcess(_serve_forked) for _ in range(self.config.concurrency)
+        ]
         self.pool.start()
         self._started = True
         logger.info(
@@ -186,7 +245,11 @@ class SimulationService:
         return self
 
     def stop(self) -> None:
+        """Drain the worker threads, then stop and join every process."""
         self.pool.stop()
+        for process in self._processes:
+            process.close()
+        self._processes = []
         self._started = False
 
     def __enter__(self) -> "SimulationService":
@@ -255,10 +318,7 @@ class SimulationService:
                 else self.config.default_deadline_s
             )
         if deadline_s is not None and deadline_s != job.deadline_s:
-            job = SimJob(
-                kind=job.kind, params=job.params, name=job.name,
-                deadline_s=deadline_s,
-            )
+            job = job.with_deadline(deadline_s)
         handle = JobHandle(job, client, now)
         with self._lock:
             self.stats.submitted += 1
@@ -305,6 +365,30 @@ class SimulationService:
             and self._clock() - handle.submitted_at > deadline
         )
 
+    def _run(self, job: SimJob, degraded: bool, worker: int, attempt: int) -> dict:
+        """One attempt at ``job``: on this thread, or in worker ``worker``'s
+        process for the jobs in ``FORKED_JOBS``.
+
+        A process job's telemetry is merged here and its executor's
+        exception re-raised; a process that died is re-forked and the
+        attempt raises :class:`WorkerCrashError`.
+        """
+        if (job.kind, degraded) not in FORKED_JOBS:
+            return execute(job, degraded=degraded)
+        process = self._processes[worker]
+        try:
+            payload, error, exported = process.call(
+                (job, degraded, _telemetry.enabled)
+            )
+        except (EOFError, OSError):
+            process.restart()
+            raise WorkerCrashError(worker, job.label, attempt) from None
+        if exported is not None:
+            _telemetry.merge(exported)
+        if error is not None:
+            raise error
+        return payload
+
     def _execute(self, handle: JobHandle, worker: int) -> None:
         job = handle.job
         if self._expired(handle):
@@ -347,7 +431,11 @@ class SimulationService:
         trips_before = breaker.trips
         for attempt in range(1, policy.max_attempts + 1):
             handle.attempts = attempt
-            if self.crash_plan.should_crash(job.label, attempt):
+            try:
+                if self.crash_plan.should_crash(job.label, attempt):
+                    raise WorkerCrashError(worker, job.label, attempt)
+                payload = self._run(job, degraded, worker, attempt)
+            except WorkerCrashError as crash:
                 with self._lock:
                     self.stats.worker_crashes += 1
                 if _telemetry.enabled:
@@ -356,7 +444,6 @@ class SimulationService:
                     "service", "worker_crash",
                     job=job.label, worker=worker, attempt=attempt,
                 )
-                crash = WorkerCrashError(worker, job.label, attempt)
                 logger.warning("%s", crash)
                 if attempt >= policy.max_attempts:
                     error = JobFailed(job, attempt, cause=str(crash))
@@ -367,8 +454,6 @@ class SimulationService:
                     _telemetry.metrics.counter("service_retries").inc()
                 self._sleep(policy.delay_after(attempt, key=retry_key))
                 continue
-            try:
-                payload = execute(job, degraded=degraded)
             except Exception as exc:  # noqa: BLE001 — poisoned spec, no retry
                 # Execution is deterministic: the same spec fails the same
                 # way every time, so retrying burns budget for nothing.

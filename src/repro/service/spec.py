@@ -24,6 +24,7 @@ multi-tenant :mod:`repro.cluster` scenario.  Two properties make it a
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -81,6 +82,9 @@ class JobFailed(ServiceError):
             + (f": {cause}" if cause else "")
         )
 
+    def __reduce__(self):
+        return type(self), (self.job, self.attempts, self.cause), self.__dict__
+
 
 class WorkerCrashError(ServiceError):
     """One worker attempt died mid-job (injected by the crash plan)."""
@@ -92,6 +96,9 @@ class WorkerCrashError(ServiceError):
         super().__init__(
             f"worker {worker} crashed executing {job!r} (attempt {attempt})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.worker, self.job, self.attempt), self.__dict__
 
 
 def _canonical_value(value):
@@ -134,14 +141,20 @@ class SimJob:
     it does **not** enter the content key — two differently-named
     submissions of the same simulation share a cache entry.
     ``deadline_s`` is a wall-clock budget from submission; ``None`` means
-    the job never ages out.  ``degradable`` marks job classes that have
-    an accounting-only fallback the circuit breaker can route to.
+    the job never ages out.
+
+    ``params`` are read once, at construction: the job canonicalises them
+    then and keeps the SHA-256 as :attr:`content_key`, which the label,
+    the crash plan, the retry jitter, the cache and the journal all reuse.
+    A dict mutated afterwards would run under its old key.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
     name: str = ""
     deadline_s: float | None = None
+    #: SHA-256 of :func:`canonical_spec`, computed by ``__post_init__``.
+    content_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -154,13 +167,17 @@ class SimJob:
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
-        # Validate canonicalizability eagerly: a spec that cannot hash
-        # cannot be queued, cached, or journaled.
-        canonical_spec(self.kind, self.params)
+        # Eagerly: a spec that cannot hash cannot be queued, cached, or
+        # journaled.
+        object.__setattr__(self, "content_key", content_key(self.kind, self.params))
 
-    @property
-    def content_key(self) -> str:
-        return content_key(self.kind, self.params)
+    def with_deadline(self, deadline_s: float) -> "SimJob":
+        """This job with another deadline, its content key reused."""
+        if deadline_s <= 0:
+            raise ValueError("deadline_s must be > 0")
+        job = copy.copy(self)
+        object.__setattr__(job, "deadline_s", deadline_s)
+        return job
 
     @property
     def label(self) -> str:

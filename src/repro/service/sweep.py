@@ -57,6 +57,9 @@ class SweepInterrupted(ServiceError):
         self.total = total
         super().__init__(f"sweep interrupted after {completed}/{total} jobs")
 
+    def __reduce__(self):
+        return type(self), (self.completed, self.total), self.__dict__
+
 
 def sweep_id(jobs: Sequence[SimJob]) -> str:
     """Identity of a job set: SHA-256 over the ordered content keys."""

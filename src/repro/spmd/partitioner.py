@@ -74,6 +74,9 @@ class PartitionInfeasible(NotImplementedError):
         super().__init__(message)
         self.nodes_visited = nodes_visited
 
+    def __reduce__(self):
+        return type(self), (str(self), self.nodes_visited), self.__dict__
+
 
 @dataclass(frozen=True)
 class CommOp:

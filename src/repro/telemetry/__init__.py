@@ -31,7 +31,10 @@ input pipeline) is instrumented against the process-wide objects here:
 
 ``REPRO_TELEMETRY=0`` in the environment starts a process with the flag
 off; the :func:`disabled` context manager turns it off for a block.  Use
-:func:`reset` to clear both metrics and spans between runs.  The
+:func:`reset` to clear both metrics and spans between runs.
+:func:`export` packs what a process recorded since then into one picklable
+value and :func:`merge` adds it to another process's objects — how a
+forked service worker's job telemetry reaches the service.  The
 ``repro-telemetry`` console script (:mod:`repro.telemetry.report`) renders
 a step-time breakdown and writes merged Chrome-trace JSON.
 """
@@ -39,6 +42,7 @@ a step-time breakdown and writes merged Chrome-trace JSON.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 
 from repro.telemetry.registry import (
@@ -92,6 +96,59 @@ def reset() -> None:
     flight_recorder.clear()
 
 
+def export() -> tuple:
+    """Everything recorded since the last :func:`reset`, as one picklable value.
+
+    Counter, gauge and histogram states, the tracer's spans, and the flight
+    recorder's other records, each placed among the spans it was recorded
+    between.  :func:`merge` adds the value to another process's telemetry.
+    """
+    events = tracer.trace.events
+    return (
+        metrics.export_state(),
+        tracer._epoch,
+        # Plain tuples: a NamedTuple pickles through Python-level reduce.
+        list(map(tuple, events)),
+        flight_recorder.export_records(len(events)),
+    )
+
+
+def merge(exported: tuple) -> None:
+    """Add another process's :func:`export` to this process's telemetry.
+
+    Counters add, gauges set, histograms merge.  The spans go through the
+    tracer's delivery, so its sinks (the flight recorder) see them; the
+    flight records are appended between them in the order they were
+    recorded.  Timestamps are moved onto this process's epochs, which
+    works because ``perf_counter`` is system-wide.
+    """
+    state, epoch, events, records = exported
+    metrics.merge_state(state)
+    spans = [
+        (name, category, actor, epoch + start, epoch + start + duration)
+        for actor, name, start, duration, category, _ in events
+    ]
+    done = 0
+    for position, *record in records:
+        if position > done:
+            tracer.emit_all(spans[done:position])
+            done = position
+        flight_recorder.append(*record)
+    if done < len(spans):
+        tracer.emit_all(spans[done:])
+
+
+def _after_fork_in_child() -> None:
+    # Only the forking thread survives a fork: a lock another thread held
+    # at that moment would never be released in the child.
+    metrics._lock = threading.Lock()
+    flight_recorder._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 __all__ = [
     "Counter",
     "CounterSet",
@@ -107,7 +164,9 @@ __all__ = [
     "Tracer",
     "disabled",
     "enabled",
+    "export",
     "flight_recorder",
+    "merge",
     "metrics",
     "on_terminal_failure",
     "reset",

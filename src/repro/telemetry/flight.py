@@ -186,6 +186,12 @@ class FlightRecorder:
             with self._lock:
                 self._records.append(entry)
 
+    def append(self, at: float, kind: str, name: str, data: dict) -> None:
+        """Append a record another recorder built, as of clock reading ``at``."""
+        entry = (FlightRecord, at - self._epoch, kind, name, data)
+        with self._lock:
+            self._records.append(entry)
+
     def record_fault(self, exc: BaseException, origin: str = "", **context) -> None:
         """Record a fault event (terminal or survived) into the ring."""
         self.record(
@@ -226,6 +232,26 @@ class FlightRecorder:
         with self._lock:
             entries = list(self._records)
         return [build(*args) for build, *args in entries]
+
+    def export_records(self, spans: int) -> list[tuple]:
+        """The ring's records other than spans, as plain ``(position, at,
+        kind, name, data)`` tuples, oldest first.
+
+        ``spans`` is how many spans the recorder's tracer holds, the newest
+        of them last in the ring; ``position`` counts those recorded ahead
+        of the record, and ``at`` is its clock reading.
+        """
+        with self._lock:
+            entries = list(self._records)
+        position = spans - sum(1 for entry in entries if entry[0] is _span_record)
+        out = []
+        for build, *args in entries:
+            if build is _span_record:
+                position += 1
+            else:
+                r = build(*args)
+                out.append((position, self._epoch + r.t, r.kind, r.name, r.data))
+        return out
 
     def clear(self) -> None:
         """Drop every record and restart the epoch (flag state untouched)."""

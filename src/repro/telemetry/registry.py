@@ -523,6 +523,42 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
 
+    def export_state(self) -> list[tuple]:
+        """Every child as a picklable ``(kind, name, buckets, labels, value)``.
+
+        A histogram's value is ``(counts, sum, count)``; ``buckets`` is the
+        family's spec (``None`` for the default).  Collectors do not run.
+        :meth:`merge_state` adds the list to another registry.
+        """
+        with self._lock:
+            return [
+                (family.kind, family.name, family.buckets, key,
+                 (list(child.counts), child.sum, child.count)
+                 if family.kind == "histogram" else child.value)
+                for family in self._families.values()
+                for key, child in family.children.items()
+            ]
+
+    def merge_state(self, state: Iterable[tuple]) -> None:
+        """Add another registry's :meth:`export_state` to this one.
+
+        Counters add, gauges take the exported value, histograms add their
+        bucket counts, sums and counts.
+        """
+        for kind, name, buckets, labels, value in state:
+            labels = dict(labels)
+            if kind == "counter":
+                self.counter(name, **labels).inc(value)
+            elif kind == "gauge":
+                self.gauge(name, **labels).set(value)
+            else:
+                histogram = self.histogram(name, buckets, **labels)
+                counts, total, count = value
+                for i, n in enumerate(counts):
+                    histogram.counts[i] += n
+                histogram.sum += total
+                histogram.count += count
+
     def reset(self) -> None:
         """Drop every family and child (collectors stay registered).
 
