@@ -22,7 +22,6 @@ One way to build and drive every functional trainer:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter as _perf
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
@@ -205,6 +204,8 @@ class TrainLog:
 class _StepRun:
     """One step in flight: what :meth:`BaseTrainer._step` hands a strategy."""
 
+    __slots__ = ("losses", "grads", "phase_seconds", "result", "start", "_mark", "_phase")
+
     def __init__(self) -> None:
         #: Every replica's loss, as the strategy's ``_forward_backward`` made them.
         self.losses: Sequence[float] = ()
@@ -238,6 +239,90 @@ class _StepRun:
             _telemetry.tracer.emit(name, category, "trainer", self._mark, now)
         self.phase_seconds[name] = now - self._mark
         self._mark = now
+
+
+class _Step:
+    """The context :meth:`BaseTrainer._step` returns: one step, stated once.
+
+    Entering runs the checks and the ``split`` and ``forward_backward``
+    phases; leaving ends the step's clock, hands its spans to the tracer
+    and, unless the step raised, builds its result and records it.  A
+    class rather than a generator-based context manager, since it runs on
+    every step of every trainer.
+    """
+
+    __slots__ = ("trainer", "x", "labels", "run", "record")
+
+    def __init__(self, trainer: "BaseTrainer", x: np.ndarray, labels: np.ndarray) -> None:
+        self.trainer = trainer
+        self.x = x
+        self.labels = labels
+
+    def __enter__(self) -> _StepRun:
+        trainer = self.trainer
+        if not trainer._ready:
+            raise RuntimeError("call init() before step()")
+        x, labels = np.asarray(self.x), np.asarray(self.labels)
+        if labels.shape != x.shape[:1]:
+            raise ValueError(
+                f"labels shape {labels.shape} does not match a batch of "
+                f"{x.shape[0]} rows"
+            )
+        run = self.run = _StepRun()
+        trainer._last_launches = []
+        record = self.record = _telemetry.StepRecord()
+        if trainer._tallies_launches:
+            record.__enter__()
+        try:
+            with run.phase("split", "input"):
+                xs, ys = trainer._split(x, labels)
+            with run.phase("forward_backward", "compute"):
+                run.losses, run.grads = trainer._forward_backward(xs, ys)
+        except BaseException:
+            self._close()
+            raise
+        return run
+
+    def _close(self) -> float:
+        """End the step's clock and hand its spans to the tracer."""
+        end = _perf()
+        tracer = _telemetry.tracer
+        record = self.record
+        try:
+            if _telemetry.enabled:
+                tracer.emit("train_step", "step", "trainer", self.run.start, end)
+        finally:
+            if self.trainer._tallies_launches:
+                record.__exit__()
+            if record.spans:
+                tracer.emit_all(record.spans)
+        return end
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        trainer, run = self.trainer, self.run
+        try:
+            if exc_type is None and trainer.overlap:
+                with _telemetry.tracer.span(
+                    "overlap_model", category="overlap", actor="trainer"
+                ):
+                    trainer.last_overlap = trainer._model_overlap(
+                        run.phase_seconds["forward_backward"]
+                    )
+        finally:
+            end = self._close()
+        if exc_type is not None:
+            return
+        losses = np.asarray(run.losses)
+        run.result = StepResult(
+            # np.mean's own arithmetic (one add.reduce, one division),
+            # without its dispatch.
+            float(np.add.reduce(losses)) / losses.size,
+            phase_seconds=run.phase_seconds,
+            bytes_moved=sum(nbytes for nbytes, _ in trainer._last_launches),
+            step_index=trainer.step_index,
+        )
+        trainer.step_index += 1
+        trainer._record_step(end - run.start, run.result, self.record.counts)
 
 
 class BaseTrainer(ABC):
@@ -309,14 +394,13 @@ class BaseTrainer(ABC):
             )
         return x.reshape(n, -1, *x.shape[1:]), labels.reshape(n, -1)
 
-    @contextmanager
-    def _step(self, x: np.ndarray, labels: np.ndarray):
+    def _step(self, x: np.ndarray, labels: np.ndarray) -> "_Step":
         """The step around a strategy's gradient exchange + update.
 
-        Yields the :class:`_StepRun` once the ``split`` and
-        ``forward_backward`` phases have run; the ``with`` body runs the
-        strategy's phases through ``run.phase``; on exit ``run.result``
-        holds the finished :class:`StepResult`.
+        Entering the returned context runs the ``split`` and
+        ``forward_backward`` phases and gives the :class:`_StepRun`; the
+        ``with`` body runs the strategy's phases through ``run.phase``; on
+        exit ``run.result`` holds the finished :class:`StepResult`.
 
         Telemetry: one ``train_step`` span (category ``"step"``) encloses
         the phase spans of the paper's step breakdown, named exactly as
@@ -327,51 +411,7 @@ class BaseTrainer(ABC):
         (``overlap_model`` span, ``overlap_*`` counters) without changing
         any arithmetic.
         """
-        if not self._ready:
-            raise RuntimeError("call init() before step()")
-        x, labels = np.asarray(x), np.asarray(labels)
-        if labels.shape != x.shape[:1]:
-            raise ValueError(
-                f"labels shape {labels.shape} does not match a batch of "
-                f"{x.shape[0]} rows"
-            )
-        run = _StepRun()
-        self._last_launches = []
-        tracer = _telemetry.tracer
-        record = _telemetry.StepRecord()
-        try:
-            with record if self._tallies_launches else nullcontext():
-                try:
-                    with run.phase("split", "input"):
-                        xs, ys = self._split(x, labels)
-                    with run.phase("forward_backward", "compute"):
-                        run.losses, run.grads = self._forward_backward(xs, ys)
-                    yield run
-                    if self.overlap:
-                        with tracer.span(
-                            "overlap_model", category="overlap", actor="trainer"
-                        ):
-                            self.last_overlap = self._model_overlap(
-                                run.phase_seconds["forward_backward"]
-                            )
-                finally:
-                    end = _perf()
-                    if _telemetry.enabled:
-                        tracer.emit("train_step", "step", "trainer", run.start, end)
-        finally:
-            if record.spans:
-                tracer.emit_all(record.spans)
-        losses = np.asarray(run.losses)
-        run.result = StepResult(
-            # np.mean's own arithmetic (one add.reduce, one division),
-            # without its dispatch.
-            float(np.add.reduce(losses) / losses.size),
-            phase_seconds=run.phase_seconds,
-            bytes_moved=sum(nbytes for nbytes, _ in self._last_launches),
-            step_index=self.step_index,
-        )
-        self.step_index += 1
-        self._record_step(end - run.start, run.result, record.counts)
+        return _Step(self, x, labels)
 
     def _counter_set(self, phases: tuple[str, ...]):
         """The step's counter series — its launches', ``train_steps``, then

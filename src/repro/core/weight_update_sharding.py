@@ -31,7 +31,6 @@ from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
     ShardedValue,
-    padded_chunk_layout,
     ring_all_gather_stacked,
     ring_launch_counts,
     ring_reduce_scatter,
@@ -155,11 +154,12 @@ def bucketed_sharded_update(
     array of ``bucket.size`` elements; device ``d``'s shard of it is
     window ``d``, exactly as in the reduce-scatter's shard block.  A
     parameter's shards across the devices are therefore one contiguous
-    range of every flat array, so its elementwise update runs once over
-    that range, while its trust-ratio norms are still summed per device
-    segment, in device order.  The slots are updated in place; the new
-    parameters are returned.  The bucket should be float64 so the update
-    math matches the per-parameter path.
+    range of every flat array, so its update runs once over that range,
+    while its trust-ratio norms are still summed per device segment, in
+    device order; an elementwise optimizer updates the whole window at
+    once (:meth:`~repro.optim.base.Optimizer.update_window`).  The slots
+    are updated in place; the new parameters are returned.  The bucket
+    should be float64 so the update math matches the per-parameter path.
     """
     if grad_block.ndim != 2 or grad_block.shape[1] != bucket.size:
         raise ValueError(
@@ -176,22 +176,18 @@ def bucketed_sharded_update(
     sharded = ring_reduce_scatter(grad_block, dtype_policy)
     t0 = _perf()
     grads = sharded.block.reshape(-1).astype(np.float64, copy=False)
-    # 2. per layer, over its one range: the segment-partial norms summed
-    #    across the devices holding it (the tiny scalar all-reduce of
-    #    sharded_update), then the elementwise update, written into one
-    #    (n, chunk) block of per-device chunk rows (the gather reads it
-    #    without concatenating).
-    _, chunk = padded_chunk_layout(n, bucket.size)
+    # 2. the optimizer over the bucket's window: per layer, over its one
+    #    range, the segment-partial norms summed across the devices holding
+    #    it (the tiny scalar all-reduce of sharded_update), then the
+    #    elementwise update — or, for an elementwise optimizer, one update
+    #    of the whole window — written into one (n, chunk) block of
+    #    per-device chunk rows (the gather reads it without concatenating).
+    size, chunk = bucket.size, sharded.block.shape[1]
     new_block = np.empty((n, chunk), dtype=np.float64)  # padding never read
-    new_flat = new_block.reshape(-1)
-    for name, span, segments in bucket.tensor_segments(n):
-        state = {slot: flat[span] for slot, flat in slots.items()}
-        ((new_vals, new_state),) = optimizer.update_shards(
-            name, [(flat_params[span], grads[span], state)], step, segments=segments
-        )
-        new_flat[span] = new_vals
-        for slot, values in new_state.items():
-            state[slot][...] = values
+    optimizer.update_window(
+        bucket.tensor_segments(n), flat_params, grads[:size], slots, step,
+        new_block.reshape(-1)[:size],
+    )
     if _telemetry.enabled:
         tracer = _telemetry.tracer
         tracer.emit("sharded_update", "update", tracer.actor, t0, _perf())
@@ -201,7 +197,7 @@ def bucketed_sharded_update(
     gathered = ring_all_gather_stacked(
         ShardedValue(
             shards=list(new_block),
-            shape=(bucket.size,),
+            shape=(size,),
             padded_size=n * chunk,
             block=new_block,
         )

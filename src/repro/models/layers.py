@@ -8,6 +8,8 @@ source is summation order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -26,7 +28,10 @@ def dense_forward(
         raise ValueError(f"shape mismatch: x {x.shape} @ w {w.shape}")
     y = x @ w
     if b is not None:
-        y = y + b
+        if b.dtype == y.dtype:
+            y += b  # y + b, into the product's fresh buffer
+        else:
+            y = y + b
     return y
 
 
@@ -60,7 +65,7 @@ def dense_param_grads(
     ``dx``.
     """
     dw_out, db_out = (None, None) if out is None else out
-    dw = np.matmul(np.swapaxes(x, -1, -2), dy, out=dw_out)
+    dw = np.matmul(x.swapaxes(-1, -2), dy, out=dw_out)
     db = np.add.reduce(dy, axis=-2, out=db_out)  # np.sum's reduction
     return dw, db
 
@@ -75,9 +80,26 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The reductions ndarray.max/.sum make, without their dispatch.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)  # e / sum, in place
+    return e
+
+
+@lru_cache(maxsize=16)
+def _unsigned(dtype: np.dtype) -> np.dtype:
+    """The unsigned integer type of ``dtype``'s width and byte order."""
+    return np.dtype(dtype.str.replace("i", "u"))
+
+
+@lru_cache(maxsize=64)
+def _row_starts(rows: int, classes: int) -> np.ndarray:
+    """Flat offset of each of ``rows`` rows of ``classes`` values (read-only):
+    a function of the batch shape alone, so a training loop builds it once."""
+    starts = np.arange(rows) * classes
+    starts.flags.writeable = False
+    return starts
 
 
 def softmax_cross_entropy(
@@ -97,21 +119,31 @@ def softmax_cross_entropy(
     labels = np.asarray(labels)
     if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} != {logits.shape[:-1]}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":  # np.issubdtype(dtype, np.integer)
         raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+    flat_labels = labels.reshape(-1)
+    # One reduction: read as unsigned, a negative label exceeds every class.
+    if flat_labels.size and (
+        np.maximum.reduce(flat_labels.view(_unsigned(labels.dtype))) >= classes
+    ):
         raise ValueError(
             f"labels must lie in [0, {classes}); got {labels.min()}..{labels.max()}"
         )
-    probs = softmax(logits).reshape(-1, classes)
-    rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
+    # Each row's label as an index into the flat probabilities (in range:
+    # checked above, so any integer type may be cast).
+    picks = np.add(
+        _row_starts(flat_labels.size, classes), flat_labels,
+        dtype=np.intp, casting="unsafe",
+    )
+    probs = softmax(logits).reshape(-1)
     eps = 1e-12
-    picked = probs[rows, flat_labels].reshape(labels.shape)
+    picked = probs[picks].reshape(labels.shape)  # a copy, worked on in place
+    picked += eps
     # np.mean's own arithmetic (one add.reduce, one division), without its
     # dispatch: this runs on every training step.
-    loss = -(np.add.reduce(np.log(picked + eps), axis=-1) / batch)
-    dlogits = probs  # ``picked`` is a copy: probs is free to overwrite
-    dlogits[rows, flat_labels] -= 1.0
+    loss = -(np.add.reduce(np.log(picked, out=picked), axis=-1) / batch)
+    dlogits = probs
+    dlogits[picks] -= 1.0
     dlogits /= batch
     loss = float(loss) if logits.ndim == 2 else loss.astype(np.float64, copy=False)
     return loss, dlogits.reshape(logits.shape)

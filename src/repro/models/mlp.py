@@ -36,6 +36,8 @@ class MLP:
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = list(layer_sizes)
         self.dtype = dtype
+        #: ``(weight, bias)`` names of each layer, input layer first.
+        self._names = tuple((f"w{i}", f"b{i}") for i in range(len(layer_sizes) - 1))
 
     @property
     def num_layers(self) -> int:
@@ -93,12 +95,13 @@ class MLP:
         the returned gradients are then those arrays.  Gradients come back
         in :attr:`grad_names` order.
         """
-        activations = [x.astype(self.dtype)]
+        activations = [x.astype(self.dtype, copy=False)]  # only ever read
         pre_relu: list[np.ndarray] = []
         h = activations[0]
-        for i in range(self.num_layers):
-            z = dense_forward(h, params[f"w{i}"], params[f"b{i}"])
-            if i + 1 < self.num_layers:
+        last = len(self._names) - 1
+        for i, (w, b) in enumerate(self._names):
+            z = dense_forward(h, params[w], params[b])
+            if i < last:
                 pre_relu.append(z)
                 h = relu(z)
             else:
@@ -106,8 +109,8 @@ class MLP:
             activations.append(h)
         loss, dy = softmax_cross_entropy(h, labels)
         grads: dict[str, np.ndarray] = {}
-        for i in reversed(range(self.num_layers)):
-            w, b = f"w{i}", f"b{i}"
+        for i in range(last, -1, -1):
+            w, b = self._names[i]
             into = None if out is None else (out[w], out[b])
             if i == 0:  # the input layer's dx would feed nothing
                 grads[w], grads[b] = dense_param_grads(activations[i], dy, into)

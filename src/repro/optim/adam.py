@@ -12,8 +12,10 @@ class Adam(Optimizer):
     """Standard Adam with bias correction.
 
     Fully elementwise (no trust-ratio norms), so it shards trivially under
-    weight-update sharding.
+    weight-update sharding, one whole bucket window at a time.
     """
+
+    elementwise = True
 
     def __init__(
         self,
@@ -24,6 +26,8 @@ class Adam(Optimizer):
     ) -> None:
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.learning_rate = as_schedule(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
@@ -37,13 +41,22 @@ class Adam(Optimizer):
 
     def apply(self, name, param, grad, state, step, stats, work):
         lr = self.learning_rate(step)
+        b1, b2 = self.beta1, self.beta2
         g = grad.astype(np.float64, copy=False)
-        m = self.beta1 * state["m"] + (1.0 - self.beta1) * g
-        v = self.beta2 * state["v"] + (1.0 - self.beta2) * g * g
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, each
+        # operation in the order written, the temporaries reused in place.
+        m = b1 * state["m"]
+        m += (1.0 - b1) * g
+        v = (1.0 - b2) * g
+        v *= g
+        np.add(b2 * state["v"], v, out=v)
         t = step + 1
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        new_p = param.astype(np.float64, copy=False) - lr * m_hat / (
-            np.sqrt(v_hat) + self.epsilon
-        )
+        # p - lr * m_hat / (sqrt(v_hat) + epsilon), likewise.
+        delta = m / (1.0 - b1**t)  # m_hat
+        np.multiply(lr, delta, out=delta)
+        denom = v / (1.0 - b2**t)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        delta /= denom
+        new_p = np.subtract(param.astype(np.float64, copy=False), delta, out=delta)
         return new_p.astype(param.dtype, copy=False), {"m": m, "v": v}

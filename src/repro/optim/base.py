@@ -11,7 +11,8 @@ import numpy as np
 Params = dict[str, np.ndarray]
 Grads = Mapping[str, np.ndarray]
 
-#: Optimizer slot variables: name -> slot -> array (same shape as the param).
+#: Optimizer slot variables: name -> slot -> float64 array (same shape as the
+#: param).
 OptimizerState = dict[str, dict[str, np.ndarray]]
 
 
@@ -30,8 +31,17 @@ class Optimizer(abc.ABC):
 
     :meth:`update_shards` states how the two combine — the trust-ratio rule
     of §3.2 — once; the convenience :meth:`update` runs the full
-    replicated step as its one-shard case.
+    replicated step as its one-shard case, and :meth:`update_window` the
+    weight-update-sharded step over one fused bucket.
     """
+
+    #: Whether :meth:`apply` does the same arithmetic on every element,
+    #: whatever tensor it belongs to: no norm operands, no per-name rule,
+    #: only scalars that depend on ``step``.  Such an optimizer updates a
+    #: bucket's whole window in one :meth:`apply` call (see
+    #: :meth:`update_window`); a layerwise one (LARS, LAMB) one tensor at
+    #: a time.
+    elementwise: bool = False
 
     @abc.abstractmethod
     def init_state(self, params: Params) -> OptimizerState:
@@ -104,6 +114,47 @@ class Optimizer(abc.ABC):
             self.apply(name, param, grad, state, step, stats, work)
             for (param, grad, state), (_, work) in zip(shards, prepared)
         ]
+
+    def update_window(
+        self,
+        tensors: Sequence[tuple[str, slice, Sequence[slice]]],
+        params: np.ndarray,
+        grads: np.ndarray,
+        slots: dict[str, np.ndarray],
+        step: int,
+        out: np.ndarray,
+    ) -> None:
+        """Update one fused bucket's flat window in place.
+
+        ``params``, ``grads``, ``out`` and every array of ``slots`` are
+        flat and bucket-ordered, one element per bucket element;
+        ``tensors`` is the bucket's
+        :meth:`~repro.runtime.bucket.GradientBucket.tensor_segments`: per
+        tensor, its range of those arrays and its device segments.  The
+        new parameters are written to ``out`` and the new slot values into
+        the ``slots`` arrays.
+
+        A layerwise optimizer runs :meth:`update_shards` once per tensor,
+        its norms summed over the tensor's device segments.  An
+        :attr:`elementwise` one makes a single :meth:`apply` call over the
+        whole window, with ``name=None``, no statistics and no work — the
+        very operations the per-tensor calls make, on the same elements,
+        so the bits are the same.
+        """
+        if self.elementwise:
+            new_params, new_state = self.apply(None, params, grads, slots, step, {}, None)
+            out[...] = new_params
+            for slot, values in new_state.items():
+                slots[slot][...] = values
+            return
+        for name, span, segments in tensors:
+            state = {slot: flat[span] for slot, flat in slots.items()}
+            ((new_params, new_state),) = self.update_shards(
+                name, [(params[span], grads[span], state)], step, segments=segments
+            )
+            out[span] = new_params
+            for slot, values in new_state.items():
+                state[slot][...] = values
 
     def update(
         self, params: Params, grads: Grads, state: OptimizerState, step: int

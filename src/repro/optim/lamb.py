@@ -32,6 +32,10 @@ class LAMB(Optimizer):
     ) -> None:
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
         self.learning_rate = as_schedule(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2

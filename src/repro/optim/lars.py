@@ -36,6 +36,10 @@ class LARS(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if trust_coefficient <= 0:
             raise ValueError("trust_coefficient must be positive")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
         self.learning_rate = as_schedule(learning_rate)
         self.momentum = momentum
         self.weight_decay = weight_decay

@@ -11,8 +11,11 @@ from repro.optim.schedules import LRSchedule, as_schedule
 class SGDMomentum(Optimizer):
     """Heavy-ball SGD: ``v = m*v + g + wd*p``; ``p -= lr * v``.
 
-    Fully elementwise, so it shards trivially (``norm_stats`` is empty).
+    Fully elementwise, so it shards trivially (``norm_stats`` is empty),
+    one whole bucket window at a time.
     """
+
+    elementwise = True
 
     def __init__(
         self,
@@ -39,6 +42,9 @@ class SGDMomentum(Optimizer):
         g = grad.astype(np.float64, copy=False)
         if self.weight_decay:
             g = g + self.weight_decay * param
-        v = self.momentum * state["momentum"] + g
-        new_param = param - lr * v
+        # v = m * v + g and p - lr * v, each operation in the order written.
+        v = self.momentum * state["momentum"]
+        v += g
+        delta = lr * v
+        new_param = np.subtract(param, delta, out=delta)
         return new_param.astype(param.dtype, copy=False), {"momentum": v}

@@ -111,8 +111,8 @@ class GradientBucket:
             out = np.empty(self.size, dtype=self.dtype)
         elif out.shape != (self.size,):
             raise ValueError(f"out must have shape ({self.size},)")
-        for name in self.names:
-            out[self.slice_of(name)] = np.asarray(tree[name]).reshape(-1)
+        for name, where in self._slices.items():
+            out[where] = np.asarray(tree[name]).reshape(-1)
         if _telemetry.enabled:
             seconds = _perf() - t0
             record = _telemetry.step_record()

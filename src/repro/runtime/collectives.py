@@ -309,7 +309,8 @@ def _as_device_block(
     the per-device flat rows (zero-copy views where possible); ``block``
     is the contiguous ``(n, flat_size)`` backing array when one exists
     (``None`` for plain lists and for replicated values, whose logical
-    rows are broadcasts of one physical row).
+    rows are broadcasts of one physical row).  With a block, ``flats`` is
+    that same array, whose rows are the devices' flat buffers.
     """
     if isinstance(arrays, StackedValue):
         n = arrays.num_devices
@@ -317,19 +318,47 @@ def _as_device_block(
         flat2 = arrays.block.reshape(arrays.block.shape[0], -1)
         if arrays.replicated:
             return None, [flat2[0]] * n, n, shape
-        block = flat2 if flat2.flags.c_contiguous else None
-        return block, list(flat2), n, shape
+        if flat2.flags.c_contiguous:
+            return flat2, flat2, n, shape
+        return None, list(flat2), n, shape
     if isinstance(arrays, np.ndarray) and arrays.ndim >= 2:
         n = arrays.shape[0]
         if n == 0:
             raise ValueError("need at least one device buffer")
         shape = tuple(arrays.shape[1:])
         flat2 = arrays.reshape(n, -1)
-        block = flat2 if flat2.flags.c_contiguous else None
-        return block, list(flat2), n, shape
+        if flat2.flags.c_contiguous:
+            return flat2, flat2, n, shape
+        return None, list(flat2), n, shape
     shape = _check_same_shape(arrays)
     flats = [np.asarray(a).reshape(-1) for a in arrays]
     return None, flats, len(flats), tuple(shape)
+
+
+@lru_cache(maxsize=256)
+def _ring_sweeps(
+    n: int, size: int, chunk: int
+) -> tuple[tuple[tuple[slice | None, slice | None], ...], tuple[tuple[int, slice], ...]]:
+    """The block operations of :func:`_linear_ring_passes`, as slices.
+
+    Pass one: per device ``d``, its own slot (copied; ``None`` when it lies
+    in the padding) and the head below it (added; ``None`` for device 0).
+    Pass two: ``(d, tail)`` for every device with a non-empty tail above its
+    slot.  A pure function of the layout, so a training loop, which
+    reduces the same layout every step, builds it once.
+    """
+    first = []
+    for d in range(n):
+        lo = d * chunk
+        hi = min(lo + chunk, size)
+        end = min(lo, size)
+        first.append((slice(lo, hi) if hi > lo else None, slice(0, end) if end > 0 else None))
+    second = []
+    for d in range(n - 1):
+        start = min((d + 1) * chunk, size)
+        if start < size:
+            second.append((d, slice(start, size)))
+    return tuple(first), tuple(second)
 
 
 def _linear_ring_passes(
@@ -353,33 +382,28 @@ def _linear_ring_passes(
     matching ``reducer(chunks[dst][c], chunks[d][c])`` of the reference
     schedule) — no staging copies, no index arrays, and the accumulator
     stays cache-resident.  For bf16 each touched region is re-rounded
-    after its add, exactly one rounding per slot per hop.
+    after its add, exactly one rounding per slot per hop.  The slices come
+    from :func:`_ring_sweeps`.
 
     Padding slots (``>= size``) are never written and must be pre-zeroed.
     ``bf16_round`` is the per-hop in-place rounding function for the bf16
     policy (:func:`_bf16_round_for` picks the NaN-checked or the faster
     NaN-free variant per collective); ``None`` for f32/f64.
     """
-    n = len(srcs)
-    for d in range(n):
-        src = srcs[d]
-        lo = d * chunk
-        hi = min(lo + chunk, size)
-        if hi > lo:
-            acc[lo:hi] = src[lo:hi]
-        end = min(lo, size)
-        if end > 0:
-            head = acc[:end]
-            np.add(src[:end], head, out=head)
+    first, second = _ring_sweeps(len(srcs), size, chunk)
+    for src, (own, below) in zip(srcs, first):
+        if own is not None:
+            acc[own] = src[own]
+        if below is not None:
+            head = acc[below]
+            np.add(src[below], head, out=head)
             if bf16_round is not None:
                 bf16_round(head)
-    for d in range(n - 1):
-        start = min((d + 1) * chunk, size)
-        if start < size:
-            tail = acc[start:size]
-            np.add(srcs[d][start:size], tail, out=tail)
-            if bf16_round is not None:
-                bf16_round(tail)
+    for d, above in second:
+        tail = acc[above]
+        np.add(srcs[d][above], tail, out=tail)
+        if bf16_round is not None:
+            bf16_round(tail)
     return acc
 
 
@@ -504,7 +528,8 @@ def _ring_reduce_scatter_impl(
     padded, chunk = padded_chunk_layout(n, size)
     srcs, bf16_round = _quantized_sources(flats, dtype, dtype_policy, block)
     acc = np.empty(padded, dtype=dtype)
-    acc[size:] = 0
+    if padded > size:
+        acc[size:] = 0
     _linear_ring_passes(acc, srcs, size, chunk, bf16_round)
     return acc.reshape(n, chunk), shape, padded
 
@@ -520,10 +545,10 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
     """
     t0 = _perf()
     shards, shape, padded = _ring_reduce_scatter_impl(arrays, dtype_policy)
-    n = shards.shape[0]
     if _telemetry.enabled:
+        n, chunk = shards.shape
         _record_collective(
-            "reduce_scatter", n, padded // n, _dtype_for(dtype_policy).itemsize,
+            "reduce_scatter", n, chunk, shards.itemsize,
             dtype_policy, _comm_span("ring_reduce_scatter", t0) - t0,
         )
     return ShardedValue(list(shards), shape, padded, block=shards)

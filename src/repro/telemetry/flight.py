@@ -162,9 +162,9 @@ class FlightRecorder:
         if not _telemetry.enabled or not events:
             return
         t = self._clock() - self._epoch
+        entries = [(_span_record, t, event) for event in events]
         with self._lock:
-            for event in events:
-                self._records.append((_span_record, t, event))
+            self._records.extend(entries)
 
     def record_counter_deltas(self, registry=None) -> None:
         """Record which scalar metrics moved (and by how much) since last call.

@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
 from repro.core.weight_update_sharding import (
     WeightUpdateShardedTrainer,
+    bucketed_sharded_update,
     shard_states,
     sharded_update,
 )
 from repro.models.mlp import MLP, synthetic_classification
-from repro.optim import Adam, LAMB, LARS, SGDMomentum
+from repro.optim import Adam, LAMB, LARS, LinearWarmupPolyDecay, SGDMomentum
+from repro.runtime.bucket import BucketPlan
+from repro.runtime.collectives import ring_reduce_scatter
 
 OPTIMIZERS = [
     ("sgd", lambda: SGDMomentum(0.05)),
@@ -217,3 +220,166 @@ class TestShardedUpdateEquivalence:
     def test_no_devices_rejected(self):
         with pytest.raises(ValueError):
             sharded_update({}, [], SGDMomentum(0.1), [], 0)
+
+
+#: The elementwise optimizers, each with and without what its update
+#: reads besides the gradient: weight decay, a learning-rate schedule.
+ELEMENTWISE = [
+    ("adam", lambda: Adam(0.01)),
+    ("adam_schedule", lambda: Adam(LinearWarmupPolyDecay(0.02, 3, 40))),
+    ("sgd", lambda: SGDMomentum(0.05)),
+    ("sgd_decay", lambda: SGDMomentum(0.05, weight_decay=1e-3)),
+    ("sgd_decay_schedule", lambda: SGDMomentum(
+        LinearWarmupPolyDecay(0.1, 2, 40, power=1.0), weight_decay=1e-3
+    )),
+]
+
+
+def _per_tensor_window(optimizer, tensors, params, grads, slots, step):
+    """A bucket window updated one tensor at a time through
+    ``update_shards``, its norms summed over the tensor's device segments:
+    the layerwise path, stated literally.  Returns the new flat params and
+    the new flat slots; the inputs are left alone."""
+    new_params = np.empty_like(params)
+    new_slots = {slot: flat.copy() for slot, flat in slots.items()}
+    for name, span, segments in tensors:
+        state = {slot: flat[span] for slot, flat in slots.items()}
+        ((values, new_state),) = optimizer.update_shards(
+            name, [(params[span], grads[span], state)], step, segments=segments
+        )
+        new_params[span] = values
+        for slot, flat in new_state.items():
+            new_slots[slot][span] = flat
+    return new_params, new_slots
+
+
+class TestWindowUpdate:
+    """``Optimizer.update_window``: one ``apply`` over a bucket's whole window
+    for an elementwise optimizer, the per-tensor loop for a layerwise one."""
+
+    def test_which_optimizers_are_elementwise(self):
+        assert Adam(0.01).elementwise and SGDMomentum(0.1).elementwise
+        assert not LAMB(0.01).elementwise and not LARS(0.1).elementwise
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        opt_index=st.integers(0, len(ELEMENTWISE) - 1),
+        dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        n=st.integers(1, 6),
+        num_buckets=st.integers(1, 3),
+        step=st.integers(0, 45),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_call_is_the_per_tensor_loop(
+        self, opt_index, dims, n, num_buckets, step, seed
+    ):
+        """Same bits as the per-tensor path, for the parameters and every
+        slot, on every bucket of any plan: windows that split tensors across
+        devices, tensors smaller than a window, padded last windows."""
+        optimizer = ELEMENTWISE[opt_index][1]()
+        rng = np.random.default_rng(seed)
+        params = MLP(dims).init_params(rng)
+        plan = BucketPlan(params, num_buckets, dtype=np.float64)
+        for bucket in plan.buckets:
+            flat_params = bucket.flatten(params)
+            grads = rng.standard_normal(bucket.size)
+            # Slots as a few steps in would hold them (v stays non-negative).
+            slots = {
+                slot: np.abs(rng.standard_normal(bucket.size))
+                for slot in optimizer.init_state({"w": flat_params})["w"]
+            }
+            tensors = bucket.tensor_segments(n)
+            want_params, want_slots = _per_tensor_window(
+                optimizer, tensors, flat_params, grads, slots, step
+            )
+            got = np.empty(bucket.size)
+            optimizer.update_window(tensors, flat_params, grads, slots, step, got)
+            assert np.array_equal(got, want_params)
+            assert slots.keys() == want_slots.keys()
+            for slot, flat in slots.items():
+                assert np.array_equal(flat, want_slots[slot])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        opt_index=st.integers(0, len(ELEMENTWISE) - 1),
+        dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        n=st.integers(1, 6),
+        num_buckets=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bucketed_step_is_the_per_tensor_loop(
+        self, opt_index, dims, n, num_buckets, seed
+    ):
+        """Through ``bucketed_sharded_update`` (reduce-scatter, the window,
+        all-gather): the per-tensor path over the same summed gradient."""
+        optimizer = ELEMENTWISE[opt_index][1]()
+        rng = np.random.default_rng(seed)
+        params = MLP(dims).init_params(rng)
+        plan = BucketPlan(params, num_buckets, dtype=np.float64)
+        for step in range(3):
+            for bucket in plan.buckets:
+                block = rng.standard_normal((n, bucket.size)) / n
+                slots = {
+                    slot: np.abs(rng.standard_normal(bucket.size))
+                    for slot in optimizer.init_state({"w": block[0]})["w"]
+                }
+                summed = ring_reduce_scatter(block, "f64").block.reshape(-1)
+                want_flat, want_slots = _per_tensor_window(
+                    optimizer, bucket.tensor_segments(n), bucket.flatten(params),
+                    summed[:bucket.size], slots, step,
+                )
+                new = bucketed_sharded_update(
+                    params, block, optimizer, slots, step, bucket
+                )
+                for name in bucket.names:
+                    want = want_flat[bucket.slice_of(name)].reshape(bucket.shapes[name])
+                    assert np.array_equal(new[name], want)
+                for slot, flat in slots.items():
+                    assert np.array_equal(flat, want_slots[slot])
+                params = {**params, **new}
+
+    @pytest.mark.parametrize("make_opt", [lambda: LAMB(0.01), lambda: LARS(0.5)])
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 4])
+    def test_layerwise_skip_patterns_match_per_parameter_update(
+        self, make_opt, replicas, rng
+    ):
+        """LAMB and LARS keep their per-tensor rules on the fused path: with
+        their default skip patterns (a bias, a layer-norm scale and a
+        batch-norm shift next to decayed kernels), three bucketed steps
+        match the per-parameter ``sharded_update``."""
+        params = {
+            "dense/kernel": rng.standard_normal((5, 3)),
+            "dense/bias": rng.standard_normal(3),
+            "ln/gamma": 1.0 + rng.standard_normal(3),
+            "bn/beta": rng.standard_normal(4),
+            "out/kernel": rng.standard_normal((3, 2)),
+        }
+        per_param_opt, fused_opt = make_opt(), make_opt()
+        reference = dict(params)
+        sharded = shard_states(per_param_opt.init_state(params), replicas)
+        (bucket,) = BucketPlan(params, 1, dtype=np.float64).buckets
+        slots = {
+            slot: np.zeros(bucket.size)
+            for slot in fused_opt.init_state(params)["dense/kernel"]
+        }
+        fused = dict(params)
+        for step in range(3):
+            grads = [
+                {k: rng.standard_normal(v.shape) / replicas for k, v in params.items()}
+                for _ in range(replicas)
+            ]
+            reference, sharded = sharded_update(
+                reference, grads, per_param_opt, sharded, step
+            )
+            block = np.stack([bucket.flatten(g) for g in grads])
+            fused = {**fused, **bucketed_sharded_update(
+                fused, block, fused_opt, slots, step, bucket
+            )}
+        assert _max_param_diff(reference, fused) < 1e-12
+        # The skipped tensors took the other branch of the rule.
+        assert not fused_opt.elementwise
+        skipped = [name for name in params if name.endswith(("bias", "gamma", "beta"))]
+        if isinstance(fused_opt, LAMB):
+            assert not any(fused_opt._decay(name) for name in skipped)
+        else:
+            assert all(fused_opt._skip(name) for name in skipped)

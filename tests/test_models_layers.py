@@ -127,6 +127,20 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match=match):
             softmax_cross_entropy(np.zeros((2, 4)), np.array(labels))
 
+    @pytest.mark.parametrize("dtype", ["<i8", ">i8", "i1", "i4", "u1", "<u8", ">u2"])
+    def test_every_integer_label_type_gives_the_same_answer(self, dtype, rng):
+        """Signed, unsigned, narrow and byte-swapped labels pick the same
+        classes; out-of-range ones are refused in every type."""
+        logits = rng.standard_normal((3, 4))
+        loss, dlogits = softmax_cross_entropy(logits, np.array([0, 3, 1]))
+        got_loss, got_d = softmax_cross_entropy(logits, np.array([0, 3, 1], dtype=dtype))
+        assert got_loss == loss and np.array_equal(got_d, dlogits)
+        with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+            softmax_cross_entropy(logits, np.array([0, 4, 1], dtype=dtype))
+        if np.dtype(dtype).kind == "i":
+            with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+                softmax_cross_entropy(logits, np.array([0, -1, 1], dtype=dtype))
+
     def test_leading_axes_are_per_slice(self, rng):
         logits = rng.standard_normal((3, 5, 4))
         labels = rng.integers(0, 4, size=(3, 5))

@@ -174,6 +174,39 @@ class TestLAMB:
             LAMB(0.01, beta1=1.0)
 
 
+class TestRefusedHyperparameters:
+    """An epsilon of zero divides zero by zero wherever a gradient entry is
+    zero on the first step (``Adam(0.01, epsilon=0)`` would turn ``[0, 1, 0]``
+    into ``[nan, 0.99, nan]``), and a negative weight decay grows the
+    weights it should shrink: both are refused when the optimizer is built."""
+
+    @pytest.mark.parametrize("make", [Adam, LAMB, LARS])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, float("nan")])
+    def test_epsilon_must_be_positive(self, make, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            make(0.01, epsilon=epsilon)
+
+    @pytest.mark.parametrize("make", [LAMB, LARS, SGDMomentum])
+    def test_weight_decay_must_be_non_negative(self, make):
+        with pytest.raises(ValueError, match="weight_decay"):
+            make(0.01, weight_decay=-1e-4)
+
+    @pytest.mark.parametrize("make", [LAMB, LARS, SGDMomentum])
+    def test_zero_weight_decay_is_accepted(self, make):
+        make(0.01, weight_decay=0.0)
+
+    @pytest.mark.parametrize("make", [Adam, LAMB])
+    def test_zero_gradient_entries_stay_finite(self, make):
+        """The case that produced NaN, at the smallest accepted epsilon."""
+        opt = make(0.01, epsilon=1e-300)
+        params = {"w": np.ones(3)}
+        new, state = opt.update(
+            params, {"w": np.array([0.0, 1.0, 0.0])}, opt.init_state(params), 0
+        )
+        assert np.all(np.isfinite(new["w"]))
+        assert new["w"][0] == new["w"][2]
+
+
 class TestSchedules:
     def test_constant(self):
         s = ConstantSchedule(0.5)
