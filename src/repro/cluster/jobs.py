@@ -26,6 +26,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.refuse import count, fraction, non_negative, positive
 from repro.resilience.chaos import BatchFn, GoodputAccounting
 
 #: Job lifecycle states (plain strings so tables/JSON stay readable).
@@ -133,22 +134,17 @@ class JobSpec:
         if not self.name:
             raise ValueError("job needs a non-empty name")
         w, h = self.slice_shape
-        if w < 1 or h < 1:
-            raise ValueError("slice_shape dims must be >= 1")
-        if self.target_steps < 1:
-            raise ValueError("target_steps must be >= 1")
-        if self.arrival_tick < 0:
-            raise ValueError("arrival_tick must be >= 0")
-        if not 1 <= self.min_chips <= self.num_chips:
+        count("slice_shape", w)
+        count("slice_shape", h)
+        count("target_steps", self.target_steps)
+        count("arrival_tick", self.arrival_tick, minimum=0)
+        if count("min_chips", self.min_chips) > self.num_chips:
             raise ValueError("min_chips must be in [1, slice chips]")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if self.state_bytes < 0:
-            raise ValueError("state_bytes must be >= 0")
-        if not 0.0 <= self.slo_goodput <= 1.0:
-            raise ValueError("slo_goodput must be in [0, 1]")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
+        count("checkpoint_interval", self.checkpoint_interval)
+        non_negative("state_bytes", self.state_bytes)
+        fraction("slo_goodput", self.slo_goodput)
+        if self.deadline_s is not None:
+            positive("deadline_s", self.deadline_s)
         if self.trainer_config is not None:
             if self.batch_fn_factory is None:
                 raise ValueError(

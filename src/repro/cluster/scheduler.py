@@ -65,6 +65,7 @@ from repro.cluster.jobs import (
     derive_subseed,
 )
 from repro.cluster.state import ClusterState
+from repro.refuse import count, non_negative
 from repro.resilience.chaos import (
     Recovery, check_plan, check_recovery_knobs, trainer_for,
 )
@@ -114,12 +115,10 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         check_recovery_knobs(self)
-        if self.preemption_grace_s < 0:
-            raise ValueError("preemption_grace_s must be >= 0")
-        if self.heal_after_s is not None and self.heal_after_s < 0:
-            raise ValueError("heal_after_s must be >= 0")
-        if self.max_ticks < 1:
-            raise ValueError("max_ticks must be >= 1")
+        non_negative("preemption_grace_s", self.preemption_grace_s)
+        if self.heal_after_s is not None:
+            non_negative("heal_after_s", self.heal_after_s)
+        count("max_ticks", self.max_ticks)
 
 
 @dataclass

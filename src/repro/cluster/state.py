@@ -28,6 +28,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.refuse import count
 from repro.resilience.faults import Device, host_map
 
 logger = logging.getLogger("repro.cluster")
@@ -44,10 +45,10 @@ class Slice:
     height: int
 
     def __post_init__(self) -> None:
-        if self.x0 < 0 or self.y0 < 0:
-            raise ValueError("slice anchor must be non-negative")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("slice dims must be >= 1")
+        count("x0", self.x0, minimum=0)
+        count("y0", self.y0, minimum=0)
+        count("width", self.width)
+        count("height", self.height)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -82,9 +83,7 @@ class ClusterState:
     def __init__(
         self, mesh_shape: tuple[int, int], chips_per_host: int = 8
     ) -> None:
-        x_size, y_size = mesh_shape
-        if x_size < 1 or y_size < 1:
-            raise ValueError("mesh dims must be >= 1")
+        x_size, y_size = mesh_shape  # host_map below refuses a bad one
         self.mesh_shape = (x_size, y_size)
         self.chips_per_host = chips_per_host
         #: Host index -> chips, by the repo-wide row-major block rule.

@@ -28,6 +28,7 @@ from repro.comm.cost import (
 )
 from repro.hardware.rings import model_peer_ring, x_line, y_ring
 from repro.hardware.topology import TorusMesh
+from repro.refuse import count, non_negative
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,8 @@ def two_phase_allreduce(
         with ``mp_size`` physical hops per step and ``1/mp_size`` of each
         link's bandwidth (all peer rings share the X links).
     """
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
-    if mp_size < 1:
-        raise ValueError("mp_size must be >= 1")
+    non_negative("payload_bytes", payload_bytes)
+    count("mp_size", mp_size)
     if mesh.x_size % mp_size != 0:
         raise ValueError(
             f"mesh x_size {mesh.x_size} not divisible by mp_size {mp_size}"
@@ -211,8 +210,7 @@ def model_parallel_allreduce(
     chips summing partial matmul contributions (Section 3.1).  The group is
     an open segment of the X line, so the line formula applies.
     """
-    if mp_size < 1:
-        raise ValueError("mp_size must be >= 1")
+    count("mp_size", mp_size)
     if mp_size == 1 or payload_bytes == 0:
         return 0.0
     if mp_size > mesh.x_size:

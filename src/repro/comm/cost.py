@@ -28,15 +28,14 @@ from dataclasses import dataclass
 
 from repro.hardware.rings import Ring
 from repro.hardware.topology import LinkKind, TorusMesh
+from repro.refuse import count, non_negative, positive, positive_fraction
 
 
-def _validate(num_members: int, payload_bytes: float, bandwidth: float) -> None:
-    if num_members < 1:
-        raise ValueError(f"num_members must be >= 1, got {num_members}")
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+def _validate(num_members: int, payload_bytes: float, bandwidth: float, latency: float) -> None:
+    count("num_members", num_members)
+    non_negative("payload_bytes", payload_bytes)
+    positive("bandwidth", bandwidth)
+    non_negative("latency", latency)
 
 
 def reduce_scatter_time(
@@ -50,9 +49,8 @@ def reduce_scatter_time(
     bandwidth_fraction: float = 1.0,
 ) -> float:
     """Time for a ring/line reduce-scatter leaving each member 1/n of the sum."""
-    _validate(num_members, payload_bytes, bandwidth)
-    if not 0 < bandwidth_fraction <= 1.0:
-        raise ValueError("bandwidth_fraction must be in (0, 1]")
+    _validate(num_members, payload_bytes, bandwidth, latency)
+    positive_fraction("bandwidth_fraction", bandwidth_fraction)
     n = num_members
     if n == 1 or payload_bytes == 0:
         return 0.0
@@ -126,7 +124,7 @@ def broadcast_time(
     On a closed ring the payload is split in two halves travelling opposite
     ways (each covering half the ring); on a line it pipelines one way.
     """
-    _validate(num_members, payload_bytes, bandwidth)
+    _validate(num_members, payload_bytes, bandwidth, latency)
     n = num_members
     if n == 1 or payload_bytes == 0:
         return 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.topology import TorusMesh
+from repro.refuse import count, non_negative
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,10 @@ def spatial_shard_shape(
     one extra row.  The imbalance between largest and smallest tile is what
     limits spatial-partitioning speedups on small feature maps (Section 4.4).
     """
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    if height < 1 or width < 1 or channels < 1:
-        raise ValueError("activation dims must be positive")
+    count("num_partitions", num_partitions)
+    count("height", height)
+    count("width", width)
+    count("channels", channels)
     if num_partitions > height:
         raise ValueError(
             f"cannot split {height} rows over {num_partitions} partitions"
@@ -82,8 +83,7 @@ def halo_exchange_time(
     """
     if num_partitions < 2:
         return 0.0
-    if halo_rows < 0:
-        raise ValueError("halo_rows must be non-negative")
+    non_negative("halo_rows", halo_rows)
     halo_bytes = halo_rows * width * channels * dtype_bytes
     return mesh.chip.link_latency + halo_bytes / mesh.link_bandwidth
 

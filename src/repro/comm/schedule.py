@@ -26,7 +26,6 @@ import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
 from time import perf_counter as _perf
 
 from repro import telemetry as _telemetry
@@ -36,6 +35,7 @@ logger = logging.getLogger("repro.comm")
 from repro.hardware.topology import Coordinate, TorusMesh
 from repro.resilience.faults import FaultPlan, LinkDownError, RetryPolicy
 from repro.sim.engine import Simulator
+from repro.refuse import non_negative
 from repro.sim.resources import Channel
 
 
@@ -121,12 +121,9 @@ def _ring_phase(sim: Simulator, channels, mesh: TorusMesh, ring: Ring,
 
 
 def _check_payload(payload_bytes: float) -> None:
-    # NaN fails both comparisons: it would come back as a NaN time and, in
-    # the phase memo, as a key no later call can hit (nan != nan).
-    if not 0 <= payload_bytes < inf:
-        raise ValueError(
-            f"payload_bytes must be finite and non-negative, got {payload_bytes}"
-        )
+    # A NaN would come back as a NaN time and, in the phase memo, as a key
+    # no later call can hit (nan != nan).
+    non_negative("payload_bytes", payload_bytes)
 
 
 def _directions(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro import telemetry as _telemetry
+from repro.refuse import non_negative, positive
 from repro.sim.engine import Simulator
 
 logger = logging.getLogger("repro.controlplane")
@@ -53,8 +54,7 @@ class Barrier:
     def __init__(
         self, sim: Simulator, participants: Sequence[int], timeout_s: float
     ) -> None:
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
+        positive("timeout_s", timeout_s)
         self.sim = sim
         self.participants = tuple(participants)
         if len(set(self.participants)) != len(self.participants):
@@ -140,8 +140,7 @@ def resolve_barrier(
         barrier.arrive(host)
 
     for host, at in arrival_times.items():
-        if at < 0:
-            raise ValueError(f"negative arrival time for host {host}")
+        non_negative(f"arrival time of host {host}", at)
         sim.process(arriver(host, at), name=f"arrive[{host}]")
     sim.run()
     return barrier.event.value

@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 import math
 
+from repro.refuse import count, non_negative, positive
 from repro.resilience.faults import FaultPlan
 
 
@@ -45,9 +46,7 @@ class StepInterval(CheckpointPolicy):
     """Checkpoint every ``every_steps`` completed steps."""
 
     def __init__(self, every_steps: int) -> None:
-        if every_steps < 1:
-            raise ValueError("every_steps must be >= 1")
-        self.every_steps = every_steps
+        self.every_steps = count("every_steps", every_steps)
 
     def should_checkpoint(
         self, *, step, now_s, last_checkpoint_step, last_checkpoint_time_s
@@ -59,9 +58,7 @@ class WallClockInterval(CheckpointPolicy):
     """Checkpoint whenever ``every_seconds`` of modeled time is at risk."""
 
     def __init__(self, every_seconds: float) -> None:
-        if every_seconds <= 0:
-            raise ValueError("every_seconds must be > 0")
-        self.every_seconds = every_seconds
+        self.every_seconds = positive("every_seconds", every_seconds)
 
     def should_checkpoint(
         self, *, step, now_s, last_checkpoint_step, last_checkpoint_time_s
@@ -82,12 +79,8 @@ class RiskAdaptive(CheckpointPolicy):
     def __init__(
         self, hazard_per_second: float, checkpoint_seconds: float
     ) -> None:
-        if hazard_per_second < 0:
-            raise ValueError("hazard_per_second must be >= 0")
-        if checkpoint_seconds <= 0:
-            raise ValueError("checkpoint_seconds must be > 0")
-        self.hazard_per_second = hazard_per_second
-        self.checkpoint_seconds = checkpoint_seconds
+        self.hazard_per_second = non_negative("hazard_per_second", hazard_per_second)
+        self.checkpoint_seconds = positive("checkpoint_seconds", checkpoint_seconds)
 
     @property
     def interval_s(self) -> float:
@@ -114,8 +107,7 @@ class RiskAdaptive(CheckpointPolicy):
         Chip failures and preemptions force a restore; link flaps and
         stragglers only slow steps down, so they carry no hazard here.
         """
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
+        positive("horizon_s", horizon_s)
         interrupting = len(plan.chip_failures) + len(plan.preemptions)
         return cls(
             hazard_per_second=interrupting / horizon_s,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from repro.frameworks.base import FrameworkModel, GraphProfile
 from repro.frameworks.jax import MultiClientJAX
 from repro.frameworks.tensorflow import SingleClientTF
+from repro.refuse import count
 from repro.resilience.faults import Device, host_map
 
 logger = logging.getLogger("repro.controlplane")
@@ -163,9 +164,7 @@ class MultiClientGroup(ControlTopology):
         gossip_fanout: int = 1,
     ) -> None:
         super().__init__(group, framework or MultiClientJAX())
-        if gossip_fanout < 1:
-            raise ValueError("gossip_fanout must be >= 1")
-        self.gossip_fanout = gossip_fanout
+        self.gossip_fanout = count("gossip_fanout", gossip_fanout)
 
     def observers_of(self, host: int) -> tuple[int, ...]:
         """The ``gossip_fanout`` ring successors of ``host`` hold its lease."""

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.optim.base import Params
+from repro.refuse import count, non_negative
 from repro.resilience.faults import BitFlipFault, Device
 
 logger = logging.getLogger("repro.controlplane")
@@ -107,10 +108,8 @@ class ConsistencyGuard:
         hash_seconds: float = 0.0,
         on_nonfinite: str = "raise",
     ) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
-        if hash_seconds < 0:
-            raise ValueError("hash_seconds must be >= 0")
+        count("check_interval", check_interval)
+        non_negative("hash_seconds", hash_seconds)
         if on_nonfinite not in ("raise", "count"):
             raise ValueError("on_nonfinite must be 'raise' or 'count'")
         self.check_interval = check_interval

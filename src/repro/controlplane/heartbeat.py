@@ -33,6 +33,7 @@ from typing import Mapping
 
 from repro import telemetry as _telemetry
 from repro.controlplane.group import ControlTopology
+from repro.refuse import count, non_negative, positive
 from repro.resilience.faults import FaultPlan
 from repro.sim.engine import Simulator
 
@@ -64,9 +65,7 @@ class OracleDetector:
     """PR 3's omniscient detection as an explicit, constant-latency object."""
 
     def __init__(self, latency_s: float = 0.5) -> None:
-        if latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
-        self.latency_s = latency_s
+        self.latency_s = non_negative("latency_s", latency_s)
 
     def detection_latency(self, fault_time: float) -> float:
         return self.latency_s
@@ -87,15 +86,9 @@ class HeartbeatDetector:
         timeout_s: float = 0.5,
         suspicion_threshold: int = 2,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
-        if suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
-        self.interval_s = interval_s
-        self.timeout_s = timeout_s
-        self.suspicion_threshold = suspicion_threshold
+        self.interval_s = positive("interval_s", interval_s)
+        self.timeout_s = positive("timeout_s", timeout_s)
+        self.suspicion_threshold = count("suspicion_threshold", suspicion_threshold)
 
     # --- closed form ----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from repro.core.overlap import OverlapResult, measured_overlap
 from repro.core.trainer import CheckpointingTrainer, StepResult
 from repro.models.mlp import MLP
 from repro.optim.base import Optimizer
+from repro.refuse import count
 from repro.runtime.bucket import BucketPlan
 
 
@@ -68,10 +69,9 @@ class DataParallelTrainer(CheckpointingTrainer):
         num_buckets: int = 1,
         overlap: bool = False,
     ) -> None:
-        if dp_x < 1 or dp_y < 1:
-            raise ValueError("replica mesh dims must be >= 1")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+        count("dp_x", dp_x)
+        count("dp_y", dp_y)
+        count("num_buckets", num_buckets)
         super().__init__(model, optimizer)
         self.dp_x = dp_x
         self.dp_y = dp_y

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.refuse import count, positive
 from repro.sim.engine import Simulator
 from repro.sim.resources import Store
 from repro.sim.trace import Trace
@@ -60,10 +61,11 @@ def simulate_train_eval_loop(
     eval *pass* (the paper's optimization) and one per eval *step* (the
     naive implementation).
     """
-    if train_steps < 1 or eval_interval_steps < 1 or eval_steps_per_pass < 0:
-        raise ValueError("step counts must be positive")
-    if min(device_step_seconds, eval_step_seconds) <= 0:
-        raise ValueError("step durations must be positive")
+    count("train_steps", train_steps)
+    count("eval_interval_steps", eval_interval_steps)
+    count("eval_steps_per_pass", eval_steps_per_pass, minimum=0)
+    positive("device_step_seconds", device_step_seconds)
+    positive("eval_step_seconds", eval_step_seconds)
     sim = Simulator()
     trace = Trace()
     buffer = Store(sim, capacity=max(1, prefetch_batches))

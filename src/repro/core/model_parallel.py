@@ -33,6 +33,7 @@ from repro.models.layers import (
 )
 from repro.models.mlp import MLP
 from repro.optim.base import Optimizer, Params
+from repro.refuse import count
 from repro.runtime.collectives import ring_all_reduce
 
 
@@ -45,8 +46,7 @@ class FeatureShardedMLP:
     """
 
     def __init__(self, mlp: MLP, mp_size: int) -> None:
-        if mp_size < 1:
-            raise ValueError("mp_size must be >= 1")
+        count("mp_size", mp_size)
         self.mlp = mlp
         self.mp_size = mp_size
         self.num_layers = mlp.num_layers
@@ -207,8 +207,7 @@ class HybridParallelTrainer(BaseTrainer):
         mp_size: int,
         grad_dtype_policy: str = "f64",
     ) -> None:
-        if dp_size < 1:
-            raise ValueError("dp_size must be >= 1")
+        count("dp_size", dp_size)
         super().__init__(model, optimizer)
         self.dp_size = dp_size
         self.mp = FeatureShardedMLP(model, mp_size)

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.refuse import count, non_negative, positive, positive_fraction
 from repro.sim.engine import Simulator
 from repro.sim.resources import Channel
 from repro.sim.trace import Trace
@@ -110,12 +111,9 @@ def simulate_overlap_schedule(
     """
     if len(bucket_ready_s) != len(bucket_comm_s):
         raise ValueError("ready and comm lists must have equal length")
-    if compute_end_s < 0.0:
-        raise ValueError("compute_end_s must be non-negative")
+    non_negative("compute_end_s", compute_end_s)
     ready = [min(max(0.0, r), compute_end_s) for r in bucket_ready_s]
-    comm = [float(c) for c in bucket_comm_s]
-    if any(c < 0.0 for c in comm):
-        raise ValueError("bucket comm times must be non-negative")
+    comm = [float(non_negative("bucket_comm_s", c)) for c in bucket_comm_s]
     nbytes = (
         tuple(float(b) for b in bucket_bytes)
         if bucket_bytes is not None
@@ -192,11 +190,8 @@ def bucket_ready_times(
     ready when the cumulative share reaches ``(k + 1) / num_buckets``.
     ``head_seconds`` (the forward pass) offsets the whole timeline.
     """
-    if num_buckets < 1:
-        raise ValueError("num_buckets must be >= 1")
-    total = sum(fractions)
-    if total <= 0.0:
-        raise ValueError("fractions must sum to a positive value")
+    count("num_buckets", num_buckets)
+    total = positive("sum of fractions", sum(fractions))
     ready = []
     targets = [(k + 1) / num_buckets for k in range(num_buckets)]
     cum_frac = 0.0
@@ -239,12 +234,9 @@ def analytic_overlap(
     buckets expose less tail but pay ``alpha`` once per launch — the
     bucket-size trade-off curve.
     """
-    if num_buckets < 1:
-        raise ValueError("num_buckets must be >= 1")
-    if not 0.0 < backward_fraction <= 1.0:
-        raise ValueError("backward_fraction must be in (0, 1]")
-    if grad_bytes < 0.0:
-        raise ValueError("grad_bytes must be non-negative")
+    count("num_buckets", num_buckets)
+    positive_fraction("backward_fraction", backward_fraction)
+    non_negative("grad_bytes", grad_bytes)
     backward = compute_seconds * backward_fraction
     head = compute_seconds - backward
     per_bucket_bytes = grad_bytes / num_buckets

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.strategy import ParallelismConfig
 from repro.models.costspec import ModelCostSpec
+from repro.refuse import count
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def plan_parallelism(
     an IR graph are backed by the automatic partitioner search instead of
     the hand annotations; the winning plan rides along on the choice.
     """
-    if num_chips < 1:
-        raise ValueError("num_chips must be >= 1")
+    count("num_chips", num_chips)
     try:
         rules = PLANNER_RULES[spec.name]
     except KeyError:

@@ -38,6 +38,7 @@ from repro.core.overlap import (
 from repro.hardware.topology import TorusMesh, slice_for_chips
 from repro.models.costspec import ModelCostSpec
 from repro.core.strategy import ParallelismConfig
+from repro.refuse import count, positive_fraction
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,9 @@ class StepTimeModel:
         overlap: bool = False,
         overlap_buckets: int = 1,
     ) -> None:
-        if not 0.0 < mxu_efficiency <= 1.0:
-            raise ValueError("mxu_efficiency must be in (0, 1]")
-        if overlap_buckets < 1:
-            raise ValueError("overlap_buckets must be >= 1")
+        positive_fraction("mxu_efficiency", mxu_efficiency)
         self.overlap = overlap
-        self.overlap_buckets = overlap_buckets
+        self.overlap_buckets = count("overlap_buckets", overlap_buckets)
         self.spec = spec
         self.config = config
         self.mesh = mesh if mesh is not None else slice_for_chips(config.num_chips)
@@ -233,8 +231,7 @@ class StepTimeModel:
         """
         if num_buckets is None:
             num_buckets = self.overlap_buckets
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+        count("num_buckets", num_buckets)
         if self.config.num_replicas == 1:
             return 0.0
         if num_buckets == 1:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.refuse import count
+
 
 @dataclass(frozen=True)
 class ParallelismConfig:
@@ -46,12 +48,9 @@ class ParallelismConfig:
                 f"sharding_source must be 'annotated' or 'searched', "
                 f"got {self.sharding_source!r}"
             )
-        if self.num_chips < 1:
-            raise ValueError("num_chips must be >= 1")
-        if self.global_batch < 1:
-            raise ValueError("global_batch must be >= 1")
-        if self.mp_cores < 1:
-            raise ValueError("mp_cores must be >= 1")
+        count("num_chips", self.num_chips)
+        count("global_batch", self.global_batch)
+        count("mp_cores", self.mp_cores)
         # An oversized group is the more fundamental mistake — report it
         # before any divisibility complaint about the same value.
         if self.mp_cores > self.num_cores:

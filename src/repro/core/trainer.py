@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.optim.base import OptimizerState, Params
+from repro.refuse import count
 from repro.resilience.checkpoint import TrainerCheckpoint, record_checkpoint_metrics
 from repro.runtime.collectives import DTYPE_POLICIES
 
@@ -128,12 +129,10 @@ class TrainerConfig:
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
             )
         x, y = self.mesh_shape
-        if x < 1 or y < 1:
-            raise ValueError("mesh_shape dims must be >= 1")
-        if self.num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
-        if self.mp_size < 1:
-            raise ValueError("mp_size must be >= 1")
+        count("mesh_shape", x)
+        count("mesh_shape", y)
+        count("num_buckets", self.num_buckets)
+        count("mp_size", self.mp_size)
         if self.strategy == "single" and self.num_replicas != 1:
             raise ValueError("strategy 'single' requires a 1x1 mesh_shape")
         if (self.overlap or self.num_buckets > 1) and self.strategy not in (

@@ -5,6 +5,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+from repro.refuse import non_negative
+
 
 @dataclass(frozen=True)
 class GraphProfile:
@@ -21,8 +23,8 @@ class GraphProfile:
     graph_build_seconds_per_worker: float
 
     def __post_init__(self) -> None:
-        if self.compile_seconds < 0 or self.graph_build_seconds_per_worker < 0:
-            raise ValueError("profile times must be non-negative")
+        non_negative("compile_seconds", self.compile_seconds)
+        non_negative("graph_build_seconds_per_worker", self.graph_build_seconds_per_worker)
 
 
 class FrameworkModel(abc.ABC):

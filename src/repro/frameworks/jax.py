@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from repro.frameworks.base import FrameworkModel, GraphProfile
+from repro.refuse import count
 
 
 class MultiClientJAX(FrameworkModel):
@@ -37,16 +38,14 @@ class MultiClientJAX(FrameworkModel):
         re-paid, so elastic shrink is cheap — the failure-domain twin of
         Table 2's constant-time init.
         """
-        if num_hosts < 1:
-            raise ValueError("num_hosts must be >= 1")
+        count("num_hosts", num_hosts)
         return (
             self.mesh_init_base_seconds
             + self.mesh_init_seconds_per_log2_host * math.log2(max(2, num_hosts))
         )
 
     def init_time(self, num_hosts: int, profile: GraphProfile) -> float:
-        if num_hosts < 1:
-            raise ValueError("num_hosts must be >= 1")
+        count("num_hosts", num_hosts)
         mesh = (
             self.mesh_init_base_seconds
             + self.mesh_init_seconds_per_log2_host * math.log2(max(2, num_hosts))

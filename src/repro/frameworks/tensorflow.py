@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.frameworks.base import FrameworkModel, GraphProfile
+from repro.refuse import count
 
 
 class SingleClientTF(FrameworkModel):
@@ -36,8 +37,7 @@ class SingleClientTF(FrameworkModel):
         self.coordinator_metric_seconds = coordinator_metric_seconds
 
     def init_time(self, num_hosts: int, profile: GraphProfile) -> float:
-        if num_hosts < 1:
-            raise ValueError("num_hosts must be >= 1")
+        count("num_hosts", num_hosts)
         return (
             self.mesh_init_seconds
             + profile.compile_seconds
@@ -47,7 +47,6 @@ class SingleClientTF(FrameworkModel):
 
     def eval_metric_time(self, num_hosts: int, metric_bytes: float) -> float:
         """Gather per-host metrics to the coordinator over host RPCs."""
-        if num_hosts < 1:
-            raise ValueError("num_hosts must be >= 1")
+        count("num_hosts", num_hosts)
         rpc = self.metric_rpc_seconds_per_host * num_hosts
         return rpc + self.coordinator_metric_seconds

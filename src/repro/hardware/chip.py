@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.refuse import count, positive, positive_fraction
+
 
 @dataclass(frozen=True)
 class ChipSpec:
@@ -64,8 +66,7 @@ class ChipSpec:
     routing_table_entries: int = 1024
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores}")
+        count("cores", self.cores)
         for attr in (
             "peak_matmul_flops",
             "peak_vector_flops",
@@ -73,8 +74,7 @@ class ChipSpec:
             "hbm_bandwidth",
             "link_bandwidth",
         ):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive")
+            positive(attr, getattr(self, attr))
 
     @property
     def per_core_matmul_flops(self) -> float:
@@ -87,8 +87,7 @@ class ChipSpec:
         ``efficiency`` is the achieved fraction of peak (model-dependent;
         calibrated per benchmark in :mod:`repro.experiments.calibration`).
         """
-        if not 0.0 < efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+        positive_fraction("efficiency", efficiency)
         return flops / (self.peak_matmul_flops * efficiency)
 
     def hbm_time(self, num_bytes: float) -> float:
@@ -122,8 +121,7 @@ class HostSpec:
     memcpy_rate: float = 5.0e9
 
     def __post_init__(self) -> None:
-        if self.chips_per_host < 1:
-            raise ValueError("chips_per_host must be >= 1")
+        count("chips_per_host", self.chips_per_host)
 
 
 # --- TPU generations ------------------------------------------------------

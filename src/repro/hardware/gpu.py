@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.chip import ChipSpec, GPU_A100, GPU_V100
+from repro.refuse import count, non_negative
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class GpuCluster:
     nvlink_latency: float = 2.0e-6
 
     def __post_init__(self) -> None:
-        if self.num_gpus < 1:
-            raise ValueError("num_gpus must be >= 1")
+        count("num_gpus", self.num_gpus)
         if self.num_gpus % self.gpus_per_node and self.num_gpus > self.gpus_per_node:
             raise ValueError(
                 f"num_gpus {self.num_gpus} not a multiple of node size "
@@ -68,8 +68,7 @@ class GpuCluster:
            shard,
         3. intra-node all-gather over NVLink.
         """
-        if payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
+        non_negative("payload_bytes", payload_bytes)
         n_local = min(self.num_gpus, self.gpus_per_node)
         t = 0.0
         if n_local > 1:

@@ -17,6 +17,7 @@ from typing import Iterator, NamedTuple
 import networkx as nx
 
 from repro.hardware.chip import ChipSpec, HostSpec, TPU_V3, TPU_V3_HOST
+from repro.refuse import count
 
 POD_SIDE = 32
 """Chips per side of one TPU-v3 pod (32x32 = 1024 chips)."""
@@ -82,15 +83,15 @@ class TorusMesh:
         chip: ChipSpec = TPU_V3,
         host: HostSpec = TPU_V3_HOST,
     ) -> None:
-        if x_size < 1 or y_size < 1:
-            raise ValueError(f"mesh dims must be >= 1, got {x_size}x{y_size}")
+        count("x_size", x_size)
+        count("y_size", y_size)
         if wrap_x and x_size < 3:
             # A wrap on a 1- or 2-wide dimension duplicates an existing link.
             wrap_x = False
         if wrap_y and y_size < 3:
             wrap_y = False
-        if cross_pod_every is not None and cross_pod_every < 1:
-            raise ValueError("cross_pod_every must be positive")
+        if cross_pod_every is not None:
+            count("cross_pod_every", cross_pod_every)
         self.x_size = x_size
         self.y_size = y_size
         self.wrap_x = wrap_x
@@ -272,8 +273,7 @@ def multipod(num_pods: int = 4, chip: ChipSpec = TPU_V3) -> TorusMesh:
     cross-pod links at pod boundaries and torus wraps along Y.  With
     ``num_pods=1`` this degenerates to a full single-pod torus.
     """
-    if num_pods < 1:
-        raise ValueError("num_pods must be >= 1")
+    count("num_pods", num_pods)
     if num_pods == 1:
         return single_pod(chip)
     return TorusMesh(

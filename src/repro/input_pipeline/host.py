@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.input_pipeline.stages import PipelineStage
+from repro.refuse import count, positive
 from repro.sim.engine import Simulator
 from repro.sim.resources import Store
 
@@ -66,10 +67,9 @@ def simulate_host_pipeline(
     uncompressed-image optimization works *because* the cheap pipeline can
     fill a large buffer and ride out expensive examples.
     """
-    if batch_per_host < 1 or steps < 1:
-        raise ValueError("batch_per_host and steps must be >= 1")
-    if device_step_seconds <= 0:
-        raise ValueError("device_step_seconds must be positive")
+    count("batch_per_host", batch_per_host)
+    count("steps", steps)
+    positive("device_step_seconds", device_step_seconds)
     sim = Simulator()
     rng = np.random.default_rng(seed)
     buffer = Store(sim, capacity=max(1, int(prefetch_batches * batch_per_host)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.refuse import count, positive
+
 
 @dataclass(frozen=True)
 class CocoEvalSchedule:
@@ -36,8 +38,7 @@ class CocoEvalSchedule:
 
 
 def _validate(trigger_times: list[float], eval_seconds: float) -> None:
-    if eval_seconds <= 0:
-        raise ValueError("eval_seconds must be positive")
+    positive("eval_seconds", eval_seconds)
     if sorted(trigger_times) != list(trigger_times):
         raise ValueError("trigger_times must be sorted")
     if not trigger_times:
@@ -63,8 +64,7 @@ def round_robin_eval_schedule(
 ) -> CocoEvalSchedule:
     """Eval i runs on worker ``i mod num_workers`` (JAX path)."""
     _validate(trigger_times, eval_seconds)
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
+    count("num_workers", num_workers)
     free_at = [0.0] * num_workers
     completions = []
     for i, t in enumerate(trigger_times):

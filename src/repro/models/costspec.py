@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.refuse import count, fraction, positive
+
 
 @dataclass(frozen=True)
 class LayerCost:
@@ -37,10 +39,10 @@ class LayerCost:
     activation_dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.flops_fraction <= 1.0:
-            raise ValueError("flops_fraction must be in [0, 1]")
-        if min(self.height, self.width, self.channels) < 1:
-            raise ValueError("activation dims must be positive")
+        fraction("flops_fraction", self.flops_fraction)
+        count("height", self.height)
+        count("width", self.width)
+        count("channels", self.channels)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,9 @@ class ModelCostSpec:
     """Bytes the host pipeline must feed per example (over PCIe)."""
 
     def __post_init__(self) -> None:
-        if self.params <= 0 or self.flops_per_example <= 0:
-            raise ValueError("params and flops_per_example must be positive")
-        if self.reference_global_batch < 1:
-            raise ValueError("reference_global_batch must be >= 1")
+        positive("params", self.params)
+        positive("flops_per_example", self.flops_per_example)
+        count("reference_global_batch", self.reference_global_batch)
         total = sum(layer.flops_fraction for layer in self.layers)
         if self.layers and total > 1.0 + 1e-9:
             raise ValueError(f"layer flops fractions sum to {total} > 1")

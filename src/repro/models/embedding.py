@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.refuse import count
+
 
 @dataclass(frozen=True)
 class EmbeddingTableSpec:
@@ -35,8 +37,8 @@ class EmbeddingTableSpec:
     dtype_bytes: int = 4
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.dim < 1:
-            raise ValueError("rows and dim must be positive")
+        count("rows", self.rows)
+        count("dim", self.dim)
 
     @property
     def bytes(self) -> float:
@@ -75,8 +77,7 @@ def plan_embedding_placement(
     budget — the error a real DLRM deployment hits when the slice is too
     small for the tables.
     """
-    if num_chips < 1:
-        raise ValueError("num_chips must be >= 1")
+    count("num_chips", num_chips)
     replicated = tuple(t for t in tables if t.bytes <= replicate_threshold_bytes)
     sharded = tuple(t for t in tables if t.bytes > replicate_threshold_bytes)
     plan = EmbeddingPlacement(replicated, sharded, num_chips)
@@ -103,9 +104,7 @@ class ShardedEmbedding:
     def __init__(self, table: np.ndarray, num_devices: int) -> None:
         if table.ndim != 2:
             raise ValueError("table must be [rows, dim]")
-        if num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
-        self.num_devices = num_devices
+        self.num_devices = count("num_devices", num_devices)
         self.rows, self.dim = table.shape
         self.rows_per_device = -(-self.rows // num_devices)
         self.shards = [

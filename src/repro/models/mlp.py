@@ -20,6 +20,7 @@ from repro.models.layers import (
     softmax_cross_entropy,
 )
 from repro.optim.base import Grads, Params
+from repro.refuse import count
 
 
 class MLP:
@@ -32,9 +33,7 @@ class MLP:
     def __init__(self, layer_sizes: list[int], dtype=np.float64) -> None:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if any(s < 1 for s in layer_sizes):
-            raise ValueError("layer sizes must be positive")
-        self.layer_sizes = list(layer_sizes)
+        self.layer_sizes = [count("layer_sizes", s) for s in layer_sizes]
         self.dtype = dtype
         #: ``(weight, bias)`` names of each layer, input layer first.
         self._names = tuple((f"w{i}", f"b{i}") for i in range(len(layer_sizes) - 1))
@@ -134,8 +133,9 @@ def synthetic_classification(
     noise: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A learnable synthetic dataset: noisy linear class prototypes."""
-    if num_samples < 1 or num_features < 1 or num_classes < 2:
-        raise ValueError("invalid dataset dims")
+    count("num_samples", num_samples)
+    count("num_features", num_features)
+    count("num_classes", num_classes, minimum=2)
     prototypes = rng.standard_normal((num_classes, num_features))
     labels = rng.integers(0, num_classes, size=num_samples)
     x = prototypes[labels] + noise * rng.standard_normal((num_samples, num_features))

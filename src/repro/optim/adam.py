@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.optim.schedules import LRSchedule, as_schedule
+from repro.refuse import positive, proper_fraction
 
 
 class Adam(Optimizer):
@@ -24,14 +25,10 @@ class Adam(Optimizer):
         beta2: float = 0.98,
         epsilon: float = 1e-9,
     ) -> None:
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.learning_rate = as_schedule(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+        self.beta1 = proper_fraction("beta1", beta1)
+        self.beta2 = proper_fraction("beta2", beta2)
+        self.epsilon = positive("epsilon", epsilon)
 
     def init_state(self, params: Params) -> OptimizerState:
         return self._zeros_like(params, ("m", "v"))

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.optim.schedules import LRSchedule, as_schedule
+from repro.refuse import non_negative, positive, proper_fraction
 
 
 class LAMB(Optimizer):
@@ -30,17 +31,11 @@ class LAMB(Optimizer):
         weight_decay: float = 0.01,
         skip_patterns: tuple[str, ...] = ("bias", "beta", "gamma", "layernorm", "ln"),
     ) -> None:
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.learning_rate = as_schedule(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
+        self.beta1 = proper_fraction("beta1", beta1)
+        self.beta2 = proper_fraction("beta2", beta2)
+        self.epsilon = positive("epsilon", epsilon)
+        self.weight_decay = non_negative("weight_decay", weight_decay)
         self.skip_patterns = skip_patterns
 
     def _decay(self, name: str) -> bool:

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.optim.schedules import LRSchedule, as_schedule
+from repro.refuse import non_negative, positive, proper_fraction
 
 
 class LARS(Optimizer):
@@ -32,19 +33,11 @@ class LARS(Optimizer):
         epsilon: float = 1e-9,
         skip_patterns: tuple[str, ...] = ("bias", "beta", "gamma", "bn"),
     ) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if trust_coefficient <= 0:
-            raise ValueError("trust_coefficient must be positive")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.learning_rate = as_schedule(learning_rate)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.trust_coefficient = trust_coefficient
-        self.epsilon = epsilon
+        self.momentum = proper_fraction("momentum", momentum)
+        self.weight_decay = non_negative("weight_decay", weight_decay)
+        self.trust_coefficient = positive("trust_coefficient", trust_coefficient)
+        self.epsilon = positive("epsilon", epsilon)
         self.skip_patterns = skip_patterns
 
     def _skip(self, name: str) -> bool:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import abc
 
+from repro.refuse import count, non_negative
+
 
 class LRSchedule(abc.ABC):
     """A learning rate as a function of the (0-based) step index."""
@@ -17,9 +19,7 @@ class ConstantSchedule(LRSchedule):
     """A fixed learning rate."""
 
     def __init__(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("learning rate must be non-negative")
-        self.value = value
+        self.value = float(non_negative("learning_rate", value))
 
     def __call__(self, step: int) -> float:
         return self.value
@@ -41,17 +41,13 @@ class LinearWarmupPolyDecay(LRSchedule):
         power: float = 2.0,
         end: float = 0.0,
     ) -> None:
-        if peak < 0 or end < 0:
-            raise ValueError("rates must be non-negative")
-        if warmup_steps < 0 or total_steps <= 0:
-            raise ValueError("step counts must be positive")
+        self.peak = non_negative("peak", peak)
+        self.warmup_steps = count("warmup_steps", warmup_steps, minimum=0)
+        self.total_steps = count("total_steps", total_steps)
+        self.power = non_negative("power", power)
+        self.end = non_negative("end", end)
         if warmup_steps >= total_steps:
             raise ValueError("warmup must end before total_steps")
-        self.peak = peak
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.power = power
-        self.end = end
 
     def __call__(self, step: int) -> float:
         if self.warmup_steps > 0 and step < self.warmup_steps:
@@ -65,4 +61,4 @@ def as_schedule(lr: "float | LRSchedule") -> LRSchedule:
     """Coerce a bare float into a constant schedule."""
     if isinstance(lr, LRSchedule):
         return lr
-    return ConstantSchedule(float(lr))
+    return ConstantSchedule(lr)

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.optim.schedules import LRSchedule, as_schedule
+from repro.refuse import non_negative, proper_fraction
 
 
 class SGDMomentum(Optimizer):
@@ -23,13 +24,9 @@ class SGDMomentum(Optimizer):
         momentum: float = 0.9,
         weight_decay: float = 0.0,
     ) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.learning_rate = as_schedule(learning_rate)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.momentum = proper_fraction("momentum", momentum)
+        self.weight_decay = non_negative("weight_decay", weight_decay)
 
     def init_state(self, params: Params) -> OptimizerState:
         return self._zeros_like(params, ("momentum",))

@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.refuse import count, non_negative, positive
 from repro.resilience.faults import (
     BitFlipFault,
     Device,
@@ -110,26 +111,22 @@ class ChaosConfig:
     checkpoint_write_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.target_steps < 0:
-            raise ValueError("target_steps must be >= 0")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+        count("target_steps", self.target_steps, minimum=0)
+        count("checkpoint_interval", self.checkpoint_interval)
         check_recovery_knobs(self)
 
 
 def check_recovery_knobs(config) -> None:
     """The knobs :class:`ChaosConfig` and the cluster's ``ClusterConfig``
     share, refused alike before any run."""
-    if min(config.mesh_shape) < 1:
-        raise ValueError("mesh dims must be >= 1")
-    if config.chips_per_host < 1:
-        raise ValueError("chips_per_host must be >= 1")
-    if config.base_step_seconds <= 0:
-        raise ValueError("base_step_seconds must be > 0")
-    if config.restore_bandwidth_bytes_per_s <= 0:
-        raise ValueError("restore bandwidth must be > 0")
-    if config.checkpoint_write_seconds < 0:
-        raise ValueError("checkpoint_write_seconds must be >= 0")
+    x, y = config.mesh_shape
+    count("mesh_shape", x)
+    count("mesh_shape", y)
+    count("chips_per_host", config.chips_per_host)
+    positive("base_step_seconds", config.base_step_seconds)
+    non_negative("detection_timeout_s", config.detection_timeout_s)
+    positive("restore bandwidth", config.restore_bandwidth_bytes_per_s)
+    non_negative("checkpoint_write_seconds", config.checkpoint_write_seconds)
 
 
 @dataclass
@@ -157,10 +154,11 @@ class GoodputAccounting:
 
     @property
     def goodput(self) -> float:
-        """Fault-free seconds of useful work per modeled wall-clock second."""
+        """Fault-free seconds of useful work per modeled wall-clock second
+        (capped at 1: a product over a sum of the same prices can round up)."""
         if self.total_seconds <= 0.0:
             return 1.0
-        return self.useful_seconds / self.total_seconds
+        return min(self.useful_seconds / self.total_seconds, 1.0)
 
     @property
     def mttr_seconds(self) -> float:
@@ -393,6 +391,7 @@ def run_chaos(
     from repro.controlplane.guard import DesyncEvent, apply_bit_flips
     from repro.controlplane.heartbeat import OracleDetector
 
+    non_negative("state_bytes", state_bytes)
     hosts = host_map(config.mesh_shape, config.chips_per_host)
     check_plan(plan, config.mesh_shape, hosts)
     if trainer_config is not None:

@@ -34,6 +34,8 @@ from typing import Container, Iterable, Sequence
 
 import numpy as np
 
+from repro.refuse import at_least, count, fraction, non_negative, positive, proper_fraction
+
 logger = logging.getLogger("repro.resilience")
 
 #: A device address: ``(x, y)`` on the logical mesh.
@@ -83,10 +85,10 @@ class ChipFailure:
     def __post_init__(self) -> None:
         if self.at_step is None and self.at_time is None:
             raise ValueError("chip failure needs at_step and/or at_time")
-        if self.at_step is not None and self.at_step < 0:
-            raise ValueError("at_step must be >= 0")
-        if self.at_time is not None and self.at_time < 0:
-            raise ValueError("at_time must be >= 0")
+        if self.at_step is not None:
+            count("at_step", self.at_step, minimum=0)
+        if self.at_time is not None:
+            non_negative("at_time", self.at_time)
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,9 @@ class LinkFault:
     bidirectional: bool = True
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("link fault window must be non-negative/non-empty")
-        if not 0.0 <= self.factor < 1.0:
-            raise ValueError("factor must be in [0, 1) — 1.0 is a healthy link")
+        non_negative("start", self.start)
+        positive("duration", self.duration)
+        proper_fraction("factor", self.factor)  # 1.0 is a healthy link
 
     @property
     def end(self) -> float:
@@ -132,10 +133,9 @@ class StragglerFault:
     slowdown: float
 
     def __post_init__(self) -> None:
-        if self.start_step < 0 or self.duration_steps <= 0:
-            raise ValueError("straggler window must be non-negative/non-empty")
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1.0")
+        count("start_step", self.start_step, minimum=0)
+        count("duration_steps", self.duration_steps)
+        at_least("slowdown", self.slowdown, 1.0)
 
     def active_at(self, step: int) -> bool:
         return self.start_step <= step < self.start_step + self.duration_steps
@@ -157,12 +157,9 @@ class PreemptionSignal:
     grace_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.host < 0:
-            raise ValueError("host must be >= 0")
-        if self.at_step < 0:
-            raise ValueError("at_step must be >= 0")
-        if self.grace_s < 0:
-            raise ValueError("grace_s must be >= 0")
+        count("host", self.host, minimum=0)
+        count("at_step", self.at_step, minimum=0)
+        non_negative("grace_s", self.grace_s)
 
 
 @dataclass(frozen=True)
@@ -188,12 +185,10 @@ class BitFlipFault:
     bit: int = 12
 
     def __post_init__(self) -> None:
-        if self.at_step < 0:
-            raise ValueError("at_step must be >= 0")
-        if self.index < 0:
-            raise ValueError("index must be >= 0")
-        if not 0 <= self.bit < 32:
-            raise ValueError("bit must be in [0, 32)")
+        count("at_step", self.at_step, minimum=0)
+        count("index", self.index, minimum=0)
+        if count("bit", self.bit, minimum=0) >= 32:
+            raise ValueError(f"bit must be in [0, 32), got {self.bit!r}")
 
 
 @dataclass(frozen=True)
@@ -228,12 +223,11 @@ class RetryPolicy:
     jitter_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.timeout_s < 0 or self.backoff_s < 0 or self.backoff_factor < 1:
-            raise ValueError("negative timeout/backoff")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be in [0, 1]")
+        count("max_attempts", self.max_attempts)
+        non_negative("timeout_s", self.timeout_s)
+        non_negative("backoff_s", self.backoff_s)
+        at_least("backoff_factor", self.backoff_factor, 1.0)
+        fraction("jitter_frac", self.jitter_frac)
 
     def backoff_after(self, attempt: int) -> float:
         """Seconds to wait after failed attempt number ``attempt`` (1-based)."""
@@ -375,10 +369,9 @@ class FaultPlan:
         pairs at uniform times, stragglers strike uniform devices/steps.
         """
         x_size, y_size = mesh_shape
-        if x_size < 1 or y_size < 1:
-            raise ValueError("mesh dims must be >= 1")
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
+        count("mesh_shape", x_size)
+        count("mesh_shape", y_size)
+        count("steps", steps)
         rng = np.random.default_rng(seed)
         devices = [(x, y) for x in range(x_size) for y in range(y_size)]
         horizon_s = steps * step_time_s
@@ -498,13 +491,12 @@ def host_map(
         x_size, y_size = topology
     else:
         x_size, y_size = topology.x_size, topology.y_size
-    if x_size < 1 or y_size < 1:
-        raise ValueError("mesh dims must be >= 1")
+    count("mesh_shape", x_size)
+    count("mesh_shape", y_size)
     if chips_per_host is None:
         host_spec = getattr(topology, "host", None)
         chips_per_host = getattr(host_spec, "chips_per_host", 8)
-    if chips_per_host < 1:
-        raise ValueError("chips_per_host must be >= 1")
+    count("chips_per_host", chips_per_host)
     hosts: dict[int, list[Device]] = {}
     for x in range(x_size):
         for y in range(y_size):

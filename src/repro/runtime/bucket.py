@@ -38,6 +38,7 @@ from repro.runtime.collectives import (
     ring_all_reduce_stacked,
     two_phase_all_reduce_stacked,
 )
+from repro.refuse import count
 from repro.runtime.stacked import StackedValue
 
 
@@ -317,8 +318,7 @@ class BucketPlan:
         num_buckets: int = 1,
         dtype: np.dtype | type | None = None,
     ) -> None:
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+        count("num_buckets", num_buckets)
         if not template:
             raise ValueError("bucket plan template must contain at least one tensor")
         names = list(template)
@@ -327,12 +327,12 @@ class BucketPlan:
         }
         total = sum(sizes.values())
         rev = names[::-1]  # backward production order
-        count = min(num_buckets, len(names))
+        k = min(num_buckets, len(names))
         buckets: list[GradientBucket] = []
         idx = 0
         remaining = total
-        for b in range(count):
-            buckets_left = count - b
+        for b in range(k):
+            buckets_left = k - b
             target = remaining / buckets_left
             take: list[str] = []
             acc = 0
@@ -343,7 +343,7 @@ class BucketPlan:
                 take.append(rev[idx])
                 acc += sizes[rev[idx]]
                 idx += 1
-                if b < count - 1 and acc >= target:
+                if b < k - 1 and acc >= target:
                     break
             remaining -= acc
             members = set(take)

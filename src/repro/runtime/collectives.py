@@ -68,6 +68,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.numerics.bfloat16 import _round_inplace_nonan, bf16_add, round_to_bfloat16
+from repro.refuse import count
 from repro.runtime.stacked import StackedValue
 
 #: Supported accumulation policies.
@@ -206,9 +207,7 @@ class _LRUBufferPool:
     """
 
     def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+        self.maxsize = count("maxsize", maxsize)
         self._buffers: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -37,6 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.refuse import count
 from repro.runtime.bucket import GradientBucket
 from repro.runtime.stacked import StackedValue
 
@@ -55,10 +56,8 @@ class VirtualMesh:
     """
 
     def __init__(self, x_size: int, y_size: int = 1) -> None:
-        if x_size < 1 or y_size < 1:
-            raise ValueError("mesh dims must be >= 1")
-        self.x_size = x_size
-        self.y_size = y_size
+        self.x_size = count("x_size", x_size)
+        self.y_size = count("y_size", y_size)
         #: One device-major StackedValue per name (DESIGN.md §11) ...
         self._values: dict[str, StackedValue] = {}
         #: ... and the devices whose rows of it are observable.

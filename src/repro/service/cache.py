@@ -27,8 +27,6 @@ class ResultCache:
     """Bounded LRU of ``content_key -> result payload``."""
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()

@@ -26,6 +26,8 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.refuse import at_least, count, non_negative
+
 #: Breaker states (plain strings so telemetry/tests stay readable).
 CLOSED = "closed"
 OPEN = "open"
@@ -46,12 +48,8 @@ class TokenBucket:
         refill_per_s: float,
         clock=time.monotonic,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if refill_per_s < 0:
-            raise ValueError("refill_per_s must be >= 0")
-        self.capacity = float(capacity)
-        self.refill_per_s = float(refill_per_s)
+        self.capacity = float(at_least("capacity", capacity, 1))
+        self.refill_per_s = float(non_negative("refill_per_s", refill_per_s))
         self._clock = clock
         self._tokens = float(capacity)
         self._last = clock()
@@ -102,12 +100,8 @@ class CircuitBreaker:
         cooldown_s: float = 1.0,
         clock=time.monotonic,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
+        self.failure_threshold = count("failure_threshold", failure_threshold)
+        self.cooldown_s = non_negative("cooldown_s", cooldown_s)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED

@@ -103,8 +103,6 @@ class CrashPlan:
         poisoned: tuple[str, ...] = (),
         crashes: tuple[tuple[str, int], ...] = (),
     ) -> None:
-        if not 0.0 <= crash_rate < 1.0:
-            raise ValueError("crash_rate must be in [0, 1)")
         self.seed = seed
         self.crash_rate = crash_rate
         self.poisoned = frozenset(poisoned)
@@ -139,10 +137,6 @@ class WorkerPool:
         execute_fn,
         name: str = "repro-service",
     ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         self.concurrency = concurrency
         self.queue: _queue.Queue = _queue.Queue(maxsize=queue_depth)
         self._execute_fn = execute_fn

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 from repro import telemetry as _telemetry
 from repro.cluster.jobs import derive_subseed
+from repro.refuse import at_least, count, non_negative, positive, proper_fraction
 from repro.resilience.faults import RetryPolicy
 from repro.service.cache import ResultCache
 from repro.service.executors import DEGRADABLE_KINDS, FORKED_JOBS, execute
@@ -139,22 +140,16 @@ class ServiceConfig:
     crashes: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if self.rate_capacity < 1:
-            raise ValueError("rate_capacity must be >= 1")
-        if self.rate_refill_per_s < 0:
-            raise ValueError("rate_refill_per_s must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_s < 0:
-            raise ValueError("breaker_cooldown_s must be >= 0")
-        if self.cache_entries < 0:
-            raise ValueError("cache_entries must be >= 0")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be > 0")
+        count("concurrency", self.concurrency)
+        count("queue_depth", self.queue_depth)
+        at_least("rate_capacity", self.rate_capacity, 1)
+        non_negative("rate_refill_per_s", self.rate_refill_per_s)
+        count("breaker_threshold", self.breaker_threshold)
+        non_negative("breaker_cooldown_s", self.breaker_cooldown_s)
+        count("cache_entries", self.cache_entries, minimum=0)
+        proper_fraction("crash_rate", self.crash_rate)
+        if self.default_deadline_s is not None:
+            positive("default_deadline_s", self.default_deadline_s)
 
 
 @dataclass
@@ -472,7 +467,7 @@ class SimulationService:
                         ).inc()
                     _telemetry.flight_recorder.record(
                         "service", "breaker_trip",
-                        kind=job.kind, after_attempts=handle.attempts,
+                        job_kind=job.kind, after_attempts=handle.attempts,
                     )
                     logger.warning(
                         "circuit for %r tripped open after %d consecutive "

@@ -28,6 +28,9 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
+
+from repro.refuse import positive
 
 #: Job classes the service knows how to execute (see ``executors.py``).
 JOB_KINDS = ("steptime", "chaos", "cluster")
@@ -101,12 +104,15 @@ class WorkerCrashError(ServiceError):
         return type(self), (self.worker, self.job, self.attempt), self.__dict__
 
 
-def _canonical_value(value):
-    """JSON-stable form: tuples become lists, dicts sort, floats stay floats."""
+def _canonical_value(value, path: str):
+    """JSON-stable form: tuples become lists, dicts sort, floats stay floats;
+    a non-finite float is refused by its ``path`` (``params.jobs[0].x``)."""
     if isinstance(value, dict):
-        return {str(k): _canonical_value(value[k]) for k in sorted(value)}
+        return {str(k): _canonical_value(value[k], f"{path}.{k}") for k in sorted(value)}
     if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
+        return [_canonical_value(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"{path} must be finite, got {value!r}")
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise TypeError(
@@ -119,12 +125,14 @@ def canonical_spec(kind: str, params: dict) -> str:
 
     Sorted keys, no whitespace variance, tuples and lists identified —
     two specs that mean the same simulation serialize identically, so
-    their SHA-256 content keys collide on purpose.
+    their SHA-256 content keys collide on purpose.  ``NaN`` and ``inf``
+    are refused: they are not JSON, so neither hashable nor journaled.
     """
     return json.dumps(
-        {"kind": kind, "params": _canonical_value(params)},
+        {"kind": kind, "params": _canonical_value(params, "params")},
         sort_keys=True,
         separators=(",", ":"),
+        allow_nan=False,
     )
 
 
@@ -165,18 +173,16 @@ class SimJob:
             raise TypeError(
                 f"params must be a JSON object, not {type(self.params).__name__}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
+        if self.deadline_s is not None:
+            positive("deadline_s", self.deadline_s)
         # Eagerly: a spec that cannot hash cannot be queued, cached, or
         # journaled.
         object.__setattr__(self, "content_key", content_key(self.kind, self.params))
 
     def with_deadline(self, deadline_s: float) -> "SimJob":
         """This job with another deadline, its content key reused."""
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
         job = copy.copy(self)
-        object.__setattr__(job, "deadline_s", deadline_s)
+        object.__setattr__(job, "deadline_s", positive("deadline_s", deadline_s))
         return job
 
     @property

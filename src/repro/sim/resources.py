@@ -36,7 +36,7 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
+        if not capacity >= 1:  # NaN too; inf is an unbounded pool
             raise SimulationError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
@@ -85,7 +85,7 @@ class Store:
     """A bounded FIFO queue of items with blocking put/get."""
 
     def __init__(self, sim: Simulator, capacity: float = float("inf")) -> None:
-        if capacity < 1:
+        if not capacity >= 1:  # NaN too; inf (the default) is unbounded
             raise SimulationError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
@@ -155,9 +155,9 @@ class Channel:
         trace: Trace | None = None,
         actor: str = "",
     ) -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise SimulationError("bandwidth must be positive")
-        if latency < 0:
+        if not latency >= 0:
             raise SimulationError("latency must be non-negative")
         self.sim = sim
         self.bandwidth = bandwidth

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.refuse import count
+
 
 @dataclass(frozen=True)
 class Sharding:
@@ -25,12 +27,11 @@ class Sharding:
     partial: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
+        count("num_shards", self.num_shards)
         if self.partial and self.dim is not None:
             raise ValueError("a partial value is not also dim-sharded")
-        if self.dim is not None and self.dim < 0:
-            raise ValueError("dim must be non-negative")
+        if self.dim is not None:
+            count("dim", self.dim, minimum=0)
 
     # --- supported constructors ----------------------------------------
 

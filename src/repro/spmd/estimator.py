@@ -20,6 +20,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from repro.hardware.topology import TorusMesh, single_pod
+from repro.refuse import count
 from repro.spmd.annotations import Sharding
 from repro.spmd.ir import POINTWISE, Graph, Node
 from repro.spmd.partitioner import (
@@ -352,8 +353,8 @@ def model_parallel_speedup(
     ``seed_fn(graph, k)`` returns the seed shardings for ``k`` cores.
     This drives Figure 9.
     """
-    if any(k < 1 for k in num_cores_list):
-        raise ValueError("core counts must be >= 1")
+    for k in num_cores_list:
+        count("num_cores_list", k)
     graph1 = build_graph()
     base = estimate_cost(
         partition(graph1, {}, 1, features, dtype_bytes),

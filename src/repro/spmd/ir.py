@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.refuse import count
+
 
 class ShapeError(ValueError):
     """Raised on inconsistent operand shapes."""
@@ -84,10 +86,8 @@ class Graph:
     """A tensor program under construction (SSA, topologically ordered)."""
 
     def __init__(self, name: str = "graph", dtype_bytes: int = 2) -> None:
-        if dtype_bytes < 1:
-            raise ValueError("dtype_bytes must be >= 1")
         self.name = name
-        self.dtype_bytes = dtype_bytes
+        self.dtype_bytes = count("dtype_bytes", dtype_bytes)
         self.nodes: list[Node] = []
         self._tables: GraphTables | None = None
 

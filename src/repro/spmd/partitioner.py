@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
+from repro.refuse import count
 from repro.spmd.annotations import Sharding
 from repro.spmd.ir import (
     CONV,
@@ -214,8 +215,7 @@ def partition(
     at each tensor's own ``dtype_bytes``; passing an explicit width that
     contradicts a node raises (dtype-consistency guard).
     """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
+    count("num_shards", num_shards)
     _check_dtype_consistent(graph, dtype_bytes)
     for node_id, sharding in seeds.items():
         if sharding.num_shards != num_shards:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.topology import TorusMesh, single_pod
+from repro.refuse import count, positive_fraction
 from repro.spmd.annotations import Sharding
 from repro.spmd.estimator import (
     CostPrefix,
@@ -65,8 +66,7 @@ class ShardingSpec:
     assignments: tuple[tuple[int | str, Sharding], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
+        count("num_shards", self.num_shards)
         if not isinstance(self.assignments, tuple):
             object.__setattr__(self, "assignments", tuple(self.assignments))
         seen: set[int | str] = set()
@@ -253,6 +253,5 @@ def make_partitioner(
             ) from None
     elif not isinstance(features, PartitionerFeatures):
         raise TypeError(f"features must be str or PartitionerFeatures, got {features!r}")
-    if not 0.0 < mxu_efficiency <= 1.0:
-        raise ValueError("mxu_efficiency must be in (0, 1]")
+    positive_fraction("mxu_efficiency", mxu_efficiency)
     return Partitioner(features=features, mesh=mesh, mxu_efficiency=mxu_efficiency)

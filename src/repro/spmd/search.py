@@ -38,6 +38,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.refuse import count
 from repro.spmd.annotations import Sharding
 from repro.spmd.estimator import CostPrefix, price_walk
 from repro.spmd.graph_exec import ExecutionUnsupported, ValidationResult, validate_plan
@@ -76,16 +77,12 @@ class SearchConfig:
     validate_top: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        count("num_shards", self.num_shards)
+        count("beam_width", self.beam_width)
+        count("top_k", self.top_k)
+        count("validate_top", self.validate_top)
         if self.seed_nodes not in ("handles", "all"):
             raise ValueError('seed_nodes must be "handles" or "all"')
-        if self.validate_top < 1:
-            raise ValueError("validate_top must be >= 1")
 
 
 @dataclass(frozen=True)

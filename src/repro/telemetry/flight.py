@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro import telemetry as _telemetry
+from repro.refuse import count
 from repro.telemetry.registry import DeltaReader, series_deltas
 
 logger = logging.getLogger("repro.telemetry")
@@ -119,9 +120,7 @@ class FlightRecorder:
         clock=time.perf_counter,
         dump_dir: str | None = None,
     ) -> None:
-        self.capacity = capacity
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        self.capacity = count("capacity", capacity)
         self._clock = clock
         self._epoch = clock()
         #: ``(build, t, *args)`` entries: ``build(t, *args)`` is the record.

@@ -47,6 +47,8 @@ import weakref
 from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.refuse import count
+
 logger = logging.getLogger("repro.telemetry")
 
 #: Default histogram upper bounds for second-valued observations: six
@@ -264,8 +266,7 @@ class MetricsRegistry:
     """
 
     def __init__(self, max_children: int = DEFAULT_MAX_CHILDREN) -> None:
-        if max_children < 1:
-            raise ValueError("max_children must be >= 1")
+        count("max_children", max_children)
         self._families: dict[str, _Family] = {}
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
         self._lock = threading.Lock()

@@ -71,3 +71,23 @@ def test_killed_sweep_resumes_from_its_journal(tmp_path, capsys):
     resumed = (tmp_path / "resumed.json").read_text()
     assert resumed == (tmp_path / "fresh.json").read_text()
     assert len(json.loads(resumed)) == len(JOBS)
+
+
+def test_submit_refuses_a_nan_parameter(capsys):
+    """``json.loads`` reads ``NaN``; the spec must not hash or run it."""
+    params = '{"base_step_seconds": NaN}'
+    assert main(["submit", "--kind", "chaos", "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "params.base_step_seconds" in err
+
+
+def test_sweep_refuses_a_nan_before_any_journal_line(tmp_path, capsys):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(JOBS[:2] + [
+        {"kind": "steptime", "params": {"chips": 256, "global_batch": float("nan")}},
+    ]))
+    journal = tmp_path / "journal.jsonl"
+    assert main(["sweep", "--jobs", str(path), "--journal", str(journal)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "params.global_batch" in err
+    assert not journal.exists()
