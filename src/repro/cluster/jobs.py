@@ -213,9 +213,10 @@ class JobReport(GoodputAccounting):
 
     def record_run_step(self, step: int) -> None:
         """Extend the trailing ``("run", ...)`` segment with one step."""
-        if self.timeline and self.timeline[-1][0] == "run" and (
-            self.timeline[-1][2] == step
-        ):
-            self.timeline[-1] = ("run", self.timeline[-1][1], step + 1)
-        else:
-            self.timeline.append(("run", step, step + 1))
+        timeline = self.timeline
+        if timeline:
+            last = timeline[-1]
+            if last[0] == "run" and last[2] == step:
+                timeline[-1] = ("run", last[1], step + 1)
+                return
+        timeline.append(("run", step, step + 1))

@@ -25,15 +25,20 @@ Per tick, in deterministic order:
    (unannounced: detection latency is charged); the plan's host
    preemptions do the same through the announced grace-window path;
 2. healing — chips whose repair window elapsed return to service;
-3. admission — pending jobs in (priority, arrival, name) order get a
-   rectangular slice, possibly preempting strictly-lower-priority
-   tenants (grace-window save, requeue with the checkpoint: zero lost
-   steps when the write fits); placement failures retry with bounded
-   exponential backoff + deterministic jitter, then reject;
+3. admission — the pending jobs due for an attempt this tick, in
+   (priority, arrival, name) order, get a rectangular slice, possibly
+   preempting strictly-lower-priority tenants (grace-window save, requeue
+   with the checkpoint: zero lost steps when the write fits); placement
+   failures retry with bounded exponential backoff + deterministic
+   jitter, then reject;
 4. elasticity — running jobs regrow in place over healed chips, and
    shrunken jobs migrate to a freed full-size slice elsewhere;
 5. execution — one step per running job, checkpoints on the job's
    interval, completions release their slice.
+
+A tick pays for what changed: the queues are kept in their scan order as
+jobs move, and a placement that failed is not asked again until the
+allocation map changes (``ClusterState.version``).
 
 Everything is a pure function of ``(specs, config, plan, seed)``: one
 seed replays the whole multi-tenant run, event for event and bit for bit
@@ -44,9 +49,11 @@ the ``cluster_*`` telemetry is published from the reports when ``run`` ends.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,18 +203,26 @@ class _Job:
     """Mutable runtime of one job (the report carries the durable outcome)."""
 
     __slots__ = (
-        "spec", "report", "rec", "batch_fn", "step", "resume_at_s",
-        "next_retry_tick", "attempts", "stall_debt", "retry_key", "by_state",
+        "spec", "name", "order", "fit", "report", "rec", "batch_fn", "step",
+        "resume_at_s", "next_retry_tick", "wait_from", "attempts",
+        "stall_debt", "retry_key", "intact", "by_state", "running",
     )
 
     def __init__(
         self, spec: JobSpec, config: ClusterConfig, detector,
-        by_state: dict[str, set[str]],
+        by_state: dict[str, set[str]], running: list[_Job],
     ) -> None:
         self.spec = spec
+        self.name = spec.name
+        #: The admission order: higher priority first, then arrival, then name.
+        self.order = (-spec.priority, spec.arrival_tick, spec.name)
+        #: What an admission placement depends on besides the map.
+        self.fit = (spec.slice_shape, spec.priority, spec.min_chips)
         self.report = JobReport(tenant=spec.name, priority=spec.priority)
-        #: The scheduler's state -> job names index; see :attr:`state`.
+        #: The scheduler's state -> job names index and its name-ordered
+        #: running jobs; see :attr:`state`.
         self.by_state = by_state
+        self.running = running
         by_state[self.report.state].add(spec.name)
         #: Trainer, checkpoint slot and failure charges; records the timeline.
         self.rec = Recovery(
@@ -216,18 +231,21 @@ class _Job:
             build_trainer=_trainer_builder(spec, config.seed),
         )
         batches = spec.batch_fn_factory
-        seed = derive_subseed(config.seed, "batches", spec.name)
-        self.batch_fn = None if batches is None else batches(seed)
+        self.batch_fn = None if batches is None else batches(
+            derive_subseed(config.seed, "batches", spec.name)
+        )
         self.step = 0
         self.resume_at_s = 0.0
         self.next_retry_tick = spec.arrival_tick
+        #: First tick of the current wait not yet in ``queue_wait_ticks``.
+        self.wait_from = spec.arrival_tick
         self.attempts = 0
         self.stall_debt = 0.0
         self.retry_key = derive_subseed(config.seed, "retry", spec.name)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+        #: Trains on its whole slice with every chip alive: nothing for
+        #: elasticity to do.  Set when the trainer is built, cleared when
+        #: a chip of the slice heals.
+        self.intact = False
 
     @property
     def state(self) -> str:
@@ -235,10 +253,26 @@ class _Job:
 
     @state.setter
     def state(self, value: str) -> None:
-        """The one writer of ``report.state`` and of the state index."""
-        self.by_state[self.report.state].remove(self.spec.name)
-        self.by_state[value].add(self.spec.name)
+        """The one writer of ``report.state``, of the state index and of
+        the running list."""
+        old = self.report.state
+        self.by_state[old].remove(self.name)
+        self.by_state[value].add(self.name)
+        if old == RUNNING:
+            self.running.remove(self)
+        elif value == RUNNING:
+            bisect.insort(self.running, self, key=_NAME)
         self.report.state = value
+
+    def settle_wait(self, upto: int) -> None:
+        """Add the ticks ``wait_from .. upto - 1`` to ``queue_wait_ticks``."""
+        if upto > self.wait_from:
+            self.report.queue_wait_ticks += upto - self.wait_from
+            self.wait_from = upto
+
+
+_NAME = operator.attrgetter("name")
+_ORDER = operator.attrgetter("order")
 
 
 def _trainer_builder(spec: JobSpec, cluster_seed: int):
@@ -278,13 +312,31 @@ class ClusterScheduler:
         check_plan(self.plan, config.mesh_shape, self.state.hosts)
         #: State -> names of the jobs in it; only ``_Job.state`` moves a name.
         self._by_state: dict[str, set[str]] = {s: set() for s in JOB_STATES}
+        #: The running jobs in name order (how elasticity and execution
+        #: visit them); also kept by ``_Job.state``.
+        self._running: list[_Job] = []
         self.jobs = {
-            s.name: _Job(s, config, detector, self._by_state) for s in specs
+            s.name: _Job(s, config, detector, self._by_state, self._running)
+            for s in specs
         }
         self.result = ClusterResult(
             jobs={name: job.report for name, job in self.jobs.items()}
         )
         self._tick = 0
+        #: Waiting jobs by the tick of their next admission attempt, each
+        #: list in admission order; a tick's list is popped at its tick.
+        self._due: dict[int, list[_Job]] = {}
+        for job in self.jobs.values():
+            self._enqueue(job, job.next_retry_tick)
+        #: Waiting jobs that were served before, in admission order.
+        self._served: list[_Job] = []
+        #: Ticks whose admission phase has begun: every waiting job owes
+        #: ``queue_wait_ticks`` up to here (see :meth:`_settle_waits`).
+        self._waited = 0
+        #: Placement questions that failed on map version ``_fits_version``
+        #: (a question asked of an older map can never come up again).
+        self._failed_fits: set = set()
+        self._fits_version = self.state.version
 
     # --- bookkeeping helpers -------------------------------------------------
 
@@ -296,9 +348,11 @@ class ClusterScheduler:
         logger.debug("tick %d: %s %s %s", self._tick, event, tenant, info)
 
     def _publish_metrics(self) -> None:
-        """Write the run's ``cluster_*`` counters and gauges, once: the
-        per-tenant totals of the :class:`JobReport` ledgers (paired by
-        ``TENANT_COUNTERS``) and the pod gauges as of the last tick."""
+        """Settle the ledgers, then write the run's ``cluster_*`` counters
+        and gauges, once: the per-tenant totals of the :class:`JobReport`
+        ledgers (paired by ``TENANT_COUNTERS``) and the pod gauges as of
+        the last tick."""
+        self._settle_waits()
         if not _telemetry.enabled:
             return
         m = _telemetry.metrics
@@ -316,7 +370,7 @@ class ClusterScheduler:
                 )
         m.gauge("cluster_free_chips").set(self.state.free_chips)
         m.gauge("cluster_dead_chips").set(self.state.dead_chips)
-        m.gauge("cluster_running_jobs").set(len(self._by_state[RUNNING]))
+        m.gauge("cluster_running_jobs").set(len(self._running))
         m.gauge("cluster_pending_jobs").set(len(self._by_state[PENDING]))
 
     def _should_checkpoint(self, job: _Job, now_s: float) -> bool:
@@ -335,6 +389,7 @@ class ClusterScheduler:
         """(Re)construct the job's trainer and optionally restore its checkpoint."""
         job.rec.build(replicas)
         job.report.replicas = replicas
+        job.intact = replicas == job.spec.num_chips
         if restore:
             job.step = job.rec.restore()
 
@@ -432,21 +487,29 @@ class ClusterScheduler:
             )
 
     def _requeue(self, job: _Job) -> None:
-        """Release the job's slice; it waits, rewound to its checkpoint."""
+        """Release the job's slice; it waits, rewound to its checkpoint.
+
+        Its wait counts from the first tick whose admission has not begun:
+        this one when a fault evicts it, the next when a preemption does.
+        """
         self.state.release(job.name)
         job.rec.trainer = None
         job.step = job.rec.ckpt_step
         job.state = PENDING
-        job.next_retry_tick = self._tick + 1
         job.attempts = 0
         job.report.replicas = 0
+        job.wait_from = self._waited
+        bisect.insort(self._served, job, key=_ORDER)
+        self._enqueue(job, self._tick + 1)
 
     def _handle_heals(self, now_s: float) -> None:
         if self.config.heal_after_s is None:
             return
         healed = self.state.heal_ready(now_s, self.config.heal_after_s)
         for dev in healed:
-            self.state.heal_chip(dev)
+            owner = self.state.heal_chip(dev)
+            if owner is not None:
+                self.jobs[owner].intact = False  # it may regrow
         if healed:
             self._emit("heal", "", devices=[list(d) for d in healed])
 
@@ -454,13 +517,13 @@ class ClusterScheduler:
 
     def _preemption_plan(self, job: _Job) -> list[_Job] | None:
         """The minimal prefix of lower-priority victims that frees a slice."""
+        # Stable on the name-ordered running list: (priority, name) order.
         candidates = sorted(
             (
-                other
-                for other in map(self.jobs.get, self._by_state[RUNNING])
+                other for other in self._running
                 if other.spec.priority < job.spec.priority
             ),
-            key=lambda other: (other.spec.priority, other.name),
+            key=lambda other: other.spec.priority,
         )
         evicted: list[_Job] = []
         for victim in candidates:
@@ -492,11 +555,35 @@ class ClusterScheduler:
             else f"{lost} steps lost",
         )
 
+    def _failed_before(self, question) -> bool:
+        """Whether ``question`` already failed on the current map."""
+        return (
+            self._fits_version == self.state.version
+            and question in self._failed_fits
+        )
+
+    def _remember_failure(self, question) -> None:
+        """Record that ``question`` failed on the current map."""
+        version = self.state.version
+        if self._fits_version != version:
+            self._failed_fits.clear()
+            self._fits_version = version
+        self._failed_fits.add(question)
+
     def _try_admit(self, job: _Job, now_s: float) -> bool:
+        """Place ``job``, preempting if its priority allows.
+
+        The fit and the preemption plan read only the map and the running
+        set, which change only with the map's version: a question that
+        failed at this version fails again without being asked.
+        """
+        if self._failed_before(job.fit):
+            return False
         slc = self.state.allocate(job.name, job.spec.slice_shape)
         if slc is None:
             victims = self._preemption_plan(job)
             if victims is None:
+                self._remember_failure(job.fit)
                 return False
             for victim in victims:
                 self._preempt(victim, now_s, by=job)
@@ -504,6 +591,7 @@ class ClusterScheduler:
             assert slc is not None, "eviction plan failed to free a slice"
         report = job.report
         resuming = report.admissions > 0
+        self._leave_queue(job)
         job.state = RUNNING
         job.attempts = 0
         report.admissions += 1
@@ -526,68 +614,99 @@ class ClusterScheduler:
         )
         return True
 
+    # --- the waiting queue ---------------------------------------------------
+
+    def _enqueue(self, job: _Job, tick: int) -> None:
+        """``job`` waits for its next admission attempt at ``tick``."""
+        job.next_retry_tick = tick
+        bisect.insort(self._due.setdefault(tick, []), job, key=_ORDER)
+
+    def _leave_queue(self, job: _Job) -> None:
+        """``job`` stops waiting this tick (admitted or rejected)."""
+        job.settle_wait(self._waited)
+        if job.report.admissions > 0:
+            self._served.remove(job)
+
+    def _settle_waits(self, cut: tuple | None = None) -> None:
+        """Charge every waiting job's ``queue_wait_ticks`` up to now.
+
+        Waits are charged in bulk when a job leaves the queue; this brings
+        the ledgers up to date before anything reads them mid-run.  During
+        an admission pass, ``cut`` is the order of the job being decided:
+        the jobs after it have not been reached this tick yet.
+        """
+        for name in self._by_state[PENDING]:
+            job = self.jobs[name]
+            late = cut is not None and job.order > cut
+            job.settle_wait(self._waited - late)
+
     def _run_admission(self, now_s: float) -> None:
+        """Attempt the jobs due this tick, in admission order.
+
+        A waiting job that was served before loses wall time every tick it
+        waits: one ``base_step_seconds`` each, charged at its place in the
+        admission order, so a mid-pass read sees what a full scan would.
+        """
+        self._waited = self._tick + 1
+        base = self.config.base_step_seconds
+        served = self._served.copy()
+        charged = 0
+        for job in self._due.pop(self._tick, ()):
+            while charged < len(served) and served[charged].order <= job.order:
+                served[charged].report.total_seconds += base
+                charged += 1
+            self._attempt(job, now_s)
+        for job in served[charged:]:
+            job.report.total_seconds += base
+
+    def _attempt(self, job: _Job, now_s: float) -> None:
+        """One admission attempt: admit, back off, or reject."""
+        if self._try_admit(job, now_s):
+            return
         policy = self.config.admission_policy
-        waiting = sorted(
-            (
-                job
-                for job in map(self.jobs.get, self._by_state[PENDING])
-                if self._tick >= job.spec.arrival_tick
-            ),
-            key=lambda job: (
-                -job.spec.priority, job.spec.arrival_tick, job.name,
-            ),
-        )
-        for job in waiting:
-            report = job.report
-            report.queue_wait_ticks += 1
-            if report.admissions > 0:
-                # A previously served tenant's wait is real wall time lost.
-                report.total_seconds += self.config.base_step_seconds
-            if self._tick < job.next_retry_tick:
-                continue
-            if self._try_admit(job, now_s):
-                continue
-            job.attempts += 1
-            if job.attempts >= policy.max_attempts:
-                job.state = REJECTED
-                self._emit("reject", job.name, attempts=job.attempts)
-                logger.warning(
-                    "tick %d: %s rejected after %d admission attempts",
-                    self._tick, job.name, job.attempts,
+        report = job.report
+        job.attempts += 1
+        if job.attempts >= policy.max_attempts:
+            self._leave_queue(job)
+            job.state = REJECTED
+            self._emit("reject", job.name, attempts=job.attempts)
+            logger.warning(
+                "tick %d: %s rejected after %d admission attempts",
+                self._tick, job.name, job.attempts,
+            )
+            if _telemetry.enabled:
+                # The registry holds no cluster_* counters until the run
+                # ends, so the bundle carries the ledgers themselves.
+                self._settle_waits(cut=job.order)
+                _telemetry.flight_recorder.dump(
+                    reason=f"tenant_rejected:{job.name}",
+                    extra={
+                        "tenants": {
+                            name: other.report.ledger_dict()
+                            for name, other in self.jobs.items()
+                        }
+                    },
                 )
-                if _telemetry.enabled:
-                    # The registry holds no cluster_* counters until the run
-                    # ends, so the bundle carries the ledgers themselves.
-                    _telemetry.flight_recorder.dump(
-                        reason=f"tenant_rejected:{job.name}",
-                        extra={
-                            "tenants": {
-                                name: other.report.ledger_dict()
-                                for name, other in self.jobs.items()
-                            }
-                        },
-                    )
-                continue
-            delay_s = policy.delay_after(job.attempts, key=job.retry_key)
-            job.next_retry_tick = self._tick + max(
-                1, math.ceil(delay_s / self.config.base_step_seconds)
-            )
-            report.admission_retries += 1
-            self._emit(
-                "admission_retry", job.name,
-                attempt=job.attempts, delay_s=round(delay_s, 6),
-                next_tick=job.next_retry_tick,
-            )
+            return
+        delay_s = policy.delay_after(job.attempts, key=job.retry_key)
+        self._enqueue(job, self._tick + max(
+            1, math.ceil(delay_s / self.config.base_step_seconds)
+        ))
+        report.admission_retries += 1
+        self._emit(
+            "admission_retry", job.name,
+            attempt=job.attempts, delay_s=round(delay_s, 6),
+            next_tick=job.next_retry_tick,
+        )
 
     # --- elasticity ----------------------------------------------------------
 
     def _run_elasticity(self, now_s: float) -> None:
         """Regrow running jobs over healed chips; migrate shrunken jobs."""
-        for name in sorted(self._by_state[RUNNING]):
-            job = self.jobs[name]
-            if now_s < job.resume_at_s:
+        for job in self._running:
+            if job.intact or now_s < job.resume_at_s:
                 continue
+            name = job.name
             alive = self.state.alive_in(name)
             if len(alive) > job.report.replicas:
                 # Chips inside the slice healed: expand onto them at a
@@ -596,10 +715,15 @@ class ClusterScheduler:
             elif len(alive) < job.spec.num_chips:
                 # Running degraded: a full-size slice freed up elsewhere
                 # (a tenant finished, or healing restored another region).
+                question = ("migrate", name)
+                if self._failed_before(question):
+                    continue
                 anchor = self.state.find_anchor(
                     job.spec.slice_shape, evictable=frozenset((name,))
                 )
-                if anchor is not None:
+                if anchor is None:
+                    self._remember_failure(question)
+                else:
                     self.state.release(name)
                     slc = self.state.allocate(name, job.spec.slice_shape)
                     assert slc is not None
@@ -638,23 +762,26 @@ class ClusterScheduler:
 
     def _run_steps(self, now_s: float) -> None:
         base = self.config.base_step_seconds
-        for name in sorted(self._by_state[RUNNING]):
-            job = self.jobs[name]
+        alive_in = self.state.alive_in
+        # Ask each job for its slowdown only while some straggler is active.
+        lagging = any(s.active_at(self._tick) for s in self.plan.stragglers)
+        for job in self._running.copy():  # completions leave the list
             if now_s < job.resume_at_s:
                 continue
-            alive = self.state.alive_in(name)
-            slowdown = self.plan.slowdown_at(self._tick, alive)
-            if slowdown > 1.0:
-                self._blame_stragglers(job, alive, slowdown)
-                job.stall_debt += (slowdown - 1.0) * base
-                if job.stall_debt >= base:
-                    # The synchronous step is still in flight: the fleet
-                    # waits on its slowest chip and makes no progress.
-                    job.stall_debt -= base
-                    job.report.total_seconds += base
-                    job.report.straggler_stall_ticks += 1
-                    continue
+            alive = alive_in(job.name)
             report = job.report
+            if lagging:
+                slowdown = self.plan.slowdown_at(self._tick, alive)
+                if slowdown > 1.0:
+                    self._blame_stragglers(job, alive, slowdown)
+                    job.stall_debt += (slowdown - 1.0) * base
+                    if job.stall_debt >= base:
+                        # The synchronous step is still in flight: the fleet
+                        # waits on its slowest chip and makes no progress.
+                        job.stall_debt -= base
+                        report.total_seconds += base
+                        report.straggler_stall_ticks += 1
+                        continue
             if job.rec.trainer is not None:
                 x, labels = job.batch_fn(job.step)
                 result = job.rec.trainer.step(x, labels)

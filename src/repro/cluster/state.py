@@ -20,6 +20,11 @@ row-major order (first fit, trying the rotated shape second), so the same
 request stream always produces the same packing.  First fit is answered
 from one bitmask per column (bit ``y`` of column ``x`` is chip ``(x, y)``),
 so its cost follows the pod's width, not its chip count.
+
+:attr:`ClusterState.version` counts the changes to the map: it goes up on
+every allocation, release, chip death and heal that changes a chip's
+owner or liveness, so two reads at the same version see the same map and
+any placement question asked of it gets the same answer.
 """
 
 from __future__ import annotations
@@ -100,6 +105,8 @@ class ClusterState:
         self._slices: dict[str, Slice] = {}
         #: Job -> its live chips; dropped when its slice or a chip in it changes.
         self._alive: dict[str, tuple[Device, ...]] = {}
+        #: Changes made to the map so far (see the module docstring).
+        self.version = 0
 
     # --- read side -----------------------------------------------------------
 
@@ -216,6 +223,7 @@ class ClusterState:
         for x in slc.columns:
             self._owned[x] |= rows
         self._slices[job] = slc
+        self.version += 1
         logger.debug("allocated %dx%d at (%d,%d) to %s", w, h, x0, y0, job)
         return slc
 
@@ -228,6 +236,7 @@ class ClusterState:
         for x in slc.columns:
             self._owned[x] &= ~rows
         self._alive.pop(job, None)
+        self.version += 1
         return slc
 
     # --- faults and healing --------------------------------------------------
@@ -245,6 +254,7 @@ class ClusterState:
             x, y = device
             self._dead_cols[x] |= 1 << y
             self._alive.pop(owner, None)
+            self.version += 1
         return owner
 
     def heal_ready(self, now_s: float, heal_after_s: float) -> tuple[Device, ...]:
@@ -265,4 +275,5 @@ class ClusterState:
             x, y = device
             self._dead_cols[x] &= ~(1 << y)
             self._alive.pop(owner, None)
+            self.version += 1
         return owner

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.strategy import ParallelismConfig
 from repro.models.costspec import ModelCostSpec
-from repro.refuse import count
+from repro.refuse import count, known
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,7 @@ def plan_parallelism(
     the hand annotations; the winning plan rides along on the choice.
     """
     count("num_chips", num_chips)
-    try:
-        rules = PLANNER_RULES[spec.name]
-    except KeyError:
-        raise KeyError(
-            f"no planner rules for {spec.name!r}; known: {sorted(PLANNER_RULES)}"
-        ) from None
+    rules = known("spec.name", spec.name, PLANNER_RULES)
     cores = num_chips * 2
     global_batch = min(rules.max_global_batch, rules.per_chip_batch_cap * num_chips)
     if cores > global_batch:

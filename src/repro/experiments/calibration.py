@@ -29,6 +29,7 @@ from repro.models import (
     transformer_big_spec,
 )
 from repro.models.costspec import ModelCostSpec
+from repro.refuse import known
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,7 @@ CALIBRATIONS: dict[str, Calibration] = {
 
 def spec_for(name: str) -> ModelCostSpec:
     """The cost spec of a benchmark by name."""
-    try:
-        return _SPECS[name]
-    except KeyError:
-        raise KeyError(f"unknown benchmark {name!r}; known: {sorted(_SPECS)}") from None
+    return known("model", name, _SPECS)
 
 
 def end_to_end_model(name: str, framework: str = "tf") -> EndToEndModel:

@@ -12,8 +12,16 @@ not doors, and stay inline (DESIGN §8).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from math import inf
 from numbers import Real
+
+
+class UnknownName(ValueError, KeyError):
+    """A name a door has no entry for.  A ``ValueError`` like every other
+    refusal, and a ``KeyError`` for the callers that look names up."""
+
+    __str__ = ValueError.__str__  # the message, not KeyError's repr of it
 
 
 def _refused(name: str, value: object, rule: str) -> Exception:
@@ -89,3 +97,12 @@ def count(name: str, value: int, minimum: int = 1) -> int:
     except TypeError:
         pass
     raise _refused(name, value, f"an integer >= {minimum}")
+
+
+def known(name: str, value, table: Mapping):
+    """The entry of ``table`` a name refers to: ``table[value]``."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        pass
+    raise UnknownName(f"{name} must be one of {sorted(table)}, got {value!r}")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -176,9 +177,15 @@ class GoodputAccounting:
 
     def accounting_dict(self) -> dict[str, float]:
         """The stable, JSON-ready goodput schema (fields + derived rates)."""
-        names = [f.name for f in fields(GoodputAccounting)]
-        names += ["goodput", "mttr_seconds", "mttd_seconds"]
-        return {name: getattr(self, name) for name in names}
+        return dict(zip(_ACCOUNTING_NAMES, _accounting_values(self)))
+
+
+#: The keys of :meth:`GoodputAccounting.accounting_dict`, in order: the
+#: schema's fields, then its derived rates.
+_ACCOUNTING_NAMES = tuple(f.name for f in fields(GoodputAccounting)) + (
+    "goodput", "mttr_seconds", "mttd_seconds",
+)
+_accounting_values = operator.attrgetter(*_ACCOUNTING_NAMES)
 
 
 @dataclass

@@ -30,6 +30,7 @@ Job classes:
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from repro.core import step_time, strategy, trainer
 from repro.experiments import calibration
 from repro.models import mlp
 from repro.optim import sgd
+from repro.refuse import count, non_negative
 from repro.resilience import chaos, faults
 from repro.service.spec import SimJob
 
@@ -61,12 +63,19 @@ FORKED_JOBS = frozenset({("chaos", False), ("cluster", False)})
 
 
 def execute_steptime(params: dict) -> dict:
-    """One step-time query: ``{model, chips, global_batch, overlap, buckets}``."""
+    """One step-time query: ``{model, chips, global_batch, overlap, buckets}``.
+
+    Every executor passes numbers on as written, never coerced, so one
+    simulation has one content key: a string or a fraction where a count
+    is meant is refused by name, by the config it reaches, or here
+    (``repro.refuse``) where that config checks nothing or names the
+    value otherwise.
+    """
     model_name = params.get("model", "resnet50")
-    chips = int(params.get("chips", 256))
-    global_batch = int(params.get("global_batch", 8192))
+    chips = count("chips", params.get("chips", 256))
+    global_batch = params.get("global_batch", 8192)
     overlap = bool(params.get("overlap", False))
-    buckets = int(params.get("buckets", 1))
+    buckets = count("buckets", params.get("buckets", 1))
     model = step_time.StepTimeModel(
         calibration.spec_for(model_name),
         strategy.ParallelismConfig(num_chips=chips, global_batch=global_batch),
@@ -92,22 +101,30 @@ def execute_steptime(params: dict) -> dict:
 # --- chaos -------------------------------------------------------------------
 
 
+def _seed(params: dict) -> int:
+    return count("seed", params.get("seed", 0), minimum=0)
+
+
+def _expected(params: dict, name: str) -> float:
+    return non_negative(name, params.get(name, 0.0))
+
+
 def _chaos_plan_and_config(params: dict):
     mesh_shape = tuple(params.get("mesh_shape", (2, 2)))
-    steps = int(params.get("steps", 50))
+    steps = params.get("steps", 50)
     plan = faults.FaultPlan.sample(
-        seed=int(params.get("seed", 0)),
+        seed=_seed(params),
         mesh_shape=mesh_shape,
         steps=steps,
-        expected_chip_failures=float(params.get("expected_chip_failures", 0.0)),
-        expected_stragglers=float(params.get("expected_stragglers", 0.0)),
-        expected_preemptions=float(params.get("expected_preemptions", 0.0)),
+        expected_chip_failures=_expected(params, "expected_chip_failures"),
+        expected_stragglers=_expected(params, "expected_stragglers"),
+        expected_preemptions=_expected(params, "expected_preemptions"),
     )
     config = chaos.ChaosConfig(
         mesh_shape=mesh_shape,
         target_steps=steps,
-        checkpoint_interval=int(params.get("checkpoint_interval", 5)),
-        chips_per_host=int(params.get("chips_per_host", 2)),
+        checkpoint_interval=params.get("checkpoint_interval", 5),
+        chips_per_host=params.get("chips_per_host", 2),
     )
     return plan, config
 
@@ -124,7 +141,7 @@ def execute_chaos(params: dict, degraded: bool = False) -> dict:
     plan, config = _chaos_plan_and_config(params)
     if degraded:
         report = chaos.run_chaos(
-            plan, config, state_bytes=int(params.get("state_bytes", int(1e9)))
+            plan, config, state_bytes=params.get("state_bytes", int(1e9))
         )
         payload = {"mode": "accounting", "losses": []}
     else:
@@ -132,11 +149,11 @@ def execute_chaos(params: dict, degraded: bool = False) -> dict:
             model=mlp.MLP([8, 16, 4]),
             optimizer=sgd.SGDMomentum(learning_rate=0.05),
             strategy="wus",
-            seed=int(params.get("seed", 0)),
+            seed=plan.seed,
         )
 
         def batch_fn(step: int):
-            rng = np.random.default_rng((int(params.get("seed", 0)), step))
+            rng = np.random.default_rng((plan.seed, step))
             # 12 samples: divisible by every survivor count of a 2x2 mesh.
             return rng.standard_normal((12, 8)), rng.integers(0, 4, size=12)
 
@@ -164,13 +181,13 @@ def _checkpoint_policy(raw: dict | None):
     kind = raw.get("policy", "risk_adaptive")
     if kind == "risk_adaptive":
         return checkpointing.RiskAdaptive(
-            hazard_per_second=float(raw["hazard_per_second"]),
-            checkpoint_seconds=float(raw["checkpoint_seconds"]),
+            hazard_per_second=raw["hazard_per_second"],
+            checkpoint_seconds=raw["checkpoint_seconds"],
         )
     if kind == "wall_clock":
-        return checkpointing.WallClockInterval(float(raw["every_seconds"]))
+        return checkpointing.WallClockInterval(raw["every_seconds"])
     if kind == "step":
-        return checkpointing.StepInterval(int(raw["every_steps"]))
+        return checkpointing.StepInterval(raw["every_steps"])
     raise ValueError(
         f"unknown checkpoint policy {kind!r}; choose from "
         "risk_adaptive, wall_clock, step"
@@ -194,13 +211,15 @@ def to_cluster_spec(tenant: dict):
         checkpoint_policy=_checkpoint_policy(tenant.get("checkpoint_policy")),
         name=str(tenant["name"]),
         slice_shape=tuple(tenant.get("slice_shape", (2, 2))),
-        target_steps=int(tenant.get("target_steps", 20)),
-        priority=int(tenant.get("priority", 0)),
-        arrival_tick=int(tenant.get("arrival_tick", 0)),
-        min_chips=int(tenant.get("min_chips", 1)),
-        checkpoint_interval=int(tenant.get("checkpoint_interval", 5)),
-        state_bytes=int(tenant.get("state_bytes", 0)),
-        slo_goodput=float(tenant.get("slo_goodput", 0.0)),
+        target_steps=tenant.get("target_steps", 20),
+        # Any integer (``JobSpec`` leaves it unchecked): only the order of
+        # priorities matters.
+        priority=count("priority", tenant.get("priority", 0), minimum=-math.inf),
+        arrival_tick=tenant.get("arrival_tick", 0),
+        min_chips=tenant.get("min_chips", 1),
+        checkpoint_interval=tenant.get("checkpoint_interval", 5),
+        state_bytes=tenant.get("state_bytes", 0),
+        slo_goodput=tenant.get("slo_goodput", 0.0),
     )
 
 
@@ -211,17 +230,18 @@ def execute_cluster(params: dict) -> dict:
         raise ValueError("cluster job needs at least one tenant")
     specs = [to_cluster_spec(t) for t in tenants]
     mesh_shape = tuple(params.get("mesh_shape", (4, 4)))
+    seed = _seed(params)
     config = cluster.ClusterConfig(
         mesh_shape=mesh_shape,
-        chips_per_host=int(params.get("chips_per_host", 8)),
-        max_ticks=int(params.get("max_ticks", 2000)),
-        seed=int(params.get("seed", 0)),
+        chips_per_host=params.get("chips_per_host", 8),
+        max_ticks=params.get("max_ticks", 2000),
+        seed=seed,
     )
     plan = faults.FaultPlan.sample(
-        seed=int(params.get("seed", 0)),
+        seed=seed,
         mesh_shape=mesh_shape,
-        steps=int(params.get("max_ticks", 2000)),
-        expected_chip_failures=float(params.get("expected_chip_failures", 0.0)),
+        steps=config.max_ticks,
+        expected_chip_failures=_expected(params, "expected_chip_failures"),
     )
     result = cluster.run_cluster(specs, config, plan=plan)
     return {

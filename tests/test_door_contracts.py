@@ -19,6 +19,7 @@ Two parts:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,13 +31,14 @@ from repro import telemetry
 from repro.cluster.jobs import JobSpec
 from repro.cluster.scheduler import ClusterConfig, run_cluster
 from repro.comm.cost import reduce_scatter_time
-from repro.core.planner import plan_parallelism
+from repro.core.planner import PLANNER_RULES, plan_parallelism
 from repro.core.strategy import ParallelismConfig
 from repro.core.trainer import STRATEGIES, TrainerConfig, make_trainer
 from repro.experiments.calibration import spec_for
 from repro.models.mlp import MLP
 from repro.optim import LAMB, LARS, Adam, SGDMomentum
 from repro.optim.schedules import LinearWarmupPolyDecay
+from repro.refuse import UnknownName
 from repro.resilience.chaos import ChaosConfig, GoodputAccounting, run_chaos
 from repro.resilience.faults import (
     DeviceLostError,
@@ -47,6 +49,7 @@ from repro.resilience.faults import (
     StragglerFault,
 )
 from repro.service import ServiceConfig, SimJob, SimulationService, canonical_spec
+from repro.service.executors import execute_chaos, execute_cluster, execute_steptime
 from repro.service.spec import JobFailed, ServiceRejection
 from repro.spmd.plan import ShardingSpec
 from repro.spmd.search import SearchConfig
@@ -129,6 +132,34 @@ def test_canonical_spec_refuses_a_non_finite_number_by_its_key_path(params, path
         canonical_spec("chaos", params)
     with pytest.raises(ValueError, match=path):
         SimJob("chaos", params)
+
+
+@pytest.mark.parametrize(
+    "execute, params, name",
+    [
+        (execute_steptime, {"buckets": "1"}, "buckets"),
+        (execute_steptime, {"chips": 256.5}, "chips"),
+        (execute_chaos, {"steps": 2.5}, "steps"),
+        (execute_chaos, {"seed": "3"}, "seed"),
+        (execute_chaos, {"expected_chip_failures": "1"}, "expected_chip_failures"),
+        (execute_cluster, {"tenants": [{"name": "a", "target_steps": 2.5}]}, "target_steps"),
+        (execute_cluster, {"tenants": [{"name": "a", "priority": "1"}]}, "priority"),
+        (execute_cluster, {"tenants": [{"name": "a"}], "max_ticks": "9"}, "max_ticks"),
+    ],
+)
+def test_executors_read_numbers_as_written(execute, params, name):
+    """Used to run ``"1"`` as 1 and 2.5 as 2: one simulation under a second
+    content key, and a string taken for a number."""
+    with pytest.raises(REFUSED, match=name):
+        execute(params)
+
+
+def test_a_service_job_with_a_string_count_fails_naming_it():
+    telemetry.reset()
+    with SimulationService(ServiceConfig(concurrency=1, cache_entries=0)) as service:
+        handle = service.submit(SimJob("steptime", {"buckets": "1"}))
+        with pytest.raises(JobFailed, match="buckets"):
+            handle.result(timeout=30.0)
 
 
 # --- drawing fields -----------------------------------------------------------
@@ -428,7 +459,7 @@ def test_service_submit_door():
 
 @CONTRACT
 @given(
-    name=st.sampled_from(["resnet50", "bert", "transformer", "ssd"]),
+    name=st.sampled_from(["resnet50", "bert", "transformer", "ssd", "alexnet", ""]),
     drawn=knobs(dict(
         chips=(st.sampled_from([1, 16, 256, 1024]), COUNT_EDGES),
         num_chips=counts(1, 1024), global_batch=counts(1, 1 << 16), mp_cores=counts(1, 8),
@@ -437,11 +468,20 @@ def test_service_submit_door():
 def test_planner_door(name, drawn):
     values, edge = drawn
     chips = values.pop("chips")
+    if name in PLANNER_RULES:
+        spec = spec_for(name)
+    else:
+        spec = dataclasses.replace(spec_for("resnet50"), name=name)
     try:
-        choice = plan_parallelism(spec_for(name), chips)
+        choice = plan_parallelism(spec, chips)
+    except UnknownName as exc:
+        # A ValueError that is also the KeyError a name lookup raises.
+        event("refused: UnknownName")
+        assert name not in PLANNER_RULES and "spec.name" in str(exc), exc
     except REFUSED as exc:
         _refused(exc, {"chips": chips}, edge, {"chips": "num_chips"})
     else:
+        assert name in PLANNER_RULES
         assert choice.config.num_chips == chips and choice.config.global_batch >= 1
     try:
         ParallelismConfig(**values)
