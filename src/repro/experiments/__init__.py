@@ -2,24 +2,13 @@
 
 Each module exposes ``run(...)`` returning a structured result with a
 ``format()`` method; the CLI (``python -m repro.experiments <name>`` or the
-``repro-experiments`` entry point) prints them.  EXPERIMENTS.md records
-paper-vs-measured for each.
+``repro-experiments`` entry point) prints them.  The modules that carry
+paper claims declare them beside ``run()`` as ``claims(result)``, rows of
+the fidelity table (:mod:`repro.experiments.fidelity`); ``python -m
+repro.experiments fidelity`` writes them to ``FIDELITY.json`` and the
+paper-vs-measured blocks of EXPERIMENTS.md.
 
-| id        | what                                                    |
-|-----------|---------------------------------------------------------|
-| table1    | end-to-end minutes, 7 rows (TF + JAX)                   |
-| table2    | TF vs JAX initialization time                           |
-| figure5   | ResNet-50 end-to-end & throughput speedup vs chips      |
-| figure6   | ResNet-50 compute/all-reduce step breakdown             |
-| figure7   | BERT speedup vs chips                                   |
-| figure8   | BERT compute/all-reduce step breakdown                  |
-| figure9   | model-parallel speedup (SSD, MaskRCNN, Transformer)     |
-| figure10  | TPU vs V100/A100 end-to-end minutes                     |
-| figure11  | speedup over 16 chips of own type, TPU vs GPU           |
-| ablations | WUS, 1-D vs 2-D all-reduce, MaskRCNN comm, shuffle,     |
-|           | input pipeline, DLRM input, AUC                         |
-| availability | goodput vs failure rate x pod size, chaos-run demo   |
-| spmd_search | searched vs hand-annotated sharding frontier          |
+``repro-experiments --list`` names every experiment id.
 """
 
 from repro.experiments.calibration import CALIBRATIONS, Calibration, end_to_end_model

@@ -46,6 +46,7 @@ from repro.controlplane import (
     SingleClientCoordinator,
 )
 from repro.core.trainer import TrainerConfig
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Table
 from repro.frameworks.base import GraphProfile
 from repro.models.mlp import MLP
@@ -450,4 +451,19 @@ def run() -> list[Table]:
         heartbeat_sweep(),
         checkpoint_sweep(),
         controlplane_scenario(),
+    ]
+
+
+def claims(tables: list[Table]) -> list[Claim]:
+    """At 256 chips: no failures, goodput 1; at 1e-4, failures and 0 < goodput < 1."""
+    rows = list(zip(tables[0].column("Chips"), tables[0].column("Chip fail rate")))
+    failures = dict(zip(rows, tables[0].column("Failures")))
+    goodput = dict(zip(rows, map(float, tables[0].column("Goodput"))))
+    clean, faulty = (256, "0"), (256, "1e-04")
+    return [
+        Claim("availability/256_clean/failures", 0, failures[clean], "=="),
+        Claim("availability/256_clean/goodput", 1.0, goodput[clean], "=="),
+        Claim("availability/256_1e-04/failures", 0, failures[faulty], ">"),
+        Claim("availability/256_1e-04/goodput", 1.0, goodput[faulty], "<"),
+        Claim("availability/256_1e-04/goodput_positive", 0.0, goodput[faulty], ">"),
     ]

@@ -3,13 +3,11 @@
 Exactly one anchor per benchmark: constants here are chosen so the modeled
 Table 1 row at the paper's submission scale lands in range.  Every other
 prediction (other chip counts, breakdown fractions, speedup curves,
-crossovers) is then *derived*, and EXPERIMENTS.md reports paper-vs-measured
-for each.
-
-The achieved MXU efficiencies are physically sensible: BERT's huge dense
-matmuls run the MXU hot (~0.58); ResNet at 8 examples/core (~0.20); SSD on
-300x300 images at ~0.5 examples/core (~0.10); MaskRCNN with its gathers and
-small convolutions (~0.17); DLRM's tiny MLPs (~0.12).
+crossovers) is then *derived*, and the fidelity table checks it against
+the paper.  The achieved MXU efficiencies are physically sensible: BERT's
+huge dense matmuls run the MXU hot; ResNet runs 8 examples/core, SSD
+~0.5 on 300x300 images; MaskRCNN has gathers and small convolutions,
+DLRM tiny MLPs.
 """
 
 from __future__ import annotations

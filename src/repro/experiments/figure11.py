@@ -9,6 +9,7 @@ all-reduce beats the hierarchical NVLink+IB reduction as chip counts grow.
 
 from __future__ import annotations
 
+from repro.experiments.fidelity import Claim
 from repro.experiments.gpu import NVIDIA_V07_SCALES, gpu_end_to_end
 from repro.experiments.report import Figure
 from repro.experiments.scaling import SCALING_CHIPS, sweep
@@ -42,3 +43,12 @@ def run() -> Figure:
             ],
         )
     return fig
+
+
+def claims(fig: Figure) -> list[Claim]:
+    """At its largest scale the TPU's own-baseline speedup beats the A100's."""
+    return [
+        Claim(f"figure11/{n}/tpu_over_a100_max_speedup", 1.0,
+              max(fig.series[f"tpu_{n}"][1]) / max(fig.series[f"gpu_a100_{n}"][1]), ">")
+        for n in ("resnet50", "bert")
+    ]

@@ -8,6 +8,7 @@ relative to shrinking compute.
 
 from __future__ import annotations
 
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Figure
 from repro.experiments.scaling import SCALING_CHIPS, sweep
 
@@ -23,3 +24,13 @@ def run(chips: tuple[int, ...] = SCALING_CHIPS) -> Figure:
     fig.add_series("throughput", s.chips, [round(thr[c], 2) for c in s.chips])
     fig.add_series("ideal", s.chips, [ideal[c] for c in s.chips])
     return fig
+
+
+def claims(fig: Figure) -> list[Claim]:
+    """Throughput beats end-to-end (the convergence tax); end-to-end > 30x."""
+    e2e = dict(zip(*fig.series["end_to_end"]))
+    thr = dict(zip(*fig.series["throughput"]))
+    return [
+        Claim("figure5/throughput_over_e2e_4096", 1.0, thr[4096] / e2e[4096], ">"),
+        Claim("figure5/e2e_speedup_4096", 30, e2e[4096], ">"),
+    ]

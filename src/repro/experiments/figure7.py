@@ -6,6 +6,7 @@ steady, so the end-to-end curve tracks throughput closely.
 
 from __future__ import annotations
 
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Figure
 from repro.experiments.scaling import SCALING_CHIPS, sweep
 
@@ -20,3 +21,8 @@ def run(chips: tuple[int, ...] = SCALING_CHIPS) -> Figure:
     fig.add_series("throughput", s.chips, [round(thr[c], 2) for c in s.chips])
     fig.add_series("ideal", s.chips, [c / base for c in s.chips])
     return fig
+
+
+def claims(fig: Figure) -> list[Claim]:
+    """BERT's near-throughput end-to-end scaling: over 80x at 4096 chips."""
+    return [Claim("figure7/e2e_speedup_4096", 80, dict(zip(*fig.series["end_to_end"]))[4096], ">")]

@@ -40,10 +40,6 @@ class GpuRunResult:
     def total_minutes(self) -> float:
         return self.total_seconds / 60.0
 
-    @property
-    def throughput_examples_per_second(self) -> float:
-        return self.global_batch / self.step_seconds
-
 
 #: Global batches the GPU submissions used where they differ from the
 #: per-GPU-cap heuristic (DLRM ran batch 65536 on only 16 GPUs).

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _fmt(value) -> str:
@@ -45,15 +53,7 @@ class Table:
 
     def to_csv(self) -> str:
         """The table as CSV (header row first)."""
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.headers)
-        for row in self.rows:
-            writer.writerow(row)
-        return buf.getvalue()
+        return _csv([self.headers, *self.rows])
 
 
 @dataclass
@@ -79,13 +79,6 @@ class Figure:
 
     def to_csv(self) -> str:
         """Long-format CSV: series,x,y."""
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["series", self.x_label, "value"])
-        for name, (xs, ys) in self.series.items():
-            for x, y in zip(xs, ys):
-                writer.writerow([name, x, y])
-        return buf.getvalue()
+        return _csv([["series", self.x_label, "value"]] + [
+            [name, x, y] for name, (xs, ys) in self.series.items() for x, y in zip(xs, ys)
+        ])

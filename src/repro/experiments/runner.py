@@ -6,6 +6,7 @@ Usage::
     python -m repro.experiments figure6
     python -m repro.experiments ablations
     python -m repro.experiments all
+    python -m repro.experiments fidelity   # rewrite FIDELITY.json + EXPERIMENTS.md
     repro-experiments --list
 """
 
@@ -18,6 +19,7 @@ from repro.experiments import (
     ablations,
     availability,
     cluster,
+    fidelity,
     overlap,
     sensitivity,
     service_load,
@@ -77,7 +79,8 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         nargs="?",
         default="all",
-        help="experiment id (table1, table2, figure5..figure11, ablations, all)",
+        help="experiment id (table1, table2, figure5..figure11, ablations, all), or "
+        "fidelity: rewrite FIDELITY.json and the generated blocks of EXPERIMENTS.md",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiment ids and exit"
@@ -91,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
+    if args.experiment == "fidelity":
+        return fidelity.write()
     if args.experiment == "all":
         for name, fn in EXPERIMENTS.items():
             _print_result(fn(), csv_dir=args.csv, name=name)
@@ -100,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError:
         print(
             f"unknown experiment {args.experiment!r}; choose from "
-            f"{', '.join(EXPERIMENTS)} or 'all'",
+            f"{', '.join(EXPERIMENTS)}, 'all' or 'fidelity'",
             file=sys.stderr,
         )
         return 2

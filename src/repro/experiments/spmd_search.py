@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Table
 from repro.spmd import (
     SearchConfig,
@@ -90,3 +91,16 @@ def run(seed: int = 0) -> Table:
                     verdict,
                 )
     return table
+
+
+def claims(table: Table) -> list[Claim]:
+    """The search never loses to the hand annotation; the ResNet winner is bit-exact."""
+    rows = [f"{m}_{f}_{k}" for m, f, k in
+            zip(table.column("model"), table.column("features"), table.column("cores"))]
+    return [
+        *(Claim(f"spmd_search/{row}/vs_hand", 0.999, speedup, ">=")
+          for row, speedup in zip(rows, table.column("speedup_vs_hand"))),
+        Claim("spmd_search/min_searched_ms", 0.0, min(table.column("searched_ms")), ">"),
+        Claim("spmd_search/resnet_block_v07_4/bit_exact", "yes",
+              dict(zip(rows, table.column("bit_exact")))["resnet_block_v07_4"], "=="),
+    ]

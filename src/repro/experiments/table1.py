@@ -1,15 +1,12 @@
-"""Table 1: end-to-end MLPerf v0.7 times on the TPU-v3 multipod.
-
-Paper values (minutes): ResNet-50 0.48/0.47 (TF/JAX) @4096, BERT 0.39/0.4
-@4096, SSD 0.46 @4096 and 0.623/0.55 @2048, Transformer 0.32/0.26 @4096,
-MaskRCNN 8.1 @512, DLRM 2.4 @256; speedups over the v0.6 submissions of
-2.67 / 2.63 / 1.94 / 2.65 / 4.4 for the models that existed then.
-"""
+"""Table 1: end-to-end MLPerf v0.7 times on the TPU-v3 multipod, and
+the speedups over the MLPerf v0.6 submissions (1909.09756) for the models
+that existed then."""
 
 from __future__ import annotations
 
 from repro.core.planner import plan_parallelism
 from repro.experiments.calibration import CALIBRATIONS, end_to_end_model, spec_for
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Table
 
 #: The paper's Table 1 configurations: (benchmark, chips, has_jax_result).
@@ -79,3 +76,17 @@ def run() -> Table:
             paper_speedup,
         )
     return table
+
+
+def claims(table: Table) -> list[Claim]:
+    """TF minutes and v0.6 speedups within 35 %; four runs under ~half a minute."""
+    rows = list(zip(table.column("Benchmark"), table.column("Chips")))
+    minutes = dict(zip(rows, table.column("TF min")))
+    speedup = dict(zip(rows, table.column("v0.6 speedup")))
+    return [
+        *(Claim(f"table1/{n}_{c}/tf_minutes", paper, minutes[n, c], "within 0.35")
+          for (n, c), paper in PAPER_TF_MINUTES.items()),
+        *(Claim(f"table1/{n}_{c}/v06_speedup", paper, speedup[n, c], "within 0.35")
+          for (n, c), paper in PAPER_V06_SPEEDUP.items()),
+        Claim("table1/under_0.6_minutes", 4, sum(m < 0.6 for m in minutes.values()), ">="),
+    ]

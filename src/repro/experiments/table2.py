@@ -1,15 +1,15 @@
 """Table 2: initialization time, single-client TF vs multi-client JAX.
 
-Paper values (seconds): ResNet 498/134 @4096 chips, BERT 1040/190 @4096,
-SSD 772 @4096 (TF) and 122 @2048 (JAX), Transformer 868/294 @4096.  The TF
-times grow with the worker count (multi-device graph construction); JAX's
-stay near-constant (per-host compilation in parallel).
+The TF times grow with the worker count (multi-device graph
+construction); JAX's stay near-constant (per-host compilation in
+parallel).
 """
 
 from __future__ import annotations
 
 from repro.experiments.calibration import end_to_end_model, spec_for
 from repro.core.planner import plan_parallelism
+from repro.experiments.fidelity import Claim
 from repro.experiments.report import Table
 
 #: (benchmark, TF chips, JAX chips) as reported in the paper.
@@ -54,3 +54,15 @@ def run() -> Table:
             PAPER_INIT_SECONDS[(name, "jax")],
         )
     return table
+
+
+def claims(table: Table) -> list[Claim]:
+    """Init times within 10 % of the paper's; JAX's below TF's."""
+    init = {fw: dict(zip(table.column("Benchmark"), table.column(f"{fw.upper()} s")))
+            for fw in ("tf", "jax")}
+    return [
+        *(Claim(f"table2/{n}/{fw}_init_s", paper, init[fw][n], "within 0.1")
+          for (n, fw), paper in PAPER_INIT_SECONDS.items()),
+        *(Claim(f"table2/{n}/jax_over_tf", 1.0, init["jax"][n] / init["tf"][n], "<")
+          for n, _, _ in TABLE2_ROWS),
+    ]

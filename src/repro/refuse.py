@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from math import inf
-from numbers import Real
+from numbers import Integral, Real
 
 
 class UnknownName(ValueError, KeyError):
@@ -90,12 +90,13 @@ def positive_fraction(name: str, value: float) -> float:
 
 
 def count(name: str, value: int, minimum: int = 1) -> int:
-    """Steps, chips, replicas, buckets, an index: an integer ``>= minimum``."""
-    try:
-        if minimum <= value < inf and value == int(value):
-            return value
-    except TypeError:
-        pass
+    """Steps, chips, replicas, buckets, an index: an integer ``>= minimum``.
+
+    Never a float, not even an integral one, and never a bool: ``4.0`` and
+    ``4`` would be one simulation under two content keys."""
+    integer = type(value) is int or (isinstance(value, Integral) and type(value) is not bool)
+    if integer and value >= minimum:
+        return value
     raise _refused(name, value, f"an integer >= {minimum}")
 
 

@@ -65,16 +65,18 @@ FORKED_JOBS = frozenset({("chaos", False), ("cluster", False)})
 def execute_steptime(params: dict) -> dict:
     """One step-time query: ``{model, chips, global_batch, overlap, buckets}``.
 
-    Every executor passes numbers on as written, never coerced, so one
-    simulation has one content key: a string or a fraction where a count
-    is meant is refused by name, by the config it reaches, or here
-    (``repro.refuse``) where that config checks nothing or names the
-    value otherwise.
+    Every executor passes parameters on as written, never coerced, so one
+    simulation has one content key: a string, a fraction or an integral
+    float where a count is meant, or an ``overlap`` that is not a bool, is
+    refused by name, by the config it reaches, or here (``repro.refuse``)
+    where that config checks nothing or names the value otherwise.
     """
     model_name = params.get("model", "resnet50")
     chips = count("chips", params.get("chips", 256))
     global_batch = params.get("global_batch", 8192)
-    overlap = bool(params.get("overlap", False))
+    overlap = params.get("overlap", False)
+    if not isinstance(overlap, bool):
+        raise TypeError(f"overlap must be true or false, got {overlap!r}")
     buckets = count("buckets", params.get("buckets", 1))
     model = step_time.StepTimeModel(
         calibration.spec_for(model_name),
@@ -207,9 +209,12 @@ def to_cluster_spec(tenant: dict):
     "hazard_per_second": h, "checkpoint_seconds": c}}`` (also
     ``"wall_clock"``/``every_seconds`` and ``"step"``/``every_steps``).
     """
+    name = tenant["name"]
+    if not isinstance(name, str):
+        raise TypeError(f"tenant name must be a string, got {name!r}")
     return cluster.JobSpec(
         checkpoint_policy=_checkpoint_policy(tenant.get("checkpoint_policy")),
-        name=str(tenant["name"]),
+        name=name,
         slice_shape=tuple(tenant.get("slice_shape", (2, 2))),
         target_steps=tenant.get("target_steps", 20),
         # Any integer (``JobSpec`` leaves it unchecked): only the order of

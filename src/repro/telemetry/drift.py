@@ -1,58 +1,41 @@
-"""Model-vs-measured drift: does the cost model still match the simulator?
+"""Model-vs-twin drift: the DES-twin rows of the fidelity table.
 
-The repo carries two independent implementations of every collective's
-timing: the closed-form alpha-beta cost model
-(:mod:`repro.comm.cost` / :mod:`repro.comm.allreduce`) that the
-:class:`~repro.core.step_time.StepTimeModel` plans with, and the
+Every collective is timed twice: by the closed-form alpha-beta cost model
+(:mod:`repro.comm.cost`, :mod:`repro.comm.allreduce`) that
+:class:`~repro.core.step_time.StepTimeModel` plans with, and by the
 link-level discrete-event simulation (:mod:`repro.comm.schedule`, the
-:mod:`~repro.core.overlap` channel engine) that plays the same schedule
-out event by event.  They are supposed to agree to float round-off — the
-DESIGN §6 validation tests pin exactly that — and this module turns that
-agreement into a *continuously checked gauge*: per-phase relative drift
-between "measured" (DES / trace-derived) and "predicted" (closed form),
-exported as ``model_drift_rel{case,phase}`` gauges and gated by
-``python -m repro.telemetry.report drift --tolerance 1e-6`` so silent
-cost-model rot (someone edits the analytic formula, forgets the
-scheduler, or vice versa) fails CI instead of quietly skewing every
-capacity plan built on the model.
+:mod:`~repro.core.overlap` engine) of the same schedule.  Each (case,
+phase) is one :class:`~repro.experiments.fidelity.Claim` with id
+``drift/<case>/<phase>``: the DES twin is the reference, the closed form
+the measured value, and the rule a relative drift (over the closed form)
+of at most :data:`DEFAULT_TOLERANCE`.  ``python -m repro.telemetry.report
+drift --tolerance 1e-6`` prints the rows judged at its tolerance, exports
+``model_drift_rel{case,phase}`` gauges and exits 1 past it, so cost-model
+rot fails CI.  Four families:
 
-Four drift families:
-
-* **ring** — one ring collective: DES ``simulate_ring_reduce_scatter`` /
-  ``all_gather`` vs :func:`repro.comm.cost.reduce_scatter_time` /
-  ``all_gather_time`` on the same :func:`ring_cost_for` parameters;
-* **2d** — the hierarchical gradient all-reduce, phase by phase: DES per
-  phase (column rings, then row lines on the ``1/y`` shard) vs the
-  matching :class:`~repro.comm.allreduce.AllReduceBreakdown` field, up to
-  the paper's 4096-chip Multipod and its model-parallel peer rings;
+* **ring** — reduce-scatter and all-gather on a closed Y ring, an open X
+  line and a small torus, and four contended model-peer rings on one pod
+  against the closed form at a ``1/4`` bandwidth share;
+* **2d** — the hierarchical all-reduce phase by phase (column rings, then
+  row lines on the ``1/y`` shard) on 1, 2 and 4 pods, and the 4096-chip X
+  phase under 2- and 4-way model parallelism
+  (``ring/peer_contended_mp<k>_4096``);
 * **steptime** — :meth:`StepTimeModel.allreduce_time` of each Table 1
   model at 4096 chips, in the configuration the planner picks, vs the DES
   of that all-reduce;
-* **overlap** — the overlap engine's DES trace, re-read through the
-  critical-path analyzer (:mod:`repro.telemetry.critical_path`): the
-  attribution buckets must reproduce the engine's own
-  exposed/hidden/step numbers, and the wire busy time must equal the
-  bucketed launch cost the step-time model charges.
+* **overlap** — the overlap engine's DES trace re-read by the
+  critical-path analyzer (:mod:`repro.telemetry.critical_path`): its
+  buckets reproduce the engine's step/exposed/hidden seconds, and the wire
+  busy time equals the bucketed launch cost the step-time model charges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 from repro.comm.allreduce import two_phase_allreduce
 from repro.comm.cost import all_gather_time, reduce_scatter_time, ring_cost_for
-from repro.comm.schedule import (
-    simulate_ring_all_gather,
-    simulate_ring_reduce_scatter,
-)
-from repro.hardware.rings import (
-    all_x_lines,
-    all_y_rings,
-    model_peer_ring,
-    x_line,
-    y_ring,
-)
+from repro.comm.schedule import simulate_ring_all_gather, simulate_ring_reduce_scatter
+from repro.experiments.fidelity import Claim
+from repro.hardware.rings import all_x_lines, all_y_rings, model_peer_ring, x_line, y_ring
 from repro.hardware.topology import TorusMesh, multipod, single_pod, slice_for_chips
 from repro.telemetry import critical_path as _cp
 
@@ -65,91 +48,48 @@ DEFAULT_TOLERANCE = 1e-6
 #: dominated regime, well short of saturating float precision).
 DEFAULT_PAYLOAD_BYTES = 1.0e6
 
-#: Relative-drift denominator floor (1 ns), so an all-zero phase (e.g.
-#: hidden comm on a non-overlapping model) compares absolutely at a scale
-#: no modeled collective ever dips under.
-_DENOM_FLOOR = 1e-9
+
+def _row(case: str, phase: str, des: float | None, closed_form: float) -> Claim:
+    return Claim(f"drift/{case}/{phase}", des, closed_form, f"drift {DEFAULT_TOLERANCE!r}")
 
 
-@dataclass(frozen=True)
-class DriftEntry:
-    """One measured-vs-predicted comparison for a (case, phase) pair.
-
-    ``measured_s`` is ``None`` when the case has no DES twin: the row is
-    reported, with nothing to gate.
-    """
-
-    case: str
-    phase: str
-    measured_s: float | None
-    predicted_s: float
-
-    @property
-    def drift_rel(self) -> float:
-        if self.measured_s is None:
-            return 0.0
-        denom = max(abs(self.predicted_s), _DENOM_FLOOR)
-        return abs(self.measured_s - self.predicted_s) / denom
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "phase": self.phase,
-            "measured_s": self.measured_s,
-            "predicted_s": self.predicted_s,
-            "drift_rel": self.drift_rel,
-        }
-
-
-def _ring_pair(mesh: TorusMesh, ring, payload: float, frac: float = 1.0):
-    """(measured, predicted) reduce-scatter seconds for one ring config."""
+def _closed_form(time_fn, mesh: TorusMesh, ring, fraction: float = 1.0) -> float:
+    """``time_fn`` (a :mod:`repro.comm.cost` ring time) of one ring at
+    ``fraction`` of its links' bandwidth."""
     c = ring_cost_for(mesh, ring)
-    predicted = reduce_scatter_time(
-        c.num_members, payload, c.bandwidth, c.latency,
-        closed=c.closed, hop_links=c.hop_links, bandwidth_fraction=frac,
+    return time_fn(
+        c.num_members, DEFAULT_PAYLOAD_BYTES, c.bandwidth, c.latency,
+        closed=c.closed, hop_links=c.hop_links, bandwidth_fraction=fraction,
     )
-    return predicted
 
 
-def ring_drift(payload_bytes: float = DEFAULT_PAYLOAD_BYTES) -> list[DriftEntry]:
+def ring_drift() -> list[Claim]:
     """Single-ring collectives: DES schedule vs closed-form ring cost."""
-    entries: list[DriftEntry] = []
+    payload = DEFAULT_PAYLOAD_BYTES
     pod = single_pod()
     open_slice = slice_for_chips(512)  # 16x32: X is an open line
-
-    cases = [
-        ("ring/pod_y_closed", pod, y_ring(pod, 0), 1.0),
-        ("ring/slice_x_open", open_slice, x_line(open_slice, 0), 1.0),
-        ("ring/small_torus_y", TorusMesh(2, 4, wrap_y=True), None, 1.0),
+    small = TorusMesh(2, 4, wrap_y=True)
+    rows = [
+        _row(name, phase, simulate(mesh, ring, payload), _closed_form(time_fn, mesh, ring))
+        for name, mesh, ring in (
+            ("ring/pod_y_closed", pod, y_ring(pod, 0)),
+            ("ring/slice_x_open", open_slice, x_line(open_slice, 0)),
+            ("ring/small_torus_y", small, y_ring(small, 0)),
+        )
+        for phase, simulate, time_fn in (
+            ("reduce_scatter", simulate_ring_reduce_scatter, reduce_scatter_time),
+            ("all_gather", simulate_ring_all_gather, all_gather_time),
+        )
     ]
-    for name, mesh, ring, frac in cases:
-        if ring is None:
-            ring = y_ring(mesh, 0)
-        entries.append(DriftEntry(
-            name, "reduce_scatter",
-            measured_s=simulate_ring_reduce_scatter(mesh, ring, payload_bytes),
-            predicted_s=_ring_pair(mesh, ring, payload_bytes, frac),
-        ))
-        c = ring_cost_for(mesh, ring)
-        entries.append(DriftEntry(
-            name, "all_gather",
-            measured_s=simulate_ring_all_gather(mesh, ring, payload_bytes),
-            predicted_s=all_gather_time(
-                c.num_members, payload_bytes, c.bandwidth, c.latency,
-                closed=c.closed, hop_links=c.hop_links,
-            ),
-        ))
-
     # Contended model-peer rings: mp rings share the X links, so the DES
     # must reproduce the 1/mp bandwidth share the analytic model charges.
     mp = 4
     rings = [model_peer_ring(pod, 0, mp, p) for p in range(mp)]
-    entries.append(DriftEntry(
+    return rows + [_row(
         "ring/peer_contended_mp4", "reduce_scatter",
-        measured_s=simulate_ring_reduce_scatter(pod, rings, payload_bytes),
-        predicted_s=_ring_pair(pod, rings[0], payload_bytes, 1.0 / mp),
-    ))
-    return entries
+        simulate_ring_reduce_scatter(pod, rings, payload),
+        _closed_form(reduce_scatter_time, pod, rings[0], 1.0 / mp),
+    )]
 
 
 _PHASES = ("reduce_scatter_y", "reduce_scatter_x", "all_gather_x", "all_gather_y")
@@ -178,174 +118,104 @@ def _two_phase_des(
     }
 
 
-def two_phase_drift(
-    payload_bytes: float = DEFAULT_PAYLOAD_BYTES,
-) -> list[DriftEntry]:
-    """The 2-D hierarchical all-reduce, phase by phase, DES vs breakdown.
-
-    On one pod and on the 2- and 4-pod Multipods (1 024 / 2 048 / 4 096
-    chips, X lines crossing pod boundaries), and the X phase of the 4096-chip
-    all-reduce under 2- and 4-way model parallelism: every row's peer rings
-    hop over their model-parallel neighbours and share the X links.
-    """
-    entries: list[DriftEntry] = []
+def two_phase_drift() -> list[Claim]:
+    """The 2-D hierarchical all-reduce, phase by phase, DES vs breakdown, on
+    1, 2 and 4 pods (X lines crossing pod boundaries), and the 4096-chip X
+    phase under 2- and 4-way model parallelism: every row's peer rings hop
+    over their model-parallel neighbours and share the X links."""
+    payload = DEFAULT_PAYLOAD_BYTES
+    rows: list[Claim] = []
     for pods in (1, 2, 4):
         mesh = multipod(pods)
-        bd = two_phase_allreduce(mesh, payload_bytes)
-        des = _two_phase_des(mesh, payload_bytes)
-        entries += [
-            DriftEntry(f"2d/multipod{pods}", phase, des[phase], getattr(bd, phase))
+        bd = two_phase_allreduce(mesh, payload)
+        des = _two_phase_des(mesh, payload)
+        rows += [
+            _row(f"2d/multipod{pods}", phase, des[phase], getattr(bd, phase))
             for phase in _PHASES
         ]
     # The loop's last mesh is the 4096-chip Multipod; its Y phases are
     # already simulated (and cached) at this payload.
     for mp in (2, 4):
-        bd = two_phase_allreduce(mesh, payload_bytes, mp_size=mp)
-        des = _two_phase_des(mesh, payload_bytes, mp)
-        entries += [
-            DriftEntry(f"ring/peer_contended_mp{mp}_{mesh.num_chips}", phase,
-                       des[phase], getattr(bd, phase))
+        bd = two_phase_allreduce(mesh, payload, mp_size=mp)
+        des = _two_phase_des(mesh, payload, mp)
+        rows += [
+            _row(f"ring/peer_contended_mp{mp}_{mesh.num_chips}", phase,
+                 des[phase], getattr(bd, phase))
             for phase in ("reduce_scatter_x", "all_gather_x")
         ]
-    return entries
+    return rows
 
 
-def steptime_drift() -> list[DriftEntry]:
+def steptime_drift() -> list[Claim]:
     """``StepTimeModel.allreduce_time`` vs the DES of the same all-reduce,
-    one row per Table 1 model at its payload on the 4096-chip Multipod.
-
-    Each model runs the configuration :func:`~repro.core.planner.plan_parallelism`
-    picks for it on that slice, so the row prices the payload, mesh and
-    model-parallel hop-over the step-time model charges.  A configuration
-    whose all-reduce has no DES twin (the flat-ring baseline, or a single
-    replica) gets a row that says so.
-    """
+    per Table 1 model at 4096 chips in the configuration
+    :func:`~repro.core.planner.plan_parallelism` picks (payload, mesh and
+    model-parallel hop-over).  A configuration with no DES twin (the
+    flat-ring baseline, one replica) gets a row that says so."""
     from repro.core.planner import plan_parallelism
     from repro.core.step_time import StepTimeModel
     from repro.experiments.calibration import spec_for
     from repro.experiments.table1 import TABLE1_ROWS
 
     num_chips = 4096
-    entries: list[DriftEntry] = []
+    rows: list[Claim] = []
     for name in dict.fromkeys(row[0] for row in TABLE1_ROWS):
         spec = spec_for(name)
         config = plan_parallelism(spec, num_chips).config
         model = StepTimeModel(spec, config)
-        measured = None
+        des = None
         if config.use_2d_allreduce and config.num_replicas > 1:
-            des = _two_phase_des(model.mesh, model.gradient_payload(), config.mp_chips)
+            phases = _two_phase_des(model.mesh, model.gradient_payload(), config.mp_chips)
             # Summed as ``AllReduceBreakdown.total`` sums its phases.
-            measured = (des["reduce_scatter_y"] + des["reduce_scatter_x"]) + (
-                des["all_gather_x"] + des["all_gather_y"]
+            des = (phases["reduce_scatter_y"] + phases["reduce_scatter_x"]) + (
+                phases["all_gather_x"] + phases["all_gather_y"]
             )
-        entries.append(DriftEntry(
-            f"steptime/{name}_{num_chips}", "allreduce", measured, model.allreduce_time()
-        ))
-    return entries
+        rows.append(_row(f"steptime/{name}_{num_chips}", "allreduce", des,
+                         model.allreduce_time()))
+    return rows
 
 
-def overlap_drift(
-    models: Sequence[str] = ("resnet50", "transformer", "bert"),
-    num_chips: int = 256,
-    global_batch: int = 8192,
-) -> list[DriftEntry]:
-    """Overlap-engine DES trace, re-read through the critical-path analyzer.
-
-    The attribution buckets are computed from the raw trace events alone;
-    the engine's ``OverlapResult`` numbers come from its own bookkeeping.
-    Agreement here certifies both the overlap engine's accounting and the
-    analyzer's sweep, and ties the wire busy time back to the step-time
-    model's bucketed launch cost.
-    """
+def overlap_drift() -> list[Claim]:
+    """The overlap engine's own bookkeeping vs the critical-path buckets of
+    its raw trace (and its wire busy time vs the bucketed launch cost), for
+    ResNet-50, Transformer and BERT at 256 chips, global batch 8192."""
     from repro.core.step_time import StepTimeModel
     from repro.core.strategy import ParallelismConfig
     from repro.experiments.calibration import spec_for
 
-    entries: list[DriftEntry] = []
-    for name in models:
+    rows: list[Claim] = []
+    for name in ("resnet50", "transformer", "bert"):
         model = StepTimeModel(
-            spec_for(name),
-            ParallelismConfig(num_chips=num_chips, global_batch=global_batch),
+            spec_for(name), ParallelismConfig(num_chips=256, global_batch=8192)
         )
         ov = model.overlap_result()
         att = _cp.attribute(ov.trace)
         case = f"overlap/{name}"
-        entries.extend([
-            DriftEntry(case, "step",
-                       att.total, ov.step_seconds),
-            DriftEntry(case, "exposed_comm",
-                       att.buckets["exposed_comm"], ov.exposed_comm_seconds),
-            DriftEntry(case, "hidden_comm",
-                       att.buckets["hidden_comm"], ov.hidden_comm_seconds),
-            DriftEntry(case, "wire_comm",
-                       ov.trace.busy_time("ici"),
-                       model.bucketed_allreduce_time()),
-        ])
-    return entries
+        rows += [
+            _row(case, "step", att.total, ov.step_seconds),
+            _row(case, "exposed_comm", att.buckets["exposed_comm"], ov.exposed_comm_seconds),
+            _row(case, "hidden_comm", att.buckets["hidden_comm"], ov.hidden_comm_seconds),
+            _row(case, "wire_comm", ov.trace.busy_time("ici"),
+                 model.bucketed_allreduce_time()),
+        ]
+    return rows
 
 
-def drift_report(
-    payload_bytes: float = DEFAULT_PAYLOAD_BYTES,
-    *,
-    include_overlap: bool = True,
-) -> list[DriftEntry]:
-    """All drift entries; exports ``model_drift_rel`` gauges per entry."""
+def case_phase(row: Claim) -> tuple[str, str]:
+    """The ``(case, phase)`` a twin row's id names."""
+    return tuple(row.id.removeprefix("drift/").rsplit("/", 1))
+
+
+def drift_report() -> list[Claim]:
+    """Every twin row; exports a ``model_drift_rel`` gauge per twinned row
+    and ``model_drift_max``."""
     from repro import telemetry
 
-    entries = (
-        ring_drift(payload_bytes) + two_phase_drift(payload_bytes) + steptime_drift()
-    )
-    if include_overlap:
-        entries += overlap_drift()
+    rows = ring_drift() + two_phase_drift() + steptime_drift() + overlap_drift()
     if telemetry.enabled:
-        for e in entries:
-            if e.measured_s is None:
-                continue
-            telemetry.metrics.gauge(
-                "model_drift_rel", case=e.case, phase=e.phase
-            ).set(e.drift_rel)
-        telemetry.metrics.gauge("model_drift_max").set(max_drift(entries))
-    return entries
-
-
-def max_drift(entries: Iterable[DriftEntry]) -> float:
-    return max((e.drift_rel for e in entries), default=0.0)
-
-
-def check_drift(
-    entries: Iterable[DriftEntry] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[DriftEntry]]:
-    """(ok, offending entries) — the CI gate's decision function."""
-    entries = list(entries) if entries is not None else drift_report()
-    bad = [e for e in entries if e.drift_rel > tolerance]
-    return (not bad, bad)
-
-
-def format_report(
-    entries: Sequence[DriftEntry], tolerance: float | None = None
-) -> str:
-    """Aligned drift table, one row per (case, phase)."""
-    lines = [
-        f"{'case':<30} {'phase':<18} {'measured':>14} {'predicted':>14} {'drift':>10}",
-        "-" * 90,
-    ]
-    for e in entries:
-        flag = ""
-        if tolerance is not None and e.drift_rel > tolerance:
-            flag = "  << DRIFT"
-        if e.measured_s is None:
-            lines.append(
-                f"{e.case:<30} {e.phase:<18} {'no DES twin':>14} "
-                f"{e.predicted_s:>14.6e} {'-':>10}"
-            )
-            continue
-        lines.append(
-            f"{e.case:<30} {e.phase:<18} {e.measured_s:>14.6e} "
-            f"{e.predicted_s:>14.6e} {e.drift_rel:>10.2e}{flag}"
-        )
-    lines.append("-" * 90)
-    worst = max_drift(entries)
-    tail = f" (tolerance {tolerance:.0e})" if tolerance is not None else ""
-    lines.append(f"max relative drift: {worst:.2e}{tail}")
-    return "\n".join(lines)
+        for row in rows:
+            if row.reference is not None:
+                case, phase = case_phase(row)
+                telemetry.metrics.gauge("model_drift_rel", case=case, phase=phase).set(row.error)
+        telemetry.metrics.gauge("model_drift_max").set(max(r.error or 0.0 for r in rows))
+    return rows

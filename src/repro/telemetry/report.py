@@ -369,16 +369,34 @@ def cmd_critical_path(args: argparse.Namespace) -> int:
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
-    """``repro-telemetry drift``: model-vs-measured table, gated exit."""
+    """``repro-telemetry drift``: the fidelity table's twin rows, judged at
+    ``--tolerance``; exit 1 past it."""
+    from repro.experiments.fidelity import failures
     from repro.telemetry import drift
 
-    entries = drift.drift_report()
+    rows = [r._replace(rule=f"drift {args.tolerance!r}") for r in drift.drift_report()]
+    bad = failures(rows)
     if args.json:
-        print(json.dumps([e.to_json() for e in entries], indent=2))
-    else:
-        print(drift.format_report(entries, tolerance=args.tolerance))
-    ok, _ = drift.check_drift(entries, tolerance=args.tolerance)
-    return 0 if ok else 1
+        print(json.dumps([
+            dict(zip(("case", "phase"), drift.case_phase(r)), measured_s=r.reference,
+                 predicted_s=r.measured, drift_rel=r.error or 0.0)
+            for r in rows
+        ], indent=2))
+        return 1 if bad else 0
+    print(f"{'case':<30} {'phase':<18} {'measured':>14} {'predicted':>14} {'drift':>10}")
+    print("-" * 90)
+    for r in rows:
+        case, phase = drift.case_phase(r)
+        if r.reference is None:
+            print(f"{case:<30} {phase:<18} {'no DES twin':>14} {r.measured:>14.6e} {'-':>10}")
+            continue
+        flag = "  << DRIFT" if r in bad else ""
+        print(f"{case:<30} {phase:<18} {r.reference:>14.6e} "
+              f"{r.measured:>14.6e} {r.error:>10.2e}{flag}")
+    print("-" * 90)
+    worst = max((r.error or 0.0 for r in rows), default=0.0)
+    print(f"max relative drift: {worst:.2e} (tolerance {args.tolerance:.0e})")
+    return 1 if bad else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -38,7 +38,7 @@ from repro.experiments.calibration import spec_for
 from repro.models.mlp import MLP
 from repro.optim import LAMB, LARS, Adam, SGDMomentum
 from repro.optim.schedules import LinearWarmupPolyDecay
-from repro.refuse import UnknownName
+from repro.refuse import UnknownName, count
 from repro.resilience.chaos import ChaosConfig, GoodputAccounting, run_chaos
 from repro.resilience.faults import (
     DeviceLostError,
@@ -145,13 +145,27 @@ def test_canonical_spec_refuses_a_non_finite_number_by_its_key_path(params, path
         (execute_cluster, {"tenants": [{"name": "a", "target_steps": 2.5}]}, "target_steps"),
         (execute_cluster, {"tenants": [{"name": "a", "priority": "1"}]}, "priority"),
         (execute_cluster, {"tenants": [{"name": "a"}], "max_ticks": "9"}, "max_ticks"),
+        (execute_steptime, {"overlap": "false"}, "overlap"),
+        (execute_chaos, {"steps": 4.0}, "steps"),
+        (execute_cluster, {"tenants": [{"name": 1}]}, "name"),
     ],
 )
 def test_executors_read_numbers_as_written(execute, params, name):
-    """Used to run ``"1"`` as 1 and 2.5 as 2: one simulation under a second
-    content key, and a string taken for a number."""
+    """Used to run ``"1"`` as 1, 2.5 as 2, 4.0 as 4, ``"false"`` as an
+    overlapped step and tenant ``1`` as ``"1"``: one simulation under a
+    second content key, and a string taken for a number or a flag."""
     with pytest.raises(REFUSED, match=name):
         execute(params)
+
+
+@pytest.mark.parametrize("value", [4.0, np.float64(4.0), True, False])
+def test_count_refuses_a_float_or_a_bool_naming_the_field(value):
+    with pytest.raises(ValueError, match="steps"):
+        count("steps", value, minimum=0)
+
+
+def test_count_takes_a_numpy_integer():
+    assert count("steps", np.int64(4)) == 4
 
 
 def test_a_service_job_with_a_string_count_fails_naming_it():

@@ -1,24 +1,21 @@
 """Model-vs-measured drift tests: the analytic cost models and the DES
-must still agree, the gate must trip when they stop agreeing, and the
-gauges must land in the registry."""
+must still agree, the fidelity table's one gate must trip when they stop
+agreeing, and the gauges must land in the registry."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 
 import pytest
 
 from repro import telemetry
+from repro.experiments.fidelity import Claim, failures
 from repro.telemetry import drift, report
 from repro.telemetry.drift import (
     DEFAULT_TOLERANCE,
-    DriftEntry,
-    check_drift,
     drift_report,
-    format_report,
-    max_drift,
-    overlap_drift,
     ring_drift,
     steptime_drift,
     two_phase_drift,
@@ -59,56 +56,58 @@ def _clean_telemetry(monkeypatch):
     telemetry.reset()
 
 
+def _twin_row(des, closed_form):
+    return Claim("drift/c/p", des, closed_form, f"drift {DEFAULT_TOLERANCE!r}")
+
+
 class TestDriftEntry:
     def test_relative_drift(self):
-        e = DriftEntry("c", "p", measured_s=1.1, predicted_s=1.0)
-        assert e.drift_rel == pytest.approx(0.1)
+        assert _twin_row(1.1, 1.0).error == pytest.approx(0.1)
 
     def test_zero_prediction_uses_absolute_floor(self):
         # A 1e-15 round-off sliver against a predicted 0.0 must not read
         # as huge relative drift: the denominator floors at 1 ns.
-        e = DriftEntry("c", "p", measured_s=1e-15, predicted_s=0.0)
-        assert e.drift_rel < 1e-5
+        assert _twin_row(1e-15, 0.0).error < 1e-5
 
-    def test_to_json(self):
-        blob = DriftEntry("c", "p", 2.0, 1.0).to_json()
-        assert blob["case"] == "c" and blob["drift_rel"] == pytest.approx(1.0)
+    def test_to_json(self, capsys):
+        assert report.main(["drift", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)[0]
+        assert blob["case"] == "ring/pod_y_closed" and blob["phase"] == "reduce_scatter"
+        assert blob["drift_rel"] == pytest.approx(
+            abs(blob["measured_s"] - blob["predicted_s"]) / blob["predicted_s"]
+        )
 
 
 class TestModelAgreement:
     def test_ring_drift_within_tolerance(self):
-        entries = ring_drift()
-        assert entries
-        assert max_drift(entries) < DEFAULT_TOLERANCE
+        rows = ring_drift()
+        assert rows and not failures(rows)
 
     def test_two_phase_drift_within_tolerance(self):
-        entries = two_phase_drift()
-        phases = {e.phase for e in entries}
-        assert {"reduce_scatter_y", "all_gather_y"} <= phases
-        assert max_drift(entries) < DEFAULT_TOLERANCE
+        rows = two_phase_drift()
+        assert {"reduce_scatter_y", "all_gather_y"} <= {drift.case_phase(r)[1] for r in rows}
+        assert not failures(rows)
 
     def test_two_phase_drift_reaches_the_4096_chip_multipod(self):
-        cases = {e.case for e in two_phase_drift()}
+        cases = {drift.case_phase(r)[0] for r in two_phase_drift()}
         assert {
             "2d/multipod1", "2d/multipod2", "2d/multipod4",
             "ring/peer_contended_mp2_4096", "ring/peer_contended_mp4_4096",
         } <= cases
 
     def test_steptime_drift_has_a_twinned_row_per_table1_model(self):
-        entries = steptime_drift()
+        rows = steptime_drift()
         models = dict.fromkeys(row[0] for row in TABLE1_ROWS)
-        assert [e.case for e in entries] == [f"steptime/{m}_4096" for m in models]
-        assert all(e.measured_s is not None for e in entries)
-        assert max_drift(entries) < DEFAULT_TOLERANCE
+        assert [r.id for r in rows] == [f"drift/steptime/{m}_4096/allreduce" for m in models]
+        assert all(r.reference is not None for r in rows) and not failures(rows)
 
-    def test_a_configuration_without_des_twin_says_so(self, monkeypatch):
+    def test_a_configuration_without_des_twin_says_so(self, monkeypatch, capsys):
         from repro.core import planner
 
         real = planner.plan_parallelism
 
         def flat_ring(spec, num_chips):
-            """The flat-ring baseline wherever it applies (no model
-            parallelism)."""
+            """The flat-ring baseline wherever there is no model parallelism."""
             choice = real(spec, num_chips)
             if choice.config.mp_chips > 1:
                 return choice
@@ -116,43 +115,35 @@ class TestModelAgreement:
             return dataclasses.replace(choice, config=config)
 
         monkeypatch.setattr(planner, "plan_parallelism", flat_ring)
-        entries = steptime_drift()
-        untwinned = [e for e in entries if e.measured_s is None]
-        assert [e.case for e in untwinned] == [
-            "steptime/resnet50_4096", "steptime/bert_4096",
-            "steptime/ssd_4096", "steptime/dlrm_4096",
+        rows = steptime_drift()
+        untwinned = [r for r in rows if r.reference is None]
+        assert [r.id for r in untwinned] == [
+            f"drift/steptime/{m}_4096/allreduce" for m in ("resnet50", "bert", "ssd", "dlrm")
         ]
-        assert all(e.predicted_s > 0 for e in untwinned)
-        assert check_drift(entries) == (True, [])
-        assert format_report(entries).count("no DES twin") == len(untwinned)
+        assert all(r.measured > 0 and r.verdict == "no twin" for r in untwinned)
+        assert failures(rows) == []
+        assert report.main(["drift"]) == 0
+        assert capsys.readouterr().out.count("no DES twin") == len(untwinned)
 
     def test_overlap_drift_within_tolerance(self):
-        entries = overlap_drift(models=("resnet50",))
-        phases = {e.phase for e in entries}
-        assert {"step", "exposed_comm", "hidden_comm", "wire_comm"} <= phases
-        assert max_drift(entries) < DEFAULT_TOLERANCE
+        rows = drift.overlap_drift()
+        phases = {drift.case_phase(r)[1] for r in rows}
+        assert phases == {"step", "exposed_comm", "hidden_comm", "wire_comm"}
+        assert not failures(rows)
 
     def test_full_report_within_tolerance(self):
-        entries = drift_report()
-        ok, bad = check_drift(entries)
-        assert ok, f"drift past tolerance: {[(e.case, e.phase) for e in bad]}"
+        bad = failures(drift_report())
+        assert not bad, f"drift past tolerance: {[r.id for r in bad]}"
 
 
 class TestGate:
-    def test_check_drift_trips_on_tight_tolerance(self):
-        entries = ring_drift()
-        ok, bad = check_drift(entries, tolerance=1e-300)
-        assert not ok
-        assert bad
+    def test_check_drift_trips_on_tight_tolerance(self, capsys):
+        assert report.main(["drift", "--tolerance", "1e-300"]) == 1
+        assert "<< DRIFT" in capsys.readouterr().out
 
     def test_check_drift_flags_injected_rot(self):
-        entries = [
-            DriftEntry("good", "p", 1.0, 1.0),
-            DriftEntry("rotten", "p", 1.5, 1.0),
-        ]
-        ok, bad = check_drift(entries, tolerance=1e-6)
-        assert not ok
-        assert [e.case for e in bad] == ["rotten"]
+        rows = [_twin_row(1.0, 1.0), _twin_row(1.5, 1.0)._replace(id="drift/rotten/p")]
+        assert [r.id for r in failures(rows)] == ["drift/rotten/p"]
 
     def test_gate_trips_on_a_perturbed_4096_chip_row(self, monkeypatch, capsys):
         """The CI step (``python -m repro.telemetry.report drift --tolerance
@@ -167,12 +158,11 @@ class TestGate:
             return dataclasses.replace(bd, reduce_scatter_x=bd.reduce_scatter_x * (1 + 1e-5))
 
         monkeypatch.setattr(drift, "two_phase_allreduce", rotten)
-        ok, bad = check_drift(two_phase_drift(), tolerance=1e-6)
-        assert not ok
-        assert {(e.case, e.phase) for e in bad} == {
-            ("2d/multipod4", "reduce_scatter_x"),
-            ("ring/peer_contended_mp2_4096", "reduce_scatter_x"),
-            ("ring/peer_contended_mp4_4096", "reduce_scatter_x"),
+        bad = failures(two_phase_drift())
+        assert {r.id for r in bad} == {
+            "drift/2d/multipod4/reduce_scatter_x",
+            "drift/ring/peer_contended_mp2_4096/reduce_scatter_x",
+            "drift/ring/peer_contended_mp4_4096/reduce_scatter_x",
         }
         assert report.main(["drift", "--tolerance", "1e-6"]) == 1
         assert capsys.readouterr().out.count("<< DRIFT") == len(bad)
@@ -184,22 +174,19 @@ class TestGate:
         monkeypatch.setattr(
             StepTimeModel, "allreduce_time", lambda self: real(self) * (1 + 1e-5)
         )
-        entries = steptime_drift()
-        ok, bad = check_drift(entries, tolerance=1e-6)
-        assert not ok and bad == entries
+        rows = steptime_drift()
+        assert failures(rows) == rows
 
     def test_gauges_exported(self):
-        entries = drift_report(include_overlap=False)
-        snap = telemetry.metrics.snapshot()
-        assert "model_drift_rel" in snap
-        assert "model_drift_max" in snap
-        e = entries[0]
+        rows = drift_report()
+        assert {"model_drift_rel", "model_drift_max"} <= set(telemetry.metrics.snapshot())
+        case, phase = drift.case_phase(rows[0])
         assert telemetry.metrics.value(
-            "model_drift_rel", case=e.case, phase=e.phase
-        ) == pytest.approx(e.drift_rel, abs=0)
+            "model_drift_rel", case=case, phase=phase
+        ) == pytest.approx(rows[0].error, abs=0)
 
-    def test_format_report(self):
-        entries = ring_drift()
-        text = format_report(entries, tolerance=DEFAULT_TOLERANCE)
+    def test_format_report(self, capsys):
+        assert report.main(["drift"]) == 0
+        text = capsys.readouterr().out
         assert "max relative drift" in text
-        assert entries[0].case in text
+        assert "ring/pod_y_closed" in text
