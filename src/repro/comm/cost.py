@@ -1,4 +1,4 @@
-"""Alpha-beta cost formulas for ring and line collectives.
+"""Alpha-beta cost formulas for ring/line collectives and neighbour transfers.
 
 Conventions
 -----------
@@ -36,6 +36,13 @@ def _validate(num_members: int, payload_bytes: float, bandwidth: float, latency:
     non_negative("payload_bytes", payload_bytes)
     positive("bandwidth", bandwidth)
     non_negative("latency", latency)
+
+
+def point_to_point_time(payload_bytes: float, bandwidth: float, latency: float) -> float:
+    """One neighbour transfer (a halo exchange, a reshard): latency + bytes/bandwidth."""
+    non_negative("payload_bytes", payload_bytes)
+    positive("bandwidth", bandwidth)
+    return non_negative("latency", latency) + payload_bytes / bandwidth
 
 
 def reduce_scatter_time(
@@ -78,13 +85,8 @@ def all_gather_time(
     the cost formula is identical.
     """
     return reduce_scatter_time(
-        num_members,
-        payload_bytes,
-        bandwidth,
-        latency,
-        closed=closed,
-        hop_links=hop_links,
-        bandwidth_fraction=bandwidth_fraction,
+        num_members, payload_bytes, bandwidth, latency,
+        closed=closed, hop_links=hop_links, bandwidth_fraction=bandwidth_fraction,
     )
 
 
@@ -99,16 +101,10 @@ def ring_all_reduce_time(
     bandwidth_fraction: float = 1.0,
 ) -> float:
     """Reduce-scatter followed by all-gather (the classic ring all-reduce)."""
-    one_phase = reduce_scatter_time(
-        num_members,
-        payload_bytes,
-        bandwidth,
-        latency,
-        closed=closed,
-        hop_links=hop_links,
-        bandwidth_fraction=bandwidth_fraction,
+    return 2.0 * reduce_scatter_time(
+        num_members, payload_bytes, bandwidth, latency,
+        closed=closed, hop_links=hop_links, bandwidth_fraction=bandwidth_fraction,
     )
-    return 2.0 * one_phase
 
 
 def broadcast_time(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.comm.cost import point_to_point_time
 from repro.hardware.topology import TorusMesh
 from repro.refuse import count, non_negative
 
@@ -85,7 +86,7 @@ def halo_exchange_time(
         return 0.0
     non_negative("halo_rows", halo_rows)
     halo_bytes = halo_rows * width * channels * dtype_bytes
-    return mesh.chip.link_latency + halo_bytes / mesh.link_bandwidth
+    return point_to_point_time(halo_bytes, mesh.link_bandwidth, mesh.chip.link_latency)
 
 
 def conv_halo_rows(kernel_size: int) -> int:

@@ -15,18 +15,35 @@ import dataclasses
 from repro.comm.allreduce import flat_ring_allreduce, two_phase_allreduce
 from repro.core.planner import plan_parallelism
 from repro.core.step_time import StepTimeModel
-from repro.experiments.calibration import CALIBRATIONS, spec_for
+from repro.experiments.calibration import CALIBRATIONS, end_to_end_model, spec_for
 from repro.experiments.fidelity import Claim
 from repro.experiments.report import Table
-from repro.hardware.chip import TPU_V3
-from repro.hardware.topology import TorusMesh, multipod
+from repro.hardware.chip import TPU_V3, ChipSpec
+from repro.hardware.topology import multipod, slice_for_chips
 
 
-def _scaled_multipod(bandwidth_factor: float) -> TorusMesh:
-    chip = dataclasses.replace(
+def _scaled_chip(bandwidth_factor: float) -> ChipSpec:
+    return dataclasses.replace(
         TPU_V3, link_bandwidth=TPU_V3.link_bandwidth * bandwidth_factor
     )
-    return multipod(4, chip=chip)
+
+
+def _efficiency(name: str, eff_factor: float) -> float:
+    return min(0.95, CALIBRATIONS[name].mxu_efficiency * eff_factor)
+
+
+def _resnet_end_to_end(chip: ChipSpec, eff_factor: float) -> tuple[float, float]:
+    """Figure 5's end-to-end and throughput speedups of ResNet-50 at 4096
+    chips over 16, on ``chip``'s links at the perturbed MXU efficiency."""
+    spec = spec_for("resnet50")
+    model = end_to_end_model("resnet50")
+    model.mxu_efficiency = _efficiency("resnet50", eff_factor)
+    base, big = (
+        model.run(plan_parallelism(spec, chips).config, slice_for_chips(chips, chip))
+        for chips in (16, 4096)
+    )
+    return (base.total_seconds / big.total_seconds,
+            big.throughput_examples_per_second / base.throughput_examples_per_second)
 
 
 def run() -> Table:
@@ -37,7 +54,8 @@ def run() -> Table:
     )
     for bw_factor in (0.5, 1.0, 2.0):
         for eff_factor in (0.5, 1.0, 2.0):
-            mesh = _scaled_multipod(bw_factor)
+            chip = _scaled_chip(bw_factor)
+            mesh = multipod(4, chip=chip)
             # Conclusion 1: schedule ordering.
             flat = flat_ring_allreduce(mesh, 102e6).total
             hier = two_phase_allreduce(mesh, 102e6).total
@@ -46,22 +64,17 @@ def run() -> Table:
             fracs = {}
             for name in ("resnet50", "bert"):
                 spec = spec_for(name)
-                cal = CALIBRATIONS[name]
-                eff = min(0.95, cal.mxu_efficiency * eff_factor)
                 cfg = plan_parallelism(spec, 4096).config
                 breakdown = StepTimeModel(
-                    spec, cfg, mesh=mesh, mxu_efficiency=eff,
-                    step_overhead=cal.step_overhead,
+                    spec, cfg, mesh=mesh, mxu_efficiency=_efficiency(name, eff_factor),
+                    step_overhead=CALIBRATIONS[name].step_overhead,
                 ).breakdown()
                 fracs[name] = breakdown.allreduce_fraction
             c2 = fracs["bert"] > fracs["resnet50"]
-            # Conclusion 3: convergence tax direction (efficiency/bandwidth
-            # independent: epochs grow with batch) — evaluate via the
-            # ResNet table anchors.
-            from repro.core.convergence import ConvergenceModel
-
-            conv = ConvergenceModel(spec_for("resnet50"))
-            c3 = conv.epochs_to_converge(65536) > conv.epochs_to_converge(4096)
+            # Conclusion 3: the convergence tax (Figure 5): at 4096 chips
+            # end-to-end speedup trails throughput speedup.
+            e2e, throughput = _resnet_end_to_end(chip, eff_factor)
+            c3 = e2e < throughput
             table.add_row(
                 f"bw x{bw_factor}, eff x{eff_factor}",
                 "yes" if c1 else "NO",

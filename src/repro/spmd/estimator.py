@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
+from repro.comm.cost import all_gather_time, point_to_point_time, ring_all_reduce_time
 from repro.hardware.topology import TorusMesh, single_pod
 from repro.refuse import count
 from repro.spmd.annotations import Sharding
@@ -168,7 +169,7 @@ class PriceTable:
     It depends on the tile size and the rates, so nothing may keep it past
     the call that built it.  ``rows[i]`` is ``None`` for a node with no
     work (it is not charged at all), else the prices of node ``i`` met so
-    far by layout code.
+    far by layout code; ``comm_rows`` prices the comm ops met, by (kind, bytes).
     """
 
     def __init__(self, graph: Graph, num_shards: int, prices: tuple[float, ...]) -> None:
@@ -181,6 +182,7 @@ class PriceTable:
         self.rows: list[dict[int, float] | None] = [
             None if work == 0.0 else {} for work in self.work
         ]
+        self.comm_rows: dict[tuple[str, float], float] = {}
 
     def price(self, node_id: int, code: int) -> float:
         """Seconds node ``node_id`` adds to the serial sum (``SERIAL``: run
@@ -204,6 +206,22 @@ class PriceTable:
                 seconds = flops * factor / core_flops_rate
         self.rows[node_id][code] = seconds
         return seconds
+
+
+def comm_op_seconds(
+    kind: str, nbytes: float, num_shards: int, bandwidth: float, latency: float
+) -> float:
+    """One comm op's seconds on a ``num_shards`` tile, by :mod:`repro.comm.cost`: an
+    open X line, within-chip transfers charged at the ICI rate (conservative)."""
+    if kind == "all_reduce":
+        return ring_all_reduce_time(num_shards, nbytes, bandwidth, latency, closed=False)
+    if kind == "all_gather":
+        return all_gather_time(num_shards, nbytes, bandwidth, latency, closed=False)
+    if kind == "halo":
+        nbytes /= 2.0  # both boundary transfers overlap on full-duplex links
+    elif kind != "reshard":
+        raise ValueError(f"unknown comm op kind {kind!r}")
+    return point_to_point_time(nbytes, bandwidth, latency)
 
 
 def check_resumable(prefix: CostPrefix | None, prices: tuple[float, ...]) -> None:
@@ -235,13 +253,11 @@ def price_walk(
     whole graph, so every float is the whole walk's.
     """
     _, _, bw, alpha, _, per_op_overhead = table.prices
+    comm_rows, k = table.comm_rows, table.num_shards
     if resume is None:
         start = mark = 0
         compute = serial = comm = comm_bytes = 0.0
-        computes: list[float] = []
-        serials: list[float] = []
-        comms: list[float] = []
-        comm_byte_sums: list[float] = []
+        computes, serials, comms, comm_byte_sums = [], [], [], []
     else:
         parent, start = resume
         mark = pg.comm_marks[start]
@@ -267,28 +283,14 @@ def price_walk(
             compute += seconds
     computes.append(compute)
     serials.append(serial)
-    # Model-parallel groups sit on X-adjacent cores: the two cores of a chip
-    # plus neighbor chips over ICI links.  Within-chip transfers are fast;
-    # we charge the ICI link uniformly, which is conservative.
-    k = table.num_shards
-    frac = (k - 1) / k if k > 1 else 0.0
-    all_reduce_frac, all_gather_frac = 2.0 * frac, 1.0 * frac
-    ring_alpha = (k - 1) * alpha
     for kind, _, nbytes, steps in islice(pg.comm, mark, None):
         comms.append(comm)
         comm_byte_sums.append(comm_bytes)
         comm_bytes += nbytes
-        if kind == "halo":
-            # Both boundary transfers overlap on full-duplex links.
-            comm += steps * (alpha + (nbytes / 2.0) / bw)
-        elif kind == "all_reduce":
-            comm += steps * (all_reduce_frac * nbytes / bw + ring_alpha)
-        elif kind == "all_gather":
-            comm += steps * (all_gather_frac * nbytes / bw + ring_alpha)
-        elif kind == "reshard":
-            comm += steps * (alpha + nbytes / bw)
-        else:  # pragma: no cover - exhaustive kinds
-            raise ValueError(f"unknown comm op kind {kind!r}")
+        seconds = comm_rows.get((kind, nbytes))
+        if seconds is None:
+            seconds = comm_rows[kind, nbytes] = comm_op_seconds(kind, nbytes, k, bw, alpha)
+        comm += steps * seconds
     comms.append(comm)
     comm_byte_sums.append(comm_bytes)
     return CostPrefix(table.prices, computes, serials, comms, comm_byte_sums)

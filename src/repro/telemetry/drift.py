@@ -11,7 +11,7 @@ the measured value, and the rule a relative drift (over the closed form)
 of at most :data:`DEFAULT_TOLERANCE`.  ``python -m repro.telemetry.report
 drift --tolerance 1e-6`` prints the rows judged at its tolerance, exports
 ``model_drift_rel{case,phase}`` gauges and exits 1 past it, so cost-model
-rot fails CI.  Four families:
+rot fails CI.  Five families:
 
 * **ring** — reduce-scatter and all-gather on a closed Y ring, an open X
   line and a small torus, and four contended model-peer rings on one pod
@@ -26,7 +26,10 @@ rot fails CI.  Four families:
 * **overlap** — the overlap engine's DES trace re-read by the
   critical-path analyzer (:mod:`repro.telemetry.critical_path`): its
   buckets reproduce the engine's step/exposed/hidden seconds, and the wire
-  busy time equals the bucketed launch cost the step-time model charges.
+  busy time equals the bucketed launch cost the step-time model charges;
+* **spmd** — the SPMD estimator's price of one all-reduce and one
+  all-gather on a k-core model tile (k = 2, 4, 8) vs the DES of the same
+  collective on an open X line of k chips.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.comm.schedule import simulate_ring_all_gather, simulate_ring_reduce_s
 from repro.experiments.fidelity import Claim
 from repro.hardware.rings import all_x_lines, all_y_rings, model_peer_ring, x_line, y_ring
 from repro.hardware.topology import TorusMesh, multipod, single_pod, slice_for_chips
+from repro.spmd.estimator import comm_op_seconds
 from repro.telemetry import critical_path as _cp
 
 #: Default acceptance ceiling on relative drift.  The two implementations
@@ -201,6 +205,30 @@ def overlap_drift() -> list[Claim]:
     return rows
 
 
+def spmd_drift() -> list[Claim]:
+    """The partitioner's collectives: the price
+    :func:`~repro.spmd.estimator.price_walk` charges one all-reduce and one
+    all-gather on a k-core tile vs the DES on an open X line of k chips at
+    the same link rates (reduce-scatter, then all-gather, for the
+    all-reduce)."""
+    payload = DEFAULT_PAYLOAD_BYTES
+    rows: list[Claim] = []
+    for k in (2, 4, 8):
+        mesh = TorusMesh(k, 1)
+        line = x_line(mesh, 0)
+        gather = simulate_ring_all_gather(mesh, line, payload)
+        twins = {
+            "all_reduce": simulate_ring_reduce_scatter(mesh, line, payload) + gather,
+            "all_gather": gather,
+        }
+        rows += [
+            _row("spmd", f"{kind}_k{k}", des, comm_op_seconds(
+                kind, payload, k, mesh.link_bandwidth, mesh.chip.link_latency))
+            for kind, des in twins.items()
+        ]
+    return rows
+
+
 def case_phase(row: Claim) -> tuple[str, str]:
     """The ``(case, phase)`` a twin row's id names."""
     return tuple(row.id.removeprefix("drift/").rsplit("/", 1))
@@ -211,7 +239,7 @@ def drift_report() -> list[Claim]:
     and ``model_drift_max``."""
     from repro import telemetry
 
-    rows = ring_drift() + two_phase_drift() + steptime_drift() + overlap_drift()
+    rows = ring_drift() + two_phase_drift() + steptime_drift() + overlap_drift() + spmd_drift()
     if telemetry.enabled:
         for row in rows:
             if row.reference is not None:

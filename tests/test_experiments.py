@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ablations, fidelity, figure6, table1, table2
+from repro.experiments import ablations, fidelity, figure5, figure6, sensitivity, table1, table2
 from repro.experiments.calibration import CALIBRATIONS, end_to_end_model, spec_for
 from repro.experiments.report import Figure, Table
 from repro.experiments.runner import EXPERIMENTS, main
@@ -120,6 +120,24 @@ class TestAblations:
         t = ablations.auc_ablation(n=500_000)
         sorted_row, naive_row = t.rows[0], t.rows[1]
         assert float(naive_row[3]) > 1000 * float(sorted_row[3])
+
+
+class TestSensitivity:
+    def test_convergence_column_reads_the_perturbations(self):
+        """The "e2e < throughput speedup" column is Figure 5's comparison at
+        4096 chips: unperturbed it is Figure 5's point, and each perturbation
+        of bandwidth or efficiency moves it."""
+        fig = figure5.run()
+        at_4096 = {name: dict(zip(*fig.series[name]))[4096] for name in fig.series}
+        e2e, throughput = sensitivity._resnet_end_to_end(sensitivity._scaled_chip(1.0), 1.0)
+        assert (round(e2e, 2), round(throughput, 2)) == (
+            at_4096["end_to_end"], at_4096["throughput"]
+        )
+        perturbed = {
+            sensitivity._resnet_end_to_end(sensitivity._scaled_chip(bw), eff)
+            for bw in (0.5, 1.0, 2.0) for eff in (0.5, 1.0, 2.0)
+        }
+        assert len(perturbed) == 9
 
 
 class TestCsvExport:

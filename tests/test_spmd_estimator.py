@@ -1,14 +1,18 @@
-"""SPMD cost estimator tests: tile factors and speedup curves."""
+"""SPMD cost estimator tests: tile factors, comm-op prices and speedup curves."""
 
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware.topology import slice_for_chips
+from repro.comm.cost import all_gather_time, point_to_point_time, ring_all_reduce_time
+from repro.hardware.topology import single_pod, slice_for_chips
 from repro.spmd.annotations import Sharding
 from repro.spmd.estimator import (
     PartitionCost,
     _tile_factor,
+    comm_op_seconds,
     estimate_cost,
     model_parallel_speedup,
 )
@@ -102,6 +106,56 @@ class TestEstimateCost:
         g = ssd_graph()
         cost = estimate_cost(partition(g, spatial_seeds(g, 4), 4))
         assert cost == _plan(ssd_graph(), spatial_seeds(g, 4), 4).cost
+
+
+class TestCommOpPrice:
+    """Every comm op is priced by one :mod:`repro.comm.cost` call; only the
+    all-reduce's latency moved when the inline terms went (it is now paid
+    once per phase)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("all_reduce", "all_gather", "halo", "reshard")),
+        k=st.integers(2, 16),
+        nbytes=st.floats(1.0, 1e10),
+        bw=st.floats(1e8, 1e12),
+        alpha=st.floats(0.0, 1e-4),
+    )
+    def test_price_is_the_comm_cost_call(self, kind, k, nbytes, bw, alpha):
+        expected = {
+            "all_reduce": lambda: ring_all_reduce_time(k, nbytes, bw, alpha, closed=False),
+            "all_gather": lambda: all_gather_time(k, nbytes, bw, alpha, closed=False),
+            "halo": lambda: point_to_point_time(nbytes / 2.0, bw, alpha),
+            "reshard": lambda: point_to_point_time(nbytes, bw, alpha),
+        }[kind]()
+        price = comm_op_seconds(kind, nbytes, k, bw, alpha)
+        assert price.hex() == expected.hex()
+        if kind == "all_reduce":
+            return
+        # The estimator's inline terms before it priced through comm.cost.
+        frac = (k - 1) / k
+        inline = {
+            "all_gather": lambda: (1.0 * frac) * nbytes / bw + (k - 1) * alpha,
+            "halo": lambda: alpha + (nbytes / 2.0) / bw,
+            "reshard": lambda: alpha + nbytes / bw,
+        }[kind]()
+        assert price.hex() == inline.hex()
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown comm op kind"):
+            comm_op_seconds("broadcast", 1.0, 4, 1e9, 1e-6)
+
+    def test_walk_charges_each_logged_op_its_price(self):
+        """The comm seconds are ``steps x`` each op's price, in log order,
+        doubled for the backward pass."""
+        g = ssd_graph()
+        plan = _plan(g, spatial_seeds(g, 4), 4)
+        mesh = single_pod()
+        bw, alpha = mesh.link_bandwidth, mesh.chip.link_latency
+        comm = 0.0
+        for kind, _, nbytes, steps in plan.partitioned.comm:
+            comm += steps * comm_op_seconds(kind, nbytes, 4, bw, alpha)
+        assert plan.cost.comm_seconds.hex() == (comm * 2.0).hex()
 
 
 class TestResumedEstimate:

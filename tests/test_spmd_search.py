@@ -171,7 +171,7 @@ class TestPinnedRegressions:
             g, ShardingSpec.from_seeds(4, dict(transformer_seeds(g, 4)))
         )
         assert result.best.total_seconds == pytest.approx(hand.total_seconds)
-        assert result.speedup_vs_replicated == pytest.approx(3.5397, abs=1e-3)
+        assert result.speedup_vs_replicated == pytest.approx(3.4777, abs=1e-3)
         # Feature-dimension sharding of the weights, as in Section 3.1.
         split_dims = {
             g.node(ref).name: s.dim for ref, s in result.best.spec.assignments
