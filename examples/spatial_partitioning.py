@@ -13,7 +13,7 @@ Run:
 
 import numpy as np
 
-from repro.spmd.estimator import model_parallel_speedup
+from repro.spmd import model_parallel_speedup
 from repro.spmd.modelgraphs import spatial_seeds, ssd_graph
 from repro.spmd.spatial_exec import conv2d_direct, spatial_conv_stack
 

@@ -23,8 +23,7 @@ import numpy as np
 from repro.core import TrainerConfig, make_trainer
 from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import SGDMomentum
-from repro.spmd import ShardingSpec, make_partitioner
-from repro.spmd.estimator import model_parallel_speedup
+from repro.spmd import ShardingSpec, make_partitioner, model_parallel_speedup
 from repro.spmd.modelgraphs import transformer_block_graph, transformer_seeds
 
 

@@ -109,11 +109,13 @@ class JobSpec:
 
     ``checkpoint_policy`` is a per-tenant opt-in: a
     :class:`~repro.controlplane.checkpointing.CheckpointPolicy` (e.g.
-    :class:`~repro.controlplane.checkpointing.RiskAdaptive`) that
-    replaces the fixed ``checkpoint_interval`` rule — a high-hazard
-    tenant can checkpoint on the Young/Daly schedule while its
-    neighbors keep the legacy step interval.  ``None`` (the default)
-    preserves the fixed-interval behavior bit-for-bit.
+    :class:`~repro.controlplane.checkpointing.RiskAdaptive`) — a
+    high-hazard tenant can checkpoint on the Young/Daly schedule while
+    its neighbors keep the step interval.  ``None`` (the default) means
+    ``StepInterval(checkpoint_interval)``, the rule
+    :func:`~repro.resilience.chaos.run_chaos` applies: save once
+    ``checkpoint_interval`` steps have run since the last save, whatever
+    made that one.
     """
 
     name: str

@@ -72,6 +72,7 @@ from repro.cluster.jobs import (
     derive_subseed,
 )
 from repro.cluster.state import ClusterState
+from repro.controlplane.checkpointing import StepInterval
 from repro.refuse import count, non_negative
 from repro.resilience.chaos import (
     Recovery, check_plan, check_recovery_knobs, trainer_for,
@@ -205,7 +206,7 @@ class _Job:
     __slots__ = (
         "spec", "name", "order", "fit", "report", "rec", "batch_fn", "step",
         "resume_at_s", "next_retry_tick", "wait_from", "attempts",
-        "stall_debt", "retry_key", "intact", "by_state", "running",
+        "stall_debt", "retry_key", "intact", "by_state", "running", "policy",
     )
 
     def __init__(
@@ -224,6 +225,8 @@ class _Job:
         self.by_state = by_state
         self.running = running
         by_state[self.report.state].add(spec.name)
+        #: When to checkpoint: the tenant's policy, else ``run_chaos``'s rule.
+        self.policy = spec.checkpoint_policy or StepInterval(spec.checkpoint_interval)
         #: Trainer, checkpoint slot and failure charges; records the timeline.
         self.rec = Recovery(
             self.report, config.restore_bandwidth_bytes_per_s, detector,
@@ -374,11 +377,8 @@ class ClusterScheduler:
         m.gauge("cluster_pending_jobs").set(len(self._by_state[PENDING]))
 
     def _should_checkpoint(self, job: _Job, now_s: float) -> bool:
-        """Per-tenant policy decision; ``None`` keeps the legacy fixed rule."""
-        policy = job.spec.checkpoint_policy
-        if policy is None:
-            return job.step % job.spec.checkpoint_interval == 0
-        return policy.should_checkpoint(
+        """The job's checkpoint policy, asked after a step completes."""
+        return job.policy.should_checkpoint(
             step=job.step,
             now_s=now_s,
             last_checkpoint_step=job.rec.ckpt_step,

@@ -1,7 +1,7 @@
 """Collective communication: cost models and multipod schedules.
 
 * :mod:`repro.comm.cost` — alpha-beta cost formulas for ring/line
-  reduce-scatter, all-gather, all-reduce and broadcast.
+  reduce-scatter, all-gather and all-reduce, and point-to-point transfers.
 * :mod:`repro.comm.allreduce` — the paper's 2-D hierarchical gradient
   summation (Section 3.3): Y-torus reduce-scatter, X reduce-scatter,
   sharded weight update, X/Y all-gather; the model-peer-hopping variant
@@ -16,7 +16,6 @@ from repro.comm.cost import (
     reduce_scatter_time,
     all_gather_time,
     ring_all_reduce_time,
-    broadcast_time,
     ring_cost_for,
 )
 from repro.comm.allreduce import (
@@ -39,7 +38,6 @@ __all__ = [
     "reduce_scatter_time",
     "all_gather_time",
     "ring_all_reduce_time",
-    "broadcast_time",
     "ring_cost_for",
     "AllReduceBreakdown",
     "two_phase_allreduce",

@@ -107,29 +107,6 @@ def ring_all_reduce_time(
     )
 
 
-def broadcast_time(
-    num_members: int,
-    payload_bytes: float,
-    bandwidth: float,
-    latency: float,
-    *,
-    closed: bool = True,
-) -> float:
-    """Pipelined chunk broadcast from one member to all others.
-
-    On a closed ring the payload is split in two halves travelling opposite
-    ways (each covering half the ring); on a line it pipelines one way.
-    """
-    _validate(num_members, payload_bytes, bandwidth, latency)
-    n = num_members
-    if n == 1 or payload_bytes == 0:
-        return 0.0
-    if closed:
-        hops = n // 2
-        return payload_bytes / (2 * bandwidth) + hops * latency
-    return payload_bytes / bandwidth + (n - 1) * latency
-
-
 @dataclass(frozen=True)
 class RingCostParams:
     """Concrete alpha-beta parameters extracted from a mesh ring."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.comm.cost import point_to_point_time
 from repro.hardware.topology import TorusMesh
-from repro.refuse import count, non_negative
+from repro.refuse import count
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,14 @@ def halo_exchange_time(
     the two directions overlap on the full-duplex links, so the critical
     path is one boundary transfer plus the link latency (plus a barrier-like
     synchronization the paper's XLA barrier optimization reduces — we model
-    the optimized form).
+    the optimized form).  One partition exchanges nothing.
     """
-    if num_partitions < 2:
+    halo_bytes = (
+        count("halo_rows", halo_rows, minimum=0) * count("width", width)
+        * count("channels", channels) * count("dtype_bytes", dtype_bytes)
+    )
+    if count("num_partitions", num_partitions) == 1:
         return 0.0
-    non_negative("halo_rows", halo_rows)
-    halo_bytes = halo_rows * width * channels * dtype_bytes
     return point_to_point_time(halo_bytes, mesh.link_bandwidth, mesh.chip.link_latency)
 
 

@@ -14,7 +14,6 @@ import functools
 
 from repro.experiments.fidelity import Claim
 from repro.experiments.report import Figure
-from repro.spmd.estimator import model_parallel_speedup
 from repro.spmd.modelgraphs import (
     maskrcnn_graph,
     spatial_seeds,
@@ -23,6 +22,7 @@ from repro.spmd.modelgraphs import (
     transformer_seeds,
 )
 from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES
+from repro.spmd.plan import model_parallel_speedup
 
 PAPER_TRANSFORMER_SPEEDUP_4CORES = 2.3
 

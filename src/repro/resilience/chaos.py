@@ -387,8 +387,9 @@ def run_chaos(
     the legacy oracle with ``config.detection_timeout_s``.  The latency
     is charged per chip-failure event as a fleet-wide hang — the blind
     window between the death and the declaration, during which no step
-    completes.  ``checkpoint_policy`` defaults to the legacy
-    ``StepInterval(config.checkpoint_interval)``.
+    completes.  ``checkpoint_policy`` defaults to
+    ``StepInterval(config.checkpoint_interval)``, the cluster scheduler's
+    default too.
 
     Raises ``ValueError`` before step 0 for a plan naming a chip or host
     the mesh lacks (:func:`check_plan`), and :class:`DeviceLostError` if

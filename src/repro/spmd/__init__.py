@@ -12,15 +12,16 @@ small tensor IR — and searches it automatically:
 * :mod:`repro.spmd.annotations` — sharding layouts (replicated / split
   along a dim / partial-pending-reduction);
 * :mod:`repro.spmd.plan` — **the supported public surface**: a validated
-  frozen :class:`ShardingSpec`, the :func:`make_partitioner` factory, and
-  the :class:`PartitionPlan` result (assignments + inserted comm + cost);
+  frozen :class:`ShardingSpec`, the :func:`make_partitioner` factory, the
+  :class:`PartitionPlan` result (assignments + inserted comm + cost), and
+  the Figure 9 speedup curves (:func:`model_parallel_speedup`);
 * :mod:`repro.spmd.partitioner` — annotation propagation and communication
   insertion over int-coded layouts, with feature flags reproducing the
   paper's v0.6 -> v0.7 XLA improvements (gather/topk partitioning, gather
   -> one-hot matmul, reshard minimization, Section 4.5);
 * :mod:`repro.spmd.estimator` — per-device compute/communication cost of a
   partitioned graph on a mesh (one accumulation loop over a per-call
-  price table), driving the Figure 9 model-parallelism speedup curves;
+  price table), behind :class:`Partitioner`;
 * :mod:`repro.spmd.search` — GSPMD-style automatic partitioner search:
   beam-search per-tensor shardings, prune on propagation feasibility,
   rank by estimated step time (:func:`search_partitioning`);
@@ -44,6 +45,7 @@ from repro.spmd.plan import (
     PartitionPlan,
     ShardingSpec,
     make_partitioner,
+    model_parallel_speedup,
 )
 from repro.spmd.partitioner import (
     PartitionerFeatures,
@@ -52,7 +54,7 @@ from repro.spmd.partitioner import (
     V06_FEATURES,
     V07_FEATURES,
 )
-from repro.spmd.estimator import PartitionCost, model_parallel_speedup
+from repro.spmd.estimator import PartitionCost
 from repro.spmd.search import (
     SearchConfig,
     SearchResult,

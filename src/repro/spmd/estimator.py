@@ -1,15 +1,16 @@
-"""Cost estimation of partitioned graphs -> model-parallel speedup curves.
+"""Cost estimation of partitioned graphs on one model tile.
 
-Converts a :class:`~repro.spmd.partitioner.PartitionedGraph` into per-core
+Prices a :class:`~repro.spmd.partitioner.PartitionedGraph` as per-core
 compute seconds (accounting for tile imbalance and serial unpartitioned
-ops) plus communication seconds on the model tile's X-line links, and from
-that the Figure 9 speedup-vs-cores curves.
+ops) plus communication seconds on the model tile's X-line links.  The
+one caller is :class:`~repro.spmd.plan.Partitioner`: ``partition`` prices
+a whole graph (Figure 9's speedup curves too), ``extend`` resumes from a
+parent plan's prefix sums.
 
-Every estimate sums through one loop, :func:`price_walk`, over a whole
-graph or resumed from a parent's prefix sums; it looks node prices up in a
-:class:`PriceTable` that one call (one search, one partition, one
-:func:`estimate_cost`) builds and fills per (node, layout code) on first
-use.
+Every estimate sums through one loop, :func:`price_walk`; it looks node
+prices up in a :class:`PriceTable` that one call (one search, one
+``partition`` or ``extend``) builds and fills per (node, layout code) on
+first use.
 """
 
 from __future__ import annotations
@@ -20,19 +21,10 @@ from itertools import islice
 from typing import NamedTuple
 
 from repro.comm.cost import all_gather_time, point_to_point_time, ring_all_reduce_time
-from repro.hardware.topology import TorusMesh, single_pod
-from repro.refuse import count
+from repro.hardware.topology import TorusMesh
 from repro.spmd.annotations import Sharding
 from repro.spmd.ir import POINTWISE, Graph, Node
-from repro.spmd.partitioner import (
-    SERIAL,
-    PartitionedGraph,
-    PartitionerFeatures,
-    V07_FEATURES,
-    _check_dtype_consistent,
-    layout_sharding,
-    partition,
-)
+from repro.spmd.partitioner import SERIAL, PartitionedGraph, layout_sharding
 
 #: forward+backward multiplier applied to forward FLOPs.
 FWD_BWD_FACTOR = 3.0
@@ -135,26 +127,17 @@ def _tile_factor(node: Node, sharding: Sharding) -> float:
     return padded / s
 
 
-def cost_prices(
-    mesh: TorusMesh,
-    *,
-    core_flops_rate: float | None = None,
-    mxu_efficiency: float = 0.35,
-    fwd_bwd_factor: float = FWD_BWD_FACTOR,
-    per_op_overhead: float = PER_OP_OVERHEAD,
-) -> tuple[float, ...]:
-    """The rates :func:`estimate_cost` prices at: ``(core FLOP/s, HBM
-    bytes/s per core, link bytes/s, link latency, fwd+bwd factor, per-op
-    overhead)``."""
-    if core_flops_rate is None:
-        core_flops_rate = mesh.chip.per_core_matmul_flops * mxu_efficiency
+def cost_prices(mesh: TorusMesh, *, mxu_efficiency: float) -> tuple[float, ...]:
+    """The rates a :class:`~repro.spmd.plan.Partitioner` prices at:
+    ``(core FLOP/s, HBM bytes/s per core, link bytes/s, link latency,
+    fwd+bwd factor, per-op overhead)``."""
     return (
-        core_flops_rate,
+        mesh.chip.per_core_matmul_flops * mxu_efficiency,
         mesh.chip.hbm_bandwidth / mesh.chip.cores,
         mesh.link_bandwidth,
         mesh.chip.link_latency,
-        fwd_bwd_factor,
-        per_op_overhead,
+        FWD_BWD_FACTOR,
+        PER_OP_OVERHEAD,
     )
 
 
@@ -163,8 +146,8 @@ class PriceTable:
     one set of :func:`cost_prices` rates.
 
     Built per call -- one search, one ``Partitioner.partition`` /
-    ``extend``, one :func:`estimate_cost` -- and filled on first use, so
-    :func:`_tile_factor` and the FLOPs (or HBM traffic) quotient run at
+    ``extend`` -- and filled on first use, so :func:`_tile_factor` and
+    the FLOPs (or HBM traffic) quotient run at
     most once per pair however many layouts of the graph the call prices.
     It depends on the tile size and the rates, so nothing may keep it past
     the call that built it.  ``rows[i]`` is ``None`` for a node with no
@@ -294,79 +277,3 @@ def price_walk(
     comms.append(comm)
     comm_byte_sums.append(comm_bytes)
     return CostPrefix(table.prices, computes, serials, comms, comm_byte_sums)
-
-
-def estimate_cost(
-    pg: PartitionedGraph,
-    mesh: TorusMesh | None = None,
-    *,
-    core_flops_rate: float | None = None,
-    mxu_efficiency: float = 0.35,
-    fwd_bwd_factor: float = FWD_BWD_FACTOR,
-    per_op_overhead: float = PER_OP_OVERHEAD,
-    dtype_bytes: int | None = None,
-    resume: tuple[PartitionCost, int] | None = None,
-) -> PartitionCost:
-    """Seconds per step for one partitioned model tile.
-
-    ``per_op_overhead`` is a fixed per-node cost (dispatch, fusion
-    boundaries) that does not shrink with partitioning; elementwise ops are
-    charged as memory-bound (HBM) rather than MXU work.  HBM traffic is
-    priced at each node's own ``dtype_bytes``; an explicit width must be
-    consistent with the graph (see :func:`_check_dtype_consistent`).
-
-    The result's ``prefix`` keeps the running sums before every node and
-    comm op.  ``resume=(parent_cost, node_id)`` starts from
-    ``parent_cost``'s sums and walks only what follows (:func:`price_walk`).
-    It is for ``pg = repartition(parent, node_id, ...)``, whose nodes and
-    comm ops before that point are ``parent``'s; ``parent_cost`` must have
-    been summed at this call's rates, else ``ValueError``.
-    """
-    _check_dtype_consistent(pg.graph, dtype_bytes)
-    mesh = mesh if mesh is not None else single_pod()
-    prices = cost_prices(
-        mesh,
-        core_flops_rate=core_flops_rate,
-        mxu_efficiency=mxu_efficiency,
-        fwd_bwd_factor=fwd_bwd_factor,
-        per_op_overhead=per_op_overhead,
-    )
-    table = PriceTable(pg.graph, pg.num_shards, prices)
-    if resume is None:
-        return PartitionCost.of(price_walk(pg, table))
-    parent, start = resume
-    check_resumable(parent.prefix, prices)
-    return PartitionCost.of(price_walk(pg, table, (parent.prefix, start)))
-
-
-def model_parallel_speedup(
-    build_graph,
-    seed_fn,
-    num_cores_list: list[int],
-    *,
-    features: PartitionerFeatures = V07_FEATURES,
-    mesh: TorusMesh | None = None,
-    mxu_efficiency: float = 0.35,
-    dtype_bytes: int | None = None,
-) -> dict[int, float]:
-    """Speedup over 1 core for each model-parallel tile size.
-
-    ``build_graph()`` returns a fresh :class:`~repro.spmd.ir.Graph`;
-    ``seed_fn(graph, k)`` returns the seed shardings for ``k`` cores.
-    This drives Figure 9.
-    """
-    for k in num_cores_list:
-        count("num_cores_list", k)
-    graph1 = build_graph()
-    base = estimate_cost(
-        partition(graph1, {}, 1, features, dtype_bytes),
-        mesh,
-        mxu_efficiency=mxu_efficiency,
-    ).total_seconds
-    out: dict[int, float] = {}
-    for k in num_cores_list:
-        graph = build_graph()
-        pg = partition(graph, seed_fn(graph, k), k, features, dtype_bytes)
-        cost = estimate_cost(pg, mesh, mxu_efficiency=mxu_efficiency)
-        out[k] = base / cost.total_seconds
-    return out

@@ -46,9 +46,9 @@ class Node:
     def elements(self) -> int:
         return int(math.prod(self.shape)) if self.shape else 1
 
-    def output_bytes(self, dtype_bytes: int | None = None) -> float:
-        """Output size in bytes; ``None`` uses the node's own dtype."""
-        return self.elements * (self.dtype_bytes if dtype_bytes is None else dtype_bytes)
+    def output_bytes(self) -> float:
+        """Output size in bytes, at the node's own dtype."""
+        return self.elements * self.dtype_bytes
 
 
 #: Node kinds, one per partitioning rule (``GraphTables.kinds``): inputs

@@ -180,30 +180,11 @@ class PartitionedGraph:
         return out
 
 
-def _check_dtype_consistent(graph: Graph, dtype_bytes: int | None) -> None:
-    """An explicit byte width must agree with every node's own dtype.
-
-    ``None`` means "use per-node dtypes" and is always consistent; passing
-    a width that silently contradicts the graph (the old hardcoded-2 bug,
-    with f32 accumulators priced as bf16) is an error.
-    """
-    if dtype_bytes is None:
-        return
-    for node in graph.nodes:
-        if node.dtype_bytes != dtype_bytes:
-            raise ValueError(
-                f"dtype_bytes={dtype_bytes} is inconsistent with node "
-                f"{node.name!r} (dtype_bytes={node.dtype_bytes}); omit the "
-                f"argument to use per-node dtypes"
-            )
-
-
 def partition(
     graph: Graph,
     seeds: dict[int, Sharding],
     num_shards: int,
     features: PartitionerFeatures = V07_FEATURES,
-    dtype_bytes: int | None = None,
 ) -> PartitionedGraph:
     """Propagate shardings through ``graph`` and insert communication.
 
@@ -212,11 +193,9 @@ def partition(
 
     ``seeds`` maps node ids (typically inputs/parameters) to layouts; all
     other inputs default to replicated.  Communication payloads are priced
-    at each tensor's own ``dtype_bytes``; passing an explicit width that
-    contradicts a node raises (dtype-consistency guard).
+    at each tensor's own ``dtype_bytes``.
     """
     count("num_shards", num_shards)
-    _check_dtype_consistent(graph, dtype_bytes)
     for node_id, sharding in seeds.items():
         if sharding.num_shards != num_shards:
             raise ValueError(

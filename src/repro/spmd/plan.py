@@ -11,10 +11,10 @@ Mirrors the ``TrainerConfig``/``make_trainer``/``StepResult`` pattern of
   assignments, the inserted :class:`~repro.spmd.partitioner.CommOp`\\ s and
   the :class:`~repro.spmd.estimator.PartitionCost`.
 
-The propagation pass (:func:`repro.spmd.partitioner.partition`) and the
-estimator (:func:`repro.spmd.estimator.estimate_cost`) stay importable for
-code that needs one without the other (Figure 9's speedup curves).  A
-:class:`Partitioner` prices through a per-call
+A :class:`Partitioner` is the one door that prices a partitioned graph:
+``partition`` walks a whole graph, ``extend`` is the only resume, and
+:func:`model_parallel_speedup` (Figure 9) prices every tile through
+``partition``.  A partitioner prices through a per-call
 :class:`~repro.spmd.estimator.PriceTable`; a search shares one table over
 all its candidates and builds plan objects only for the plans it returns.
 """
@@ -255,3 +255,29 @@ def make_partitioner(
         raise TypeError(f"features must be str or PartitionerFeatures, got {features!r}")
     positive_fraction("mxu_efficiency", mxu_efficiency)
     return Partitioner(features=features, mesh=mesh, mxu_efficiency=mxu_efficiency)
+
+
+def model_parallel_speedup(
+    build_graph,
+    seed_fn,
+    num_cores_list: list[int],
+    *,
+    features: PartitionerFeatures = V07_FEATURES,
+) -> dict[int, float]:
+    """Speedup over 1 core for each model-parallel tile size.
+
+    ``build_graph()`` returns a fresh :class:`~repro.spmd.ir.Graph`;
+    ``seed_fn(graph, k)`` returns the seed shardings for ``k`` cores.  Every
+    tile is priced by one :func:`make_partitioner` on a single TPU-v3 pod.
+    This drives Figure 9.
+    """
+    for k in num_cores_list:
+        count("num_cores_list", k)
+    partitioner = make_partitioner(features)
+    base = partitioner.partition(build_graph(), ShardingSpec.replicated(1)).total_seconds
+    out: dict[int, float] = {}
+    for k in num_cores_list:
+        graph = build_graph()
+        spec = ShardingSpec.from_seeds(k, seed_fn(graph, k))
+        out[k] = base / partitioner.partition(graph, spec).total_seconds
+    return out

@@ -9,7 +9,12 @@ Floats are compared as ``float.hex()``; ``==`` on the JSON, no tolerance.
 The five runs whose tenants shrink or are evicted after a grace-window save
 (``evict`` and ``mixed/seed*``) were rewritten when the scheduler stopped
 charging that save twice; the file then matched the old scheduler with only
-the second charge removed, byte for byte.
+the second charge removed, byte for byte.  The eighteen runs in which a
+save lands off a multiple of a tenant's ``checkpoint_interval`` (a
+grace-window save, a regrow or a migration) were rewritten when the
+scheduler dropped its own ``step % checkpoint_interval`` rule for
+``run_chaos``'s ``StepInterval`` (``step - last save >= interval``); every
+other run stayed byte for byte.
 
 The scenarios cover the 16x16 capacity-planning pod at 2, 32 and 100
 tenants under sampled chip deaths with healing, the 8-tenant 8x8 jobs the

@@ -4,7 +4,6 @@ import pytest
 
 from repro.comm.cost import (
     all_gather_time,
-    broadcast_time,
     reduce_scatter_time,
     ring_all_reduce_time,
     ring_cost_for,
@@ -76,16 +75,6 @@ class TestAllGatherAndAllReduce:
         assert ring_all_reduce_time(16, 1e7, BW, ALPHA) == pytest.approx(
             2 * reduce_scatter_time(16, 1e7, BW, ALPHA)
         )
-
-
-class TestBroadcast:
-    def test_single_member(self):
-        assert broadcast_time(1, 1e6, BW, ALPHA) == 0.0
-
-    def test_ring_halves_payload_time(self):
-        ring = broadcast_time(16, 1e8, BW, 0.0, closed=True)
-        line = broadcast_time(16, 1e8, BW, 0.0, closed=False)
-        assert line == pytest.approx(2 * ring)
 
 
 class TestRingCostFor:

@@ -67,6 +67,21 @@ class TestHaloExchange:
         with pytest.raises(ValueError):
             halo_exchange_time(pod, width=1, channels=1, halo_rows=-1)
 
+    @pytest.mark.parametrize("bad,field", [
+        ({"width": -300, "channels": -64}, "width"),  # the signs used to cancel
+        ({"channels": -64}, "channels"),
+        ({"dtype_bytes": 0}, "dtype_bytes"),
+        ({"num_partitions": -3}, "num_partitions"),  # used to return 0.0
+        ({"num_partitions": 0}, "num_partitions"),
+        ({"width": 30.0}, "width"),
+        ({"halo_rows": 0.5}, "halo_rows"),
+        ({"channels": 0, "num_partitions": 1}, "channels"),
+    ])
+    def test_bad_geometry_is_refused_by_name(self, pod, bad, field):
+        args = dict(width=300, channels=64, halo_rows=1, dtype_bytes=2, num_partitions=4)
+        with pytest.raises(ValueError, match=field):
+            halo_exchange_time(pod, **{**args, **bad})
+
 
 class TestConvHalo:
     @pytest.mark.parametrize("k,h", [(1, 0), (3, 1), (5, 2), (7, 3)])

@@ -10,9 +10,11 @@ moved by one bit.  ``==`` on the hex strings, no tolerance.
 The tables use nothing but entry points that exist on both sides of the
 change, so the parent wrote the files.  The Multipod rows (``multipod*``,
 ``peer/4096/*``, ``mixed/*``) came later, written on the parent of the
-change that simulates one ring direction per symmetry class; every older
-row stayed identical.  Regenerate with ``tests/golden.py capture`` (see
-there), only when a change *means* to move a number.
+change that simulates one ring direction per symmetry class; the
+``figure9/*`` rows (each unrounded ``model_parallel_speedup``) on the
+parent of the change that prices Figure 9 through ``Partitioner``.  Every
+older row stayed identical.  Regenerate with ``tests/golden.py capture``
+(see there), only when a change *means* to move a number.
 """
 
 from __future__ import annotations
@@ -26,17 +28,24 @@ from repro.comm.schedule import (
     simulate_ring_reduce_scatter,
 )
 from repro.core.overlap import simulate_overlap_schedule
+from repro.experiments.figure9 import MODELS
 from repro.experiments.runner import EXPERIMENTS
 from repro.hardware.rings import all_x_lines, all_y_rings, model_peer_ring, x_line, y_ring
 from repro.hardware.topology import TorusMesh, multipod, slice_for_chips
 from repro.resilience.faults import ChipFailure, FaultPlan, LinkFault, RetryPolicy
-from repro.spmd import SearchConfig, make_partitioner, search_partitioning
+from repro.spmd import (
+    SearchConfig,
+    make_partitioner,
+    model_parallel_speedup,
+    search_partitioning,
+)
 from repro.spmd.modelgraphs import (
     maskrcnn_graph,
     resnet_block_graph,
     ssd_graph,
     transformer_block_graph,
 )
+from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES
 from tests.golden import assert_matches, encode, load
 
 #: Not round numbers: the chunk size ``payload / n`` must not be exact.
@@ -191,8 +200,14 @@ def plan_row(plan) -> dict[str, object]:
 
 
 def search_table() -> dict[str, object]:
-    """192 searches: 4 graphs x k x seed set x beam x seed x feature set."""
+    """192 searches: 4 graphs x k x seed set x beam x seed x feature set,
+    and every unrounded Figure 9 speedup."""
     out: dict[str, object] = {}
+    for label, builder, seeds, cores in MODELS:
+        for tag, features in (("v06", V06_FEATURES), ("v07", V07_FEATURES)):
+            speedups = model_parallel_speedup(builder, seeds, list(cores), features=features)
+            for k in cores:
+                out[f"figure9/{label}/{tag}/{k}"] = speedups[k]
     graphs = {name: build() for name, build in GRAPHS.items()}
     for features in ("v06", "v07"):
         partitioner = make_partitioner(features)

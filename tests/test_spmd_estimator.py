@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.cost import all_gather_time, point_to_point_time, ring_all_reduce_time
-from repro.hardware.topology import single_pod, slice_for_chips
+from repro.hardware.topology import single_pod
 from repro.spmd.annotations import Sharding
-from repro.spmd.estimator import (
-    PartitionCost,
-    _tile_factor,
-    comm_op_seconds,
-    estimate_cost,
-    model_parallel_speedup,
-)
+from repro.spmd.estimator import _tile_factor, comm_op_seconds
 from repro.spmd.ir import Graph
 from repro.spmd.modelgraphs import (
     maskrcnn_graph,
@@ -24,8 +18,8 @@ from repro.spmd.modelgraphs import (
     transformer_block_graph,
     transformer_seeds,
 )
-from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES, partition, repartition
-from repro.spmd.plan import ShardingSpec, make_partitioner
+from repro.spmd.partitioner import V06_FEATURES, V07_FEATURES
+from repro.spmd.plan import ShardingSpec, make_partitioner, model_parallel_speedup
 
 
 def _plan(graph, seeds, k, features=V07_FEATURES):
@@ -97,16 +91,6 @@ class TestEstimateCost:
         ).cost
         assert cost.serial_seconds > 0
 
-    def test_legacy_estimate_cost_warns_and_agrees(self):
-        g = ssd_graph()
-        plan = _plan(g, spatial_seeds(g, 4), 4)
-        assert estimate_cost(plan.partitioned) == plan.cost
-
-    def test_legacy_partition_feeds_legacy_estimate(self):
-        g = ssd_graph()
-        cost = estimate_cost(partition(g, spatial_seeds(g, 4), 4))
-        assert cost == _plan(ssd_graph(), spatial_seeds(g, 4), 4).cost
-
 
 class TestCommOpPrice:
     """Every comm op is priced by one :mod:`repro.comm.cost` call; only the
@@ -156,47 +140,6 @@ class TestCommOpPrice:
         for kind, _, nbytes, steps in plan.partitioned.comm:
             comm += steps * comm_op_seconds(kind, nbytes, 4, bw, alpha)
         assert plan.cost.comm_seconds.hex() == (comm * 2.0).hex()
-
-
-class TestResumedEstimate:
-    """``estimate_cost(resume=...)`` continues the parent's sums only at the
-    rates they were summed at."""
-
-    FIELDS = ("compute_seconds", "serial_seconds", "comm_seconds", "comm_bytes")
-
-    def _resumed(self):
-        graph = transformer_block_graph(seq=27)
-        base = partition(graph, {}, 4)
-        pg = repartition(base, 9, Sharding.split(4, 1))
-        return base, pg
-
-    def test_resume_at_the_same_rates_is_a_full_walk(self):
-        base, pg = self._resumed()
-        mesh = slice_for_chips(64)
-        parent = estimate_cost(base, mesh)
-        resumed = estimate_cost(pg, mesh, resume=(parent, 9))
-        full = estimate_cost(pg, mesh)
-        assert [getattr(resumed, f).hex() for f in self.FIELDS] == [
-            getattr(full, f).hex() for f in self.FIELDS
-        ]
-
-    def test_resume_at_other_rates_is_refused(self):
-        base, pg = self._resumed()
-        parent = estimate_cost(base, slice_for_chips(64))
-        with pytest.raises(ValueError, match="different"):
-            estimate_cost(
-                pg, slice_for_chips(64), mxu_efficiency=0.9, resume=(parent, 9)
-            )
-
-    def test_resume_without_prefix_sums_is_refused(self):
-        base, pg = self._resumed()
-        parent = estimate_cost(base, slice_for_chips(64))
-        bare = PartitionCost(
-            parent.compute_seconds, parent.serial_seconds,
-            parent.comm_seconds, parent.comm_bytes,
-        )
-        with pytest.raises(ValueError, match="prefix"):
-            estimate_cost(pg, slice_for_chips(64), resume=(bare, 9))
 
 
 class TestSpeedupCurves:

@@ -98,7 +98,7 @@ class TestFlops:
     def test_output_bytes(self):
         g = Graph()
         x = g.input((4, 4))
-        assert g.node(x).output_bytes(2) == 32
+        assert g.node(x).output_bytes() == 32  # bf16 by default
 
 
 class TestTables:

@@ -244,13 +244,6 @@ class TestDtypes:
         ar4 = _plan(g4, {b4: Sharding.split(4, 0)}, 4).comm_ops[0]
         assert ar4.bytes_per_shard == 2 * ar2.bytes_per_shard
 
-    def test_inconsistent_explicit_dtype_raises(self):
-        g = Graph(dtype_bytes=2)
-        g.input((4, 4))
-        g.reduce(0, dtype_bytes=4)
-        with pytest.raises(ValueError, match="inconsistent"):
-            partition(g, {}, 2, V07_FEATURES, dtype_bytes=2)
-
     def test_graph_rejects_bad_dtype(self):
         with pytest.raises(ValueError):
             Graph(dtype_bytes=0)

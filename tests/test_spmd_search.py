@@ -478,6 +478,17 @@ class TestExtend:
         assert bare == cost and hash(bare) == hash(cost)
         assert repr(bare) == repr(cost) and "prefix" not in repr(cost)
 
+    def test_parent_without_prefix_sums_is_refused(self):
+        """A bare cost has no running sums to resume the walk from."""
+        v07 = make_partitioner("v07")
+        plan = v07.partition(transformer_block_graph(seq=27), ShardingSpec.replicated(4))
+        c = plan.cost
+        bare = dataclasses.replace(plan, cost=PartitionCost(
+            c.compute_seconds, c.serial_seconds, c.comm_seconds, c.comm_bytes
+        ))
+        with pytest.raises(ValueError, match="prefix"):
+            v07.extend(bare, 9, Sharding.split(4, 1))
+
     def test_extend_checks_what_partition_checks(self):
         graph = resnet_block_graph()
         v07 = make_partitioner("v07")
