@@ -16,11 +16,16 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.core.overlap import OverlapResult, measured_overlap
-from repro.core.trainer import CheckpointingTrainer, StepResult
+from repro.core.trainer import (
+    CheckpointingTrainer,
+    StepResult,
+    _checked_grad_dtype_policy,
+)
 from repro.models.mlp import MLP
 from repro.optim.base import Optimizer
 from repro.refuse import count
 from repro.runtime.bucket import BucketPlan
+from repro.runtime.collectives import TwoPhaseAllReduce
 
 
 class SingleDeviceTrainer(CheckpointingTrainer):
@@ -47,7 +52,9 @@ class DataParallelTrainer(CheckpointingTrainer):
     the 2-D hierarchical schedule when both mesh dims exceed 1 (mirroring
     the multipod), else a flat ring.  ``grad_dtype_policy`` selects the wire
     numeric format (``"bf16"`` reproduces the paper's low-precision gradient
-    summation).
+    summation).  On a 2-D mesh the step holds one mesh column of gradients
+    at a time: each column's backward feeds its Y-phase rings at once, and
+    the X phase and gather run after the last column.
 
     ``num_buckets`` splits the fused gradient buffer into backprop-ordered
     buckets (one collective each); ``overlap=True`` additionally models the
@@ -75,7 +82,7 @@ class DataParallelTrainer(CheckpointingTrainer):
         super().__init__(model, optimizer)
         self.dp_x = dp_x
         self.dp_y = dp_y
-        self.grad_dtype_policy = grad_dtype_policy
+        self.grad_dtype_policy = _checked_grad_dtype_policy(grad_dtype_policy)
         #: Optional :class:`repro.controlplane.guard.ConsistencyGuard` (or
         #: anything with ``scan_tree``): the reduced mean gradients are
         #: scanned for NaN/Inf *after* the collective — the earliest point
@@ -88,12 +95,21 @@ class DataParallelTrainer(CheckpointingTrainer):
         #: ``init()`` and restores (params and slots are replicated: a
         #: restore onto this mesh has nothing else to re-lay-out).
         self._plan: BucketPlan | None = None
-        #: Persistent device-major gradient blocks, one ``(n, bucket.size)``
-        #: stack per bucket of ``_blocks_plan``, and the ``(n, *shape)``
-        #: view of each tensor that the model writes its gradients through.
+        #: The 2-D schedule's ``(x, y)`` when both mesh dims exceed 1 (the
+        #: step then streams mesh columns), else ``None`` (one flat ring).
+        self._grid = (dp_x, dp_y) if dp_x > 1 and dp_y > 1 else None
+        #: Persistent device-major gradient blocks, one ``(rows,
+        #: bucket.size)`` stack per bucket of ``_blocks_plan`` — one mesh
+        #: column's ``dp_y`` replicas under ``_grid``, else all ``n`` — and
+        #: the ``(rows, *shape)`` view of each tensor that the model writes
+        #: its gradients through.
         self._grad_blocks: list[np.ndarray] = []
         self._grad_views: dict[str, np.ndarray] = {}
         self._blocks_plan: BucketPlan | None = None
+        #: Per bucket, the wall seconds its Y phase took inside this step's
+        #: ``forward_backward`` (streamed steps only); its launch record
+        #: adds them to the X phase and gather.
+        self._column_seconds: list[float] = []
 
     @property
     def num_replicas(self) -> int:
@@ -113,12 +129,13 @@ class DataParallelTrainer(CheckpointingTrainer):
                 self.num_buckets,
             )
         if self._blocks_plan is not self._plan:
-            n = self.num_replicas
+            rows = self.dp_y if self._grid else self.num_replicas
             # The gradients' own dtype, not the plan's (WUS lays its plan
             # out in f64): ``block /= n`` then rounds as each ``g / n`` did.
             dtype = np.result_type(*(p.dtype for p in self.params.values()))
             self._grad_blocks = [
-                np.empty((n, bucket.size), dtype=dtype) for bucket in self._plan.buckets
+                np.empty((rows, bucket.size), dtype=dtype)
+                for bucket in self._plan.buckets
             ]
             self._grad_views = {}
             for bucket, block in zip(self._plan.buckets, self._grad_blocks):
@@ -127,45 +144,73 @@ class DataParallelTrainer(CheckpointingTrainer):
         return self._grad_views
 
     def _forward_backward(self, xs: np.ndarray, labels: np.ndarray):
-        """One stacked call writes every replica's gradients into the blocks.
+        """Stacked calls write the replicas' gradients into the blocks.
 
         Replicas contribute grad/n, so the collective yields the mean over
         the global batch (each replica loss is a micro-batch mean): one
         whole-block scale, elementwise identical to a per-replica ``g / n``.
+
+        On a 2-D mesh the stack runs one mesh column at a time (devices
+        are x-major, so column ``x`` is rows ``x*dp_y … (x+1)*dp_y - 1``),
+        and each scaled column goes straight into every bucket's Y-phase
+        rings while it is still in cache; the gradients handed on are the
+        buckets' in-flight :class:`TwoPhaseAllReduce`.  Every row keeps the
+        bits of its per-slice GEMM, and each Y ring reads only its own
+        column, in the same order, so the step is bit-identical to one
+        stacked call feeding whole-block collectives.
         """
-        losses, _ = self.model.loss_and_grad(
-            self.params, xs, labels, out=self._gradient_views()
-        )
+        views = self._gradient_views()
         n = self.num_replicas
-        for block in self._grad_blocks:
-            block /= n
-        return losses, self._grad_blocks
+        if self._grid is None:
+            losses, _ = self.model.loss_and_grad(self.params, xs, labels, out=views)
+            for block in self._grad_blocks:
+                block /= n
+            return losses, self._grad_blocks
+        reductions = [
+            TwoPhaseAllReduce(self._grid, (bucket.size,), self.grad_dtype_policy)
+            for bucket in self._plan.buckets
+        ]
+        seconds = self._column_seconds = [0.0] * len(reductions)
+        losses = np.empty(n)
+        y = self.dp_y
+        for x in range(self.dp_x):
+            rows = slice(x * y, (x + 1) * y)
+            losses[rows], _ = self.model.loss_and_grad(
+                self.params, xs[rows], labels[rows], out=views
+            )
+            for i, (block, reduction) in enumerate(zip(self._grad_blocks, reductions)):
+                block /= n
+                t0 = _perf()
+                reduction.reduce_columns(block, x)
+                seconds[i] += _perf() - t0
+        return losses, reductions
 
-    def _summed_mean_grads(self, blocks: list[np.ndarray]) -> dict:
-        """Fused collectives over the bucketed gradient blocks.
+    def _summed_mean_grads(self, grads: list) -> dict:
+        """Fused collectives over the bucketed gradients.
 
-        A ring or 2-D hierarchical all-reduce per bucket sums the
-        replicas' pre-scaled gradients, and the result is unpacked into
-        zero-copy per-parameter views.  With the default single bucket
-        this is exactly one collective for the whole model.  Per-bucket
-        ``(payload_bytes, wall_seconds)`` launch records are appended to
-        ``self._last_launches`` for the overlap model.
+        A ring all-reduce per bucket block, or the rest of each bucket's
+        streamed 2-D all-reduce (X phase and gather), sums the replicas'
+        pre-scaled gradients, and the result is unpacked into zero-copy
+        per-parameter views.  With the default single bucket this is
+        exactly one collective for the whole model.  Per-bucket
+        ``(payload_bytes, wall_seconds)`` launch records, the Y phase
+        included, are appended to ``self._last_launches`` for the overlap
+        model.
         """
         mean: dict = {}
-        for bucket, block in zip(self._plan.buckets, blocks):
+        for i, (bucket, grad) in enumerate(zip(self._plan.buckets, grads)):
             t0 = _perf()
-            reduced = bucket.all_reduce_stacked(
-                block,
-                self.grad_dtype_policy,
-                grid_shape=(self.dp_x, self.dp_y)
-                if self.dp_x > 1 and self.dp_y > 1
-                else None,
-            )
+            if self._grid is None:
+                reduced = bucket.all_reduce_stacked(grad, self.grad_dtype_policy)
+                seconds = 0.0
+            else:
+                reduced = grad.all_reduce()
+                seconds = self._column_seconds[i]
             # The replicated result's physical row is freshly owned by the
             # collective, so the optimizer may update through these views.
             mean.update(bucket.unflatten(reduced.block[0]))
             self._last_launches.append(
-                (bucket.size * bucket.dtype.itemsize, _perf() - t0)
+                (bucket.size * bucket.dtype.itemsize, seconds + _perf() - t0)
             )
         return mean
 

@@ -24,7 +24,7 @@ from time import perf_counter as _perf
 
 import numpy as np
 
-from repro.core.trainer import BaseTrainer, StepResult
+from repro.core.trainer import BaseTrainer, StepResult, _checked_grad_dtype_policy
 from repro.models.layers import (
     dense_backward,
     relu,
@@ -211,7 +211,7 @@ class HybridParallelTrainer(BaseTrainer):
         super().__init__(model, optimizer)
         self.dp_size = dp_size
         self.mp = FeatureShardedMLP(model, mp_size)
-        self.grad_dtype_policy = grad_dtype_policy
+        self.grad_dtype_policy = _checked_grad_dtype_policy(grad_dtype_policy)
         self.shards: list[Params] | None = None  # one per model core
         self.shard_states: list[dict] | None = None
 

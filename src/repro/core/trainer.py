@@ -100,6 +100,16 @@ class Trainer(Protocol):
     def train(self, batches, steps: int) -> Any: ...
 
 
+def _checked_grad_dtype_policy(policy: str) -> str:
+    """The policy, or ``ValueError`` naming the field: refused at
+    construction, not mid-backward in the first step's collective."""
+    if policy not in DTYPE_POLICIES:
+        raise ValueError(
+            f"unknown grad_dtype_policy {policy!r}; choose from {DTYPE_POLICIES}"
+        )
+    return policy
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Declarative trainer setup for :func:`make_trainer`.
@@ -153,11 +163,7 @@ class TrainerConfig:
                 "mp_size > 1 is only honoured by the 'hybrid' strategy "
                 f"(got strategy {self.strategy!r})"
             )
-        if self.grad_dtype_policy not in DTYPE_POLICIES:
-            raise ValueError(
-                f"unknown grad_dtype_policy {self.grad_dtype_policy!r}; "
-                f"choose from {DTYPE_POLICIES}"
-            )
+        _checked_grad_dtype_policy(self.grad_dtype_policy)
 
     @property
     def num_replicas(self) -> int:

@@ -675,68 +675,126 @@ def _quantized_grid_block(
     return staged, bf16_round
 
 
-def _reduce_scatter_grid_core(
-    flats,
-    block: np.ndarray | None,
-    x_size: int,
-    y_size: int,
-    shape: tuple[int, ...],
-    dtype_policy: str,
-) -> np.ndarray:
-    """Batched phases 1+2 of the 2-D schedule.
+class TwoPhaseAllReduce:
+    """One 2-D hierarchical all-reduce, fed a group of mesh columns at a time.
 
-    Sources are in x-major device order (``flats[x * y_size + y]`` is mesh
-    coordinate ``(x, y)``).  Returns the freshly allocated ``(y_size,
-    x_size, x_chunk)`` shard block: ``shards3[y, x]`` is device (x, y)'s
-    fully reduced shard (X-chunk ``x`` of Y-chunk ``y``).
+    Phase 1 (Y) is ``x_size`` independent column rings, so it need not
+    wait for the whole mesh: :meth:`reduce_columns` takes the sources of
+    whole columns ``x0 … x0 + cols - 1`` (x-major, ``y_size`` rows each)
+    and reduces them into those rows of the ``(x_size, padded_y)`` Y
+    accumulator.  Once every column is in, :meth:`reduce_scatter` runs
+    phase 2 (X) and returns the ``(y_size, x_size, x_chunk)`` shard block
+    (``shards3[y, x]`` is device (x, y)'s fully reduced shard: X-chunk
+    ``x`` of Y-chunk ``y``), and :meth:`all_reduce` adds the gather.
 
-    Both ring phases run batched: the ``x_size`` independent column rings
-    execute as *one* stacked kernel call
-    (:func:`_linear_ring_passes_batched`), then the ``y_size`` row rings
-    as another, reading the Y accumulators through a transposed zero-copy
-    view.  Each batch row replays the exact scalar-kernel op sequence, so
-    results stay bit-identical to the per-ring references.
+    The whole-block entry points (:func:`two_phase_all_reduce_stacked`,
+    :func:`reduce_scatter_grid`) feed every column in one call; the
+    data-parallel trainer feeds each column as its backward ends, so it
+    holds one column of gradients, not the mesh's.  The bits do not
+    depend on the grouping: each column ring reads only its own column,
+    in the same ring order, and the batched kernel is row-independent.
+    The one choice a group makes is the bf16 per-hop rounding variant
+    (NaN-free when the group's staged inputs are finite), which is
+    bit-exact either way; the X phase re-decides it over the whole Y
+    accumulator.
+
+    Telemetry: one ``reduce_scatter_y`` span per :meth:`reduce_columns`
+    call, but one Y launch (counters and ``collective_seconds`` over the
+    summed ring time) recorded when the X phase starts, as the
+    whole-block call always recorded.  The ``two_phase_all_reduce`` span
+    runs from the last column group's Y phase to the gather.
     """
-    dtype = _dtype_for(dtype_policy)
-    size = math.prod(shape)
-    srcs2, bf16_round = _quantized_grid_block(flats, dtype, dtype_policy, block)
-    srcs3 = srcs2.reshape(x_size, y_size, size)
-    # Y phase: one ring per mesh column, all columns batched.
-    padded_y, y_chunk = padded_chunk_layout(y_size, size)
-    t0 = _perf()
-    acc_y = np.empty((x_size, padded_y), dtype=dtype)
-    acc_y[:, size:] = 0
-    _linear_ring_passes_batched(acc_y, srcs3, size, y_chunk, bf16_round)
-    if _telemetry.enabled:
-        # x_size concurrent column rings of y_size members each.
-        _record_collective(
-            "reduce_scatter", y_size, x_size * y_chunk, dtype.itemsize,
-            dtype_policy, _comm_span("reduce_scatter_y", t0) - t0, axis="y",
+
+    def __init__(
+        self, grid_shape: tuple[int, int], shape: tuple[int, ...], dtype_policy: str
+    ) -> None:
+        self.x_size, self.y_size = grid_shape
+        if self.x_size < 1 or self.y_size < 1:
+            raise ValueError("grid_shape dims must be >= 1")
+        self.dtype = _dtype_for(dtype_policy)
+        self.dtype_policy = dtype_policy
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
+        padded_y, self.y_chunk = padded_chunk_layout(self.y_size, self.size)
+        self.acc_y = np.empty((self.x_size, padded_y), dtype=self.dtype)
+        self.acc_y[:, self.size:] = 0
+        self._columns = 0
+        self._y_seconds = 0.0
+        self._start = 0.0
+
+    def reduce_columns(self, arrays, x0: int = 0) -> None:
+        """Phase 1 for whole columns ``x0 …``: ``arrays`` is their x-major
+        device-major stack (block, :class:`StackedValue` or sequence)."""
+        self._start = _perf()
+        block, flats, n, shape = _as_device_block(arrays)
+        cols, rest = divmod(n, self.y_size)
+        if rest or math.prod(shape) != self.size or not 0 <= x0 <= self.x_size - cols:
+            raise ValueError(
+                f"{n} buffers of shape {shape} are not whole columns "
+                f"{x0}.. of a {self.x_size}x{self.y_size} grid of {self.shape}"
+            )
+        srcs2, bf16_round = _quantized_grid_block(
+            flats, self.dtype, self.dtype_policy, block
         )
-    # X phase: for each Y-shard index, a ring across columns.  Sources are
-    # the Y accumulators (already quantized, so no re-rounding for bf16):
-    # device x of ring y contributes Y-chunk y of mesh column x — exactly
-    # the transpose of the Y accumulator block, taken as a strided view.
-    # The NaN-free fast path must be re-decided here: finite inputs can
-    # saturate to +inf in one column and -inf in another, which meet as
-    # NaN when reducing across X.
-    if dtype_policy == "bf16":
-        bf16_round = _bf16_round_for(acc_y)
-    acc_y3 = acc_y.reshape(x_size, y_size, y_chunk)
-    padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
-    t0 = _perf()
-    x_shards = np.empty((y_size, padded_x), dtype=dtype)
-    x_shards[:, y_chunk:] = 0
-    _linear_ring_passes_batched(
-        x_shards, acc_y3.transpose(1, 0, 2), y_chunk, x_chunk, bf16_round
-    )
-    if _telemetry.enabled:
-        # y_size concurrent row rings over the already-1/y payload.
-        _record_collective(
-            "reduce_scatter", x_size, y_size * x_chunk, dtype.itemsize,
-            dtype_policy, _comm_span("reduce_scatter_x", t0) - t0, axis="x",
+        t0 = _perf()
+        _linear_ring_passes_batched(
+            self.acc_y[x0:x0 + cols],
+            srcs2.reshape(cols, self.y_size, self.size),
+            self.size, self.y_chunk, bf16_round,
         )
-    return x_shards.reshape(y_size, x_size, x_chunk)
+        self._columns += cols
+        if _telemetry.enabled:
+            self._y_seconds += _comm_span("reduce_scatter_y", t0) - t0
+
+    def reduce_scatter(self) -> np.ndarray:
+        """Phase 2 over the full Y accumulator; the shard block."""
+        x_size, y_size, y_chunk = self.x_size, self.y_size, self.y_chunk
+        if self._columns != x_size:
+            raise RuntimeError(
+                f"{self._columns} of {x_size} columns reduced before the X phase"
+            )
+        dtype, policy = self.dtype, self.dtype_policy
+        if _telemetry.enabled:
+            # x_size concurrent column rings of y_size members each.
+            _record_collective(
+                "reduce_scatter", y_size, x_size * y_chunk, dtype.itemsize,
+                policy, self._y_seconds, axis="y",
+            )
+        # For each Y-shard index, a ring across columns.  Sources are the Y
+        # accumulators (already quantized, so no re-rounding for bf16):
+        # device x of ring y contributes Y-chunk y of mesh column x — exactly
+        # the transpose of the Y accumulator block, taken as a strided view.
+        # The NaN-free fast path must be re-decided here: finite inputs can
+        # saturate to +inf in one column and -inf in another, which meet as
+        # NaN when reducing across X.
+        bf16_round = _bf16_round_for(self.acc_y) if policy == "bf16" else None
+        acc_y3 = self.acc_y.reshape(x_size, y_size, y_chunk)
+        padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
+        t0 = _perf()
+        x_shards = np.empty((y_size, padded_x), dtype=dtype)
+        x_shards[:, y_chunk:] = 0
+        _linear_ring_passes_batched(
+            x_shards, acc_y3.transpose(1, 0, 2), y_chunk, x_chunk, bf16_round
+        )
+        if _telemetry.enabled:
+            # y_size concurrent row rings over the already-1/y payload.
+            _record_collective(
+                "reduce_scatter", x_size, y_size * x_chunk, dtype.itemsize,
+                policy, _comm_span("reduce_scatter_x", t0) - t0, axis="x",
+            )
+        return x_shards.reshape(y_size, x_size, x_chunk)
+
+    def all_reduce(self) -> StackedValue:
+        """Phase 2 and the gather: the reduced buffer, replicated."""
+        result = _all_gather_grid_core(
+            self.reduce_scatter(), self.shape, self.dtype_policy
+        )
+        if _telemetry.enabled:
+            _comm_span("two_phase_all_reduce", self._start)
+            _telemetry.metrics.counter(
+                "collective_launches", op="two_phase_all_reduce", axis="xy"
+            ).inc()
+        return result
 
 
 def _all_gather_grid_core(
@@ -797,15 +855,17 @@ def reduce_scatter_grid(
     ``grid[x][y]`` is the buffer of the chip at mesh coordinate (x, y).
     Returns per-device :class:`ShardedValue` views whose shards are the
     per-chip gradient shards fed to the sharded weight update: device (x, y)
-    owns X-chunk ``x`` of Y-chunk ``y``.  List adapter over the batched
-    grid kernel (:func:`_reduce_scatter_grid_core`); the shards are
+    owns X-chunk ``x`` of Y-chunk ``y``.  List adapter over
+    :class:`TwoPhaseAllReduce`, all columns in one call; the shards are
     distinct rows of its one shard block.
     """
     x_size, y_size = _grid_shape(grid)
-    block, flats, _, shape = _as_device_block([g for col in grid for g in col])
-    shards3 = _reduce_scatter_grid_core(
-        flats, block, x_size, y_size, shape, dtype_policy
+    flats = [g for col in grid for g in col]
+    grid_all_reduce = TwoPhaseAllReduce(
+        (x_size, y_size), _check_same_shape(flats), dtype_policy
     )
+    grid_all_reduce.reduce_columns(flats)
+    shards3 = grid_all_reduce.reduce_scatter()
     per_device = [
         ShardedValue([shard], shard.shape, shard.size)
         for col in shards3.swapaxes(0, 1)
@@ -862,24 +922,14 @@ def two_phase_all_reduce_stacked(
     :class:`StackedValue` instead of ``x * y`` materialized copies.
     """
     x_size, y_size = grid_shape
-    if x_size < 1 or y_size < 1:
-        raise ValueError("grid_shape dims must be >= 1")
-    block, flats, n, shape = _as_device_block(arrays)
+    _, _, n, shape = _as_device_block(arrays)
     if n != x_size * y_size:
         raise ValueError(
             f"{n} device buffers do not fill a {x_size}x{y_size} grid"
         )
-    t0 = _perf()
-    shards3 = _reduce_scatter_grid_core(
-        flats, block, x_size, y_size, shape, dtype_policy
-    )
-    result = _all_gather_grid_core(shards3, shape, dtype_policy)
-    if _telemetry.enabled:
-        _comm_span("two_phase_all_reduce", t0)
-        _telemetry.metrics.counter(
-            "collective_launches", op="two_phase_all_reduce", axis="xy"
-        ).inc()
-    return result
+    grid_all_reduce = TwoPhaseAllReduce(grid_shape, shape, dtype_policy)
+    grid_all_reduce.reduce_columns(arrays)
+    return grid_all_reduce.all_reduce()
 
 
 # --- reference implementations (retained for bit-identity cross-checks) ----

@@ -31,9 +31,11 @@ from repro import telemetry
 from repro.cluster.jobs import JobSpec
 from repro.cluster.scheduler import ClusterConfig, run_cluster
 from repro.comm.cost import reduce_scatter_time
+from repro.core.data_parallel import DataParallelTrainer
 from repro.core.planner import PLANNER_RULES, plan_parallelism
 from repro.core.strategy import ParallelismConfig
 from repro.core.trainer import STRATEGIES, TrainerConfig, make_trainer
+from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 from repro.experiments.calibration import spec_for
 from repro.models.mlp import MLP
 from repro.optim import LAMB, LARS, Adam, SGDMomentum
@@ -111,6 +113,24 @@ def test_run_chaos_with_a_nan_step_price_is_refused_before_it_runs():
         run_chaos(FaultPlan(), ChaosConfig((2, 2), 6, base_step_seconds=NAN))
     with pytest.raises(ValueError, match="state_bytes"):
         run_chaos(FaultPlan(), ChaosConfig((2, 2), 6), state_bytes=NAN)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DataParallelTrainer(
+            MLP([8, 16, 4]), SGDMomentum(0.1), 2, 2, grad_dtype_policy="bogus"
+        ),
+        lambda: WeightUpdateShardedTrainer(
+            MLP([8, 16, 4]), SGDMomentum(0.1), 4, grad_dtype_policy="bogus"
+        ),
+    ],
+    ids=["data_parallel", "wus"],
+)
+def test_a_trainer_refuses_an_unknown_grad_dtype_policy_at_construction(make):
+    """Used to construct, then fail inside the first step's collective."""
+    with pytest.raises(ValueError, match="grad_dtype_policy"):
+        make()
 
 
 def test_a_wus_trainer_with_a_nan_learning_rate_is_refused_at_construction():
