@@ -28,6 +28,19 @@ from repro.runtime.bucket import BucketPlan
 from repro.runtime.collectives import TwoPhaseAllReduce
 
 
+def _divide_in_place(block: np.ndarray, n: int) -> None:
+    """``block /= n``, as a multiply by ``1 / n`` when ``n`` is a power of two.
+
+    ``1 / n`` is then exact, so ``g * (1 / n)`` is the real number ``g / n``
+    rounded once: the same bits for every input (signed zeros,
+    subnormals, ±inf, NaN payloads), at about half the cost of a division.
+    """
+    if n & (n - 1):
+        block /= n
+    else:
+        block *= 1.0 / n
+
+
 class SingleDeviceTrainer(CheckpointingTrainer):
     """Reference trainer: full batch on one device."""
 
@@ -131,7 +144,7 @@ class DataParallelTrainer(CheckpointingTrainer):
         if self._blocks_plan is not self._plan:
             rows = self.dp_y if self._grid else self.num_replicas
             # The gradients' own dtype, not the plan's (WUS lays its plan
-            # out in f64): ``block /= n`` then rounds as each ``g / n`` did.
+            # out in f64): the block's ``/ n`` then rounds as each ``g / n`` did.
             dtype = np.result_type(*(p.dtype for p in self.params.values()))
             self._grad_blocks = [
                 np.empty((rows, bucket.size), dtype=dtype)
@@ -164,7 +177,7 @@ class DataParallelTrainer(CheckpointingTrainer):
         if self._grid is None:
             losses, _ = self.model.loss_and_grad(self.params, xs, labels, out=views)
             for block in self._grad_blocks:
-                block /= n
+                _divide_in_place(block, n)
             return losses, self._grad_blocks
         reductions = [
             TwoPhaseAllReduce(self._grid, (bucket.size,), self.grad_dtype_policy)
@@ -179,7 +192,7 @@ class DataParallelTrainer(CheckpointingTrainer):
                 self.params, xs[rows], labels[rows], out=views
             )
             for i, (block, reduction) in enumerate(zip(self._grad_blocks, reductions)):
-                block /= n
+                _divide_in_place(block, n)
                 t0 = _perf()
                 reduction.reduce_columns(block, x)
                 seconds[i] += _perf() - t0

@@ -16,12 +16,13 @@ import numpy as np
 #: Machine epsilon of bfloat16 (2**-7): relative error bound of one rounding.
 BF16_EPS = 2.0 ** -7
 
-#: Pooled temporaries for the in-place rounding path, keyed by
-#: (shape, dtype).  The ring kernels round thousands of segments per
-#: collective; reusing the bias/NaN-mask buffers keeps those calls
-#: allocation-free.  Bounded LRU: distinct-shape sweeps evict the oldest
-#: buffers instead of clearing the whole pool (which would throw away the
-#: hot-loop entries too).  Not thread-safe (nothing in this layer is).
+#: Pooled bias words for in-place rounding that is given no bias scratch
+#: (``bf16_add``, an ``out`` overlapping its source), keyed by (shape,
+#: dtype).  The ring kernels pass slices of their own row scratch instead,
+#: so their many piece shapes never land here.  Bounded LRU: distinct-shape
+#: sweeps evict the oldest buffers instead of clearing the whole pool (which
+#: would throw away the hot-loop entries too).  Not thread-safe (nothing in
+#: this layer is).
 _SCRATCH: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _SCRATCH_MAXSIZE = 256
 
@@ -38,25 +39,66 @@ def _tmp(shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf
 
 
-def _round_inplace_nonan(out: np.ndarray) -> np.ndarray:
-    """In-place RNE rounding of a float32 array assumed to hold no NaN.
+_SHIFT, _ONE = np.uint32(16), np.uint32(1)
+_HALF_ULP, _HIGH = np.uint32(0x7FFF), np.uint32(0xFFFF0000)
 
-    ±inf is handled correctly (the bias cannot carry out of an all-ones
-    exponent with a zero mantissa); only NaN payloads would be corrupted.
-    The ring kernels call this on accumulator segments whose *inputs* were
-    proven finite at staging time: a chain of additions over finite
-    operands can saturate to ±inf, but once saturated it stays on that
-    infinity and can never produce NaN, so skipping the NaN mask there is
-    exact and saves two of the seven memory passes per hop.
+
+def _rne_bits(src: np.ndarray, out: np.ndarray, bias: np.ndarray) -> None:
+    """Round-to-nearest-even of float32 words ``src`` into ``out``: five passes.
+
+    ``bias`` (uint32, ``src``'s shape) receives ``0x7FFF`` plus the kept
+    least significant bit; it may be ``out`` itself when ``out`` does not
+    overlap ``src``, which fuses the copy into the rounding with no
+    temporary.  NaN payloads confined to the low 16 bits are not preserved
+    (see :func:`_round_into`).
+    """
+    np.right_shift(src, _SHIFT, out=bias)
+    np.bitwise_and(bias, _ONE, out=bias)
+    np.add(bias, _HALF_ULP, out=bias)
+    np.add(src, bias, out=out)
+    np.bitwise_and(out, _HIGH, out=out)
+
+
+def _round_inplace_nonan(out: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """In-place RNE rounding of a float32 array without NaN restoring.
+
+    Exact for every value whose NaN, if it is one, has zero low 16 bits:
+    ±inf cannot carry out of its all-ones exponent, and such a NaN keeps
+    every bit.  The ring kernels round every hop with it: a hop adds two
+    bf16 values, and a NaN or ±inf f32 sum of two bf16 values has zero low
+    16 bits (a propagated NaN is a bf16 word, quieted; the default NaN of
+    ``inf + -inf`` is ``0xFFC00000``).  ``bias`` is a 4-byte scratch of
+    ``out``'s shape (a pooled one when omitted).
     """
     bits = out.view(np.uint32)
-    bias = np.right_shift(bits, np.uint32(16), out=_tmp(out.shape, np.uint32))
-    np.bitwise_and(bias, np.uint32(1), out=bias)
-    np.add(bias, np.uint32(0x7FFF), out=bias)
-    with np.errstate(over="ignore"):
-        np.add(bits, bias, out=bits)
-    np.bitwise_and(bits, np.uint32(0xFFFF0000), out=bits)
+    bias = _tmp(out.shape, np.uint32) if bias is None else bias.view(np.uint32)
+    _rne_bits(bits, bits, bias)
     return out
+
+
+def _nan_mask(x: np.ndarray) -> np.ndarray | None:
+    """``np.isnan(x)``, or ``None`` when ``x`` holds no NaN.
+
+    One pass decides: ``maximum`` propagates NaN and is the cheapest such
+    reduction (it has no identity, hence the size guard).
+    """
+    top = np.maximum.reduce(x, axis=None) if x.size else 0
+    return np.isnan(x) if top != top else None
+
+
+def _round_into(src: np.ndarray, out: np.ndarray, bias: np.ndarray | None = None) -> None:
+    """RNE of float32 ``src`` into float32 ``out`` of its shape, NaN kept.
+
+    The bias trick can corrupt NaN payloads (even into inf/-0.0), so NaN is
+    restored afterwards, where :func:`_nan_mask` finds any.  Without
+    ``bias``, ``out`` must not overlap ``src``: it takes the bias words
+    itself (:func:`_rne_bits`).
+    """
+    nan_mask = _nan_mask(src)
+    out_bits = out.view(np.uint32)
+    _rne_bits(src.view(np.uint32), out_bits, out_bits if bias is None else bias)
+    if nan_mask is not None:
+        out[nan_mask] = np.nan
 
 
 def round_to_bfloat16(
@@ -65,50 +107,27 @@ def round_to_bfloat16(
     """Round float values to the nearest bfloat16 (ties to even).
 
     Returns a float32 array whose values are exactly representable in
-    bfloat16.  NaN is preserved; overflow saturates to +/-inf exactly as a
-    hardware cast would.
+    bfloat16.  NaN is preserved (as ``0x7FC00000``); overflow saturates to
+    +/-inf exactly as a hardware cast would.
 
     When ``out`` is a float32 array of the input's shape, the rounding is
     performed writing into it (``out is x`` is allowed and rounds fully in
-    place) — the hot path of the vectorized bf16 ring kernel, which would
-    otherwise allocate several temporaries per hop.
+    place).
     """
-    if out is not None:
-        if out.dtype != np.float32:
-            raise ValueError("out must be a float32 array")
-        src = np.asarray(x)
-        if src.dtype != np.float32 or src.shape != out.shape:
-            np.copyto(out, src, casting="same_kind")
-            src = out
-        # Read the bias straight off the source and write the rounded bits
-        # into out — when out is not src this fuses the copy into the
-        # rounding passes instead of paying a separate copyto sweep.
-        src_bits = src.view(np.uint32)
-        nan_mask = np.isnan(src, out=_tmp(out.shape, np.bool_))
-        bias = np.right_shift(src_bits, np.uint32(16), out=_tmp(out.shape, np.uint32))
-        np.bitwise_and(bias, np.uint32(1), out=bias)
-        np.add(bias, np.uint32(0x7FFF), out=bias)
-        out_bits = out.view(np.uint32)
-        with np.errstate(over="ignore"):
-            np.add(src_bits, bias, out=out_bits)
-        np.bitwise_and(out_bits, np.uint32(0xFFFF0000), out=out_bits)
-        # The bias trick can corrupt NaN payloads (even into inf/-0.0);
-        # restoring is a fancy-indexed pass, so only pay it when needed.
-        if nan_mask.any():
-            out[nan_mask] = np.nan
+    if out is None:
+        src = np.asarray(x, dtype=np.float32)
+        out = np.empty(src.shape, np.float32)
+        _round_into(src, out)
         return out
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float32))
-    bits = arr.view(np.uint32).copy()
-    nan_mask = np.isnan(arr)
-    # Round-to-nearest-even on the upper 16 bits.
-    lsb = (bits >> np.uint32(16)) & np.uint32(1)
-    bias = np.uint32(0x7FFF) + lsb
-    with np.errstate(over="ignore"):
-        bits = (bits + bias) & np.uint32(0xFFFF0000)
-    result = bits.view(np.float32).copy()
-    # Rounding a NaN must stay NaN (the bias trick can corrupt the payload).
-    result[nan_mask] = np.nan
-    return result.reshape(np.shape(x))
+    if out.dtype != np.float32:
+        raise ValueError("out must be a float32 array")
+    src = np.asarray(x)
+    if src.dtype != np.float32 or src.shape != out.shape:
+        np.copyto(out, src, casting="same_kind")
+        src = out
+    overlap = np.may_share_memory(src, out)
+    _round_into(src, out, _tmp(out.shape, np.uint32) if overlap else None)
+    return out
 
 
 def is_bfloat16_representable(x: np.ndarray | float) -> np.ndarray | bool:

@@ -43,13 +43,14 @@ spans, counters and arithmetic exist once.  Their result rows are
 therefore **read-only views of one shared buffer** — writing into one
 raises; callers that need ownership ``.copy()``.  The grid collectives
 batch their independent column/row rings into single stacked kernel calls
-(:func:`_linear_ring_passes_batched`), so a 64x64-grid phase is
+(:func:`_linear_ring_passes` over ``(B, size)`` rows), so a 64x64-grid phase is
 ``O(ring_steps)`` numpy operations rather than ``O(x * y * ring_steps)``
 Python iterations.  This is what pushes the runtime from ~256 to 4096
 real devices.
 
-Padding metadata is cached keyed by ``(n, size)`` and quantization staging
-buffers are pooled keyed by shape/dtype — both behind *bounded* LRUs so a
+Padding metadata is cached keyed by ``(n, size)`` and the row scratch a
+collective converts its sources through (see :class:`_Wire`) is pooled
+keyed by shape/dtype — both behind *bounded* LRUs so a
 workload sweeping many distinct shapes cannot grow them without limit —
 and repeated steps (the trainer hot loop) pay zero setup and zero large
 allocations beyond their outputs.
@@ -67,7 +68,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.numerics.bfloat16 import _round_inplace_nonan, bf16_add, round_to_bfloat16
+from repro.numerics.bfloat16 import (
+    _nan_mask,
+    _round_inplace_nonan,
+    _round_into,
+    bf16_add,
+    round_to_bfloat16,
+)
 from repro.refuse import count
 from repro.runtime.stacked import StackedValue
 
@@ -337,40 +344,123 @@ def _as_device_block(
 @lru_cache(maxsize=256)
 def _ring_sweeps(
     n: int, size: int, chunk: int
-) -> tuple[tuple[tuple[slice | None, slice | None], ...], tuple[tuple[int, slice], ...]]:
-    """The block operations of :func:`_linear_ring_passes`, as slices.
+) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """The block operations of :func:`_linear_ring_passes`, as pieces.
 
-    Pass one: per device ``d``, its own slot (copied; ``None`` when it lies
-    in the padding) and the head below it (added; ``None`` for device 0).
-    Pass two: ``(d, tail)`` for every device with a non-empty tail above its
-    slot.  A pure function of the layout, so a training loop, which
-    reduces the same layout every step, builds it once.
+    Pass one: ``(d, read, own, below)`` per device ``d``: the prefix of its
+    row it reads, its own slot (copied; ``None`` when it lies in the
+    padding) and the head below it (added; ``None`` for device 0).  Pass
+    two: ``(d, above)`` for every device with a non-empty tail above its
+    slot.  A piece is ``(..., slice)``, so it cuts a flat row and a stack
+    of rings' rows alike.  A pure function of the layout, so a training
+    loop, which reduces the same layout every step, builds it once.
     """
     first = []
     for d in range(n):
         lo = d * chunk
         hi = min(lo + chunk, size)
         end = min(lo, size)
-        first.append((slice(lo, hi) if hi > lo else None, slice(0, end) if end > 0 else None))
+        if hi > 0:
+            first.append((
+                d, (..., slice(0, hi)),
+                (..., slice(lo, hi)) if hi > lo else None,
+                (..., slice(0, end)) if end > 0 else None,
+            ))
     second = []
     for d in range(n - 1):
         start = min((d + 1) * chunk, size)
         if start < size:
-            second.append((d, slice(start, size)))
+            second.append((d, (..., slice(start, size))))
     return tuple(first), tuple(second)
 
 
+class _Wire:
+    """One collective's reads of its raw sources in the policy's wire format.
+
+    Every source element is read by exactly one hop of
+    :func:`_linear_ring_passes`: its device's prefix in pass one, or its
+    tail in pass two.  So :meth:`load` converts a source piece at that hop
+    -- cast to the wire dtype, and under bf16 rounded -- and each element
+    is still converted exactly once: the bits of converting the whole
+    stack up front, without an ``(n, size)`` staging block.  The piece
+    lands in ``buf``, one source row per ring taken once per collective
+    and sliced per piece, and once a hop's add is done the same slice
+    holds the bias words of its rounding (:meth:`round`).  Under bf16 a
+    piece gets one NaN probe (:func:`~repro.numerics.bfloat16._round_into`)
+    and a source that is not float32 is first cast into ``spare``, a
+    second such row, so the double rounding f64 -> f32 -> bf16 is the
+    reference's.
+
+    ``convert=False`` serves the X phase of the 2-D schedule, whose sources
+    (the Y accumulator) are already on the wire: it reads them as they are
+    and only rounds the hops.
+    """
+
+    def __init__(
+        self, shape: tuple[int, ...], dtype: np.dtype, bf16: bool,
+        convert: bool = True, cast: bool = False,
+    ) -> None:
+        rows = _scratch((2 if cast else 1, *shape), dtype)
+        self.buf, self.spare = rows[0], (rows[1] if cast else None)
+        self.bf16, self.convert = bf16, convert
+
+    def load(self, src: np.ndarray, piece: tuple) -> np.ndarray:
+        """``src``'s rows with ``[piece]`` on the wire: ``buf`` if converted."""
+        if not self.convert:
+            return src
+        raw, buf = src[piece], self.buf[piece]
+        if not self.bf16:
+            buf[...] = raw
+        elif raw.dtype == np.float32:
+            _round_into(raw, buf)
+        else:
+            spare = self.spare[piece]
+            np.copyto(spare, raw, casting="same_kind")
+            _round_into(spare, buf)
+        return self.buf
+
+    def round(self, acc: np.ndarray, piece: tuple) -> None:
+        """The hop's rounding of the accumulator piece it just added into."""
+        if self.bf16:
+            _round_inplace_nonan(acc, self.buf[piece])
+
+
+def _wire_for(
+    policy: str, dtype: np.dtype, src_dtypes: set, shape: tuple[int, ...]
+) -> _Wire | None:
+    """The :class:`_Wire` of a collective over raw sources of ``src_dtypes``.
+
+    ``None`` when there is nothing to do per piece: sources already in the
+    wire dtype of an f32/f64 policy are added straight off their buffers,
+    zero copies and no per-hop work.
+    """
+    bf16 = policy == "bf16"
+    if not bf16 and src_dtypes == {dtype}:
+        return None
+    return _Wire(shape, dtype, bf16, cast=bf16 and src_dtypes != {dtype})
+
+
+def _canonical_nans(out: np.ndarray) -> None:
+    """Write every NaN of a bf16 collective's output as ``0x7FC00000``.
+
+    That is what the checked rounding of every reference hop writes.  The
+    per-hop rounding keeps a NaN as the add made it, and x86's ``inf +
+    -inf`` is the default NaN ``0xFFC00000``; every other bit already
+    agrees, since no non-NaN result depends on a NaN's sign or payload.
+    One ``maximum`` pass looks for NaN, which is rare.
+    """
+    nan_mask = _nan_mask(out)
+    if nan_mask is not None:
+        out[nan_mask] = np.nan
+
+
 def _linear_ring_passes(
-    acc: np.ndarray,
-    srcs,
-    size: int,
-    chunk: int,
-    bf16_round: Callable[[np.ndarray], np.ndarray] | None = None,
+    acc: np.ndarray, srcs, size: int, chunk: int, wire: _Wire | None = None,
 ) -> np.ndarray:
     """Ring reduce-scatter as two linear sweeps of contiguous block adds.
 
     ``acc`` is the flat ``(padded,)`` accumulator whose chunk ``c`` is slot
-    ``c``; ``srcs[d]`` is device ``d``'s quantized flat buffer (``size``
+    ``c``; ``srcs[d]`` is device ``d``'s raw flat buffer (``size``
     elements).  Slot ``c`` must accumulate devices in the cyclic ring order
     ``c, c+1, ..., n-1, 0, ..., c-1`` — which a linear sweep over devices
     realizes exactly: in pass one device ``d`` *initializes* its own slot
@@ -380,136 +470,44 @@ def _linear_ring_passes(
     straight off the source buffer (operand order ``contribution + acc``,
     matching ``reducer(chunks[dst][c], chunks[d][c])`` of the reference
     schedule) — no staging copies, no index arrays, and the accumulator
-    stays cache-resident.  For bf16 each touched region is re-rounded
-    after its add, exactly one rounding per slot per hop.  The slices come
-    from :func:`_ring_sweeps`.
+    stays cache-resident.  With a ``wire`` (see :func:`_wire_for`) the
+    part of a row a pass reads is converted to the wire format there, its
+    only read, and under bf16 each touched region is re-rounded after its
+    add, exactly one rounding per slot per hop.  The pieces come from
+    :func:`_ring_sweeps`.
+
+    ``B`` independent rings run as one call when ``acc`` is ``(B,
+    padded)`` and ``srcs[d]`` is ``(B, size)`` (row ``b`` is ring ``b``'s
+    device ``d``; any strided view works, e.g. the Y accumulator feeding
+    the X phase of the 2-D schedule).  Every add and round is elementwise
+    and the rings are data-independent, so each row runs the identical
+    operation sequence bit for bit, but a grid phase costs
+    ``O(ring_steps)`` numpy calls instead of ``O(B * ring_steps)``, which
+    is what makes 64x64-grid (4096-device) collectives executable.
 
     Padding slots (``>= size``) are never written and must be pre-zeroed.
-    ``bf16_round`` is the per-hop in-place rounding function for the bf16
-    policy (:func:`_bf16_round_for` picks the NaN-checked or the faster
-    NaN-free variant per collective); ``None`` for f32/f64.
     """
     first, second = _ring_sweeps(len(srcs), size, chunk)
-    for src, (own, below) in zip(srcs, first):
+    for d, read, own, below in first:
+        src = srcs[d] if wire is None else wire.load(srcs[d], read)
         if own is not None:
             acc[own] = src[own]
         if below is not None:
             head = acc[below]
             np.add(src[below], head, out=head)
-            if bf16_round is not None:
-                bf16_round(head)
+            if wire is not None:
+                wire.round(head, below)
     for d, above in second:
+        src = srcs[d] if wire is None else wire.load(srcs[d], above)
         tail = acc[above]
-        np.add(srcs[d][above], tail, out=tail)
-        if bf16_round is not None:
-            bf16_round(tail)
+        np.add(src[above], tail, out=tail)
+        if wire is not None:
+            wire.round(tail, above)
     return acc
 
 
-def _linear_ring_passes_batched(
-    acc2: np.ndarray,
-    srcs3: np.ndarray,
-    size: int,
-    chunk: int,
-    bf16_round: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """``B`` independent ring reduce-scatters as one batched kernel.
-
-    ``acc2`` is ``(B, padded)`` — row ``b`` is the flat accumulator of ring
-    ``b`` — and ``srcs3`` is ``(B, n, size)``: ``srcs3[b, d]`` is ring
-    ``b``'s device ``d`` (any strided view works, e.g. the transposed Y
-    accumulators feeding the X phase of the 2-D schedule).  Each batch row
-    executes the *identical* operation sequence of
-    :func:`_linear_ring_passes` — the rings are data-independent and every
-    add/round is elementwise, so batching them into 2-D operations is
-    bit-exact — but a grid phase costs ``O(ring_steps)`` numpy calls
-    instead of ``O(B * ring_steps)``, which is what makes 64x64-grid
-    (4096-device) collectives executable.
-
-    Padding columns (``>= size``) are never written and must be pre-zeroed.
-    """
-    n = srcs3.shape[1]
-    for d in range(n):
-        lo = d * chunk
-        hi = min(lo + chunk, size)
-        if hi > lo:
-            acc2[:, lo:hi] = srcs3[:, d, lo:hi]
-        end = min(lo, size)
-        if end > 0:
-            np.add(srcs3[:, d, :end], acc2[:, :end], out=acc2[:, :end])
-            if bf16_round is not None:
-                bf16_round(acc2[:, :end])
-    for d in range(n - 1):
-        start = min((d + 1) * chunk, size)
-        if start < size:
-            np.add(srcs3[:, d, start:size], acc2[:, start:size], out=acc2[:, start:size])
-            if bf16_round is not None:
-                bf16_round(acc2[:, start:size])
-    return acc2
-
-
-def _round_checked(seg: np.ndarray) -> np.ndarray:
-    return round_to_bfloat16(seg, out=seg)
-
-
-def _bf16_round_for(staged: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Pick the per-hop rounding variant for one collective.
-
-    When every staged input is finite, accumulation chains can saturate to
-    ±inf but never produce NaN, so the NaN-mask passes of the full rounding
-    can be skipped bit-exactly; any NaN/inf input falls back to the checked
-    variant.
-    """
-    finite = np.isfinite(staged, out=_scratch(staged.shape, np.dtype(np.bool_)))
-    return _round_inplace_nonan if finite.all() else _round_checked
-
-
-def _quantized_sources(
-    flats, dtype: np.dtype, policy: str, block: np.ndarray | None = None
-) -> tuple[Sequence[np.ndarray] | np.ndarray, Callable | None]:
-    """Per-device flat buffers in the policy's wire format.
-
-    Returns ``(srcs, bf16_round)``.  Buffers already in the wire dtype are
-    used as-is (zero copies — the hot path); otherwise the stack is staged
-    once through a pooled scratch block.  For bf16 each row gets a fused
-    copy+round (bias temporaries stay cache-sized) plus a finiteness check
-    while the row is still cache-hot, which selects the per-hop rounding
-    variant (see :func:`_bf16_round_for`); ``bf16_round`` is ``None`` for
-    the other policies.
-
-    When ``block`` is the contiguous ``(n, size)`` backing array of
-    ``flats`` (the device-major fast path), staging and rounding run as
-    single whole-block operations instead of per-row loops — elementwise
-    identical, but ``O(1)`` dispatches for a 4096-row stack.
-    """
-    if policy != "bf16":
-        in_wire_dtype = (
-            block.dtype == dtype if block is not None
-            else all(f.dtype == dtype for f in flats)
-        )
-        if in_wire_dtype:
-            return flats, None
-        staged = _scratch((len(flats), flats[0].size), dtype)
-        if block is not None:
-            staged[...] = block
-        else:
-            for d, f in enumerate(flats):
-                staged[d] = f
-        return staged, None
-    staged = _scratch((len(flats), flats[0].size), dtype)
-    if block is not None:
-        round_to_bfloat16(block, out=staged)
-        finite = bool(
-            np.isfinite(staged, out=_scratch(staged.shape, np.dtype(np.bool_))).all()
-        )
-        return staged, (_round_inplace_nonan if finite else _round_checked)
-    row_ok = _scratch((flats[0].size,), np.dtype(np.bool_))
-    finite = True
-    for d, f in enumerate(flats):
-        round_to_bfloat16(f, out=staged[d])
-        if finite:
-            finite = bool(np.isfinite(staged[d], out=row_ok).all())
-    return staged, (_round_inplace_nonan if finite else _round_checked)
+def _source_dtypes(flats, block: np.ndarray | None) -> set:
+    return {block.dtype} if block is not None else {f.dtype for f in flats}
 
 
 def _ring_reduce_scatter_impl(
@@ -518,18 +516,20 @@ def _ring_reduce_scatter_impl(
     """Shared core: returns ``(shards (n, chunk), shape, padded)``.
 
     ``arrays`` may be a legacy per-device sequence, a device-major
-    ``(n, *shape)`` ndarray, or a :class:`StackedValue` — the contiguous
-    block forms take the whole-stack quantization fast path.
+    ``(n, *shape)`` ndarray, or a :class:`StackedValue`; either way the
+    kernel reads the devices' raw rows (see :class:`_Wire`).
     """
     dtype = _dtype_for(dtype_policy)
     block, flats, n, shape = _as_device_block(arrays)
     size = math.prod(shape)
     padded, chunk = padded_chunk_layout(n, size)
-    srcs, bf16_round = _quantized_sources(flats, dtype, dtype_policy, block)
+    wire = _wire_for(dtype_policy, dtype, _source_dtypes(flats, block), (size,))
     acc = np.empty(padded, dtype=dtype)
     if padded > size:
         acc[size:] = 0
-    _linear_ring_passes(acc, srcs, size, chunk, bf16_round)
+    _linear_ring_passes(acc, flats, size, chunk, wire)
+    if dtype_policy == "bf16":
+        _canonical_nans(acc)
     return acc.reshape(n, chunk), shape, padded
 
 
@@ -653,26 +653,21 @@ def _grid_shape(grid: Sequence[Sequence[np.ndarray]]) -> tuple[int, int]:
     return x, y
 
 
-def _quantized_grid_block(
-    flats, dtype: np.dtype, policy: str, block: np.ndarray | None = None
-) -> tuple[np.ndarray, Callable | None]:
-    """Like :func:`_quantized_sources` but always yields a real 2-D block.
+def _stacked_rows(flats, block: np.ndarray | None) -> np.ndarray:
+    """The sources as one ``(n, size)`` array of raw rows.
 
-    The batched grid kernels index sources as one ``(n, size)`` array, so
-    list inputs that are already in the wire dtype (which the plain ring
-    keeps as zero-copy views) are staged through the scratch pool here —
-    one bit-preserving copy that buys ``O(ring_steps)`` instead of
-    ``O(n * ring_steps)`` kernel dispatches.
+    The grid phases batch their rings over one source array, so a list
+    input (the grid list adapters) is copied into a pooled block as it is --
+    one bit-preserving copy that buys ``O(ring_steps)`` instead of ``O(n *
+    ring_steps)`` kernel dispatches.  A device-major block is used as-is.
     """
-    srcs, bf16_round = _quantized_sources(flats, dtype, policy, block)
-    if isinstance(srcs, np.ndarray):
-        return srcs, bf16_round
-    if block is not None and block.dtype == dtype:
-        return block, bf16_round
-    staged = _scratch((len(flats), flats[0].size), dtype)
-    for d, f in enumerate(srcs):
-        staged[d] = f
-    return staged, bf16_round
+    if block is not None:
+        return block
+    dtype = np.result_type(*_source_dtypes(flats, None))
+    rows = _scratch((len(flats), flats[0].size), dtype)
+    for d, f in enumerate(flats):
+        rows[d] = f
+    return rows
 
 
 class TwoPhaseAllReduce:
@@ -693,10 +688,8 @@ class TwoPhaseAllReduce:
     holds one column of gradients, not the mesh's.  The bits do not
     depend on the grouping: each column ring reads only its own column,
     in the same ring order, and the batched kernel is row-independent.
-    The one choice a group makes is the bf16 per-hop rounding variant
-    (NaN-free when the group's staged inputs are finite), which is
-    bit-exact either way; the X phase re-decides it over the whole Y
-    accumulator.
+    A group makes no choice of its own: each source piece is probed for
+    NaN as it is converted, and every hop takes the same rounding.
 
     Telemetry: one ``reduce_scatter_y`` span per :meth:`reduce_columns`
     call, but one Y launch (counters and ``collective_seconds`` over the
@@ -733,14 +726,15 @@ class TwoPhaseAllReduce:
                 f"{n} buffers of shape {shape} are not whole columns "
                 f"{x0}.. of a {self.x_size}x{self.y_size} grid of {self.shape}"
             )
-        srcs2, bf16_round = _quantized_grid_block(
-            flats, self.dtype, self.dtype_policy, block
+        srcs2 = _stacked_rows(flats, block)
+        wire = _wire_for(
+            self.dtype_policy, self.dtype, {srcs2.dtype}, (cols, self.size)
         )
         t0 = _perf()
-        _linear_ring_passes_batched(
+        _linear_ring_passes(
             self.acc_y[x0:x0 + cols],
-            srcs2.reshape(cols, self.y_size, self.size),
-            self.size, self.y_chunk, bf16_round,
+            srcs2.reshape(cols, self.y_size, self.size).swapaxes(0, 1),
+            self.size, self.y_chunk, wire,
         )
         self._columns += cols
         if _telemetry.enabled:
@@ -761,21 +755,19 @@ class TwoPhaseAllReduce:
                 policy, self._y_seconds, axis="y",
             )
         # For each Y-shard index, a ring across columns.  Sources are the Y
-        # accumulators (already quantized, so no re-rounding for bf16):
-        # device x of ring y contributes Y-chunk y of mesh column x — exactly
-        # the transpose of the Y accumulator block, taken as a strided view.
-        # The NaN-free fast path must be re-decided here: finite inputs can
-        # saturate to +inf in one column and -inf in another, which meet as
-        # NaN when reducing across X.
-        bf16_round = _bf16_round_for(self.acc_y) if policy == "bf16" else None
+        # accumulators (already on the wire, so bf16 only rounds the hops):
+        # device x of ring y contributes Y-chunk y of mesh column x, so the
+        # Y accumulator block, viewed (x, y, y_chunk), is the rings' sources.
+        bf16 = policy == "bf16"
+        wire = _Wire((y_size, y_chunk), dtype, bf16, convert=False) if bf16 else None
         acc_y3 = self.acc_y.reshape(x_size, y_size, y_chunk)
         padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
         t0 = _perf()
         x_shards = np.empty((y_size, padded_x), dtype=dtype)
         x_shards[:, y_chunk:] = 0
-        _linear_ring_passes_batched(
-            x_shards, acc_y3.transpose(1, 0, 2), y_chunk, x_chunk, bf16_round
-        )
+        _linear_ring_passes(x_shards, acc_y3, y_chunk, x_chunk, wire)
+        if bf16:
+            _canonical_nans(x_shards)
         if _telemetry.enabled:
             # y_size concurrent row rings over the already-1/y payload.
             _record_collective(

@@ -8,8 +8,14 @@ machine precision (float64).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
+from repro.core.data_parallel import (
+    DataParallelTrainer,
+    SingleDeviceTrainer,
+    _divide_in_place,
+)
 from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import Adam, LAMB, LARS, SGDMomentum
 
@@ -124,3 +130,39 @@ class TestMechanics:
         log = dp.train(batches(), steps=5)
         assert len(log.losses) == 5
         assert log.last_loss == log.losses[-1]
+
+
+def _special_words(bits: int) -> list[int]:
+    """Signed zeros, subnormals, extremes, ±inf and NaN payloads of a float."""
+    mant = {32: 23, 64: 52}[bits]
+    sign, exp_ones = 1 << (bits - 1), ((1 << (bits - 1 - mant)) - 1) << mant
+    words = [
+        0, 1, (1 << mant) - 1,  # +0, smallest and largest subnormal
+        1 << mant, exp_ones - 1,  # smallest normal, largest finite
+        exp_ones, exp_ones | 1, exp_ones | (1 << (mant - 1)),  # inf, sNaN, qNaN
+        exp_ones | ((1 << mant) - 1), exp_ones | 0xFFFF,  # NaN payloads
+    ]
+    return words + [w | sign for w in words]
+
+
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    n=st.one_of(st.integers(0, 12).map(lambda k: 2 ** k), st.sampled_from([3, 6, 7])),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mean_scale_is_the_division_bit_for_bit(dtype, n, data):
+    """A power-of-two replica count multiplies by its exact reciprocal;
+    every input word, special values included, keeps the bits of ``g / n``."""
+    uint = {np.float32: np.uint32, np.float64: np.uint64}[dtype]
+    bits = 8 * np.dtype(dtype).itemsize
+    words = data.draw(st.lists(
+        st.one_of(st.sampled_from(_special_words(bits)), st.integers(0, 2 ** bits - 1)),
+        min_size=1, max_size=64,
+    ))
+    g = np.array(words, dtype=uint).view(dtype)
+    with np.errstate(all="ignore"):
+        want = g / n
+        got = g.copy()
+        _divide_in_place(got, n)
+    assert got.view(uint).tobytes() == want.view(uint).tobytes()

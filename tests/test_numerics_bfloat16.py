@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.numerics.bfloat16 import (
     BF16_EPS,
+    _round_inplace_nonan,
     bf16_add,
     is_bfloat16_representable,
     round_to_bfloat16,
@@ -93,3 +94,32 @@ class TestBf16Arithmetic:
     def test_representable_check(self):
         assert is_bfloat16_representable(1.0)
         assert not is_bfloat16_representable(np.float32(1.0 + 2**-9))
+
+
+#: Every bfloat16 value, as float32 words with zero low halves.
+BF16_WORDS = (np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)).view(np.float32)
+
+
+def test_non_finite_sums_of_two_bf16_values_round_to_themselves():
+    """The per-hop lemma of the ring kernels, exhaustively: for every bf16
+    ``a`` and every non-finite bf16 ``b``, in both operand orders, the f32
+    sum has zero low 16 bits, so the NaN-free rounding keeps every bit of
+    it, and the checked rounding differs only by writing ``0x7FC00000`` for
+    every NaN (the default NaN of ``inf + -inf`` is ``0xFFC00000`` here)."""
+    non_finite = BF16_WORDS[~np.isfinite(BF16_WORDS)]
+    assert non_finite.size == 256
+    a = BF16_WORDS[:, None]
+    kept = np.empty((a.size, 32), np.float32)
+    bias = np.empty(kept.shape, np.uint32)
+    for b in np.split(non_finite, 8):
+        with np.errstate(invalid="ignore"):
+            sums = (a + b, b + a)
+        for total in sums:
+            bits = total.view(np.uint32)
+            assert not np.bitwise_and(bits, np.uint32(0xFFFF), out=bias).any()
+            np.copyto(kept, total)
+            _round_inplace_nonan(kept, bias)
+            assert np.array_equal(kept.view(np.uint32), bits)
+            canonical = bits.copy()
+            canonical[np.isnan(total)] = 0x7FC00000
+            assert np.array_equal(round_to_bfloat16(total).view(np.uint32), canonical)
