@@ -22,7 +22,6 @@ from repro.cluster.jobs import (
     RUNNING,
     JobReport,
     JobSpec,
-    derive_subseed,
 )
 from repro.cluster.scheduler import (
     DEFAULT_ADMISSION_POLICY,
@@ -34,6 +33,7 @@ from repro.cluster.scheduler import (
 )
 from repro.cluster.state import ClusterState, Slice
 from repro.resilience.faults import RetryPolicy
+from repro.seeding import derive_subseed
 
 __all__ = [
     "COMPLETED",

@@ -9,17 +9,16 @@ into a :class:`JobReport`, which extends the repo-wide
 lifecycle (admissions, preemptions, shrinks, regrows, SLO attainment) and
 a replayable **timeline** of every trainer-visible operation.
 
-Reproducibility contract (:func:`derive_subseed`): every random choice of
-a multi-job chaos run — the pod's fault plan, each job's trainer init,
-each job's batch stream, each tenant's retry jitter — is derived from the
-*single* cluster seed through a labeled hash path, so one ``--seed``
-replays the whole cluster bit-for-bit and two tenants never share an RNG
-stream by accident.
+Reproducibility contract (:func:`~repro.seeding.derive_subseed`, which
+this module re-exports): every random choice of a multi-job chaos run —
+the pod's fault plan, each job's trainer init, each job's batch stream,
+each tenant's retry jitter — is derived from the *single* cluster seed
+through a labeled hash path, so one ``--seed`` replays the whole cluster
+bit-for-bit and two tenants never share an RNG stream by accident.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -28,6 +27,7 @@ import numpy as np
 
 from repro.refuse import count, fraction, non_negative, positive
 from repro.resilience.chaos import BatchFn, GoodputAccounting
+from repro.seeding import derive_subseed  # noqa: F401  (re-exported)
 
 #: Job lifecycle states (plain strings so tables/JSON stay readable).
 PENDING = "pending"
@@ -59,31 +59,6 @@ STATE_COUNTERS = {
     COMPLETED: "cluster_completions",
     REJECTED: "cluster_rejections",
 }
-
-
-def derive_subseed(seed: int, *path: str | int) -> int:
-    """A 32-bit sub-seed that is a pure function of ``seed`` and a label path.
-
-    String path parts are hashed (SHA-256, first 8 bytes) into entropy
-    words for :class:`numpy.random.SeedSequence`, whose mixing is
-    documented as stable across platforms and numpy versions.  Distinct
-    paths give statistically independent streams::
-
-        derive_subseed(2021, "faults")            # the pod's fault plan
-        derive_subseed(2021, "init", "tenant-a")  # one job's trainer init
-        derive_subseed(2021, "batches", "tenant-a")
-
-    This is the single splitting rule of :mod:`repro.cluster` — every
-    random draw in a cluster run traces back to one seed through it.
-    """
-    entropy: list[int] = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    for part in path:
-        if isinstance(part, int):
-            entropy.append(part & 0xFFFFFFFFFFFFFFFF)
-        else:
-            digest = hashlib.sha256(str(part).encode()).digest()
-            entropy.append(int.from_bytes(digest[:8], "big"))
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

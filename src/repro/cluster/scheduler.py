@@ -69,7 +69,6 @@ from repro.cluster.jobs import (
     TENANT_COUNTERS,
     JobReport,
     JobSpec,
-    derive_subseed,
 )
 from repro.cluster.state import ClusterState
 from repro.controlplane.checkpointing import StepInterval
@@ -78,6 +77,7 @@ from repro.resilience.chaos import (
     Recovery, check_plan, check_recovery_knobs, trainer_for,
 )
 from repro.resilience.faults import Device, FaultPlan, RetryPolicy
+from repro.seeding import derive_subseed
 
 logger = logging.getLogger("repro.cluster")
 

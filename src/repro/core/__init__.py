@@ -29,81 +29,44 @@ Analytic layer (regenerates the paper's evaluation):
   slice, reproducing the paper's per-benchmark choices.
 """
 
-from repro.core.trainer import (
-    STRATEGIES,
-    StepResult,
-    Trainer,
-    TrainerConfig,
-    make_trainer,
-)
-from repro.core.overlap import (
-    OverlapResult,
-    analytic_overlap,
-    measured_overlap,
-    simulate_overlap_schedule,
-)
-from repro.core.data_parallel import (
-    SingleDeviceTrainer,
-    DataParallelTrainer,
-)
-from repro.core.weight_update_sharding import (
-    shard_states,
-    sharded_update,
-    WeightUpdateShardedTrainer,
-)
-from repro.core.model_parallel import (
-    FeatureShardedMLP,
-    HybridParallelTrainer,
-)
-from repro.core.strategy import ParallelismConfig
-from repro.core.step_time import StepTimeBreakdown, StepTimeModel
-from repro.core.convergence import ConvergenceModel, EPOCH_TABLES
-from repro.core.end_to_end import EndToEndModel, EndToEndResult
-from repro.core.planner import plan_parallelism, PlanChoice
-from repro.core.batchnorm import (
-    local_batch_norm,
-    distributed_batch_norm,
-    batch_norm_group_cost,
-)
-from repro.core.memory import MemoryModel, MemoryFootprint
-from repro.core.loop import (
-    LoopResult,
-    simulate_train_eval_loop,
-    dlrm_eval_accumulation_ablation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STRATEGIES",
-    "StepResult",
-    "Trainer",
-    "TrainerConfig",
-    "make_trainer",
-    "OverlapResult",
-    "analytic_overlap",
-    "measured_overlap",
-    "simulate_overlap_schedule",
-    "SingleDeviceTrainer",
-    "DataParallelTrainer",
-    "shard_states",
-    "sharded_update",
-    "WeightUpdateShardedTrainer",
-    "FeatureShardedMLP",
-    "HybridParallelTrainer",
-    "ParallelismConfig",
-    "StepTimeBreakdown",
-    "StepTimeModel",
-    "ConvergenceModel",
-    "EPOCH_TABLES",
-    "EndToEndModel",
-    "EndToEndResult",
-    "plan_parallelism",
-    "PlanChoice",
-    "local_batch_norm",
-    "distributed_batch_norm",
-    "batch_norm_group_cost",
-    "MemoryModel",
-    "MemoryFootprint",
-    "LoopResult",
-    "simulate_train_eval_loop",
-    "dlrm_eval_accumulation_ablation",
-]
+_EXPORTS = {
+    "STRATEGIES": "trainer",
+    "StepResult": "trainer",
+    "Trainer": "trainer",
+    "TrainerConfig": "trainer",
+    "make_trainer": "trainer",
+    "OverlapResult": "overlap",
+    "analytic_overlap": "overlap",
+    "measured_overlap": "overlap",
+    "simulate_overlap_schedule": "overlap",
+    "SingleDeviceTrainer": "data_parallel",
+    "DataParallelTrainer": "data_parallel",
+    "shard_states": "weight_update_sharding",
+    "sharded_update": "weight_update_sharding",
+    "WeightUpdateShardedTrainer": "weight_update_sharding",
+    "FeatureShardedMLP": "model_parallel",
+    "HybridParallelTrainer": "model_parallel",
+    "ParallelismConfig": "strategy",
+    "StepTimeBreakdown": "step_time",
+    "StepTimeModel": "step_time",
+    "ConvergenceModel": "convergence",
+    "EPOCH_TABLES": "convergence",
+    "EndToEndModel": "end_to_end",
+    "EndToEndResult": "end_to_end",
+    "plan_parallelism": "planner",
+    "PlanChoice": "planner",
+    "local_batch_norm": "batchnorm",
+    "distributed_batch_norm": "batchnorm",
+    "batch_norm_group_cost": "batchnorm",
+    "MemoryModel": "memory",
+    "MemoryFootprint": "memory",
+    "LoopResult": "loop",
+    "simulate_train_eval_loop": "loop",
+    "dlrm_eval_accumulation_ablation": "loop",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -11,13 +11,16 @@ paper-vs-measured blocks of EXPERIMENTS.md.
 ``repro-experiments --list`` names every experiment id.
 """
 
-from repro.experiments.calibration import CALIBRATIONS, Calibration, end_to_end_model
-from repro.experiments.report import Table, Figure
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CALIBRATIONS",
-    "Calibration",
-    "end_to_end_model",
-    "Table",
-    "Figure",
-]
+_EXPORTS = {
+    "CALIBRATIONS": "calibration",
+    "Calibration": "calibration",
+    "end_to_end_model": "calibration",
+    "Table": "report",
+    "Figure": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

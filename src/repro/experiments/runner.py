@@ -13,45 +13,36 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from repro.experiments import (
-    ablations,
-    availability,
-    cluster,
-    fidelity,
-    overlap,
-    sensitivity,
-    service_load,
-    spmd_search,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    table1,
-    table2,
-)
+from repro.experiments import fidelity
+
+
+def _entry(name: str):
+    """``repro.experiments.<name>.run``, imported on the first call.
+
+    A process that names one experiment loads that module's layers and no
+    other's (``--list`` loads none); later calls go straight to ``run``.
+    """
+    run = None
+
+    def call(*args, **kwargs):
+        nonlocal run
+        if run is None:
+            run = importlib.import_module(f"repro.experiments.{name}").run
+        return run(*args, **kwargs)
+
+    return call
+
 
 EXPERIMENTS = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "figure5": figure5.run,
-    "figure6": figure6.run,
-    "figure7": figure7.run,
-    "figure8": figure8.run,
-    "figure9": figure9.run,
-    "figure10": figure10.run,
-    "figure11": figure11.run,
-    "ablations": ablations.run,
-    "overlap": overlap.run,
-    "sensitivity": sensitivity.run,
-    "availability": availability.run,
-    "cluster": cluster.run,
-    "service_load": service_load.run,
-    "spmd_search": spmd_search.run,
+    name: _entry(name)
+    for name in (
+        "table1", "table2", "figure5", "figure6", "figure7", "figure8", "figure9",
+        "figure10", "figure11", "ablations", "overlap", "sensitivity", "availability",
+        "cluster", "service_load", "spmd_search",
+    )
 }
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.hardware.chip import ChipSpec, HostSpec, TPU_V3, TPU_V3_HOST
 from repro.refuse import count
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 POD_SIDE = 32
 """Chips per side of one TPU-v3 pod (32x32 = 1024 chips)."""
@@ -231,7 +232,13 @@ class TorusMesh:
     # --- analysis helpers ----------------------------------------------------
 
     def to_networkx(self) -> nx.DiGraph:
-        """Directed graph of chips and links, for analysis and tests."""
+        """Directed graph of chips and links, for analysis and tests.
+
+        networkx is imported here, not with the module: nothing else in the
+        package needs it, and it costs more to import than this module.
+        """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.chips())
         for link in self.links():

@@ -12,69 +12,39 @@ Two kinds of model live here:
   regenerate the paper's tables and figures.
 """
 
-from repro.models.layers import (
-    dense_forward,
-    dense_backward,
-    relu,
-    relu_backward,
-    softmax_cross_entropy,
-)
-from repro.models.mlp import MLP
-from repro.models.costspec import ModelCostSpec, LayerCost
-from repro.models.bert import bert_large_spec
-from repro.models.resnet import resnet50_spec
-from repro.models.transformer import transformer_big_spec
-from repro.models.ssd import ssd_spec
-from repro.models.maskrcnn import maskrcnn_spec
-from repro.models.dlrm import dlrm_spec
-from repro.models.attention import (
-    AttentionParams,
-    HeadShardedAttention,
-    attention_forward,
-    attention_backward,
-)
-from repro.models.transformer_small import (
-    TinyTransformerClassifier,
-    synthetic_sequences,
-)
-from repro.models.embedding import (
-    EmbeddingTableSpec,
-    EmbeddingPlacement,
-    ShardedEmbedding,
-    plan_embedding_placement,
-    interaction_gather,
-    interaction_masked,
-    expand_weights_for_mask,
-    criteo_tables,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "dense_forward",
-    "dense_backward",
-    "relu",
-    "relu_backward",
-    "softmax_cross_entropy",
-    "MLP",
-    "ModelCostSpec",
-    "LayerCost",
-    "bert_large_spec",
-    "resnet50_spec",
-    "transformer_big_spec",
-    "ssd_spec",
-    "maskrcnn_spec",
-    "dlrm_spec",
-    "AttentionParams",
-    "HeadShardedAttention",
-    "attention_forward",
-    "attention_backward",
-    "TinyTransformerClassifier",
-    "synthetic_sequences",
-    "EmbeddingTableSpec",
-    "EmbeddingPlacement",
-    "ShardedEmbedding",
-    "plan_embedding_placement",
-    "interaction_gather",
-    "interaction_masked",
-    "expand_weights_for_mask",
-    "criteo_tables",
-]
+_EXPORTS = {
+    "dense_forward": "layers",
+    "dense_backward": "layers",
+    "relu": "layers",
+    "relu_backward": "layers",
+    "softmax_cross_entropy": "layers",
+    "MLP": "mlp",
+    "ModelCostSpec": "costspec",
+    "LayerCost": "costspec",
+    "bert_large_spec": "bert",
+    "resnet50_spec": "resnet",
+    "transformer_big_spec": "transformer",
+    "ssd_spec": "ssd",
+    "maskrcnn_spec": "maskrcnn",
+    "dlrm_spec": "dlrm",
+    "AttentionParams": "attention",
+    "HeadShardedAttention": "attention",
+    "attention_forward": "attention",
+    "attention_backward": "attention",
+    "TinyTransformerClassifier": "transformer_small",
+    "synthetic_sequences": "transformer_small",
+    "EmbeddingTableSpec": "embedding",
+    "EmbeddingPlacement": "embedding",
+    "ShardedEmbedding": "embedding",
+    "plan_embedding_placement": "embedding",
+    "interaction_gather": "embedding",
+    "interaction_masked": "embedding",
+    "expand_weights_for_mask": "embedding",
+    "criteo_tables": "embedding",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

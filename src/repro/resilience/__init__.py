@@ -26,13 +26,12 @@ actually face:
 Only :mod:`.faults` is imported eagerly — it is a leaf module, which lets
 low-level modules (``repro.comm.schedule``) import the typed errors
 without a cycle; ``checkpoint`` and ``chaos`` load on first attribute
-access (PEP 562).
+access (:func:`repro._lazy.lazy_exports`).
 """
 
 from __future__ import annotations
 
-import importlib
-
+from repro._lazy import lazy_exports
 from repro.resilience.faults import (
     BitFlipFault,
     ChipFailure,
@@ -49,8 +48,6 @@ from repro.resilience.faults import (
     host_map,
 )
 
-_LAZY_SUBMODULES = ("chaos", "checkpoint", "faults")
-
 __all__ = [
     "BitFlipFault",
     "ChipFailure",
@@ -65,11 +62,9 @@ __all__ = [
     "fail_host",
     "host_failure",
     "host_map",
-    *_LAZY_SUBMODULES,
+    "chaos",
+    "checkpoint",
+    "faults",
 ]
 
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        return importlib.import_module(f"repro.resilience.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(__name__, {})

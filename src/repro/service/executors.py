@@ -33,13 +33,16 @@ import logging
 import math
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it on first use: load it before a fork)
 
 # Modules, not names: an executor looks each entry point up when it runs
 # (tests and tracing replace some), and a forked service worker starts with
-# all of them loaded.
+# all of them loaded.  ``make_trainer`` imports its strategy classes on call,
+# so those are loaded here too: a child never imports on a job.
 from repro import cluster
 from repro.controlplane import checkpointing
 from repro.core import step_time, strategy, trainer
+from repro.core import data_parallel, model_parallel, weight_update_sharding  # noqa: F401
 from repro.experiments import calibration
 from repro.models import mlp
 from repro.optim import sgd

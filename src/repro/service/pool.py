@@ -12,7 +12,7 @@ lock.
 Crash injection (:class:`CrashPlan`) makes the service itself
 chaos-testable: whether worker ``w``'s attempt ``k`` at job ``j`` dies
 is a pure function of ``(seed, job label, attempt)`` through the same
-:func:`~repro.cluster.jobs.derive_subseed` splitting rule the cluster
+:func:`~repro.seeding.derive_subseed` splitting rule the cluster
 scheduler uses for its retry jitter — a seeded run replays the exact
 same crashes regardless of thread scheduling, which is what lets tests
 pin "this job crashes twice, then succeeds" behavior.
@@ -27,7 +27,7 @@ import signal
 import threading
 import time
 
-from repro.cluster.jobs import derive_subseed
+from repro.seeding import derive_subseed
 from repro.service.spec import ServiceError, ServiceRejection, SimJob
 
 logger = logging.getLogger("repro.service")

@@ -46,9 +46,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro import telemetry as _telemetry
-from repro.cluster.jobs import derive_subseed
 from repro.refuse import at_least, count, non_negative, positive, proper_fraction
 from repro.resilience.faults import RetryPolicy
+from repro.seeding import derive_subseed
 from repro.service.cache import ResultCache
 from repro.service.executors import DEGRADABLE_KINDS, FORKED_JOBS, execute
 from repro.service.limits import CircuitBreaker, TokenBucket

@@ -37,106 +37,59 @@ Supported API::
     result = search_partitioning(graph, SearchConfig(num_shards=4))
 """
 
-from repro.spmd.ir import Graph, Node, ShapeError
-from repro.spmd.annotations import Sharding
-from repro.spmd.plan import (
-    FEATURE_SETS,
-    Partitioner,
-    PartitionPlan,
-    ShardingSpec,
-    make_partitioner,
-    model_parallel_speedup,
-)
-from repro.spmd.partitioner import (
-    PartitionerFeatures,
-    PartitionedGraph,
-    CommOp,
-    V06_FEATURES,
-    V07_FEATURES,
-)
-from repro.spmd.estimator import PartitionCost
-from repro.spmd.search import (
-    SearchConfig,
-    SearchResult,
-    SearchStats,
-    search_partitioning,
-)
-from repro.spmd.graph_exec import (
-    ExecutionUnsupported,
-    ValidationResult,
-    execute_plan,
-    execute_reference,
-    make_inputs,
-    validate_plan,
-)
-from repro.spmd.modelgraphs import (
-    maskrcnn_graph,
-    resnet_block_graph,
-    ssd_graph,
-    transformer_block_graph,
-)
-from repro.spmd.gather_exec import (
-    gather_as_onehot_matmul,
-    sharded_onehot_gather,
-    topk_direct,
-    distributed_topk,
-)
-from repro.spmd.spatial_exec import (
-    conv2d_direct,
-    shard_height,
-    unshard_height,
-    halo_exchange,
-    spatial_conv2d,
-    spatial_conv_stack,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
+_EXPORTS = {
     # IR
-    "Graph",
-    "Node",
-    "ShapeError",
+    "Graph": "ir",
+    "Node": "ir",
+    "ShapeError": "ir",
     # layouts
-    "Sharding",
+    "Sharding": "annotations",
     # supported facade (PR 5 trainer pattern)
-    "ShardingSpec",
-    "make_partitioner",
-    "Partitioner",
-    "PartitionPlan",
-    "FEATURE_SETS",
+    "ShardingSpec": "plan",
+    "make_partitioner": "plan",
+    "Partitioner": "plan",
+    "PartitionPlan": "plan",
+    "FEATURE_SETS": "plan",
     # partitioner internals (feature flags + results)
-    "PartitionerFeatures",
-    "PartitionedGraph",
-    "CommOp",
-    "V06_FEATURES",
-    "V07_FEATURES",
-    "PartitionCost",
-    "model_parallel_speedup",
+    "PartitionerFeatures": "partitioner",
+    "PartitionedGraph": "partitioner",
+    "CommOp": "partitioner",
+    "V06_FEATURES": "partitioner",
+    "V07_FEATURES": "partitioner",
+    "PartitionCost": "estimator",
+    "model_parallel_speedup": "plan",
     # automatic search
-    "SearchConfig",
-    "SearchResult",
-    "SearchStats",
-    "search_partitioning",
+    "SearchConfig": "search",
+    "SearchResult": "search",
+    "SearchStats": "search",
+    "search_partitioning": "search",
     # bit-exact execution
-    "ExecutionUnsupported",
-    "ValidationResult",
-    "execute_plan",
-    "execute_reference",
-    "make_inputs",
-    "validate_plan",
+    "ExecutionUnsupported": "graph_exec",
+    "ValidationResult": "graph_exec",
+    "execute_plan": "graph_exec",
+    "execute_reference": "graph_exec",
+    "make_inputs": "graph_exec",
+    "validate_plan": "graph_exec",
     # model graphs
-    "ssd_graph",
-    "maskrcnn_graph",
-    "resnet_block_graph",
-    "transformer_block_graph",
+    "ssd_graph": "modelgraphs",
+    "maskrcnn_graph": "modelgraphs",
+    "resnet_block_graph": "modelgraphs",
+    "transformer_block_graph": "modelgraphs",
     # functional kernels
-    "gather_as_onehot_matmul",
-    "sharded_onehot_gather",
-    "topk_direct",
-    "distributed_topk",
-    "conv2d_direct",
-    "shard_height",
-    "unshard_height",
-    "halo_exchange",
-    "spatial_conv2d",
-    "spatial_conv_stack",
-]
+    "gather_as_onehot_matmul": "gather_exec",
+    "sharded_onehot_gather": "gather_exec",
+    "topk_direct": "gather_exec",
+    "distributed_topk": "gather_exec",
+    "conv2d_direct": "spatial_exec",
+    "shard_height": "spatial_exec",
+    "unshard_height": "spatial_exec",
+    "halo_exchange": "spatial_exec",
+    "spatial_conv2d": "spatial_exec",
+    "spatial_conv_stack": "spatial_exec",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

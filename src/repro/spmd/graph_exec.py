@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.comm.halo import conv_halo_rows
 from repro.runtime.mesh import VirtualMesh
+from repro.seeding import derive_subseed
 from repro.spmd.gather_exec import distributed_topk, sharded_onehot_gather, topk_direct
 from repro.spmd.ir import Graph, Node
 from repro.spmd.plan import PartitionPlan
@@ -45,8 +46,6 @@ class ExecutionUnsupported(NotImplementedError):
 
 
 def _rng(seed: int, *path: str) -> np.random.Generator:
-    from repro.cluster.jobs import derive_subseed  # lazy: avoids import cycle
-
     return np.random.default_rng(derive_subseed(seed, "graph_exec", *path))
 
 

@@ -25,7 +25,7 @@ scored with a communication cost model.  This module does that over
 
 Determinism: the beam is seed-stable.  All tie-breaks between equal-cost
 candidates go through priorities drawn from
-:func:`repro.cluster.jobs.derive_subseed`, so the same
+:func:`repro.seeding.derive_subseed`, so the same
 ``(graph, config)`` replays the identical ranked list bit-for-bit.
 """
 
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.refuse import count
+from repro.seeding import derive_subseed
 from repro.spmd.annotations import Sharding
 from repro.spmd.estimator import CostPrefix, price_walk
 from repro.spmd.graph_exec import ExecutionUnsupported, ValidationResult, validate_plan
@@ -169,8 +170,6 @@ def search_partitioning(
     step time (ties broken seed-stably).  ``partitioner`` carries the
     feature set and cost-model mesh; defaults to v0.7 on a single pod.
     """
-    from repro.cluster.jobs import derive_subseed  # lazy: avoids import cycle
-
     if partitioner is None:
         partitioner = make_partitioner("v07")
     k = config.num_shards

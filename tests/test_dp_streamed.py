@@ -87,9 +87,10 @@ def test_streamed_step_is_the_whole_block_step(
 ):
     """Bucket sizes here are odd, so most draws pad both ring phases.  A
     ``poison`` puts ±inf (after bf16 rounding) or NaN into one replica's
-    gradients: its column must take the checked bf16 rounding while the
-    others may take the NaN-free one, and the bits must not depend on
-    that choice."""
+    gradients.  Every source piece of every column is probed for NaN as it
+    is converted at its first hop, so the poisoned column restores its NaN
+    where the others find none; the bits must equal the whole-block
+    step's either way."""
     rng = np.random.default_rng(seed)
     n = x * y
     features, hidden, classes = sizes

@@ -17,7 +17,10 @@ the side of "reached".  Nothing scanned is imported or executed.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -184,15 +187,82 @@ def _bound_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def lazy_table(tree: ast.Module) -> dict[str, str] | None:
+    """The ``{name: submodule}`` table a package hands to
+    ``lazy_exports``, or ``None`` for a module that installs none."""
+    values = {
+        node.targets[0].id: node.value for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    for value in values.values():
+        if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "lazy_exports":
+            table = value.args[1]
+            return ast.literal_eval(values[table.id] if isinstance(table, ast.Name) else table)
+    return None
+
+
+def _exported(tree: ast.Module, table: dict[str, str]) -> list[str]:
+    """The ``__all__`` names: its strings, plus the table's keys where
+    ``__all__ = list(<table>)``."""
+    names = list(_table_strings(tree, ("__all__",)))
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", "") == "list"
+        ):
+            names += table
+    return names
+
+
 def test_every_dunder_all_name_resolves():
     """An ``__all__`` entry whose def was deleted must go with it.  (That
     an exported name is reached or in DESIGN §3 is the first test: the
-    table *is* the allow-list.)"""
+    table *is* the allow-list.)  In a package with a lazy table
+    (``repro._lazy``) a name the package does not bind must be a key of
+    the table whose submodule binds it, or the name of a submodule."""
     exported = 0
     for path in sorted((REPO / PACKAGE).rglob("*.py")):
         tree = ast.parse(path.read_text())
         bound = _bound_names(tree)
-        for name in _table_strings(tree, ("__all__",)):
+        table = lazy_table(tree)
+        if table is not None:
+            bound |= {p.stem for p in path.parent.glob("*.py")}
+        for name in _exported(tree, table or {}):
             exported += 1
-            assert name in bound, f"{path}: __all__ names {name!r}, which the module never binds"
+            if table and name in table:
+                owner = path.parent / f"{table[name]}.py"
+                assert owner.exists() and name in _bound_names(ast.parse(owner.read_text())), (
+                    f"{path}: the lazy table sends {name!r} to {owner.name}, which never binds it"
+                )
+            else:
+                assert name in bound, f"{path}: __all__ names {name!r}, which the module never binds"
     assert exported > 100
+
+
+def test_every_dunder_all_name_resolves_at_run_time():
+    """The same, by import: in a fresh interpreter every ``__all__`` name of
+    every package resolves, and a lazy one is bound into its package on
+    first use.  A typo in a lazy table would otherwise surface only when a
+    caller first reaches the name."""
+    packages = sorted(
+        ".".join(p.parent.relative_to(REPO / "src").parts)
+        for p in (REPO / PACKAGE).rglob("__init__.py")
+    )
+    probe = (
+        "import importlib\n"
+        f"for package in {packages!r}:\n"
+        "    module = importlib.import_module(package)\n"
+        "    for name in module.__all__:\n"
+        "        getattr(module, name)\n"
+        "        assert name in vars(module), (package, name)\n"
+        "    assert not hasattr(module, 'no_such_name'), package\n"
+    )
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(packages) > 15
