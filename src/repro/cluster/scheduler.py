@@ -71,6 +71,7 @@ from repro.cluster.jobs import (
     JobSpec,
 )
 from repro.cluster.state import ClusterState
+from repro.controlplane.barrier import resolve_barrier
 from repro.controlplane.checkpointing import StepInterval
 from repro.refuse import count, non_negative
 from repro.resilience.chaos import (
@@ -749,8 +750,6 @@ class ClusterScheduler:
 
     def _blame_stragglers(self, job: _Job, alive, slowdown: float) -> None:
         """Attribute a slow step through the control-plane barrier machinery."""
-        from repro.controlplane.barrier import resolve_barrier
-
         _, y_size = self.config.mesh_shape
         base = self.config.base_step_seconds
         arrivals = {

@@ -25,10 +25,14 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.hardware.rings import Ring
 from repro.hardware.topology import LinkKind, TorusMesh
 from repro.refuse import count, non_negative, positive, positive_fraction
+
+if TYPE_CHECKING:
+    from repro.hardware.gpu import GpuCluster
 
 
 def _validate(num_members: int, payload_bytes: float, bandwidth: float, latency: float) -> None:
@@ -104,6 +108,25 @@ def ring_all_reduce_time(
     return 2.0 * reduce_scatter_time(
         num_members, payload_bytes, bandwidth, latency,
         closed=closed, hop_links=hop_links, bandwidth_fraction=bandwidth_fraction,
+    )
+
+
+def gpu_all_reduce_time(cluster: "GpuCluster", payload_bytes: float) -> float:
+    """Hierarchical (NCCL-style) all-reduce of one replica payload on a GPU
+    cluster (Figures 10-11).
+
+    The reduce-scatter and all-gather over each node's NVLink island
+    bracket a ring all-reduce over InfiniBand of the ``1 / gpus_per_node``
+    shard; both are open rings.  Free at zero bytes, as every ring here.
+    """
+    n_local = min(cluster.num_gpus, cluster.gpus_per_node)
+    nvlink = ring_all_reduce_time(
+        n_local, payload_bytes, cluster.nvlink_bandwidth, cluster.nvlink_latency,
+        closed=False,
+    )
+    return nvlink + ring_all_reduce_time(
+        cluster.num_nodes, payload_bytes / n_local, cluster.ib_bandwidth,
+        cluster.ib_latency, closed=False,
     )
 
 

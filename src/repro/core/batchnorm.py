@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.comm.cost import ring_all_reduce_time
 from repro.runtime.collectives import ring_all_reduce
 
 
@@ -110,5 +111,6 @@ def batch_norm_group_cost(
     if group_size <= 1:
         return 0.0
     payload = (2 * num_features + 1) * 4.0
-    frac = (group_size - 1) / group_size
-    return 2.0 * (frac * payload / link_bandwidth + (group_size - 1) * link_latency)
+    return ring_all_reduce_time(
+        group_size, payload, link_bandwidth, link_latency, closed=False
+    )

@@ -245,18 +245,14 @@ class DataParallelTrainer(CheckpointingTrainer):
             bucket_bytes=[nbytes for nbytes, _ in launches],
         )
         if _telemetry.enabled:
-            m = _telemetry.metrics
+            tally, m = _telemetry.tally, _telemetry.metrics
             trainer = type(self).__name__
-            m.counter("overlap_steps", trainer=trainer).inc()
-            m.counter("overlap_comm_seconds", trainer=trainer).inc(
-                result.comm_seconds
+            tally("overlap_steps", 1, trainer=trainer)
+            tally("overlap_comm_seconds", result.comm_seconds, trainer=trainer)
+            tally(
+                "overlap_exposed_seconds", result.exposed_comm_seconds, trainer=trainer
             )
-            m.counter("overlap_exposed_seconds", trainer=trainer).inc(
-                result.exposed_comm_seconds
-            )
-            m.counter("overlap_hidden_seconds", trainer=trainer).inc(
-                result.hidden_comm_seconds
-            )
+            tally("overlap_hidden_seconds", result.hidden_comm_seconds, trainer=trainer)
             m.gauge("overlap_efficiency", trainer=trainer).set(
                 result.overlap_efficiency
             )

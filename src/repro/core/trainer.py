@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cache
 from time import perf_counter as _perf
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -249,11 +250,13 @@ class _StepRun:
 class _Step:
     """The context :meth:`BaseTrainer._step` returns: one step, stated once.
 
-    Entering runs the checks and the ``split`` and ``forward_backward``
-    phases; leaving ends the step's clock, hands its spans to the tracer
-    and, unless the step raised, builds its result and records it.  A
-    class rather than a generator-based context manager, since it runs on
-    every step of every trainer.
+    Entering enters the step's :class:`~repro.telemetry.StepRecord` and
+    runs the checks and the ``split`` and ``forward_backward`` phases;
+    leaving ends the step's clock, hands its spans to the tracer and,
+    unless the step raised, builds its result and records it.  A step that
+    raised writes what its sites counted, but no step of its own.  A class
+    rather than a generator-based context manager, since it runs on every
+    step of every trainer.
     """
 
     __slots__ = ("trainer", "x", "labels", "run", "record")
@@ -275,21 +278,20 @@ class _Step:
             )
         run = self.run = _StepRun()
         trainer._last_launches = []
-        record = self.record = _telemetry.StepRecord()
-        if trainer._tallies_launches:
-            record.__enter__()
+        self.record = _telemetry.StepRecord().__enter__()
         try:
             with run.phase("split", "input"):
                 xs, ys = trainer._split(x, labels)
             with run.phase("forward_backward", "compute"):
                 run.losses, run.grads = trainer._forward_backward(xs, ys)
         except BaseException:
-            self._close()
+            self._close(raised=True)
             raise
         return run
 
-    def _close(self) -> float:
-        """End the step's clock and hand its spans to the tracer."""
+    def _close(self, raised: bool) -> float:
+        """End the step's clock and hand its spans (and, if it raised, its
+        sites' counts) on."""
         end = _perf()
         tracer = _telemetry.tracer
         record = self.record
@@ -297,9 +299,10 @@ class _Step:
             if _telemetry.enabled:
                 tracer.emit("train_step", "step", "trainer", self.run.start, end)
         finally:
-            if self.trainer._tallies_launches:
-                record.__exit__()
-            if record.spans:
+            record.__exit__()
+            if raised:
+                record.flush()
+            elif record.spans:
                 tracer.emit_all(record.spans)
         return end
 
@@ -314,7 +317,7 @@ class _Step:
                         run.phase_seconds["forward_backward"]
                     )
         finally:
-            end = self._close()
+            end = self._close(raised=exc_type is not None)
         if exc_type is not None:
             return
         losses = np.asarray(run.losses)
@@ -341,15 +344,14 @@ class BaseTrainer(ABC):
     defines ``step`` itself rather than inheriting it, so that outside-in
     tracers, which wrap the method found in each class's own ``__dict__``,
     see one per strategy.
+
+    Every step records one way: its collectives, buckets and overlap model
+    count what they launched into the step's record, and the step writes
+    those counts and its own in one registry call (:meth:`_record_step`).
     """
 
     #: Replicas the global batch is split over.
     num_replicas: int = 1
-
-    #: Whether :meth:`_launch_counts` covers every counter the step's
-    #: collectives and buckets write, so that they leave those to the
-    #: step's one registry call (see :meth:`_record_step`).
-    _tallies_launches: bool = False
 
     def __init__(self, model: Any, optimizer: Any) -> None:
         self.model = model
@@ -363,10 +365,10 @@ class BaseTrainer(ABC):
         #: ``(payload_bytes, wall_seconds)`` per gradient collective the
         #: strategy launched this step; the payloads sum to ``bytes_moved``.
         self._last_launches: list[tuple[float, float]] = []
-        #: The step's counter series, their phases and the fixed amounts
-        #: ahead of the phases'; worked out on the first step after a plan
-        #: change.
-        self._step_counters: tuple[Any, tuple[str, ...], list[float]] | None = None
+        #: The series keys of the last step's counters and their
+        #: :class:`~repro.telemetry.CounterSet`; worked out again when a
+        #: step counts other series.
+        self._step_counters: tuple[tuple, Any] | None = None
 
     @property
     @abstractmethod
@@ -381,14 +383,6 @@ class BaseTrainer(ABC):
 
         ``xs`` is ``[n, batch / n, ...]`` and ``labels`` ``[n, batch / n]``.
         """
-
-    def _launch_counts(self) -> Sequence[tuple[str, dict[str, str], float]]:
-        """``(name, labels, amount)`` of every counter a step's launches write.
-
-        A pure function of the strategy's plan, its replica count and its
-        dtype policy; empty unless :attr:`_tallies_launches`.
-        """
-        return ()
 
     def _split(self, x: np.ndarray, labels: np.ndarray):
         """The global batch as ``[n, batch / n, ...]`` replica stacks."""
@@ -410,52 +404,39 @@ class BaseTrainer(ABC):
         Telemetry: one ``train_step`` span (category ``"step"``) encloses
         the phase spans of the paper's step breakdown, named exactly as
         ``StepResult.phase_seconds``; all of them are cut from the step's
-        own clock marks.  The step's counters are written in one registry
-        call at its end (:meth:`_record_step`).  With ``overlap`` the
+        own clock marks.  The step's counters, its sites' included, are
+        written in one registry call at its end (:meth:`_record_step`).
+        With ``overlap`` the
         backprop-overlapped timeline of the same step is modeled
         (``overlap_model`` span, ``overlap_*`` counters) without changing
         any arithmetic.
         """
         return _Step(self, x, labels)
 
-    def _counter_set(self, phases: tuple[str, ...]):
-        """The step's counter series — its launches', ``train_steps``, then
-        the phase seconds — and the fixed amounts ahead of the phases'."""
-        trainer = type(self).__name__
-        fixed: dict[tuple, list] = {}  # series -> [labels, amount]
-        for name, labels, amount in self._launch_counts():
-            fixed.setdefault((name, *labels.items()), [labels, 0.0])[1] += amount
-        fixed[("train_steps",)] = [{"trainer": trainer}, 1.0]
-        series = [(key[0], labels) for key, (labels, _) in fixed.items()]
-        series += [
-            ("step_phase_seconds", {"trainer": trainer, "phase": phase})
-            for phase in phases
-        ]
-        amounts = [amount for _, amount in fixed.values()]
-        return _telemetry.CounterSet(series), phases, amounts
-
     def _record_step(
-        self, seconds: float, result: StepResult, counts: dict[str, float]
+        self, seconds: float, result: StepResult, counts: dict[tuple, float]
     ) -> None:
         """Step telemetry, labeled by trainer class, plus the flight record.
 
         Every counter the step wrote is one :class:`CounterSet` amount —
-        the launches' fixed counts (for a strategy that tallies them), the
-        measured amounts its sites added to ``counts``, the step and the
+        what its sites counted (``counts``, by series), the step and the
         phase seconds — written in one registry call.
         """
         if not _telemetry.enabled:
             return
         phase_seconds = result.phase_seconds
-        if self._step_counters is None or self._step_counters[1] != tuple(phase_seconds):
-            self._step_counters = self._counter_set(tuple(phase_seconds))
-        counters, _, fixed = self._step_counters
-        amounts = [*fixed, *phase_seconds.values()]
-        for key, amount in counts.items():
-            amounts[counters.index[key]] += amount
-        m = _telemetry.metrics
-        m.add(counters, amounts)
+        keys = (*counts, *phase_seconds)
         trainer = type(self).__name__
+        if self._step_counters is None or self._step_counters[0] != keys:
+            series = [(name, dict(labels)) for name, *labels in counts]
+            series.append(("train_steps", {"trainer": trainer}))
+            series += [
+                ("step_phase_seconds", {"trainer": trainer, "phase": phase})
+                for phase in phase_seconds
+            ]
+            self._step_counters = keys, _telemetry.CounterSet(series)
+        m = _telemetry.metrics
+        m.add(self._step_counters[1], [*counts.values(), 1.0, *phase_seconds.values()])
         m.histogram("step_seconds", trainer=trainer).observe(seconds)
         _telemetry.flight_recorder.on_step(result, trainer=trainer)
 
@@ -499,7 +480,6 @@ class CheckpointingTrainer(BaseTrainer):
         self.step_index = step_index
         self._last_launches = []
         self.last_overlap = None
-        self._step_counters = None
         self._load_state(full_state)
 
     def _load_state(self, full_state: OptimizerState) -> None:
@@ -536,13 +516,27 @@ class CheckpointingTrainer(BaseTrainer):
         )
 
 
-def make_trainer(config: TrainerConfig) -> Trainer:
-    """Build (and, with ``seed``, initialize) the trainer a config describes."""
-    # Imports are deferred: the trainer modules import StepResult from here.
+@cache
+def _trainer_classes() -> tuple[type, type, type, type]:
+    """The single, data-parallel, WUS and hybrid trainer classes, imported
+    on the first :func:`make_trainer` call of a process: their modules
+    import this one."""
     from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
     from repro.core.model_parallel import HybridParallelTrainer
     from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 
+    return (
+        SingleDeviceTrainer, DataParallelTrainer, WeightUpdateShardedTrainer,
+        HybridParallelTrainer,
+    )
+
+
+def make_trainer(config: TrainerConfig) -> Trainer:
+    """Build (and, with ``seed``, initialize) the trainer a config describes."""
+    (
+        SingleDeviceTrainer, DataParallelTrainer, WeightUpdateShardedTrainer,
+        HybridParallelTrainer,
+    ) = _trainer_classes()
     if config.strategy == "single":
         trainer: Trainer = SingleDeviceTrainer(config.model, config.optimizer)
     elif config.strategy == "data_parallel":

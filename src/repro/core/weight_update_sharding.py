@@ -32,7 +32,6 @@ from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
     ShardedValue,
     ring_all_gather_stacked,
-    ring_launch_counts,
     ring_reduce_scatter,
 )
 from repro.core.data_parallel import DataParallelTrainer
@@ -250,27 +249,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         #: device ``d`` holding window ``d`` — the only form the optimizer
         #: slots exist in (``state`` is None).
         self._bucket_slots: list[dict[str, np.ndarray]] | None = None
-
-    #: The launches are a pure function of the plan (see _launch_counts).
-    _tallies_launches = True
-
-    def _launch_counts(self):
-        """Per bucket: its flatten, fused reduce-scatter, segment lookup and
-        all-gather, as the bucket and the collectives would count them."""
-        n = self.num_replicas
-        counts = []
-        for bucket in self._plan.buckets:
-            counts += [
-                ("bucket_flatten_bytes", {}, bucket.size * bucket.dtype.itemsize),
-                ("bucket_flatten_calls", {}, 1),
-                ("bucket_flatten_seconds", {}, 0.0),  # measured
-                *ring_launch_counts(
-                    "reduce_scatter", n, bucket.size, self.grad_dtype_policy
-                ),
-                ("bucket_segment_cache_hits", {}, n),
-                *ring_launch_counts("all_gather", n, bucket.size, "f64"),
-            ]
-        return counts
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
         """One step: the fused reduce-scatter -> sharded update -> all-gather.

@@ -3,7 +3,8 @@
 NVIDIA's MLPerf v0.7 submissions ran data parallelism on DGX clusters; we
 model them with the same methodology as the TPU runs — the same convergence
 tables and per-model efficiencies, the GPU chip specs, and the NCCL-style
-hierarchical all-reduce of :class:`repro.hardware.gpu.GpuCluster` — so the
+hierarchical all-reduce of :class:`repro.hardware.gpu.GpuCluster`
+(:func:`repro.comm.cost.gpu_all_reduce_time`) — so the
 TPU-vs-GPU comparison isolates the *system* differences (interconnect
 topology and per-chip throughput), which is what the paper's figures argue
 about.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.comm.cost import gpu_all_reduce_time
 from repro.core.convergence import ConvergenceModel
 from repro.core.end_to_end import num_evals_for
 from repro.core.planner import PLANNER_RULES
@@ -83,7 +85,7 @@ def gpu_end_to_end(
     compute = cluster.compute_time(
         spec.flops_per_example * batch_per_gpu, cal.mxu_efficiency
     )
-    allreduce = cluster.allreduce_time(spec.gradient_bytes)
+    allreduce = gpu_all_reduce_time(cluster, spec.gradient_bytes)
     # Optimizer update, HBM-bound, replicated (no WUS in the comparator).
     update = cluster.chip.hbm_time(spec.params * spec.optimizer_bytes_per_param)
     step = compute + allreduce + update + step_overhead

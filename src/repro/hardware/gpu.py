@@ -5,7 +5,8 @@ joined by NVLink/NVSwitch, nodes joined by InfiniBand.  We model the
 standard NCCL-style hierarchical all-reduce — intra-node reduce-scatter over
 NVLink, inter-node ring over IB on the node shards, intra-node all-gather —
 which is the right abstraction level for reproducing the *shape* of the
-TPU-vs-GPU end-to-end comparison.
+TPU-vs-GPU end-to-end comparison.  The cluster is a description; its
+all-reduce is priced by :func:`repro.comm.cost.gpu_all_reduce_time`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.chip import ChipSpec, GPU_A100, GPU_V100
-from repro.refuse import count, non_negative
+from repro.refuse import count
 
 
 @dataclass(frozen=True)
@@ -57,33 +58,6 @@ class GpuCluster:
     @property
     def num_nodes(self) -> int:
         return max(1, self.num_gpus // self.gpus_per_node)
-
-    def allreduce_time(self, payload_bytes: float) -> float:
-        """Hierarchical (NCCL-style) all-reduce latency for one replica payload.
-
-        Three phases:
-
-        1. intra-node reduce-scatter over NVLink,
-        2. inter-node ring all-reduce over IB on the ``1/gpus_per_node``
-           shard,
-        3. intra-node all-gather over NVLink.
-        """
-        non_negative("payload_bytes", payload_bytes)
-        n_local = min(self.num_gpus, self.gpus_per_node)
-        t = 0.0
-        if n_local > 1:
-            frac = (n_local - 1) / n_local
-            # reduce-scatter + all-gather over NVLink
-            t += 2 * (frac * payload_bytes / self.nvlink_bandwidth
-                      + (n_local - 1) * self.nvlink_latency)
-        nodes = self.num_nodes
-        if nodes > 1:
-            shard = payload_bytes / n_local
-            frac = (nodes - 1) / nodes
-            # ring all-reduce = reduce-scatter + all-gather over IB
-            t += 2 * (frac * shard / self.ib_bandwidth
-                      + (nodes - 1) * self.ib_latency)
-        return t
 
     def compute_time(self, flops_per_gpu: float, efficiency: float) -> float:
         """Seconds of tensor-core compute per step per GPU."""

@@ -52,11 +52,14 @@ import logging
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.controlplane.checkpointing import CheckpointPolicy, StepInterval
+from repro.controlplane.guard import ConsistencyGuard, DesyncEvent, apply_bit_flips
+from repro.controlplane.heartbeat import OracleDetector
+from repro.core.trainer import TrainerConfig, make_trainer
 from repro.refuse import count, non_negative, positive
 from repro.resilience.faults import (
     BitFlipFault,
@@ -65,11 +68,6 @@ from repro.resilience.faults import (
     FaultPlan,
     host_map,
 )
-
-if TYPE_CHECKING:  # runtime imports are deferred to avoid a package cycle
-    from repro.controlplane.checkpointing import CheckpointPolicy
-    from repro.controlplane.guard import ConsistencyGuard, DesyncEvent
-    from repro.core.trainer import TrainerConfig
 
 logger = logging.getLogger("repro.resilience")
 
@@ -201,7 +199,7 @@ class ChaosReport(GoodputAccounting):
     survivors: int = 0
     grace_saves: int = 0
     guard_checks: int = 0
-    desync_events: list["DesyncEvent"] = field(default_factory=list)
+    desync_events: list[DesyncEvent] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     final_params: dict[str, np.ndarray] | None = None
     #: Wall seconds actually measured per step phase, summed over every
@@ -239,10 +237,8 @@ def check_plan(plan, mesh_shape: tuple[int, int], hosts) -> None:
             )
 
 
-def trainer_for(config: "TrainerConfig", replicas: int):
+def trainer_for(config: TrainerConfig, replicas: int):
     """``config``'s trainer on a ``(replicas, 1)`` mesh."""
-    from repro.core.trainer import make_trainer
-
     return make_trainer(config.with_(mesh_shape=(replicas, 1)))
 
 
@@ -353,12 +349,12 @@ def run_chaos(
     config: ChaosConfig,
     *,
     trainer_factory: TrainerFactory | None = None,
-    trainer_config: "TrainerConfig | None" = None,
+    trainer_config: TrainerConfig | None = None,
     batch_fn: BatchFn | None = None,
     state_bytes: int = 0,
     detector: object | None = None,
-    guard: "ConsistencyGuard | None" = None,
-    checkpoint_policy: "CheckpointPolicy | None" = None,
+    guard: ConsistencyGuard | None = None,
+    checkpoint_policy: CheckpointPolicy | None = None,
 ) -> ChaosReport:
     """Train ``config.target_steps`` steps through the plan's failures.
 
@@ -395,10 +391,6 @@ def run_chaos(
     the mesh lacks (:func:`check_plan`), and :class:`DeviceLostError` if
     the plan exterminates every chip.
     """
-    from repro.controlplane.checkpointing import StepInterval
-    from repro.controlplane.guard import DesyncEvent, apply_bit_flips
-    from repro.controlplane.heartbeat import OracleDetector
-
     non_negative("state_bytes", state_bytes)
     hosts = host_map(config.mesh_shape, config.chips_per_host)
     check_plan(plan, config.mesh_shape, hosts)

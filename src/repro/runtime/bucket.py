@@ -115,17 +115,10 @@ class GradientBucket:
         for name, where in self._slices.items():
             out[where] = np.asarray(tree[name]).reshape(-1)
         if _telemetry.enabled:
-            seconds = _perf() - t0
-            record = _telemetry.step_record()
-            if record is not None:  # the step tallies the call and bytes
-                counts = record.counts
-                key = "bucket_flatten_seconds"
-                counts[key] = counts.get(key, 0.0) + seconds
-                return out
-            m = _telemetry.metrics
-            m.counter("bucket_flatten_seconds").inc(seconds)
-            m.counter("bucket_flatten_bytes").inc(self.size * self.dtype.itemsize)
-            m.counter("bucket_flatten_calls").inc()
+            tally = _telemetry.tally
+            tally("bucket_flatten_seconds", _perf() - t0)
+            tally("bucket_flatten_bytes", self.size * self.dtype.itemsize)
+            tally("bucket_flatten_calls", 1)
         return out
 
     def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -141,9 +134,8 @@ class GradientBucket:
             for name in self.names
         }
         if _telemetry.enabled:
-            m = _telemetry.metrics
-            m.counter("bucket_unflatten_seconds").inc(_perf() - t0)
-            m.counter("bucket_unflatten_calls").inc()
+            _telemetry.tally("bucket_unflatten_seconds", _perf() - t0)
+            _telemetry.tally("bucket_unflatten_calls", 1)
         return tree
 
     def stacked_views(self, block: np.ndarray) -> dict[str, np.ndarray]:
@@ -177,10 +169,10 @@ class GradientBucket:
         cached = self._segment_cache.get(key)
         if cached is not None:
             if _telemetry.enabled:
-                _telemetry.metrics.counter("bucket_segment_cache_hits").inc()
+                _telemetry.tally("bucket_segment_cache_hits", 1)
             return cached
         if _telemetry.enabled:
-            _telemetry.metrics.counter("bucket_segment_cache_misses").inc()
+            _telemetry.tally("bucket_segment_cache_misses", 1)
         segs = []
         for name in self.names:
             tensor = self.slice_of(name)
@@ -203,13 +195,12 @@ class GradientBucket:
         """Segments of every device's reduce-scatter shard, in device order.
 
         Cached per device count as well; a hit counts one segment-cache hit
-        per window, as the window lookups it stands for would (a tallied
-        step counts its hits itself).
+        per window, as the window lookups it stands for would.
         """
         windows = self._shard_cache.get(num_devices)
         if windows is not None:
-            if _telemetry.enabled and _telemetry.step_record() is None:
-                _telemetry.metrics.counter("bucket_segment_cache_hits").inc(num_devices)
+            if _telemetry.enabled:
+                _telemetry.tally("bucket_segment_cache_hits", num_devices)
             return windows
         _, chunk = padded_chunk_layout(num_devices, self.size)
         windows = self._shard_cache[num_devices] = tuple(

@@ -27,7 +27,12 @@ Two implementations coexist (DESIGN.md §6):
   a cache-resident accumulator.  Because every per-element reduction
   happens in the same ring order with the same dtype, the results are
   **bit-identical** to the reference kernels under every dtype policy
-  (property-tested in ``tests/test_runtime_collectives.py``).
+  (property-tested in ``tests/test_runtime_collectives.py``), with one
+  exception under f32/f64: where two different NaN payloads meet in one
+  add, numpy keeps one of them by the length of the add, so the kernel's
+  prefix/suffix adds and the reference's per-chunk adds may keep different
+  payloads.  Such an element is NaN on both sides; bf16 writes every NaN
+  as one word.
 
 Every collective executes **device-major** (DESIGN.md §11): inputs may
 arrive as one stacked ``(n_devices, *shape)`` block (or
@@ -148,59 +153,31 @@ def _comm_span(name: str, t0: float) -> float:
     return end
 
 
-def _launch_counts(
-    op: str, n: int, chunk: int, itemsize: int, policy: str,
-    axis: str = "ring", steps: int | None = None,
-) -> tuple[tuple[str, dict[str, str], int], ...]:
-    """One collective launch's counters: bytes on the wire, ring steps, launch.
-
-    The byte model is the ring's: ``n - 1`` hops, every device forwarding
-    one ``chunk``-element message per hop — ``n * (n - 1) * chunk *
-    itemsize`` bytes per phase, the same traffic term the alpha-beta cost
-    model charges.  ``(name, labels, amount)`` triples.
-    """
-    return (
-        ("collective_bytes", {"op": op, "axis": axis, "policy": policy},
-         n * (n - 1) * chunk * itemsize),
-        ("collective_ring_steps", {"op": op, "axis": axis},
-         n - 1 if steps is None else steps),
-        ("collective_launches", {"op": op, "axis": axis}, 1),
-    )
-
-
-def ring_launch_counts(
-    op: str, n: int, size: int, dtype_policy: str
-) -> tuple[tuple[str, dict[str, str], int], ...]:
-    """The counters one ``n``-device ring ``op`` over ``size`` elements writes.
-
-    What :func:`ring_reduce_scatter` (``op="reduce_scatter"``) and
-    :func:`ring_all_gather_stacked` (``"all_gather"``, on its wire dtype's
-    policy; nothing for one device) record per launch, as ``(name, labels,
-    amount)`` triples: a trainer step whose launches follow from its
-    bucket plan adds these up once per plan and writes them itself.
-    """
-    if op == "all_gather" and n == 1:
-        return ()
-    _, chunk = padded_chunk_layout(n, size)
-    return _launch_counts(op, n, chunk, _dtype_for(dtype_policy).itemsize, dtype_policy)
+def _ring_bytes(n: int, chunk: int, itemsize: int) -> int:
+    """Bytes one ring phase puts on the wire: ``n - 1`` hops, every device
+    forwarding one ``chunk``-element message per hop — the same traffic
+    term the alpha-beta cost model charges."""
+    return n * (n - 1) * chunk * itemsize
 
 
 def _record_collective(
-    op: str, n: int, chunk: int, itemsize: int, policy: str, seconds: float,
-    axis: str = "ring", steps: int | None = None,
+    op: str, axis: str, policy: str, steps: int, seconds: float,
+    *wire: tuple[str, int],
 ) -> None:
-    """Account one collective launch: its counters (see :func:`_launch_counts`)
-    unless the running step tallies them, and its measured time.
+    """Account one collective launch: the bytes each of its phases put on
+    the wire (``wire``, as ``(axis, bytes)``), its ring steps and the
+    launch, counted through :func:`~repro.telemetry.step.tally`, and its
+    measured time.
 
     Only called when telemetry is enabled.
     """
-    m = _telemetry.metrics
-    if _telemetry.step_record() is None:
-        for name, labels, amount in _launch_counts(
-            op, n, chunk, itemsize, policy, axis, steps
-        ):
-            m.counter(name, **labels).inc(amount)
-    m.histogram("collective_seconds", op=op, axis=axis).observe(seconds)
+    tally = _telemetry.tally
+    for wire_axis, nbytes in wire:
+        tally("collective_bytes", nbytes, op=op, axis=wire_axis, policy=policy)
+    tally("collective_ring_steps", steps, op=op, axis=axis)
+    tally("collective_launches", 1, op=op, axis=axis)
+    histogram = _telemetry.metrics.histogram
+    histogram("collective_seconds", op=op, axis=axis).observe(seconds)
 
 
 class _LRUBufferPool:
@@ -464,9 +441,10 @@ def _linear_ring_passes(
     elements).  Slot ``c`` must accumulate devices in the cyclic ring order
     ``c, c+1, ..., n-1, 0, ..., c-1`` — which a linear sweep over devices
     realizes exactly: in pass one device ``d`` *initializes* its own slot
-    (a copy, so signed zeros and NaN payloads survive bit-exactly) and is
-    added to every slot below ``d``; in pass two it is added to every slot
-    above ``d``.  Each step is therefore one contiguous prefix/suffix add
+    (a copy, so signed zeros and NaN payloads survive bit-exactly until two
+    payloads meet in an add; see the module docstring) and is added to
+    every slot below ``d``; in pass two it is added to every slot above
+    ``d``.  Each step is therefore one contiguous prefix/suffix add
     straight off the source buffer (operand order ``contribution + acc``,
     matching ``reducer(chunks[dst][c], chunks[d][c])`` of the reference
     schedule) — no staging copies, no index arrays, and the accumulator
@@ -547,8 +525,9 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
     if _telemetry.enabled:
         n, chunk = shards.shape
         _record_collective(
-            "reduce_scatter", n, chunk, shards.itemsize,
-            dtype_policy, _comm_span("ring_reduce_scatter", t0) - t0,
+            "reduce_scatter", "ring", dtype_policy, n - 1,
+            _comm_span("ring_reduce_scatter", t0) - t0,
+            ("ring", _ring_bytes(n, chunk, shards.itemsize)),
         )
     return ShardedValue(list(shards), shape, padded, block=shards)
 
@@ -592,8 +571,8 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
         # the policy label (bf16 shards travel as f32, matching the wire).
         policy = _WIRE_POLICY.get(full.dtype.char) or full.dtype.name
         _record_collective(
-            "all_gather", n, value.padded_size // n, full.dtype.itemsize,
-            policy, seconds,
+            "all_gather", "ring", policy, n - 1, seconds,
+            ("ring", _ring_bytes(n, value.padded_size // n, full.dtype.itemsize)),
         )
     return result
 
@@ -614,9 +593,10 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     ``arrays`` may be a per-device sequence, a device-major ``(n,
     *shape)`` block, or a :class:`StackedValue`.  The reduce phase is the
     :func:`_linear_ring_passes` sequence (bit-identical to the reference
-    under every dtype policy); its shards land as rows of one contiguous
-    block in chunk order, so the gather phase reads the reduced buffer
-    straight off the block and returns it as one replicated
+    under every dtype policy, but for which of two NaN payloads survives
+    an f32/f64 add: see the module docstring); its shards land as rows of
+    one contiguous block in chunk order, so the gather phase reads the
+    reduced buffer straight off the block and returns it as one replicated
     :class:`StackedValue` instead of ``n`` per-device copies.  This is the
     hot path the trainers use: stacked gradients in, one shared reduced
     buffer out.
@@ -630,9 +610,9 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     if _telemetry.enabled:
         # Reduce-scatter + all-gather: twice the one-phase ring traffic.
         _record_collective(
-            "all_reduce", n, 2 * shards.shape[1],
-            _dtype_for(dtype_policy).itemsize, dtype_policy,
-            _comm_span("ring_all_reduce", t0) - t0, steps=2 * (n - 1),
+            "all_reduce", "ring", dtype_policy, 2 * (n - 1),
+            _comm_span("ring_all_reduce", t0) - t0,
+            ("ring", _ring_bytes(n, 2 * shards.shape[1], shards.itemsize)),
         )
     return result
 
@@ -751,8 +731,8 @@ class TwoPhaseAllReduce:
         if _telemetry.enabled:
             # x_size concurrent column rings of y_size members each.
             _record_collective(
-                "reduce_scatter", y_size, x_size * y_chunk, dtype.itemsize,
-                policy, self._y_seconds, axis="y",
+                "reduce_scatter", "y", policy, y_size - 1, self._y_seconds,
+                ("y", _ring_bytes(y_size, x_size * y_chunk, dtype.itemsize)),
             )
         # For each Y-shard index, a ring across columns.  Sources are the Y
         # accumulators (already on the wire, so bf16 only rounds the hops):
@@ -771,8 +751,9 @@ class TwoPhaseAllReduce:
         if _telemetry.enabled:
             # y_size concurrent row rings over the already-1/y payload.
             _record_collective(
-                "reduce_scatter", x_size, y_size * x_chunk, dtype.itemsize,
-                policy, _comm_span("reduce_scatter_x", t0) - t0, axis="x",
+                "reduce_scatter", "x", policy, x_size - 1,
+                _comm_span("reduce_scatter_x", t0) - t0,
+                ("x", _ring_bytes(x_size, y_size * x_chunk, dtype.itemsize)),
             )
         return x_shards.reshape(y_size, x_size, x_chunk)
 
@@ -783,9 +764,9 @@ class TwoPhaseAllReduce:
         )
         if _telemetry.enabled:
             _comm_span("two_phase_all_reduce", self._start)
-            _telemetry.metrics.counter(
-                "collective_launches", op="two_phase_all_reduce", axis="xy"
-            ).inc()
+            _telemetry.tally(
+                "collective_launches", 1, op="two_phase_all_reduce", axis="xy"
+            )
         return result
 
 
@@ -815,21 +796,12 @@ def _all_gather_grid_core(
         full = full.copy()
     result = StackedValue.replicate(full.reshape(shape), x_size * y_size)
     if _telemetry.enabled:
-        seconds = _comm_span("all_gather_grid", t0) - t0
-        m = _telemetry.metrics
         itemsize = shards3.dtype.itemsize
-        m.counter(
-            "collective_bytes", op="all_gather", axis="x", policy=dtype_policy
-        ).inc(x_size * (x_size - 1) * y_size * x_chunk * itemsize)
-        m.counter(
-            "collective_bytes", op="all_gather", axis="y", policy=dtype_policy
-        ).inc(y_size * (y_size - 1) * x_size * y_chunk * itemsize)
-        m.counter("collective_ring_steps", op="all_gather", axis="xy").inc(
-            (x_size - 1) + (y_size - 1)
-        )
-        m.counter("collective_launches", op="all_gather", axis="xy").inc()
-        m.histogram("collective_seconds", op="all_gather", axis="xy").observe(
-            seconds
+        _record_collective(
+            "all_gather", "xy", dtype_policy, (x_size - 1) + (y_size - 1),
+            _comm_span("all_gather_grid", t0) - t0,
+            ("x", _ring_bytes(x_size, y_size * x_chunk, itemsize)),
+            ("y", _ring_bytes(y_size, x_size * y_chunk, itemsize)),
         )
     return result
 

@@ -19,12 +19,10 @@ input pipeline) is instrumented against the process-wide objects here:
     ``if telemetry.enabled:`` (or get a shared no-op span), keeping the
     disabled cost to one attribute lookup.  Enabled, a training step pays
     per span an event built from clock marks the step takes anyway, one
-    registry call for all its own counters (a :class:`CounterSet`), one
-    observation per histogram, and one step record plus counter-delta
-    drain whose records are formatted only when read.  A
-    weight-update-sharded step, whose launches its bucket plan fixes, also
-    writes its collectives' and bucket's counters in that one call, and
-    hands its seven spans to the sinks at once (a :class:`StepRecord`,
+    registry call for every counter its sites :func:`tally` and its own (a
+    :class:`CounterSet`), one observation per histogram, one sink call for
+    all its spans, and one step record plus counter-delta drain whose
+    records are formatted only when read (a :class:`StepRecord`,
     :mod:`repro.telemetry.step`); DESIGN §7 states the budget as counts.
     ``bench/run.py --trace 1`` reports the cost per workload as
     ``telemetry.overhead_pct``.
@@ -54,7 +52,7 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.step import StepRecord, step_record
+from repro.telemetry.step import StepRecord, step_record, tally
 from repro.telemetry.tracer import MEASURED_SOURCE, Tracer
 from repro.telemetry.flight import FlightRecord, FlightRecorder, on_terminal_failure
 
@@ -171,5 +169,6 @@ __all__ = [
     "on_terminal_failure",
     "reset",
     "step_record",
+    "tally",
     "tracer",
 ]

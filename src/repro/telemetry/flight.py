@@ -53,6 +53,7 @@ from typing import Mapping
 from repro import telemetry as _telemetry
 from repro.refuse import count
 from repro.telemetry.registry import DeltaReader, series_deltas
+from repro.telemetry.step import flush as _flush_step
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -148,16 +149,18 @@ class FlightRecorder:
         return self._clock() - self._epoch
 
     def record(self, kind: str, name: str, **data) -> None:
-        """Append one record (no-op while telemetry is disabled)."""
+        """Append one record (no-op while telemetry is disabled), after the
+        spans and counts of a trainer step running on this thread."""
         if not _telemetry.enabled:
             return
+        _flush_step()
         entry = (FlightRecord, self.now(), kind, name, data)
         with self._lock:
             self._records.append(entry)
 
     def on_trace_events(self, events) -> None:
         """Tracer sink: mirror measured spans into the ring, one write per
-        call (a tallied step's spans come as one call)."""
+        call (a trainer step's spans come as one call)."""
         if not _telemetry.enabled or not events:
             return
         t = self._clock() - self._epoch
@@ -178,6 +181,7 @@ class FlightRecorder:
         """
         if not _telemetry.enabled:
             return
+        _flush_step()
         registry = registry if registry is not None else _telemetry.metrics
         pairs = registry.scalar_deltas(self._delta_reader)
         if pairs:
@@ -269,7 +273,9 @@ class FlightRecorder:
         registry=None,
         extra: Mapping[str, object] | None = None,
     ) -> dict:
-        """The JSON-ready bundle: fault, ring contents, final counters."""
+        """The JSON-ready bundle: fault, ring contents, final counters —
+        a trainer step running on this thread included, so far."""
+        _flush_step()
         registry = registry if registry is not None else _telemetry.metrics
         fault = None
         if exc is not None:

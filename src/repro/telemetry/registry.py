@@ -184,19 +184,15 @@ class CounterSet:
 
     ``series`` are ``(name, labels)`` pairs (``str`` label values);
     :meth:`MetricsRegistry.add` increments all of them in one call, by one
-    amount each, and ``index`` maps each series' ``name{k=v,...}`` key to
-    its position in those amounts.
+    amount each.
     """
 
-    __slots__ = ("series", "index", "_registry", "_generation", "_children")
+    __slots__ = ("series", "_registry", "_generation", "_children")
 
     def __init__(self, series: Iterable[tuple[str, Mapping[str, str]]]) -> None:
         self.series = tuple((name, dict(labels)) for name, labels in series)
-        self.index = {
-            _series(name, _label_key(labels)): i
-            for i, (name, labels) in enumerate(self.series)
-        }
-        if len(self.index) != len(self.series):
+        keys = {(name, _label_key(labels)) for name, labels in self.series}
+        if len(keys) != len(self.series):
             raise ValueError("a series is listed twice")
         self._registry: MetricsRegistry | None = None
         self._generation = -1

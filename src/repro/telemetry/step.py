@@ -1,30 +1,37 @@
 """One trainer step's telemetry, gathered while it runs and recorded once.
 
-A training step writes the same series every time, most of them by amounts
-its plan fixes: a weight-update-sharded step's collectives move bytes, take
-ring steps and launch as a pure function of the bucket plan, the replica
-count and the dtype policy.  Such a step enters a :class:`StepRecord` for
-its duration; :func:`step_record` then returns it on the step's thread, and
+Every trainer step enters a :class:`StepRecord` for its duration
+(``BaseTrainer._step``); :func:`step_record` then returns it on the step's
+thread, and
 
-* an instrumented site whose counters the step tallies (a collective, a
-  bucket flatten or segment lookup) leaves them to the step's one
-  :meth:`~repro.telemetry.registry.MetricsRegistry.add` call and adds only
-  what it measured to ``counts``, by series key;
-* :meth:`~repro.telemetry.tracer.Tracer.emit` keeps the thread's spans in
-  ``spans`` as clock marks, and the step records them with one
-  :meth:`~repro.telemetry.tracer.Tracer.emit_all` when it ends — the same
-  spans, in the same order, ahead of the step's flight record.
+* an instrumented site — a collective, a bucket's flatten, unflatten or
+  segment lookup, the overlap model — counts what it actually launched
+  through :func:`tally`, which adds the amount to the record's ``counts``
+  by series; the step writes them all, with its own, in one
+  :meth:`~repro.telemetry.registry.MetricsRegistry.add` call when it ends.
+  Outside a step (a collective called on its own, ``graph_exec``,
+  ``VirtualMesh``) :func:`tally` writes the registry at once;
+* the process tracer's :meth:`~repro.telemetry.tracer.Tracer.emit` keeps
+  the thread's spans in ``spans`` as clock marks, and the step records
+  them with one :meth:`~repro.telemetry.tracer.Tracer.emit_all` when it
+  ends — the same spans, in the same order, ahead of the step's flight
+  record.
 
-Flight records the thread writes during the step are not deferred: they
-would land ahead of the step's spans, so a tallied step writes none.
+A flight record or postmortem written while a step runs calls
+:func:`flush` first, so it lands after the step's spans and counts so
+far, as it would have without the deferral.  A step that raises flushes
+what its sites counted, and records no step of its own.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro import telemetry as _telemetry
+
+
 class _StepLocal(threading.local):
-    #: The entered record; ``None`` on a thread outside a tallied step.
+    #: The entered record; ``None`` on a thread outside a trainer step.
     record: "StepRecord | None" = None
 
 
@@ -32,13 +39,13 @@ _local = _StepLocal()
 
 
 class StepRecord:
-    """The measured counter amounts and spans of one tallied step."""
+    """The counter amounts and spans of one step, so far."""
 
     __slots__ = ("counts", "spans")
 
     def __init__(self) -> None:
-        #: Series key (``name{k=v,...}``) -> amount measured during the step.
-        self.counts: dict[str, float] = {}
+        #: ``(name, *labels.items())`` -> amount its sites counted.
+        self.counts: dict[tuple, float] = {}
         #: ``(name, category, actor, start, end)`` of every span, in order.
         self.spans: list[tuple[str, str, str, float, float]] = []
 
@@ -49,7 +56,40 @@ class StepRecord:
     def __exit__(self, *exc) -> None:
         _local.record = None
 
+    def flush(self) -> None:
+        """Hand the spans and counts so far to the tracer and the registry."""
+        spans, self.spans = self.spans, []
+        counts, self.counts = self.counts, {}
+        if spans:
+            _telemetry.tracer.emit_all(spans)
+        counter = _telemetry.metrics.counter
+        for (name, *labels), amount in counts.items():
+            counter(name, **dict(labels)).inc(amount)
+
 
 def step_record() -> StepRecord | None:
-    """The :class:`StepRecord` of the tallied step running on this thread."""
+    """The :class:`StepRecord` of the trainer step running on this thread."""
     return _local.record
+
+
+def tally(name: str, amount: float, **labels: str) -> None:
+    """Count ``amount`` on the counter ``name{labels}``.
+
+    Inside a trainer step the amount joins the step's record, which writes
+    it with the step's one registry call; outside one it is written now.
+    A site passes its labels in one order, so each series has one key.
+    """
+    record = _local.record
+    if record is None:
+        _telemetry.metrics.counter(name, **labels).inc(amount)
+        return
+    key = (name, *labels.items())
+    counts = record.counts
+    counts[key] = counts.get(key, 0.0) + amount
+
+
+def flush() -> None:
+    """:meth:`StepRecord.flush` the step running on this thread, if any."""
+    record = _local.record
+    if record is not None:
+        record.flush()

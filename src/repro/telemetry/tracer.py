@@ -26,8 +26,8 @@ phases, a collective timing its launch — does not open a span at all: it
 hands its own marks to :meth:`Tracer.emit`, the function every ``with``
 block also ends in.  Such a span costs one event, one list append and the
 sinks, with no context-manager object, no open-span stack push and no
-extra clock read.  Inside a tallied trainer step (:mod:`repro.telemetry.step`)
-it costs one tuple: the step hands all its marks to :meth:`Tracer.emit_all`
+extra clock read.  Inside a trainer step (:mod:`repro.telemetry.step`) it
+costs one tuple: the step hands all its marks to :meth:`Tracer.emit_all`
 when it ends, which builds the events in one pass and gives the sinks
 (the flight recorder) the whole step in one call.
 
@@ -166,13 +166,14 @@ class Tracer:
         The one way a span reaches the trace and the sinks: a ``with
         span(...)`` block ends here, and so does a span its caller timed
         itself from clock marks it takes anyway (a trainer's phases).
-        While a tallied trainer step runs on this thread
-        (:func:`~repro.telemetry.step.step_record`), the marks wait in its
-        record and the step records them all with :meth:`emit_all`.
+        While a trainer step runs on this thread
+        (:func:`~repro.telemetry.step.step_record`), the process tracer's
+        marks wait in its record, and the step hands them all to that
+        tracer's :meth:`emit_all`; another tracer records at once.
         Callers check ``repro.telemetry.enabled`` first.
         """
         record = step_record()
-        if record is not None:
+        if record is not None and self is _telemetry.tracer:
             record.spans.append((name, category, actor, start, end))
             return
         self._deliver((_event(self._epoch, name, category, actor, start, end),))
@@ -197,7 +198,7 @@ class Tracer:
 
     def add_sink(self, fn: Callable[[list[TraceEvent]], None]) -> None:
         """Call ``fn(events)`` with the spans each record call completes, in
-        order (the flight recorder hook: one call per span, or per tallied
+        order (the flight recorder hook: one call per span, or per trainer
         step)."""
         if fn not in self._sinks:
             self._sinks.append(fn)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.cost import gpu_all_reduce_time
 from repro.hardware.gpu import GpuCluster, dgx_cluster
 from repro.hardware.chip import GPU_A100
 
@@ -31,33 +32,32 @@ class TestGpuCluster:
 
 class TestGpuAllreduce:
     def test_zero_payload(self):
-        assert dgx_cluster(64).allreduce_time(0.0) == pytest.approx(
-            dgx_cluster(64).allreduce_time(0.0)
-        )
+        """Nothing to move costs nothing, as every ring comm.cost prices."""
+        assert gpu_all_reduce_time(dgx_cluster(64), 0.0) == 0.0
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
-            dgx_cluster(64).allreduce_time(-1)
+            gpu_all_reduce_time(dgx_cluster(64), -1)
 
     def test_single_gpu_free(self):
         c = GpuCluster(GPU_A100, 1, gpus_per_node=1)
-        assert c.allreduce_time(1e9) == 0.0
+        assert gpu_all_reduce_time(c, 1e9) == 0.0
 
     def test_intra_node_only(self):
         c = dgx_cluster(8)
-        t = c.allreduce_time(1e9)
+        t = gpu_all_reduce_time(c, 1e9)
         # reduce-scatter + all-gather over NVLink: 2 * 7/8 * 1e9/250e9 + latency
         assert t == pytest.approx(2 * (7 / 8) * 1e9 / 250e9 + 14 * 2e-6, rel=0.01)
 
     def test_multi_node_slower_than_single(self):
-        single = dgx_cluster(8).allreduce_time(1e9)
-        multi = dgx_cluster(256).allreduce_time(1e9)
+        single = gpu_all_reduce_time(dgx_cluster(8), 1e9)
+        multi = gpu_all_reduce_time(dgx_cluster(256), 1e9)
         assert multi > single
 
     def test_allreduce_scale_insensitive_at_large_n(self):
         """Ring terms converge: 512 -> 2048 GPUs barely changes time."""
-        a = dgx_cluster(512).allreduce_time(668e6)
-        b = dgx_cluster(2048).allreduce_time(668e6)
+        a = gpu_all_reduce_time(dgx_cluster(512), 668e6)
+        b = gpu_all_reduce_time(dgx_cluster(2048), 668e6)
         assert b < 1.5 * a
 
     def test_compute_time(self):
@@ -75,5 +75,5 @@ class TestTpuVsGpuInterconnect:
 
         payload = 668e6  # BERT bf16 gradients
         tpu = two_phase_allreduce(the_multipod, payload).total
-        gpu = dgx_cluster(2048, "v100").allreduce_time(payload)
+        gpu = gpu_all_reduce_time(dgx_cluster(2048, "v100"), payload)
         assert tpu < gpu

@@ -11,10 +11,15 @@ The service is the exception by design: it forks its workers, so every
 module a forked job runs is loaded in the parent first.  A child then never
 imports on a job, never compiles a module after a re-fork, and never waits
 on an import lock a parent thread held at the fork.
+
+No import statement runs inside per-step or per-op code either (DESIGN
+§3); the functions on the chaos, cluster and trainer-building paths are
+read for one.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -98,3 +103,28 @@ def test_service_loads_what_its_forked_jobs_run():
     )
     assert {"repro.resilience.chaos", "repro.cluster.scheduler"} <= set(loaded)
     assert new == []
+
+
+#: Functions run per chaos run, per trainer build or per straggler step:
+#: source file under ``src/repro`` -> function names.
+PER_OP_FUNCTIONS = {
+    "resilience/chaos.py": ("trainer_for", "run_chaos"),
+    "cluster/scheduler.py": ("_blame_stragglers",),
+    "core/trainer.py": ("make_trainer",),
+}
+
+
+@pytest.mark.parametrize("path", PER_OP_FUNCTIONS)
+def test_per_op_functions_hold_no_import_statement(path):
+    tree = ast.parse((SRC / "repro" / path).read_text())
+    functions = {
+        node.name: node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in PER_OP_FUNCTIONS[path]
+    }
+    assert set(functions) == set(PER_OP_FUNCTIONS[path])
+    for name, function in functions.items():
+        imports = [
+            node.lineno for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports == [], f"{path}:{imports} imports inside {name}"

@@ -218,9 +218,7 @@ ADVERSARIAL_WORDS = np.array(
 
 def _block(n: int, size: int, seed: int, adversarial: bool) -> np.ndarray:
     """``_inputs`` as one ``(n, size)`` block, a fifth of it adversarial words
-    if asked.  Only the bf16 policy is drawn with them: under f32/f64 two
-    distinct NaN payloads meeting in one add keep whichever the add's loop
-    keeps, which the vectorized and the reference kernels need not share."""
+    if asked."""
     block = np.stack(_inputs(n, size, seed))
     if not adversarial:
         return block
@@ -228,6 +226,26 @@ def _block(n: int, size: int, seed: int, adversarial: bool) -> np.ndarray:
     hit = rng.random(block.shape) < 0.2
     block[hit] = rng.choice(ADVERSARIAL_WORDS, size=int(hit.sum()))
     return block
+
+
+def _assert_reduced_bits(got: np.ndarray, want: np.ndarray, policy: str) -> None:
+    """Bit identity, but for NaN payloads under f32/f64.
+
+    Where two different NaN payloads meet in one add, numpy keeps one by
+    the length of the add (a signalling and a quiet NaN keep one payload in
+    a 16-element add and the other in a 40-element one), and the kernel's
+    prefix/suffix adds and the reference's per-chunk adds differ in length.
+    Such an element is NaN on both sides; every other bit must agree.  bf16
+    writes every NaN as one word, so it is held to every bit.
+    """
+    if policy == "bf16":
+        _assert_bit_identical(got, want)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def _cast(block: np.ndarray, source) -> np.ndarray:
@@ -250,7 +268,7 @@ def _device_major(block: np.ndarray, form: str):
 )
 @settings(max_examples=150, deadline=None)
 def test_device_major_ring_bit_identical(n, size, policy, source, form, adversarial, seed):
-    block = _cast(_block(n, size, seed, adversarial and policy == "bf16"), source)
+    block = _cast(_block(n, size, seed, adversarial), source)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         want = _reference_ring_reduce_scatter(list(block), policy)
@@ -258,9 +276,9 @@ def test_device_major_ring_bit_identical(n, size, policy, source, form, adversar
         reduced = ring_all_reduce_stacked(_device_major(block, form), policy)
         want_full = _reference_ring_all_reduce(list(block), policy)
     for g, w in zip(got.shards, want.shards):
-        _assert_bit_identical(g, w)
+        _assert_reduced_bits(g, w, policy)
     for g, w in zip(reduced.to_list(), want_full):
-        _assert_bit_identical(g, w)
+        _assert_reduced_bits(g, w, policy)
 
 
 def _grid(block: np.ndarray, x: int, y: int) -> list[list[np.ndarray]]:
@@ -284,7 +302,7 @@ def test_two_phase_column_groups_bit_identical(
 ):
     """Whole-block calls and a ``TwoPhaseAllReduce`` fed one column group at
     a time, as the data-parallel trainer feeds it, keep the reference bits."""
-    block = _cast(_block(x * y, size, seed, adversarial and policy == "bf16"), source)
+    block = _cast(_block(x * y, size, seed, adversarial), source)
     cuts = sorted(data.draw(st.sets(st.integers(1, x - 1), max_size=x - 1)) if x > 1 else [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -296,7 +314,7 @@ def test_two_phase_column_groups_bit_identical(
         grouped = streamed.all_reduce()
     for reduced in (whole, grouped):
         for g, w in zip(reduced.to_list(), want):
-            _assert_bit_identical(g, w)
+            _assert_reduced_bits(g, w, policy)
 
 
 @pytest.mark.parametrize("source", [np.float32, np.float64])

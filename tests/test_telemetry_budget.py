@@ -1,10 +1,13 @@
 """What one training step records, counted.
 
-DESIGN §7 states the per-step telemetry budget of a weight-update-sharded
-step as counts, which do not depend on the machine: the spans it emits,
-the registry calls it makes and the flight-recorder entries it appends.
-A step over the service chaos executor's 2x2 mesh (one bucket, four
-replicas) is held to it here.
+DESIGN §7 states the per-step telemetry budget as counts, which do not
+depend on the machine: the spans a step emits, the registry calls it makes,
+the sink calls its spans take and the flight-recorder entries it appends.
+Every strategy records one way: its sites tally into the step's record,
+and the step makes one ``add``, one ``collective_seconds`` observation per
+launch, one ``step_seconds`` observation (and, with overlap, the two
+``overlap_*`` gauges) and one sink call.  A step over the service chaos
+executor's 2x2 mesh (one bucket, four replicas) is held to it in detail.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro import telemetry
 from repro.core.trainer import TrainerConfig, make_trainer
 from repro.models.mlp import MLP
 from repro.optim.sgd import SGDMomentum
+from repro.telemetry.tracer import Tracer
 
 #: Spans of one step: split, forward_backward, ring_reduce_scatter,
 #: sharded_update, ring_all_gather, wus_update, train_step.
@@ -31,6 +35,29 @@ REGISTRY_CALLS = {"add": 1, "histogram": 3}
 #: Flight entries of one step: its spans, its step record, its deltas.
 FLIGHT_ENTRIES = SPANS + 2
 
+#: Every strategy, on an MLP [8, 16, 4] (one column/row pair, four
+#: tensors): its config, the spans of one step and the histogram
+#: observations (launches + ``step_seconds``).
+STRATEGIES = {
+    # split, forward_backward, update, train_step.
+    "single": (dict(strategy="single"), 4, 1),
+    # + ring_all_reduce inside bucket_all_reduce, in the collective phase.
+    "dp_ring_4x1": (dict(strategy="data_parallel", mesh_shape=(4, 1)), 7, 2),
+    # + a reduce_scatter_y per mesh column (inside forward_backward), then
+    # reduce_scatter_x, all_gather_grid and two_phase_all_reduce; the Y, X
+    # and gather launches observe their seconds, the xy launch does not.
+    "dp_2d_2x2": (dict(strategy="data_parallel", mesh_shape=(2, 2)), 10, 4),
+    # Three buckets of the above, plus the overlap_model span.
+    "dp_2x2_3_buckets_overlap": (
+        dict(strategy="data_parallel", mesh_shape=(2, 2), num_buckets=3, overlap=True),
+        21, 10,
+    ),
+    "wus_2x2": (dict(strategy="wus", mesh_shape=(2, 2)), SPANS, 3),
+    # Per replica, a forward and a backward all-reduce over the model
+    # group; then one peer all-reduce per tensor per model core (8).
+    "hybrid_2x1_mp2": (dict(strategy="hybrid", mesh_shape=(2, 1), mp_size=2), 17, 13),
+}
+
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry(monkeypatch):
@@ -40,11 +67,14 @@ def _clean_telemetry(monkeypatch):
     telemetry.reset()
 
 
-def _wus_trainer(mesh_shape=(2, 2)):
+def _trainer(**config):
     return make_trainer(TrainerConfig(
-        model=MLP([8, 16, 4]), optimizer=SGDMomentum(0.05), strategy="wus",
-        mesh_shape=mesh_shape, seed=4,
+        model=MLP([8, 16, 4]), optimizer=SGDMomentum(0.05), seed=4, **config
     ))
+
+
+def _wus_trainer(mesh_shape=(2, 2)):
+    return _trainer(strategy="wus", mesh_shape=mesh_shape)
 
 
 def _batch():
@@ -81,19 +111,27 @@ def _count_sink_calls(monkeypatch) -> collections.Counter:
     return calls
 
 
-def test_a_wus_step_records_within_its_budget(monkeypatch):
-    trainer = _wus_trainer()
+def _second_step_records(monkeypatch, trainer) -> tuple[int, dict, int, int]:
+    """A trainer's second step's spans, registry calls, sink calls and
+    flight entries (the first looks the step's series up once)."""
     x, y = _batch()
-    trainer.step(x, y)  # looks the step's series up once per registry
+    trainer.step(x, y)
     registry_calls = _count_registry_calls(monkeypatch)
     sink_calls = _count_sink_calls(monkeypatch)
     spans = len(telemetry.tracer.trace.events)
     entries = len(telemetry.flight_recorder)
     trainer.step(x, y)
-    assert len(telemetry.tracer.trace.events) - spans == SPANS
-    assert dict(registry_calls) == REGISTRY_CALLS
-    assert sink_calls["sink"] == 1  # the step's spans reach the sinks at once
-    assert len(telemetry.flight_recorder) - entries == FLIGHT_ENTRIES
+    return (
+        len(telemetry.tracer.trace.events) - spans, dict(registry_calls),
+        sink_calls["sink"], len(telemetry.flight_recorder) - entries,
+    )
+
+
+def test_a_wus_step_records_within_its_budget(monkeypatch):
+    # One sink call: the step's spans reach the sinks at once.
+    assert _second_step_records(monkeypatch, _wus_trainer()) == (
+        SPANS, REGISTRY_CALLS, 1, FLIGHT_ENTRIES
+    )
 
 
 def test_the_budget_holds_at_every_survivor_count(monkeypatch):
@@ -110,30 +148,85 @@ def test_the_budget_holds_at_every_survivor_count(monkeypatch):
         assert len(telemetry.tracer.trace.events) - spans == SPANS
 
 
-def test_the_tally_writes_what_the_sites_would_have():
-    """The step's one counter call writes exactly the series and amounts
-    the collectives, the bucket and the trainer would each have written."""
-    trainer = _wus_trainer()
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_records_within_its_budget(monkeypatch, strategy):
+    config, spans, histograms = STRATEGIES[strategy]
+    overlap_gauges = {"gauge": 2} if config.get("overlap") else {}
+    registry_calls = {"add": 1, "histogram": histograms, **overlap_gauges}
+    assert _second_step_records(monkeypatch, _trainer(**config)) == (
+        spans, registry_calls, 1, spans + 2
+    )
+
+
+def _counters() -> dict:
+    return {
+        (name, tuple(sorted(labels))): value
+        for name, labels, value in telemetry.metrics.scalar_children()
+        if not name.endswith("_seconds") and name != "overlap_efficiency"
+    }
+
+
+def test_the_tally_writes_what_the_sites_would_have(monkeypatch):
+    """Each strategy's step counters equal what the same launches write
+    outside a step: with the step's record never entered, every site
+    writes its own series straight to the registry."""
     x, y = _batch()
-    trainer.step(x, y)
-    tallied = {
-        (name, tuple(sorted(labels))): value
-        for name, labels, value in telemetry.metrics.scalar_children()
-        if not name.endswith("_seconds")
-    }
-    # The same step's counts, taken with the trainer's tally removed: every
-    # site then records its own series, as outside a trainer.
-    telemetry.reset()
-    untallied = _wus_trainer()
-    untallied._tallies_launches = False
-    untallied._launch_counts = lambda: ()
-    untallied.step(x, y)
-    recorded = {
-        (name, tuple(sorted(labels))): value
-        for name, labels, value in telemetry.metrics.scalar_children()
-        if not name.endswith("_seconds")
-    }
-    assert tallied == recorded
+    for strategy, (config, _, _) in STRATEGIES.items():
+        telemetry.reset()
+        trainer = _trainer(**config)
+        for _ in range(3):
+            trainer.step(x, y)
+        tallied = _counters()
+        telemetry.reset()
+        with monkeypatch.context() as patch:
+            patch.setattr(telemetry.StepRecord, "__enter__", lambda record: record)
+            untallied = _trainer(**config)
+            for _ in range(3):
+                untallied.step(x, y)
+        assert _counters() == tallied, strategy
+        assert strategy == "single" or telemetry.metrics.total("collective_launches") > 0
+
+
+def test_a_raising_step_keeps_what_its_sites_counted():
+    """A step that raises after its collective writes the collective's
+    counts and spans, but no step of its own."""
+    trainer = _trainer(strategy="data_parallel", mesh_shape=(4, 1))
+    x, y = _batch()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("update failed")
+
+    trainer.optimizer.update = fail
+    with pytest.raises(RuntimeError, match="update failed"):
+        trainer.step(x, y)
+    m = telemetry.metrics
+    assert m.value("collective_launches", op="all_reduce", axis="ring") == 1
+    assert m.value("collective_ring_steps", op="all_reduce", axis="ring") == 6
+    assert m.value("bucket_unflatten_calls") == 1
+    assert m.total("train_steps") == 0
+    names = [event.name for event in telemetry.tracer.trace.events]
+    assert names == [
+        "split", "forward_backward", "ring_all_reduce", "bucket_all_reduce",
+        "collective", "update", "train_step",
+    ]
+
+
+def test_a_private_tracer_keeps_its_spans_inside_a_step():
+    """Only the process tracer's spans wait for the step: a span another
+    tracer records inside a step stays in that tracer."""
+    trainer = _wus_trainer()
+    private = Tracer()
+    loss_and_grad = trainer.model.loss_and_grad
+
+    def traced(*args, **kwargs):
+        with private.span("private", category="compute"):
+            return loss_and_grad(*args, **kwargs)
+
+    trainer.model.loss_and_grad = traced
+    trainer.step(*_batch())
+    assert [event.name for event in private.trace.events] == ["private"]
+    assert "private" not in {event.name for event in telemetry.tracer.trace.events}
+    assert len(telemetry.tracer.trace.events) == SPANS
 
 
 def test_concurrent_tallied_steps_keep_their_own_records():

@@ -221,6 +221,41 @@ class TestPostmortem:
         rec.dump(reason="why")
         assert telemetry.metrics.value("flight_postmortems", reason="why") == 1
 
+    def test_a_tripwire_bundle_holds_its_step_so_far(self):
+        """The guard's tripwire dumps a bundle from inside a data-parallel
+        step: the step's spans so far stand ahead of the fault record, in
+        order, and its collective's counters are in the snapshot."""
+        import numpy as np
+
+        from repro.controlplane.guard import ConsistencyGuard, SilentCorruptionError
+        from repro.core.trainer import TrainerConfig, make_trainer
+        from repro.models.mlp import MLP
+        from repro.optim.sgd import SGDMomentum
+
+        trainer = make_trainer(TrainerConfig(
+            model=MLP([8, 16, 4]), optimizer=SGDMomentum(0.05),
+            strategy="data_parallel", mesh_shape=(2, 1), seed=4,
+            guard=ConsistencyGuard(on_nonfinite="raise"),
+        ))
+        trainer.params["w0"][0, 0] = np.nan
+        rng = np.random.default_rng(0)
+        with pytest.raises(SilentCorruptionError):
+            trainer.step(rng.standard_normal((4, 8)), rng.integers(0, 4, size=4))
+        bundle = telemetry.flight_recorder.last_postmortem
+        kinds = [r["kind"] for r in bundle["records"]]
+        ahead = bundle["records"][:kinds.index("fault")]
+        assert [r["name"] for r in ahead if r["kind"] == "span"] == [
+            "split", "forward_backward", "ring_all_reduce", "bucket_all_reduce",
+            "collective",
+        ]
+        launches = {
+            tuple(sorted(v["labels"].items())): v["value"]
+            for v in bundle["counters"]["collective_launches"]["values"]
+        }
+        assert launches == {(("axis", "ring"), ("op", "all_reduce")): 1.0}
+        assert bundle["counters"]["bucket_unflatten_calls"]["values"][0]["value"] == 1.0
+        assert "train_steps" not in bundle["counters"]
+
 
 class TestCounterDeltas:
     def test_only_changes_recorded(self):
