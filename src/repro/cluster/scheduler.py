@@ -54,6 +54,7 @@ import functools
 import logging
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,6 +280,39 @@ _NAME = operator.attrgetter("name")
 _ORDER = operator.attrgetter("order")
 
 
+def _cluster_record(t: float, event: str, tick: int, tenant: str, info: dict) -> list:
+    """The flight record of one :meth:`ClusterScheduler._emit`, built when
+    the ring is read."""
+    return [_telemetry.FlightRecord(
+        t, "cluster", event, {"tick": tick, "tenant": tenant, **info}
+    )]
+
+
+class _TenantLedgers(Mapping):
+    """A rejection bundle's ``tenants`` extra: every tenant's ledger as of
+    the dump, kept as copies of its report's fields and made into
+    :meth:`JobReport.ledger_dict` values when the bundle is built."""
+
+    def __init__(self, jobs: Mapping[str, "_Job"]) -> None:
+        self._fields = {name: dict(vars(job.report)) for name, job in jobs.items()}
+
+    def __getitem__(self, key: str) -> dict[str, dict]:
+        if key != "tenants":
+            raise KeyError(key)
+        ledgers = {}
+        for name, fields in self._fields.items():
+            report = JobReport.__new__(JobReport)
+            vars(report).update(fields)
+            ledgers[name] = report.ledger_dict()
+        return ledgers
+
+    def __iter__(self):
+        return iter(("tenants",))
+
+    def __len__(self) -> int:
+        return 1
+
+
 def _trainer_builder(spec: JobSpec, cluster_seed: int):
     """``replicas -> trainer`` for the job (``None`` in accounting mode), its
     init seed derived from the cluster seed."""
@@ -346,8 +380,8 @@ class ClusterScheduler:
 
     def _emit(self, event: str, tenant: str, **info) -> None:
         self.result.events.append((self._tick, event, tenant, info))
-        _telemetry.flight_recorder.record(
-            "cluster", event, tick=self._tick, tenant=tenant, **info
+        _telemetry.flight_recorder.record_lazy(
+            _cluster_record, event, self._tick, tenant, info
         )
         logger.debug("tick %d: %s %s %s", self._tick, event, tenant, info)
 
@@ -681,12 +715,7 @@ class ClusterScheduler:
                 self._settle_waits(cut=job.order)
                 _telemetry.flight_recorder.dump(
                     reason=f"tenant_rejected:{job.name}",
-                    extra={
-                        "tenants": {
-                            name: other.report.ledger_dict()
-                            for name, other in self.jobs.items()
-                        }
-                    },
+                    extra=_TenantLedgers(self.jobs),
                 )
             return
         delay_s = policy.delay_after(job.attempts, key=job.retry_key)

@@ -31,35 +31,32 @@ measured MTTD, ``guard=ConsistencyGuard(...)`` to catch injected
 
 from __future__ import annotations
 
-from repro.controlplane.barrier import (
-    Barrier,
-    BarrierResult,
-    resolve_barrier,
-)
-from repro.controlplane.checkpointing import (
-    CheckpointPolicy,
-    RiskAdaptive,
-    StepInterval,
-    WallClockInterval,
-)
-from repro.controlplane.group import (
-    ControlTopology,
-    HostGroup,
-    JobKilledError,
-    MultiClientGroup,
-    SingleClientCoordinator,
-)
-from repro.controlplane.guard import (
-    ConsistencyGuard,
-    DesyncEvent,
-    SilentCorruptionError,
-    apply_bit_flips,
-)
-from repro.controlplane.heartbeat import (
-    Detection,
-    HeartbeatDetector,
-    OracleDetector,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the submodule defining it, imported on first use: a
+#: process that runs one piece of the control plane (the chaos harness's
+#: detector and guard, the scheduler's barrier) loads only that piece.
+_EXPORTS = {
+    "Barrier": "barrier",
+    "BarrierResult": "barrier",
+    "resolve_barrier": "barrier",
+    "CheckpointPolicy": "checkpointing",
+    "RiskAdaptive": "checkpointing",
+    "StepInterval": "checkpointing",
+    "WallClockInterval": "checkpointing",
+    "ControlTopology": "group",
+    "HostGroup": "group",
+    "JobKilledError": "group",
+    "MultiClientGroup": "group",
+    "SingleClientCoordinator": "group",
+    "ConsistencyGuard": "guard",
+    "DesyncEvent": "guard",
+    "SilentCorruptionError": "guard",
+    "apply_bit_flips": "guard",
+    "Detection": "heartbeat",
+    "HeartbeatDetector": "heartbeat",
+    "OracleDetector": "heartbeat",
+}
 
 __all__ = [
     "Barrier",
@@ -82,3 +79,5 @@ __all__ = [
     "apply_bit_flips",
     "resolve_barrier",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -29,13 +29,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro import telemetry as _telemetry
-from repro.controlplane.group import ControlTopology
 from repro.refuse import count, non_negative, positive
 from repro.resilience.faults import FaultPlan
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # annotation only: a detector runs on any topology object
+    from repro.controlplane.group import ControlTopology
 
 logger = logging.getLogger("repro.controlplane")
 
@@ -151,6 +153,9 @@ class HeartbeatDetector:
         sim = Simulator()
         sent: dict[int, set[int]] = {h: set() for h in group.host_ids()}
         detections: dict[int, Detection] = {}
+        # Heartbeats sent and missed and false suspicions, counted here and
+        # written to the registry once, when the simulation ends.
+        tallies = [0, 0, 0]
 
         def emitter(host: int, death: float):
             k = 1
@@ -162,10 +167,7 @@ class HeartbeatDetector:
                 if sim.now >= death:
                     return
                 sent[host].add(k)
-                if _telemetry.enabled:
-                    _telemetry.metrics.counter(
-                        "controlplane_heartbeats_sent"
-                    ).inc()
+                tallies[0] += 1
                 k += 1
 
         def link_up(src_host: int, dst_host: int, t: float) -> bool:
@@ -188,17 +190,12 @@ class HeartbeatDetector:
                     watched, observer, beat_time
                 )
                 if delivered:
-                    if suspicion and _telemetry.enabled and sim.now < death:
-                        _telemetry.metrics.counter(
-                            "controlplane_false_suspicions"
-                        ).inc(suspicion)
+                    if suspicion and sim.now < death:
+                        tallies[2] += suspicion
                     suspicion = 0
                 else:
                     suspicion += 1
-                    if _telemetry.enabled:
-                        _telemetry.metrics.counter(
-                            "controlplane_heartbeats_missed"
-                        ).inc()
+                    tallies[1] += 1
                     if suspicion >= self.suspicion_threshold:
                         declared = Detection(
                             host=watched,
@@ -229,6 +226,13 @@ class HeartbeatDetector:
         out = sorted(detections.values(), key=lambda d: (d.detect_time, d.host))
         if _telemetry.enabled:
             m = _telemetry.metrics
+            sent_beats, missed, false_suspicions = tallies
+            if sent_beats:
+                m.counter("controlplane_heartbeats_sent").inc(sent_beats)
+            if missed:
+                m.counter("controlplane_heartbeats_missed").inc(missed)
+            if false_suspicions:
+                m.counter("controlplane_false_suspicions").inc(false_suspicions)
             for d in out:
                 m.counter("controlplane_detections").inc()
                 if not d.false_positive:

@@ -103,6 +103,15 @@ class DataParallelTrainer(CheckpointingTrainer):
         self.guard = guard
         self.num_buckets = num_buckets
         self.overlap = overlap
+        #: The overlap model's counter series, labeled by trainer class.
+        trainer = type(self).__name__
+        self._overlap_series = tuple(
+            _telemetry.series(name, trainer=trainer)
+            for name in (
+                "overlap_steps", "overlap_comm_seconds", "overlap_exposed_seconds",
+                "overlap_hidden_seconds",
+            )
+        )
         #: Bucket layout of the gradient tree; like the blocks below it
         #: depends only on the model and ``num_buckets``, so it outlives
         #: ``init()`` and restores (params and slots are replicated: a
@@ -247,12 +256,11 @@ class DataParallelTrainer(CheckpointingTrainer):
         if _telemetry.enabled:
             tally, m = _telemetry.tally, _telemetry.metrics
             trainer = type(self).__name__
-            tally("overlap_steps", 1, trainer=trainer)
-            tally("overlap_comm_seconds", result.comm_seconds, trainer=trainer)
-            tally(
-                "overlap_exposed_seconds", result.exposed_comm_seconds, trainer=trainer
-            )
-            tally("overlap_hidden_seconds", result.hidden_comm_seconds, trainer=trainer)
+            steps, comm, exposed, hidden = self._overlap_series
+            tally(steps, 1)
+            tally(comm, result.comm_seconds)
+            tally(exposed, result.exposed_comm_seconds)
+            tally(hidden, result.hidden_comm_seconds)
             m.gauge("overlap_efficiency", trainer=trainer).set(
                 result.overlap_efficiency
             )

@@ -210,9 +210,12 @@ class TrainLog:
 class _StepRun:
     """One step in flight: what :meth:`BaseTrainer._step` hands a strategy."""
 
-    __slots__ = ("losses", "grads", "phase_seconds", "result", "start", "_mark", "_phase")
+    __slots__ = (
+        "losses", "grads", "phase_seconds", "result", "start", "record", "_mark",
+        "_phase",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, record: Any) -> None:
         #: Every replica's loss, as the strategy's ``_forward_backward`` made them.
         self.losses: Sequence[float] = ()
         #: The step's gradients in the strategy's own form: a tree, one tree
@@ -220,6 +223,8 @@ class _StepRun:
         self.grads: Any = None
         self.phase_seconds: dict[str, float] = {}
         self.result: StepResult | None = None
+        #: The step's :class:`~repro.telemetry.StepRecord`.
+        self.record = record
         self.start = self._mark = _perf()
         self._phase = ("", "")
 
@@ -229,8 +234,9 @@ class _StepRun:
         One name feeds both, so span names and phase keys cannot drift.
         Each phase is timed from the end of the previous one, so the
         phases add up to the step; its span is cut from the same two clock
-        marks (one reading per boundary, no open-span bookkeeping).
-        Phases run one after another, never nested.
+        marks (one reading per boundary, no open-span bookkeeping), which
+        join the step record's marks as the process tracer's ``emit`` would
+        add them.  Phases run one after another, never nested.
         """
         self._phase = (name, category)
         return self
@@ -242,7 +248,7 @@ class _StepRun:
         now = _perf()
         name, category = self._phase
         if _telemetry.enabled:
-            _telemetry.tracer.emit(name, category, "trainer", self._mark, now)
+            self.record.marks.append((name, category, "trainer", self._mark, now))
         self.phase_seconds[name] = now - self._mark
         self._mark = now
 
@@ -276,9 +282,9 @@ class _Step:
                 f"labels shape {labels.shape} does not match a batch of "
                 f"{x.shape[0]} rows"
             )
-        run = self.run = _StepRun()
+        self.record = _telemetry.StepRecord(trainer._step_slots).__enter__()
+        run = self.run = _StepRun(self.record)
         trainer._last_launches = []
-        self.record = _telemetry.StepRecord().__enter__()
         try:
             with run.phase("split", "input"):
                 xs, ys = trainer._split(x, labels)
@@ -297,13 +303,13 @@ class _Step:
         record = self.record
         try:
             if _telemetry.enabled:
-                tracer.emit("train_step", "step", "trainer", self.run.start, end)
+                record.marks.append(("train_step", "step", "trainer", self.run.start, end))
         finally:
             record.__exit__()
             if raised:
                 record.flush()
-            elif record.spans:
-                tracer.emit_all(record.spans)
+            elif record.marks:
+                tracer.emit_all(record.marks)
         return end
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -330,7 +336,7 @@ class _Step:
             step_index=trainer.step_index,
         )
         trainer.step_index += 1
-        trainer._record_step(end - run.start, run.result, self.record.counts)
+        trainer._record_step(end - run.start, run.result, self.record)
 
 
 class BaseTrainer(ABC):
@@ -365,10 +371,15 @@ class BaseTrainer(ABC):
         #: ``(payload_bytes, wall_seconds)`` per gradient collective the
         #: strategy launched this step; the payloads sum to ``bytes_moved``.
         self._last_launches: list[tuple[float, float]] = []
-        #: The series keys of the last step's counters and their
-        #: :class:`~repro.telemetry.CounterSet`; worked out again when a
-        #: step counts other series.
+        #: The series slots the last step counted, which the next step's
+        #: record starts from, with the phase names and the
+        #: :class:`~repro.telemetry.CounterSet` written under them; worked
+        #: out again when a step counts another series or phase.
+        self._step_slots: dict[int, int] | None = None
         self._step_counters: tuple[tuple, Any] | None = None
+        self._step_seconds = _telemetry.HistogramSeries(
+            "step_seconds", trainer=type(self).__name__
+        )
 
     @property
     @abstractmethod
@@ -414,31 +425,43 @@ class BaseTrainer(ABC):
         return _Step(self, x, labels)
 
     def _record_step(
-        self, seconds: float, result: StepResult, counts: dict[tuple, float]
+        self, seconds: float, result: StepResult, record: Any
     ) -> None:
         """Step telemetry, labeled by trainer class, plus the flight record.
 
         Every counter the step wrote is one :class:`CounterSet` amount —
-        what its sites counted (``counts``, by series), the step and the
-        phase seconds — written in one registry call.
+        what its sites counted (the ``record``'s amounts, by slot), the
+        step and the phase seconds — written in one registry call.  The
+        flight recorder keeps the children and amounts it wrote.
         """
         if not _telemetry.enabled:
             return
         phase_seconds = result.phase_seconds
-        keys = (*counts, *phase_seconds)
+        phases = tuple(phase_seconds)
+        slots = record.slots
         trainer = type(self).__name__
-        if self._step_counters is None or self._step_counters[0] != keys:
-            series = [(name, dict(labels)) for name, *labels in counts]
+        counters = self._step_counters
+        if counters is None or counters[0] is not slots or counters[1] != phases:
+            series = [_telemetry.series_of(ident) for ident in slots]
             series.append(("train_steps", {"trainer": trainer}))
             series += [
                 ("step_phase_seconds", {"trainer": trainer, "phase": phase})
-                for phase in phase_seconds
+                for phase in phases
             ]
-            self._step_counters = keys, _telemetry.CounterSet(series)
+            counters = self._step_counters = (
+                slots, phases, _telemetry.CounterSet(series)
+            )
+            self._step_slots = slots
+        amounts = record.amounts
+        amounts.append(1.0)
+        amounts += phase_seconds.values()
+        counter_set = counters[2]
         m = _telemetry.metrics
-        m.add(self._step_counters[1], [*counts.values(), 1.0, *phase_seconds.values()])
-        m.histogram("step_seconds", trainer=trainer).observe(seconds)
-        _telemetry.flight_recorder.on_step(result, trainer=trainer)
+        m.add(counter_set, amounts)
+        self._step_seconds.observe(m, seconds)
+        _telemetry.flight_recorder.on_step(
+            result, trainer, counter_set.children, amounts
+        )
 
     def train(self, batches, steps: int) -> TrainLog:
         losses = []

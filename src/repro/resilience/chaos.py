@@ -588,10 +588,7 @@ def run_chaos(
         if rec.trainer is None:
             # Accounting mode has no trainer StepResult to mirror; keep the
             # flight timeline alive with the modeled step boundary instead.
-            _telemetry.flight_recorder.record(
-                "step", "modeled_step", step_index=step, slowdown=slowdown
-            )
-            _telemetry.flight_recorder.record_counter_deltas()
+            _telemetry.flight_recorder.on_modeled_step(step, slowdown)
         step += 1
 
         # --- cross-replica hash check ---------------------------------------

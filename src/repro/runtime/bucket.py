@@ -41,6 +41,18 @@ from repro.runtime.collectives import (
 from repro.refuse import count
 from repro.runtime.stacked import StackedValue
 
+#: The buckets' counter series (:func:`repro.telemetry.series`): a
+#: flatten's seconds, bytes and call, an unflatten's seconds and call, and
+#: the segment cache's hits and misses.
+_FLATTEN = tuple(
+    _telemetry.series(f"bucket_flatten_{what}") for what in ("seconds", "bytes", "calls")
+)
+_UNFLATTEN = tuple(
+    _telemetry.series(f"bucket_unflatten_{what}") for what in ("seconds", "calls")
+)
+_SEGMENT_HITS = _telemetry.series("bucket_segment_cache_hits")
+_SEGMENT_MISSES = _telemetry.series("bucket_segment_cache_misses")
+
 
 @dataclass(frozen=True)
 class BucketSegment:
@@ -115,10 +127,9 @@ class GradientBucket:
         for name, where in self._slices.items():
             out[where] = np.asarray(tree[name]).reshape(-1)
         if _telemetry.enabled:
-            tally = _telemetry.tally
-            tally("bucket_flatten_seconds", _perf() - t0)
-            tally("bucket_flatten_bytes", self.size * self.dtype.itemsize)
-            tally("bucket_flatten_calls", 1)
+            _telemetry.tally_all(
+                _FLATTEN, (_perf() - t0, self.size * self.dtype.itemsize, 1)
+            )
         return out
 
     def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -134,8 +145,7 @@ class GradientBucket:
             for name in self.names
         }
         if _telemetry.enabled:
-            _telemetry.tally("bucket_unflatten_seconds", _perf() - t0)
-            _telemetry.tally("bucket_unflatten_calls", 1)
+            _telemetry.tally_all(_UNFLATTEN, (_perf() - t0, 1))
         return tree
 
     def stacked_views(self, block: np.ndarray) -> dict[str, np.ndarray]:
@@ -169,10 +179,10 @@ class GradientBucket:
         cached = self._segment_cache.get(key)
         if cached is not None:
             if _telemetry.enabled:
-                _telemetry.tally("bucket_segment_cache_hits", 1)
+                _telemetry.tally(_SEGMENT_HITS, 1)
             return cached
         if _telemetry.enabled:
-            _telemetry.tally("bucket_segment_cache_misses", 1)
+            _telemetry.tally(_SEGMENT_MISSES, 1)
         segs = []
         for name in self.names:
             tensor = self.slice_of(name)
@@ -200,7 +210,7 @@ class GradientBucket:
         windows = self._shard_cache.get(num_devices)
         if windows is not None:
             if _telemetry.enabled:
-                _telemetry.tally("bucket_segment_cache_hits", num_devices)
+                _telemetry.tally(_SEGMENT_HITS, num_devices)
             return windows
         _, chunk = padded_chunk_layout(num_devices, self.size)
         windows = self._shard_cache[num_devices] = tuple(

@@ -160,24 +160,60 @@ def _ring_bytes(n: int, chunk: int, itemsize: int) -> int:
     return n * (n - 1) * chunk * itemsize
 
 
+class _Launch:
+    """The series one launch shape writes, interned once
+    (:func:`~repro.telemetry.step.series`): its bytes per wire axis, its
+    ring steps and the launch, then its ``collective_seconds`` histogram."""
+
+    __slots__ = ("counters", "seconds")
+
+    def __init__(self, op: str, axis: str, policy: str, wire_axes: tuple[str, ...]) -> None:
+        series = _telemetry.series
+        self.counters = (
+            *(series("collective_bytes", op=op, axis=wire_axis, policy=policy)
+              for wire_axis in wire_axes),
+            series("collective_ring_steps", op=op, axis=axis),
+            series("collective_launches", op=op, axis=axis),
+        )
+        self.seconds = _telemetry.HistogramSeries("collective_seconds", op=op, axis=axis)
+
+
+class _Launches(dict):
+    """Policy -> the :class:`_Launch` of one call site's op and axes."""
+
+    def __init__(self, op: str, axis: str, *wire_axes: str) -> None:
+        super().__init__()
+        self.shape = (op, axis, wire_axes)
+
+    def __missing__(self, policy: str) -> _Launch:
+        op, axis, wire_axes = self.shape
+        launch = self[policy] = _Launch(op, axis, policy, wire_axes)
+        return launch
+
+
+_RING_REDUCE_SCATTER = _Launches("reduce_scatter", "ring", "ring")
+_RING_ALL_GATHER = _Launches("all_gather", "ring", "ring")
+_RING_ALL_REDUCE = _Launches("all_reduce", "ring", "ring")
+_REDUCE_SCATTER_Y = _Launches("reduce_scatter", "y", "y")
+_REDUCE_SCATTER_X = _Launches("reduce_scatter", "x", "x")
+_ALL_GATHER_GRID = _Launches("all_gather", "xy", "x", "y")
+_TWO_PHASE_LAUNCHES = _telemetry.series(
+    "collective_launches", op="two_phase_all_reduce", axis="xy"
+)
+
+
 def _record_collective(
-    op: str, axis: str, policy: str, steps: int, seconds: float,
-    *wire: tuple[str, int],
+    launch: _Launch, steps: int, seconds: float, *wire_bytes: int
 ) -> None:
     """Account one collective launch: the bytes each of its phases put on
-    the wire (``wire``, as ``(axis, bytes)``), its ring steps and the
-    launch, counted through :func:`~repro.telemetry.step.tally`, and its
-    measured time.
+    the wire (``wire_bytes``, one per wire axis of ``launch``), its ring
+    steps and the launch, counted through
+    :func:`~repro.telemetry.step.tally`, and its measured time.
 
     Only called when telemetry is enabled.
     """
-    tally = _telemetry.tally
-    for wire_axis, nbytes in wire:
-        tally("collective_bytes", nbytes, op=op, axis=wire_axis, policy=policy)
-    tally("collective_ring_steps", steps, op=op, axis=axis)
-    tally("collective_launches", 1, op=op, axis=axis)
-    histogram = _telemetry.metrics.histogram
-    histogram("collective_seconds", op=op, axis=axis).observe(seconds)
+    _telemetry.tally_all(launch.counters, (*wire_bytes, steps, 1))
+    launch.seconds.observe(_telemetry.metrics, seconds)
 
 
 class _LRUBufferPool:
@@ -525,9 +561,9 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
     if _telemetry.enabled:
         n, chunk = shards.shape
         _record_collective(
-            "reduce_scatter", "ring", dtype_policy, n - 1,
+            _RING_REDUCE_SCATTER[dtype_policy], n - 1,
             _comm_span("ring_reduce_scatter", t0) - t0,
-            ("ring", _ring_bytes(n, chunk, shards.itemsize)),
+            _ring_bytes(n, chunk, shards.itemsize),
         )
     return ShardedValue(list(shards), shape, padded, block=shards)
 
@@ -571,8 +607,8 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
         # the policy label (bf16 shards travel as f32, matching the wire).
         policy = _WIRE_POLICY.get(full.dtype.char) or full.dtype.name
         _record_collective(
-            "all_gather", "ring", policy, n - 1, seconds,
-            ("ring", _ring_bytes(n, value.padded_size // n, full.dtype.itemsize)),
+            _RING_ALL_GATHER[policy], n - 1, seconds,
+            _ring_bytes(n, value.padded_size // n, full.dtype.itemsize),
         )
     return result
 
@@ -610,9 +646,9 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
     if _telemetry.enabled:
         # Reduce-scatter + all-gather: twice the one-phase ring traffic.
         _record_collective(
-            "all_reduce", "ring", dtype_policy, 2 * (n - 1),
+            _RING_ALL_REDUCE[dtype_policy], 2 * (n - 1),
             _comm_span("ring_all_reduce", t0) - t0,
-            ("ring", _ring_bytes(n, 2 * shards.shape[1], shards.itemsize)),
+            _ring_bytes(n, 2 * shards.shape[1], shards.itemsize),
         )
     return result
 
@@ -731,8 +767,8 @@ class TwoPhaseAllReduce:
         if _telemetry.enabled:
             # x_size concurrent column rings of y_size members each.
             _record_collective(
-                "reduce_scatter", "y", policy, y_size - 1, self._y_seconds,
-                ("y", _ring_bytes(y_size, x_size * y_chunk, dtype.itemsize)),
+                _REDUCE_SCATTER_Y[policy], y_size - 1, self._y_seconds,
+                _ring_bytes(y_size, x_size * y_chunk, dtype.itemsize),
             )
         # For each Y-shard index, a ring across columns.  Sources are the Y
         # accumulators (already on the wire, so bf16 only rounds the hops):
@@ -751,9 +787,9 @@ class TwoPhaseAllReduce:
         if _telemetry.enabled:
             # y_size concurrent row rings over the already-1/y payload.
             _record_collective(
-                "reduce_scatter", "x", policy, x_size - 1,
+                _REDUCE_SCATTER_X[policy], x_size - 1,
                 _comm_span("reduce_scatter_x", t0) - t0,
-                ("x", _ring_bytes(x_size, y_size * x_chunk, dtype.itemsize)),
+                _ring_bytes(x_size, y_size * x_chunk, dtype.itemsize),
             )
         return x_shards.reshape(y_size, x_size, x_chunk)
 
@@ -764,9 +800,7 @@ class TwoPhaseAllReduce:
         )
         if _telemetry.enabled:
             _comm_span("two_phase_all_reduce", self._start)
-            _telemetry.tally(
-                "collective_launches", 1, op="two_phase_all_reduce", axis="xy"
-            )
+            _telemetry.tally(_TWO_PHASE_LAUNCHES, 1)
         return result
 
 
@@ -798,10 +832,10 @@ def _all_gather_grid_core(
     if _telemetry.enabled:
         itemsize = shards3.dtype.itemsize
         _record_collective(
-            "all_gather", "xy", dtype_policy, (x_size - 1) + (y_size - 1),
+            _ALL_GATHER_GRID[dtype_policy], (x_size - 1) + (y_size - 1),
             _comm_span("all_gather_grid", t0) - t0,
-            ("x", _ring_bytes(x_size, y_size * x_chunk, itemsize)),
-            ("y", _ring_bytes(y_size, x_size * y_chunk, itemsize)),
+            _ring_bytes(x_size, y_size * x_chunk, itemsize),
+            _ring_bytes(y_size, x_size * y_chunk, itemsize),
         )
     return result
 

@@ -18,12 +18,15 @@ input pipeline) is instrumented against the process-wide objects here:
     Module-level flag, **on by default**.  Instrumentation sites guard with
     ``if telemetry.enabled:`` (or get a shared no-op span), keeping the
     disabled cost to one attribute lookup.  Enabled, a training step pays
-    per span an event built from clock marks the step takes anyway, one
-    registry call for every counter its sites :func:`tally` and its own (a
-    :class:`CounterSet`), one observation per histogram, one sink call for
-    all its spans, and one step record plus counter-delta drain whose
-    records are formatted only when read (a :class:`StepRecord`,
-    :mod:`repro.telemetry.step`); DESIGN §7 states the budget as counts.
+    per span one tuple of the clock marks it takes anyway, per count an add
+    at the slot of a series interned once (:func:`series`, :func:`tally`),
+    one registry call for those counts and its own (a :class:`CounterSet`),
+    one observation per histogram through a child looked up once (a
+    :class:`HistogramSeries`), one sink call for all its spans and two
+    flight-ring writes that keep its spans and its step record by reference
+    (a :class:`StepRecord`, :mod:`repro.telemetry.step`).  Trace events,
+    flight records and the step's counter deltas are built when someone
+    reads them; DESIGN §7 states the budget as counts.
     ``bench/run.py --trace 1`` reports the cost per workload as
     ``telemetry.overhead_pct``.
 
@@ -50,9 +53,16 @@ from repro.telemetry.registry import (
     DEFAULT_TIME_BUCKETS,
     Gauge,
     Histogram,
+    HistogramSeries,
     MetricsRegistry,
 )
-from repro.telemetry.step import StepRecord, step_record, tally
+from repro.telemetry.step import (
+    StepRecord,
+    series,
+    series_of,
+    tally,
+    tally_all,
+)
 from repro.telemetry.tracer import MEASURED_SOURCE, Tracer
 from repro.telemetry.flight import FlightRecord, FlightRecorder, on_terminal_failure
 
@@ -66,9 +76,9 @@ enabled: bool = os.environ.get("REPRO_TELEMETRY", "1") != "0"
 metrics = MetricsRegistry()
 tracer = Tracer()
 
-#: Process-wide flight recorder: a bounded ring of the last N spans,
-#: counter deltas, and fault/control-plane events, dumped as a JSON
-#: postmortem bundle when a terminal failure surfaces (see
+#: Process-wide flight recorder: a bounded ring of the last N spans, step
+#: records with their counter deltas, and fault/control-plane events,
+#: dumped as a JSON postmortem bundle when a terminal failure surfaces (see
 #: :mod:`repro.telemetry.flight`).  Always attached; every write is gated
 #: on ``enabled``, so ``REPRO_TELEMETRY=0`` silences it entirely.
 flight_recorder = FlightRecorder()
@@ -156,6 +166,7 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
+    "HistogramSeries",
     "MEASURED_SOURCE",
     "MetricsRegistry",
     "StepRecord",
@@ -168,7 +179,9 @@ __all__ = [
     "metrics",
     "on_terminal_failure",
     "reset",
-    "step_record",
+    "series",
+    "series_of",
     "tally",
+    "tally_all",
     "tracer",
 ]

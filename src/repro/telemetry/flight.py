@@ -22,21 +22,30 @@ The recorder is **always on** (attached to the process tracer at import)
 but every write is gated on ``repro.telemetry.enabled``, so
 ``REPRO_TELEMETRY=0`` disables it entirely.  Memory is O(capacity)
 regardless of run length — the ring is a ``deque(maxlen=capacity)`` and a
-record stores only floats/strings, never tensors.  Writers are
-lock-protected, so concurrent measured spans (e.g. input-pipeline host
-threads) cannot corrupt the ring.
+record stores only floats/strings, never tensors.  A write is one append
+to the bounded deque, which is atomic, so concurrent measured spans (e.g.
+input-pipeline host threads) cannot corrupt the ring.
 
 Writing sits on every training step, reading only on a postmortem: a
-writer appends what it already holds (the span's ``TraceEvent``, the
-step's ``StepResult``, the drained ``(child, delta)`` pairs) beside the
-function that turns it into a :class:`FlightRecord`, and records are
-built when :attr:`FlightRecorder.records` or a bundle reads the ring.
+writer appends what it already holds — a step's spans as clock marks
+(:class:`~repro.telemetry.tracer.Spans`), a trainer step's ``StepResult``
+with the counter children and amounts its one registry ``add`` wrote, the
+arguments of a cluster event — beside the function that turns it into
+:class:`FlightRecord` objects, and records are built when
+:attr:`FlightRecorder.records` or a bundle reads the ring.  A step's
+counter deltas are worked out then too: its own are the amounts it added,
+and the writes made since the previous step outside any ``add`` (a
+restart's counters, a gauge) are drained at the step only when there are
+any, and shown in its record.  Entries hold one record or more, so the
+ring keeps the last ``capacity`` entries and a read builds the newest
+ones, down to the last ``capacity`` records.
 
 Bundles are written to ``REPRO_POSTMORTEM_DIR`` (or
-``FlightRecorder.dump_dir``) when set; otherwise the bundle is only built
-in memory and kept at :attr:`FlightRecorder.last_postmortem`, so library
-code can *always* call :func:`on_terminal_failure` without littering the
-working directory of test runs.
+``FlightRecorder.dump_dir``) when set; otherwise :meth:`FlightRecorder.dump`
+captures the ring's entries and a registry snapshot, and the bundle is
+built from them in memory when :attr:`FlightRecorder.last_postmortem` is
+first read, so library code can *always* call :func:`on_terminal_failure`
+without littering the working directory of test runs.
 """
 
 from __future__ import annotations
@@ -47,8 +56,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro import telemetry as _telemetry
 from repro.refuse import count
@@ -64,20 +72,20 @@ POSTMORTEM_SCHEMA = "repro.postmortem/v1"
 DEFAULT_CAPACITY = 256
 
 
-@dataclass(frozen=True)
-class FlightRecord:
-    """One entry in the ring: a timestamped (kind, name, payload) triple.
+class FlightRecord(NamedTuple):
+    """One record of the ring: a timestamped (kind, name, payload) triple.
 
     ``t`` is seconds since the recorder's epoch.  ``kind`` is the record
     class (``"span"``, ``"counters"``, ``"fault"``, ``"heartbeat"``,
     ``"barrier"``, ``"checkpoint"``, ``"step"``, ``"chaos"``, ...);
     ``data`` is a small JSON-ready payload — scalars and strings only.
+    An immutable tuple: a postmortem builds one per record it shows.
     """
 
     t: float
     kind: str
     name: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def to_json(self) -> dict:
         return {"t": self.t, "kind": self.kind, "name": self.name, "data": self.data}
@@ -106,6 +114,47 @@ def _deltas_record(t: float, pairs) -> FlightRecord:
     return FlightRecord(t, "counters", "counter_deltas", {"deltas": series_deltas(pairs)})
 
 
+# Entry builders: ``build(t, *args)`` is the list of records an entry holds.
+
+def _one(t: float, kind: str, name: str, data: dict) -> list[FlightRecord]:
+    return [FlightRecord(t, kind, name, data)]
+
+
+def _spans(t: float, events) -> list[FlightRecord]:
+    return [_span_record(t, event) for event in events]
+
+
+def _deltas(t: float, pairs) -> list[FlightRecord]:
+    return [_deltas_record(t, pairs)]
+
+
+def _step(
+    t: float, result, trainer: str, children, amounts, drained
+) -> list[FlightRecord]:
+    """A trainer step's record, then its counter deltas: the amounts its
+    ``add`` wrote to ``children`` plus the other writes ``drained`` at it."""
+    records = [_step_record(t, result, trainer)]
+    pairs = drained
+    if children:
+        deltas = dict(drained)
+        for child, amount in zip(children, amounts):
+            if amount:
+                deltas[child] = deltas.get(child, 0.0) + amount
+        pairs = deltas.items()
+    if pairs:
+        records.append(_deltas_record(t, pairs))
+    return records
+
+
+def _modeled_step(t: float, step: int, slowdown: float, drained) -> list[FlightRecord]:
+    records = [FlightRecord(t, "step", "modeled_step", {
+        "step_index": step, "slowdown": slowdown,
+    })]
+    if drained:
+        records.append(_deltas_record(t, drained))
+    return records
+
+
 class FlightRecorder:
     """Bounded ring buffer of recent telemetry, dumpable as a postmortem.
 
@@ -124,7 +173,10 @@ class FlightRecorder:
         self.capacity = count("capacity", capacity)
         self._clock = clock
         self._epoch = clock()
-        #: ``(build, t, *args)`` entries: ``build(t, *args)`` is the record.
+        #: ``(build, t, *args)`` entries: ``build(t, *args)`` is the list of
+        #: records one holds.  Each holds at least one, so the last
+        #: ``capacity`` entries hold the last ``capacity`` records.  A write
+        #: is one append, which the deque makes atomic, as is a reader's copy.
         self._records: deque[tuple] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         self._delta_reader = DeltaReader()
@@ -133,9 +185,10 @@ class FlightRecorder:
             if dump_dir is not None
             else (os.environ.get("REPRO_POSTMORTEM_DIR") or None)
         )
-        #: The most recent bundle built by :meth:`dump` (memory-only when
-        #: no dump directory is configured).
-        self.last_postmortem: dict | None = None
+        #: What the most recent :meth:`dump` captured, and its bundle once
+        #: built (see :attr:`last_postmortem`).
+        self._last_capture: tuple | None = None
+        self._last_bundle: dict | None = None
         #: Wall seconds :meth:`dump` took to build (and, when a directory
         #: is configured, write) the last bundle — the time-to-postmortem
         #: column of the availability tables.
@@ -154,19 +207,33 @@ class FlightRecorder:
         if not _telemetry.enabled:
             return
         _flush_step()
-        entry = (FlightRecord, self.now(), kind, name, data)
-        with self._lock:
-            self._records.append(entry)
+        self._records.append((_one, self.now(), kind, name, data))
+
+    def record_lazy(self, build: Callable[..., list[FlightRecord]], *args) -> None:
+        """Append the records ``build(t, *args)`` makes when the ring is
+        read, ``t`` being now: a writer that runs often keeps its arguments
+        as they are rather than building a payload per call."""
+        if not _telemetry.enabled:
+            return
+        _flush_step()
+        self._records.append((build, self.now(), *args))
 
     def on_trace_events(self, events) -> None:
         """Tracer sink: mirror measured spans into the ring, one write per
-        call (a trainer step's spans come as one call)."""
-        if not _telemetry.enabled or not events:
-            return
-        t = self._clock() - self._epoch
-        entries = [(_span_record, t, event) for event in events]
-        with self._lock:
-            self._records.extend(entries)
+        call (a trainer step's spans come as one call, kept as marks)."""
+        if _telemetry.enabled and events:
+            self._records.append((_spans, self._clock() - self._epoch, events))
+
+    def _drain(self, registry) -> list:
+        """The counter/gauge changes since this recorder's last drain.
+
+        The process recorder is told of every trainer step's ``add`` to the
+        process registry (:meth:`on_step`), so it reads only the other
+        writes there; any other pairing reads every write.  Nothing is
+        visited when nothing was written.
+        """
+        direct = self is _telemetry.flight_recorder and registry is _telemetry.metrics
+        return registry.scalar_deltas(self._delta_reader, direct)
 
     def record_counter_deltas(self, registry=None) -> None:
         """Record which scalar metrics moved (and by how much) since last call.
@@ -183,17 +250,13 @@ class FlightRecorder:
             return
         _flush_step()
         registry = registry if registry is not None else _telemetry.metrics
-        pairs = registry.scalar_deltas(self._delta_reader)
+        pairs = self._drain(registry)
         if pairs:
-            entry = (_deltas_record, self.now(), pairs)
-            with self._lock:
-                self._records.append(entry)
+            self._records.append((_deltas, self.now(), pairs))
 
     def append(self, at: float, kind: str, name: str, data: dict) -> None:
         """Append a record another recorder built, as of clock reading ``at``."""
-        entry = (FlightRecord, at - self._epoch, kind, name, data)
-        with self._lock:
-            self._records.append(entry)
+        self._records.append((_one, at - self._epoch, kind, name, data))
 
     def record_fault(self, exc: BaseException, origin: str = "", **context) -> None:
         """Record a fault event (terminal or survived) into the ring."""
@@ -205,36 +268,79 @@ class FlightRecorder:
             **context,
         )
 
-    def on_step(self, result, trainer: str = "") -> None:
-        """Record one trainer step boundary plus the counter deltas it
-        caused (one ring write; the deltas follow the step, as
-        :meth:`record_counter_deltas` would add them)."""
+    def on_step(
+        self, result, trainer: str = "", children: tuple = (), amounts=()
+    ) -> None:
+        """Record one trainer step boundary and the counter deltas it caused,
+        in one ring write.
+
+        ``children`` and ``amounts`` are what the step's one registry
+        ``add`` wrote (kept by reference); the deltas are those amounts plus
+        whatever was written outside an ``add`` since the previous step,
+        as :meth:`record_counter_deltas` would have added them.
+        """
         if not _telemetry.enabled:
             return
-        t = self.now()
-        entries = [(_step_record, t, result, trainer)]
-        pairs = _telemetry.metrics.scalar_deltas(self._delta_reader)
-        if pairs:
-            entries.append((_deltas_record, t, pairs))
-        with self._lock:
-            self._records.extend(entries)
+        t = self._clock() - self._epoch
+        registry = _telemetry.metrics
+        drained = None
+        if self is _telemetry.flight_recorder:
+            drained = registry.direct_deltas(self._delta_reader)
+        if drained is None:
+            # This drain reads the add's writes itself: a first drain
+            # reports whole values, another recorder every write.
+            children = ()
+            drained = self._drain(registry)
+        self._records.append((_step, t, result, trainer, children, amounts, drained))
+
+    def on_modeled_step(self, step: int, slowdown: float) -> None:
+        """Record an accounting-mode step boundary, and the counter deltas
+        since the previous one if anything was written, in one ring write."""
+        if not _telemetry.enabled:
+            return
+        registry = _telemetry.metrics
+        drained = None
+        if self is _telemetry.flight_recorder:
+            drained = registry.direct_deltas(self._delta_reader)
+        if drained is None:
+            drained = self._drain(registry)
+        self._records.append(
+            (_modeled_step, self._clock() - self._epoch, step, slowdown, drained)
+        )
 
     # --- read side ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.records)
 
     @property
     def dump_count(self) -> int:
         """Postmortem bundles built since construction (survives clear())."""
         return self._dump_count
 
+    def _built(self, entries=None) -> list[tuple[Callable, list[FlightRecord]]]:
+        """The newest entries' builders and records, oldest first: only the
+        entries holding the last ``capacity`` records are built."""
+        if entries is None:
+            with self._lock:
+                entries = list(self._records)
+        built = []
+        wanted = self.capacity
+        for build, *args in reversed(entries):
+            records = build(*args)
+            if len(records) > wanted:
+                records = records[len(records) - wanted:]
+            built.append((build, records))
+            wanted -= len(records)
+            if not wanted:
+                break
+        built.reverse()
+        return built
+
     @property
     def records(self) -> list[FlightRecord]:
         """Snapshot of the ring contents, oldest first."""
-        with self._lock:
-            entries = list(self._records)
-        return [build(*args) for build, *args in entries]
+        return [record for _, records in self._built() for record in records]
 
     def export_records(self, spans: int) -> list[tuple]:
         """The ring's records other than spans, as plain ``(position, at,
@@ -244,15 +350,14 @@ class FlightRecorder:
         of them last in the ring; ``position`` counts those recorded ahead
         of the record, and ``at`` is its clock reading.
         """
-        with self._lock:
-            entries = list(self._records)
-        position = spans - sum(1 for entry in entries if entry[0] is _span_record)
+        built = self._built()
+        position = spans - sum(len(records) for build, records in built if build is _spans)
         out = []
-        for build, *args in entries:
-            if build is _span_record:
-                position += 1
-            else:
-                r = build(*args)
+        for build, records in built:
+            if build is _spans:
+                position += len(records)
+                continue
+            for r in records:
                 out.append((position, self._epoch + r.t, r.kind, r.name, r.data))
         return out
 
@@ -275,6 +380,13 @@ class FlightRecorder:
     ) -> dict:
         """The JSON-ready bundle: fault, ring contents, final counters —
         a trainer step running on this thread included, so far."""
+        return self._bundle(*self._capture(reason, exc, registry, extra))
+
+    def _capture(self, reason, exc, registry, extra) -> tuple:
+        """What a bundle shows, as of now: the ring's entries (their records
+        are built with the bundle), the registry snapshot, the rest.
+        ``extra`` is read when the bundle is built: a caller passes a fresh
+        mapping, or one that holds copies of what it shows."""
         _flush_step()
         registry = registry if registry is not None else _telemetry.metrics
         fault = None
@@ -284,18 +396,33 @@ class FlightRecorder:
                 "message": str(exc),
                 "devices": [list(d) for d in getattr(exc, "devices", ())],
             }
-        records = self.records
+        with self._lock:
+            entries = list(self._records)
+        return reason, self.now(), fault, entries, registry.snapshot(), extra or {}
+
+    def _bundle(self, reason, at, fault, entries, counters, extra) -> dict:
+        records = [record for _, built in self._built(entries) for record in built]
         return {
             "schema": POSTMORTEM_SCHEMA,
             "reason": reason,
-            "recorded_at_s": self.now(),
+            "recorded_at_s": at,
             "capacity": self.capacity,
             "num_records": len(records),
             "fault": fault,
             "records": [r.to_json() for r in records],
-            "counters": registry.snapshot(),
-            **(dict(extra) if extra else {}),
+            "counters": counters,
+            **extra,
         }
+
+    @property
+    def last_postmortem(self) -> dict | None:
+        """The bundle of the most recent :meth:`dump` (memory-only when no
+        dump directory is configured), built on first read from what the
+        dump captured."""
+        if self._last_bundle is None and self._last_capture is not None:
+            self._last_bundle = self._bundle(*self._last_capture)
+            self._last_capture = None
+        return self._last_bundle
 
     def dump(
         self,
@@ -305,27 +432,36 @@ class FlightRecorder:
         registry=None,
         extra: Mapping[str, object] | None = None,
     ) -> str | None:
-        """Build (and, when a directory is configured, write) a bundle.
+        """Capture (and, when a directory is configured, write) a bundle.
 
         Returns the written path, or ``None`` when the bundle stayed
         in memory (no ``path`` argument, no dump directory) **or the
         write failed** — a broken dump directory must not replace the
         terminal failure the caller is about to re-raise.  The bundle
-        is always available afterwards at :attr:`last_postmortem`.
+        is always available afterwards at :attr:`last_postmortem`: its
+        counters are snapshotted now, and its records built from the ring
+        entries of now when it is first read.
         """
         t0 = self._clock()
-        bundle = self.postmortem_bundle(reason, exc, registry=registry, extra=extra)
-        self.last_postmortem = bundle
         self._dump_count += 1
+        in_dir = path is None and bool(self.dump_dir)
         out_path = path
+        if in_dir:
+            out_path = os.path.join(
+                self.dump_dir, f"postmortem_{os.getpid()}_{self._dump_count:03d}.json"
+            )
+        if out_path is None:
+            self._last_capture = self._capture(reason, exc, registry, extra)
+            self._last_bundle = None
+        else:
+            self._last_capture = None
+            self._last_bundle = bundle = self.postmortem_bundle(
+                reason, exc, registry=registry, extra=extra
+            )
         try:
-            if out_path is None and self.dump_dir:
-                os.makedirs(self.dump_dir, exist_ok=True)
-                out_path = os.path.join(
-                    self.dump_dir,
-                    f"postmortem_{os.getpid()}_{self._dump_count:03d}.json",
-                )
             if out_path is not None:
+                if in_dir:
+                    os.makedirs(self.dump_dir, exist_ok=True)
                 with open(out_path, "w") as f:
                     json.dump(bundle, f, indent=2)
                 logger.warning(

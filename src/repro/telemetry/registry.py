@@ -35,7 +35,13 @@ ordering them (:func:`series_deltas`) waits until someone reads them.
 A writer whose series are fixed — a trainer step under one bucket plan —
 describes them once as a :class:`CounterSet` and writes all of them with
 one :meth:`MetricsRegistry.add` call, which looks the children up only on
-its first call against a registry (and again after a reset).
+its first call against a registry (and again after a reset).  An ``add``
+marks its set, not each child, and only once between two drains; a counter
+also keeps ``direct``, the part of its value written outside ``add``.  So
+a reader that is told of every ``add`` as it happens — the process flight
+recorder, which each trainer step hands its amounts — drains only the
+other writes (``direct=True``), and between steps that write nothing else
+it has nothing to drain.
 """
 
 from __future__ import annotations
@@ -93,12 +99,17 @@ class _ScalarChild:
     drain's half of the protocol is documented there.
     """
 
-    __slots__ = ("name", "labels", "value", "series", "_order", "_written", "_marked")
+    __slots__ = (
+        "name", "labels", "value", "direct", "series", "_order", "_written", "_marked",
+    )
 
     def __init__(self, name: str, labels: LabelKey, written: list, order: int) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
+        #: The part of ``value`` written outside :meth:`MetricsRegistry.add`
+        #: (all of it, for a gauge).
+        self.direct = 0.0
         self.series = _series(name, labels)
         #: Family then child creation index, packed into one int that sorts
         #: in the registry's iteration order.
@@ -116,6 +127,7 @@ class Counter(_ScalarChild):
         if amount < 0:
             raise ValueError("counters only go up; use a gauge")
         self.value += amount
+        self.direct += amount
         if not self._marked:
             self._marked = True
             self._written.append(self)
@@ -127,13 +139,14 @@ class Gauge(_ScalarChild):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        self.value = self.direct = float(value)
         if not self._marked:
             self._marked = True
             self._written.append(self)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        self.direct = self.value
         if not self._marked:
             self._marked = True
             self._written.append(self)
@@ -170,9 +183,12 @@ class _ReaderState:
     safe wherever the collector runs).
     """
 
-    __slots__ = ("last", "pending", "ref")
+    __slots__ = ("last", "pending", "ref", "direct")
 
-    def __init__(self, reader: DeltaReader, states: dict) -> None:
+    def __init__(self, reader: DeltaReader, states: dict, direct: bool) -> None:
+        self.direct = direct
+        #: Child -> the value last reported (``direct`` for a reader of the
+        #: direct writes only).
         self.last: dict[_ScalarChild, float] = {}
         self.pending: set[_ScalarChild] = set()
         key = id(reader)
@@ -184,10 +200,10 @@ class CounterSet:
 
     ``series`` are ``(name, labels)`` pairs (``str`` label values);
     :meth:`MetricsRegistry.add` increments all of them in one call, by one
-    amount each.
+    amount each.  ``children`` are the counters the last ``add`` wrote.
     """
 
-    __slots__ = ("series", "_registry", "_generation", "_children")
+    __slots__ = ("series", "children", "_registry", "_generation", "_marked")
 
     def __init__(self, series: Iterable[tuple[str, Mapping[str, str]]]) -> None:
         self.series = tuple((name, dict(labels)) for name, labels in series)
@@ -196,7 +212,38 @@ class CounterSet:
             raise ValueError("a series is listed twice")
         self._registry: MetricsRegistry | None = None
         self._generation = -1
-        self._children: tuple[Counter, ...] = ()
+        self.children: tuple[Counter, ...] = ()
+        #: The registry's set of added children this set is marked in.
+        self._marked: set | None = None
+
+
+class HistogramSeries:
+    """One histogram child observed per call, looked up once per registry.
+
+    The histogram counterpart of :class:`CounterSet`, for a writer that
+    observes one fixed series on every step or launch: the child is found
+    on the first :meth:`observe` against a registry and again after a
+    reset.
+    """
+
+    __slots__ = ("name", "labels", "_registry", "_generation", "_child")
+
+    def __init__(self, name: str, **labels: str) -> None:
+        self.name = name
+        self.labels = labels
+        self._registry: MetricsRegistry | None = None
+        self._generation = -1
+        self._child: Histogram | None = None
+
+    def observe(self, registry: "MetricsRegistry", value: float) -> None:
+        if self._registry is not registry or self._generation != registry._generation:
+            self._child = registry.histogram(self.name, **self.labels)
+            self._registry, self._generation = registry, registry._generation
+        # Histogram.observe, inlined: this runs on every launch.
+        child = self._child
+        child.counts[bisect_left(child.buckets, value)] += 1
+        child.sum += value
+        child.count += 1
 
 
 class Histogram:
@@ -267,8 +314,11 @@ class MetricsRegistry:
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
         self._lock = threading.Lock()
         self.max_children = max_children
-        #: Counter/gauge children written since the last scalar_deltas drain.
+        #: Counter/gauge children written outside ``add`` since the last
+        #: scalar_deltas drain, and children written by ``add`` since the last
+        #: drain of a reader that reads them.
         self._written: list[_ScalarChild] = []
+        self._added: set[Counter] = set()
         #: ``id(reader)`` -> position, for every live reader.
         self._readers: dict[int, _ReaderState] = {}
         #: Raw ``(kind, name, *labels.items())`` call -> the child it found
@@ -370,21 +420,25 @@ class MetricsRegistry:
         """Increment ``counters.series[i]`` by ``amounts[i]``, in one call.
 
         The children are looked up on the first call against this registry
-        and again after a :meth:`reset`; later calls only increment.
+        and again after a :meth:`reset`; later calls only increment.  The
+        set is marked as written once until a reader of every write drains
+        it (the children's ``direct`` parts do not move).
         """
         if counters._registry is not self or counters._generation != self._generation:
-            counters._children = tuple(
+            counters.children = tuple(
                 self.counter(name, **labels) for name, labels in counters.series
             )
             counters._registry, counters._generation = self, self._generation
-        # Counter.inc, inlined: this runs once per training step.
-        for child, amount in zip(counters._children, amounts):
-            if amount < 0:
-                raise ValueError("counters only go up; use a gauge")
+            counters._marked = None
+        if amounts and min(amounts) < 0:
+            raise ValueError("counters only go up; use a gauge")
+        for child, amount in zip(counters.children, amounts):
             child.value += amount
-            if not child._marked:
-                child._marked = True
-                child._written.append(child)
+        # Marked after the writes: a drain swaps the set before it reads.
+        added = self._added
+        if counters._marked is not added:
+            counters._marked = added
+            added.update(counters.children)
 
     # --- collectors ---------------------------------------------------------
 
@@ -436,12 +490,38 @@ class MetricsRegistry:
             children = list(self._scalars())
         return [(child.name, child.labels, child.value) for child in children]
 
-    def scalar_deltas(self, reader: DeltaReader) -> list[tuple[_ScalarChild, float]]:
+    def direct_deltas(self, reader: DeltaReader) -> Sequence | None:
+        """:meth:`scalar_deltas` of the direct writes, as a per-step reader
+        asks: ``None`` before ``reader``'s first drain (which the caller
+        makes whole), and at once ``()`` when nothing was written."""
+        state = self._readers.get(id(reader))
+        if state is None:
+            return None
+        if not self._written and not state.pending:
+            return ()
+        return self.scalar_deltas(reader, True)
+
+    def unread(self, reader: DeltaReader, direct: bool = False) -> bool:
+        """Whether :meth:`scalar_deltas` has anything to visit for ``reader``
+        (always, on its first call)."""
+        if self._written or (self._added and not direct):
+            return True
+        state = self._readers.get(id(reader))
+        return state is None or bool(state.pending)
+
+    def scalar_deltas(
+        self, reader: DeltaReader, direct: bool = False
+    ) -> list[tuple[_ScalarChild, float]]:
         """Counter/gauge changes since ``reader``'s previous call, as computed.
 
         ``(child, delta)`` pairs in no particular order: a per-step consumer
         (the flight recorder) stores them, and :func:`series_deltas` names
         and orders them when they are read.
+
+        ``direct`` reads only the writes made outside :meth:`add` (a
+        counter's ``direct`` part), for a reader told of every ``add`` as
+        it happens; a reader keeps to one mode.  Its first call still
+        reports whole values.
 
         Each reader has its own position, so several consumers (the process
         flight recorder, a test's private one) see the same deltas
@@ -460,10 +540,8 @@ class MetricsRegistry:
         once, without the lock: a write racing with that check is simply
         reported by the next call, as if it had landed just after this one.
         """
-        if not self._written:
-            state = self._readers.get(id(reader))
-            if state is not None and not state.pending:
-                return []
+        if not self.unread(reader, direct):
+            return []
         with self._lock:
             written = self._written
             count = len(written)
@@ -476,14 +554,31 @@ class MetricsRegistry:
                 # A copy: a reader collected meanwhile leaves the table.
                 for state in tuple(self._readers.values()):
                     state.pending.update(batch)
+            if self._added and not direct:
+                # Swapped before any value is read: an add racing with this
+                # marks the new set.
+                added, self._added = self._added, set()
+                for state in tuple(self._readers.values()):
+                    if not state.direct:
+                        state.pending.update(added)
             state = self._readers.get(id(reader))
             if state is None:
-                state = self._readers[id(reader)] = _ReaderState(reader, self._readers)
-                state.pending.update(self._scalars())
+                state = self._readers[id(reader)] = _ReaderState(
+                    reader, self._readers, direct
+                )
+                last = state.last
+                pairs = []
+                for child in self._scalars():
+                    value = child.value
+                    if value:
+                        pairs.append((child, value))
+                    last[child] = child.direct if direct else value
+                state.pending.clear()
+                return pairs
             last = state.last
             pairs = []
             for child in state.pending:
-                value = child.value
+                value = child.direct if direct else child.value
                 previous = last.get(child, 0.0)
                 if value != previous:
                     pairs.append((child, value - previous))
@@ -567,5 +662,6 @@ class MetricsRegistry:
             self._families.clear()
             self._cache.clear()
             self._written = []
+            self._added = set()
             self._readers.clear()
             self._generation += 1

@@ -1,21 +1,26 @@
 """One trainer step's telemetry, gathered while it runs and recorded once.
 
-Every trainer step enters a :class:`StepRecord` for its duration
-(``BaseTrainer._step``); :func:`step_record` then returns it on the step's
-thread, and
+Every counter series an instrumented site writes is *interned* once
+(:func:`series`): its ``(name, labels)`` pair gets a small int, which the
+site resolves per launch shape, bucket or plan and keeps.  Every trainer
+step enters a :class:`StepRecord` for its duration (``BaseTrainer._step``),
+the record of the step running on its thread, and
 
 * an instrumented site — a collective, a bucket's flatten, unflatten or
   segment lookup, the overlap model — counts what it actually launched
-  through :func:`tally`, which adds the amount to the record's ``counts``
-  by series; the step writes them all, with its own, in one
+  through :func:`tally`, which adds the amount at the series' slot of the
+  record's ``amounts`` list.  The slots are the trainer's: a step starts
+  from the series its previous step counted, so a repeated step finds
+  every slot in place.  The step writes all of them, with its own, in one
   :meth:`~repro.telemetry.registry.MetricsRegistry.add` call when it ends.
   Outside a step (a collective called on its own, ``graph_exec``,
   ``VirtualMesh``) :func:`tally` writes the registry at once;
 * the process tracer's :meth:`~repro.telemetry.tracer.Tracer.emit` keeps
-  the thread's spans in ``spans`` as clock marks, and the step records
-  them with one :meth:`~repro.telemetry.tracer.Tracer.emit_all` when it
-  ends — the same spans, in the same order, ahead of the step's flight
-  record.
+  the thread's spans in ``marks`` as clock marks, and the step hands the
+  list to :meth:`~repro.telemetry.tracer.Tracer.emit_all` when it ends —
+  the same spans, in the same order, ahead of the step's flight record.
+  Their trace events and flight records are built from those marks when
+  someone reads them.
 
 A flight record or postmortem written while a step runs calls
 :func:`flush` first, so it lands after the step's spans and counts so
@@ -29,6 +34,37 @@ import threading
 
 from repro import telemetry as _telemetry
 
+#: Interned series: ``(name, *labels.items())`` -> id, and id -> ``(name,
+#: labels)``.  Sites intern a fixed set of series (the collectives' op,
+#: axis and policy, the buckets', the overlap model's per trainer class),
+#: so the table stays as small as the registry's counter families.
+_ids: dict[tuple, int] = {}
+_series: list[tuple[str, dict[str, str]]] = []
+_lock = threading.Lock()
+
+
+def series(name: str, **labels: str) -> int:
+    """The id of the counter series ``name{labels}``, interned on first use.
+
+    Labels are ``str`` and given in one order per site, as for the
+    registry's remembered lookups.
+    """
+    key = (name, *labels.items())
+    found = _ids.get(key)
+    if found is not None:
+        return found
+    with _lock:
+        found = _ids.get(key)
+        if found is None:
+            found = _ids[key] = len(_series)
+            _series.append((name, labels))
+    return found
+
+
+def series_of(ident: int) -> tuple[str, dict[str, str]]:
+    """The ``(name, labels)`` an id stands for."""
+    return _series[ident]
+
 
 class _StepLocal(threading.local):
     #: The entered record; ``None`` on a thread outside a trainer step.
@@ -39,15 +75,21 @@ _local = _StepLocal()
 
 
 class StepRecord:
-    """The counter amounts and spans of one step, so far."""
+    """The counter amounts and span marks of one step, so far.
 
-    __slots__ = ("counts", "spans")
+    ``slots`` maps a series id to its index in ``amounts``; a record made
+    from a previous step's slots starts with every one of them at zero and
+    shares the dict until a new series joins it.
+    """
 
-    def __init__(self) -> None:
-        #: ``(name, *labels.items())`` -> amount its sites counted.
-        self.counts: dict[tuple, float] = {}
+    __slots__ = ("slots", "amounts", "marks")
+
+    def __init__(self, slots: dict[int, int] | None = None) -> None:
+        self.slots: dict[int, int] = {} if slots is None else slots
+        #: Amount counted per slot.
+        self.amounts: list[float] = [0.0] * len(self.slots)
         #: ``(name, category, actor, start, end)`` of every span, in order.
-        self.spans: list[tuple[str, str, str, float, float]] = []
+        self.marks: list[tuple[str, str, str, float, float]] = []
 
     def __enter__(self) -> "StepRecord":
         _local.record = self
@@ -56,36 +98,61 @@ class StepRecord:
     def __exit__(self, *exc) -> None:
         _local.record = None
 
+    def slot(self, ident: int) -> int:
+        """A new slot for series ``ident`` (the shared dict is copied)."""
+        index = len(self.amounts)
+        self.slots = {**self.slots, ident: index}
+        self.amounts.append(0.0)
+        return index
+
     def flush(self) -> None:
         """Hand the spans and counts so far to the tracer and the registry."""
-        spans, self.spans = self.spans, []
-        counts, self.counts = self.counts, {}
-        if spans:
-            _telemetry.tracer.emit_all(spans)
+        marks, self.marks = self.marks, []
+        amounts = self.amounts
+        self.amounts = [0.0] * len(amounts)
+        if marks:
+            _telemetry.tracer.emit_all(marks)
         counter = _telemetry.metrics.counter
-        for (name, *labels), amount in counts.items():
-            counter(name, **dict(labels)).inc(amount)
+        for ident, index in self.slots.items():
+            name, labels = _series[ident]
+            counter(name, **labels).inc(amounts[index])
 
 
-def step_record() -> StepRecord | None:
-    """The :class:`StepRecord` of the trainer step running on this thread."""
-    return _local.record
+def tally(ident: int, amount: float) -> None:
+    """Count ``amount`` on the counter series ``ident`` (see :func:`series`).
 
-
-def tally(name: str, amount: float, **labels: str) -> None:
-    """Count ``amount`` on the counter ``name{labels}``.
-
-    Inside a trainer step the amount joins the step's record, which writes
-    it with the step's one registry call; outside one it is written now.
-    A site passes its labels in one order, so each series has one key.
+    Inside a trainer step the amount is added at the series' slot of the
+    step's record, which writes it with the step's one registry call;
+    outside one it is written now.
     """
     record = _local.record
     if record is None:
+        name, labels = _series[ident]
         _telemetry.metrics.counter(name, **labels).inc(amount)
         return
-    key = (name, *labels.items())
-    counts = record.counts
-    counts[key] = counts.get(key, 0.0) + amount
+    index = record.slots.get(ident)
+    if index is None:
+        index = record.slot(ident)
+    record.amounts[index] += amount
+
+
+def tally_all(idents: tuple[int, ...], amounts) -> None:
+    """:func:`tally` ``amounts[i]`` on series ``idents[i]``, in one call (the
+    series one launch or one flatten writes together)."""
+    record = _local.record
+    if record is None:
+        counter = _telemetry.metrics.counter
+        for ident, amount in zip(idents, amounts):
+            name, labels = _series[ident]
+            counter(name, **labels).inc(amount)
+        return
+    slots, values = record.slots, record.amounts
+    for ident, amount in zip(idents, amounts):
+        index = slots.get(ident)
+        if index is None:
+            index = record.slot(ident)
+            slots = record.slots
+        values[index] += amount
 
 
 def flush() -> None:

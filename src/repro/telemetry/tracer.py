@@ -27,9 +27,11 @@ hands its own marks to :meth:`Tracer.emit`, the function every ``with``
 block also ends in.  Such a span costs one event, one list append and the
 sinks, with no context-manager object, no open-span stack push and no
 extra clock read.  Inside a trainer step (:mod:`repro.telemetry.step`) it
-costs one tuple: the step hands all its marks to :meth:`Tracer.emit_all`
-when it ends, which builds the events in one pass and gives the sinks
-(the flight recorder) the whole step in one call.
+costs one tuple: the step hands its list of marks to
+:meth:`Tracer.emit_all` when it ends, which keeps the list as it is and
+gives the sinks (the flight recorder) the whole step in one call.  The
+marks become :class:`~repro.sim.trace.TraceEvent` objects when someone reads
+them — :attr:`Tracer.trace`, the one accessor, or a sink iterating them.
 
 Concurrency: the open-span stack is **thread-local** (each writer thread
 nests independently) and completed events land in the shared trace via a
@@ -43,7 +45,8 @@ stream into its ring buffer.
 
 Memory: a tracer keeps its most recent :data:`TRACE_CAPACITY` spans (up to
 twice that between trims), so a process that runs for hours does not grow
-with every span it ever timed.  Sinks still see every span; a plain
+with every span it ever timed; a run of marks trimmed before anyone read
+it is never turned into events.  Sinks still see every span; a plain
 :class:`repro.sim.trace.Trace` stays unbounded.
 """
 
@@ -52,11 +55,13 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import deque
+from collections.abc import Sequence
 from typing import Callable
 
 from repro import telemetry as _telemetry
 from repro.sim.trace import Trace, TraceEvent
-from repro.telemetry.step import step_record
+from repro.telemetry.step import _local as _step_local
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -77,9 +82,43 @@ def _event(
         category, MEASURED_SOURCE,
     ))
 
-#: Most recent spans a tracer keeps.  The list is trimmed back to this many
-#: when it reaches twice as many, so it stays a plain list and one trim pays
-#: for ``TRACE_CAPACITY`` appends.
+class Spans(Sequence):
+    """Finished spans kept as ``(name, category, actor, start, end)`` clock
+    marks; read as :class:`TraceEvent` objects, built on the first read.
+
+    What a trainer step hands the tracer and its sinks: the tracer's trace
+    and the flight recorder's ring hold the same object, and whichever
+    reads it first builds the events for both.
+    """
+
+    __slots__ = ("_epoch", "_marks", "_events")
+
+    def __init__(self, epoch: float, marks: list) -> None:
+        self._epoch = epoch
+        self._marks = marks
+        self._events: list[TraceEvent] | None = None
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        events = self._events
+        if events is None:
+            epoch = self._epoch
+            events = self._events = [_event(epoch, *mark) for mark in self._marks]
+        return events
+
+    def __len__(self) -> int:
+        return len(self._marks)
+
+    def __getitem__(self, index):
+        return self.events[index]
+
+    def __iter__(self):
+        return iter(self.events)
+
+
+#: Most recent spans a tracer keeps.  They are trimmed back to this many
+#: when they reach twice as many, so the trace stays a plain list and one
+#: trim pays for ``TRACE_CAPACITY`` spans.
 TRACE_CAPACITY = 8192
 
 
@@ -139,10 +178,28 @@ class Tracer:
     ) -> None:
         self._clock = clock
         self.actor = actor
-        self.trace = Trace()
+        self._trace = Trace()
+        #: Runs of spans recorded since the trace was last read, oldest
+        #: first (appends and pops are atomic), and how many spans they hold.
+        self._runs: deque[Sequence[TraceEvent]] = deque()
+        self._pending = 0
         self._local = threading.local()
         self._sinks: list[Callable[[list[TraceEvent]], None]] = []
         self._epoch = clock()
+
+    @property
+    def trace(self) -> Trace:
+        """The recorded spans as one :class:`~repro.sim.trace.Trace`.
+
+        The one way to read them: runs of spans kept as marks since the
+        last read join ``trace.events`` here, as events, in order.
+        """
+        runs, events = self._runs, self._trace.events
+        while runs:
+            run = runs.popleft()
+            self._pending -= len(run)
+            events.extend(run)
+        return self._trace
 
     @property
     def _stack(self) -> list["_Span"]:
@@ -165,36 +222,52 @@ class Tracer:
 
         The one way a span reaches the trace and the sinks: a ``with
         span(...)`` block ends here, and so does a span its caller timed
-        itself from clock marks it takes anyway (a trainer's phases).
-        While a trainer step runs on this thread
-        (:func:`~repro.telemetry.step.step_record`), the process tracer's
+        itself from clock marks it takes anyway (a collective's launch).
+        While a trainer step runs on this thread (its
+        :class:`~repro.telemetry.step.StepRecord`), the process tracer's
         marks wait in its record, and the step hands them all to that
         tracer's :meth:`emit_all`; another tracer records at once.
         Callers check ``repro.telemetry.enabled`` first.
         """
-        record = step_record()
+        record = _step_local.record
         if record is not None and self is _telemetry.tracer:
-            record.spans.append((name, category, actor, start, end))
+            record.marks.append((name, category, actor, start, end))
             return
         self._deliver((_event(self._epoch, name, category, actor, start, end),))
 
-    def emit_all(self, spans) -> None:
-        """Record finished spans given as ``(name, category, actor, start,
-        end)`` marks, in order: their events join the trace, and every sink
-        sees them all in one call."""
-        epoch = self._epoch
-        self._deliver([_event(epoch, *span) for span in spans])
+    def emit_all(self, marks: list) -> None:
+        """Record finished spans given as a list of ``(name, category,
+        actor, start, end)`` marks, in order, which the tracer keeps (the
+        caller no longer changes it): they join the trace, and every sink
+        sees them all in one call, as one :class:`Spans`."""
+        if marks:
+            self._deliver(Spans(self._epoch, marks), len(marks))
 
-    def _deliver(self, batch) -> None:
-        events = self.trace.events
-        events.extend(batch)
-        if len(events) >= 2 * TRACE_CAPACITY:
-            del events[:-TRACE_CAPACITY]
+    def _deliver(self, batch: Sequence[TraceEvent], size: int = 1) -> None:
+        """Hand ``size`` spans (one or more) to the trace and the sinks."""
+        self._runs.append(batch)
+        self._pending += size
+        if self._pending + len(self._trace.events) >= 2 * TRACE_CAPACITY:
+            self._trim()
         for sink in self._sinks:
             try:
                 sink(batch)
             except Exception:  # a broken sink must not kill the traced code
                 logger.exception("trace sink %r failed", sink)
+
+    def _trim(self) -> None:
+        """Drop the oldest spans, read or not, down to ``TRACE_CAPACITY``."""
+        events, runs = self._trace.events, self._runs
+        excess = len(events) + self._pending - TRACE_CAPACITY
+        dropped = min(excess, len(events))
+        del events[:dropped]
+        excess -= dropped
+        while runs and excess > 0:
+            run = runs.popleft()
+            self._pending -= len(run)
+            if len(run) > excess:  # keep its newest spans, now read
+                events.extend(run[excess:])
+            excess -= len(run)
 
     def add_sink(self, fn: Callable[[list[TraceEvent]], None]) -> None:
         """Call ``fn(events)`` with the spans each record call completes, in
@@ -218,6 +291,8 @@ class Tracer:
         Sinks stay registered; only this thread's open-span stack can be
         cleared (other threads' stacks empty as their spans exit).
         """
-        self.trace = Trace()
+        self._trace = Trace()
+        self._runs = deque()
+        self._pending = 0
         self._stack.clear()
         self._epoch = self._clock()

@@ -69,6 +69,13 @@ SURFACES = {
         "from repro.core import make_trainer",
         ("networkx", "repro.cluster", "repro.service", "repro.spmd"),
     ),
+    # The harness runs a detector, a guard and a checkpoint policy: the
+    # barrier, the host topologies and the framework models stay unloaded.
+    "chaos harness": (
+        "import repro.resilience.chaos",
+        ("repro.controlplane.barrier", "repro.controlplane.group", "repro.frameworks",
+         "repro.cluster", "repro.service", "repro.spmd"),
+    ),
 }
 
 

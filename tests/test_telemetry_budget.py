@@ -2,17 +2,22 @@
 
 DESIGN §7 states the per-step telemetry budget as counts, which do not
 depend on the machine: the spans a step emits, the registry calls it makes,
-the sink calls its spans take and the flight-recorder entries it appends.
-Every strategy records one way: its sites tally into the step's record,
-and the step makes one ``add``, one ``collective_seconds`` observation per
-launch, one ``step_seconds`` observation (and, with overlap, the two
-``overlap_*`` gauges) and one sink call.  A step over the service chaos
-executor's 2x2 mesh (one bucket, four replicas) is held to it in detail.
+the histogram observations, the sink calls its spans take, and the flight
+ring's writes and records.  Every strategy records one way: its sites tally
+into the step's record by interned series, and the step makes one ``add``,
+one ``collective_seconds`` observation per launch and one ``step_seconds``
+observation through series looked up once (and, with overlap, the two
+``overlap_*`` gauges), one sink call and two ring writes — its spans, kept
+as clock marks, and its step record, kept by reference with its counter
+amounts.  A step over the service chaos executor's 2x2 mesh (one bucket,
+four replicas) is held to it in detail, and so are an accounting-mode
+chaos step and a heartbeat simulation.
 """
 
 from __future__ import annotations
 
 import collections
+import importlib
 import sys
 import threading
 
@@ -20,19 +25,32 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.controlplane.group import HostGroup, MultiClientGroup
+from repro.controlplane.heartbeat import HeartbeatDetector
 from repro.core.trainer import TrainerConfig, make_trainer
 from repro.models.mlp import MLP
 from repro.optim.sgd import SGDMomentum
+from repro.resilience.chaos import ChaosConfig, run_chaos
+from repro.resilience.faults import FaultPlan
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.step import StepRecord
 from repro.telemetry.tracer import Tracer
+
+tracer_module = importlib.import_module("repro.telemetry.tracer")
+step_module = importlib.import_module("repro.telemetry.step")
 
 #: Spans of one step: split, forward_backward, ring_reduce_scatter,
 #: sharded_update, ring_all_gather, wus_update, train_step.
 SPANS = 7
-#: Registry calls of one step: one ``add`` of the step's counter set, and
-#: one histogram observation per launch (``collective_seconds``) plus the
-#: step's ``step_seconds``.
-REGISTRY_CALLS = {"add": 1, "histogram": 3}
-#: Flight entries of one step: its spans, its step record, its deltas.
+#: Registry calls of one step: one ``add`` of the step's counter set; its
+#: histograms are observed through children looked up on the first step.
+REGISTRY_CALLS = {"add": 1}
+#: Histogram observations of one step: one per launch (``collective_seconds``)
+#: plus the step's ``step_seconds``.
+OBSERVATIONS = 3
+#: Ring writes of one step: its spans, then its step record and deltas.
+RING_WRITES = 2
+#: Flight records of one step: its spans, its step record, its deltas.
 FLIGHT_ENTRIES = SPANS + 2
 
 #: Every strategy, on an MLP [8, 16, 4] (one column/row pair, four
@@ -111,26 +129,61 @@ def _count_sink_calls(monkeypatch) -> collections.Counter:
     return calls
 
 
-def _second_step_records(monkeypatch, trainer) -> tuple[int, dict, int, int]:
-    """A trainer's second step's spans, registry calls, sink calls and
-    flight entries (the first looks the step's series up once)."""
+def _observations() -> int:
+    """Histogram observations so far, over every histogram child."""
+    return sum(
+        entry["count"]
+        for family in telemetry.metrics.snapshot().values()
+        if family["type"] == "histogram"
+        for entry in family["values"]
+    )
+
+
+class _CountingRing(collections.deque):
+    """The flight ring, counting its writes."""
+
+    writes = 0
+
+    def append(self, entry) -> None:
+        self.writes += 1
+        super().append(entry)
+
+    def extend(self, entries) -> None:
+        self.writes += 1
+        super().extend(entries)
+
+
+def _count_ring_writes(monkeypatch) -> _CountingRing:
+    recorder = telemetry.flight_recorder
+    ring = _CountingRing(recorder._records, maxlen=recorder._records.maxlen)
+    monkeypatch.setattr(recorder, "_records", ring)
+    return ring
+
+
+def _second_step_records(monkeypatch, trainer) -> tuple[int, dict, int, int, int, int]:
+    """A trainer's second step's spans, registry calls, histogram
+    observations, sink calls, ring writes and flight records (the first
+    looks the step's series up once)."""
     x, y = _batch()
     trainer.step(x, y)
+    observations = _observations()
     registry_calls = _count_registry_calls(monkeypatch)
     sink_calls = _count_sink_calls(monkeypatch)
+    ring = _count_ring_writes(monkeypatch)
     spans = len(telemetry.tracer.trace.events)
     entries = len(telemetry.flight_recorder)
     trainer.step(x, y)
     return (
         len(telemetry.tracer.trace.events) - spans, dict(registry_calls),
-        sink_calls["sink"], len(telemetry.flight_recorder) - entries,
+        _observations() - observations, sink_calls["sink"], ring.writes,
+        len(telemetry.flight_recorder) - entries,
     )
 
 
 def test_a_wus_step_records_within_its_budget(monkeypatch):
     # One sink call: the step's spans reach the sinks at once.
     assert _second_step_records(monkeypatch, _wus_trainer()) == (
-        SPANS, REGISTRY_CALLS, 1, FLIGHT_ENTRIES
+        SPANS, REGISTRY_CALLS, OBSERVATIONS, 1, RING_WRITES, FLIGHT_ENTRIES
     )
 
 
@@ -140,11 +193,13 @@ def test_the_budget_holds_at_every_survivor_count(monkeypatch):
         trainer = _wus_trainer((replicas, 1))
         x, y = _batch()
         trainer.step(x, y)
+        observations = _observations()
         with monkeypatch.context() as patch:
             calls = _count_registry_calls(patch)
             spans = len(telemetry.tracer.trace.events)
             trainer.step(x, y)
-        assert dict(calls) == {"add": 1, "histogram": histograms}
+        assert dict(calls) == REGISTRY_CALLS
+        assert _observations() - observations == histograms
         assert len(telemetry.tracer.trace.events) - spans == SPANS
 
 
@@ -152,9 +207,9 @@ def test_the_budget_holds_at_every_survivor_count(monkeypatch):
 def test_every_strategy_records_within_its_budget(monkeypatch, strategy):
     config, spans, histograms = STRATEGIES[strategy]
     overlap_gauges = {"gauge": 2} if config.get("overlap") else {}
-    registry_calls = {"add": 1, "histogram": histograms, **overlap_gauges}
+    registry_calls = {**REGISTRY_CALLS, **overlap_gauges}
     assert _second_step_records(monkeypatch, _trainer(**config)) == (
-        spans, registry_calls, 1, spans + 2
+        spans, registry_calls, histograms, 1, RING_WRITES, spans + 2
     )
 
 
@@ -268,3 +323,74 @@ def test_concurrent_tallied_steps_keep_their_own_records():
         assert m.value("collective_launches", op=op, axis="ring") == total
         assert m.value("collective_ring_steps", op=op, axis="ring") == 3 * total
     assert len(telemetry.tracer.trace.events) - spans == SPANS * total
+
+
+def _count_calls(monkeypatch, calls: collections.Counter, owner, name: str) -> None:
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_repeated_step_tallies_into_its_slots_and_builds_nothing(monkeypatch):
+    """Inside a step a tally adds at a slot the trainer's previous step
+    made: no registry call, no series interned, no new slot.  The step
+    drains no counter deltas and builds no trace event: its deltas are its
+    amounts, and its spans stay clock marks until someone reads them."""
+    trainer = _wus_trainer()
+    x, y = _batch()
+    trainer.step(x, y)
+    calls: collections.Counter = collections.Counter()
+    _count_calls(monkeypatch, calls, StepRecord, "slot")
+    _count_calls(monkeypatch, calls, step_module, "series")
+    _count_calls(monkeypatch, calls, MetricsRegistry, "scalar_deltas")
+    _count_calls(monkeypatch, calls, tracer_module, "_event")
+    registry_calls = _count_registry_calls(monkeypatch)
+    trainer.step(x, y)
+    assert dict(registry_calls) == REGISTRY_CALLS
+    assert dict(calls) == {}
+    assert telemetry.metrics.value("bucket_flatten_calls") == 2
+    # Read, the step's spans and deltas are what it recorded.
+    assert len(telemetry.tracer.trace.events) == 2 * SPANS
+    counters = [r for r in telemetry.flight_recorder.records if r.kind == "counters"]
+    assert counters[-1].data["deltas"]["bucket_flatten_calls"] == 1.0
+
+
+def test_an_accounting_step_is_one_ring_write_and_no_drain(monkeypatch):
+    """An accounting-mode chaos step appends its modeled step record in one
+    ring write, and drains no counters when nothing was written since the
+    previous step: only the recorder's first drain visits the registry."""
+    steps = 40
+    calls: collections.Counter = collections.Counter()
+    _count_calls(monkeypatch, calls, MetricsRegistry, "scalar_deltas")
+    ring = _count_ring_writes(monkeypatch)
+    run_chaos(FaultPlan(), ChaosConfig(mesh_shape=(2, 2), target_steps=steps))
+    records = telemetry.flight_recorder.records
+    modeled = [r for r in records if r.name == "modeled_step"]
+    assert len(modeled) == steps
+    assert calls["scalar_deltas"] == 1
+    assert ring.writes == len(records)
+
+
+def _heartbeat_registry_calls(monkeypatch, horizon_s: float) -> tuple[dict, float]:
+    detector = HeartbeatDetector(1.0, 0.5, 2)
+    topology = MultiClientGroup(HostGroup((4, 4), chips_per_host=2))
+    with monkeypatch.context() as patch:
+        calls = _count_registry_calls(patch)
+        detector.simulate(topology, {3: horizon_s / 2}, horizon_s=horizon_s)
+    return dict(calls), telemetry.metrics.value("controlplane_heartbeats_sent")
+
+
+def test_a_heartbeat_simulation_writes_per_run_not_per_heartbeat(monkeypatch):
+    """The heartbeat DES counts beats sent, missed and false suspicions as
+    it runs and writes each counter once: its registry calls do not grow
+    with the number of heartbeats."""
+    short, sent_short = _heartbeat_registry_calls(monkeypatch, 10.0)
+    telemetry.reset()
+    long, sent_long = _heartbeat_registry_calls(monkeypatch, 80.0)
+    assert sent_long > 4 * sent_short > 0
+    assert long == short
+    assert short["counter"] <= 4
