@@ -254,13 +254,12 @@ class DataParallelTrainer(CheckpointingTrainer):
             bucket_bytes=[nbytes for nbytes, _ in launches],
         )
         if _telemetry.enabled:
-            tally, m = _telemetry.tally, _telemetry.metrics
+            m = _telemetry.metrics
             trainer = type(self).__name__
-            steps, comm, exposed, hidden = self._overlap_series
-            tally(steps, 1)
-            tally(comm, result.comm_seconds)
-            tally(exposed, result.exposed_comm_seconds)
-            tally(hidden, result.hidden_comm_seconds)
+            _telemetry.tally_all(self._overlap_series, (
+                1, result.comm_seconds, result.exposed_comm_seconds,
+                result.hidden_comm_seconds,
+            ))
             m.gauge("overlap_efficiency", trainer=trainer).set(
                 result.overlap_efficiency
             )

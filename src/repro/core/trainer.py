@@ -339,6 +339,20 @@ class _Step:
         trainer._record_step(end - run.start, run.result, self.record)
 
 
+class _PhaseSeries(dict):
+    """Phase name -> the trainer's interned ``step_phase_seconds`` series."""
+
+    def __init__(self, trainer: str) -> None:
+        super().__init__()
+        self.trainer = trainer
+
+    def __missing__(self, phase: str) -> int:
+        ident = self[phase] = _telemetry.series(
+            "step_phase_seconds", trainer=self.trainer, phase=phase
+        )
+        return ident
+
+
 class BaseTrainer(ABC):
     """The training step, stated once for every strategy.
 
@@ -372,13 +386,15 @@ class BaseTrainer(ABC):
         #: strategy launched this step; the payloads sum to ``bytes_moved``.
         self._last_launches: list[tuple[float, float]] = []
         #: The series slots the last step counted, which the next step's
-        #: record starts from, with the phase names and the
-        #: :class:`~repro.telemetry.CounterSet` written under them; worked
-        #: out again when a step counts another series or phase.
-        self._step_slots: dict[int, int] | None = None
-        self._step_counters: tuple[tuple, Any] | None = None
-        self._step_seconds = _telemetry.HistogramSeries(
-            "step_seconds", trainer=type(self).__name__
+        #: record starts from (and which keep the children they resolved).
+        self._step_slots: Any = None
+        #: The step's own series: ``train_steps``, per phase name its
+        #: ``step_phase_seconds`` and the ``step_seconds`` histogram.
+        trainer = type(self).__name__
+        self._train_steps = _telemetry.series("train_steps", trainer=trainer)
+        self._phase_series = _PhaseSeries(trainer)
+        self._step_seconds = _telemetry.intern(
+            "histogram", "step_seconds", {"trainer": trainer}
         )
 
     @property
@@ -429,38 +445,24 @@ class BaseTrainer(ABC):
     ) -> None:
         """Step telemetry, labeled by trainer class, plus the flight record.
 
-        Every counter the step wrote is one :class:`CounterSet` amount —
-        what its sites counted (the ``record``'s amounts, by slot), the
-        step and the phase seconds — written in one registry call.  The
-        flight recorder keeps the children and amounts it wrote.
+        The step tallies itself and its phase seconds into its ``record``
+        like any other site, and every amount there is written in one
+        registry call.  The flight recorder keeps the children and amounts
+        it wrote.
         """
         if not _telemetry.enabled:
             return
         phase_seconds = result.phase_seconds
-        phases = tuple(phase_seconds)
-        slots = record.slots
-        trainer = type(self).__name__
-        counters = self._step_counters
-        if counters is None or counters[0] is not slots or counters[1] != phases:
-            series = [_telemetry.series_of(ident) for ident in slots]
-            series.append(("train_steps", {"trainer": trainer}))
-            series += [
-                ("step_phase_seconds", {"trainer": trainer, "phase": phase})
-                for phase in phases
-            ]
-            counters = self._step_counters = (
-                slots, phases, _telemetry.CounterSet(series)
-            )
-            self._step_slots = slots
-        amounts = record.amounts
-        amounts.append(1.0)
-        amounts += phase_seconds.values()
-        counter_set = counters[2]
+        record.tally_all(
+            (self._train_steps, *map(self._phase_series.__getitem__, phase_seconds)),
+            (1.0, *phase_seconds.values()),
+        )
+        slots = self._step_slots = record.slots
         m = _telemetry.metrics
-        m.add(counter_set, amounts)
-        self._step_seconds.observe(m, seconds)
+        m.add(slots, record.amounts)
+        m.child(self._step_seconds).observe(seconds)
         _telemetry.flight_recorder.on_step(
-            result, trainer, counter_set.children, amounts
+            result, type(self).__name__, slots.children, record.amounts
         )
 
     def train(self, batches, steps: int) -> TrainLog:

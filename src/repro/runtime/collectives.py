@@ -162,8 +162,9 @@ def _ring_bytes(n: int, chunk: int, itemsize: int) -> int:
 
 class _Launch:
     """The series one launch shape writes, interned once
-    (:func:`~repro.telemetry.step.series`): its bytes per wire axis, its
-    ring steps and the launch, then its ``collective_seconds`` histogram."""
+    (:func:`~repro.telemetry.registry.intern`): its bytes per wire axis,
+    its ring steps and the launch, then its ``collective_seconds``
+    histogram."""
 
     __slots__ = ("counters", "seconds")
 
@@ -175,7 +176,9 @@ class _Launch:
             series("collective_ring_steps", op=op, axis=axis),
             series("collective_launches", op=op, axis=axis),
         )
-        self.seconds = _telemetry.HistogramSeries("collective_seconds", op=op, axis=axis)
+        self.seconds = _telemetry.intern(
+            "histogram", "collective_seconds", {"op": op, "axis": axis}
+        )
 
 
 class _Launches(dict):
@@ -213,7 +216,7 @@ def _record_collective(
     Only called when telemetry is enabled.
     """
     _telemetry.tally_all(launch.counters, (*wire_bytes, steps, 1))
-    launch.seconds.observe(_telemetry.metrics, seconds)
+    _telemetry.metrics.child(launch.seconds).observe(seconds)
 
 
 class _LRUBufferPool:

@@ -20,11 +20,13 @@ input pipeline) is instrumented against the process-wide objects here:
     disabled cost to one attribute lookup.  Enabled, a training step pays
     per span one tuple of the clock marks it takes anyway, per count an add
     at the slot of a series interned once (:func:`series`, :func:`tally`),
-    one registry call for those counts and its own (a :class:`CounterSet`),
-    one observation per histogram through a child looked up once (a
-    :class:`HistogramSeries`), one sink call for all its spans and two
-    flight-ring writes that keep its spans and its step record by reference
-    (a :class:`StepRecord`, :mod:`repro.telemetry.step`).  Trace events,
+    one registry call for those counts and its own, one observation per
+    histogram through the child its interned id indexes
+    (:meth:`MetricsRegistry.child`), one sink call for all its spans and
+    two flight-ring writes that keep its spans and its step record by
+    reference (a :class:`StepRecord`, :mod:`repro.telemetry.step`).  Every
+    series has that one handle, its id (:func:`intern`), whichever
+    registry it is written to.  Trace events,
     flight records and the step's counter deltas are built when someone
     reads them; DESIGN §7 states the budget as counts.
     ``bench/run.py --trace 1`` reports the cost per workload as
@@ -48,18 +50,16 @@ from contextlib import contextmanager
 
 from repro.telemetry.registry import (
     Counter,
-    CounterSet,
     DEFAULT_MAX_CHILDREN,
     DEFAULT_TIME_BUCKETS,
     Gauge,
     Histogram,
-    HistogramSeries,
     MetricsRegistry,
+    intern,
 )
 from repro.telemetry.step import (
     StepRecord,
     series,
-    series_of,
     tally,
     tally_all,
 )
@@ -159,14 +159,12 @@ if hasattr(os, "register_at_fork"):  # POSIX
 
 __all__ = [
     "Counter",
-    "CounterSet",
     "DEFAULT_MAX_CHILDREN",
     "DEFAULT_TIME_BUCKETS",
     "FlightRecord",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "HistogramSeries",
     "MEASURED_SOURCE",
     "MetricsRegistry",
     "StepRecord",
@@ -175,12 +173,12 @@ __all__ = [
     "enabled",
     "export",
     "flight_recorder",
+    "intern",
     "merge",
     "metrics",
     "on_terminal_failure",
     "reset",
     "series",
-    "series_of",
     "tally",
     "tally_all",
     "tracer",

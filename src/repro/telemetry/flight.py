@@ -230,9 +230,11 @@ class FlightRecorder:
         The process recorder is told of every trainer step's ``add`` to the
         process registry (:meth:`on_step`), so it reads only the other
         writes there; any other pairing reads every write.  Nothing is
-        visited when nothing was written.
+        drained when nothing was written.
         """
         direct = self is _telemetry.flight_recorder and registry is _telemetry.metrics
+        if not registry.unread(self._delta_reader, direct):
+            return ()
         return registry.scalar_deltas(self._delta_reader, direct)
 
     def record_counter_deltas(self, registry=None) -> None:
@@ -244,7 +246,8 @@ class FlightRecorder:
         which visits only the children written since this recorder's last
         call, and stores the changed values, keyed ``name{k=v,...}`` when
         read.  The first call, and the first after :meth:`clear`, reports
-        every non-zero child as a delta from 0.
+        every non-zero child as a delta from 0 (for the process recorder,
+        the part of it written outside a trainer step's ``add``).
         """
         if not _telemetry.enabled:
             return
@@ -282,15 +285,9 @@ class FlightRecorder:
         if not _telemetry.enabled:
             return
         t = self._clock() - self._epoch
-        registry = _telemetry.metrics
-        drained = None
-        if self is _telemetry.flight_recorder:
-            drained = registry.direct_deltas(self._delta_reader)
-        if drained is None:
-            # This drain reads the add's writes itself: a first drain
-            # reports whole values, another recorder every write.
-            children = ()
-            drained = self._drain(registry)
+        drained = self._drain(_telemetry.metrics)
+        if self is not _telemetry.flight_recorder:
+            children = ()  # its drain read the add's writes itself
         self._records.append((_step, t, result, trainer, children, amounts, drained))
 
     def on_modeled_step(self, step: int, slowdown: float) -> None:
@@ -298,12 +295,7 @@ class FlightRecorder:
         since the previous one if anything was written, in one ring write."""
         if not _telemetry.enabled:
             return
-        registry = _telemetry.metrics
-        drained = None
-        if self is _telemetry.flight_recorder:
-            drained = registry.direct_deltas(self._delta_reader)
-        if drained is None:
-            drained = self._drain(registry)
+        drained = self._drain(_telemetry.metrics)
         self._records.append(
             (_modeled_step, self._clock() - self._epoch, step, slowdown, drained)
         )

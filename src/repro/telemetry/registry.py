@@ -9,15 +9,20 @@ labeled children::
 
 Children are created on first use and live until :meth:`MetricsRegistry.reset`.
 Finding a child by its canonical label key (labels sorted and ``str()``-ed)
-costs ~2–3 µs, so the registry remembers each call's *raw*
-``(kind, name, *labels.items())`` tuple: a call site repeating itself —
-every per-step site — pays one dict access on that tuple, 0.35 µs with no
-labels and ~0.8 µs with three, call included (CPython 3.11 on a 2-vCPU
-x86 VM).  Only label sets whose values are all ``str`` are remembered:
-other values (ints, tuples, the unhashable) take the canonical path every
-time, since ``1 == True`` would let a raw key stand for another child.
-A ``str`` subclass whose ``str()`` differs from its value (a ``(str,
-Enum)`` member) would find the plain string's child.
+costs ~2–3 µs, so every series is reached by one handle instead: its
+*id*.  :func:`intern` gives each raw ``(kind, name, *labels.items())``
+call a small int, once for the whole process, and every registry keeps
+its children in a list indexed by that id, filled on first use and
+emptied by :meth:`~MetricsRegistry.reset`; the id stays valid across
+resets and registries.  A repeated ``metrics.counter(name, **labels)``
+call is then one dict access and one list index, a site that interned
+its series up front (a collective's launch shape, a bucket module, a
+trainer) only the list index (:meth:`MetricsRegistry.child`).  Only
+label sets whose values are all ``str`` are interned: other values
+(ints, tuples, the unhashable) take the canonical path every time, since
+``1 == True`` would let a raw key stand for another child.  A ``str``
+subclass whose ``str()`` differs from its value (a ``(str, Enum)``
+member) would find the plain string's child.
 
 Snapshots are plain dicts (JSON-ready via :meth:`MetricsRegistry.to_json`);
 *collector* callbacks registered with
@@ -33,15 +38,15 @@ thousand.  It returns ``(child, delta)`` pairs as computed; naming and
 ordering them (:func:`series_deltas`) waits until someone reads them.
 
 A writer whose series are fixed — a trainer step under one bucket plan —
-describes them once as a :class:`CounterSet` and writes all of them with
-one :meth:`MetricsRegistry.add` call, which looks the children up only on
-its first call against a registry (and again after a reset).  An ``add``
-marks its set, not each child, and only once between two drains; a counter
-also keeps ``direct``, the part of its value written outside ``add``.  So
-a reader that is told of every ``add`` as it happens — the process flight
-recorder, which each trainer step hands its amounts — drains only the
-other writes (``direct=True``), and between steps that write nothing else
-it has nothing to drain.
+keeps their ids in a :class:`Slots` table and writes all of them with one
+:meth:`MetricsRegistry.add` call; the table keeps the children they
+resolved to, again only on its first call against a registry (and after
+a reset).  An ``add`` marks its table, not each child, and only once
+between two drains; a counter also keeps ``direct``, the part of its
+value written outside ``add``.  So a reader that is told of every ``add``
+as it happens — the process flight recorder, which each trainer step
+hands its amounts — drains only the other writes (``direct=True``), and
+between steps that write nothing else it has nothing to drain.
 """
 
 from __future__ import annotations
@@ -86,6 +91,54 @@ def _series(name: str, labels: LabelKey) -> str:
     """A child's ``name{k=v,...}`` key."""
     pairs = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{pairs}}}" if pairs else name
+
+
+#: Interned series, for the whole process: ``(kind, name,
+#: *labels.items())`` -> id, and id -> ``(kind, name, labels)``.  Sites
+#: intern a fixed set of series (a collective's op, axis and policy, the
+#: buckets', a trainer's), and lookups intern only all-``str`` label sets
+#: that did not overflow, so the table stays about as small as the
+#: registry's children.
+_ids: dict[tuple, int] = {}
+_interned: list[tuple[str, str, dict[str, str]]] = []
+_intern_lock = threading.Lock()
+
+
+def intern(kind: str, name: str, labels: Mapping[str, str]) -> int:
+    """The id of the ``kind`` series ``name{labels}``, interned on first use.
+
+    Labels are ``str`` and given in one order per site; another order is
+    another id for the same child.
+    """
+    key = (kind, name, *labels.items())
+    found = _ids.get(key)
+    if found is None:
+        with _intern_lock:
+            found = _ids.get(key)
+            if found is None:
+                found = _ids[key] = len(_interned)
+                _interned.append((kind, name, dict(labels)))
+    return found
+
+
+class Slots(dict):
+    """Interned counter series in slot order: id -> slot index.
+
+    A trainer step's record counts into one amount per slot, and
+    :meth:`MetricsRegistry.add` writes them.  ``children`` are the counters
+    the ids resolved to in the registry the last ``add`` wrote, kept here
+    until a reset of that registry or another registry.
+    """
+
+    __slots__ = ("children", "_source", "_marked")
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.children: tuple[Counter, ...] = ()
+        #: The children list of the registry ``children`` were resolved in.
+        self._source: list | None = None
+        #: The registry's set of added children this table is marked in.
+        self._marked: set | None = None
 
 
 class _ScalarChild:
@@ -195,57 +248,6 @@ class _ReaderState:
         self.ref = weakref.ref(reader, lambda _, states=states: states.pop(key, None))
 
 
-class CounterSet:
-    """Counter series written together, looked up once per registry.
-
-    ``series`` are ``(name, labels)`` pairs (``str`` label values);
-    :meth:`MetricsRegistry.add` increments all of them in one call, by one
-    amount each.  ``children`` are the counters the last ``add`` wrote.
-    """
-
-    __slots__ = ("series", "children", "_registry", "_generation", "_marked")
-
-    def __init__(self, series: Iterable[tuple[str, Mapping[str, str]]]) -> None:
-        self.series = tuple((name, dict(labels)) for name, labels in series)
-        keys = {(name, _label_key(labels)) for name, labels in self.series}
-        if len(keys) != len(self.series):
-            raise ValueError("a series is listed twice")
-        self._registry: MetricsRegistry | None = None
-        self._generation = -1
-        self.children: tuple[Counter, ...] = ()
-        #: The registry's set of added children this set is marked in.
-        self._marked: set | None = None
-
-
-class HistogramSeries:
-    """One histogram child observed per call, looked up once per registry.
-
-    The histogram counterpart of :class:`CounterSet`, for a writer that
-    observes one fixed series on every step or launch: the child is found
-    on the first :meth:`observe` against a registry and again after a
-    reset.
-    """
-
-    __slots__ = ("name", "labels", "_registry", "_generation", "_child")
-
-    def __init__(self, name: str, **labels: str) -> None:
-        self.name = name
-        self.labels = labels
-        self._registry: MetricsRegistry | None = None
-        self._generation = -1
-        self._child: Histogram | None = None
-
-    def observe(self, registry: "MetricsRegistry", value: float) -> None:
-        if self._registry is not registry or self._generation != registry._generation:
-            self._child = registry.histogram(self.name, **self.labels)
-            self._registry, self._generation = registry, registry._generation
-        # Histogram.observe, inlined: this runs on every launch.
-        child = self._child
-        child.counts[bisect_left(child.buckets, value)] += 1
-        child.sum += value
-        child.count += 1
-
-
 class Histogram:
     """Fixed-bucket histogram: counts per upper bound plus an overflow bucket.
 
@@ -321,23 +323,21 @@ class MetricsRegistry:
         self._added: set[Counter] = set()
         #: ``id(reader)`` -> position, for every live reader.
         self._readers: dict[int, _ReaderState] = {}
-        #: Raw ``(kind, name, *labels.items())`` call -> the child it found
-        #: (see the module docstring for which calls are remembered).
-        self._cache: dict[tuple, Counter | Gauge | Histogram] = {}
-        #: Bumped by every reset: a :class:`CounterSet` looked up before it
-        #: holds dropped children.
-        self._generation = 0
+        #: Interned series id -> its child here, ``None`` until first use
+        #: (see the module docstring for which series are kept).
+        self._children: list[Counter | Gauge | Histogram | None] = []
 
     # --- get-or-create ------------------------------------------------------
 
     def _child(
         self,
-        name: str,
         kind: str,
+        name: str,
         labels: Mapping[str, object],
         buckets: tuple[float, ...] | None = None,
     ):
-        """The canonical lookup: find or create the child, then remember it."""
+        """The canonical lookup: find or create the child, then keep it at
+        its series' id."""
         family = self._families.get(name)
         if family is None:
             with self._lock:
@@ -383,62 +383,78 @@ class MetricsRegistry:
                 # counter's own cardinality is bounded by the family count.
                 self.counter(OVERFLOW_COUNTER, metric=name).inc()
         if not overflowed and all(type(v) is str for v in labels.values()):
-            # An overflowed set is never remembered: each call must count
-            # in the guard counter.  A family reset() dropped meanwhile is
-            # not remembered either.
+            # An overflowed set is never interned: each call must count in
+            # the guard counter.  A family reset() dropped meanwhile is not
+            # kept either.
+            ident = intern(kind, name, labels)
             with self._lock:
                 if self._families.get(name) is family:
-                    self._cache[(kind, name, *labels.items())] = child
+                    children = self._children
+                    if ident >= len(children):
+                        children.extend([None] * (ident + 1 - len(children)))
+                    children[ident] = child
         return child
+
+    def child(self, ident: int):
+        """The child of the interned series ``ident`` (:func:`intern`)."""
+        try:
+            found = self._children[ident]
+        except IndexError:
+            found = None
+        return found or self._child(*_interned[ident])
 
     def counter(self, name: str, **labels: object) -> Counter:
         try:
-            return self._cache[("counter", name, *labels.items())]
-        except (KeyError, TypeError):  # not remembered, or unhashable
-            return self._child(name, "counter", labels)
+            found = self._children[_ids[("counter", name, *labels.items())]]
+        except (KeyError, TypeError, IndexError):  # not kept, or unhashable
+            found = None
+        return found or self._child("counter", name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         try:
-            return self._cache[("gauge", name, *labels.items())]
-        except (KeyError, TypeError):
-            return self._child(name, "gauge", labels)
+            found = self._children[_ids[("gauge", name, *labels.items())]]
+        except (KeyError, TypeError, IndexError):
+            found = None
+        return found or self._child("gauge", name, labels)
 
     def histogram(
         self, name: str, buckets: Iterable[float] | None = None, **labels: object
     ) -> Histogram:
         if buckets is None:  # a bucket spec is checked against the family
             try:
-                return self._cache[("histogram", name, *labels.items())]
-            except (KeyError, TypeError):
+                found = self._children[_ids[("histogram", name, *labels.items())]]
+                if found is not None:
+                    return found
+            except (KeyError, TypeError, IndexError):
                 pass
         spec = tuple(buckets) if buckets is not None else None
         if spec is not None and list(spec) != sorted(set(spec)):
             raise ValueError("histogram buckets must be strictly increasing")
-        return self._child(name, "histogram", labels, spec)
+        return self._child("histogram", name, labels, spec)
 
-    def add(self, counters: CounterSet, amounts: Sequence[float]) -> None:
-        """Increment ``counters.series[i]`` by ``amounts[i]``, in one call.
+    def add(self, slots: Slots, amounts: Sequence[float]) -> None:
+        """Increment the counter of each series in ``slots`` by its amount
+        (``amounts[slot]``), in one call.
 
-        The children are looked up on the first call against this registry
-        and again after a :meth:`reset`; later calls only increment.  The
-        set is marked as written once until a reader of every write drains
-        it (the children's ``direct`` parts do not move).
+        The table's children are resolved on its first call against this
+        registry and again after a :meth:`reset`; later calls only
+        increment.  The table is marked as written once until a reader of
+        every write drains it (the children's ``direct`` parts do not move).
         """
-        if counters._registry is not self or counters._generation != self._generation:
-            counters.children = tuple(
-                self.counter(name, **labels) for name, labels in counters.series
-            )
-            counters._registry, counters._generation = self, self._generation
-            counters._marked = None
+        children = slots.children
+        if slots._source is not self._children:
+            children = slots.children = tuple(map(self.child, slots))
+            slots._source = self._children
+            slots._marked = None
         if amounts and min(amounts) < 0:
             raise ValueError("counters only go up; use a gauge")
-        for child, amount in zip(counters.children, amounts):
+        for child, amount in zip(children, amounts):
             child.value += amount
         # Marked after the writes: a drain swaps the set before it reads.
         added = self._added
-        if counters._marked is not added:
-            counters._marked = added
-            added.update(counters.children)
+        if slots._marked is not added:
+            slots._marked = added
+            added.update(children)
 
     # --- collectors ---------------------------------------------------------
 
@@ -490,17 +506,6 @@ class MetricsRegistry:
             children = list(self._scalars())
         return [(child.name, child.labels, child.value) for child in children]
 
-    def direct_deltas(self, reader: DeltaReader) -> Sequence | None:
-        """:meth:`scalar_deltas` of the direct writes, as a per-step reader
-        asks: ``None`` before ``reader``'s first drain (which the caller
-        makes whole), and at once ``()`` when nothing was written."""
-        state = self._readers.get(id(reader))
-        if state is None:
-            return None
-        if not self._written and not state.pending:
-            return ()
-        return self.scalar_deltas(reader, True)
-
     def unread(self, reader: DeltaReader, direct: bool = False) -> bool:
         """Whether :meth:`scalar_deltas` has anything to visit for ``reader``
         (always, on its first call)."""
@@ -520,14 +525,16 @@ class MetricsRegistry:
 
         ``direct`` reads only the writes made outside :meth:`add` (a
         counter's ``direct`` part), for a reader told of every ``add`` as
-        it happens; a reader keeps to one mode.  Its first call still
-        reports whole values.
+        it happens; a reader keeps to one mode.  Its first call, too,
+        reports only the direct parts: an ``add`` is the teller's to
+        report, whichever drain came first.
 
         Each reader has its own position, so several consumers (the process
         flight recorder, a test's private one) see the same deltas
         independently.  A reader's first call reports every non-zero child
-        as a delta from 0; later calls visit only children written in
-        between, so the cost follows the writes, not the registry size.
+        (its ``direct`` part, in direct mode) as a delta from 0; later
+        calls visit only children written in between, so the cost follows
+        the writes, not the registry size.
 
         Writers mark children without a lock (see :class:`_ScalarChild`).
         No increment is lost because the drain unmarks a child *before* any
@@ -569,10 +576,10 @@ class MetricsRegistry:
                 last = state.last
                 pairs = []
                 for child in self._scalars():
-                    value = child.value
+                    value = child.direct if direct else child.value
                     if value:
                         pairs.append((child, value))
-                    last[child] = child.direct if direct else value
+                    last[child] = value
                 state.pending.clear()
                 return pairs
             last = state.last
@@ -660,8 +667,7 @@ class MetricsRegistry:
         """
         with self._lock:
             self._families.clear()
-            self._cache.clear()
+            self._children = []
             self._written = []
             self._added = set()
             self._readers.clear()
-            self._generation += 1

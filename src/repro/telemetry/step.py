@@ -1,20 +1,24 @@
 """One trainer step's telemetry, gathered while it runs and recorded once.
 
 Every counter series an instrumented site writes is *interned* once
-(:func:`series`): its ``(name, labels)`` pair gets a small int, which the
-site resolves per launch shape, bucket or plan and keeps.  Every trainer
-step enters a :class:`StepRecord` for its duration (``BaseTrainer._step``),
-the record of the step running on its thread, and
+(:func:`series`, the counter kind of
+:func:`~repro.telemetry.registry.intern`): its ``(name, labels)`` pair
+gets a small int, which the site resolves per launch shape, bucket or
+trainer and keeps.  Every trainer step enters a :class:`StepRecord` for
+its duration (``BaseTrainer._step``), the record of the step running on
+its thread, and
 
 * an instrumented site — a collective, a bucket's flatten, unflatten or
-  segment lookup, the overlap model — counts what it actually launched
-  through :func:`tally`, which adds the amount at the series' slot of the
-  record's ``amounts`` list.  The slots are the trainer's: a step starts
-  from the series its previous step counted, so a repeated step finds
-  every slot in place.  The step writes all of them, with its own, in one
+  segment lookup, the overlap model, the trainer itself — counts what it
+  actually launched through :func:`tally`, which adds the amount at the
+  series' slot of the record's ``amounts`` list.  The slots are the
+  trainer's (a :class:`~repro.telemetry.registry.Slots` table): a step
+  starts from the series its previous step counted, so a repeated step
+  finds every slot in place.  The step writes all of them in one
   :meth:`~repro.telemetry.registry.MetricsRegistry.add` call when it ends.
   Outside a step (a collective called on its own, ``graph_exec``,
-  ``VirtualMesh``) :func:`tally` writes the registry at once;
+  ``VirtualMesh``, a checkpoint's segment lookup) :func:`tally` writes
+  the series' child at once, found by its id;
 * the process tracer's :meth:`~repro.telemetry.tracer.Tracer.emit` keeps
   the thread's spans in ``marks`` as clock marks, and the step hands the
   list to :meth:`~repro.telemetry.tracer.Tracer.emit_all` when it ends —
@@ -33,37 +37,16 @@ from __future__ import annotations
 import threading
 
 from repro import telemetry as _telemetry
-
-#: Interned series: ``(name, *labels.items())`` -> id, and id -> ``(name,
-#: labels)``.  Sites intern a fixed set of series (the collectives' op,
-#: axis and policy, the buckets', the overlap model's per trainer class),
-#: so the table stays as small as the registry's counter families.
-_ids: dict[tuple, int] = {}
-_series: list[tuple[str, dict[str, str]]] = []
-_lock = threading.Lock()
+from repro.telemetry.registry import Slots, intern
 
 
 def series(name: str, **labels: str) -> int:
     """The id of the counter series ``name{labels}``, interned on first use.
 
     Labels are ``str`` and given in one order per site, as for the
-    registry's remembered lookups.
+    registry's lookups.
     """
-    key = (name, *labels.items())
-    found = _ids.get(key)
-    if found is not None:
-        return found
-    with _lock:
-        found = _ids.get(key)
-        if found is None:
-            found = _ids[key] = len(_series)
-            _series.append((name, labels))
-    return found
-
-
-def series_of(ident: int) -> tuple[str, dict[str, str]]:
-    """The ``(name, labels)`` an id stands for."""
-    return _series[ident]
+    return intern("counter", name, labels)
 
 
 class _StepLocal(threading.local):
@@ -79,13 +62,13 @@ class StepRecord:
 
     ``slots`` maps a series id to its index in ``amounts``; a record made
     from a previous step's slots starts with every one of them at zero and
-    shares the dict until a new series joins it.
+    shares the table until a new series joins it.
     """
 
     __slots__ = ("slots", "amounts", "marks")
 
-    def __init__(self, slots: dict[int, int] | None = None) -> None:
-        self.slots: dict[int, int] = {} if slots is None else slots
+    def __init__(self, slots: Slots | None = None) -> None:
+        self.slots = Slots() if slots is None else slots
         #: Amount counted per slot.
         self.amounts: list[float] = [0.0] * len(self.slots)
         #: ``(name, category, actor, start, end)`` of every span, in order.
@@ -99,23 +82,33 @@ class StepRecord:
         _local.record = None
 
     def slot(self, ident: int) -> int:
-        """A new slot for series ``ident`` (the shared dict is copied)."""
+        """A new slot for series ``ident`` (the shared table is copied)."""
         index = len(self.amounts)
-        self.slots = {**self.slots, ident: index}
+        self.slots = Slots({**self.slots, ident: index})
         self.amounts.append(0.0)
         return index
 
+    def tally_all(self, idents, amounts) -> None:
+        """Add ``amounts[i]`` at the slot of series ``idents[i]``."""
+        slots, values = self.slots, self.amounts
+        for ident, amount in zip(idents, amounts):
+            index = slots.get(ident)
+            if index is None:
+                index = self.slot(ident)
+                slots = self.slots
+            values[index] += amount
+
     def flush(self) -> None:
-        """Hand the spans and counts so far to the tracer and the registry."""
+        """Hand the spans and counts so far to the tracer and the registry
+        (as direct writes, which the process recorder drains)."""
         marks, self.marks = self.marks, []
         amounts = self.amounts
         self.amounts = [0.0] * len(amounts)
         if marks:
             _telemetry.tracer.emit_all(marks)
-        counter = _telemetry.metrics.counter
-        for ident, index in self.slots.items():
-            name, labels = _series[ident]
-            counter(name, **labels).inc(amounts[index])
+        child = _telemetry.metrics.child
+        for ident, amount in zip(self.slots, amounts):
+            child(ident).inc(amount)
 
 
 def tally(ident: int, amount: float) -> None:
@@ -123,12 +116,11 @@ def tally(ident: int, amount: float) -> None:
 
     Inside a trainer step the amount is added at the series' slot of the
     step's record, which writes it with the step's one registry call;
-    outside one it is written now.
+    outside one it is written to the series' child now.
     """
     record = _local.record
     if record is None:
-        name, labels = _series[ident]
-        _telemetry.metrics.counter(name, **labels).inc(amount)
+        _telemetry.metrics.child(ident).inc(amount)
         return
     index = record.slots.get(ident)
     if index is None:
@@ -141,18 +133,11 @@ def tally_all(idents: tuple[int, ...], amounts) -> None:
     series one launch or one flatten writes together)."""
     record = _local.record
     if record is None:
-        counter = _telemetry.metrics.counter
+        child = _telemetry.metrics.child
         for ident, amount in zip(idents, amounts):
-            name, labels = _series[ident]
-            counter(name, **labels).inc(amount)
-        return
-    slots, values = record.slots, record.amounts
-    for ident, amount in zip(idents, amounts):
-        index = slots.get(ident)
-        if index is None:
-            index = record.slot(ident)
-            slots = record.slots
-        values[index] += amount
+            child(ident).inc(amount)
+    else:
+        record.tally_all(idents, amounts)
 
 
 def flush() -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.sim.trace import Trace
+from repro.telemetry import registry as registry_module
 from repro.telemetry.registry import (
     DEFAULT_TIME_BUCKETS,
     DeltaReader,
@@ -235,12 +236,12 @@ class TestRegistry:
         assert m.snapshot() == {}
 
     def test_cached_lookup_returns_the_canonical_child(self):
-        """Repeated calls hit the remembered raw call; any spelling of the
+        """Repeated calls hit the interned raw call; any spelling of the
         same label set still reaches the one child."""
         m = MetricsRegistry()
         child = m.counter("c", x="3", y="2")
         assert m.counter("c", x="3", y="2") is child
-        assert ("counter", "c", ("x", "3"), ("y", "2")) in m._cache
+        assert ("counter", "c", ("x", "3"), ("y", "2")) in registry_module._ids
         assert m.counter("c", y="2", x="3") is child
         assert m.counter("c", x=3, y="2") is child
         assert m.counter("c", x=3, y="2") is child
@@ -292,6 +293,20 @@ class TestRegistry:
         assert m.value("telemetry_label_overflow", metric="bytes") == 3
         assert m.value("bytes", overflow="true") == 3
         assert m.counter("bytes", device="1") is m.counter("bytes", device="1")
+
+    def test_a_saturated_family_interns_no_overflowed_label_set(self):
+        """Past ``max_children`` a new label set finds the overflow child
+        but gets no series id: the id would skip the guard counter."""
+        m = MetricsRegistry(max_children=2)
+        for device in ("0", "1", "2", "3"):
+            m.counter("saturated_bytes", device=device).inc()
+        interned = registry_module._ids
+        assert ("counter", "saturated_bytes", ("device", "1")) in interned
+        assert ("counter", "saturated_bytes", ("device", "2")) not in interned
+        assert ("counter", "saturated_bytes", ("device", "3")) not in interned
+        m.counter("saturated_bytes", device="2").inc()
+        assert m.value("telemetry_label_overflow", metric="saturated_bytes") == 3
+        assert m.value("saturated_bytes", overflow="true") == 3
 
     def test_collector_runs_at_snapshot(self):
         m = MetricsRegistry()

@@ -6,7 +6,7 @@ the histogram observations, the sink calls its spans take, and the flight
 ring's writes and records.  Every strategy records one way: its sites tally
 into the step's record by interned series, and the step makes one ``add``,
 one ``collective_seconds`` observation per launch and one ``step_seconds``
-observation through series looked up once (and, with overlap, the two
+observation through their interned ids (and, with overlap, the two
 ``overlap_*`` gauges), one sink call and two ring writes — its spans, kept
 as clock marks, and its step record, kept by reference with its counter
 amounts.  A step over the service chaos executor's 2x2 mesh (one bucket,
@@ -32,18 +32,21 @@ from repro.models.mlp import MLP
 from repro.optim.sgd import SGDMomentum
 from repro.resilience.chaos import ChaosConfig, run_chaos
 from repro.resilience.faults import FaultPlan
+from repro.runtime.bucket import GradientBucket
+from repro.runtime.collectives import TwoPhaseAllReduce, ring_all_reduce
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.step import StepRecord
 from repro.telemetry.tracer import Tracer
 
 tracer_module = importlib.import_module("repro.telemetry.tracer")
 step_module = importlib.import_module("repro.telemetry.step")
+registry_module = importlib.import_module("repro.telemetry.registry")
 
 #: Spans of one step: split, forward_backward, ring_reduce_scatter,
 #: sharded_update, ring_all_gather, wus_update, train_step.
 SPANS = 7
 #: Registry calls of one step: one ``add`` of the step's counter set; its
-#: histograms are observed through children looked up on the first step.
+#: histograms are observed through the children their interned ids index.
 REGISTRY_CALLS = {"add": 1}
 #: Histogram observations of one step: one per launch (``collective_seconds``)
 #: plus the step's ``step_seconds``.
@@ -357,6 +360,48 @@ def test_a_repeated_step_tallies_into_its_slots_and_builds_nothing(monkeypatch):
     assert len(telemetry.tracer.trace.events) == 2 * SPANS
     counters = [r for r in telemetry.flight_recorder.records if r.kind == "counters"]
     assert counters[-1].data["deltas"]["bucket_flatten_calls"] == 1.0
+
+
+def test_a_rebuilt_trainer_resolves_no_label_key(monkeypatch):
+    """A chaos restore or a cluster rebuild builds a trainer of a config
+    the process has stepped before: its series are interned and their
+    children in the registry, so building and stepping it works out no
+    canonical label key."""
+    x, y = _batch()
+    for strategy, (config, _, _) in STRATEGIES.items():
+        _trainer(**config).step(x, y)
+        calls: collections.Counter = collections.Counter()
+        with monkeypatch.context() as patch:
+            _count_calls(patch, calls, registry_module, "_label_key")
+            _trainer(**config).step(x, y)
+        assert dict(calls) == {}, strategy
+
+
+def test_a_collective_outside_a_step_makes_no_registry_lookup(monkeypatch):
+    """Outside a trainer step a launch writes its counters and seconds to
+    the children its interned series index: after the first launch a
+    standalone ring or 2-D all-reduce, and a checkpoint's segment lookup,
+    call no ``metrics.counter`` / ``histogram``."""
+    rng = np.random.default_rng(0)
+    ring = [rng.standard_normal(6) for _ in range(4)]
+    grid = rng.standard_normal((4, 6))
+    bucket = GradientBucket({"w": np.zeros((3, 4)), "b": np.zeros(5)})
+
+    def launch():
+        ring_all_reduce(ring)
+        two_phase = TwoPhaseAllReduce((2, 2), (6,), "f32")
+        two_phase.reduce_columns(grid)
+        two_phase.all_reduce()
+        bucket.tensor_segments(4)
+
+    launch()
+    launches = telemetry.metrics.total("collective_launches")
+    with monkeypatch.context() as patch:
+        calls = _count_registry_calls(patch)
+        launch()
+    assert dict(calls) == {}
+    assert telemetry.metrics.total("collective_launches") == 2 * launches > 0
+    assert telemetry.metrics.value("bucket_segment_cache_hits") == 4
 
 
 def test_an_accounting_step_is_one_ring_write_and_no_drain(monkeypatch):

@@ -381,6 +381,60 @@ class TestCounterDeltas:
         rec.record_counter_deltas()
         assert _delta_payloads(rec) == [{"c": 5.0}, {"c": 1.0}]
 
+    def test_steps_straddling_the_first_drain_count_once(self, monkeypatch):
+        """Two threads' steps straddle the process recorder's first drain:
+        A's ``add`` lands, then B's step runs whole (its ``add``, then its
+        ``on_step``, the first drain), then A's ``on_step``.  Each step's
+        amounts show in its own record only, so the deltas the bundle shows
+        add up to what the registry holds."""
+        import numpy as np
+
+        from repro.core.trainer import TrainerConfig, make_trainer
+        from repro.models.mlp import MLP
+        from repro.optim.sgd import SGDMomentum
+
+        a, b = (
+            make_trainer(TrainerConfig(
+                model=MLP([8, 16, 4]), optimizer=SGDMomentum(0.05), seed=4,
+                **config,
+            ))
+            for config in (
+                dict(strategy="single"),
+                dict(strategy="data_parallel", mesh_shape=(2, 1)),
+            )
+        )
+        recorder = telemetry.flight_recorder
+        on_step = recorder.on_step
+        added, release = threading.Event(), threading.Event()
+
+        def held(result, trainer="", *args):
+            if trainer == type(a).__name__:
+                added.set()
+                assert release.wait(30)
+            on_step(result, trainer, *args)
+
+        monkeypatch.setattr(recorder, "on_step", held)
+        rng = np.random.default_rng(0)
+        x, labels = rng.standard_normal((4, 8)), rng.integers(0, 4, size=4)
+        thread = threading.Thread(target=a.step, args=(x, labels))
+        thread.start()
+        try:
+            assert added.wait(30)
+            b.step(x, labels)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        sums: dict[str, float] = {}
+        for deltas in _delta_payloads(recorder):
+            for series, delta in deltas.items():
+                sums[series] = sums.get(series, 0.0) + delta
+        for trainer in (a, b):
+            assert sums[f"train_steps{{trainer={type(trainer).__name__}}}"] == 1.0
+        # A new reader's first call is every non-zero child's value.
+        held = series_deltas(telemetry.metrics.scalar_deltas(DeltaReader()))
+        assert sums == pytest.approx(held)
+
     def test_collected_recorder_leaves_the_registry(self):
         registry = MetricsRegistry()
         rec = FlightRecorder(capacity=4)
