@@ -74,6 +74,7 @@ from repro.cluster.jobs import (
 from repro.cluster.state import ClusterState
 from repro.controlplane.barrier import resolve_barrier
 from repro.controlplane.checkpointing import StepInterval
+from repro.controlplane.heartbeat import OracleDetector
 from repro.refuse import count, non_negative
 from repro.resilience.chaos import (
     Recovery, check_plan, check_recovery_knobs, trainer_for,
@@ -343,8 +344,6 @@ class ClusterScheduler:
         self.config = config
         self.plan = plan if plan is not None else FaultPlan()
         if detector is None:
-            from repro.controlplane.heartbeat import OracleDetector
-
             detector = OracleDetector(config.detection_timeout_s)
         self.state = ClusterState(config.mesh_shape, config.chips_per_host)
         check_plan(self.plan, config.mesh_shape, self.state.hosts)

@@ -33,12 +33,13 @@ with the counter children and amounts its one registry ``add`` wrote, the
 arguments of a cluster event — beside the function that turns it into
 :class:`FlightRecord` objects, and records are built when
 :attr:`FlightRecorder.records` or a bundle reads the ring.  A step's
-counter deltas are worked out then too: its own are the amounts it added,
-and the writes made since the previous step outside any ``add`` (a
-restart's counters, a gauge) are drained at the step only when there are
-any, and shown in its record.  Entries hold one record or more, so the
-ring keeps the last ``capacity`` entries and a read builds the newest
-ones, down to the last ``capacity`` records.
+counter deltas are worked out then too, by one rule: a drain reads only
+the writes made outside a trainer step's ``add`` (a restart's counters, a
+gauge), and only when there are any; the amounts a step added reach the
+recorder through that step's own :meth:`FlightRecorder.on_step`, and show
+in its record beside what was drained there.  Entries hold one record or
+more, so the ring keeps the last ``capacity`` entries and a read builds
+the newest ones, down to the last ``capacity`` records.
 
 Bundles are written to ``REPRO_POSTMORTEM_DIR`` (or
 ``FlightRecorder.dump_dir``) when set; otherwise :meth:`FlightRecorder.dump`
@@ -225,17 +226,12 @@ class FlightRecorder:
             self._records.append((_spans, self._clock() - self._epoch, events))
 
     def _drain(self, registry) -> list:
-        """The counter/gauge changes since this recorder's last drain.
-
-        The process recorder is told of every trainer step's ``add`` to the
-        process registry (:meth:`on_step`), so it reads only the other
-        writes there; any other pairing reads every write.  Nothing is
-        drained when nothing was written.
-        """
-        direct = self is _telemetry.flight_recorder and registry is _telemetry.metrics
-        if not registry.unread(self._delta_reader, direct):
+        """The counter/gauge changes made outside a trainer step's ``add``
+        since this recorder's last drain; nothing is drained when nothing
+        was written."""
+        if not registry.unread(self._delta_reader):
             return ()
-        return registry.scalar_deltas(self._delta_reader, direct)
+        return registry.scalar_deltas(self._delta_reader)
 
     def record_counter_deltas(self, registry=None) -> None:
         """Record which scalar metrics moved (and by how much) since last call.
@@ -245,9 +241,10 @@ class FlightRecorder:
         :meth:`~repro.telemetry.registry.MetricsRegistry.scalar_deltas`,
         which visits only the children written since this recorder's last
         call, and stores the changed values, keyed ``name{k=v,...}`` when
-        read.  The first call, and the first after :meth:`clear`, reports
-        every non-zero child as a delta from 0 (for the process recorder,
-        the part of it written outside a trainer step's ``add``).
+        read.  Only writes made outside a trainer step's ``add`` count: a
+        step's amounts are recorded by its :meth:`on_step` alone.  The first
+        call, and the first after :meth:`clear`, reports every child's
+        non-zero part written that way as a delta from 0.
         """
         if not _telemetry.enabled:
             return
@@ -278,16 +275,15 @@ class FlightRecorder:
         in one ring write.
 
         ``children`` and ``amounts`` are what the step's one registry
-        ``add`` wrote (kept by reference); the deltas are those amounts plus
-        whatever was written outside an ``add`` since the previous step,
-        as :meth:`record_counter_deltas` would have added them.
+        ``add`` wrote (kept by reference), which no drain reads; the deltas
+        are those amounts plus whatever was written outside an ``add``
+        since the previous drain, as :meth:`record_counter_deltas` would
+        have recorded it.
         """
         if not _telemetry.enabled:
             return
         t = self._clock() - self._epoch
         drained = self._drain(_telemetry.metrics)
-        if self is not _telemetry.flight_recorder:
-            children = ()  # its drain read the add's writes itself
         self._records.append((_step, t, result, trainer, children, amounts, drained))
 
     def on_modeled_step(self, step: int, slowdown: float) -> None:

@@ -31,7 +31,7 @@ how cheap cache statistics (e.g. the padding-layout ``lru_cache`` in
 :mod:`repro.runtime.collectives`) surface as gauges without per-call cost.
 
 Per-step consumers (the flight recorder's counter deltas) do not snapshot:
-counter and gauge writes mark their child, and
+a counter's ``inc`` and a gauge's writes mark their child, and
 :meth:`MetricsRegistry.scalar_deltas` visits only the marked children, so
 that read costs the same whether the registry holds ten children or a
 thousand.  It returns ``(child, delta)`` pairs as computed; naming and
@@ -41,12 +41,12 @@ A writer whose series are fixed — a trainer step under one bucket plan —
 keeps their ids in a :class:`Slots` table and writes all of them with one
 :meth:`MetricsRegistry.add` call; the table keeps the children they
 resolved to, again only on its first call against a registry (and after
-a reset).  An ``add`` marks its table, not each child, and only once
-between two drains; a counter also keeps ``direct``, the part of its
-value written outside ``add``.  So a reader that is told of every ``add``
-as it happens — the process flight recorder, which each trainer step
-hands its amounts — drains only the other writes (``direct=True``), and
-between steps that write nothing else it has nothing to drain.
+a reset).  An ``add`` marks nothing: a counter keeps ``direct``, the part
+of its value written outside ``add``, and a delta is always a change of
+``direct`` (a gauge's value).  The amounts an ``add`` wrote reach a
+reader only from the writer itself — a trainer step hands them to the
+flight recorder with its step record — so between steps that write
+nothing else a reader has nothing to drain.
 """
 
 from __future__ import annotations
@@ -130,24 +130,23 @@ class Slots(dict):
     until a reset of that registry or another registry.
     """
 
-    __slots__ = ("children", "_source", "_marked")
+    __slots__ = ("children", "_source")
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.children: tuple[Counter, ...] = ()
         #: The children list of the registry ``children`` were resolved in.
         self._source: list | None = None
-        #: The registry's set of added children this table is marked in.
-        self._marked: set | None = None
 
 
 class _ScalarChild:
     """State shared by :class:`Counter` and :class:`Gauge` children.
 
     ``series`` is the child's ``name{k=v,...}`` key, formatted once here
-    rather than on every read.  Every write *marks* the child: the first
-    write since the last :meth:`MetricsRegistry.scalar_deltas` drain appends
-    it to ``_written``, the owning registry's list of written children, so
+    rather than on every read.  Every write outside
+    :meth:`MetricsRegistry.add` *marks* the child: the first such write
+    since the last :meth:`MetricsRegistry.scalar_deltas` drain appends it
+    to ``_written``, the owning registry's list of written children, so
     per-step readers visit only what moved.  The mark takes no lock; the
     drain's half of the protocol is documented there.
     """
@@ -231,19 +230,20 @@ def series_deltas(pairs: Iterable[tuple[_ScalarChild, float]]) -> dict[str, floa
 class _ReaderState:
     """One reader's position: last reported values and children to revisit.
 
-    ``ref`` is a weak reference to the reader whose collection removes this
-    state from the registry's table (the callback takes no lock, so it is
-    safe wherever the collector runs).
+    A new reader starts with ``pending`` holding every child.  ``ref`` is
+    a weak reference to the reader whose collection removes this state
+    from the registry's table (the callback takes no lock, so it is safe
+    wherever the collector runs).
     """
 
-    __slots__ = ("last", "pending", "ref", "direct")
+    __slots__ = ("last", "pending", "ref")
 
-    def __init__(self, reader: DeltaReader, states: dict, direct: bool) -> None:
-        self.direct = direct
-        #: Child -> the value last reported (``direct`` for a reader of the
-        #: direct writes only).
+    def __init__(
+        self, reader: DeltaReader, states: dict, pending: Iterable[_ScalarChild]
+    ) -> None:
+        #: Child -> the ``direct`` value last reported.
         self.last: dict[_ScalarChild, float] = {}
-        self.pending: set[_ScalarChild] = set()
+        self.pending: set[_ScalarChild] = set(pending)
         key = id(reader)
         self.ref = weakref.ref(reader, lambda _, states=states: states.pop(key, None))
 
@@ -317,10 +317,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self.max_children = max_children
         #: Counter/gauge children written outside ``add`` since the last
-        #: scalar_deltas drain, and children written by ``add`` since the last
-        #: drain of a reader that reads them.
+        #: scalar_deltas drain.
         self._written: list[_ScalarChild] = []
-        self._added: set[Counter] = set()
         #: ``id(reader)`` -> position, for every live reader.
         self._readers: dict[int, _ReaderState] = {}
         #: Interned series id -> its child here, ``None`` until first use
@@ -438,23 +436,19 @@ class MetricsRegistry:
 
         The table's children are resolved on its first call against this
         registry and again after a :meth:`reset`; later calls only
-        increment.  The table is marked as written once until a reader of
-        every write drains it (the children's ``direct`` parts do not move).
+        increment.  Nothing is marked and the children's ``direct`` parts
+        do not move, so no :meth:`scalar_deltas` reader sees these amounts:
+        the caller hands them on itself (a trainer step, to the flight
+        recorder's :meth:`~repro.telemetry.flight.FlightRecorder.on_step`).
         """
         children = slots.children
         if slots._source is not self._children:
             children = slots.children = tuple(map(self.child, slots))
             slots._source = self._children
-            slots._marked = None
         if amounts and min(amounts) < 0:
             raise ValueError("counters only go up; use a gauge")
         for child, amount in zip(children, amounts):
             child.value += amount
-        # Marked after the writes: a drain swaps the set before it reads.
-        added = self._added
-        if slots._marked is not added:
-            slots._marked = added
-            added.update(children)
 
     # --- collectors ---------------------------------------------------------
 
@@ -506,35 +500,30 @@ class MetricsRegistry:
             children = list(self._scalars())
         return [(child.name, child.labels, child.value) for child in children]
 
-    def unread(self, reader: DeltaReader, direct: bool = False) -> bool:
+    def unread(self, reader: DeltaReader) -> bool:
         """Whether :meth:`scalar_deltas` has anything to visit for ``reader``
         (always, on its first call)."""
-        if self._written or (self._added and not direct):
+        if self._written:
             return True
         state = self._readers.get(id(reader))
         return state is None or bool(state.pending)
 
-    def scalar_deltas(
-        self, reader: DeltaReader, direct: bool = False
-    ) -> list[tuple[_ScalarChild, float]]:
-        """Counter/gauge changes since ``reader``'s previous call, as computed.
+    def scalar_deltas(self, reader: DeltaReader) -> list[tuple[_ScalarChild, float]]:
+        """Counter/gauge changes made outside :meth:`add` since ``reader``'s
+        previous call, as computed.
 
         ``(child, delta)`` pairs in no particular order: a per-step consumer
         (the flight recorder) stores them, and :func:`series_deltas` names
-        and orders them when they are read.
-
-        ``direct`` reads only the writes made outside :meth:`add` (a
-        counter's ``direct`` part), for a reader told of every ``add`` as
-        it happens; a reader keeps to one mode.  Its first call, too,
-        reports only the direct parts: an ``add`` is the teller's to
-        report, whichever drain came first.
+        and orders them when they are read.  A delta is a change of the
+        child's ``direct`` part (a gauge's value): what an ``add`` wrote is
+        its caller's to report.
 
         Each reader has its own position, so several consumers (the process
         flight recorder, a test's private one) see the same deltas
-        independently.  A reader's first call reports every non-zero child
-        (its ``direct`` part, in direct mode) as a delta from 0; later
-        calls visit only children written in between, so the cost follows
-        the writes, not the registry size.
+        independently.  A new reader starts with every child pending, so
+        its first call reports every non-zero ``direct`` part as a delta
+        from 0; later calls visit only children written in between, so the
+        cost follows the writes, not the registry size.
 
         Writers mark children without a lock (see :class:`_ScalarChild`).
         No increment is lost because the drain unmarks a child *before* any
@@ -547,7 +536,7 @@ class MetricsRegistry:
         once, without the lock: a write racing with that check is simply
         reported by the next call, as if it had landed just after this one.
         """
-        if not self.unread(reader, direct):
+        if not self.unread(reader):
             return []
         with self._lock:
             written = self._written
@@ -561,31 +550,15 @@ class MetricsRegistry:
                 # A copy: a reader collected meanwhile leaves the table.
                 for state in tuple(self._readers.values()):
                     state.pending.update(batch)
-            if self._added and not direct:
-                # Swapped before any value is read: an add racing with this
-                # marks the new set.
-                added, self._added = self._added, set()
-                for state in tuple(self._readers.values()):
-                    if not state.direct:
-                        state.pending.update(added)
             state = self._readers.get(id(reader))
             if state is None:
                 state = self._readers[id(reader)] = _ReaderState(
-                    reader, self._readers, direct
+                    reader, self._readers, self._scalars()
                 )
-                last = state.last
-                pairs = []
-                for child in self._scalars():
-                    value = child.direct if direct else child.value
-                    if value:
-                        pairs.append((child, value))
-                    last[child] = value
-                state.pending.clear()
-                return pairs
             last = state.last
             pairs = []
             for child in state.pending:
-                value = child.direct if direct else child.value
+                value = child.direct
                 previous = last.get(child, 0.0)
                 if value != previous:
                     pairs.append((child, value - previous))
@@ -669,5 +642,4 @@ class MetricsRegistry:
             self._families.clear()
             self._children = []
             self._written = []
-            self._added = set()
             self._readers.clear()

@@ -3,9 +3,10 @@
 The process flight recorder keeps a trainer step's counter amounts by
 reference and drains the registry at a step only when something was
 written outside the step's ``add``; a bundle works the deltas out when it
-is read.  This oracle is a test-local reader that drains every write
-eagerly at the same points, the way the recorder did before: at every step
-boundary and every explicit drain.  Under any interleaving of tallied
+is read.  This oracle shares no code with that drain: at the same points —
+every step boundary and every explicit drain — it diffs consecutive
+``MetricsRegistry.scalar_children()`` snapshots, so it sees every write,
+a step's ``add`` included.  Under any interleaving of tallied
 steps, direct counter and gauge writes between steps (some to a series a
 step also writes), flight records written mid-step (which flush the step's
 counts so far) and bundles, each bundle's ``counters`` records must equal
@@ -32,7 +33,6 @@ from repro.models.mlp import MLP
 from repro.optim.sgd import SGDMomentum
 from repro.runtime import bucket, collectives
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.registry import DeltaReader, series_deltas
 
 #: A ring small enough that a few steps wrap it.
 CAPACITY = 24
@@ -58,10 +58,36 @@ ACTIONS = st.lists(
 )
 
 
+class SnapshotDiff(list):
+    """The eager oracle: each entry is ``{series: delta}`` between two
+    consecutive registry snapshots, in the registry's iteration order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.last: dict[tuple, float] = {}
+
+    def clear(self) -> None:
+        """Start over from an empty registry."""
+        super().clear()
+        self.last = {}
+
+    def take(self) -> None:
+        """Append what changed since the previous snapshot, if anything."""
+        deltas = {}
+        for name, labels, value in telemetry.metrics.scalar_children():
+            previous = self.last.get((name, labels), 0.0)
+            if value != previous:
+                pairs = ",".join(f"{k}={v}" for k, v in labels)
+                deltas[f"{name}{{{pairs}}}" if pairs else name] = value - previous
+                self.last[(name, labels)] = value
+        if deltas:
+            self.append(deltas)
+
+
 @pytest.fixture
 def recorder(monkeypatch):
     """A small process recorder, integer clocks, and the eager oracle's
-    deltas, drained wherever the recorder records a step or a drain."""
+    deltas, diffed wherever the recorder records a step or a drain."""
     ticks = itertools.count(1)
 
     def clock() -> float:
@@ -74,15 +100,12 @@ def recorder(monkeypatch):
     small = FlightRecorder(capacity=CAPACITY)
     monkeypatch.setattr(telemetry, "flight_recorder", small)
     monkeypatch.setattr(telemetry.tracer, "_sinks", [small.on_trace_events])
-    oracle: list[dict] = []
-    reader = DeltaReader()
+    oracle = SnapshotDiff()
 
     def eager(method):
         def drained(*args, **kwargs):
             method(*args, **kwargs)
-            deltas = series_deltas(telemetry.metrics.scalar_deltas(reader))
-            if deltas:
-                oracle.append(deltas)
+            oracle.take()
 
         return drained
 

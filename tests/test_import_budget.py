@@ -112,21 +112,34 @@ def test_service_loads_what_its_forked_jobs_run():
     assert new == []
 
 
-#: Functions run per chaos run, per trainer build or per straggler step:
-#: source file under ``src/repro`` -> function names.
+#: Functions run per chaos run, per cluster run, per trainer build or per
+#: straggler step: source file under ``src/repro`` -> function names, a
+#: method's as ``Class.method``.
 PER_OP_FUNCTIONS = {
     "resilience/chaos.py": ("trainer_for", "run_chaos"),
-    "cluster/scheduler.py": ("_blame_stragglers",),
+    "cluster/scheduler.py": ("_blame_stragglers", "ClusterScheduler.__init__"),
     "core/trainer.py": ("make_trainer",),
 }
+
+
+def _functions(tree: ast.Module):
+    """Every function in ``tree`` by its name, and every method also as
+    ``Class.method``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
 
 
 @pytest.mark.parametrize("path", PER_OP_FUNCTIONS)
 def test_per_op_functions_hold_no_import_statement(path):
     tree = ast.parse((SRC / "repro" / path).read_text())
     functions = {
-        node.name: node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in PER_OP_FUNCTIONS[path]
+        name: node for name, node in _functions(tree)
+        if name in PER_OP_FUNCTIONS[path]
     }
     assert set(functions) == set(PER_OP_FUNCTIONS[path])
     for name, function in functions.items():

@@ -24,6 +24,7 @@ from repro.telemetry.registry import (
     DeltaReader,
     MetricsRegistry,
     _ScalarChild,
+    _series,
     series_deltas,
 )
 from repro.telemetry.tracer import Tracer
@@ -322,7 +323,8 @@ class TestCounterDeltas:
     def test_untouched_children_are_not_revisited(self, monkeypatch):
         """Per-step cost follows the writes, not the registry size: after
         the first call only written children are visited (counted as reads
-        of ``child.value``), and the rebuild-everything walk is never used."""
+        of ``child.direct``, the part a drain reads), and the
+        rebuild-everything walk is never used."""
         rec = FlightRecorder(capacity=16)
         for i in range(700):
             telemetry.metrics.counter("per_device_bytes", device=str(i)).inc(i + 1)
@@ -333,9 +335,9 @@ class TestCounterDeltas:
             raise AssertionError("scalar_children() is off the per-step path")
 
         reads = []
-        slot = _ScalarChild.value  # the __slots__ descriptor
+        slot = _ScalarChild.direct  # the __slots__ descriptor
 
-        class CountingValue:
+        class CountingDirect:
             def __get__(self, obj, owner=None):
                 reads.append(obj)
                 return slot.__get__(obj, owner)
@@ -350,7 +352,7 @@ class TestCounterDeltas:
         for child in written:
             child.inc(8)
         monkeypatch.setattr(MetricsRegistry, "scalar_children", rebuilt)
-        monkeypatch.setattr(_ScalarChild, "value", CountingValue())
+        monkeypatch.setattr(_ScalarChild, "direct", CountingDirect())
         rec.record_counter_deltas()
         assert sorted(map(id, reads)) == sorted(map(id, written))
         del reads[:]
@@ -431,9 +433,42 @@ class TestCounterDeltas:
                 sums[series] = sums.get(series, 0.0) + delta
         for trainer in (a, b):
             assert sums[f"train_steps{{trainer={type(trainer).__name__}}}"] == 1.0
-        # A new reader's first call is every non-zero child's value.
-        held = series_deltas(telemetry.metrics.scalar_deltas(DeltaReader()))
+        held = {
+            _series(name, labels): value
+            for name, labels, value in telemetry.metrics.scalar_children() if value
+        }
         assert sums == pytest.approx(held)
+
+    def test_a_drain_reads_no_step_add(self):
+        """One rule for every reader: a drain shows the writes made outside
+        a trainer step's ``add``.  A fresh recorder after a few steps shows
+        a direct ``inc`` but no series only the steps' ``add`` wrote; the
+        process recorder's step records carry those amounts."""
+        import numpy as np
+
+        from repro.core.trainer import TrainerConfig, make_trainer
+        from repro.models.mlp import MLP
+        from repro.optim.sgd import SGDMomentum
+
+        trainer = make_trainer(TrainerConfig(
+            model=MLP([8, 16, 4]), optimizer=SGDMomentum(0.05), strategy="single",
+            seed=4,
+        ))
+        rng = np.random.default_rng(0)
+        x, labels = rng.standard_normal((4, 8)), rng.integers(0, 4, size=4)
+        for _ in range(3):
+            trainer.step(x, labels)
+        telemetry.metrics.counter("restarts", job="a").inc(2)
+        name = type(trainer).__name__
+        assert telemetry.metrics.value("train_steps", trainer=name) == 3
+        steps = f"train_steps{{trainer={name}}}"
+
+        fresh = FlightRecorder(capacity=16)
+        fresh.record_counter_deltas()
+        (deltas,) = _delta_payloads(fresh)
+        assert deltas["restarts{job=a}"] == 2.0
+        assert steps not in deltas
+        assert sum(d.get(steps, 0.0) for d in _delta_payloads(telemetry.flight_recorder)) == 3
 
     def test_collected_recorder_leaves_the_registry(self):
         registry = MetricsRegistry()
