@@ -385,6 +385,14 @@ class SimulationService:
         return payload
 
     def _execute(self, handle: JobHandle, worker: int) -> None:
+        """Run one dequeued job on ``worker`` and resolve its handle.
+
+        Deadline, breaker, then up to ``retry_policy.max_attempts``
+        attempts; a success is cached (unless degraded) and resolved.  The
+        job's backoff key, ``derive_subseed(seed, "service-retry",
+        label)``, is derived when its first retry sleeps: a job that
+        succeeds on its first attempt derives nothing.
+        """
         job = handle.job
         if self._expired(handle):
             self._reject(
@@ -420,7 +428,7 @@ class SimulationService:
         handle.degraded = degraded
 
         policy = self.config.retry_policy
-        retry_key = derive_subseed(self.config.seed, "service-retry", job.label)
+        retry_key: int | None = None
         payload: dict | None = None
         error: ServiceError | None = None
         trips_before = breaker.trips
@@ -447,6 +455,10 @@ class SimulationService:
                     self.stats.retries += 1
                 if _telemetry.enabled:
                     _telemetry.metrics.counter("service_retries").inc()
+                if retry_key is None:
+                    retry_key = derive_subseed(
+                        self.config.seed, "service-retry", job.label
+                    )
                 self._sleep(policy.delay_after(attempt, key=retry_key))
                 continue
             except Exception as exc:  # noqa: BLE001 — poisoned spec, no retry

@@ -306,16 +306,23 @@ class FlightRecorder:
         """Postmortem bundles built since construction (survives clear())."""
         return self._dump_count
 
-    def _built(self, entries=None) -> list[tuple[Callable, list[FlightRecord]]]:
+    def _built(
+        self, entries=None, build_spans: bool = True
+    ) -> list[tuple[Callable, list[FlightRecord]]]:
         """The newest entries' builders and records, oldest first: only the
-        entries holding the last ``capacity`` records are built."""
+        entries holding the last ``capacity`` records are built.  With
+        ``build_spans=False`` a span entry is counted, not built: its
+        records are a ``range`` of the same length."""
         if entries is None:
             with self._lock:
                 entries = list(self._records)
         built = []
         wanted = self.capacity
         for build, *args in reversed(entries):
-            records = build(*args)
+            if build is _spans and not build_spans:
+                records = range(len(args[1]))
+            else:
+                records = build(*args)
             if len(records) > wanted:
                 records = records[len(records) - wanted:]
             built.append((build, records))
@@ -338,7 +345,7 @@ class FlightRecorder:
         of them last in the ring; ``position`` counts those recorded ahead
         of the record, and ``at`` is its clock reading.
         """
-        built = self._built()
+        built = self._built(build_spans=False)
         position = spans - sum(len(records) for build, records in built if build is _spans)
         out = []
         for build, records in built:

@@ -17,6 +17,7 @@ import itertools
 import json
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,12 +185,29 @@ class TestResultCache:
         assert stats["evictions"] == 1
         assert stats["hits"] == 3 and stats["misses"] == 1
 
-    def test_hits_are_isolated_copies(self):
+    @pytest.mark.parametrize(
+        "make, mutate",
+        [
+            (lambda: {"nested": {"v": 1, "w": {"x": 2.5}}},
+             lambda p: p["nested"]["w"].update(x=999)),
+            (lambda: {"losses": [0.5, 0.25, 0.125]},
+             lambda p: (p["losses"].append(1.0), p["losses"].__setitem__(0, 9.0))),
+            (lambda: {"pair": ([1, 2], "tag")},
+             lambda p: p["pair"][0].append(3)),
+            # Not a JSON type: the copy falls back to ``copy.deepcopy``.
+            (lambda: {"grid": np.arange(4.0)},
+             lambda p: p["grid"].__setitem__(0, -1.0)),
+        ],
+        ids=["nested-dict", "list-of-floats", "tuple-holding-list", "ndarray"],
+    )
+    def test_hits_are_isolated_copies(self, make, mutate):
         cache = ResultCache()
-        cache.put("k", {"nested": {"v": 1}})
-        first = cache.get("k")
-        first["nested"]["v"] = 999
-        assert cache.get("k") == {"nested": {"v": 1}}
+        given = make()
+        cache.put("k", given)
+        mutate(given)
+        np.testing.assert_equal(cache.get("k"), make())
+        mutate(cache.get("k"))
+        np.testing.assert_equal(cache.get("k"), make())
 
 
 class TestCrashPlan:
